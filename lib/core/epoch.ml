@@ -205,7 +205,7 @@ let fenced_hooks (hooks : Interp.hooks) (watermark : (int * int) list) :
   let dmax : (int, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (t, d) -> Hashtbl.replace dmax t d) watermark;
   let fence (pre : Event.pre) =
-    pre.Event.c <= Option.value ~default:0 (Hashtbl.find_opt dmax pre.Event.tid)
+    pre.Event.c <= (match Hashtbl.find dmax pre.Event.tid with d -> d | exception Not_found -> 0)
   in
   {
     hooks with
@@ -232,8 +232,7 @@ let replay_epoch ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Tree)
         | _ -> "epoch constraint system unsatisfiable")
     | Some sch ->
       let plan = Light.prepared_plan r.er_prepared in
-      let d = Replayer.driver sch ~plan in
-      let hooks = fenced_hooks d.Replayer.hooks e.ep_log.Log.counters in
+      let hooks = fenced_hooks (Replayer.driver sch ~plan) e.ep_log.Log.counters in
       let ses =
         Vm.restore_session ~hooks ~plan engine
           ~compiled:(Light.prepared_compiled r.er_prepared)
@@ -903,8 +902,7 @@ let replay_chunk ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Tree)
       | _ -> "epoch constraint system unsatisfiable")
   | Some sch ->
     let plan = Light.prepared_plan pp in
-    let d = Replayer.driver sch ~plan in
-    let hooks = fenced_hooks d.Replayer.hooks ck.ck_log.Log.counters in
+    let hooks = fenced_hooks (Replayer.driver sch ~plan) ck.ck_log.Log.counters in
     let ses =
       Vm.restore_session ~hooks ~plan engine
         ~compiled:(Light.prepared_compiled pp)

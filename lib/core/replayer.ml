@@ -21,13 +21,33 @@
 
 open Runtime
 
+module Tid = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash t = t land max_int
+end)
+
+(* One thread's slice of the schedule, as dense tables indexed by
+   [c - base] so every gate decision is two array reads.  [base] is the
+   thread's smallest constrained counter; past the table's end no event is
+   constrained and [last] stands in for [pred]. *)
+type thread_tables = {
+  base : int;
+  rank : int array;  (** rank of the event at counter c, -1 when unconstrained *)
+  pred : int array;
+      (** rank of the thread's last constrained event with counter < c, -1
+          when there is none *)
+  mutable last : int;  (** rank of the thread's last constrained event by counter *)
+  ivs : int array Loc.Tbl.t;
+      (** recorded intervals on each location, as [lo; reach] pairs sorted by
+          [lo], where [reach] is the largest [hi] among this pair and the
+          ones before it *)
+}
+
 type schedule = {
-  rank_of : (Log.evt, int) Hashtbl.t;
   order : Log.evt array;  (** rank -> event *)
-  (* per thread: sorted array of constrained counters, for predecessor search *)
-  thread_cs : (int, int array) Hashtbl.t;
-  (* per thread: recorded intervals (loc, lo, hi) *)
-  thread_intervals : (int, (Loc.t * int * int) list) Hashtbl.t;
+  threads : thread_tables Tid.t;
   syscall_values : (int * int, Value.t) Hashtbl.t;
   notify_pairs : (Log.evt, int) Hashtbl.t;  (** notify write event -> waiter tid *)
 }
@@ -49,39 +69,124 @@ type solve_report = {
           shifts the next epoch's hint above this watermark *)
 }
 
+let no_tables =
+  { base = 0; rank = [||]; pred = [||]; last = -1; ivs = Loc.Tbl.create 1 }
+
+type span = { mutable lo : int; mutable hi : int }
+
+(* The event indices ordered by model value, ties by event.  A stable LSD
+   radix sort on [model - min], 11 bits a pass, so the cost is linear in
+   the number of events; each run of equal model values is then sorted by
+   event (the solver's values are almost always distinct). *)
+let rank_order (evts : Log.evt array) (model : int array) : int array =
+  let n = Array.length model in
+  let lo = Array.fold_left min max_int model and hi = Array.fold_left max min_int model in
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  let count = Array.make 2049 0 in
+  let shift = ref 0 in
+  while n > 0 && !shift < Sys.int_size && (hi - lo) lsr !shift > 0 do
+    let digit i = ((model.(i) - lo) lsr !shift) land 2047 in
+    Array.fill count 0 2049 0;
+    Array.iter (fun i -> let d = digit i + 1 in count.(d) <- count.(d) + 1) !src;
+    for d = 1 to 2048 do count.(d) <- count.(d) + count.(d - 1) done;
+    Array.iter
+      (fun i ->
+        let d = digit i in
+        !dst.(count.(d)) <- i;
+        count.(d) <- count.(d) + 1)
+      !src;
+    let t = !src in
+    src := !dst;
+    dst := t;
+    shift := !shift + 11
+  done;
+  let idx = !src in
+  let i = ref 0 in
+  while !i < n do
+    let j = ref (!i + 1) in
+    while !j < n && model.(idx.(!j)) = model.(idx.(!i)) do incr j done;
+    if !j - !i > 1 then begin
+      let run = Array.sub idx !i (!j - !i) in
+      Array.sort (fun a b -> compare evts.(a) evts.(b)) run;
+      Array.blit run 0 idx !i (!j - !i)
+    end;
+    i := !j
+  done;
+  idx
+
 let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : schedule =
-  let n = Array.length cs.evts in
-  let order =
-    Array.init n (fun i -> i)
-    |> Array.to_list
-    |> List.sort (fun i j ->
-           match compare model.(i) model.(j) with
-           | 0 -> compare cs.evts.(i) cs.evts.(j)
-           | c -> c)
-    |> List.map (fun i -> cs.evts.(i))
-    |> Array.of_list
-  in
-  let rank_of = Hashtbl.create (2 * n) in
-  Array.iteri (fun rank e -> Hashtbl.replace rank_of e rank) order;
-  let thread_cs = Hashtbl.create 16 in
-  let tmp : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
+  let by_model = rank_order cs.evts model in
+  let order = Array.map (fun i -> cs.evts.(i)) by_model in
+  (* per thread: counter span, then the rank table, then [pred] and [last]
+     by one ascending scan of it *)
+  let spans = Tid.create 16 in
   Array.iter
     (fun (t, c) ->
-      match Hashtbl.find_opt tmp t with
-      | Some l -> l := c :: !l
-      | None -> Hashtbl.add tmp t (ref [ c ]))
+      match Tid.find spans t with
+      | sp ->
+        if c < sp.lo then sp.lo <- c;
+        if c > sp.hi then sp.hi <- c
+      | exception Not_found -> Tid.replace spans t { lo = c; hi = c })
     order;
-  Hashtbl.iter
-    (fun t cs -> Hashtbl.replace thread_cs t (Array.of_list (List.sort_uniq compare !cs)))
-    tmp;
-  let thread_intervals = Hashtbl.create 16 in
+  let threads = Tid.create 16 in
+  Tid.iter
+    (fun t sp ->
+      let len = sp.hi - sp.lo + 1 in
+      Tid.replace threads t
+        {
+          base = sp.lo;
+          rank = Array.make len (-1);
+          pred = Array.make len (-1);
+          last = -1;
+          ivs = Loc.Tbl.create 8;
+        })
+    spans;
+  Array.iteri (fun k (t, c) -> let th = Tid.find threads t in th.rank.(c - th.base) <- k) order;
+  Tid.iter
+    (fun _ th ->
+      Array.iteri
+        (fun i k ->
+          th.pred.(i) <- th.last;
+          if k >= 0 then th.last <- k)
+        th.rank)
+    threads;
+  (* intervals, gathered per thread and location, then flattened.  Only
+     those with a counter strictly inside are kept: both endpoints are
+     constrained events (so their thread has tables), and a constrained
+     write is never suppressed. *)
+  let pending : (int * int) list Loc.Tbl.t Tid.t = Tid.create 16 in
   List.iter
     (fun (iv : Constraints.interval) ->
-      let t = fst iv.start_e in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt thread_intervals t) in
-      Hashtbl.replace thread_intervals t
-        ((iv.iv_loc, snd iv.start_e, snd iv.end_e) :: prev))
+      let t = fst iv.start_e and lo = snd iv.start_e and hi = snd iv.end_e in
+      if hi - lo >= 2 then begin
+        let per =
+          match Tid.find pending t with
+          | per -> per
+          | exception Not_found ->
+            let per = Loc.Tbl.create 64 in
+            Tid.replace pending t per;
+            per
+        in
+        let prev = match Loc.Tbl.find per iv.iv_loc with l -> l | exception Not_found -> [] in
+        Loc.Tbl.replace per iv.iv_loc ((lo, hi) :: prev)
+      end)
     cs.intervals;
+  Tid.iter
+    (fun t per ->
+      let th = Tid.find threads t in
+      Loc.Tbl.iter
+        (fun loc l ->
+          let a = Array.make (2 * List.length l) 0 in
+          let reach = ref min_int in
+          List.iteri
+            (fun j (lo, hi) ->
+              reach := max !reach hi;
+              a.(2 * j) <- lo;
+              a.((2 * j) + 1) <- !reach)
+            (List.sort (fun (a, _) (b, _) -> Int.compare a b) l);
+          Loc.Tbl.replace th.ivs loc a)
+        per)
+    pending;
   let syscall_values = Hashtbl.create 64 in
   List.iter (fun (t, i, _, v) -> Hashtbl.replace syscall_values (t, i) v) log.syscalls;
   (* notify -> waiter pairing from condition-ghost records *)
@@ -96,7 +201,7 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
       if r.loc.fld = Loc.cond_fld then
         match r.w_in with Some w -> Hashtbl.replace notify_pairs w r.rt | None -> ())
     log.ranges;
-  { rank_of; order; thread_cs; thread_intervals; syscall_values; notify_pairs }
+  { order; threads; syscall_values; notify_pairs }
 
 (** Generate constraints, solve, and build the schedule.  [budget] bounds
     the solver's work so a pathological constraint system aborts with
@@ -141,72 +246,69 @@ let solve ?(naive = false) ?budget ?(hint_shift = 0) (log : Log.t) : solve_repor
 (* Replay-run driver                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type driver = {
-  hooks : Interp.hooks;
-  progress : unit -> int;  (** executed constrained events *)
-}
+let tables (sch : schedule) (t : int) : thread_tables =
+  match Tid.find sch.threads t with th -> th | exception Not_found -> no_tables
 
-let in_interval (sch : schedule) (t : int) (loc : Loc.t) (c : int) : bool =
-  match Hashtbl.find_opt sch.thread_intervals t with
-  | None -> false
-  | Some ivs ->
-    List.exists (fun (l, lo, hi) -> lo <= c && c <= hi && Loc.equal l loc) ivs
+let rank_at (th : thread_tables) (c : int) : int =
+  let i = c - th.base in
+  if i >= 0 && i < Array.length th.rank then Array.unsafe_get th.rank i else -1
 
-(* rank of the last constrained event of thread t with counter < c *)
-let pred_rank (sch : schedule) (t : int) (c : int) : int option =
-  match Hashtbl.find_opt sch.thread_cs t with
-  | None -> None
-  | Some arr ->
-    (* binary search: greatest index with arr.(i) < c *)
-    let lo = ref 0 and hi = ref (Array.length arr - 1) and best = ref (-1) in
+(** The rank of a constrained event, [None] for an unconstrained one. *)
+let rank (sch : schedule) ((t, c) : Log.evt) : int option =
+  let k = rank_at (tables sch t) c in
+  if k < 0 then None else Some k
+
+(* is counter [c] inside a recorded interval of the thread on [loc]?  The
+   greatest [lo <= c] is found by binary search; its [reach] covers [c]
+   iff some interval starting at or before [c] ends at or after it *)
+let interior (th : thread_tables) (loc : Loc.t) (c : int) : bool =
+  match Loc.Tbl.find th.ivs loc with
+  | exception Not_found -> false
+  | a ->
+    let lo = ref 0 and hi = ref ((Array.length a / 2) - 1) and best = ref (-1) in
     while !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
-      if arr.(mid) < c then (best := mid; lo := mid + 1) else hi := mid - 1
+      if a.(2 * mid) <= c then (best := mid; lo := mid + 1) else hi := mid - 1
     done;
-    if !best < 0 then None else Hashtbl.find_opt sch.rank_of (t, arr.(!best))
+    !best >= 0 && a.((2 * !best) + 1) >= c
 
 (** [?suppress:false] turns off blind-write suppression — the exploration
     mode: every executed step is then a legal program step, so any crash a
     flipped schedule reaches is a genuine interleaving of the program, not
     an artifact of replay-time write elision.  Replay of the {e recorded}
     schedule keeps the default ([true]); see the module doc. *)
-let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : driver =
+let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
+  let n = Array.length sch.order in
   let next_rank = ref 0 in
-  let executed = Hashtbl.create 1024 in
-  let advance () =
-    while
-      !next_rank < Array.length sch.order && Hashtbl.mem executed sch.order.(!next_rank)
-    do
-      incr next_rank
-    done
-  in
+  let executed = Bytes.make n '\000' in
   (* positions for wakeup choice *)
   let last_notify : Log.evt option ref = ref None in
   let gate (pre : Event.pre) : bool =
-    let e = (pre.tid, pre.c) in
-    match Hashtbl.find_opt sch.rank_of e with
-    | Some k -> k = !next_rank
-    | None -> (
-      match pred_rank sch pre.tid pre.c with
-      | None -> true
-      | Some kp -> !next_rank > kp)
+    let th = tables sch pre.tid in
+    let i = pre.c - th.base in
+    if i < 0 then true
+    else if i >= Array.length th.rank then !next_rank > th.last
+    else
+      let k = Array.unsafe_get th.rank i in
+      if k >= 0 then k = !next_rank else !next_rank > Array.unsafe_get th.pred i
   in
-  let observe (ev : Event.t) : unit =
-    match ev with
-    | Event.Access (a, _) ->
-      let e = (a.tid, a.c) in
-      if Hashtbl.mem sch.rank_of e then begin
-        Hashtbl.replace executed e ();
-        advance ()
-      end;
-      if a.ghost = Event.NotifyWrite then last_notify := Some e
-    | _ -> ()
+  let on_shared ~tid ~c ~loc:_ ~kind:_ ~site:_ ~ghost =
+    let k = rank_at (tables sch tid) c in
+    if k >= 0 && Bytes.unsafe_get executed k = '\000' then begin
+      Bytes.unsafe_set executed k '\001';
+      while !next_rank < n && Bytes.unsafe_get executed !next_rank <> '\000' do
+        incr next_rank
+      done
+    end;
+    if ghost = Event.NotifyWrite then last_notify := Some (tid, c)
   in
   let suppress_write (pre : Event.pre) : bool =
     suppress
     && pre.ghost = Event.NotGhost
-    && (not (Hashtbl.mem sch.rank_of (pre.tid, pre.c)))
-    && (not (in_interval sch pre.tid pre.loc pre.c))
+    &&
+    let th = tables sch pre.tid in
+    rank_at th pre.c < 0
+    && (not (interior th pre.loc pre.c))
     && not (plan.guarded_site pre.site)
   in
   let syscall_override ~tid ~idx ~name:_ =
@@ -221,17 +323,13 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : driver =
     | None -> List.hd waiters
   in
   {
-    hooks =
-      {
-        Interp.gate = Some gate;
-        observe = Some observe;
-        on_shared = None;
-        syscall_override = Some syscall_override;
-        choose_wakeup = Some choose_wakeup;
-        suppress_write = Some suppress_write;
-        on_branch = None;
-      };
-    progress = (fun () -> Hashtbl.length executed);
+    Interp.gate = Some gate;
+    observe = None;
+    on_shared = Some on_shared;
+    syscall_override = Some syscall_override;
+    choose_wakeup = Some choose_wakeup;
+    suppress_write = Some suppress_write;
+    on_branch = None;
   }
 
 (** Execute the replay run, on either execution engine (the driver hooks
@@ -240,8 +338,8 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : driver =
 let replay ?(max_steps = 10_000_000) ?suppress ?(engine = Vm.Tree)
     (program : Lang.Ast.program) ~(plan : Plan.t) (sch : schedule) :
     Interp.outcome =
-  let d = driver ?suppress sch ~plan in
+  let hooks = driver ?suppress sch ~plan in
   let run =
     match engine with Vm.Tree -> Interp.run | Vm.Bytecode -> Vm.run
   in
-  run ~hooks:d.hooks ~plan ~max_steps ~sched:(Sched.round_robin ()) program
+  run ~hooks ~plan ~max_steps ~sched:(Sched.round_robin ()) program

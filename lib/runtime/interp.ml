@@ -143,6 +143,11 @@ type thread = {
   mutable started : bool;
   mutable reads_rev : (int * Value.t) list;
   mutable outputs_rev : string list;
+  mutable pre_cache : Event.pre option;
+      (* the next shared access, for the replay gate; valid while
+         [pre_valid], i.e. until the thread steps or another thread changes
+         its status *)
+  mutable pre_valid : bool;
 }
 
 exception Rt_crash of int * int * string  (* site, line, message *)
@@ -456,11 +461,17 @@ let semantically_enabled st (t : thread) : bool =
         | _ -> true)
       | _ -> true)
 
+(* [next_pre] reads only the thread's own frames, slots, counters and
+   status, so its answer is cached until one of them changes. *)
 let gate_allows st (t : thread) : bool =
   match st.hooks.gate with
   | None -> true
   | Some gate -> (
-    match next_pre st t with None -> true | Some pre -> gate pre)
+    if not t.pre_valid then begin
+      t.pre_cache <- next_pre st t;
+      t.pre_valid <- true
+    end;
+    match t.pre_cache with None -> true | Some pre -> gate pre)
 
 (* ------------------------------------------------------------------ *)
 (* Stepping                                                            *)
@@ -577,7 +588,8 @@ let pick_wakeup st (m : Value.objid) : int option =
 
 let wake st (w : int) (m : Value.objid) : unit =
   let wt = Hashtbl.find st.threads w in
-  wt.status <- Notified m
+  wt.status <- Notified m;
+  wt.pre_valid <- false
 
 let observe_event st (ev : Event.t) : unit =
   match st.hooks.observe with None -> () | Some f -> f ev
@@ -606,6 +618,8 @@ let make_thread ~tid ~frames : thread =
     started = false;
     reads_rev = [];
     outputs_rev = [];
+    pre_cache = None;
+    pre_valid = false;
   }
 
 let new_frame (fn : rfn) ~(ret_to : int option) : frame =
@@ -1013,7 +1027,8 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
         (try step_thread st t with
         | Rt_crash (site, line, msg) ->
           st.crashes <- { tid; site; line; msg; c = t.d } :: st.crashes;
-          finish_thread st t ~crashed:true)
+          finish_thread st t ~crashed:true);
+        t.pre_valid <- false
       end
     end
   done;
@@ -1282,6 +1297,8 @@ let restore_state ?(hooks = default_hooks) ?(plan = Plan.all_shared)
           started = snt.sn_started;
           reads_rev = [];
           outputs_rev = [];
+          pre_cache = None;
+          pre_valid = false;
         }
       in
       push_thread st t)

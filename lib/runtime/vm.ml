@@ -21,8 +21,10 @@
     - pre-boxed constant pool: literals never allocate at runtime;
     - a cached runnable list: the per-step enabledness walk is skipped
       while no transition changed lock/status/thread structure and the
-      stepped thread did not stop on a possibly-blocking statement head
-      (cache disabled under a replay gate, whose admission is stateful).
+      stepped thread did not stop on a possibly-blocking statement head.
+      A gated run rebuilds the list every step (admission moves with
+      replay progress) and caches each thread's next shared access
+      instead, as {!Interp} does.
 
     Thread/frame bookkeeping mirrors {!Interp} field for field; shared
     pieces (expression evaluation for enabledness peeking, syscall and
@@ -53,6 +55,8 @@ type vthread = {
   mutable started : bool;
   mutable reads_rev : (int * Value.t) list;
   mutable outputs_rev : string list;
+  mutable pre_cache : Event.pre option;  (* as in Interp.thread *)
+  mutable pre_valid : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -341,6 +345,7 @@ let pick_wakeup st (m : Value.objid) : int option =
 let wake st (w : int) (m : Value.objid) : unit =
   let wt = Hashtbl.find st.threads w in
   wt.status <- Notified m;
+  wt.pre_valid <- false;
   st.dirty <- true
 
 let observe_event st (ev : Event.t) : unit =
@@ -372,6 +377,8 @@ let make_thread ~tid ~frames : vthread =
     started = false;
     reads_rev = [];
     outputs_rev = [];
+    pre_cache = None;
+    pre_valid = false;
   }
 
 let new_vframe (fi : fninfo) ~(ret_to : int option) : vframe =
@@ -961,7 +968,11 @@ let gate_allows st (t : vthread) : bool =
   match st.hooks.gate with
   | None -> true
   | Some gate -> (
-    match next_pre st t with None -> true | Some pre -> gate pre)
+    if not t.pre_valid then begin
+      t.pre_cache <- next_pre st t;
+      t.pre_valid <- true
+    end;
+    match t.pre_cache with None -> true | Some pre -> gate pre)
 
 (* ------------------------------------------------------------------ *)
 (* State construction                                                  *)
@@ -1115,6 +1126,7 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
         | Interp.Rt_crash (site, line, msg) ->
           st.crashes <- { Interp.tid; site; line; msg; c = t.d } :: st.crashes;
           finish_thread st t ~crashed:true);
+        t.pre_valid <- false;
         (* cache maintenance: drop it when the transition touched lock /
            status / thread structure, or when the stepped thread rests on
            a possibly-blocking statement head *)
@@ -1313,6 +1325,8 @@ let restore_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
           started = snt.sn_started;
           reads_rev = [];
           outputs_rev = [];
+          pre_cache = None;
+          pre_valid = false;
         }
       in
       push_thread st t)

@@ -59,7 +59,7 @@ let test_flips_sound () =
           Alcotest.failf "flip %s: invalid schedule: %s"
             (Format.asprintf "%a" Explore.pp_flip f)
             (String.concat "; " errs));
-        let rank e = Hashtbl.find sch.Light_core.Replayer.rank_of e in
+        let rank e = Option.get (Light_core.Replayer.rank sch e) in
         if rank f.fb >= rank f.fa then
           Alcotest.failf "flip %s: pair not inverted"
             (Format.asprintf "%a" Explore.pp_flip f)

@@ -223,7 +223,7 @@ let test_schedule_respects_deps () =
   match report.schedule with
   | None -> Alcotest.fail "unsat"
   | Some sch ->
-    let rank e = Hashtbl.find_opt sch.rank_of e in
+    let rank = Replayer.rank sch in
     List.iter
       (fun (d : Log.dep) ->
         match d.w with
@@ -391,6 +391,312 @@ let prop_pruned_equisat =
       | Aborted _, _ | _, Aborted _ -> QCheck.assume_fail ()
       | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned replay admission                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A replay run's fingerprint: step count, final status and a digest of
+   the full access order.  Two gates that admit the same runnable set at
+   every step give the same fingerprint. *)
+let status_str : Interp.status_summary -> string = function
+  | AllFinished -> "done"
+  | StepLimit -> "limit"
+  | Deadlock ts -> "deadlock" ^ String.concat "," (List.map string_of_int ts)
+  | GateStuck ts -> "stuck" ^ String.concat "," (List.map string_of_int ts)
+
+let gated_run engine (program : Lang.Ast.program) ~plan (sch : Replayer.schedule) =
+  let run = match engine with Vm.Tree -> Interp.run | Vm.Bytecode -> Vm.run in
+  run ~hooks:(Replayer.driver sch ~plan) ~plan ~collect_trace:true ~max_steps:10_000_000
+    ~sched:(Sched.round_robin ()) program
+
+let fingerprint (o : Interp.outcome) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (a : Event.access) ->
+      (* ghost kinds are constant constructors: their hash is stable *)
+      Printf.bprintf b "%d.%d.%s.%s.%d.%d;" a.tid a.c (Loc.to_string a.loc)
+        (Event.akind_str a.kind) a.site (Hashtbl.hash a.ghost))
+    o.trace;
+  Printf.sprintf "%d %s %s" o.steps (status_str o.status)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let solved (r : Light.recording) =
+  match (Replayer.solve r.log).schedule with
+  | Some sch -> sch
+  | None -> Alcotest.fail "unsat"
+
+(* the 28 workloads at scale 1 and seed 1, then the 8 Figure-6 bugs under
+   their triggering schedule *)
+let pinned_recordings () =
+  List.map
+    (fun (bm : Workloads.benchmark) ->
+      ( bm.name,
+        Light.record ~sched:(Workloads.scheduler ~seed:1 bm) ~seed:1
+          (Workloads.program bm) ))
+    Workloads.all
+  @ List.map
+      (fun (b : Bugs.Defs.bug) ->
+        let p = Bugs.Defs.program_of b () in
+        match Bugs.Harness.find_trigger p with
+        | Some tr -> (b.name, Light.record ~sched:(tr.make_sched ()) p)
+        | None -> Alcotest.failf "%s: no trigger" b.name)
+      Bugs.Defs.all
+
+let epoch_steps engine name =
+  let bm = Option.get (Workloads.by_name name) in
+  let pp = Light.prepare (Workloads.program bm) in
+  let r =
+    Epoch.record_epochs ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 ~epoch_len:400 pp
+  in
+  List.mapi
+    (fun k _ ->
+      match Epoch.replay_epoch ~engine r k with
+      | Ok rr -> Printf.sprintf "%d:%s" rr.rr_steps (status_str rr.rr_status)
+      | Error e -> Alcotest.failf "%s: epoch %d: %s" name k e)
+    r.er_epochs
+
+(* Swap the solved ranks of main's spawn write for thread 101 and that
+   thread's first constrained event: the child is then due before it
+   exists, so the gate must stall. *)
+let inverted_replay engine =
+  let p = parse racy_fields in
+  let r = Light.record ~variant:Light.v_basic ~sched:(Sched.sticky ~seed:1 ~stickiness:4) p in
+  let cs = Constraints.generate r.log in
+  match Dlsolver.Idl.solve ?hint:cs.hint cs.problem with
+  | Sat (model, _) ->
+    let order = (Replayer.build_schedule r.log cs model).order in
+    let child = Array.find_opt (fun (t, _) -> t = 101) order |> Option.get in
+    let spawn =
+      List.find_map
+        (fun (d : Log.dep) -> if d.rf = child then d.w else None)
+        r.log.deps
+      |> Option.get
+    in
+    let var e = Hashtbl.find cs.vars e in
+    let m = Array.copy model in
+    m.(var child) <- model.(var spawn);
+    m.(var spawn) <- model.(var child);
+    gated_run engine p ~plan:r.plan (Replayer.build_schedule r.log cs m)
+  | _ -> Alcotest.fail "unsat"
+
+(* Reference fingerprints of the replay runs above.  A change to the gate
+   or to the engines' enabledness bookkeeping must admit the same runnable
+   set at every step, so it must reproduce them exactly on both engines. *)
+let pinned_replays =
+  [
+    ("jgf-series", "33898 done a539464c1bc893795a0e604ae30d6215");
+    ("jgf-crypt", "24682 done 8c4b38818978c316b2449da65e0a9298");
+    ("jgf-sparse", "20074 done a0dcd19cdcf22f12d7602ba940bc3562");
+    ("stamp-bayes", "23914 done 5fa8e4f2d2466ae87a3108d1dfa63dd1");
+    ("stamp-genome", "19687 done 4d94a3a6ae4bb0a103254973b386ad79");
+    ("stamp-intruder", "13930 done 0299b115a7060332164f92bc3cf1010f");
+    ("stamp-kmeans", "25834 done a989b2f1d0053682452bb899c4cfa713");
+    ("stamp-labyrinth", "32362 done 67bdb20e7b6ac807bfa9076658937fe3");
+    ("stamp-ssca2", "17770 done 3678aa3754363a9b87a7acb73e9f7df3");
+    ("stamp-vacation", "22764 done b490fb736df946da1ecfa965596272f8");
+    ("stamp-yada", "15850 done 2f7530deec0a2e1b089f6dfbe9376362");
+    ("cache4j", "16618 done b1902d2b4e73668e82e27faff9469f27");
+    ("ftpserver", "18894 done 3a9676d421ed101519a643875a7534e2");
+    ("weblech", "19305 done 7b5bcbbab03cfe58990f526b009f8018");
+    ("hedc", "19682 done bdbcd5f33f7544c1fcef3bc64b39f387");
+    ("tomcat-kernel", "23534 done c9155a425c4b3f57a8839b87238f6103");
+    ("jigsaw", "19690 done fb4ae086c704e9564fc4f0f0ef766724");
+    ("openjms", "21232 done b363c11b19ea9fef1458c6c47ffdfcc9");
+    ("dacapo-avrora", "12778 done 2ca657be388e0969ba7d25f7f2838278");
+    ("dacapo-h2", "24685 done 797e33e32354e0af5b0453024aa8a474");
+    ("dacapo-lusearch", "20458 done aae08951996ff788a32ff3d8027a6741");
+    ("dacapo-luindex", "20458 done 25013144e642ab7faa91f542ea13c345");
+    ("dacapo-sunflow", "32362 done 4211e62ee7ae4b1e590c02ded8ae720a");
+    ("dacapo-xalan", "12778 done 8fe0b26aa444db0d40467ada708daa74");
+    ("mp-queue", "4429 done f9225732d06914322903714ce402e37e");
+    ("mp-pipeline", "4878 done efb642376b519a56c18fe787e9a00f15");
+    ("mp-fanin", "5035 done e311fb1dc1a9103dae16b1bdf16848a5");
+    ("mp-barrier", "6146 done a93c3ff995a8e09287d9c086bd638f26");
+    ("Cache4j", "98 done bec6b44b6f49286a6a22ed5d0de2da33");
+    ("Ftpserver", "48 done 24da50ed20fe2944ea8ad45c8437cd4b");
+    ("Lucene-481", "51 done b2c12fdbb91a3144c1cb1e6ecb843bc9");
+    ("Lucene-651", "108 done 9f6ff185230ebded984cb73f928f3dfd");
+    ("Tomcat-37458", "33 done d99ac3b199ff5762baa4fdd9759ddeb6");
+    ("Tomcat-50885", "55 done f45076471be865acac3b949fce8a4b3a");
+    ("Tomcat-53498", "91 done 2093a1b20dfc653b7a06990b1237acbe");
+    ("Weblech", "43 done 8af2d5ad9da51dcd08c0b39b2312ee88");
+  ]
+
+let pinned_epochs =
+  [
+    ( "mp-queue",
+      [
+        "400:stuck101,103,104,105,106,107,108"; "400:stuck101,104,105,106,108";
+        "401:stuck101,102,105,107,108"; "402:stuck101,105,107";
+        "400:stuck101,102,103,104,105,107,108"; "400:stuck103,108";
+        "400:stuck101,102,104,105,108"; "400:stuck101,102,104";
+        "401:stuck101,102,103,104,105,108"; "400:stuck1,103,105,106,107,108";
+        "400:stuck1"; "8:done";
+      ] );
+    ( "mp-barrier",
+      [
+        "406:stuck102,104,105,106,107,108"; "406:stuck101,102,103,104,105,107";
+        "400:stuck103,104"; "400:stuck101,102";
+        "403:stuck101,102,104,105,106,107"; "401:stuck106";
+        "402:stuck102,103,104,108"; "401:stuck101,102,104,105,106,107,108";
+        "402:stuck106,108"; "400:stuck101,103,104,106";
+        "400:stuck101,102,103,104,105,108"; "402:stuck105,108";
+        "400:stuck102,105,106"; "403:stuck101,103,104,105,106,107,108";
+        "401:stuck106,108"; "146:done";
+      ] );
+  ]
+
+let test_pinned_replays () =
+  List.iter
+    (fun (name, (r : Light.recording)) ->
+      let sch = solved r in
+      List.iter
+        (fun engine ->
+          Alcotest.(check string)
+            (name ^ "/" ^ Vm.engine_name engine)
+            (List.assoc name pinned_replays)
+            (fingerprint (gated_run engine r.program ~plan:r.plan sch)))
+        [ Vm.Tree; Vm.Bytecode ])
+    (pinned_recordings ())
+
+let test_pinned_epochs () =
+  List.iter
+    (fun (name, steps) ->
+      List.iter
+        (fun engine ->
+          Alcotest.(check (list string))
+            (name ^ "/" ^ Vm.engine_name engine)
+            steps (epoch_steps engine name))
+        [ Vm.Tree; Vm.Bytecode ])
+    pinned_epochs
+
+let test_inverted_order_stuck () =
+  List.iter
+    (fun engine ->
+      Alcotest.(check string) (Vm.engine_name engine)
+        "2 stuck1 d41d8cd98f00b204e9800998ecf8427e"
+        (fingerprint (inverted_replay engine)))
+    [ Vm.Tree; Vm.Bytecode ]
+
+(* One thread changing another's status or enabledness while the other
+   waits: a notify and unlock moving a waiter InWait -> Notified ->
+   Reacquiring, a lock release unblocking a contender, a child's exit
+   releasing a join.  Each program must replay faithfully whichever engine
+   recorded or replays it. *)
+let lock_handoff = {|
+  class C { n; } global l; global c;
+  fn holder() { sync (l) { i = 0; while (i < 6) { c.n = c.n + 1; i = i + 1; } } }
+  fn contender() { sync (l) { c.n = c.n * 2; } }
+  main { l = new C; c = new C; c.n = 0;
+         spawn a = holder(); spawn b = contender(); join a; join b; print c.n; }
+|}
+
+let spawn_join = {|
+  global x;
+  fn child(k) { while (k > 0) { x = x + k; k = k - 1; } }
+  main { x = 0; spawn a = child(3); join a; spawn b = child(2); v = x; join b; print v; print x; }
+|}
+
+let test_cache_edges () =
+  List.iter
+    (fun (name, src, ghost) ->
+      let p = parse src in
+      let seen = ref false in
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun rec_engine ->
+              let r =
+                Light.record ~engine:rec_engine ~sched:(Sched.sticky ~seed ~stickiness:2) p
+              in
+              let sch = solved r in
+              List.iter
+                (fun engine ->
+                  let o = gated_run engine p ~plan:r.plan sch in
+                  let tag =
+                    Printf.sprintf "%s seed=%d %s->%s" name seed
+                      (Vm.engine_name rec_engine) (Vm.engine_name engine)
+                  in
+                  Alcotest.(check string) (tag ^ ": status") "done" (status_str o.status);
+                  Alcotest.(check (list string)) (tag ^ ": faithful") []
+                    (Interp.replay_matches ~original:r.outcome ~replay:o);
+                  if List.exists (fun (a : Event.access) -> a.ghost = ghost) o.trace then
+                    seen := true)
+                [ Vm.Tree; Vm.Bytecode ])
+            [ Vm.Tree; Vm.Bytecode ])
+        [ 1; 2; 3; 4; 5; 6 ];
+      Alcotest.(check bool) (name ^ ": path exercised") true !seen)
+    [
+      ("wait-notify", wait_notify, Event.WaitReacqRead);
+      ("lock-handoff", lock_handoff, Event.LockAcqRead);
+      ("spawn-join", spawn_join, Event.JoinRead);
+    ]
+
+(* Both admission rules and blind-write suppression on a hand-built
+   three-event schedule: thread 1 reads [f] over counters 1..3 from thread
+   2's write (2,1), solved as (1,1) < (2,1) < (1,3).  A compound
+   transition's second access runs without a gate check, so (1,3) can
+   execute ahead of rank 1; thread 1's next access must then still wait. *)
+let test_gate_tables () =
+  let f = Loc.field 7 "f" and g = Loc.field 7 "g" in
+  let log =
+    {
+      Log.empty with
+      deps = [ { Log.loc = f; w = Some (2, 1); rf = (1, 1); rl_c = 3; dep_obs = 0; w_obs = 0 } ];
+    }
+  in
+  let cs = Constraints.generate log in
+  let model = Array.make (Array.length cs.evts) 0 in
+  List.iteri (fun k e -> model.(Hashtbl.find cs.vars e) <- k) [ (1, 1); (2, 1); (1, 3) ];
+  let sch = Replayer.build_schedule log cs model in
+  let hooks = Replayer.driver sch ~plan:Plan.all_shared in
+  let gate = Option.get hooks.gate and on_shared = Option.get hooks.on_shared in
+  let suppress = Option.get hooks.suppress_write in
+  let pre ?(loc = f) ?(ghost = Event.NotGhost) (tid, c) =
+    { Event.tid; c; loc; kind = Write; site = 1; ghost }
+  in
+  let run (tid, c) = on_shared ~tid ~c ~loc:f ~kind:Read ~site:1 ~ghost:NotGhost in
+  let chk what expected got = Alcotest.(check bool) what expected got in
+  Alcotest.(check (list (option int))) "ranks" [ Some 0; None; Some 2; Some 1; None ]
+    (List.map (Replayer.rank sch) [ (1, 1); (1, 2); (1, 3); (2, 1); (3, 1) ]);
+  chk "rank 0 is due" true (gate (pre (1, 1)));
+  chk "rank 2 is not" false (gate (pre (1, 3)));
+  run (1, 1);
+  chk "unconstrained after its predecessor" true (gate (pre (1, 2)));
+  chk "rank 2 waits for rank 1" false (gate (pre (1, 3)));
+  run (1, 3);
+  chk "past the table: waits for the last rank" false (gate (pre (1, 4)));
+  chk "unknown thread runs" true (gate (pre (3, 1)));
+  run (2, 1);
+  chk "past the table once it ran" true (gate (pre (1, 4)));
+  chk "interior write kept" false (suppress (pre (1, 2)));
+  chk "constrained write kept" false (suppress (pre (1, 3)));
+  chk "write to another location suppressed" true (suppress (pre ~loc:g (1, 2)));
+  chk "write past the interval suppressed" true (suppress (pre (1, 4)));
+  chk "ghost write kept" false (suppress (pre ~ghost:LockRelWrite (1, 4)))
+
+(* The linear-time rank order equals a comparison sort by (model value,
+   event), on value ranges narrow enough to force ties and wide enough to
+   need several radix passes. *)
+let prop_rank_order =
+  QCheck.Test.make ~count:300 ~name:"rank order = sort by (model, event)"
+    QCheck.(
+      make
+        Gen.(
+          int_range 0 60 >>= fun n ->
+          oneofl [ 3; 5000; 1 lsl 40 ] >>= fun range ->
+          pair
+            (array_size (return n) (int_range (-range) range))
+            (array_size (return n) (pair (int_range 0 3) (int_range 0 9)))))
+    (fun (model, evts) ->
+      let expected =
+        List.init (Array.length model) Fun.id
+        |> List.sort (fun i j -> compare (model.(i), evts.(i)) (model.(j), evts.(j)))
+        |> List.map (fun i -> evts.(i))
+      in
+      Array.to_list (Array.map (fun i -> evts.(i)) (Replayer.rank_order evts model))
+      = expected)
+
 let () =
   Alcotest.run "replay"
     [
@@ -402,9 +708,20 @@ let () =
           Alcotest.test_case "schedule respects deps" `Quick test_schedule_respects_deps;
           Alcotest.test_case "torture mix" `Slow test_torture;
         ] );
+      ( "gate",
+        [
+          Alcotest.test_case "admission and suppression tables" `Quick test_gate_tables;
+          Alcotest.test_case "pinned replay fingerprints, 36 programs x 2 engines"
+            `Quick test_pinned_replays;
+          Alcotest.test_case "pinned epoch replay steps" `Quick test_pinned_epochs;
+          Alcotest.test_case "inverted order ends GateStuck" `Quick
+            test_inverted_order_stuck;
+          Alcotest.test_case "cache invalidation edges" `Quick test_cache_edges;
+        ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest ~long:false prop_replay_faithful;
           QCheck_alcotest.to_alcotest ~long:false prop_pruned_equisat;
+          QCheck_alcotest.to_alcotest ~long:false prop_rank_order;
         ] );
     ]
