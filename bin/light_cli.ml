@@ -375,9 +375,10 @@ let record_cmd =
 
 let replay_cmd =
   let print_solve (report : Light_core.Replayer.solve_report) =
-    Printf.printf "generated %d noninterference pairs -> %d clauses (%d entailed, %d unit, %d dedup)\n"
+    Printf.printf
+      "generated %d noninterference pairs -> %d clauses (%d entailed, %d unit, %d dedup) in %.3fs\n"
       report.gen_stats.n_pairs report.n_clauses report.gen_stats.n_pruned
-      report.gen_stats.n_unit report.gen_stats.n_dedup;
+      report.gen_stats.n_unit report.gen_stats.n_dedup report.gen_stats.gen_time_s;
     Printf.printf "solved %d vars, %d clauses in %.3fs (%d decisions, %d backtracks, %d conflicts)\n"
       report.n_vars report.n_clauses report.solve_time_s report.solver_stats.decisions
       report.solver_stats.backtracks report.solver_stats.theory_conflicts

@@ -61,8 +61,27 @@
     generator as a differential oracle: the two systems are equisatisfiable
     by construction, which test/test_replay.ml checks on random traces.
 
-    Literals are ordered by the recording observation stamps so the original
-    schedule acts as an implicit witness for the DPLL search. *)
+    {b Order.}  Literals are ordered by the recording observation stamps,
+    then the hint-true literal of each clause goes first, so the original
+    schedule acts as a witness for the DPLL search.  What reaches the
+    solver is an ordered system: the order of the hard atoms (thread
+    chains, then dependence edges, then sweep edges, each emitted location
+    by location in [Loc.Map] order) and of the clauses and their literals
+    decides the solver's first descent and so the replay schedule.  The
+    generator keeps that order fixed; test/test_replay.ml pins digests of
+    whole systems.
+
+    {b Cost.}  Generation is linear in the log apart from sorts.  Intervals
+    are grouped by location with one hash pass and one sort of the distinct
+    locations by (object, field name) — [Loc.Map]'s order, without its
+    per-comparison name allocation.  "Is this event inside an interval of
+    its thread" (singleton materialization, the sweep's candidate count) is
+    a binary search over the thread's intervals sorted by start with a
+    running max of their ends.  Every interval's variables are resolved
+    once; the per-thread chains and the time-estimate anchors come from
+    radix sorts; reachability and the hint share one compressed adjacency
+    of the hard graph.  The sweep itself does two binary searches per
+    (reader, writer thread) and touches only the gap. *)
 
 open Runtime
 
@@ -86,7 +105,7 @@ type gen_stats = {
   n_pruned : int;   (** pairs dropped: one disjunct entailed by hard constraints *)
   n_unit : int;     (** pairs reduced to a hard edge by thread order *)
   n_dedup : int;    (** duplicate clauses dropped *)
-  gen_time_s : float;
+  gen_time_s : float;  (** wall clock *)
 }
 
 type t = {
@@ -103,7 +122,104 @@ type t = {
           hard graph, i.e. an unsatisfiable system) *)
 }
 
-module LMap = Loc.Map
+(* ------------------------------------------------------------------ *)
+(* Grouping and interval lookups                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* tables keyed by events and other int pairs, hashed without a C call *)
+module PairTbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+  let hash ((a, b) : t) = (a * 0x2f0b_3a49) + b
+end)
+
+(* [xs] grouped by location in [Loc.Map] order (obj, then field name),
+   each group in reverse input order — what a [Loc.Map.update] fold that
+   conses onto each binding gives, from one hashed pass and one sort of the
+   distinct locations.  Distinct locations never share an (obj, name) key:
+   element fields print as "#<i>" and no interned name starts with '#'. *)
+let group_by_loc (loc_of : 'a -> Loc.t) (xs : 'a list) : (Loc.t * 'a list) list =
+  let tbl : 'a list ref Loc.Tbl.t = Loc.Tbl.create 64 in
+  let groups = ref [] in
+  List.iter
+    (fun x ->
+      let l = loc_of x in
+      match Loc.Tbl.find_opt tbl l with
+      | Some r -> r := x :: !r
+      | None ->
+        let r = ref [ x ] in
+        Loc.Tbl.add tbl l r;
+        groups := ((l.obj, Loc.fld_name l.fld), l, r) :: !groups)
+    xs;
+  List.sort
+    (fun ((o1, n1), _, _) ((o2, n2), _, _) ->
+      match Int.compare o1 o2 with 0 -> String.compare n1 n2 | c -> c)
+    !groups
+  |> List.map (fun (_, l, r) -> (l, !r))
+
+let by_location (ivs : interval list) : (Loc.t * interval list) list =
+  group_by_loc (fun iv -> iv.iv_loc) ivs
+
+(* [idx] stably sorted by [key.(i)]: an LSD radix sort on [key - min],
+   11 bits a pass, so the cost is linear in the number of indices *)
+let radix_sort (key : int array) (idx : int array) : int array =
+  let n = Array.length idx in
+  let lo = Array.fold_left (fun m i -> min m key.(i)) max_int idx
+  and hi = Array.fold_left (fun m i -> max m key.(i)) min_int idx in
+  let src = ref (Array.copy idx) and dst = ref (Array.make n 0) in
+  let count = Array.make 2049 0 in
+  let shift = ref 0 in
+  while n > 0 && !shift < Sys.int_size && (hi - lo) lsr !shift > 0 do
+    let digit i = ((key.(i) - lo) lsr !shift) land 2047 in
+    Array.fill count 0 2049 0;
+    Array.iter (fun i -> let d = digit i + 1 in count.(d) <- count.(d) + 1) !src;
+    for d = 1 to 2048 do count.(d) <- count.(d) + count.(d - 1) done;
+    Array.iter
+      (fun i ->
+        let d = digit i in
+        !dst.(count.(d)) <- i;
+        count.(d) <- count.(d) + 1)
+      !src;
+    let t = !src in
+    src := !dst;
+    dst := t;
+    shift := !shift + 11
+  done;
+  !src
+
+(* Sorts the interval indices [ks] stably by (thread, start counter) and
+   returns, at each position, the greatest end counter of that thread's
+   intervals up to it.  Recorded intervals are disjoint per thread, so
+   ends ascend anyway, but synthetic logs nest them. *)
+let by_thread_start (ivs : interval array) (ks : int array) : int array =
+  Array.stable_sort
+    (fun a b ->
+      let (ta, ca), (tb, cb) = (ivs.(a).start_e, ivs.(b).start_e) in
+      match Int.compare ta tb with 0 -> Int.compare ca cb | d -> d)
+    ks;
+  let pmax = Array.make (Array.length ks) 0 in
+  Array.iteri
+    (fun x k ->
+      let t, _ = ivs.(k).start_e and e = snd ivs.(k).end_e in
+      pmax.(x) <- (if x > 0 && fst ivs.(ks.(x - 1)).start_e = t then max pmax.(x - 1) e else e))
+    ks;
+  pmax
+
+(* Whether event [(t, c)] lies inside one of the intervals [ks] (sorted by
+   {!by_thread_start}, with its running max [pmax]): thread [t]'s
+   intervals starting at or before [c] form the run that ends at the last
+   position at or below [(t, c)], found by binary search, and one of them
+   reaches [c] iff the running max there does. *)
+let covered (ivs : interval array) (ks : int array) (pmax : int array) ((t, c) : Log.evt) =
+  let lo = ref 0 and hi = ref (Array.length ks) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let t', c' = ivs.(ks.(mid)).start_e in
+    if t' < t || (t' = t && c' <= c) then lo := mid + 1 else hi := mid
+  done;
+  let k = !lo in
+  k > 0 && fst ivs.(ks.(k - 1)).start_e = t && pmax.(k - 1) >= c
 
 let intervals_of_log (log : Log.t) : interval list =
   let base =
@@ -134,167 +250,110 @@ let intervals_of_log (log : Log.t) : interval list =
           })
         log.ranges
   in
-  (* group by location to materialize referenced writes *)
-  let by_loc =
-    List.fold_left
-      (fun m iv ->
-        LMap.update iv.iv_loc
-          (fun prev -> Some (iv :: Option.value ~default:[] prev))
-          m)
-      LMap.empty base
-  in
+  let ivs = Array.of_list base in
+  (* materialize, per location, the referenced writes that no interval of
+     their thread covers *)
   let singletons =
-    LMap.fold
-      (fun loc ivs acc ->
-        let covered (t, c) =
-          List.exists
-            (fun iv ->
-              fst iv.start_e = t && snd iv.start_e <= c && c <= snd iv.end_e
-              && Loc.equal iv.iv_loc loc)
-            ivs
-        in
+    List.fold_left
+      (fun acc (loc, ks) ->
         let srcs =
           List.filter_map
-            (fun iv ->
-              match iv.src with Some (Some w) -> Some (w, iv.src_obs) | _ -> None)
-            ivs
+            (fun k ->
+              match ivs.(k).src with Some (Some w) -> Some (w, ivs.(k).src_obs) | _ -> None)
+            ks
         in
-        let seen = Hashtbl.create 8 in
-        List.fold_left
-          (fun acc (w, w_obs) ->
-            if Hashtbl.mem seen w || covered w then acc
-            else begin
-              Hashtbl.add seen w ();
-              {
-                iv_loc = loc;
-                start_e = w;
-                end_e = w;
-                writes = true;
-                reads = false;
-                src = None;
-                obs = w_obs;  (* the write's own recorded stamp *)
-                src_obs = 0;
+        if srcs = [] then acc
+        else begin
+          let ks = Array.of_list ks in
+          let pmax = by_thread_start ivs ks in
+          let seen = PairTbl.create 8 in
+          List.fold_left
+            (fun acc (w, w_obs) ->
+              if PairTbl.mem seen w || covered ivs ks pmax w then acc
+              else begin
+                PairTbl.add seen w ();
+                {
+                  iv_loc = loc;
+                  start_e = w;
+                  end_e = w;
+                  writes = true;
+                  reads = false;
+                  src = None;
+                  obs = w_obs;  (* the write's own recorded stamp *)
+                  src_obs = 0;
                 }
-              :: acc
-            end)
-          acc srcs)
-      by_loc []
+                :: acc
+              end)
+            acc srcs
+        end)
+      []
+      (group_by_loc (fun k -> ivs.(k).iv_loc) (List.init (Array.length ivs) Fun.id))
   in
   base @ singletons
 
 (* ------------------------------------------------------------------ *)
-(* Hard-graph reachability (vector clocks)                             *)
+(* Variables by thread                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [vc.(v * nthreads + slot tid)] is the greatest counter of a tid-event
-   known to hard-precede (or be) variable [v].  Since thread order chains
-   every variable-bearing event of a thread, [(t, c)] hard-precedes [v] iff
-   that entry is >= c (and the events differ).  Computed by one topological
-   pass over the hard edges; [None] when the hard graph is cyclic (the
-   problem is then unsatisfiable whatever clauses we emit, so pruning
-   soundness is moot and the caller emits without pruning). *)
-type reach = {
-  vc : int array;
-  nthreads : int;
+(* The variables' threads, numbered densely in order of first appearance
+   (the thread's {e slot}), and each thread's variables by ascending
+   counter — its thread-order chain. *)
+type threads = {
   slot_of : (int, int) Hashtbl.t;  (* tid -> slot *)
+  slot : int array;                (* var -> slot of its thread *)
+  chains : int array array;        (* slot -> the thread's vars by counter *)
 }
 
-let compute_reach (evts : Log.evt array) (edges : (int * int) list) : reach option =
-  let nv = Array.length evts in
-  let slot_of = Hashtbl.create 16 in
+let threads_of (evts : Log.evt array) : threads =
+  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let slot =
+    Array.map
+      (fun (t, _) ->
+        match Hashtbl.find_opt slot_of t with
+        | Some s -> s
+        | None ->
+          let s = Hashtbl.length slot_of in
+          Hashtbl.add slot_of t s;
+          s)
+      evts
+  in
+  (* the variables by counter, dealt out to their threads in that order *)
+  let by_counter = radix_sort (Array.map snd evts) (Array.init (Array.length evts) Fun.id) in
+  let size = Array.make (Hashtbl.length slot_of) 0 in
+  Array.iter (fun s -> size.(s) <- size.(s) + 1) slot;
+  let chains = Array.map (fun n -> Array.make n 0) size in
+  Array.fill size 0 (Array.length size) 0;
   Array.iter
-    (fun (t, _) ->
-      if not (Hashtbl.mem slot_of t) then Hashtbl.add slot_of t (Hashtbl.length slot_of))
-    evts;
-  let nt = Hashtbl.length slot_of in
-  let adj = Array.make nv [] in
-  let indeg = Array.make nv 0 in
-  List.iter
-    (fun (a, b) ->
-      adj.(a) <- b :: adj.(a);
-      indeg.(b) <- indeg.(b) + 1)
-    edges;
-  let vc = Array.make (nv * nt) min_int in
-  let q = Queue.create () in
-  Array.iteri (fun v d -> if d = 0 then Queue.add v q) indeg;
-  let processed = ref 0 in
-  while not (Queue.is_empty q) do
-    let v = Queue.take q in
-    incr processed;
-    (* own entry *)
-    let t, c = evts.(v) in
-    let own = (v * nt) + Hashtbl.find slot_of t in
-    if vc.(own) < c then vc.(own) <- c;
-    List.iter
-      (fun w ->
-        for s = 0 to nt - 1 do
-          if vc.((w * nt) + s) < vc.((v * nt) + s) then
-            vc.((w * nt) + s) <- vc.((v * nt) + s)
-        done;
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w q)
-      adj.(v)
-  done;
-  if !processed < nv then None else Some { vc; nthreads = nt; slot_of }
+    (fun v ->
+      let s = slot.(v) in
+      chains.(s).(size.(s)) <- v;
+      size.(s) <- size.(s) + 1)
+    by_counter;
+  { slot_of; slot; chains }
 
-(* Topological order of the hard constraint DAG: the returned array
-   strictly increases along every edge, so it is a model of the hard atoms
-   and doubles as a potential seed for the solver; [None] on a cycle.
-   Ready vertices are released by ascending [prio] (the observation-stamp
-   estimate of each event), so the order tracks the recorded schedule
-   wherever the hard constraints leave slack — making it a good witness
-   for the clauses too, not just the hard part.  Positions are spread by a
-   slack factor so that the relaxation cascades triggered by asserting
-   clause literals against the seeded potentials die out quickly instead
-   of rippling through zero-slack chains. *)
-module PQ = Set.Make (struct
-  type t = int * int  (* priority, vertex *)
-
-  let compare = compare
-end)
-
-let topo_hint (nv : int) (prio : int array) (edges : (int * int) list) :
-    int array option =
-  let adj = Array.make (max 1 nv) [] in
-  let indeg = Array.make (max 1 nv) 0 in
-  List.iter
-    (fun (a, b) ->
-      adj.(a) <- b :: adj.(a);
-      indeg.(b) <- indeg.(b) + 1)
-    edges;
-  let hint = Array.make (max 1 nv) 0 in
-  let q = ref PQ.empty in
-  for v = 0 to nv - 1 do
-    if indeg.(v) = 0 then q := PQ.add (prio.(v), v) !q
-  done;
-  let n = ref 0 in
-  while not (PQ.is_empty !q) do
-    let ((_, v) as e) = PQ.min_elt !q in
-    q := PQ.remove e !q;
-    hint.(v) <- 16 * !n;
-    incr n;
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then q := PQ.add (prio.(w), w) !q)
-      adj.(v)
-  done;
-  if !n < nv then None else Some hint
-
-(* Per-event global-time estimate from the log's access-clock anchors:
+(* Per-variable global-time estimate from the log's access-clock anchors:
    deps stamp their last read and source write, ranges their endpoints and
    feeding write — every event appearing in a constraint atom is stamped
    exactly, so the topological tie-break reconstructs the recorded
    schedule at those events.  Counters between anchors interpolate
    linearly (scaled to keep integer precision) and counters outside the
-   sampled span extrapolate by one unit per step. *)
-let event_time_estimator (log : Log.t) : Log.evt -> int =
+   sampled span extrapolate by one unit per step.  Each thread's anchors
+   are sorted by (counter, stamp) and its chain is placed by one forward
+   walk over them. *)
+let event_times (log : Log.t) (evts : Log.evt array) (th : threads) : int array =
   let scale = 1024 in
-  let tbl : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
+  (* the anchors (slot, counter, stamp) of the threads that have variables *)
+  let cap = (2 * List.length log.deps) + (3 * List.length log.ranges) in
+  let a_slot = Array.make cap 0 and a_c = Array.make cap 0 and a_o = Array.make cap 0 in
+  let na = ref 0 in
   let anchor t c o =
-    match Hashtbl.find_opt tbl t with
-    | Some l -> l := (c, o) :: !l
-    | None -> Hashtbl.add tbl t (ref [ (c, o) ])
+    match Hashtbl.find_opt th.slot_of t with
+    | Some s ->
+      a_slot.(!na) <- s;
+      a_c.(!na) <- c;
+      a_o.(!na) <- o;
+      incr na
+    | None -> ()
   in
   List.iter
     (fun (d : Log.dep) ->
@@ -307,365 +366,443 @@ let event_time_estimator (log : Log.t) : Log.evt -> int =
       anchor r.rt r.lo r.lo_obs;
       match r.w_in with Some (t, c) -> anchor t c r.w_obs | None -> ())
     log.ranges;
-  let arrs : (int, (int * int) array) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun t l ->
-      let a = Array.of_list (List.sort_uniq compare !l) in
-      (* force stamps monotone in the counter (duplicate counters keep the
-         later stamp after sort_uniq; noisy stamps are clamped) *)
-      for i = 1 to Array.length a - 1 do
-        let c, o = a.(i) in
-        let _, o' = a.(i - 1) in
-        if o < o' then a.(i) <- (c, o')
-      done;
-      Hashtbl.replace arrs t a)
-    tbl;
-  fun (t, c) ->
-    match Hashtbl.find_opt arrs t with
-    | None -> 0
-    | Some a ->
-      let n = Array.length a in
-      (* greatest index with counter <= c *)
-      let lo = ref 0 and hi = ref (n - 1) and best = ref (-1) in
-      while !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        if fst a.(mid) <= c then (best := mid; lo := mid + 1) else hi := mid - 1
-      done;
-      if !best < 0 then (snd a.(0) * scale) - (fst a.(0) - c)
-      else if !best = n - 1 then (snd a.(n - 1) * scale) + (c - fst a.(n - 1))
-      else begin
-        let c0, o0 = a.(!best) and c1, o1 = a.(!best + 1) in
-        if c = c0 then o0 * scale
-        else (o0 * scale) + ((o1 - o0) * scale * (c - c0) / (c1 - c0))
-      end
+  let order = radix_sort a_slot (radix_sort a_c (radix_sort a_o (Array.init !na Fun.id))) in
+  let prio = Array.make (Array.length evts) 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun s chain ->
+      let b = !k in
+      while !k < !na && a_slot.(order.(!k)) = s do incr k done;
+      let n = !k - b in
+      if n > 0 then begin
+        let cs = Array.init n (fun i -> a_c.(order.(b + i))) in
+        let os = Array.init n (fun i -> a_o.(order.(b + i))) in
+        (* force stamps monotone in the counter (duplicate counters keep
+           the later stamp; noisy stamps are clamped) *)
+        for i = 1 to n - 1 do
+          if os.(i) < os.(i - 1) then os.(i) <- os.(i - 1)
+        done;
+        (* [best]: greatest anchor index with counter <= c *)
+        let best = ref (-1) in
+        Array.iter
+          (fun v ->
+            let c = snd evts.(v) in
+            while !best + 1 < n && cs.(!best + 1) <= c do incr best done;
+            let i = !best in
+            prio.(v) <-
+              (if i < 0 then (os.(0) * scale) - (cs.(0) - c)
+               else if i = n - 1 then (os.(i) * scale) + (c - cs.(i))
+               else if c = cs.(i) then os.(i) * scale
+               else
+                 (os.(i) * scale)
+                 + ((os.(i + 1) - os.(i)) * scale * (c - cs.(i)) / (cs.(i + 1) - cs.(i)))))
+          chain
+      end)
+    th.chains;
+  prio
 
-(* greatest counter of a [tid] event hard-preceding (or equal to) var [v];
-   [min_int] when reachability is unavailable *)
-let reach_entry (r : reach option) (v : int) (tid : int) : int =
-  match r with
-  | None -> min_int
-  | Some r -> (
-    match Hashtbl.find_opt r.slot_of tid with
-    | None -> min_int
-    | Some s -> r.vc.((v * r.nthreads) + s))
+(* ------------------------------------------------------------------ *)
+(* The hard graph: reachability (vector clocks) and the hint           *)
+(* ------------------------------------------------------------------ *)
+
+(* The hard constraint graph in compressed adjacency form: the successors
+   of [v] are [dst.(off.(v)) .. dst.(off.(v+1) - 1)]. *)
+type graph = { off : int array; dst : int array }
+
+let graph_of (nv : int) (hard : Dlsolver.Idl.atom list) : graph =
+  let off = Array.make (nv + 1) 0 in
+  List.iter (fun (a : Dlsolver.Idl.atom) -> off.(a.u + 1) <- off.(a.u + 1) + 1) hard;
+  for v = 1 to nv do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let fill = Array.sub off 0 nv in
+  let dst = Array.make off.(nv) 0 in
+  List.iter
+    (fun (a : Dlsolver.Idl.atom) ->
+      dst.(fill.(a.u)) <- a.v;
+      fill.(a.u) <- fill.(a.u) + 1)
+    hard;
+  { off; dst }
+
+let indegrees (nv : int) (g : graph) : int array =
+  let indeg = Array.make nv 0 in
+  Array.iter (fun w -> indeg.(w) <- indeg.(w) + 1) g.dst;
+  indeg
+
+(* [vc.(v * nthreads + slot)] is the greatest counter of an event of the
+   slot's thread known to hard-precede (or be) variable [v].  Since thread
+   order chains every variable-bearing event of a thread, [(t, c)]
+   hard-precedes [v] iff that entry is >= c (and the events differ).
+   Computed by one topological pass over the hard edges (Kahn's algorithm;
+   the join is order-independent); [None] when the hard graph is cyclic
+   (the problem is then unsatisfiable whatever clauses we emit, so pruning
+   soundness is moot and the caller emits without pruning). *)
+let compute_reach (evts : Log.evt array) (th : threads) (g : graph) : int array option =
+  let nv = Array.length evts in
+  let nt = Array.length th.chains in
+  let indeg = indegrees nv g in
+  let vc = Array.make (nv * nt) min_int in
+  let q = Array.make nv 0 in  (* every vertex enters the queue once *)
+  let tail = ref 0 in
+  for v = 0 to nv - 1 do
+    if indeg.(v) = 0 then (q.(!tail) <- v; incr tail)
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = q.(!head) in
+    incr head;
+    let own = (v * nt) + th.slot.(v) in
+    let c = snd evts.(v) in
+    if vc.(own) < c then vc.(own) <- c;
+    for e = g.off.(v) to g.off.(v + 1) - 1 do
+      let w = g.dst.(e) in
+      for s = 0 to nt - 1 do
+        if vc.((w * nt) + s) < vc.((v * nt) + s) then
+          vc.((w * nt) + s) <- vc.((v * nt) + s)
+      done;
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then (q.(!tail) <- w; incr tail)
+    done
+  done;
+  if !head < nv then None else Some vc
+
+(* Topological order of the hard constraint DAG ([g] plus the [extra]
+   atoms): the returned array strictly increases along every edge, so it
+   is a model of the hard atoms and doubles as a potential seed for the
+   solver; [None] on a cycle.  Ready vertices are released by ascending
+   [(prio, vertex)] (the observation-stamp estimate of each event), so the
+   order tracks the recorded schedule wherever the hard constraints leave
+   slack — making it a good witness for the clauses too, not just the hard
+   part.  Positions are spread by a slack factor so that the relaxation
+   cascades triggered by asserting clause literals against the seeded
+   potentials die out quickly instead of rippling through zero-slack
+   chains. *)
+let topo_hint (nv : int) (prio : int array) (g : graph) (extra : Dlsolver.Idl.atom list) :
+    int array option =
+  let indeg = indegrees nv g in
+  let extra_adj = Array.make nv [] in
+  List.iter
+    (fun (a : Dlsolver.Idl.atom) ->
+      extra_adj.(a.u) <- a.v :: extra_adj.(a.u);
+      indeg.(a.v) <- indeg.(a.v) + 1)
+    extra;
+  (* binary min-heap of the ready vertices, keyed by (prio, vertex) *)
+  let heap = Array.make nv 0 in
+  let size = ref 0 in
+  let less a b = prio.(a) < prio.(b) || (prio.(a) = prio.(b) && a < b) in
+  let push v =
+    let k = ref !size in
+    incr size;
+    while !k > 0 && less v heap.((!k - 1) / 2) do
+      heap.(!k) <- heap.((!k - 1) / 2);
+      k := (!k - 1) / 2
+    done;
+    heap.(!k) <- v
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let last = heap.(!size) in
+    let k = ref 0 and settled = ref false in
+    while not !settled do
+      let l = (2 * !k) + 1 in
+      if l >= !size then settled := true
+      else begin
+        let c = if l + 1 < !size && less heap.(l + 1) heap.(l) then l + 1 else l in
+        if less heap.(c) last then (heap.(!k) <- heap.(c); k := c) else settled := true
+      end
+    done;
+    heap.(!k) <- last;
+    top
+  in
+  let release w =
+    indeg.(w) <- indeg.(w) - 1;
+    if indeg.(w) = 0 then push w
+  in
+  for v = 0 to nv - 1 do
+    if indeg.(v) = 0 then push v
+  done;
+  let hint = Array.make (max 1 nv) 0 in
+  let n = ref 0 in
+  while !size > 0 do
+    let v = pop () in
+    hint.(v) <- 16 * !n;
+    incr n;
+    for e = g.off.(v) to g.off.(v + 1) - 1 do
+      release g.dst.(e)
+    done;
+    List.iter release extra_adj.(v)
+  done;
+  if !n < nv then None else Some hint
 
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* [esrc] encoding of an interval's effective source *)
+let no_src = -2  (* no incoming dependence, or freed *)
+let init_src = -1  (* the virtual initialization write *)
+
 let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : t =
-  let t_start = Sys.time () in
+  let t_start = Unix.gettimeofday () in
   let intervals = intervals_of_log log in
+  let ivs = Array.of_list intervals in
+  let n = Array.length ivs in
   (* freed interval starts: their source pin is dropped (exploration) *)
-  let freed : (Log.evt, unit) Hashtbl.t = Hashtbl.create (max 4 (List.length free)) in
-  List.iter (fun e -> Hashtbl.replace freed e ()) free;
-  let eff_src (iv : interval) : Log.evt option option =
-    match iv.src with
-    | Some _ when Hashtbl.mem freed iv.start_e -> None
-    | s -> s
-  in
-  (* variable per referenced event *)
-  let vars : (Log.evt, int) Hashtbl.t = Hashtbl.create 1024 in
+  let freed = PairTbl.create (max 4 (List.length free)) in
+  List.iter (fun e -> PairTbl.replace freed e ()) free;
+  let is_freed = Array.map (fun iv -> PairTbl.mem freed iv.start_e) ivs in
+  (* variable per referenced event, numbered in order of first reference *)
+  let ids : int PairTbl.t = PairTbl.create (max 1024 (2 * n)) in
   let evts_rev = ref [] in
   let var (e : Log.evt) : int =
-    match Hashtbl.find_opt vars e with
+    match PairTbl.find_opt ids e with
     | Some v -> v
     | None ->
-      let v = Hashtbl.length vars in
-      Hashtbl.add vars e v;
+      let v = PairTbl.length ids in
+      PairTbl.add ids e v;
       evts_rev := e :: !evts_rev;
       v
   in
-  List.iter
-    (fun iv ->
-      ignore (var iv.start_e);
-      ignore (var iv.end_e);
-      match iv.src with Some (Some w) -> ignore (var w) | _ -> ())
-    intervals;
+  (* every interval's start, end and effective-source variables, resolved
+     once *)
+  let sv = Array.make n 0 and ev = Array.make n 0 and esrc = Array.make n no_src in
+  Array.iteri
+    (fun k iv ->
+      sv.(k) <- var iv.start_e;
+      ev.(k) <- var iv.end_e;
+      let w = match iv.src with Some (Some w) -> var w | Some None -> init_src | None -> no_src in
+      if not is_freed.(k) then esrc.(k) <- w)
+    ivs;
   (* exploration events: a variable in the thread-order chain, no clauses *)
   List.iter (fun e -> ignore (var e)) extra_events;
   let evts = Array.of_list (List.rev !evts_rev) in
-  let est = event_time_estimator log in
-  let prio = Array.map est evts in
+  let nv = Array.length evts in
+  (* the public table, filled in variable order: its iteration order (and
+     so the thread-chain order below) is that of the same insertions *)
+  let vars : (Log.evt, int) Hashtbl.t = Hashtbl.create 1024 in
+  Array.iteri (fun v e -> Hashtbl.add vars e v) evts;
+  let th = threads_of evts in
+  let prio = event_times log evts th in
   let hard = ref [] in
-  let hard_edges = ref [] in  (* (var, var) mirror of [hard], feeds reachability *)
+  let n_hard = ref 0 in
   let add_hard a b =
     hard := Dlsolver.Idl.lt a b :: !hard;
-    hard_edges := (a, b) :: !hard_edges
+    incr n_hard
   in
-  (* thread order *)
-  let by_tid : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
+  (* thread order, one chain per thread; the chains go out in the
+     iteration order of a tid table filled in [vars] iteration order *)
+  let by_tid : (int, int array) Hashtbl.t = Hashtbl.create 16 in
+  (try
+     Hashtbl.iter
+       (fun (t, _) v ->
+         if not (Hashtbl.mem by_tid t) then begin
+           Hashtbl.add by_tid t th.chains.(th.slot.(v));
+           if Hashtbl.length by_tid = Array.length th.chains then raise Exit
+         end)
+       vars
+   with Exit -> ());
   Hashtbl.iter
-    (fun (t, c) _ ->
-      match Hashtbl.find_opt by_tid t with
-      | Some l -> l := c :: !l
-      | None -> Hashtbl.add by_tid t (ref [ c ]))
-    vars;
-  Hashtbl.iter
-    (fun t cs ->
-      let sorted = List.sort_uniq compare !cs in
-      let rec chain = function
-        | a :: (b :: _ as rest) ->
-          add_hard (var (t, a)) (var (t, b));
-          chain rest
-        | _ -> ()
-      in
-      chain sorted)
+    (fun _ chain ->
+      for k = 1 to Array.length chain - 1 do
+        add_hard chain.(k - 1) chain.(k)
+      done)
     by_tid;
   (* dependence edges *)
-  let by_loc =
-    List.fold_left
-      (fun m iv ->
-        LMap.update iv.iv_loc (fun p -> Some (iv :: Option.value ~default:[] p)) m)
-      LMap.empty intervals
-  in
-  LMap.iter
-    (fun _ ivs ->
-      List.iter
-        (fun iv ->
-          match eff_src iv with
-          | Some (Some w) -> add_hard (var w) (var iv.start_e)
-          | Some None | None -> ())
-        ivs)
-    by_loc;
+  let groups = group_by_loc (fun k -> ivs.(k).iv_loc) (List.init n Fun.id) in
+  List.iter
+    (fun (_, ks) -> List.iter (fun k -> if esrc.(k) >= 0 then add_hard esrc.(k) sv.(k)) ks)
+    groups;
   let clauses = ref [] in
-  let n_clause_acc = ref 0 in
   let n_pairs = ref 0 and n_pruned = ref 0 and n_unit = ref 0 and n_dedup = ref 0 in
-  let inside (t, c) (j : interval) =
-    fst j.start_e = t && snd j.start_e <= c && c <= snd j.end_e
+  let tid k = fst ivs.(k).start_e in
+  let start_c k = snd ivs.(k).start_e and end_c k = snd ivs.(k).end_e in
+  (* event [(t, c)] lies inside interval [j] *)
+  let inside (t, c) j = tid j = t && start_c j <= c && c <= end_c j in
+  (* the recorded source event of a sourced interval *)
+  let src_evt i = match ivs.(i).src with Some (Some w) -> w | _ -> assert false in
+  let emit_clause i j a1 a2 =
+    (* the first literal matches the original order when i was observed
+       before j *)
+    let iobs = ivs.(i).obs and jobs = ivs.(j).obs in
+    clauses := (max iobs jobs, if iobs <= jobs then [| a1; a2 |] else [| a2; a1 |]) :: !clauses
   in
-  let emit_clause ~iobs ~jobs lits =
-    clauses := (max iobs jobs, lits) :: !clauses;
-    incr n_clause_acc
-  in
-  if naive then
-    (* the original pairwise generator, kept as the differential oracle for
-       the pruning sweep below *)
-    LMap.iter
-      (fun _ ivs ->
-        let sorted = List.sort (fun a b -> compare a.obs b.obs) ivs in
-        List.iter
-          (fun i ->
-            if i.reads then
-              List.iter
-                (fun j ->
-                  if j != i && j.writes then
-                    match eff_src i with
-                    | Some None ->
-                      (* initial-value reads precede every write on the loc *)
-                      add_hard (var i.end_e) (var j.start_e)
-                    | Some (Some w) ->
-                      if not (inside w j) then begin
-                        incr n_pairs;
-                        (* the first literal matches the original order when i
-                           was observed before j *)
-                        let lits =
-                          if i.obs <= j.obs then
-                            [| Dlsolver.Idl.lt (var i.end_e) (var j.start_e);
-                               Dlsolver.Idl.lt (var j.end_e) (var w) |]
-                          else
-                            [| Dlsolver.Idl.lt (var j.end_e) (var w);
-                               Dlsolver.Idl.lt (var i.end_e) (var j.start_e) |]
-                        in
-                        emit_clause ~iobs:i.obs ~jobs:j.obs lits
-                      end
-                    | None ->
-                      if
-                        fst i.start_e <> fst j.start_e
-                        && not (Hashtbl.mem freed i.start_e)
-                      then begin
-                        incr n_pairs;
-                        let lits =
-                          if i.obs <= j.obs then
-                            [| Dlsolver.Idl.lt (var i.end_e) (var j.start_e);
-                               Dlsolver.Idl.lt (var j.end_e) (var i.start_e) |]
-                          else
-                            [| Dlsolver.Idl.lt (var j.end_e) (var i.start_e);
-                               Dlsolver.Idl.lt (var i.end_e) (var j.start_e) |]
-                        in
-                        emit_clause ~iobs:i.obs ~jobs:j.obs lits
-                      end
-                )
-                sorted)
-          sorted)
-      by_loc
-  else begin
-    (* ---- pruned sweep ---- *)
-    (* per location: write-bearing intervals per thread, in thread order *)
-    let writers_of ivs : (int * interval array * int array) list =
-      let tbl : (int, interval list ref) Hashtbl.t = Hashtbl.create 8 in
+  let hard_graph, late_hard =
+    if naive then begin
+      (* the original pairwise generator, kept as the differential oracle for
+         the pruning sweep below *)
       List.iter
-        (fun j ->
-          if j.writes then begin
-            let t = fst j.start_e in
-            match Hashtbl.find_opt tbl t with
-            | Some l -> l := j :: !l
-            | None -> Hashtbl.add tbl t (ref [ j ])
-          end)
-        ivs;
-      Hashtbl.fold (fun t l acc -> (t, !l) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map (fun (t, l) ->
-             let ws =
-               Array.of_list
-                 (List.sort (fun a b -> compare (snd a.start_e) (snd b.start_e)) l)
-             in
-             (* running max of end counters: recorded intervals are disjoint
-                per thread so ends ascend, but synthetic logs may nest them —
-                pruning against the prefix max stays sound either way *)
-             let pmax = Array.make (Array.length ws) min_int in
-             let acc = ref min_int in
-             Array.iteri
-               (fun k j ->
-                 if snd j.end_e > !acc then acc := snd j.end_e;
-                 pmax.(k) <- !acc)
-               ws;
-             (t, ws, pmax))
-    in
-    (* compressed initial-value constraints: one edge to the first write
-       interval of each thread; thread order entails the edges to the rest *)
-    LMap.iter
-      (fun _ ivs ->
-        let writers = writers_of ivs in
-        List.iter
-          (fun i ->
-            if i.reads && eff_src i = Some None then
-              List.iter
-                (fun (_, ws, _) ->
-                  (* first writer that is not the reader itself: the edge to
-                     it entails (with thread order) the edges to every later
-                     writer of the thread, which is all the naive generator
-                     emits for them *)
-                  let k = ref 0 in
-                  while !k < Array.length ws && ws.(!k) == i do incr k done;
-                  if !k < Array.length ws then
-                    add_hard (var i.end_e) (var ws.(!k).start_e))
-                writers)
-          ivs)
-      by_loc;
-    (* reachability over the hard constraints accumulated so far; hard
-       edges added later (unit reductions) only make pruning conservative *)
-    let reach = compute_reach evts !hard_edges in
-    let seen_clause : (int * int * int * int, unit) Hashtbl.t = Hashtbl.create 4096 in
-    let seen_unit : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
-    (* binary searches over a writer array [ws] (thread order) *)
-    let prefix_count (pmax : int array) (bound : int) =
-      (* #writers whose end counter (and every earlier one's) is <= bound,
-         so their zone exit is implied by thread order *)
-      let lo = ref 0 and hi = ref (Array.length pmax) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if pmax.(mid) <= bound then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    and suffix_start (ws : interval array) ~(t1 : int) ~(c_end_i : int) =
-      (* first writer whose start is implied after end_e of the reader *)
-      let lo = ref 0 and hi = ref (Array.length ws) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if reach_entry reach (var ws.(mid).start_e) t1 >= c_end_i then hi := mid
-        else lo := mid + 1
-      done;
-      !lo
-    in
-    LMap.iter
-      (fun _ ivs ->
-        let writers = writers_of ivs in
-        List.iter
-          (fun i ->
-            (* a freed interval is fully unpinned: its reads no longer claim
-               a consistent source, so it emits no reader-side interference
-               (it still interferes as a writer with other intervals'
-               zones) *)
-            if
-              i.reads
-              && eff_src i <> Some None
-              && not (Hashtbl.mem freed i.start_e)
-            then begin
-              let t1 = fst i.start_e in
-              let c_end_i = snd i.end_e in
-              let zstart_e, w_opt =
-                match eff_src i with
-                | Some (Some w) -> (w, Some w)
-                | _ -> (i.start_e, None)
-              in
-              let v_zstart = var zstart_e in
-              List.iter
-                (fun (t2, ws, pmax) ->
-                  if not (w_opt = None && t2 = t1) then begin
-                    let m = Array.length ws in
-                    (* candidate pairs the naive generator would emit *)
-                    let cands =
-                      let self = if i.writes && t2 = t1 then 1 else 0 in
-                      let w_inside =
-                        match w_opt with
-                        | Some w when fst w = t2 ->
-                          if Array.exists (fun j -> inside w j) ws then 1 else 0
-                        | _ -> 0
-                      in
-                      m - self - w_inside
-                    in
-                    n_pairs := !n_pairs + cands;
-                    let pfx = prefix_count pmax (reach_entry reach v_zstart t2) in
-                    let sfx = ref (suffix_start ws ~t1 ~c_end_i) in
-                    (* a writer starting at the reader's own end event (same
-                       (t, c) — possible in synthetic logs with nested
-                       intervals) reaches [end I] by the "or be" case of the
-                       vector clock, but O(end I) < O(start J) is then false
-                       rather than entailed: keep such boundary writers in
-                       the emission window *)
-                    while !sfx < m && ws.(!sfx).start_e = i.end_e do incr sfx done;
-                    let sfx = !sfx in
-                    let handled = ref 0 in
-                    for jx = pfx to sfx - 1 do
-                      let j = ws.(jx) in
-                      let skip =
-                        j == i
-                        || match w_opt with Some w -> inside w j | None -> false
-                      in
-                      if not skip then begin
-                        incr handled;
-                        match w_opt with
-                        | Some w
-                          when t2 = t1 && snd j.end_e < snd i.start_e ->
-                          (* thread order falsifies O(end i) < O(start j):
-                             the clause reduces to the unit O(end j) < O(w) *)
-                          let key = (var j.end_e, var w) in
-                          if not (Hashtbl.mem seen_unit key) then begin
-                            Hashtbl.add seen_unit key ();
-                            add_hard (var j.end_e) (var w)
-                          end;
-                          incr n_unit
-                        | _ ->
-                          let v_zs = match w_opt with Some w -> var w | None -> v_zstart in
-                          let a1 = Dlsolver.Idl.lt (var i.end_e) (var j.start_e) in
-                          let a2 = Dlsolver.Idl.lt (var j.end_e) v_zs in
-                          let key =
-                            if (a1.u, a1.v) <= (a2.u, a2.v) then (a1.u, a1.v, a2.u, a2.v)
-                            else (a2.u, a2.v, a1.u, a1.v)
-                          in
-                          if Hashtbl.mem seen_clause key then incr n_dedup
-                          else begin
-                            Hashtbl.add seen_clause key ();
-                            let lits =
-                              if i.obs <= j.obs then [| a1; a2 |] else [| a2; a1 |]
-                            in
-                            emit_clause ~iobs:i.obs ~jobs:j.obs lits
-                          end
+        (fun (_, ks) ->
+          let sorted = List.stable_sort (fun a b -> Int.compare ivs.(a).obs ivs.(b).obs) ks in
+          List.iter
+            (fun i ->
+              if ivs.(i).reads then
+                List.iter
+                  (fun j ->
+                    if j <> i && ivs.(j).writes then begin
+                      let a1 = Dlsolver.Idl.lt ev.(i) sv.(j) in
+                      if esrc.(i) = init_src then
+                        (* initial-value reads precede every write on the loc *)
+                        add_hard ev.(i) sv.(j)
+                      else if esrc.(i) >= 0 then begin
+                        if not (inside (src_evt i) j) then begin
+                          incr n_pairs;
+                          emit_clause i j a1 (Dlsolver.Idl.lt ev.(j) esrc.(i))
+                        end
                       end
-                    done;
-                    n_pruned := !n_pruned + (cands - !handled)
-                  end)
-                writers
-            end)
-          ivs)
-      by_loc
-  end;
+                      else if tid i <> tid j && not is_freed.(i) then begin
+                        incr n_pairs;
+                        emit_clause i j a1 (Dlsolver.Idl.lt ev.(j) sv.(i))
+                      end
+                    end)
+                  sorted)
+            sorted)
+        groups;
+      (graph_of nv !hard, [])
+    end
+    else begin
+      (* ---- pruned sweep ---- *)
+      (* per location: the write-bearing intervals by (thread, start) with
+         their running max of ends, and the [(b, e)] bounds of each
+         thread's run in them (ascending tid) *)
+      let groups =
+        List.map
+          (fun (_, ks) ->
+            let ws = Array.of_list (List.rev (List.filter (fun k -> ivs.(k).writes) ks)) in
+            let pmax = by_thread_start ivs ws in
+            let rec runs b =
+              if b >= Array.length ws then []
+              else begin
+                let e = ref (b + 1) in
+                while !e < Array.length ws && tid ws.(!e) = tid ws.(b) do incr e done;
+                (b, !e) :: runs !e
+              end
+            in
+            (ks, ws, pmax, runs 0))
+          groups
+      in
+      (* compressed initial-value constraints: one edge to the first write
+         interval of each thread; thread order entails the edges to the rest *)
+      List.iter
+        (fun (ks, ws, _, runs) ->
+          List.iter
+            (fun i ->
+              if ivs.(i).reads && esrc.(i) = init_src then
+                List.iter
+                  (fun (b, e) ->
+                    (* first writer that is not the reader itself: the edge to
+                       it entails (with thread order) the edges to every later
+                       writer of the thread, which is all the naive generator
+                       emits for them *)
+                    let k = ref b in
+                    while !k < e && ws.(!k) = i do incr k done;
+                    if !k < e then add_hard ev.(i) sv.(ws.(!k)))
+                  runs)
+            ks)
+        groups;
+      (* reachability over the hard constraints accumulated so far; hard
+         edges added later (unit reductions) only make pruning conservative *)
+      let g = graph_of nv !hard in
+      let n_hard_reach = !n_hard in
+      let reach = compute_reach evts th g in
+      let nt = Array.length th.chains in
+      (* greatest counter of an event of slot [s]'s thread hard-preceding
+         (or equal to) var [v]; [min_int] when reachability is unavailable *)
+      let entry v s = match reach with Some vc -> vc.((v * nt) + s) | None -> min_int in
+      let seen_clause : unit PairTbl.t = PairTbl.create 4096 in
+      let seen_unit : unit PairTbl.t = PairTbl.create 256 in
+      List.iter
+        (fun (ks, ws, pmax, runs) ->
+          List.iter
+            (fun i ->
+              (* a freed interval is fully unpinned: its reads no longer claim
+                 a consistent source, so it emits no reader-side interference
+                 (it still interferes as a writer with other intervals'
+                 zones) *)
+              if ivs.(i).reads && esrc.(i) <> init_src && not is_freed.(i) then begin
+                let t1 = tid i and s1 = th.slot.(sv.(i)) in
+                let c_end_i = end_c i in
+                let sourced = esrc.(i) >= 0 in
+                (* the protected zone starts at the source write, or at the
+                   interval's own start when it has none *)
+                let v_zstart = if sourced then esrc.(i) else sv.(i) in
+                let w_inside = sourced && covered ivs ws pmax (src_evt i) in
+                List.iter
+                  (fun (b, e) ->
+                    let t2 = tid ws.(b) in
+                    if sourced || t2 <> t1 then begin
+                      (* candidate pairs the naive generator would emit *)
+                      let cands =
+                        let self = if ivs.(i).writes && t2 = t1 then 1 else 0 in
+                        let w_in = if w_inside && fst (src_evt i) = t2 then 1 else 0 in
+                        e - b - self - w_in
+                      in
+                      n_pairs := !n_pairs + cands;
+                      (* writers whose end (and every earlier one's) is
+                         hard-ordered before the zone start: their zone exit
+                         is implied by thread order *)
+                      let bound = entry v_zstart th.slot.(sv.(ws.(b))) in
+                      let lo = ref b and hi = ref e in
+                      while !lo < !hi do
+                        let mid = (!lo + !hi) lsr 1 in
+                        if pmax.(mid) <= bound then lo := mid + 1 else hi := mid
+                      done;
+                      let pfx = !lo in
+                      (* first writer whose start is implied after the
+                         reader's end *)
+                      let lo = ref b and hi = ref e in
+                      while !lo < !hi do
+                        let mid = (!lo + !hi) lsr 1 in
+                        if entry sv.(ws.(mid)) s1 >= c_end_i then hi := mid else lo := mid + 1
+                      done;
+                      let sfx = lo in
+                      (* a writer starting at the reader's own end event
+                         (possible in synthetic logs with nested intervals)
+                         reaches [end I] by the "or be" case of the vector
+                         clock, but O(end I) < O(start J) is then false
+                         rather than entailed: keep such boundary writers in
+                         the emission window *)
+                      while !sfx < e && sv.(ws.(!sfx)) = ev.(i) do incr sfx done;
+                      let handled = ref 0 in
+                      for jx = pfx to !sfx - 1 do
+                        let j = ws.(jx) in
+                        if not (j = i || (sourced && inside (src_evt i) j)) then begin
+                          incr handled;
+                          if sourced && t2 = t1 && end_c j < start_c i then begin
+                            (* thread order falsifies O(end i) < O(start j):
+                               the clause reduces to the unit O(end j) < O(w) *)
+                            if not (PairTbl.mem seen_unit (ev.(j), v_zstart)) then begin
+                              PairTbl.add seen_unit (ev.(j), v_zstart) ();
+                              add_hard ev.(j) v_zstart
+                            end;
+                            incr n_unit
+                          end
+                          else begin
+                            let p1 = (ev.(i) * nv) + sv.(j) and p2 = (ev.(j) * nv) + v_zstart in
+                            let key = if p1 <= p2 then (p1, p2) else (p2, p1) in
+                            if PairTbl.mem seen_clause key then incr n_dedup
+                            else begin
+                              PairTbl.add seen_clause key ();
+                              emit_clause i j (Dlsolver.Idl.lt ev.(i) sv.(j))
+                                (Dlsolver.Idl.lt ev.(j) v_zstart)
+                            end
+                          end
+                        end
+                      done;
+                      n_pruned := !n_pruned + (cands - !handled)
+                    end)
+                  runs
+              end)
+            ks)
+        groups;
+      (g, List.filteri (fun k _ -> k < !n_hard - n_hard_reach) !hard)
+    end
+  in
   let clause_arr =
-    List.sort (fun (o1, _) (o2, _) -> compare o1 o2) !clauses
+    List.stable_sort (fun (o1, _) (o2, _) -> Int.compare o1 o2) !clauses
     |> List.map snd |> Array.of_list
   in
-  let hint = topo_hint (Array.length evts) prio !hard_edges in
+  let hint = topo_hint nv prio hard_graph late_hard in
   (* Literal ordering: the hint is a model of the hard atoms that tracks
      the recorded schedule; placing a hint-true literal first makes the
      solver's first descent assert a set of literals that the hint itself
@@ -681,15 +818,13 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
           clause_arr.(i) <- [| cl.(1); cl.(0) |])
       clause_arr
   | None -> ());
-  let problem =
-    { Dlsolver.Idl.nvars = Hashtbl.length vars; hard = List.rev !hard; clauses = clause_arr }
-  in
+  let problem = { Dlsolver.Idl.nvars = nv; hard = List.rev !hard; clauses = clause_arr } in
   {
     problem;
     vars;
     evts;
     intervals;
-    n_hard = List.length problem.hard;
+    n_hard = !n_hard;
     n_clauses = Array.length clause_arr;
     hint;
     gen_stats =
@@ -698,6 +833,6 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
         n_pruned = !n_pruned;
         n_unit = !n_unit;
         n_dedup = !n_dedup;
-        gen_time_s = Sys.time () -. t_start;
+        gen_time_s = Unix.gettimeofday () -. t_start;
       };
   }

@@ -74,33 +74,12 @@ let no_tables =
 
 type span = { mutable lo : int; mutable hi : int }
 
-(* The event indices ordered by model value, ties by event.  A stable LSD
-   radix sort on [model - min], 11 bits a pass, so the cost is linear in
-   the number of events; each run of equal model values is then sorted by
-   event (the solver's values are almost always distinct). *)
+(* The event indices ordered by model value, ties by event: a linear-time
+   radix sort by model value, then each run of equal model values sorted
+   by event (the solver's values are almost always distinct). *)
 let rank_order (evts : Log.evt array) (model : int array) : int array =
   let n = Array.length model in
-  let lo = Array.fold_left min max_int model and hi = Array.fold_left max min_int model in
-  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
-  let count = Array.make 2049 0 in
-  let shift = ref 0 in
-  while n > 0 && !shift < Sys.int_size && (hi - lo) lsr !shift > 0 do
-    let digit i = ((model.(i) - lo) lsr !shift) land 2047 in
-    Array.fill count 0 2049 0;
-    Array.iter (fun i -> let d = digit i + 1 in count.(d) <- count.(d) + 1) !src;
-    for d = 1 to 2048 do count.(d) <- count.(d) + count.(d - 1) done;
-    Array.iter
-      (fun i ->
-        let d = digit i in
-        !dst.(count.(d)) <- i;
-        count.(d) <- count.(d) + 1)
-      !src;
-    let t = !src in
-    src := !dst;
-    dst := t;
-    shift := !shift + 11
-  done;
-  let idx = !src in
+  let idx = Constraints.radix_sort model (Array.init n Fun.id) in
   let i = ref 0 in
   while !i < n do
     let j = ref (!i + 1) in

@@ -25,8 +25,6 @@
     noninterference condition with the freed reader treated as sourceless —
     still must hold. *)
 
-open Runtime
-
 let check ?(zones = false) ?(free = []) (log : Log.t) (sch : Replayer.schedule) :
     string list =
   let freed : (Log.evt, unit) Hashtbl.t = Hashtbl.create (max 4 (List.length free)) in
@@ -84,17 +82,8 @@ let check ?(zones = false) ?(free = []) (log : Log.t) (sch : Replayer.schedule) 
     let inside (t, c) (j : Constraints.interval) =
       fst j.start_e = t && snd j.start_e <= c && c <= snd j.end_e
     in
-    let by_loc =
-      List.fold_left
-        (fun m (iv : Constraints.interval) ->
-          Loc.Map.update iv.iv_loc
-            (fun p -> Some (iv :: Option.value ~default:[] p))
-            m)
-        Loc.Map.empty
-        (Constraints.intervals_of_log log)
-    in
-    Loc.Map.iter
-      (fun _ ivs ->
+    List.iter
+      (fun (_, ivs) ->
         List.iter
           (fun (i : Constraints.interval) ->
             if i.reads then
@@ -128,6 +117,6 @@ let check ?(zones = false) ?(free = []) (log : Log.t) (sch : Replayer.schedule) 
                   end)
                 ivs)
           ivs)
-      by_loc
+      (Constraints.by_location (Constraints.intervals_of_log log))
   end;
   List.rev !errs

@@ -105,18 +105,13 @@ let relaxation (log : Log.t) (flips : flip list) : Log.evt list * Log.evt list =
 let lock_sections (log : Log.t) :
     (Loc.t * (Log.evt * Log.evt) list) list =
   let by_loc =
-    List.fold_left
-      (fun m (iv : Light_core.Constraints.interval) ->
-        if iv.iv_loc.Loc.fld = Loc.lock_fld then
-          Loc.Map.update iv.iv_loc
-            (fun p -> Some (iv :: Option.value ~default:[] p))
-            m
-        else m)
-      Loc.Map.empty
-      (Light_core.Constraints.intervals_of_log log)
+    Light_core.Constraints.intervals_of_log log
+    |> List.filter (fun (iv : Light_core.Constraints.interval) ->
+           iv.iv_loc.Loc.fld = Loc.lock_fld)
+    |> Light_core.Constraints.by_location
   in
-  Loc.Map.fold
-    (fun loc ivs acc ->
+  List.fold_left
+    (fun acc (loc, ivs) ->
       let per_tid : (int, (int * bool) list ref) Hashtbl.t = Hashtbl.create 4 in
       List.iter
         (fun (iv : Light_core.Constraints.interval) ->
@@ -144,7 +139,7 @@ let lock_sections (log : Log.t) :
         |> List.sort compare
       in
       (loc, sections) :: acc)
-    by_loc []
+    [] by_loc
   |> List.sort compare
 
 (* Exact critical sections from an access trace: LockAcqRead (and a wait's
@@ -779,18 +774,9 @@ let hunt ?pool ?budget ?(limit = 32) ?(depth = 2) (ctx : context) : hunt_result 
 (* ------------------------------------------------------------------ *)
 
 let log_candidates ?(limit = 32) (log : Log.t) : flip list =
-  let ivs = Light_core.Constraints.intervals_of_log log in
-  let by_loc =
-    List.fold_left
-      (fun m (iv : Light_core.Constraints.interval) ->
-        Loc.Map.update iv.iv_loc
-          (fun p -> Some (iv :: Option.value ~default:[] p))
-          m)
-      Loc.Map.empty ivs
-  in
   let out = ref [] and seen = Hashtbl.create 64 in
-  Loc.Map.iter
-    (fun loc ivs ->
+  List.iter
+    (fun (loc, ivs) ->
       let ivs =
         List.sort
           (fun (a : Light_core.Constraints.interval) b -> compare a.obs b.obs)
@@ -827,7 +813,7 @@ let log_candidates ?(limit = 32) (log : Log.t) : flip list =
               end)
             ivs)
         ivs)
-    by_loc;
+    Light_core.Constraints.(by_location (intervals_of_log log));
   List.filteri (fun i _ -> i < limit) (List.rev !out)
 
 let enumerate_log ?budget ?limit (log : Log.t) : (flip * solved) list =

@@ -391,6 +391,127 @@ let prop_pruned_equisat =
       | Aborted _, _ | _, Aborted _ -> QCheck.assume_fail ()
       | _ -> false)
 
+(* The singleton materialization as it was first written: a list scan of
+   the location's intervals per source write, grouped through [Loc.Map]. *)
+let reference_intervals (log : Log.t) : Constraints.interval list =
+  let base =
+    List.map
+      (fun (d : Log.dep) ->
+        {
+          Constraints.iv_loc = d.loc;
+          start_e = d.rf;
+          end_e = (fst d.rf, d.rl_c);
+          writes = false;
+          reads = true;
+          src = Some d.w;
+          obs = d.dep_obs;
+          src_obs = d.w_obs;
+        })
+      log.deps
+    @ List.map
+        (fun (r : Log.range) ->
+          {
+            Constraints.iv_loc = r.loc;
+            start_e = (r.rt, r.lo);
+            end_e = (r.rt, r.hi);
+            writes = r.has_write;
+            reads = true;
+            src = (if r.prefix_reads then Some r.w_in else None);
+            obs = r.rng_obs;
+            src_obs = r.w_obs;
+          })
+        log.ranges
+  in
+  let by_loc =
+    List.fold_left
+      (fun m (iv : Constraints.interval) ->
+        Loc.Map.update iv.iv_loc (fun p -> Some (iv :: Option.value ~default:[] p)) m)
+      Loc.Map.empty base
+  in
+  let singletons =
+    Loc.Map.fold
+      (fun loc ivs acc ->
+        let covered (t, c) =
+          List.exists
+            (fun (iv : Constraints.interval) ->
+              fst iv.start_e = t && snd iv.start_e <= c && c <= snd iv.end_e)
+            ivs
+        in
+        let seen = Hashtbl.create 8 in
+        List.fold_left
+          (fun acc (iv : Constraints.interval) ->
+            match iv.src with
+            | Some (Some w) when not (Hashtbl.mem seen w || covered w) ->
+              Hashtbl.add seen w ();
+              {
+                Constraints.iv_loc = loc;
+                start_e = w;
+                end_e = w;
+                writes = true;
+                reads = false;
+                src = None;
+                obs = iv.src_obs;
+                src_obs = 0;
+              }
+              :: acc
+            | _ -> acc)
+          acc ivs)
+      by_loc []
+  in
+  base @ singletons
+
+let prop_intervals_reference =
+  QCheck.Test.make ~count:400 ~name:"intervals_of_log = list-scan reference"
+    (QCheck.make ~print:Log.to_string synth_log_gen)
+    (fun log -> Constraints.intervals_of_log log = reference_intervals log)
+
+(* Locations whose name order differs from their id order: array elements
+   past #9 ("#10" < "#9"), ghosts ("$lock", "$cond", "$thread"), globals
+   and fields of several objects. *)
+let loc_gen =
+  QCheck.Gen.(
+    int_range 0 3 >>= fun o ->
+    oneof
+      [
+        map (fun i -> Loc.elem o i) (int_range 0 25);
+        map (fun f -> Loc.field o f) (oneofl [ "a"; "b"; "len"; "next"; "x" ]);
+        return (Loc.lock_ghost o);
+        return (Loc.cond_ghost o);
+        return (Loc.thread_ghost o);
+        map Loc.global (oneofl [ "g"; "h" ]);
+      ])
+
+let prop_by_location_order =
+  QCheck.Test.make ~count:400 ~name:"by_location groups in Loc.Map order"
+    QCheck.(
+      make
+        ~print:(fun ls -> String.concat " " (List.map Loc.to_string ls))
+        Gen.(list_size (int_range 0 40) loc_gen))
+    (fun locs ->
+      let ivs =
+        List.mapi
+          (fun k iv_loc ->
+            {
+              Constraints.iv_loc;
+              start_e = (0, k);
+              end_e = (0, k);
+              writes = true;
+              reads = false;
+              src = None;
+              obs = k;
+              src_obs = 0;
+            })
+          locs
+      in
+      let reference =
+        List.fold_left
+          (fun m (iv : Constraints.interval) ->
+            Loc.Map.update iv.iv_loc (fun p -> Some (iv :: Option.value ~default:[] p)) m)
+          Loc.Map.empty ivs
+        |> Loc.Map.bindings
+      in
+      Constraints.by_location ivs = reference)
+
 (* ------------------------------------------------------------------ *)
 (* Pinned replay admission                                              *)
 (* ------------------------------------------------------------------ *)
@@ -697,6 +818,203 @@ let prop_rank_order =
       Array.to_list (Array.map (fun i -> evts.(i)) (Replayer.rank_order evts model))
       = expected)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned constraint systems                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything [generate] hands on: the order of the hard atoms, of the
+   clauses and of each clause's literals reaches the solver and so the
+   schedule, which equisatisfiability alone would not notice. *)
+let render_system (cs : Constraints.t) =
+  let b = Buffer.create 65536 in
+  let atom (a : Dlsolver.Idl.atom) = Printf.bprintf b "%d,%d,%d;" a.u a.v a.k in
+  Printf.bprintf b "nvars %d\nhard " cs.problem.nvars;
+  List.iter atom cs.problem.hard;
+  Buffer.add_string b "\nclauses ";
+  Array.iter
+    (fun cl ->
+      Array.iter atom cl;
+      Buffer.add_char b '|')
+    cs.problem.clauses;
+  Buffer.add_string b "\nhint ";
+  (match cs.hint with
+  | Some h -> Array.iter (Printf.bprintf b "%d,") h
+  | None -> Buffer.add_string b "none");
+  Buffer.add_string b "\nevts ";
+  Array.iter (fun (t, c) -> Printf.bprintf b "%d.%d," t c) cs.evts;
+  let g = cs.gen_stats in
+  Printf.bprintf b "\nstats %d %d %d %d\n" g.n_pairs g.n_pruned g.n_unit g.n_dedup;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The recorder flushes its open records in hash-table order, which
+   follows the process's intern ids and so what ran before; records sorted
+   by stamps, events and location names make the pinned inputs fixed. *)
+let canonical (log : Log.t) : Log.t =
+  let dep_key (d : Log.dep) = (d.dep_obs, d.rf, d.rl_c, d.w, d.w_obs, Loc.to_string d.loc) in
+  let range_key (r : Log.range) =
+    ( (r.rng_obs, r.lo_obs, r.w_obs),
+      (r.rt, r.lo, r.hi, r.w_in),
+      (r.prefix_reads, r.has_write, Loc.to_string r.loc) )
+  in
+  {
+    log with
+    deps = List.sort (fun a b -> compare (dep_key a) (dep_key b)) log.deps;
+    ranges = List.sort (fun a b -> compare (range_key a) (range_key b)) log.ranges;
+  }
+
+(* the 8 Figure-6 bugs under their triggering schedule, then four
+   contended workloads at scale 1 and seed 1 *)
+let generate_recordings () =
+  List.map
+    (fun (b : Bugs.Defs.bug) ->
+      let p = Bugs.Defs.program_of b () in
+      match Bugs.Harness.find_trigger p with
+      | Some tr -> (b.name, canonical (Light.record ~sched:(tr.make_sched ()) p).log)
+      | None -> Alcotest.failf "%s: no trigger" b.name)
+    Bugs.Defs.all
+  @ List.map
+      (fun name ->
+        let bm = Option.get (Workloads.by_name name) in
+        ( name,
+          canonical
+            (Light.record ~sched:(Workloads.scheduler ~seed:1 bm) ~seed:1
+               (Workloads.program bm))
+              .log ))
+      [ "mp-queue"; "dacapo-avrora"; "stamp-intruder"; "tomcat-kernel" ]
+
+(* Per log: the pruned and the naive system, plain and under the
+   relaxation of the log's first exploration flip. *)
+let generated_digests () =
+  List.concat_map
+    (fun (name, log) ->
+      let relaxed =
+        match Explore.log_candidates ~limit:1 log with
+        | f :: _ ->
+          let free, extra_events = Explore.relaxation log [ f ] in
+          if free = [] then Alcotest.failf "%s: the flip frees no pin" name;
+          [
+            (name ^ "/flip", render_system (Constraints.generate ~free ~extra_events log));
+            ( name ^ "/flip/naive",
+              render_system (Constraints.generate ~naive:true ~free ~extra_events log) );
+          ]
+        | [] -> []
+      in
+      [
+        (name, render_system (Constraints.generate log));
+        (name ^ "/naive", render_system (Constraints.generate ~naive:true log));
+      ]
+      @ relaxed)
+    (generate_recordings ())
+
+(* [n] logs of [synth_log_gen]'s shapes, drawn from a fixed [Random]
+   seed (not through QCheck, whose generators may change between
+   releases) *)
+let synthetic_logs n : Log.t list =
+  let st = Random.State.make [| 13 |] in
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let evt () =
+    let t = int 0 2 in
+    (t, int 0 6)
+  in
+  let opt f = if Random.State.bool st then Some (f ()) else None in
+  let dep () =
+    let loc = Loc.field (int 0 2) "f" in
+    let w = opt evt in
+    let rf = evt () in
+    let rl_c = snd rf + int 0 2 in
+    let dep_obs = int 0 40 in
+    { Log.loc; w; rf; rl_c; dep_obs; w_obs = int 0 40 }
+  in
+  let range () =
+    let loc = Loc.field (int 0 2) "f" in
+    let rt = int 0 2 in
+    let lo = int 0 5 in
+    let hi = lo + int 0 3 in
+    let w_in = opt evt in
+    let prefix_reads = Random.State.bool st in
+    let has_write = Random.State.bool st in
+    let rng_obs = int 0 40 in
+    let lo_obs = int 0 40 in
+    { Log.loc; rt; lo; hi; w_in; prefix_reads; has_write; rng_obs; lo_obs; w_obs = int 0 40 }
+  in
+  List.init n (fun _ ->
+      let deps = List.init (int 0 5) (fun _ -> dep ()) in
+      { Log.empty with deps; ranges = List.init (int 0 4) (fun _ -> range ()) })
+
+(* Synthetic logs, pruned and naive, plain and with the first dep's pin
+   freed and an extra event: nested intervals, unit reductions, dedup and
+   cyclic hard graphs that recorded logs rarely produce. *)
+let synthetic_digest () =
+  synthetic_logs 300
+  |> List.concat_map (fun (log : Log.t) ->
+         let free = match log.deps with d :: _ -> [ d.rf ] | [] -> [] in
+         List.concat_map
+           (fun naive ->
+             [
+               render_system (Constraints.generate ~naive log);
+               render_system (Constraints.generate ~naive ~free ~extra_events:[ (0, 9) ] log);
+             ])
+           [ false; true ])
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
+(* Reference digests of [render_system] for the logs above. *)
+let pinned_systems =
+  [
+    ("Cache4j", "1af1e8c0a6068ec484e6e2e096f42894");
+    ("Cache4j/naive", "06762455be3660a4bc55793ceb550f93");
+    ("Cache4j/flip", "92558f446867a00489cf3737160f0b7f");
+    ("Cache4j/flip/naive", "92a27356c648708534dbf52b779369d4");
+    ("Ftpserver", "0406c6b1542ae21bb68d6841535dcce4");
+    ("Ftpserver/naive", "3304e3f2f18eeba220e013149c1b6bcc");
+    ("Ftpserver/flip", "8080569daaf34c7a8933a71fd2ddcbe9");
+    ("Ftpserver/flip/naive", "028af6700f78ecb4797b411485b2c40c");
+    ("Lucene-481", "fece71a9a818e209c9a9e3ecc7096213");
+    ("Lucene-481/naive", "32f7a51d2e2c68b3a4c8dbd0b504a577");
+    ("Lucene-481/flip", "64ae420279e285f826160ad99e268983");
+    ("Lucene-481/flip/naive", "ca2aefc4395727113c137055c3521c71");
+    ("Lucene-651", "91a9a1372ad7f4f2cd7bc602bdd2eb59");
+    ("Lucene-651/naive", "bfaa08837254e74fc348f082f447a841");
+    ("Lucene-651/flip", "a905018ffee9c4973d207a84ad1d7fdd");
+    ("Lucene-651/flip/naive", "08504cde2412fae9df3845790e1a415a");
+    ("Tomcat-37458", "3f4da1ae2e832dacea0e044b63c47154");
+    ("Tomcat-37458/naive", "aad8e60b976f8cbd2671f14394f50623");
+    ("Tomcat-37458/flip", "2272cd301954d2d2b868a29c2bb89d07");
+    ("Tomcat-37458/flip/naive", "213fcba32ac269ae18c9bdd517b199a4");
+    ("Tomcat-50885", "84c96bce9e3ad45c7c76b8d551eea618");
+    ("Tomcat-50885/naive", "1591feb53d316d9806b156700887d0f8");
+    ("Tomcat-50885/flip", "df11b3177af6d5216a6742fba3faf64c");
+    ("Tomcat-50885/flip/naive", "a6a251b4703527dedf55add5d888fc47");
+    ("Tomcat-53498", "2a3b3564f74daf0d7980ec31a6cbddcf");
+    ("Tomcat-53498/naive", "531362ca5a9c8d768e5fe8e1e6d115c0");
+    ("Tomcat-53498/flip", "a6d82647c24113e0189e38b6d0f99e38");
+    ("Tomcat-53498/flip/naive", "60054cf03edd9b62c70bc483e8b8d226");
+    ("Weblech", "560738a26a4834b0fd84292134361584");
+    ("Weblech/naive", "78bcaff09753247f1e5cb3242971bfc0");
+    ("Weblech/flip", "40d1e08cc6477aad3e5d24f9e93d1f37");
+    ("Weblech/flip/naive", "7ffe6006ce7354df76870e408af363d3");
+    ("mp-queue", "aa9d97b878f5eb277f2449055ddb4979");
+    ("mp-queue/naive", "db61c2f3c40129ccbdfed2906e256483");
+    ("mp-queue/flip", "c97eec6f9475caa1c0e7361a2e50daa6");
+    ("mp-queue/flip/naive", "234f84821c37d5c5d9ae8ced19b9d16a");
+    ("dacapo-avrora", "c479b7a14996284919fa8a5abf8d32b0");
+    ("dacapo-avrora/naive", "4093eef89e7917cfa15a2883aefcda4c");
+    ("dacapo-avrora/flip", "ae4dd9572bea5f2caa6d1f01bad31543");
+    ("dacapo-avrora/flip/naive", "e2c9713decfde6b8722bc8bcac5d0367");
+    ("stamp-intruder", "83e9a429535fd869e304256fd14a325d");
+    ("stamp-intruder/naive", "55453daf4129f765319db0b506115e63");
+    ("stamp-intruder/flip", "f4f8f25eddf2eab6b202990479bd0aba");
+    ("stamp-intruder/flip/naive", "684bb71432a35c8cc1f06332a771fd15");
+    ("tomcat-kernel", "997f449e4fb078339acdb8ab1cdde2ae");
+    ("tomcat-kernel/naive", "b7813f6032be75c7aceef678476afed0");
+    ("tomcat-kernel/flip", "0a0e10eeb7b741d225ae0fcfad3afcd7");
+    ("tomcat-kernel/flip/naive", "03eec7aef2ee1e917f27b5cd2b2be8e5");
+  ]
+
+let test_pinned_systems () =
+  Alcotest.(check (list (pair string string))) "digests" pinned_systems
+    (generated_digests ());
+  Alcotest.(check string) "synthetic" "d42a1d37bd906b6c439ee98923ec5937" (synthetic_digest ())
+
 let () =
   Alcotest.run "replay"
     [
@@ -718,10 +1036,17 @@ let () =
             test_inverted_order_stuck;
           Alcotest.test_case "cache invalidation edges" `Quick test_cache_edges;
         ] );
+      ( "generate",
+        [
+          Alcotest.test_case "pinned systems: 12 recorded + 300 synthetic logs" `Quick
+            test_pinned_systems;
+        ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest ~long:false prop_replay_faithful;
           QCheck_alcotest.to_alcotest ~long:false prop_pruned_equisat;
+          QCheck_alcotest.to_alcotest ~long:false prop_intervals_reference;
+          QCheck_alcotest.to_alcotest ~long:false prop_by_location_order;
           QCheck_alcotest.to_alcotest ~long:false prop_rank_order;
         ] );
     ]
