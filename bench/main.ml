@@ -9,42 +9,16 @@
       dune exec bench/main.exe bechamel     # wall-clock microbenches
     Experiments: fig4 fig5 fig6 fig7 table1 running-example solver bechamel
 
-    The [solver] experiment additionally writes BENCH_solver.json — the
-    per-workload constraint-pipeline measurement (pre/post-pruning clause
-    counts, search statistics, generation and solve times) that CI uploads
-    as an artifact.  The [interp] experiment writes BENCH_interp.json —
-    per-workload interpreter throughput (reference vs slot-resolved, native
-    and under each recording variant) with LIGHT_BENCH_ITERS controlling
-    the iteration budget; every steps/sec figure is the median over the
-    timed iterations, with the per-series min/max spread recorded in the
-    JSON.  The [perfcheck] experiment (explicit-only, like [bechamel])
-    repeats the interp measurement and exits nonzero if the record-mode
-    geomean ratio_basic regressed more than 20% against the committed
-    bench/BENCH_interp.baseline.json.  The [analysis] experiment writes
-    BENCH_analysis.json — static-analysis precision, coarse (name buckets)
-    vs sharp (points-to + escape + must-alias locks): instrumented/guarded
-    sites, Section-5 space units, record-overhead ratios, and static race
-    pairs with dynamic happens-before confirmation.  The [sitecheck]
-    experiment (explicit-only) writes BENCH_sitecheck.json — per-workload
-    instrumented/guarded site counts under the default plan, purely
-    static — and exits nonzero if any workload instruments more or guards
-    fewer sites than the committed bench/BENCH_sitecheck.baseline.json
-    (an elision or O2 regression).  The [epochs]
-    experiment (explicit-only: its default budget records 12M steps)
-    writes BENCH_epochs.json — epoch-mode streaming recording of a
-    synthetic service loop under LIGHT_EPOCH_STEPS / LIGHT_EPOCH_LEN,
-    with peak-RSS and per-window log-size evidence for bounded-memory
-    recording, per-epoch incremental solve times, and O(epoch)
-    single-epoch replays.  The [service] experiment (explicit-only) writes
-    BENCH_service.json — the record service under load: LIGHT_SERVICE_SESSIONS
-    sessions over the 28-workload x 3-variant x 2-engine corpus through the
-    bounded-queue dispatcher with recycled recorder arenas, reporting
-    sessions/sec, p50/p99 session latency, peak RSS, and per-session v3-log
-    byte-identity against a serial reference pass and against the naive
-    per-session [Light.record] loop.  The [servicecheck] experiment
-    (explicit-only) repeats it and exits nonzero if identity breaks, any
-    session fails, the speedup over the naive loop drops below 2x, or it
-    regresses more than 50% against bench/BENCH_service.baseline.json.
+    Every experiment that measures writes a BENCH_*.json artifact
+    (solver, interp, analysis, explore, and the explicit-only epochs and
+    service).  The explicit-only check verbs [perfcheck], [sitecheck] and
+    [servicecheck] repeat the interp, static site-count and service
+    measurements, write their artifacts (BENCH_sitecheck.json for the site
+    counts) and exit nonzero when a rule fails against the committed
+    bench/BENCH_*.baseline.json; DESIGN.md, "Bench gates", has the table
+    of rules.  Budgets come from LIGHT_BENCH_ITERS, LIGHT_EXPLORE_FLIPS,
+    LIGHT_EPOCH_STEPS / LIGHT_EPOCH_LEN and LIGHT_SERVICE_* (positive
+    integers; anything else keeps the default).
 
     Experiments fan out across the engine's domain pool; set LIGHT_JOBS=N
     to choose the pool size (default: one worker per core, capped at 8).
@@ -182,6 +156,14 @@ let all_experiments =
     ("explore", run_explore);
   ]
 
+(* CI gates: measure, then exit nonzero when a rule fails *)
+let checks =
+  [
+    ("perfcheck", fun () -> Report.Experiments.interp_perfcheck () ppf);
+    ("sitecheck", fun () -> Report.Experiments.sitecheck () ppf);
+    ("servicecheck", fun () -> Report.Experiments.service_perfcheck () ppf);
+  ]
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let t0 = Unix.gettimeofday () in
@@ -197,23 +179,12 @@ let () =
           (* explicit-only, like bechamel: the default budget is a 12M-step
              recording (LIGHT_EPOCH_STEPS reduces it in CI) *)
           Report.Experiments.epochs_bench () ppf
-        | None when n = "perfcheck" ->
-          (* CI perf smoke: interp measurement + comparison against the
-             committed baseline; nonzero exit on regression *)
-          if not (Report.Experiments.interp_perfcheck () ppf) then exit 1
-        | None when n = "sitecheck" ->
-          (* CI elision gate: static site counts vs the committed baseline;
-             nonzero exit when a workload loses instrumentation precision *)
-          if not (Report.Experiments.sitecheck () ppf) then exit 1
         | None when n = "service" ->
           (* explicit-only: drives LIGHT_SERVICE_SESSIONS sessions (default
              1008) through the record service and writes BENCH_service.json *)
           Report.Experiments.service_bench () ppf
-        | None when n = "servicecheck" ->
-          (* CI throughput gate: service measurement + byte-identity checks
-             + speedup floor vs the naive record loop and the committed
-             bench/BENCH_service.baseline.json; nonzero exit on failure *)
-          if not (Report.Experiments.service_perfcheck () ppf) then exit 1
+        | None when List.mem_assoc n checks ->
+          if not (List.assoc n checks ()) then exit 1
         | None ->
           Format.printf
             "unknown experiment %s (have: %s bechamel epochs perfcheck sitecheck service servicecheck)@." n

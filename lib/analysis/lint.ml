@@ -17,9 +17,9 @@
 
     The module also hosts the repository's tiny JSON layer (a hand-rolled
     AST, printer and parser — the repo deliberately has no external JSON
-    dependency): [light lint --json], [light analyze --json] and the
-    [sitecheck] bench gate all speak through it, so their schemas stay in
-    one place and the gate can re-read what it wrote. *)
+    dependency): [light lint --json], [light analyze --json], every
+    [BENCH_*.json] bench artifact and the bench gates' baseline reader all
+    speak through it, so a gate can re-read what a bench wrote. *)
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON                                                        *)
@@ -51,6 +51,19 @@ module Json = struct
       s;
     Buffer.contents buf
 
+  (* the shortest decimal that reads back as the same float, keeping a
+     '.' or an exponent so it re-parses as [Float]; JSON has no nan or
+     infinity, so those print as [null] *)
+  let float_repr (f : float) : string =
+    if not (Float.is_finite f) then "null"
+    else
+      let s =
+        List.find
+          (fun s -> float_of_string s = f)
+          (List.map (fun p -> Printf.sprintf "%.*g" p f) [ 15; 16; 17 ])
+      in
+      if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
   let to_string ?(indent = 2) (j : t) : string =
     let buf = Buffer.create 1024 in
     let pad n = String.make n ' ' in
@@ -59,7 +72,7 @@ module Json = struct
       | Null -> Buffer.add_string buf "null"
       | Bool b -> Buffer.add_string buf (string_of_bool b)
       | Int i -> Buffer.add_string buf (string_of_int i)
-      | Float f -> Buffer.add_string buf (Printf.sprintf "%.4f" f)
+      | Float f -> Buffer.add_string buf (float_repr f)
       | Str s ->
         Buffer.add_char buf '"';
         Buffer.add_string buf (escape s);
@@ -146,7 +159,10 @@ module Json = struct
           | Some 'f' -> Buffer.add_char buf '\012'
           | Some 'u' ->
             if !pos + 4 >= n then fail "truncated \\u escape";
-            let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
+            let hex = String.sub s (!pos + 1) 4 in
+            let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+            if not (String.for_all is_hex hex) then fail "bad \\u escape";
+            let code = int_of_string ("0x" ^ hex) in
             pos := !pos + 4;
             (* the printer only emits \u for control bytes; decode those *)
             if code < 0x100 then Buffer.add_char buf (Char.chr code)
@@ -240,7 +256,6 @@ module Json = struct
     if !pos <> n then fail "trailing input";
     v
 
-  (* accessors used by the sitecheck gate when re-reading a baseline *)
   let member (k : string) = function Obj kvs -> List.assoc_opt k kvs | _ -> None
   let to_int = function Int i -> Some i | _ -> None
   let to_list = function List xs -> Some xs | _ -> None

@@ -242,7 +242,6 @@ val measure :
     job; it must not fan out again): every candidate is re-solved hinted
     and fresh, executed, and classified. *)
 
-val stats_to_json : stats list -> string
-val stats_of_json : string -> stats list
-(** Round-trip partner of {!stats_to_json} (accepts exactly its output
-    format; used by the bench artifact test). *)
+val stats_to_json : stats list -> Analysis.Lint.Json.t
+(** The [BENCH_explore.json] artifact: one row per workload plus the
+    witness-seeded and fresh solve totals. *)

@@ -275,48 +275,6 @@ let prop_budget_honest =
              | Explore.Infeasible | Explore.SolveAborted -> true)
            results)
 
-(* Bench stats survive the JSON round-trip (the CI artifact is the
-   interchange format, so parse errors there would go unnoticed). *)
-let stats_gen =
-  QCheck.Gen.(
-    let f6 = map (fun n -> float_of_int n /. 1e6) (int_range 0 10_000_000) in
-    let f2 = map (fun n -> float_of_int n /. 100.) (int_range 0 100_000) in
-    let label = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
-    label >>= fun st_label ->
-    int_range 0 50 >>= fun st_candidates ->
-    int_range 0 50 >>= fun st_same ->
-    int_range 0 50 >>= fun st_divergent ->
-    int_range 0 50 >>= fun st_crashed ->
-    int_range 0 50 >>= fun st_stuck ->
-    int_range 0 50 >>= fun st_infeasible ->
-    int_range 0 50 >>= fun st_aborted ->
-    f6 >>= fun st_resolve_s ->
-    f6 >>= fun st_fresh_s ->
-    int_range 0 50 >>= fun st_fresh_aborted ->
-    f2 >>= fun st_sched_per_s ->
-    return
-      {
-        Explore.st_label;
-        st_candidates;
-        st_same;
-        st_divergent;
-        st_crashed;
-        st_stuck;
-        st_infeasible;
-        st_aborted;
-        st_resolve_s;
-        st_fresh_s;
-        st_fresh_aborted;
-        st_sched_per_s;
-      })
-
-let prop_stats_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"bench stats JSON round-trips"
-    (QCheck.make
-       ~print:(fun l -> Explore.stats_to_json l)
-       QCheck.Gen.(list_size (int_range 0 5) stats_gen))
-    (fun stats -> Explore.stats_of_json (Explore.stats_to_json stats) = stats)
-
 let () =
   Alcotest.run "explore"
     [
@@ -344,6 +302,5 @@ let () =
       ( "property",
         [
           QCheck_alcotest.to_alcotest ~long:false prop_budget_honest;
-          QCheck_alcotest.to_alcotest ~long:false prop_stats_roundtrip;
         ] );
     ]
