@@ -48,6 +48,12 @@ let print_outcome (o : Runtime.Interp.outcome) =
   | StepLimit -> print_endline "!! step limit exceeded");
   Printf.printf "(%d steps, %d threads)\n" o.steps (List.length o.counters)
 
+(* A replay that stalls on the gate or runs out of steps did not follow
+   the recorded run; a deadlock may be the recorded behaviour itself. *)
+let replay_diverged : Runtime.Interp.status_summary -> bool = function
+  | GateStuck _ | StepLimit -> true
+  | AllFinished | Deadlock _ -> false
+
 (* ---- common args ---- *)
 
 let file_arg =
@@ -383,11 +389,12 @@ let replay_cmd =
       report.n_vars report.n_clauses report.solve_time_s report.solver_stats.decisions
       report.solver_stats.backtracks report.solver_stats.theory_conflicts
   in
+  (* true when every chunk replayed to its epoch's end *)
   let replay_chunks (p : Lang.Ast.program) (f : Light_core.Epoch.file) ks =
     let variant = { Light_core.Light.o1 = f.f_o1; o2 = f.f_o2 } in
     let pp = Light_core.Light.prepare ~variant p in
-    List.iter
-      (fun k ->
+    List.fold_left
+      (fun all_ok k ->
         match List.nth_opt f.f_chunks k with
         | None ->
           or_die
@@ -403,8 +410,18 @@ let replay_cmd =
             List.iter
               (fun (tid, lines) ->
                 List.iter (fun l -> Printf.printf "[thread %d] %s\n" tid l) lines)
-              rr.rr_obs.Runtime.Interp.obs_outputs))
-      ks
+              rr.rr_obs.Runtime.Interp.obs_outputs;
+            (* an interior epoch ends on the fence, so the gate stalls by
+               design once every thread reaches its watermark *)
+            let ok =
+              match rr.rr_status with
+              | GateStuck _ -> rr.rr_complete
+              | s -> not (replay_diverged s)
+            in
+            if not ok then
+              Printf.printf "!! epoch %d: replay stopped short of the epoch's end\n" k;
+            all_ok && ok))
+      true ks
   in
   let run file logfile epoch =
     let p = or_die (read_program file) in
@@ -416,7 +433,7 @@ let replay_cmd =
         | Some k -> [ k ]
         | None -> List.mapi (fun i _ -> i) f.f_chunks
       in
-      replay_chunks p f ks
+      if not (replay_chunks p f ks) then exit 1
     end
     else begin
       (match epoch with
@@ -436,7 +453,8 @@ let replay_cmd =
         print_solve report;
         let plan = (Instrument.Transformer.transform p).plan in
         let o = Light_core.Replayer.replay p ~plan sch in
-        print_outcome o
+        print_outcome o;
+        if replay_diverged o.status then exit 1
     end
   in
   let log_arg =
@@ -469,7 +487,8 @@ let roundtrip_cmd =
       else begin
         print_endline "REPLAY MISMATCH:";
         List.iter (fun m -> print_endline ("  " ^ m)) rr.faithful
-      end
+      end;
+      if rr.faithful <> [] || replay_diverged rr.replay_outcome.status then exit 1
   in
   Cmd.v (Cmd.info "roundtrip" ~doc:"Record, solve, replay and verify determinism")
     Term.(const run $ file_arg $ seed_arg $ stick_arg $ variant_arg)

@@ -189,6 +189,10 @@ type epoch_replay = {
   rr_status : Interp.status_summary;
       (** [GateStuck] for interior epochs (every thread fenced at the
           boundary watermark), terminal status for the last *)
+  rr_complete : bool;
+      (** every thread of the watermark ended at exactly its recorded
+          end-of-epoch counter: false when the replay stalled short of the
+          epoch's end *)
   rr_steps : int;  (** steps executed by the replay (O(epoch)) *)
   rr_obs : Interp.observables;  (** the replayed window's observables *)
   rr_report : Replayer.solve_report;
@@ -215,6 +219,41 @@ let fenced_hooks (hooks : Interp.hooks) (watermark : (int * int) list) :
       | None -> Some fence);
   }
 
+(* Solve an epoch's sealed [log], restore its [snapshot] (taken at step
+   [start_steps]) and run fenced at the log's counter watermark. *)
+let replay_fenced ?solver_budget ~max_steps ~engine (pp : Light.prepared) (log : Log.t)
+    (snapshot : Interp.snapshot) ~(start_steps : int) : (epoch_replay, string) result =
+  let rep = Replayer.solve ?budget:solver_budget log in
+  match rep.Replayer.schedule with
+  | None ->
+    Error
+      (match rep.Replayer.result_kind with
+      | Replayer.SolverAborted -> "solver budget exhausted"
+      | _ -> "epoch constraint system unsatisfiable")
+  | Some sch ->
+    let plan = Light.prepared_plan pp in
+    let hooks = fenced_hooks (Replayer.driver sch ~plan) log.Log.counters in
+    let ses =
+      Vm.restore_session ~hooks ~plan engine ~compiled:(Light.prepared_compiled pp)
+        ~bytecode:(Light.prepared_bytecode pp) snapshot
+    in
+    let status =
+      match ses.Vm.s_run ~max_steps:(start_steps + max_steps) ~sched:(Sched.round_robin ()) () with
+      | Some s -> s
+      | None -> assert false
+    in
+    let counters = ses.Vm.s_counters () in
+    let obs = ses.Vm.s_drain () in
+    Ok
+      {
+        rr_status = status;
+        rr_complete =
+          List.for_all (fun (t, d) -> List.assoc_opt t counters = Some d) log.Log.counters;
+        rr_steps = ses.Vm.s_steps () - start_steps;
+        rr_obs = obs;
+        rr_report = rep;
+      }
+
 (** Replay epoch [k] of [r] standalone: solve its sealed log, restore its
     checkpoint, and run fenced at its counter watermark.  Work is
     proportional to the epoch, never the run. *)
@@ -222,39 +261,9 @@ let replay_epoch ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Tree)
     (r : recording) (k : int) : (epoch_replay, string) result =
   match List.nth_opt r.er_epochs k with
   | None -> Error (Printf.sprintf "no epoch %d (recording has %d)" k (List.length r.er_epochs))
-  | Some e -> (
-    let rep = Replayer.solve ?budget:solver_budget e.ep_log in
-    match rep.Replayer.schedule with
-    | None ->
-      Error
-        (match rep.Replayer.result_kind with
-        | Replayer.SolverAborted -> "solver budget exhausted"
-        | _ -> "epoch constraint system unsatisfiable")
-    | Some sch ->
-      let plan = Light.prepared_plan r.er_prepared in
-      let hooks = fenced_hooks (Replayer.driver sch ~plan) e.ep_log.Log.counters in
-      let ses =
-        Vm.restore_session ~hooks ~plan engine
-          ~compiled:(Light.prepared_compiled r.er_prepared)
-          ~bytecode:(Light.prepared_bytecode r.er_prepared)
-          e.ep_snapshot
-      in
-      let status =
-        match
-          ses.Vm.s_run ~max_steps:(e.ep_start_steps + max_steps)
-            ~sched:(Sched.round_robin ()) ()
-        with
-        | Some s -> s
-        | None -> assert false
-      in
-      let obs = ses.Vm.s_drain () in
-      Ok
-        {
-          rr_status = status;
-          rr_steps = ses.Vm.s_steps () - e.ep_start_steps;
-          rr_obs = obs;
-          rr_report = rep;
-        })
+  | Some e ->
+    replay_fenced ?solver_budget ~max_steps ~engine r.er_prepared e.ep_log e.ep_snapshot
+      ~start_steps:e.ep_start_steps
 
 (* ------------------------------------------------------------------ *)
 (* Window slicing (differential oracles)                               *)
@@ -893,34 +902,5 @@ let of_string_v4 (s : string) : file =
     the (re-)prepared program (v4 stores no program text, like v2/v3). *)
 let replay_chunk ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Tree)
     (pp : Light.prepared) (ck : chunk) : (epoch_replay, string) result =
-  let rep = Replayer.solve ?budget:solver_budget ck.ck_log in
-  match rep.Replayer.schedule with
-  | None ->
-    Error
-      (match rep.Replayer.result_kind with
-      | Replayer.SolverAborted -> "solver budget exhausted"
-      | _ -> "epoch constraint system unsatisfiable")
-  | Some sch ->
-    let plan = Light.prepared_plan pp in
-    let hooks = fenced_hooks (Replayer.driver sch ~plan) ck.ck_log.Log.counters in
-    let ses =
-      Vm.restore_session ~hooks ~plan engine
-        ~compiled:(Light.prepared_compiled pp)
-        ~bytecode:(Light.prepared_bytecode pp) ck.ck_snapshot
-    in
-    let status =
-      match
-        ses.Vm.s_run ~max_steps:(ck.ck_start_steps + max_steps)
-          ~sched:(Sched.round_robin ()) ()
-      with
-      | Some s -> s
-      | None -> assert false
-    in
-    let obs = ses.Vm.s_drain () in
-    Ok
-      {
-        rr_status = status;
-        rr_steps = ses.Vm.s_steps () - ck.ck_start_steps;
-        rr_obs = obs;
-        rr_report = rep;
-      }
+  replay_fenced ?solver_budget ~max_steps ~engine pp ck.ck_log ck.ck_snapshot
+    ~start_steps:ck.ck_start_steps

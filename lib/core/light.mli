@@ -123,7 +123,9 @@ val replay :
   recording ->
   (replay_result, string) result
 (** Generate constraints, solve offline, and execute the replay run.
-    [Error _] only if the constraint system is unsatisfiable or the solver
+    [engine] selects the replay's execution substrate: [Vm.Bytecode] (the
+    register VM, the default) or [Vm.Tree] (the tree walker); both replay
+    the same schedule step for step.  [Error _] only if the constraint system is unsatisfiable or the solver
     exhausts [solver_budget] — unsatisfiability is ruled out by Lemma 4.1
     for logs this library records, and the budget exists so a generator or
     solver regression aborts loudly (with the solver's statistics in the
@@ -138,4 +140,6 @@ val record_and_replay :
   ?solver_budget:Dlsolver.Idl.budget ->
   Lang.Ast.program ->
   (recording * replay_result, string) result
-(** [record] followed by [replay]. *)
+(** [record] followed by [replay].  A given [engine] runs both; without
+    one, each takes its own default (record on [Vm.Tree], replay on
+    [Vm.Bytecode]). *)

@@ -311,10 +311,12 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
     on_branch = None;
   }
 
-(** Execute the replay run, on either execution engine (the driver hooks
-    are engine-agnostic; the schedule constrains shared accesses, which
-    both engines present identically). *)
-let replay ?(max_steps = 10_000_000) ?suppress ?(engine = Vm.Tree)
+(** Execute the replay run, by default on the register VM
+    ([Vm.Bytecode]); [~engine:Vm.Tree] runs it on the tree walker.  The
+    driver hooks are engine-agnostic: the schedule constrains shared
+    accesses, which both engines present identically, so both give the
+    same replay step for step. *)
+let replay ?(max_steps = 10_000_000) ?suppress ?(engine = Vm.Bytecode)
     (program : Lang.Ast.program) ~(plan : Plan.t) (sch : schedule) :
     Interp.outcome =
   let hooks = driver ?suppress sch ~plan in

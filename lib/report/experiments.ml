@@ -346,6 +346,8 @@ type interp_measure = {
   im_o1 : series;
   im_both : series;
   im_epoch : series;  (* v_basic recording in epoch mode (~8 epochs/run) *)
+  im_replay_tree : series;  (* gated replay of the v_both recording, tree walker *)
+  im_replay_vm : series;  (* the same replay on the VM *)
 }
 
 (* CI runs with a reduced budget via LIGHT_BENCH_ITERS *)
@@ -391,6 +393,19 @@ let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measur
   let _, basic = steps_per_sec ~iters (record Light_core.Light.v_basic) in
   let _, o1 = steps_per_sec ~iters (record Light_core.Light.v_o1) in
   let _, both = steps_per_sec ~iters (record Light_core.Light.v_both) in
+  (* replay of one solved v_both recording on each engine: the schedule,
+     hooks and replayed steps are the same, so the ratio is engine cost *)
+  let replay_tree, replay_vm =
+    let rc =
+      Light_core.Light.record_prepared ~sched:(sched ()) ~seed
+        (Light_core.Light.prepare ~variant:Light_core.Light.v_both p)
+    in
+    let sch = Option.get (Light_core.Replayer.solve rc.log).schedule in
+    let replay engine () =
+      Light_core.Replayer.replay ~engine rc.program ~plan:rc.plan sch
+    in
+    (snd (steps_per_sec ~iters (replay Vm.Tree)), snd (steps_per_sec ~iters (replay Vm.Bytecode)))
+  in
   (* epoch mode on the same fast path: checkpoint + seal ~8 times per run,
      so the series prices the boundary work (snapshot, arena seal,
      last-write clear) on top of v_basic recording.  The production
@@ -432,6 +447,8 @@ let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measur
     im_o1 = o1;
     im_both = both;
     im_epoch = epoch;
+    im_replay_tree = replay_tree;
+    im_replay_vm = replay_vm;
   }
 
 let geomean_f (xs : float list) : float =
@@ -454,6 +471,7 @@ let interp_ratios : (string * (interp_measure -> float)) list =
     ("ratio_o1", r (fun m -> m.im_native) (fun m -> m.im_o1));
     ("ratio_both", r (fun m -> m.im_native) (fun m -> m.im_both));
     ("ratio_epoch", r (fun m -> m.im_native) (fun m -> m.im_epoch));
+    ("replay_speedup", r (fun m -> m.im_replay_vm) (fun m -> m.im_replay_tree));
   ]
 
 let interp_json ~iters (ms : interp_measure list) : J.t =
@@ -462,6 +480,7 @@ let interp_json ~iters (ms : interp_measure list) : J.t =
       [
         ("native", m.im_native); ("vm", m.im_vm); ("basic", m.im_basic);
         ("o1", m.im_o1); ("both", m.im_both); ("epoch", m.im_epoch);
+        ("replay_tree", m.im_replay_tree); ("replay_vm", m.im_replay_vm);
       ]
     in
     J.Obj
@@ -529,10 +548,10 @@ let run_interp_measurements ~seed ppf : int * interp_measure list =
   if show_timings () then begin
     let g name = geomean (List.assoc name interp_ratios) ms in
     Fmt.pf ppf
-      "  geomean: %.2fx vs reference (VM %.2fx vs native); record overhead \
-       %.2fx basic, %.2fx O1, %.2fx O1+O2@."
-      (g "speedup_vs_ref") (g "vm_speedup") (g "ratio_basic") (g "ratio_o1")
-      (g "ratio_both");
+      "  geomean: %.2fx vs reference (VM %.2fx vs native, VM replay %.2fx vs \
+       tree); record overhead %.2fx basic, %.2fx O1, %.2fx O1+O2@."
+      (g "speedup_vs_ref") (g "vm_speedup") (g "replay_speedup") (g "ratio_basic")
+      (g "ratio_o1") (g "ratio_both");
     Fmt.pf ppf "  native min-of-iters geomean: %.0fk steps/sec@."
       (geomean (fun m -> m.im_native.sps_min) ms /. 1e3);
     let worst =
@@ -556,13 +575,16 @@ let interp_bench ?(seed = 7) ?(json_path = "BENCH_interp.json") () ppf : unit =
    per-workload spread.  Epoch mode is held to monolithic recording measured
    in the same process, so 10% is tight enough to catch boundary work
    (snapshot, seal, last-write clear) that stops amortizing.  The VM must
-   not fall behind the tree walker it replaces. *)
+   not fall behind the tree walker it replaces, in native runs or in gated
+   replay (the replayer's default engine). *)
 let perfcheck_rules : Gate.rule list =
   [
     { metric = "geomean.ratio_basic"; reference = Baseline; direction = At_most; tolerance = 0.20 };
     { metric = "geomean.ratio_epoch"; reference = Metric "geomean.ratio_basic";
       direction = At_most; tolerance = 0.10 };
     { metric = "geomean.vm_speedup"; reference = Const 1.0; direction = At_least; tolerance = 0.0 };
+    { metric = "geomean.replay_speedup"; reference = Const 1.0; direction = At_least;
+      tolerance = 0.0 };
   ]
 
 let interp_perfcheck ?(seed = 7)

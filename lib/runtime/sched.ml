@@ -39,6 +39,11 @@ let unmarshal_hex (h : string) : 'a =
   done;
   Marshal.from_bytes s 0
 
+(* the first tid above [last] in list order, else [wrap] *)
+let rec first_above last ~wrap = function
+  | [] -> wrap
+  | t :: rest -> if t > last then t else first_above last ~wrap rest
+
 (* Every scheduler here is a [unit -> t]-style constructor: a [t] value
    carries mutable pick state, and sharing one instance across runs (or
    across domains) leaks schedule state from one run into the next.
@@ -50,8 +55,7 @@ let round_robin () : t =
     name = "round-robin";
     pick =
       (fun ~step:_ ~runnable ->
-        let above = List.filter (fun t -> t > !last) runnable in
-        let t = match above with x :: _ -> x | [] -> List.hd runnable in
+        let t = first_above !last ~wrap:(List.hd runnable) runnable in
         last := t;
         t);
     save = (fun () -> string_of_int !last);

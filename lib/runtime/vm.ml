@@ -19,12 +19,14 @@
       linear probing, no deletions) instead of nested hashtables, with a
       separate object registry for classes;
     - pre-boxed constant pool: literals never allocate at runtime;
-    - a cached runnable list: the per-step enabledness walk is skipped
+    - a cached enabled set: the per-step enabledness walk is skipped
       while no transition changed lock/status/thread structure and the
       stepped thread did not stop on a possibly-blocking statement head.
-      A gated run rebuilds the list every step (admission moves with
-      replay progress) and caches each thread's next shared access
-      instead, as {!Interp} does.
+      An ungated run picks straight from the cached tid list.  A gated
+      run filters the cached thread records through the gate every step
+      (admission moves with replay progress, enabledness does not), and
+      each thread's next shared access is cached until it steps, so the
+      filter is one gate call per enabled thread.
 
     Thread/frame bookkeeping mirrors {!Interp} field for field; shared
     pieces (expression evaluation for enabledness peeking, syscall and
@@ -165,8 +167,12 @@ type state = {
   consts : Value.t array;  (* pre-boxed constant pool *)
   maybe_blocking : bool array;
       (* per pc: boundary whose statement head can block (sync/lock/join);
-         resting there invalidates the runnable cache *)
-  mutable cached_runnable : int list;
+         resting there invalidates the enabled-set cache *)
+  mutable enabled : vthread array;
+      (* [0 .. n_enabled-1]: the semantically enabled threads, in reverse
+         thread order; valid while [cache_ok] *)
+  mutable n_enabled : int;
+  mutable cached_runnable : int list;  (* their tids, in the same order *)
   mutable cache_ok : bool;
   mutable dirty : bool;  (* set by any transition that can change enabledness *)
 }
@@ -1018,6 +1024,8 @@ let make_state ~(hooks : Interp.hooks) ~plan ~collect_trace ~rng ~steps ~crashes
     rng;
     consts = Array.map value_of_const bp.bc_consts;
     maybe_blocking;
+    enabled = [||];
+    n_enabled = 0;
     cached_runnable = [];
     cache_ok = false;
     dirty = false;
@@ -1040,8 +1048,46 @@ let init_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
   st
 
 (* ------------------------------------------------------------------ *)
-(* Run loop (mirrors Interp.run_state, plus the runnable cache)        *)
+(* Run loop (mirrors Interp.run_state, plus the enabled-set cache)     *)
 (* ------------------------------------------------------------------ *)
+
+(* Recompute the enabled set into [st.enabled] / [st.cached_runnable];
+   false when no thread is live. *)
+let refresh_enabled st : bool =
+  if Array.length st.enabled < st.n_threads then
+    st.enabled <- Array.make (Array.length st.order) st.order.(0);
+  let tids = ref [] and n = ref 0 and any_live = ref false in
+  for i = st.n_threads - 1 downto 0 do
+    let t = st.order.(i) in
+    if t.status <> Interp.Finished && t.status <> Interp.Crashed then begin
+      any_live := true;
+      if semantically_enabled st t then begin
+        tids := t.tid :: !tids;
+        st.enabled.(!n) <- t;
+        incr n
+      end
+    end
+  done;
+  st.n_enabled <- !n;
+  st.cached_runnable <- !tids;
+  !any_live
+
+(* the gate-admitted subset of the enabled set, in thread order *)
+let gate_filter st : int list =
+  let acc = ref [] in
+  for i = 0 to st.n_enabled - 1 do
+    let t = Array.unsafe_get st.enabled i in
+    if gate_allows st t then acc := t.tid :: !acc
+  done;
+  !acc
+
+let live_tids st : int list =
+  let live = ref [] in
+  for i = st.n_threads - 1 downto 0 do
+    let t = st.order.(i) in
+    if t.status <> Interp.Finished && t.status <> Interp.Crashed then live := t.tid :: !live
+  done;
+  !live
 
 let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
     (st : state) : Interp.status_summary option =
@@ -1053,55 +1099,27 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
      skip the tid hashtable on the repeat *)
   let memo : vthread option ref = ref None in
   while (not !finished) && not !paused do
-    let runnable =
-      if (not gated) && st.cache_ok then st.cached_runnable
-      else begin
-        let sem_enabled = ref [] and any_live = ref false in
-        for i = st.n_threads - 1 downto 0 do
-          let t = st.order.(i) in
-          if t.status <> Interp.Finished && t.status <> Interp.Crashed then begin
-            any_live := true;
-            if semantically_enabled st t then sem_enabled := t.tid :: !sem_enabled
-          end
-        done;
-        if not !any_live then begin
-          finished := true;
-          status := Interp.AllFinished;
-          []
-        end
-        else begin
-          let sem_enabled = !sem_enabled in
-          let runnable =
-            if not gated then sem_enabled
-            else
-              List.filter
-                (fun tid -> gate_allows st (Hashtbl.find st.threads tid))
-                sem_enabled
-          in
-          if runnable = [] then begin
-            finished := true;
-            (status :=
-               if sem_enabled = [] then begin
-                 let live = ref [] in
-                 for i = st.n_threads - 1 downto 0 do
-                   let t = st.order.(i) in
-                   if t.status <> Interp.Finished && t.status <> Interp.Crashed then
-                     live := t.tid :: !live
-                 done;
-                 Interp.Deadlock !live
-               end
-               else Interp.GateStuck sem_enabled);
-            []
-          end
-          else begin
-            if not gated then begin
-              st.cached_runnable <- runnable;
-              st.cache_ok <- true
-            end;
-            runnable
-          end
-        end
+    if not st.cache_ok then begin
+      if not (refresh_enabled st) then begin
+        finished := true;
+        status := Interp.AllFinished
       end
+      else if st.n_enabled = 0 then begin
+        finished := true;
+        status := Interp.Deadlock (live_tids st)
+      end
+      else st.cache_ok <- true
+    end;
+    let runnable =
+      if !finished then []
+      else if not gated then st.cached_runnable
+      else
+        match gate_filter st with
+        | [] ->
+          finished := true;
+          status := Interp.GateStuck st.cached_runnable;
+          []
+        | runnable -> runnable
     in
     if not !finished then begin
       if st.steps >= max_steps then begin
@@ -1130,14 +1148,12 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
         (* cache maintenance: drop it when the transition touched lock /
            status / thread structure, or when the stepped thread rests on
            a possibly-blocking statement head *)
-        if st.cache_ok then begin
-          if st.dirty then st.cache_ok <- false
-          else
-            match t.frames with
-            | f :: _ ->
-              if Array.unsafe_get st.maybe_blocking f.pc then st.cache_ok <- false
-            | [] -> ()
-        end
+        if st.dirty then st.cache_ok <- false
+        else
+          match t.frames with
+          | f :: _ ->
+            if Array.unsafe_get st.maybe_blocking f.pc then st.cache_ok <- false
+          | [] -> ()
       end
     end
   done;

@@ -349,6 +349,7 @@ let run_diff_cell (bm : Workloads.benchmark) : diff_cell =
            replay may overrun the window by the threads' local stretches —
            a run-length-independent constant, never a free-run *)
         let window = e.ep_steps - e.ep_start_steps in
+        if not rr.rr_complete then err "epoch %d: replay stopped short of its watermark" k;
         if rr.rr_steps > window + 2048 then
           err "epoch %d: replay not O(epoch): %d steps for a %d-step window" k
             rr.rr_steps window;
@@ -389,6 +390,8 @@ let test_chunk_replay_from_text () =
         let expected =
           Light_core.Epoch.slice_outcome r k r.Light_core.Epoch.er_outcome
         in
+        Alcotest.(check bool) (Printf.sprintf "chunk %d reaches its watermark" k) true
+          rr.rr_complete;
         Alcotest.(check (list string))
           (Printf.sprintf "chunk %d window" k)
           []

@@ -247,6 +247,22 @@ let oracle_detects_difference () =
       (Interp.replay_matches ~original:o1 ~replay:o2 <> [])
   else Alcotest.(check bool) "schedules coincided" true true
 
+(* Round-robin's pick is a single walk for the first tid above the cursor;
+   it must agree with the filter-then-head definition on any runnable list
+   (tid order or not) and any cursor. *)
+let prop_round_robin_pick =
+  QCheck.Test.make ~count:500 ~name:"round-robin pick = filter-above-cursor reference"
+    QCheck.(pair (list_of_size Gen.(int_range 1 8) (int_range 0 400)) (int_range (-1) 400))
+    (fun (runnable, cursor) ->
+      let expected =
+        match List.filter (fun t -> t > cursor) runnable with
+        | x :: _ -> x
+        | [] -> List.hd runnable
+      in
+      let s = Sched.round_robin () in
+      s.load (string_of_int cursor);
+      s.pick ~step:0 ~runnable = expected && s.save () = string_of_int expected)
+
 let () =
   Alcotest.run "interp"
     [
@@ -293,4 +309,5 @@ let () =
             round_robin_runs_identical;
           Alcotest.test_case "oracle detects divergence" `Quick oracle_detects_difference;
         ] );
+      ("schedulers", [ QCheck_alcotest.to_alcotest prop_round_robin_pick ]);
     ]

@@ -516,30 +516,7 @@ let prop_by_location_order =
 (* Pinned replay admission                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A replay run's fingerprint: step count, final status and a digest of
-   the full access order.  Two gates that admit the same runnable set at
-   every step give the same fingerprint. *)
-let status_str : Interp.status_summary -> string = function
-  | AllFinished -> "done"
-  | StepLimit -> "limit"
-  | Deadlock ts -> "deadlock" ^ String.concat "," (List.map string_of_int ts)
-  | GateStuck ts -> "stuck" ^ String.concat "," (List.map string_of_int ts)
-
-let gated_run engine (program : Lang.Ast.program) ~plan (sch : Replayer.schedule) =
-  let run = match engine with Vm.Tree -> Interp.run | Vm.Bytecode -> Vm.run in
-  run ~hooks:(Replayer.driver sch ~plan) ~plan ~collect_trace:true ~max_steps:10_000_000
-    ~sched:(Sched.round_robin ()) program
-
-let fingerprint (o : Interp.outcome) =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (a : Event.access) ->
-      (* ghost kinds are constant constructors: their hash is stable *)
-      Printf.bprintf b "%d.%d.%s.%s.%d.%d;" a.tid a.c (Loc.to_string a.loc)
-        (Event.akind_str a.kind) a.site (Hashtbl.hash a.ghost))
-    o.trace;
-  Printf.sprintf "%d %s %s" o.steps (status_str o.status)
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+open Replay_fp
 
 let solved (r : Light.recording) =
   match (Replayer.solve r.log).schedule with
@@ -752,6 +729,142 @@ let test_cache_edges () =
       ("lock-handoff", lock_handoff, Event.LockAcqRead);
       ("spawn-join", spawn_join, Event.JoinRead);
     ]
+
+(* The VM's gated loop keeps the enabled set across steps and re-filters
+   it through the gate each step; the tree walker rebuilds its runnable
+   list every step, so it is the reference.  Each case replays on both
+   engines and requires equal fingerprints (steps, status, access-order
+   digest). *)
+let same_replay ?wrap tag p ~plan sch =
+  let tree = gated_run ?wrap Vm.Tree p ~plan sch in
+  let vm = gated_run ?wrap Vm.Bytecode p ~plan sch in
+  Alcotest.(check string) (tag ^ ": vm = tree") (fingerprint tree) (fingerprint vm);
+  vm
+
+(* no lock, wait or join between the writer's [x = 7] and the reader's
+   read of [x]: the gate alone holds the reader, and admits it once the
+   write runs, while both threads stay enabled *)
+let gate_flip = {|
+  global x; global y;
+  fn writer() { i = 0; while (i < 3) { y = y + i; i = i + 1; } x = 7; while (i > 0) { i = i - 1; } }
+  fn reader() { v = x; y = v; }
+  main { x = 0; y = 0; spawn a = writer(); spawn b = reader(); join a; join b; print y; }
+|}
+
+let test_cache_gate_flip () =
+  let p = parse gate_flip in
+  let flips = ref 0 in
+  List.iter
+    (fun seed ->
+      let r = Light.record ~sched:(Sched.sticky ~seed ~stickiness:3) p in
+      (* the reader's accesses the gate denied and has not yet admitted *)
+      let denied = Hashtbl.create 16 in
+      let wrap (h : Interp.hooks) =
+        let g = Option.get h.gate in
+        let gate (pre : Event.pre) =
+          let ok = g pre in
+          if pre.tid = 102 then
+            if not ok then Hashtbl.replace denied pre.c ()
+            else if Hashtbl.mem denied pre.c then begin
+              incr flips;
+              Hashtbl.remove denied pre.c
+            end;
+          ok
+        in
+        { h with gate = Some gate }
+      in
+      let tag = Printf.sprintf "gate-flip seed=%d" seed in
+      let o = same_replay ~wrap tag p ~plan:r.plan (solved r) in
+      Alcotest.(check string) (tag ^ ": status") "done" (status_str o.status);
+      Alcotest.(check (list string)) (tag ^ ": faithful") []
+        (Interp.replay_matches ~original:r.outcome ~replay:o))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  Alcotest.(check bool) "reader held, then admitted" true (!flips > 0)
+
+(* two waiters and one [notify] at a time: the replayer steers the wakeup
+   to the recorded waiter *)
+let steered_notify = {|
+  class C { go; n; } global m;
+  fn waiter(id) { sync (m) { while (m.go == 0) { wait m; } m.go = m.go - 1; m.n = m.n * 10 + id; } }
+  main { m = new C; m.go = 0; m.n = 0;
+         spawn w1 = waiter(1); spawn w2 = waiter(2);
+         yield; yield; yield;
+         sync (m) { m.go = m.go + 1; notify m; }
+         yield;
+         sync (m) { m.go = m.go + 1; notify m; }
+         join w1; join w2; print m.n; }
+|}
+
+let test_cache_handoff_wakeup () =
+  List.iter
+    (fun (name, src) ->
+      let p = parse src in
+      let handoffs = ref 0 and steered = ref 0 in
+      List.iter
+        (fun seed ->
+          let r = Light.record ~sched:(Sched.sticky ~seed ~stickiness:2) p in
+          let wrap (h : Interp.hooks) =
+            let choose = Option.get h.choose_wakeup in
+            let choose_wakeup ~lock ~waiters =
+              let w = choose ~lock ~waiters in
+              if List.length waiters >= 2 then incr steered;
+              w
+            in
+            { h with choose_wakeup = Some choose_wakeup }
+          in
+          let tag = Printf.sprintf "%s seed=%d" name seed in
+          let o = same_replay ~wrap tag p ~plan:r.plan (solved r) in
+          Alcotest.(check string) (tag ^ ": status") "done" (status_str o.status);
+          Alcotest.(check (list string)) (tag ^ ": faithful") []
+            (Interp.replay_matches ~original:r.outcome ~replay:o);
+          (* a lock acquired by a thread other than its last releaser *)
+          let last_rel = Hashtbl.create 4 in
+          List.iter
+            (fun (a : Event.access) ->
+              match a.ghost with
+              | Event.LockRelWrite | WaitRelWrite -> Hashtbl.replace last_rel a.loc a.tid
+              | LockAcqRead | WaitReacqRead -> (
+                match Hashtbl.find_opt last_rel a.loc with
+                | Some t when t <> a.tid -> incr handoffs
+                | _ -> ())
+              | _ -> ())
+            o.trace)
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+      Alcotest.(check bool) (name ^ ": lock handed off") true (!handoffs > 0);
+      if name = "steered-notify" then
+        Alcotest.(check bool) (name ^ ": wakeup steered among two waiters") true
+          (!steered > 0))
+    [ ("lock-handoff", lock_handoff); ("steered-notify", steered_notify) ]
+
+(* Stuck versus deadlocked.  The inverted schedule stalls on the gate with
+   the enabled set cached since main's first step: [GateStuck [1]]
+   (test_inverted_order_stuck).  A deadlock recorded by a lock-order
+   inversion empties the enabled set and must replay to the same
+   [Deadlock] thread list. *)
+let lock_inversion = {|
+  class L {} global l1; global l2;
+  fn a() { sync (l1) { yield; yield; sync (l2) { nop; } } }
+  fn b() { sync (l2) { yield; yield; sync (l1) { nop; } } }
+  main { l1 = new L; l2 = new L; spawn x = a(); spawn y = b(); join x; join y; }
+|}
+
+let test_cache_deadlock () =
+  let p = parse lock_inversion in
+  let deadlocks =
+    List.filter_map
+      (fun seed ->
+        let r = Light.record ~sched:(Sched.random ~seed) p in
+        match r.outcome.status with Interp.Deadlock _ -> Some (seed, r) | _ -> None)
+      (List.init 30 (fun i -> i + 1))
+  in
+  Alcotest.(check bool) "some seed deadlocks" true (deadlocks <> []);
+  List.iter
+    (fun (seed, (r : Light.recording)) ->
+      let tag = Printf.sprintf "lock-inversion seed=%d" seed in
+      let o = same_replay tag p ~plan:r.plan (solved r) in
+      Alcotest.(check string) (tag ^ ": status") (status_str r.outcome.status)
+        (status_str o.status))
+    deadlocks
 
 (* Both admission rules and blind-write suppression on a hand-built
    three-event schedule: thread 1 reads [f] over counters 1..3 from thread
@@ -1035,6 +1148,12 @@ let () =
           Alcotest.test_case "inverted order ends GateStuck" `Quick
             test_inverted_order_stuck;
           Alcotest.test_case "cache invalidation edges" `Quick test_cache_edges;
+          Alcotest.test_case "cache: admission flips, enabledness still" `Quick
+            test_cache_gate_flip;
+          Alcotest.test_case "cache: lock hand-off and steered wakeup" `Quick
+            test_cache_handoff_wakeup;
+          Alcotest.test_case "cache: recorded deadlock replays as Deadlock" `Quick
+            test_cache_deadlock;
         ] );
       ( "generate",
         [

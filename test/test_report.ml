@@ -264,31 +264,35 @@ let check_verdicts rules ~base cases =
       Alcotest.(check bool) what want (run_gate rules ~base fresh))
     cases
 
-let interp ~basic ~epoch ~vm =
+let interp ?(replay = 1.0) ~basic ~epoch ~vm () =
   J.Obj
     [
       ( "geomean",
         J.Obj [ ("ratio_basic", J.Float basic); ("ratio_epoch", J.Float epoch);
-                ("vm_speedup", J.Float vm) ] );
+                ("vm_speedup", J.Float vm); ("replay_speedup", J.Float replay) ] );
     ]
 
 let test_perfcheck_thresholds () =
   (* baseline +20%: 1.25 -> 1.5; epoch within +10% of the fresh basic
-     ratio: 2.5 -> 2.75; VM speedup at least 1.0 *)
+     ratio: 2.5 -> 2.75; VM speedup and VM replay speedup at least 1.0 *)
   let rules = Report.Experiments.perfcheck_rules in
-  let base = interp ~basic:1.25 ~epoch:0.0 ~vm:0.0 in
+  let base = interp ~basic:1.25 ~epoch:0.0 ~vm:0.0 () in
   check_verdicts rules ~base
     [
-      ("ratio_basic at +20%", interp ~basic:1.5 ~epoch:1.0 ~vm:1.0, true);
-      ("ratio_basic past +20%", interp ~basic:1.5001 ~epoch:1.0 ~vm:1.0, false);
+      ("ratio_basic at +20%", interp ~basic:1.5 ~epoch:1.0 ~vm:1.0 (), true);
+      ("ratio_basic past +20%", interp ~basic:1.5001 ~epoch:1.0 ~vm:1.0 (), false);
     ];
-  let base = interp ~basic:100.0 ~epoch:0.0 ~vm:0.0 in
+  let base = interp ~basic:100.0 ~epoch:0.0 ~vm:0.0 () in
   check_verdicts rules ~base
     [
-      ("ratio_epoch at +10%", interp ~basic:2.5 ~epoch:2.75 ~vm:1.0, true);
-      ("ratio_epoch past +10%", interp ~basic:2.5 ~epoch:2.7501 ~vm:1.0, false);
-      ("vm_speedup at floor", interp ~basic:2.5 ~epoch:2.5 ~vm:1.0, true);
-      ("vm_speedup below floor", interp ~basic:2.5 ~epoch:2.5 ~vm:0.9999, false);
+      ("ratio_epoch at +10%", interp ~basic:2.5 ~epoch:2.75 ~vm:1.0 (), true);
+      ("ratio_epoch past +10%", interp ~basic:2.5 ~epoch:2.7501 ~vm:1.0 (), false);
+      ("vm_speedup at floor", interp ~basic:2.5 ~epoch:2.5 ~vm:1.0 (), true);
+      ("vm_speedup below floor", interp ~basic:2.5 ~epoch:2.5 ~vm:0.9999 (), false);
+      ("replay_speedup at floor", interp ~replay:1.0 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (), true);
+      ( "replay_speedup below floor",
+        interp ~replay:0.9999 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
+        false );
     ]
 
 let sites rows =

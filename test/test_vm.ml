@@ -164,6 +164,25 @@ let test_vm_replay () =
         ])
     replay_workloads
 
+(* Random programs, recorded and solved, replay step for step alike on
+   both engines: same steps, status and access-order digest. *)
+let replay_prop =
+  QCheck.Test.make ~count:25 ~name:"random programs: replay fingerprint Vm = Interp"
+    (QCheck.make params_gen) (fun prm ->
+      let p =
+        Lang.Check.validate_exn (Lang.Parser.parse_program (Workloads.generate prm))
+      in
+      let r =
+        Light_core.Light.record
+          ~sched:(Sched.sticky ~seed:prm.stickiness ~stickiness:prm.stickiness)
+          ~seed:5 p
+      in
+      match (Light_core.Replayer.solve r.log).schedule with
+      | None -> false
+      | Some sch ->
+        let fp engine = Replay_fp.(fingerprint (gated_run engine p ~plan:r.plan sch)) in
+        fp Vm.Tree = fp Vm.Bytecode)
+
 (* ------------------------------------------------------------------ *)
 (* Epoch mode through the VM                                            *)
 (* ------------------------------------------------------------------ *)
@@ -248,6 +267,7 @@ let () =
             `Slow test_log_identity;
           Alcotest.test_case "replay via the VM (all engine pairings)" `Slow
             test_vm_replay;
+          QCheck_alcotest.to_alcotest replay_prop;
         ] );
       ( "epochs",
         [
