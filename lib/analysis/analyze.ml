@@ -300,9 +300,6 @@ let analyze ?(precision = Sharp) ?(refine = true) (p : Ast.program) : t =
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let target_of_site (a : t) (sid : int) : Sites.info option =
-  List.find_opt (fun (s : Sites.info) -> s.sid = sid) a.sites
-
 (* is this (site, partition) membership one the plan must instrument? *)
 let info_shared (a : t) (s : Sites.info) : bool =
   match TM.find_opt s.target a.targets with

@@ -56,16 +56,6 @@ let target_compare (t1 : target) (t2 : target) : int =
   | _, TArray _ -> 1
   | TMap a, TMap b -> alloc_compare a b
 
-let alloc_hash = function AUnknown -> 0x3f5c_a9d1 | ASite s -> (s * 0x9e37) lxor s
-
-let target_hash (t : target) : int =
-  (match t with
-  | TGlobal g -> Hashtbl.hash g lxor 0x1
-  | TField (a, f) -> ((Hashtbl.hash f * 31) + alloc_hash a) lxor 0x2
-  | TArray a -> alloc_hash a lxor 0x4
-  | TMap a -> alloc_hash a lxor 0x8)
-  land max_int
-
 (** Name bucket of a target (the coarse spelling): ".f", "g", "[]", "{}". *)
 let target_base = function
   | TField (_, f) -> "." ^ f

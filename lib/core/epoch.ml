@@ -5,25 +5,28 @@
     service that records forever.  Following iReplayer's in-situ epoch
     model, this module cuts the recording into fixed-length step windows:
 
-    - at each epoch boundary the complete interpreter state is
-      checkpointed ({!Interp.snapshot}: frames, heap, locks, waitsets,
-      scheduler and RNG positions) and the recorder's arena buffers are
-      {e sealed} ({!Recorder.seal}) into a self-contained per-epoch
-      {!Log.t}.  Sealing clears the last-write table, so reads in the next
-      epoch reference pre-boundary writes as the virtual initialization
-      write — whose value is exactly what the checkpoint restores;
+    - recording runs on the tree walker ({!Interp}); at each epoch
+      boundary its complete state is checkpointed ({!Interp.snapshot}:
+      frames, heap, locks, waitsets, scheduler and RNG positions) and the
+      recorder's arena buffers are {e sealed} ({!Recorder.seal}) into a
+      self-contained per-epoch {!Log.t}.  Sealing clears the last-write
+      table, so reads in the next epoch reference pre-boundary writes as
+      the virtual initialization write — whose value is exactly what the
+      checkpoint restores;
     - constraint generation + solving run per epoch.  Each epoch's witness
       hint is shifted above the previous epoch's largest model value
       ({!Replayer.solve} [?hint_shift]); IDL is translation-invariant, so
       the per-epoch schedules concatenate into one globally consistent
       order;
-    - replay of epoch [k] restores checkpoint [k] and replays only epoch
-      [k]'s constrained events, fenced at the epoch's counter watermark —
-      O(epoch) work regardless of run length.
+    - replay of epoch [k] restores checkpoint [k] on the register VM
+      ({!Vm.restore_state}) and replays only epoch [k]'s constrained
+      events, fenced at the epoch's counter watermark — O(epoch) work
+      regardless of run length.  Checkpoints are written by the tree
+      walker and restored by the VM only.
 
     The on-disk form is log format v4: a per-epoch header line, checkpoint
     lines, an intern-table {e delta}, then the epoch's v3-style record
-    body.  v2/v3 readers and writers are untouched ({!Log}); the
+    body.  The v3 reader and writer are untouched ({!Log}); the
     monolithic path remains the differential oracle. *)
 
 open Runtime
@@ -64,25 +67,23 @@ type recording = {
    epoch: [record_epochs] accumulates them (and reassembles the whole-run
    observables), [record_epochs_stream] serializes and drops them, so its
    live memory is bounded by one window regardless of run length. *)
-let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
+let run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len
     (pp : Light.prepared) ~(on_epoch : epoch -> unit) =
   if epoch_len <= 0 then invalid_arg "record_epochs: epoch_len must be positive";
   let recorder =
     Recorder.create ~variant:(Light.prepared_variant pp) ~weights
       (Light.prepared_modes pp)
   in
-  let ses =
-    Vm.start_session ~hooks:(Recorder.hooks recorder)
-      ~plan:(Light.prepared_plan pp) ~seed engine
-      ~compiled:(Light.prepared_compiled pp)
-      ~bytecode:(Light.prepared_bytecode pp)
+  let st =
+    Interp.init_state ~hooks:(Recorder.hooks recorder)
+      ~plan:(Light.prepared_plan pp) ~seed (Light.prepared_compiled pp)
   in
   let seal_times = ref [] in
   let out_counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let idx = ref 0 in
   let final = ref None in
   while !final = None do
-    let sn = ses.Vm.s_snapshot () in
+    let sn = Interp.snapshot st in
     let sched_tok = sched.Sched.save () in
     let out_base =
       List.map
@@ -90,11 +91,11 @@ let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
           (t.sn_tid, Option.value ~default:0 (Hashtbl.find_opt out_counts t.sn_tid)))
         sn.snap_threads
     in
-    let stop_at = ses.Vm.s_steps () + epoch_len in
-    let status = ses.Vm.s_run ~max_steps ~stop_at ~sched () in
+    let stop_at = Interp.state_steps st + epoch_len in
+    let status = Interp.run_state ~max_steps ~stop_at ~sched st in
     let t0 = Unix.gettimeofday () in
-    let counters = ses.Vm.s_counters () in
-    let obs = ses.Vm.s_drain () in
+    let counters = Interp.state_counters st in
+    let obs = Interp.drain_observables st in
     let log = Recorder.seal recorder ~syscalls:obs.obs_syscalls ~counters in
     seal_times := (Unix.gettimeofday () -. t0) :: !seal_times;
     List.iter
@@ -106,7 +107,7 @@ let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
       {
         ep_idx = !idx;
         ep_start_steps = sn.Interp.snap_steps;
-        ep_steps = ses.Vm.s_steps ();
+        ep_steps = Interp.state_steps st;
         ep_clock = Recorder.accesses recorder;
         ep_sched = sched_tok;
         ep_snapshot = sn;
@@ -117,21 +118,21 @@ let run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len
     incr idx;
     final := status
   done;
-  (Option.get !final, ses, recorder, List.rev !seal_times)
+  (Option.get !final, st, recorder, List.rev !seal_times)
 
-let record_epochs ?(engine = Vm.Tree) ?(sched = Sched.random ~seed:1)
+let record_epochs ?(sched = Sched.random ~seed:1)
     ?(max_steps = 5_000_000) ?(seed = 0)
     ?(weights = Metrics.Cost.default_weights) ~(epoch_len : int)
     (pp : Light.prepared) : recording =
   let epochs = ref [] in
-  let status, ses, recorder, seal_times =
-    run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len pp
+  let status, st, recorder, seal_times =
+    run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len pp
       ~on_epoch:(fun e -> epochs := e :: !epochs)
   in
   let eps = List.rev !epochs in
   (* reassemble the whole-run observables from the per-epoch windows (the
      state's own buffers were drained at every boundary) *)
-  let base = ses.Vm.s_outcome status in
+  let base = Interp.outcome_of_state st status in
   let gather proj tid =
     List.concat_map
       (fun (e : epoch) ->
@@ -219,10 +220,12 @@ let fenced_hooks (hooks : Interp.hooks) (watermark : (int * int) list) :
       | None -> Some fence);
   }
 
-(* Solve an epoch's sealed [log], restore its [snapshot] (taken at step
-   [start_steps]) and run fenced at the log's counter watermark. *)
-let replay_fenced ?solver_budget ~max_steps ~engine (pp : Light.prepared) (log : Log.t)
-    (snapshot : Interp.snapshot) ~(start_steps : int) : (epoch_replay, string) result =
+(* Solve epoch [idx]'s sealed [log], restore its [snapshot] (taken at step
+   [start_steps]) on the VM and run fenced at the log's counter watermark.
+   A checkpoint of another program is an [Error], not an exception. *)
+let replay_fenced ?solver_budget ~max_steps (pp : Light.prepared) ~(idx : int)
+    (log : Log.t) (snapshot : Interp.snapshot) ~(start_steps : int) :
+    (epoch_replay, string) result =
   let rep = Replayer.solve ?budget:solver_budget log in
   match rep.Replayer.schedule with
   | None ->
@@ -233,37 +236,37 @@ let replay_fenced ?solver_budget ~max_steps ~engine (pp : Light.prepared) (log :
   | Some sch ->
     let plan = Light.prepared_plan pp in
     let hooks = fenced_hooks (Replayer.driver sch ~plan) log.Log.counters in
-    let ses =
-      Vm.restore_session ~hooks ~plan engine ~compiled:(Light.prepared_compiled pp)
-        ~bytecode:(Light.prepared_bytecode pp) snapshot
-    in
-    let status =
-      match ses.Vm.s_run ~max_steps:(start_steps + max_steps) ~sched:(Sched.round_robin ()) () with
-      | Some s -> s
-      | None -> assert false
-    in
-    let counters = ses.Vm.s_counters () in
-    let obs = ses.Vm.s_drain () in
-    Ok
-      {
-        rr_status = status;
-        rr_complete =
-          List.for_all (fun (t, d) -> List.assoc_opt t counters = Some d) log.Log.counters;
-        rr_steps = ses.Vm.s_steps () - start_steps;
-        rr_obs = obs;
-        rr_report = rep;
-      }
+    match Vm.restore_state ~hooks ~plan (Light.prepared_bytecode pp) snapshot with
+    | exception Invalid_argument msg ->
+      Error (Printf.sprintf "epoch %d: checkpoint does not match the program (%s)" idx msg)
+    | st ->
+      let status =
+        match Vm.run_state ~max_steps:(start_steps + max_steps) ~sched:(Sched.round_robin ()) st with
+        | Some s -> s
+        | None -> assert false
+      in
+      let counters = Vm.state_counters st in
+      let obs = Vm.drain_observables st in
+      Ok
+        {
+          rr_status = status;
+          rr_complete =
+            List.for_all (fun (t, d) -> List.assoc_opt t counters = Some d) log.Log.counters;
+          rr_steps = Vm.state_steps st - start_steps;
+          rr_obs = obs;
+          rr_report = rep;
+        }
 
 (** Replay epoch [k] of [r] standalone: solve its sealed log, restore its
-    checkpoint, and run fenced at its counter watermark.  Work is
+    checkpoint on the VM, and run fenced at its counter watermark.  Work is
     proportional to the epoch, never the run. *)
-let replay_epoch ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Tree)
-    (r : recording) (k : int) : (epoch_replay, string) result =
+let replay_epoch ?solver_budget ?(max_steps = 10_000_000) (r : recording) (k : int) :
+    (epoch_replay, string) result =
   match List.nth_opt r.er_epochs k with
   | None -> Error (Printf.sprintf "no epoch %d (recording has %d)" k (List.length r.er_epochs))
   | Some e ->
-    replay_fenced ?solver_budget ~max_steps ~engine r.er_prepared e.ep_log e.ep_snapshot
-      ~start_steps:e.ep_start_steps
+    replay_fenced ?solver_budget ~max_steps r.er_prepared ~idx:e.ep_idx e.ep_log
+      e.ep_snapshot ~start_steps:e.ep_start_steps
 
 (* ------------------------------------------------------------------ *)
 (* Window slicing (differential oracles)                               *)
@@ -614,7 +617,7 @@ let add_v4_chunk (buf : Buffer.t) (seen_flds : (int, unit) Hashtbl.t)
   in
   List.iter (fun (d : Log.dep) -> note d.Log.loc) ck.ck_log.Log.deps;
   List.iter (fun (r : Log.range) -> note r.Log.loc) ck.ck_log.Log.ranges;
-  Log.body_add ~add_loc:Log.add_loc_v3 ck.ck_log buf
+  Log.body_add ck.ck_log buf
 
 let chunks_to_string ~(o1 : bool) ~(o2 : bool) ~(epoch_len : int)
     (chunks : chunk list) : string =
@@ -663,20 +666,20 @@ type stream_summary = {
     memory is bounded by one window regardless of run length.  Pair [emit]
     with {!writer} + {!write_chunk} over an output channel to stream the
     log to disk as it is recorded. *)
-let record_epochs_stream ?(engine = Vm.Tree) ?(sched = Sched.random ~seed:1)
+let record_epochs_stream ?(sched = Sched.random ~seed:1)
     ?(max_steps = 5_000_000) ?(seed = 0)
     ?(weights = Metrics.Cost.default_weights) ~(epoch_len : int)
     ~(emit : chunk -> unit) (pp : Light.prepared) : stream_summary =
   let n = ref 0 in
-  let status, ses, recorder, seal_times =
-    run_epoch_loop ~engine ~sched ~max_steps ~seed ~weights ~epoch_len pp
+  let status, st, recorder, seal_times =
+    run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len pp
       ~on_epoch:(fun e ->
         incr n;
         emit (chunk_of_epoch e))
   in
   {
     ss_status = status;
-    ss_steps = ses.Vm.s_steps ();
+    ss_steps = Interp.state_steps st;
     ss_clock = Recorder.accesses recorder;
     ss_epochs = !n;
     ss_seal_times = seal_times;
@@ -695,7 +698,7 @@ let is_v4 (s : string) : bool =
 
 (** Parse a v4 file.  Each epoch's record body is handed to the v3 parser
     ({!Log.of_string}) with the intern-table lines accumulated so far
-    prepended, so the battle-tested v2/v3 reader does all event decoding;
+    prepended, so the battle-tested v3 reader does all event decoding;
     checkpoint lines are decoded here. *)
 let of_string_v4 (s : string) : file =
   let lines = String.split_on_char '\n' s in
@@ -899,8 +902,10 @@ let of_string_v4 (s : string) : file =
   { f_o1 = !o1; f_o2 = !o2; f_epoch_len = !epoch_len; f_chunks = List.rev !chunks }
 
 (** Replay epoch [k] straight out of a parsed v4 file: the caller supplies
-    the (re-)prepared program (v4 stores no program text, like v2/v3). *)
-let replay_chunk ?solver_budget ?(max_steps = 10_000_000) ?(engine = Vm.Tree)
-    (pp : Light.prepared) (ck : chunk) : (epoch_replay, string) result =
-  replay_fenced ?solver_budget ~max_steps ~engine pp ck.ck_log ck.ck_snapshot
+    the (re-)prepared program (v4 stores no program text, like v3).  A
+    checkpoint that does not belong to [pp]'s program is an [Error] naming
+    the epoch and the unknown statement id. *)
+let replay_chunk ?solver_budget ?(max_steps = 10_000_000) (pp : Light.prepared)
+    (ck : chunk) : (epoch_replay, string) result =
+  replay_fenced ?solver_budget ~max_steps pp ~idx:ck.ck_idx ck.ck_log ck.ck_snapshot
     ~start_steps:ck.ck_start_steps

@@ -155,7 +155,7 @@ type replay_result = {
 }
 
 (** Compute a replay schedule offline and execute the replay run. *)
-let replay ?max_steps ?solver_budget ?engine (r : recording) :
+let replay ?max_steps ?solver_budget (r : recording) :
     (replay_result, string) result =
   let report = Replayer.solve ?budget:solver_budget r.log in
   match report.schedule with
@@ -169,7 +169,7 @@ let replay ?max_steps ?solver_budget ?engine (r : recording) :
          s.decisions s.backtracks s.theory_conflicts report.solve_time_s)
   | Some sch ->
     let replay_outcome =
-      Replayer.replay ?max_steps ?engine r.program ~plan:r.plan sch
+      Replayer.replay ?max_steps r.program ~plan:r.plan sch
     in
     Ok
       {
@@ -180,9 +180,9 @@ let replay ?max_steps ?solver_budget ?engine (r : recording) :
 
 (** Record under [sched], replay, and report whether the Theorem-1
     observables (per-thread read values, outputs, crashes) were reproduced. *)
-let record_and_replay ?variant ?engine ?sched ?max_steps ?seed ?solver_budget
+let record_and_replay ?variant ?sched ?max_steps ?seed ?solver_budget
     (program : Lang.Ast.program) : (recording * replay_result, string) result =
-  let r = record ?variant ?engine ?sched ?max_steps ?seed program in
-  match replay ?max_steps ?solver_budget ?engine r with
+  let r = record ?variant ?sched ?max_steps ?seed program in
+  match replay ?max_steps ?solver_budget r with
   | Ok rr -> Ok (r, rr)
   | Error e -> Error e

@@ -119,13 +119,12 @@ type replay_result = {
 val replay :
   ?max_steps:int ->
   ?solver_budget:Dlsolver.Idl.budget ->
-  ?engine:Vm.engine ->
   recording ->
   (replay_result, string) result
-(** Generate constraints, solve offline, and execute the replay run.
-    [engine] selects the replay's execution substrate: [Vm.Bytecode] (the
-    register VM, the default) or [Vm.Tree] (the tree walker); both replay
-    the same schedule step for step.  [Error _] only if the constraint system is unsatisfiable or the solver
+(** Generate constraints, solve offline, and execute the replay run on the
+    register VM, whichever engine recorded [r] (the schedule constrains
+    shared accesses, which both engines present identically).  [Error _]
+    only if the constraint system is unsatisfiable or the solver
     exhausts [solver_budget] — unsatisfiability is ruled out by Lemma 4.1
     for logs this library records, and the budget exists so a generator or
     solver regression aborts loudly (with the solver's statistics in the
@@ -133,13 +132,11 @@ val replay :
 
 val record_and_replay :
   ?variant:variant ->
-  ?engine:Vm.engine ->
   ?sched:Sched.t ->
   ?max_steps:int ->
   ?seed:int ->
   ?solver_budget:Dlsolver.Idl.budget ->
   Lang.Ast.program ->
   (recording * replay_result, string) result
-(** [record] followed by [replay].  A given [engine] runs both; without
-    one, each takes its own default (record on [Vm.Tree], replay on
-    [Vm.Bytecode]). *)
+(** [record] followed by [replay]: records on the tree walker, replays on
+    the register VM. *)

@@ -32,9 +32,6 @@ open Runtime
 
 type evt = int * int  (** (tid, counter) *)
 
-let evt_compare : evt -> evt -> int = compare
-let pp_evt fmt ((t, c) : evt) = Fmt.pf fmt "(%d,%d)" t c
-
 type dep = {
   loc : Loc.t;
   w : evt option;  (** [None]: virtual initialization write *)
@@ -93,7 +90,7 @@ let num_records (l : t) : int = List.length l.deps + List.length l.ranges
    reader scans tokens in place with a cursor — neither side allocates an
    intermediate string per line or per field (the seed used a
    [Printf.sprintf] per line and a [String.split_on_char] per line and per
-   event).  Both formats are byte-identical to the seed's. *)
+   event).  The format is byte-identical to the seed's. *)
 
 (* decimal writer; no scratch buffer so it is safe across engine domains *)
 let rec add_pos (buf : Buffer.t) (n : int) : unit =
@@ -118,11 +115,6 @@ let add_evt (buf : Buffer.t) (e : evt option) : unit =
     add_int buf t;
     Buffer.add_char buf ':';
     add_int buf c
-
-let evt_str (e : evt option) : string =
-  let buf = Buffer.create 16 in
-  add_evt buf e;
-  Buffer.contents buf
 
 (* field names may contain arbitrary map-key strings; percent-encode the
    characters that would break the line format *)
@@ -159,24 +151,12 @@ let dec_field_sub (s : string) (st : int) (len : int) : string =
 
 let dec_field (s : string) : string = dec_field_sub s 0 (String.length s)
 
-let evt_of_string s : evt option =
-  if s = "-" then None
-  else match String.split_on_char ':' s with
-    | [ a; b ] -> Some (int_of_string a, int_of_string b)
-    | _ -> failwith ("bad event: " ^ s)
-
-(* v2 spells the field by name; v3 ships the intern table once in the header
-   (F lines) and writes integer field ids in events.  Array-element ids
-   (negative, arithmetic encoding) are process-independent and appear
-   verbatim; interned ids (>= 0) are remapped through the F table on load,
-   since intern ids are only meaningful within one process. *)
-
-let add_loc_v2 (buf : Buffer.t) (l : Loc.t) : unit =
-  add_int buf l.obj;
-  Buffer.add_char buf '/';
-  add_enc_field buf (Loc.fld_name l.fld)
-
-let add_loc_v3 (buf : Buffer.t) (l : Loc.t) : unit =
+(* v3 ships the intern table once in the header (F lines) and writes
+   integer field ids in events.  Array-element ids (negative, arithmetic
+   encoding) are process-independent and appear verbatim; interned ids
+   (>= 0) are remapped through the F table on load, since intern ids are
+   only meaningful within one process. *)
+let add_loc (buf : Buffer.t) (l : Loc.t) : unit =
   add_int buf l.obj;
   Buffer.add_char buf '/';
   add_int buf l.fld
@@ -203,8 +183,7 @@ let value_of_string s : Value.t =
     | 't' -> VThread (int_of_string body)
     | _ -> failwith ("bad value: " ^ s)
 
-let body_add ~(add_loc : Buffer.t -> Loc.t -> unit) (l : t) (buf : Buffer.t) :
-    unit =
+let body_add (l : t) (buf : Buffer.t) : unit =
   let sp () = Buffer.add_char buf ' ' in
   let nl () = Buffer.add_char buf '\n' in
   List.iter
@@ -271,20 +250,15 @@ let body_add ~(add_loc : Buffer.t -> Loc.t -> unit) (l : t) (buf : Buffer.t) :
       nl ())
     l.syscalls
 
-let add_header (buf : Buffer.t) ~(version : int) (l : t) : unit =
-  Buffer.add_string buf "light-log v";
-  add_int buf version;
-  Buffer.add_string buf " o1=";
+(** v3 serialization: the intern table is stored once as F lines in the
+    header, events carry integer field ids. *)
+let to_string (l : t) : string =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "light-log v3 o1=";
   add_bool buf l.o1;
   Buffer.add_string buf " o2=";
   add_bool buf l.o2;
-  Buffer.add_char buf '\n'
-
-(** Current (v3) serialization: the intern table is stored once as F lines
-    in the header, events carry integer field ids. *)
-let to_string (l : t) : string =
-  let buf = Buffer.create 4096 in
-  add_header buf ~version:3 l;
+  Buffer.add_char buf '\n';
   (* the intern-table header: every named (non-element) field id in use *)
   let seen = Hashtbl.create 16 in
   let note (loc : Loc.t) =
@@ -299,23 +273,15 @@ let to_string (l : t) : string =
   in
   List.iter (fun (d : dep) -> note d.loc) l.deps;
   List.iter (fun (r : range) -> note r.loc) l.ranges;
-  body_add ~add_loc:add_loc_v3 l buf;
+  body_add l buf;
   Buffer.contents buf
 
-(** Legacy (v2) serialization: fields spelled by name in every event.  Kept
-    so fixtures and older tooling can still produce/read the old format. *)
-let to_string_v2 (l : t) : string =
-  let buf = Buffer.create 4096 in
-  add_header buf ~version:2 l;
-  body_add ~add_loc:add_loc_v2 l buf;
-  Buffer.contents buf
-
-(** Reads both v3 (intern-table header, integer field ids) and legacy v2
-    (field names in events) logs; either way, locations come back keyed by
-    this process's intern ids.  The parser is a single in-place scan: a
-    cursor walks the string and every integer, event, and location is
-    decoded straight out of the input bytes; the only substrings taken are
-    the decoded field-name / syscall payloads themselves. *)
+(** Reads a v3 log (intern-table header, integer field ids); locations
+    come back keyed by this process's intern ids.  The parser is a single
+    in-place scan: a cursor walks the string and every integer, event, and
+    location is decoded straight out of the input bytes; the only
+    substrings taken are the decoded field-name / syscall payloads
+    themselves. *)
 let of_string (s : string) : t =
   let n = String.length s in
   let hstart = ref 0 in
@@ -325,14 +291,11 @@ let of_string (s : string) : t =
     match String.index_from_opt s !hstart '\n' with Some i -> i | None -> n
   in
   let header = String.sub s !hstart (hdr_end - !hstart) in
-  let v3 =
-    if String.length header >= 12 && String.sub header 0 12 = "light-log v3" then true
-    else if String.length header >= 12 && String.sub header 0 12 = "light-log v2" then false
-    else failwith ("bad log header: " ^ header)
-  in
+  if not (String.length header >= 12 && String.sub header 0 12 = "light-log v3") then
+    failwith ("bad log header: " ^ header);
   let o1 = ref false and o2 = ref false in
   Scanf.sscanf header "light-log v%_d o1=%B o2=%B" (fun a b -> o1 := a; o2 := b);
-  (* v3: file-local intern ids -> this process's ids *)
+  (* file-local intern ids -> this process's ids *)
   let fmap : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let deps = ref [] and ranges = ref [] and sys = ref [] and counters = ref [] in
   let pos = ref (if hdr_end < n then hdr_end + 1 else n) in
@@ -399,25 +362,21 @@ let of_string (s : string) : t =
         done;
         if !slash < 0 then failwith ("bad location: " ^ String.sub s st len);
         let obj = int_sub st (!slash - st) in
-        let fst = !slash + 1 and flen = st + len - !slash - 1 in
-        if v3 then begin
-          let fld = int_sub fst flen in
-          if fld < 0 then { Loc.obj; fld }
-          else
-            match Hashtbl.find_opt fmap fld with
-            | Some fld -> { Loc.obj; fld }
-            | None ->
-              failwith
-                (Printf.sprintf "bad location (field id %d not in intern table): %s" fld
-                   (String.sub s st len))
-        end
-        else { Loc.obj; fld = Loc.fld_of_name (dec_field_sub s fst flen) }
+        let fld = int_sub (!slash + 1) (st + len - !slash - 1) in
+        if fld < 0 then { Loc.obj; fld }
+        else
+          match Hashtbl.find_opt fmap fld with
+          | Some fld -> { Loc.obj; fld }
+          | None ->
+            failwith
+              (Printf.sprintf "bad location (field id %d not in intern table): %s" fld
+                 (String.sub s st len))
       in
       let eod () = if !p <> eol then bad () in
       let tag_st, tag_len = next_tok () in
       if tag_len <> 1 then bad ();
       (match s.[tag_st] with
-      | 'F' when v3 ->
+      | 'F' ->
         let id = int_tok () in
         let nst, nlen = next_tok () in
         eod ();

@@ -311,16 +311,10 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
     on_branch = None;
   }
 
-(** Execute the replay run, by default on the register VM
-    ([Vm.Bytecode]); [~engine:Vm.Tree] runs it on the tree walker.  The
-    driver hooks are engine-agnostic: the schedule constrains shared
-    accesses, which both engines present identically, so both give the
-    same replay step for step. *)
-let replay ?(max_steps = 10_000_000) ?suppress ?(engine = Vm.Bytecode)
-    (program : Lang.Ast.program) ~(plan : Plan.t) (sch : schedule) :
-    Interp.outcome =
-  let hooks = driver ?suppress sch ~plan in
-  let run =
-    match engine with Vm.Tree -> Interp.run | Vm.Bytecode -> Vm.run
-  in
-  run ~hooks ~plan ~max_steps ~sched:(Sched.round_robin ()) program
+(** Execute the replay run on the register VM.  The driver hooks
+    constrain shared accesses only, which the VM presents exactly as the
+    tree walker that recorded them does. *)
+let replay ?(max_steps = 10_000_000) ?suppress (program : Lang.Ast.program)
+    ~(plan : Plan.t) (sch : schedule) : Interp.outcome =
+  Vm.run ~hooks:(driver ?suppress sch ~plan) ~plan ~max_steps
+    ~sched:(Sched.round_robin ()) program

@@ -21,11 +21,6 @@ type t = {
   total_access_sites : int;
 }
 
-let variant_plan ?(enable_o2 = true) (a : Analysis.Analyze.t) : Runtime.Plan.t =
-  let shared = Analysis.Analyze.shared_sids a in
-  let guarded = if enable_o2 then Analysis.Analyze.guarded_sids a else Hashtbl.create 1 in
-  Runtime.Plan.of_tables ~shared ~guarded
-
 let transform ?(enable_o2 = true) ?precision ?refine (p : Ast.program) : t =
   let analysis = Analysis.Analyze.analyze ?precision ?refine p in
   let shared = Analysis.Analyze.shared_sids analysis in

@@ -19,8 +19,3 @@ let summarize (xs : float list) : summary =
       minimum = nth 0;
       maximum = nth (n - 1);
     }
-
-let pp_summary ?(scale = 1.0) ?(fmt : (float -> string) option) ppf (s : summary) =
-  let f = match fmt with Some f -> f | None -> Printf.sprintf "%.2f" in
-  Fmt.pf ppf "avg %s | med %s | min %s | max %s" (f (s.average *. scale))
-    (f (s.median *. scale)) (f (s.minimum *. scale)) (f (s.maximum *. scale))

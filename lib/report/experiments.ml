@@ -401,10 +401,12 @@ let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measur
         (Light_core.Light.prepare ~variant:Light_core.Light.v_both p)
     in
     let sch = Option.get (Light_core.Replayer.solve rc.log).schedule in
-    let replay engine () =
-      Light_core.Replayer.replay ~engine rc.program ~plan:rc.plan sch
+    let tree () =
+      Interp.run ~hooks:(Light_core.Replayer.driver sch ~plan:rc.plan) ~plan:rc.plan
+        ~max_steps:10_000_000 ~sched:(Sched.round_robin ()) rc.program
     in
-    (snd (steps_per_sec ~iters (replay Vm.Tree)), snd (steps_per_sec ~iters (replay Vm.Bytecode)))
+    let vm () = Light_core.Replayer.replay rc.program ~plan:rc.plan sch in
+    (snd (steps_per_sec ~iters tree), snd (steps_per_sec ~iters vm))
   in
   (* epoch mode on the same fast path: checkpoint + seal ~8 times per run,
      so the series prices the boundary work (snapshot, arena seal,
@@ -576,7 +578,7 @@ let interp_bench ?(seed = 7) ?(json_path = "BENCH_interp.json") () ppf : unit =
    in the same process, so 10% is tight enough to catch boundary work
    (snapshot, seal, last-write clear) that stops amortizing.  The VM must
    not fall behind the tree walker it replaces, in native runs or in gated
-   replay (the replayer's default engine). *)
+   replay (the VM is the replayer's only engine). *)
 let perfcheck_rules : Gate.rule list =
   [
     { metric = "geomean.ratio_basic"; reference = Baseline; direction = At_most; tolerance = 0.20 };

@@ -1109,15 +1109,15 @@ let state_counters (st : state) : (int * int) list = per_thread st (fun t -> t.d
 let state_steps (st : state) : int = st.steps
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot / restore (epoch checkpoints)                              *)
+(* Snapshot (epoch checkpoints)                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* A continuation is serialized positionally: every [CSeq] node's [todo]
    list is a suffix of some statement list of the compiled program
    (pop_stmt only ever moves to tails), so the head statement's globally
    unique sid identifies the whole suffix.  [CUnlock] carries its own
-   payload.  Restoring aliases the program's own statement lists, which is
-   safe: [todo] is reassigned but the lists themselves are never mutated. *)
+   payload.  Checkpoints are restored on the VM only ({!Vm}), which
+   maps each leading sid back to a bytecode pc. *)
 type scont = SSeq of int | SUnlock of Value.objid * int
 
 type snap_frame = {
@@ -1164,38 +1164,6 @@ let rec encode_cont (c : cont) : scont list =
   | CSeq { todo = []; _ } -> assert false (* excluded by norm *)
   | CUnlock (m, sid, k) -> SUnlock (m, sid) :: encode_cont k
 
-(** Map every statement's sid to the statement-list suffix it heads, over
-    all blocks of the compiled program (function bodies and nested
-    if/while/sync bodies).  Sids are globally unique by construction. *)
-let suffix_map (cp : compiled) : (int, rstmt list) Hashtbl.t =
-  let sm = Hashtbl.create 256 in
-  let rec walk_list = function
-    | [] -> ()
-    | (s :: rest) as suffix ->
-      Hashtbl.replace sm s.rsid suffix;
-      (match s.rnode with
-      | RIf (_, b1, b2) ->
-        walk_list b1;
-        walk_list b2
-      | RWhile (_, b) | RSync (_, b) -> walk_list b
-      | _ -> ());
-      walk_list rest
-  in
-  Array.iter (fun (fn : rfn) -> walk_list fn.rf_body) cp.cp_fns;
-  walk_list cp.cp_main.rf_body;
-  sm
-
-let decode_cont (sm : (int, rstmt list) Hashtbl.t) (sc : scont list) : cont =
-  List.fold_right
-    (fun sc next ->
-      match sc with
-      | SSeq sid -> (
-        match Hashtbl.find_opt sm sid with
-        | Some suffix -> CSeq { todo = suffix; next }
-        | None -> invalid_arg (Printf.sprintf "decode_cont: unknown sid %d" sid))
-      | SUnlock (m, sid) -> CUnlock (m, sid, next))
-    sc CDone
-
 let snapshot (st : state) : snapshot =
   let snap_frame (f : frame) =
     { sn_cont = encode_cont f.cont; sn_slots = Array.copy f.slots; sn_ret_to = f.ret_to }
@@ -1236,81 +1204,6 @@ let snapshot (st : state) : snapshot =
     snap_crashes = List.rev st.crashes;
     snap_rng = Sched.marshal_hex st.rng;
   }
-
-(** Rebuild a runnable state from a checkpoint.  The compiled program must
-    be the same program the snapshot was taken from (continuations are
-    decoded against its statement lists).  Hooks and plan are supplied
-    fresh: a replayer restores a recording-time snapshot under its own gate
-    hooks. *)
-let restore_state ?(hooks = default_hooks) ?(plan = Plan.all_shared)
-    ?(collect_trace = false) (cp : compiled) (sn : snapshot) : state =
-  let shared = Array.init (cp.cp_max_sid + 1) (fun sid -> plan.Plan.shared_site sid) in
-  let st =
-    {
-      program = cp;
-      hooks;
-      shared;
-      heap = Hashtbl.create 1024;
-      threads = Hashtbl.create 16;
-      order = [||];
-      n_threads = 0;
-      locks = Hashtbl.create 16;
-      waitsets = Hashtbl.create 16;
-      steps = sn.snap_steps;
-      crashes = List.rev sn.snap_crashes;
-      syscalls_rev = [];
-      trace_rev = [];
-      collect_trace;
-      rng = (Sched.unmarshal_hex sn.snap_rng : Random.State.t);
-    }
-  in
-  List.iter
-    (fun (id, cls, fields) ->
-      let o = { cls; fields = Hashtbl.create (max 8 (List.length fields)) } in
-      List.iter (fun (fname, v) -> Hashtbl.replace o.fields (Loc.fld_of_name fname) v) fields;
-      Hashtbl.replace st.heap id o)
-    sn.snap_heap;
-  let sm = suffix_map cp in
-  List.iter
-    (fun (snt : snap_thread) ->
-      let frames =
-        List.map
-          (fun (f : snap_frame) ->
-            {
-              cont = decode_cont sm f.sn_cont;
-              slots = Array.copy f.sn_slots;
-              ret_to = f.sn_ret_to;
-            })
-          snt.sn_frames
-      in
-      let t =
-        {
-          tid = snt.sn_tid;
-          frames;
-          status = snt.sn_status;
-          held = snt.sn_held;
-          wait_restore = snt.sn_wait_restore;
-          alloc = snt.sn_alloc;
-          d = snt.sn_d;
-          sys_idx = snt.sn_sys_idx;
-          spawn_idx = snt.sn_spawn_idx;
-          started = snt.sn_started;
-          reads_rev = [];
-          outputs_rev = [];
-          pre_cache = None;
-          pre_valid = false;
-        }
-      in
-      push_thread st t)
-    sn.snap_threads;
-  List.iter (fun (m, ov) -> Hashtbl.replace st.locks m ov) sn.snap_locks;
-  List.iter
-    (fun (m, waiters) ->
-      let q = Queue.create () in
-      List.iter (fun w -> Queue.push w q) waiters;
-      Hashtbl.replace st.waitsets m q)
-    sn.snap_waitsets;
-  st
 
 (* ------------------------------------------------------------------ *)
 (* Determinism oracle (Theorem 1 observables)                           *)

@@ -32,8 +32,6 @@ let equal (a : t) (b : t) = a = b
     any other value is a dynamic type error (handled by the interpreter). *)
 let as_bool = function VBool b -> Some b | _ -> None
 
-let as_int = function VInt n -> Some n | _ -> None
-
 (** Stable key used to index map entries: every value maps to a distinct
     string (maps keyed by ints, strings, bools or refs). *)
 let map_key = function

@@ -1231,8 +1231,9 @@ let state_steps (st : state) : int = st.steps
    ([bc_templates]) is exactly what [Interp.encode_cont] would produce for
    the equivalent tree-walker continuation — with the lock objids of
    [TUnlock] entries abstracted out, refilled here from the frame's
-   [sync_stack] (same innermost-first order by construction).  So a
-   checkpoint written by the VM restores in [Interp] and vice versa. *)
+   [sync_stack] (same innermost-first order by construction).  So the VM
+   restores the tree walker's checkpoints, and its own snapshots equal
+   the tree walker's at the same step. *)
 let encode_frame (p : Bytecode.program) (f : vframe) : Interp.snap_frame =
   let locks = ref f.sync_stack in
   let sn_cont =
@@ -1293,7 +1294,7 @@ let decode_frame (p : Bytecode.program) (f : Interp.snap_frame) : vframe =
   | head :: _ ->
     let pc_of sid (tbl : int array) =
       if sid >= 0 && sid < Array.length tbl && tbl.(sid) >= 0 then tbl.(sid)
-      else invalid_arg (Printf.sprintf "decode_cont: unknown sid %d" sid)
+      else invalid_arg (Printf.sprintf "unknown statement id %d" sid)
     in
     let pc =
       match head with
@@ -1311,10 +1312,13 @@ let decode_frame (p : Bytecode.program) (f : Interp.snap_frame) : vframe =
     in
     { pc; regs; nslots; ret_to = f.sn_ret_to; sync_stack }
 
+(** Rebuild a runnable state from a checkpoint taken of [bp]'s program.
+    Raises [Invalid_argument] naming the first statement id the program
+    does not have, when the checkpoint belongs to another program. *)
 let restore_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
-    ?(collect_trace = false) (bp : Bytecode.program) (sn : Interp.snapshot) : state =
+    (bp : Bytecode.program) (sn : Interp.snapshot) : state =
   let st =
-    make_state ~hooks ~plan ~collect_trace
+    make_state ~hooks ~plan ~collect_trace:false
       ~rng:(Sched.unmarshal_hex sn.Interp.snap_rng)
       ~steps:sn.snap_steps
       ~crashes:(List.rev sn.snap_crashes)
@@ -1374,64 +1378,9 @@ let run ?hooks ?plan ?max_steps ?collect_trace ?seed ~(sched : Sched.t)
     (Compile.lower (Interp.compile program))
 
 (* ------------------------------------------------------------------ *)
-(* Engine selection: one session surface over both interpreters        *)
+(* Engine selection (recording only; replay always runs on the VM)     *)
 (* ------------------------------------------------------------------ *)
 
 type engine = Tree | Bytecode
 
 let engine_name = function Tree -> "tree" | Bytecode -> "bytecode"
-
-(** A running execution, abstracted over the engine: exactly the surface
-    the epoch machinery drives — run to a step boundary, checkpoint, drain
-    the window's observables.  Both engines produce (and accept) the same
-    {!Interp.snapshot} values, so a session checkpointed on one engine can
-    be restored on the other. *)
-type session = {
-  s_run :
-    ?max_steps:int ->
-    ?stop_at:int ->
-    sched:Sched.t ->
-    unit ->
-    Interp.status_summary option;
-  s_snapshot : unit -> Interp.snapshot;
-  s_drain : unit -> Interp.observables;
-  s_counters : unit -> (int * int) list;
-  s_steps : unit -> int;
-  s_outcome : Interp.status_summary -> Interp.outcome;
-}
-
-let tree_session (st : Interp.state) : session =
-  {
-    s_run =
-      (fun ?max_steps ?stop_at ~sched () ->
-        Interp.run_state ?max_steps ?stop_at ~sched st);
-    s_snapshot = (fun () -> Interp.snapshot st);
-    s_drain = (fun () -> Interp.drain_observables st);
-    s_counters = (fun () -> Interp.state_counters st);
-    s_steps = (fun () -> Interp.state_steps st);
-    s_outcome = (fun status -> Interp.outcome_of_state st status);
-  }
-
-let vm_session (st : state) : session =
-  {
-    s_run =
-      (fun ?max_steps ?stop_at ~sched () -> run_state ?max_steps ?stop_at ~sched st);
-    s_snapshot = (fun () -> snapshot st);
-    s_drain = (fun () -> drain_observables st);
-    s_counters = (fun () -> state_counters st);
-    s_steps = (fun () -> state_steps st);
-    s_outcome = (fun status -> outcome_of_state st status);
-  }
-
-let start_session ?hooks ?plan ?collect_trace ?seed (e : engine)
-    ~(compiled : Interp.compiled) ~(bytecode : Bytecode.program) : session =
-  match e with
-  | Tree -> tree_session (Interp.init_state ?hooks ?plan ?collect_trace ?seed compiled)
-  | Bytecode -> vm_session (init_state ?hooks ?plan ?collect_trace ?seed bytecode)
-
-let restore_session ?hooks ?plan ?collect_trace (e : engine)
-    ~(compiled : Interp.compiled) ~(bytecode : Bytecode.program)
-    (sn : Interp.snapshot) : session =
-  match e with
-  | Tree -> tree_session (Interp.restore_state ?hooks ?plan ?collect_trace compiled sn)
-  | Bytecode -> vm_session (restore_state ?hooks ?plan ?collect_trace bytecode sn)

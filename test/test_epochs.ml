@@ -6,9 +6,10 @@
    - {e scheduler save/load}: restoring a scheduler's pick state into a
      fresh instance of the same constructor reproduces the pick stream
      exactly — the checkpoint's scheduler token is sufficient;
-   - {e snapshot/restore}: pausing any workload at a step boundary,
-     snapshotting, and resuming from the restored state is
-     observationally identical to the uninterrupted run — status, steps,
+   - {e snapshot/restore}: pausing any workload on the tree walker at a
+     step boundary, snapshotting, and resuming from the checkpoint on the
+     register VM (the production restore path) is observationally
+     identical to the uninterrupted run — status, steps,
      counters, crashes, final heap, and the concatenated observables all
      match, under both sticky and random schedulers;
    - {e sealing passivity} (and the [--profile] aggregation fix): epoch
@@ -69,9 +70,10 @@ let test_sched_save_load () =
 
 let assoc_or_empty tid l = Option.value ~default:[] (List.assoc_opt tid l)
 
-(* Run [bm] uninterrupted; run it again pausing at step [k], snapshot,
-   restore into a fresh state + scheduler, and resume.  The restored run
-   plus the pre-pause observables must equal the uninterrupted run. *)
+(* Run [bm] uninterrupted; run it again on the tree walker pausing at
+   step [k], snapshot, restore into a fresh VM state + scheduler, and
+   resume.  The restored run plus the pre-pause observables must equal
+   the uninterrupted run. *)
 let check_snapshot_restore (bm : Workloads.benchmark) (sname, mk_sched) k =
   let label what = Printf.sprintf "%s/%s: %s" bm.Workloads.name sname what in
   let p = Workloads.program bm in
@@ -90,15 +92,15 @@ let check_snapshot_restore (bm : Workloads.benchmark) (sname, mk_sched) k =
     let tok = sched1.Sched.save () in
     let sn = Interp.snapshot st1 in
     Alcotest.(check int) (label "snapshot at pause step") k sn.Interp.snap_steps;
-    let st2 = Interp.restore_state cp sn in
+    let st2 = Vm.restore_state (Lang.Compile.lower cp) sn in
     let sched2 = mk_sched () in
     sched2.Sched.load tok;
     let status2 =
-      match Interp.run_state ~sched:sched2 st2 with
+      match Vm.run_state ~sched:sched2 st2 with
       | Some s -> s
       | None -> Alcotest.fail (label "restored run paused unexpectedly")
     in
-    let o2 = Interp.outcome_of_state st2 status2 in
+    let o2 = Vm.outcome_of_state st2 status2 in
     Alcotest.(check bool) (label "status") true (o2.Interp.status = oref.Interp.status);
     Alcotest.(check int) (label "steps") oref.Interp.steps o2.Interp.steps;
     Alcotest.(check bool) (label "counters") true
@@ -398,6 +400,27 @@ let test_chunk_replay_from_text () =
           (Light_core.Epoch.window_matches ~expected rr.rr_obs))
     f.Light_core.Epoch.f_chunks
 
+(* A checkpoint replayed against a program it does not belong to is an
+   [Error] naming the epoch and the statement id the program lacks. *)
+let test_chunk_replay_mismatch () =
+  let bm = Option.get (Workloads.by_name "mp-fanin") in
+  let pp = Light_core.Light.prepare (Workloads.program bm) in
+  let r =
+    Light_core.Epoch.record_epochs ~sched:(Workloads.scheduler ~seed:3 bm)
+      ~seed:3 ~epoch_len:100 pp
+  in
+  let other =
+    Light_core.Light.prepare
+      (Lang.Check.validate_exn (Lang.Parser.parse_program "main { print 1; }"))
+  in
+  let ck = List.nth (Light_core.Epoch.file_of_recording r).f_chunks 1 in
+  match Light_core.Epoch.replay_chunk other ck with
+  | Ok _ -> Alcotest.fail "mismatched checkpoint replayed"
+  | Error msg ->
+    Alcotest.(check bool) ("names the epoch and statement id: " ^ msg) true
+      (String.starts_with msg
+         ~prefix:"epoch 1: checkpoint does not match the program (unknown statement id ")
+
 let () =
   Alcotest.run "epochs"
     [
@@ -421,5 +444,7 @@ let () =
             test_epoch_differential;
           Alcotest.test_case "chunk replay from v4 text" `Quick
             test_chunk_replay_from_text;
+          Alcotest.test_case "chunk replay against another program" `Quick
+            test_chunk_replay_mismatch;
         ] );
     ]

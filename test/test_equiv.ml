@@ -6,10 +6,9 @@
     round-robin scheduler, and on random programs from the workload
     generator.
 
-    Also pins the log-format compatibility story: a log serialized in the
-    legacy v2 (name-spelled) format must parse, solve with the 0-backtrack
-    witness seeding intact, and replay faithfully; the current v3
-    (intern-table) format must round-trip. *)
+    Also pins the log-format story: the v3 (intern-table) format must
+    round-trip, and any other header (the retired v2 included) is refused
+    as a bad log header. *)
 
 open Runtime
 
@@ -102,30 +101,18 @@ let record_workload name =
     Light_core.Light.record ~variant:Light_core.Light.v_both
       ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 p )
 
-let test_v2_reader () =
-  let p, r = record_workload "jgf-series" in
-  let txt = Light_core.Log.to_string_v2 r.log in
-  Alcotest.(check bool) "v2 header" true (String.length txt >= 12 && String.sub txt 0 12 = "light-log v2");
-  let log2 = Light_core.Log.of_string txt in
-  let report = Light_core.Replayer.solve log2 in
-  let sch =
-    match report.schedule with
-    | Some sch -> sch
-    | None -> Alcotest.fail "v2-parsed log unsolvable"
-  in
-  (* witness seeding must survive the serialization: first-descent solve *)
-  Alcotest.(check int) "0 backtracks" 0 report.solver_stats.backtracks;
-  let replay = Light_core.Replayer.replay p ~plan:r.plan sch in
-  Alcotest.(check (list string))
-    "v2 replay faithful" []
-    (Interp.replay_matches ~original:r.outcome ~replay)
-
 let test_v3_roundtrip () =
   let _, r = record_workload "dacapo-avrora" in
   let txt = Light_core.Log.to_string r.log in
   Alcotest.(check bool) "v3 header" true (String.length txt >= 12 && String.sub txt 0 12 = "light-log v3");
   let log2 = Light_core.Log.of_string txt in
   Alcotest.(check bool) "v3 roundtrip preserves the log" true (log2 = r.log)
+
+let test_v2_rejected () =
+  match Light_core.Log.of_string "light-log v2 o1=true o2=false\nT 1 5\n" with
+  | _ -> Alcotest.fail "v2 log parsed"
+  | exception Failure msg ->
+    Alcotest.(check string) "error" "bad log header: light-log v2 o1=true o2=false" msg
 
 let () =
   Alcotest.run "equiv"
@@ -137,8 +124,7 @@ let () =
         ] );
       ( "log-format",
         [
-          Alcotest.test_case "v2 parses, solves first-descent, replays" `Quick
-            test_v2_reader;
           Alcotest.test_case "v3 round-trips" `Quick test_v3_roundtrip;
+          Alcotest.test_case "v2 header rejected" `Quick test_v2_rejected;
         ] );
     ]

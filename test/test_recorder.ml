@@ -330,19 +330,9 @@ let test_serialization_exact_bytes () =
        S 1 0 @rand i42\n"
       fx fx fx
   in
-  Alcotest.(check string) "v3 bytes pinned" expected (Log.to_string log);
-  let expected_v2 =
-    "light-log v2 o1=true o2=false\n\
-     T 1 5\n\
-     T 2 9\n\
-     D 3/f%20x 1:4 2:5 7 11 2\n\
-     D 3/#2 - 1:1 1 1 0\n\
-     R 3/f%20x 2 6 9 - true false 12 8 0\n\
-     S 1 0 @rand i42\n"
-  in
-  Alcotest.(check string) "v2 bytes pinned" expected_v2 (Log.to_string_v2 log)
+  Alcotest.(check string) "v3 bytes pinned" expected (Log.to_string log)
 
-(* qcheck: serialization round-trips over random logs (v2 and v3) *)
+(* qcheck: serialization round-trips over random logs *)
 let log_gen : Log.t QCheck.arbitrary =
   let open QCheck.Gen in
   let field_name =
@@ -408,15 +398,11 @@ let log_gen : Log.t QCheck.arbitrary =
     let* o2 = bool in
     return { Log.deps; ranges; syscalls; counters; o1; o2 }
   in
-  QCheck.make
-    ~print:(fun l -> Log.to_string_v2 l ^ "\n---\n" ^ Log.to_string l)
-    gen
+  QCheck.make ~print:Log.to_string gen
 
 let prop_random_log_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"random logs round-trip (v2 and v3)" log_gen
-    (fun log ->
-      Log.of_string (Log.to_string log) = log
-      && Log.of_string (Log.to_string_v2 log) = log)
+  QCheck.Test.make ~count:200 ~name:"random logs round-trip (v3)" log_gen
+    (fun log -> Log.of_string (Log.to_string log) = log)
 
 (* qcheck: recorder invariants over random seeds and variants *)
 let seed_variant_gen =

@@ -540,7 +540,7 @@ let pinned_recordings () =
         | None -> Alcotest.failf "%s: no trigger" b.name)
       Bugs.Defs.all
 
-let epoch_steps engine name =
+let epoch_steps name =
   let bm = Option.get (Workloads.by_name name) in
   let pp = Light.prepare (Workloads.program bm) in
   let r =
@@ -548,7 +548,7 @@ let epoch_steps engine name =
   in
   List.mapi
     (fun k _ ->
-      match Epoch.replay_epoch ~engine r k with
+      match Epoch.replay_epoch r k with
       | Ok rr -> Printf.sprintf "%d:%s" rr.rr_steps (status_str rr.rr_status)
       | Error e -> Alcotest.failf "%s: epoch %d: %s" name k e)
     r.er_epochs
@@ -659,13 +659,7 @@ let test_pinned_replays () =
 
 let test_pinned_epochs () =
   List.iter
-    (fun (name, steps) ->
-      List.iter
-        (fun engine ->
-          Alcotest.(check (list string))
-            (name ^ "/" ^ Vm.engine_name engine)
-            steps (epoch_steps engine name))
-        [ Vm.Tree; Vm.Bytecode ])
+    (fun (name, steps) -> Alcotest.(check (list string)) name steps (epoch_steps name))
     pinned_epochs
 
 let test_inverted_order_stuck () =

@@ -4,9 +4,9 @@
     identical [outcome] records on every workload under both schedulers and
     on random generated programs; with the Light recorder installed, the
     VM's logs must be {e byte-identical} to the tree-walker's across all
-    three recorder variants; epoch-mode recording through the VM must
-    produce byte-identical v4 files, and VM checkpoints must restore (in
-    either engine — they share the snapshot format) and replay. *)
+    three recorder variants; the VM's snapshots must equal the tree
+    walker's at every pause point, and tree-walker checkpoints must restore
+    on the VM and replay. *)
 
 open Runtime
 
@@ -137,31 +137,27 @@ let wl name =
   | Some bm -> bm
   | None -> Alcotest.failf "no workload %s" name
 
-(* Record on either engine, replay on either engine: all four pairings
-   must be faithful (the schedule constrains shared accesses, which the
-   engines present identically). *)
+(* Record on either engine, replay on the VM: both pairings must be
+   faithful (the schedule constrains shared accesses, which the engines
+   present identically). *)
 let test_vm_replay () =
   List.iter
     (fun name ->
       let bm = wl name in
       let p = Workloads.program bm in
       List.iter
-        (fun (rec_engine, rep_engine, tag) ->
+        (fun (rec_engine, tag) ->
           let r =
             Light_core.Light.record ~engine:rec_engine
               ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 p
           in
-          match Light_core.Light.replay ~engine:rep_engine r with
+          match Light_core.Light.replay r with
           | Error e -> Alcotest.failf "%s/%s: replay failed: %s" name tag e
           | Ok rr ->
             Alcotest.(check (list string))
               (name ^ "/" ^ tag ^ ": faithful")
               [] rr.faithful)
-        [
-          (Vm.Bytecode, Vm.Bytecode, "vm->vm");
-          (Vm.Tree, Vm.Bytecode, "tree->vm");
-          (Vm.Bytecode, Vm.Tree, "vm->tree");
-        ])
+        [ (Vm.Bytecode, "vm->vm"); (Vm.Tree, "tree->vm") ])
     replay_workloads
 
 (* Random programs, recorded and solved, replay step for step alike on
@@ -189,31 +185,33 @@ let replay_prop =
 
 let epoch_workloads = [ "mp-queue"; "mp-barrier"; "cache4j"; "dacapo-avrora" ]
 
-(* v4 files (headers, checkpoints, intern deltas, record bodies) must be
-   byte-identical whichever engine recorded them — the VM's snapshots
-   reconstruct the same [Interp.snapshot] values from PC + registers. *)
-let test_epoch_v4_identity () =
+(* The VM's snapshots are the tree walker's: pause both engines every 400
+   steps of the same run and the checkpoints must be structurally equal,
+   which is what lets the VM restore the tree walker's epoch checkpoints. *)
+let test_snapshot_identity () =
   List.iter
     (fun name ->
       let bm = wl name in
-      let p = Workloads.program bm in
-      let pp = Light_core.Light.prepare p in
-      let re engine =
-        Light_core.Epoch.record_epochs ~engine
-          ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 ~epoch_len:400 pp
+      let cp = Interp.compile (Workloads.program bm) in
+      let tst = Interp.init_state ~seed:3 cp in
+      let vst = Vm.init_state ~seed:3 (Lang.Compile.lower cp) in
+      let tsched = Workloads.scheduler ~seed:3 bm in
+      let vsched = Workloads.scheduler ~seed:3 bm in
+      let rec go stop_at =
+        let ts = Interp.run_state ~stop_at ~sched:tsched tst in
+        let vs = Vm.run_state ~stop_at ~sched:vsched vst in
+        let at = Printf.sprintf "%s at step %d" name (Interp.state_steps tst) in
+        Alcotest.(check bool) (at ^ ": status") true (ts = vs);
+        Alcotest.(check bool) (at ^ ": snapshot") true
+          (Interp.snapshot tst = Vm.snapshot vst);
+        if ts = None then go (stop_at + 400)
       in
-      let rt = re Vm.Tree in
-      let rv = re Vm.Bytecode in
-      Alcotest.(check string)
-        (name ^ ": v4 bytes")
-        (Light_core.Epoch.to_string_v4 rt)
-        (Light_core.Epoch.to_string_v4 rv);
-      check_outcome (name ^ ": epoch outcome") rt.er_outcome rv.er_outcome)
+      go 400)
     epoch_workloads
 
-(* Cross-engine restore: replay an epoch of a tree-recorded run on the VM
-   (and vice versa on a VM-recorded run) — checkpoints are interchangeable,
-   and each replayed window reproduces the recorded one. *)
+(* Cross-engine restore: replay every epoch of a tree-recorded run from
+   its checkpoint on the VM; each replayed window reproduces the recorded
+   one. *)
 let test_epoch_cross_replay () =
   List.iter
     (fun name ->
@@ -221,35 +219,19 @@ let test_epoch_cross_replay () =
       let p = Workloads.program bm in
       let pp = Light_core.Light.prepare p in
       let rt =
-        Light_core.Epoch.record_epochs ~engine:Vm.Tree
-          ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 ~epoch_len:400 pp
+        Light_core.Epoch.record_epochs ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3
+          ~epoch_len:400 pp
       in
       List.iteri
         (fun k (e : Light_core.Epoch.epoch) ->
-          match
-            Light_core.Epoch.replay_epoch ~engine:Vm.Bytecode rt k
-          with
+          match Light_core.Epoch.replay_epoch rt k with
           | Error err -> Alcotest.failf "%s: epoch %d on vm: %s" name k err
           | Ok rr ->
             Alcotest.(check (list string))
               (Printf.sprintf "%s: epoch %d window (vm replay)" name k)
               []
               (Light_core.Epoch.window_matches ~expected:e.ep_obs rr.rr_obs))
-        rt.er_epochs;
-      let rv =
-        Light_core.Epoch.record_epochs ~engine:Vm.Bytecode
-          ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 ~epoch_len:400 pp
-      in
-      List.iteri
-        (fun k (e : Light_core.Epoch.epoch) ->
-          match Light_core.Epoch.replay_epoch ~engine:Vm.Tree rv k with
-          | Error err -> Alcotest.failf "%s: epoch %d on tree: %s" name k err
-          | Ok rr ->
-            Alcotest.(check (list string))
-              (Printf.sprintf "%s: epoch %d window (tree replay)" name k)
-              []
-              (Light_core.Epoch.window_matches ~expected:e.ep_obs rr.rr_obs))
-        rv.er_epochs)
+        rt.er_epochs)
     epoch_workloads
 
 let () =
@@ -271,7 +253,8 @@ let () =
         ] );
       ( "epochs",
         [
-          Alcotest.test_case "v4 byte-identity" `Slow test_epoch_v4_identity;
+          Alcotest.test_case "snapshots equal the tree walker's" `Slow
+            test_snapshot_identity;
           Alcotest.test_case "cross-engine checkpoint replay" `Slow
             test_epoch_cross_replay;
         ] );
