@@ -11,10 +11,11 @@
 
     Every experiment that measures writes a BENCH_*.json artifact
     (solver, interp, analysis, explore, and the explicit-only epochs and
-    service).  The explicit-only check verbs [perfcheck], [sitecheck] and
-    [servicecheck] repeat the interp, static site-count and service
-    measurements, write their artifacts (BENCH_sitecheck.json for the site
-    counts) and exit nonzero when a rule fails against the committed
+    service).  The explicit-only check verbs [perfcheck], [solvercheck],
+    [sitecheck] and [servicecheck] repeat the interp, solver, static
+    site-count and service measurements, write their artifacts
+    (BENCH_sitecheck.json for the site counts) and exit nonzero when a rule
+    fails against the committed
     bench/BENCH_*.baseline.json; DESIGN.md, "Bench gates", has the table
     of rules.  Budgets come from LIGHT_BENCH_ITERS, LIGHT_EXPLORE_FLIPS,
     LIGHT_EPOCH_STEPS / LIGHT_EPOCH_LEN and LIGHT_SERVICE_* (positive
@@ -50,7 +51,7 @@ let run_fig7 () = Report.Experiments.fig7 (measurements ()) ppf
 let run_fig6 () = Report.Experiments.fig6 ~pool () ppf
 let run_table1 () = Report.Experiments.table1 ~pool () ppf
 let run_example () = Report.Experiments.running_example () ppf
-let run_solver () = Report.Experiments.solver_bench ~pool () ppf
+let run_solver () = ignore (Report.Experiments.solver_bench ~pool () ppf)
 let run_interp () = Report.Experiments.interp_bench () ppf
 let run_analysis () = Report.Experiments.analysis_bench () ppf
 let run_explore () = Report.Experiments.explore_bench ~pool () ppf
@@ -160,6 +161,7 @@ let all_experiments =
 let checks =
   [
     ("perfcheck", fun () -> Report.Experiments.interp_perfcheck () ppf);
+    ("solvercheck", fun () -> Report.Experiments.solvercheck ~pool () ppf);
     ("sitecheck", fun () -> Report.Experiments.sitecheck () ppf);
     ("servicecheck", fun () -> Report.Experiments.service_perfcheck () ppf);
   ]
@@ -187,7 +189,7 @@ let () =
           if not (List.assoc n checks ()) then exit 1
         | None ->
           Format.printf
-            "unknown experiment %s (have: %s bechamel epochs perfcheck sitecheck service servicecheck)@." n
+            "unknown experiment %s (have: %s bechamel epochs perfcheck solvercheck sitecheck service servicecheck)@." n
             (String.concat " " (List.map fst all_experiments)))
       names);
   (* wall-clock on stderr: stdout stays byte-identical across runs/pools *)

@@ -426,8 +426,14 @@ let replay_cmd =
   let run file logfile epoch =
     let p = or_die (read_program file) in
     let txt = In_channel.with_open_text logfile In_channel.input_all in
+    (* a malformed log is an error naming the file, not an uncaught
+       exception *)
+    let parse of_string =
+      try of_string txt
+      with Failure msg -> or_die (Error (Printf.sprintf "bad log %s: %s" logfile msg))
+    in
     if Light_core.Epoch.is_v4 txt then begin
-      let f = Light_core.Epoch.of_string_v4 txt in
+      let f = parse Light_core.Epoch.of_string_v4 in
       let ks =
         match epoch with
         | Some k -> [ k ]
@@ -440,7 +446,7 @@ let replay_cmd =
       | Some _ ->
         or_die (Error "--epoch requires a v4 log (record with --epoch N)")
       | None -> ());
-      let log = Light_core.Log.of_string txt in
+      let log = parse Light_core.Log.of_string in
       let report = Light_core.Replayer.solve log in
       match report.schedule with
       | None ->

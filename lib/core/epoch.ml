@@ -699,20 +699,22 @@ let is_v4 (s : string) : bool =
 (** Parse a v4 file.  Each epoch's record body is handed to the v3 parser
     ({!Log.of_string}) with the intern-table lines accumulated so far
     prepended, so the battle-tested v3 reader does all event decoding;
-    checkpoint lines are decoded here. *)
+    checkpoint lines are decoded here.  A malformed file fails with
+    [Failure] and a message. *)
 let of_string_v4 (s : string) : file =
   let lines = String.split_on_char '\n' s in
   let lines = List.filter (fun l -> l <> "") lines in
   let header, rest =
     match lines with [] -> failwith "empty log" | h :: t -> (h, t)
   in
-  if not (String.length header >= 12 && String.sub header 0 12 = "light-log v4")
-  then failwith ("bad log header: " ^ header);
-  let o1 = ref false and o2 = ref false and epoch_len = ref 0 in
-  Scanf.sscanf header "light-log v%_d o1=%B o2=%B epoch=%d" (fun a b e ->
-      o1 := a;
-      o2 := b;
-      epoch_len := e);
+  let o1, o2, epoch_len =
+    match Log.header_flags ~version:"v4" header with
+    | o1, o2, [ e ] when String.starts_with ~prefix:"epoch=" e -> (
+      match int_of_string_opt (String.sub e 6 (String.length e - 6)) with
+      | Some n -> (o1, o2, n)
+      | None -> failwith ("bad log header: " ^ header))
+    | _ -> failwith ("bad log header: " ^ header)
+  in
   let fields_of_line l = String.split_on_char ' ' l in
   (* accumulated intern lines (cumulative across epochs) *)
   let flines = Buffer.create 256 in
@@ -739,7 +741,7 @@ let of_string_v4 (s : string) : file =
     | Some (idx, start_steps, steps, clock) ->
       close_thread ();
       let v3doc =
-        Printf.sprintf "light-log v3 o1=%b o2=%b\n%s%s" !o1 !o2
+        Printf.sprintf "light-log v3 o1=%b o2=%b\n%s%s" o1 o2
           (Buffer.contents flines) (Buffer.contents body)
       in
       let log = Log.of_string v3doc in
@@ -826,7 +828,10 @@ let of_string_v4 (s : string) : file =
                   sn_d = int_of_string d;
                   sn_sys_idx = int_of_string sys_idx;
                   sn_spawn_idx = int_of_string spawn_idx;
-                  sn_started = bool_of_string started;
+                  sn_started =
+                    (match bool_of_string_opt started with
+                    | Some b -> b
+                    | None -> failwith ("bad C thread line: " ^ line));
                 },
                 ref [] )
         | _ -> failwith ("bad C thread line: " ^ line))
@@ -899,7 +904,7 @@ let of_string_v4 (s : string) : file =
       | _ -> failwith ("bad log line: " ^ line))
     rest;
   close_epoch ();
-  { f_o1 = !o1; f_o2 = !o2; f_epoch_len = !epoch_len; f_chunks = List.rev !chunks }
+  { f_o1 = o1; f_o2 = o2; f_epoch_len = epoch_len; f_chunks = List.rev !chunks }
 
 (** Replay epoch [k] straight out of a parsed v4 file: the caller supplies
     the (re-)prepared program (v4 stores no program text, like v3).  A

@@ -177,7 +177,8 @@ let value_of_string s : Value.t =
     let body = String.sub s 1 (String.length s - 1) in
     match s.[0] with
     | 'i' -> VInt (int_of_string body)
-    | 'b' -> VBool (bool_of_string body)
+    | 'b' -> (
+      match bool_of_string_opt body with Some b -> VBool b | None -> failwith ("bad value: " ^ s))
     | 'r' -> VRef (int_of_string body)
     | 's' -> VStr (dec_field body)
     | 't' -> VThread (int_of_string body)
@@ -276,12 +277,24 @@ let to_string (l : t) : string =
   body_add l buf;
   Buffer.contents buf
 
+(** The [o1=B o2=B] flags of a ["light-log <version>"] header line and
+    the tokens after them; a header of another shape fails naming it. *)
+let header_flags ~(version : string) (header : string) : bool * bool * string list =
+  let bad () = failwith ("bad log header: " ^ header) in
+  let flag name tok =
+    if tok = name ^ "=true" then true else if tok = name ^ "=false" then false else bad ()
+  in
+  match String.split_on_char ' ' header with
+  | "light-log" :: v :: o1 :: o2 :: rest when v = version -> (flag "o1" o1, flag "o2" o2, rest)
+  | _ -> bad ()
+
 (** Reads a v3 log (intern-table header, integer field ids); locations
     come back keyed by this process's intern ids.  The parser is a single
     in-place scan: a cursor walks the string and every integer, event, and
     location is decoded straight out of the input bytes; the only
     substrings taken are the decoded field-name / syscall payloads
-    themselves. *)
+    themselves.  Malformed input fails with [Failure] naming the header or
+    the line, including an integer that does not fit in an [int]. *)
 let of_string (s : string) : t =
   let n = String.length s in
   let hstart = ref 0 in
@@ -291,10 +304,11 @@ let of_string (s : string) : t =
     match String.index_from_opt s !hstart '\n' with Some i -> i | None -> n
   in
   let header = String.sub s !hstart (hdr_end - !hstart) in
-  if not (String.length header >= 12 && String.sub header 0 12 = "light-log v3") then
-    failwith ("bad log header: " ^ header);
-  let o1 = ref false and o2 = ref false in
-  Scanf.sscanf header "light-log v%_d o1=%B o2=%B" (fun a b -> o1 := a; o2 := b);
+  let o1, o2 =
+    match header_flags ~version:"v3" header with
+    | o1, o2, [] -> (o1, o2)
+    | _ -> failwith ("bad log header: " ^ header)
+  in
   (* file-local intern ids -> this process's ids *)
   let fmap : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let deps = ref [] and ranges = ref [] and sys = ref [] and counters = ref [] in
@@ -326,7 +340,12 @@ let of_string (s : string) : t =
           if d < 0 || d > 9 then bad ();
           v := (!v * 10) + d
         done;
-        if neg then - !v else !v
+        if st + len - i0 > 18 then
+          (* 19 digits or more may not fit in an [int]: such a number is a
+             bad line, not a wrapped one, and the stdlib's reader knows *)
+          match int_of_string_opt (String.sub s st len) with Some v -> v | None -> bad ()
+        else if neg then - !v
+        else !v
       in
       let int_tok () : int =
         let st, len = next_tok () in
@@ -426,6 +445,6 @@ let of_string (s : string) : t =
     ranges = List.rev !ranges;
     syscalls = List.rev !sys;
     counters = List.rev !counters;
-    o1 = !o1;
-    o2 = !o2;
+    o1;
+    o2;
   }

@@ -129,43 +129,39 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
           if k >= 0 then th.last <- k)
         th.rank)
     threads;
-  (* intervals, gathered per thread and location, then flattened.  Only
-     those with a counter strictly inside are kept: both endpoints are
-     constrained events (so their thread has tables), and a constrained
-     write is never suppressed. *)
-  let pending : (int * int) list Loc.Tbl.t Tid.t = Tid.create 16 in
-  List.iter
-    (fun (iv : Constraints.interval) ->
-      let t = fst iv.start_e and lo = snd iv.start_e and hi = snd iv.end_e in
-      if hi - lo >= 2 then begin
-        let per =
-          match Tid.find pending t with
-          | per -> per
-          | exception Not_found ->
-            let per = Loc.Tbl.create 64 in
-            Tid.replace pending t per;
-            per
-        in
-        let prev = match Loc.Tbl.find per iv.iv_loc with l -> l | exception Not_found -> [] in
-        Loc.Tbl.replace per iv.iv_loc ((lo, hi) :: prev)
-      end)
-    cs.intervals;
-  Tid.iter
-    (fun t per ->
-      let th = Tid.find threads t in
-      Loc.Tbl.iter
-        (fun loc l ->
-          let a = Array.make (2 * List.length l) 0 in
-          let reach = ref min_int in
-          List.iteri
-            (fun j (lo, hi) ->
-              reach := max !reach hi;
-              a.(2 * j) <- lo;
-              a.((2 * j) + 1) <- !reach)
-            (List.sort (fun (a, _) (b, _) -> Int.compare a b) l);
-          Loc.Tbl.replace th.ivs loc a)
-        per)
-    pending;
+  (* intervals, read in the table's (location, thread, start) order: one
+     [lo; reach] array per location and thread.  Only those with a counter
+     strictly inside are kept: both endpoints are constrained events (so
+     their thread has tables), and a constrained write is never
+     suppressed. *)
+  let iv = cs.table in
+  let rows = iv.order in
+  let n = Array.length rows in
+  let x = ref 0 in
+  while !x < n do
+    let k0 = rows.(!x) in
+    let e = ref !x and kept = ref 0 in
+    while !e < n && iv.grank.(rows.(!e)) = iv.grank.(k0) && iv.tid.(rows.(!e)) = iv.tid.(k0) do
+      let k = rows.(!e) in
+      if iv.hi.(k) - iv.lo.(k) >= 2 then incr kept;
+      incr e
+    done;
+    if !kept > 0 then begin
+      let a = Array.make (2 * !kept) 0 in
+      let j = ref 0 and reach = ref min_int in
+      for y = !x to !e - 1 do
+        let k = rows.(y) in
+        if iv.hi.(k) - iv.lo.(k) >= 2 then begin
+          reach := max !reach iv.hi.(k);
+          a.(2 * !j) <- iv.lo.(k);
+          a.((2 * !j) + 1) <- !reach;
+          incr j
+        end
+      done;
+      Loc.Tbl.replace (Tid.find threads iv.tid.(k0)).ivs iv.locs.(iv.grank.(k0)) a
+    end;
+    x := !e
+  done;
   let syscall_values = Hashtbl.create 64 in
   List.iter (fun (t, i, _, v) -> Hashtbl.replace syscall_values (t, i) v) log.syscalls;
   (* notify -> waiter pairing from condition-ghost records *)

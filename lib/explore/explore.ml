@@ -203,10 +203,11 @@ let solve_flips ?budget ?(hinted = true) ?sections (log : Log.t)
             sections)
   in
   let cs = Light_core.Constraints.generate ~free ~extra_events log in
+  let var_of = Light_core.Constraints.var_of cs in
   let atoms =
     List.filter_map
       (fun f ->
-        match (Hashtbl.find_opt cs.vars f.fb, Hashtbl.find_opt cs.vars f.fa) with
+        match (var_of f.fb, var_of f.fa) with
         | Some b, Some a -> Some (Dlsolver.Idl.lt b a)
         | _ -> None)
       flips
@@ -230,10 +231,7 @@ let solve_flips ?budget ?(hinted = true) ?sections (log : Log.t)
             (fun (((a1, r1) : Log.evt * Log.evt), ((a2, r2) : Log.evt * Log.evt)) ->
               if fst a1 = fst a2 then None
               else
-                match
-                  ( Hashtbl.find_opt cs.vars a1, Hashtbl.find_opt cs.vars r1,
-                    Hashtbl.find_opt cs.vars a2, Hashtbl.find_opt cs.vars r2 )
-                with
+                match (var_of a1, var_of r1, var_of a2, var_of r2) with
                 | Some va1, Some vr1, Some va2, Some vr2 ->
                   let l1 = Dlsolver.Idl.lt vr1 va2
                   and l2 = Dlsolver.Idl.lt vr2 va1 in
@@ -288,10 +286,7 @@ let solve_flips ?budget ?(hinted = true) ?sections (log : Log.t)
                 (match next with
                 | Some (next_acq, _) -> (
                   let _, sa_rel = sa in
-                  match
-                    ( Hashtbl.find_opt cs.vars sa_rel,
-                      Hashtbl.find_opt cs.vars next_acq )
-                  with
+                  match (var_of sa_rel, var_of next_acq) with
                   | Some vr, Some va -> [ Dlsolver.Idl.lt vr va ]
                   | _ -> [])
                 | None -> [])

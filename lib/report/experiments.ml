@@ -230,6 +230,7 @@ type solver_measure = {
   sm_conflicts : int;
   sm_gen_s : float;
   sm_solve_s : float;
+  sm_gen_words : int;  (* words [Constraints.generate] allocates *)
 }
 
 let solver_variants =
@@ -237,14 +238,14 @@ let solver_variants =
 
 let measure_solver ?(seed = 3)
     ((bm : Workloads.benchmark), (variant : Light_core.Light.variant)) :
-    solver_measure =
+    solver_measure * Light_core.Log.t =
   let p = Workloads.program bm in
   let r =
     Light_core.Light.record ~variant ~sched:(Workloads.scheduler ~seed bm) ~seed p
   in
   let report = Light_core.Replayer.solve r.log in
   let g = report.gen_stats and s = report.solver_stats in
-  {
+  ( {
     sm_bm = bm.name;
     sm_variant = Light_core.Recorder.variant_name variant;
     sm_vars = report.n_vars;
@@ -260,7 +261,24 @@ let measure_solver ?(seed = 3)
     sm_conflicts = s.theory_conflicts;
     sm_gen_s = g.gen_time_s;
     sm_solve_s = report.solve_time_s;
-  }
+    sm_gen_words = 0;
+  },
+    r.log )
+
+(* The words [Constraints.generate] allocates for [log], counted on the
+   calling domain around one more call.  The minor heap is emptied first
+   and no other domain may run meanwhile: a young object promoted during
+   the call, by this domain's collection or another's, would change the
+   count, which is otherwise exact. *)
+let gen_words (log : Light_core.Log.t) : int =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  Gc.minor ();
+  let w0 = words () in
+  ignore (Sys.opaque_identity (Light_core.Constraints.generate log));
+  int_of_float (words () -. w0)
 
 let solver_json (ms : solver_measure list) : J.t =
   let row m =
@@ -273,24 +291,31 @@ let solver_json (ms : solver_measure list) : J.t =
         ("deduped", J.Int m.sm_dedup); ("result", J.Str m.sm_result);
         ("decisions", J.Int m.sm_decisions); ("backtracks", J.Int m.sm_backtracks);
         ("conflicts", J.Int m.sm_conflicts); ("gen_s", J.Float m.sm_gen_s);
-        ("solve_s", J.Float m.sm_solve_s);
+        ("solve_s", J.Float m.sm_solve_s); ("gen_words", J.Int m.sm_gen_words);
       ]
   in
-  J.Obj [ ("rows", J.List (List.map row ms)) ]
+  let o1o2 = List.filter (fun m -> m.sm_variant = "O1+O2") ms in
+  J.Obj
+    [
+      ("rows", J.List (List.map row ms));
+      ("gen_words_o1o2", J.Int (List.fold_left (fun a m -> a + m.sm_gen_words) 0 o1o2));
+    ]
 
 (* Per-workload constraint pipeline report: generation pruning ratios and
    solver search statistics for the uncompressed (v_basic) and default
    (O1+O2) logs.  Counts on stdout are deterministic; the wall-clock
    columns hide behind LIGHT_TIMINGS, and the full measurement — times
    included — lands in [json_path] for the CI artifact. *)
-let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf :
-    unit =
+let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf : J.t =
   let grid =
     List.concat_map
       (fun bm -> List.map (fun v -> (bm, v)) solver_variants)
       Workloads.all
   in
-  let ms = Engine.Batch.map ?pool grid ~f:(measure_solver ~seed) in
+  let ms =
+    Engine.Batch.map ?pool grid ~f:(measure_solver ~seed)
+    |> List.map (fun (m, log) -> { m with sm_gen_words = gen_words log })
+  in
   Chart.table
     ~title:
       "Constraint pipeline (per-workload: noninterference pairs before pruning, \
@@ -325,7 +350,22 @@ let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf :
     (tot (fun m -> m.sm_dedup));
   let aborted = List.filter (fun m -> m.sm_result <> "sat") ms in
   Fmt.pf ppf "  unsolved cells: %d/%d@." (List.length aborted) (List.length ms);
-  write_artifact ppf json_path (solver_json ms)
+  let j = solver_json ms in
+  write_artifact ppf json_path j;
+  j
+
+(* The generator's allocation over the default (O1+O2) logs.  It is a
+   count, the same on any host and for any pool size, so the 10% is not
+   for noise: it lets a change trade a little allocation for something
+   else without a baseline refresh, and stops a layout regression. *)
+let solvercheck_rules : Gate.rule list =
+  [ { metric = "gen_words_o1o2"; reference = Baseline; direction = At_most; tolerance = 0.10 } ]
+
+let solvercheck ?(baseline_path = "bench/BENCH_solver.baseline.json") ?json_path ?pool () ppf :
+    bool =
+  Gate.check ~gate:"solvercheck" ~baseline_path solvercheck_rules
+    (solver_bench ?json_path ?pool () ppf)
+    ppf
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter throughput (BENCH_interp.json)                           *)

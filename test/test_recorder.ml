@@ -332,6 +332,36 @@ let test_serialization_exact_bytes () =
   in
   Alcotest.(check string) "v3 bytes pinned" expected (Log.to_string log)
 
+(* Every malformed input fails with [Failure] and a message: an integer
+   that does not fit in an [int] is a bad line rather than a wrapped
+   counter, and a bad header flag is no [Scanf] exception. *)
+let test_log_malformed () =
+  let hdr = "light-log v3 o1=true o2=false\n" in
+  let failure what s =
+    match Log.of_string s with
+    | _ -> Alcotest.failf "%s: parsed" what
+    | exception Failure msg -> msg
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  Alcotest.(check string) "overflowing counter" "bad log line: T 1 99999999999999999999999"
+    (failure "overflow" (hdr ^ "T 1 99999999999999999999999\n"));
+  Alcotest.(check string) "max_int + 1" "bad log line: T 1 4611686018427387904"
+    (failure "max_int + 1" (hdr ^ "T 1 4611686018427387904\n"));
+  Alcotest.(check string) "min_int - 1" "bad log line: T -4611686018427387905 1"
+    (failure "min_int - 1" (hdr ^ "T -4611686018427387905 1\n"));
+  Alcotest.(check (list (pair int int))) "the extremes read" [ (min_int, max_int) ]
+    (Log.of_string (hdr ^ "T -4611686018427387904 4611686018427387903\n")).counters;
+  Alcotest.(check string) "bad header flag" "bad log header: light-log v3 o1=maybe o2=true"
+    (failure "header" "light-log v3 o1=maybe o2=true\n");
+  Alcotest.(check string) "unknown field id"
+    "bad location (field id 9 not in intern table): 0/9"
+    (failure "field id" (hdr ^ "D 0/9 1:1 2:1 1 2 1\n"));
+  ignore (failure "bad bool value" (hdr ^ "S 1 0 @x bmaybe\n"));
+  match Light_core.Epoch.of_string_v4 "light-log v4 o1=true o2=false epoch=x\n" with
+  | _ -> Alcotest.fail "v4 header: parsed"
+  | exception Failure msg ->
+    Alcotest.(check string) "v4 header" "bad log header: light-log v4 o1=true o2=false epoch=x" msg
+
 (* qcheck: serialization round-trips over random logs *)
 let log_gen : Log.t QCheck.arbitrary =
   let open QCheck.Gen in
@@ -446,6 +476,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_log_roundtrip;
           Alcotest.test_case "tricky values" `Quick test_log_roundtrip_tricky_values;
           Alcotest.test_case "exact bytes pinned" `Quick test_serialization_exact_bytes;
+          Alcotest.test_case "malformed logs fail with Failure" `Quick test_log_malformed;
           QCheck_alcotest.to_alcotest prop_random_log_roundtrip;
           QCheck_alcotest.to_alcotest prop_log_wellformed;
         ] );

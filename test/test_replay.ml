@@ -210,11 +210,12 @@ let test_constraints_shape () =
   Alcotest.(check bool) "has variables" true (cs.problem.nvars > 0);
   Alcotest.(check bool) "has hard atoms" true (cs.n_hard > 0);
   (* every interval endpoint has a variable *)
+  let has_var e = Light_core.Constraints.var_of cs e <> None in
   List.iter
     (fun (iv : Light_core.Constraints.interval) ->
-      Alcotest.(check bool) "start var" true (Hashtbl.mem cs.vars iv.start_e);
-      Alcotest.(check bool) "end var" true (Hashtbl.mem cs.vars iv.end_e))
-    cs.intervals
+      Alcotest.(check bool) "start var" true (has_var iv.start_e);
+      Alcotest.(check bool) "end var" true (has_var iv.end_e))
+    (Light_core.Constraints.intervals_of_log r.log)
 
 let test_schedule_respects_deps () =
   let p = parse racy_fields in
@@ -465,6 +466,41 @@ let prop_intervals_reference =
     (QCheck.make ~print:Log.to_string synth_log_gen)
     (fun log -> Constraints.intervals_of_log log = reference_intervals log)
 
+(* [var_of] finds a variable exactly where [evts] has its event, with and
+   without an extra event; the grid covers every event the synthetic logs
+   can name and some they cannot, so unreferenced events meet [None]. *)
+let prop_var_of =
+  QCheck.Test.make ~count:400 ~name:"var_of cs e = Some v iff cs.evts.(v) = e"
+    (QCheck.make ~print:Log.to_string synth_log_gen)
+    (fun log ->
+      List.for_all
+        (fun extra_events ->
+          let cs = Constraints.generate ~extra_events log in
+          let var = Hashtbl.create 16 in
+          Array.iteri (fun v e -> Hashtbl.replace var e v) cs.evts;
+          Hashtbl.length var = Array.length cs.evts
+          && List.for_all
+               (fun t ->
+                 List.for_all
+                   (fun c ->
+                     Constraints.var_of cs (t, c) = Hashtbl.find_opt var (t, c))
+                   (List.init 13 (fun c -> c - 1)))
+               (List.init 5 (fun t -> t - 1)))
+        [ []; [ (3, 4) ] ])
+
+(* The thread-chain order is derived from [Hashtbl.hash]'s bucket
+   positions; the generator's own copy of the hash must agree with it. *)
+let prop_stdhash =
+  QCheck.Test.make ~count:1000 ~name:"Stdhash = Hashtbl.hash on ints and int pairs"
+    QCheck.(
+      pair
+        (oneof [ small_signed_int; int ])
+        (oneof [ small_signed_int; int; always min_int; always max_int ]))
+    (fun (a, b) ->
+      Constraints.Stdhash.int a = Hashtbl.hash a
+      && Constraints.Stdhash.int b = Hashtbl.hash b
+      && Constraints.Stdhash.pair a b = Hashtbl.hash (a, b))
+
 (* Locations whose name order differs from their id order: array elements
    past #9 ("#10" < "#9"), ghosts ("$lock", "$cond", "$thread"), globals
    and fields of several objects. *)
@@ -570,7 +606,7 @@ let inverted_replay engine =
         r.log.deps
       |> Option.get
     in
-    let var e = Hashtbl.find cs.vars e in
+    let var e = Option.get (Constraints.var_of cs e) in
     let m = Array.copy model in
     m.(var child) <- model.(var spawn);
     m.(var spawn) <- model.(var child);
@@ -875,7 +911,7 @@ let test_gate_tables () =
   in
   let cs = Constraints.generate log in
   let model = Array.make (Array.length cs.evts) 0 in
-  List.iteri (fun k e -> model.(Hashtbl.find cs.vars e) <- k) [ (1, 1); (2, 1); (1, 3) ];
+  List.iteri (fun k e -> model.(Option.get (Constraints.var_of cs e)) <- k) [ (1, 1); (2, 1); (1, 3) ];
   let sch = Replayer.build_schedule log cs model in
   let hooks = Replayer.driver sch ~plan:Plan.all_shared in
   let gate = Option.get hooks.gate and on_shared = Option.get hooks.on_shared in
@@ -1159,6 +1195,8 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false prop_replay_faithful;
           QCheck_alcotest.to_alcotest ~long:false prop_pruned_equisat;
           QCheck_alcotest.to_alcotest ~long:false prop_intervals_reference;
+          QCheck_alcotest.to_alcotest ~long:false prop_var_of;
+          QCheck_alcotest.to_alcotest ~long:false prop_stdhash;
           QCheck_alcotest.to_alcotest ~long:false prop_by_location_order;
           QCheck_alcotest.to_alcotest ~long:false prop_rank_order;
         ] );

@@ -353,6 +353,16 @@ let test_servicecheck_thresholds () =
   check_verdicts rules ~base:(service 5.0)
     [ ("speedup at -50%", service 2.5, true); ("speedup past -50%", service 2.4999, false) ]
 
+let test_solvercheck_thresholds () =
+  let gen n = J.Obj [ ("rows", J.List []); ("gen_words_o1o2", J.Int n) ] in
+  check_verdicts Report.Experiments.solvercheck_rules ~base:(gen 1000)
+    [
+      ("fewer words", gen 10, true);
+      ("at +10%", gen 1100, true);
+      ("past +10%", gen 1101, false);
+      ("not measured", J.Obj [ ("rows", J.List []) ], false);
+    ]
+
 let test_bad_baselines () =
   let fresh = sites [ ("a", 1, 1) ] in
   let rules = Report.Experiments.sitecheck_rules in
@@ -387,6 +397,9 @@ let test_committed_baselines () =
   let interp = committed "BENCH_interp.baseline.json" in
   let service = committed "BENCH_service.baseline.json" in
   let sites = committed "BENCH_sitecheck.baseline.json" in
+  let solver = committed "BENCH_solver.baseline.json" in
+  Alcotest.(check (option (float 0.0))) "gen_words_o1o2" (Some 2848622.0)
+    (Gate.metric solver "gen_words_o1o2");
   Alcotest.(check (option (float 0.0))) "ratio_basic" (Some 1.33)
     (Gate.metric interp "geomean.ratio_basic");
   Alcotest.(check (option (float 0.0))) "speedup_vs_naive" (Some 2.8668)
@@ -411,6 +424,7 @@ let test_committed_baselines () =
     [
       ("perfcheck", Report.Experiments.perfcheck_rules, "BENCH_interp.baseline.json", interp);
       ("sitecheck", Report.Experiments.sitecheck_rules, "BENCH_sitecheck.baseline.json", sites);
+      ("solvercheck", Report.Experiments.solvercheck_rules, "BENCH_solver.baseline.json", solver);
       ("servicecheck", Report.Experiments.servicecheck_rules, "BENCH_service.baseline.json",
        service);
     ]
@@ -442,6 +456,28 @@ let test_sitecheck_verb () =
   Sys.remove json_path;
   Alcotest.(check bool) "tripping baseline fails" false ok;
   Alcotest.(check bool) "reports the regression" true (contains out "— FAIL")
+
+(* the solvercheck verb end to end: its count passes the committed
+   baseline and fails one that claims half the words *)
+let test_solvercheck_verb () =
+  let json_path = Filename.temp_file "solvercheck" ".json" in
+  let run baseline_path =
+    let ok = ref false in
+    ignore
+      (render (fun ppf -> ok := Report.Experiments.solvercheck ~baseline_path ~json_path () ppf));
+    !ok
+  in
+  Alcotest.(check bool) "committed baseline passes" true
+    (run (baseline "BENCH_solver.baseline.json"));
+  let fresh = match Gate.load json_path with Ok j -> j | Error e -> Alcotest.fail e in
+  let words = Option.get (Gate.metric fresh "gen_words_o1o2") in
+  let tripping =
+    write_temp (J.to_string (J.Obj [ ("gen_words_o1o2", J.Int (int_of_float words / 2)) ]))
+  in
+  let ok = run tripping in
+  Sys.remove tripping;
+  Sys.remove json_path;
+  Alcotest.(check bool) "tripping baseline fails" false ok
 
 let () =
   Alcotest.run "report"
@@ -483,6 +519,9 @@ let () =
           Alcotest.test_case "corrupt or missing baseline fails" `Quick test_bad_baselines;
           Alcotest.test_case "committed baselines" `Quick test_committed_baselines;
           Alcotest.test_case "sitecheck verb" `Quick test_sitecheck_verb;
+          Alcotest.test_case "solvercheck rules at threshold" `Quick
+            test_solvercheck_thresholds;
+          Alcotest.test_case "solvercheck verb" `Quick test_solvercheck_verb;
         ] );
       ( "property",
         [
