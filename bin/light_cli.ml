@@ -14,11 +14,15 @@
 open Cmdliner
 
 let read_program path =
-  let p = Lang.Parser.parse_file path in
-  match Lang.Check.validate p with
-  | [] -> Ok p
-  | errs ->
-    Error (String.concat "\n" (List.map Lang.Check.error_to_string errs))
+  match Lang.Parser.parse_file path with
+  | exception (Lang.Lexer.Lex_error (msg, line) | Lang.Parser.Parse_error (msg, line))
+    ->
+    Error (Printf.sprintf "%s:%d: %s" path line msg)
+  | p -> (
+    match Lang.Check.validate p with
+    | [] -> Ok p
+    | errs ->
+      Error (String.concat "\n" (List.map Lang.Check.error_to_string errs)))
 
 let or_die = function
   | Ok x -> x
@@ -124,14 +128,13 @@ let resolve_target (target : string) : Lang.Ast.program =
 let analyze_cmd =
   let run target weave json =
     let p = resolve_target target in
-    let tr_c = Instrument.Transformer.transform ~precision:Analysis.Analyze.Coarse p in
-    let tr_s = Instrument.Transformer.transform ~precision:Analysis.Analyze.Sharp p in
-    let a = tr_s.analysis in
+    let tr = Instrument.Transformer.transform p in
+    let a = tr.analysis in
     if json then begin
       print_endline
         (Analysis.Lint.Json.to_string
-           (Analysis.Lint.analysis_json a ~instrumented:tr_s.instrumented_sites
-              ~guarded:tr_s.guarded_sites ~total_sites:tr_s.total_access_sites));
+           (Analysis.Lint.analysis_json a ~instrumented:tr.instrumented_sites
+              ~guarded:tr.guarded_sites ~total_sites:tr.total_access_sites));
       exit 0
     end;
     print_endline (Analysis.Analyze.summary a);
@@ -153,34 +156,11 @@ let analyze_cmd =
             (Analysis.Sites.target_to_string r.on) r.t1.line r.t2.line)
         a.races
     end;
-    (* old-vs-new elision: sites the coarse name-bucket plan instruments that
-       points-to + escape + must-alias locks prove safe to skip *)
-    let elided =
-      List.rev
-        (Lang.Ast.fold_stmts
-           (fun acc (s : Lang.Ast.stmt) ->
-             if
-               (Instrument.Transformer.is_read_site s
-               || Instrument.Transformer.is_write_site s)
-               && tr_c.plan.Runtime.Plan.shared_site s.sid
-               && not (tr_s.plan.Runtime.Plan.shared_site s.sid)
-             then s :: acc
-             else acc)
-           [] p)
-    in
-    Printf.printf
-      "\ninstrumented sites: %d coarse -> %d sharp (of %d); lock-guarded (O2): \
-       %d -> %d\n"
-      tr_c.instrumented_sites tr_s.instrumented_sites tr_s.total_access_sites
-      tr_c.guarded_sites tr_s.guarded_sites;
-    List.iter
-      (fun (s : Lang.Ast.stmt) ->
-        Printf.printf "  newly elided: line %-4d %s\n" s.line
-          (Lang.Pp.stmt_to_string s))
-      elided;
+    Printf.printf "\ninstrumented sites: %d of %d; lock-guarded (O2): %d\n"
+      tr.instrumented_sites tr.total_access_sites tr.guarded_sites;
     if weave then begin
-      Printf.printf "\ninstrumented source (sharp plan):\n";
-      Format.printf "%a@." Lang.Pp.pp_program (Instrument.Transformer.weave tr_s p)
+      Printf.printf "\ninstrumented source:\n";
+      Format.printf "%a@." Lang.Pp.pp_program (Instrument.Transformer.weave tr p)
     end
   in
   let target_arg =
@@ -188,7 +168,7 @@ let analyze_cmd =
          & info [] ~docv:"PROGRAM" ~doc:"A .cl file or a built-in workload name")
   in
   let weave_flag =
-    Arg.(value & flag & info [ "weave" ] ~doc:"Also print the woven source under the sharp plan")
+    Arg.(value & flag & info [ "weave" ] ~doc:"Also print the woven source under the plan")
   in
   let json_flag =
     Arg.(value & flag
@@ -197,7 +177,7 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze"
-       ~doc:"Static analysis: classification, guards, races, coarse-vs-sharp elision")
+       ~doc:"Static analysis: classification, guards, races, instrumented sites")
     Term.(const run $ target_arg $ weave_flag $ json_flag)
 
 (* [lint] additionally accepts the Figure-6 bug names, so the race report
@@ -395,7 +375,7 @@ let replay_cmd =
     let pp = Light_core.Light.prepare ~variant p in
     List.fold_left
       (fun all_ok k ->
-        match List.nth_opt f.f_chunks k with
+        match if k < 0 then None else List.nth_opt f.f_chunks k with
         | None ->
           or_die
             (Error (Printf.sprintf "no epoch %d (log has %d)" k (List.length f.f_chunks)))

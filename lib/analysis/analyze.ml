@@ -1,24 +1,23 @@
 (** Whole-program analysis results consumed by the instrumentation pass, by
     optimization O2 (Lemma 4.2) and by the Chimera baseline.
 
+    One pipeline: points-to ({!Pointsto}), thread-escape ({!Escape}),
+    must-alias locks ({!Sites}), then — unless [~refine:false] — the
+    fork/join MHP and pairwise-lockset refinement ({!Mhp}, {!Lockset}).
+
     - {b shared targets}: data reachable from at least two dynamic thread
-      contexts (the role Soot/Chord play in the paper).  At {!Sharp}
-      precision a target is a per-allocation-site partition, thread-escape
-      replaces the syntactic freshness heuristic, and init-phase accesses
-      (main before the first spawn, happens-before-ordered with every
-      thread) are excluded from both the context count and the plan.
+      contexts (the role Soot/Chord play in the paper).  A target is a
+      per-allocation-site partition, a partition over a non-escaping
+      allocation site is thread-confined, and init-phase accesses (main
+      before the first spawn, happens-before-ordered with every thread)
+      are excluded from both the context count and the plan.
     - {b guarded targets}: shared data whose every access site runs under a
       consistent lock, so access-level recording can be subsumed by the
-      lock's ghost dependences.  Sharp locks are unique allocation sites
-      (must-alias through arbitrary local aliases); coarse locks are global
-      names.
+      lock's ghost dependences.  Locks are unique allocation sites
+      (must-alias through arbitrary local aliases).
     - {b race pairs}: pairs of sites on the same shared target, at least one
       a write, with no common lock — the input to Chimera's patching and
-      the static side of the {!Hb_detector} precision metric.
-
-    {!Coarse} keeps the pre-points-to pipeline alive as the old-vs-new
-    comparison baseline (the [analysis] bench and the CLI elision summary);
-    {!Sharp} is the default used by the transformer. *)
+      the static side of the {!Hb_detector} precision metric. *)
 
 open Lang
 
@@ -28,8 +27,6 @@ module TM = Map.Make (struct
   type t = Sites.target
   let compare = Sites.target_compare
 end)
-
-type precision = Coarse | Sharp
 
 type target_class = {
   target : Sites.target;
@@ -54,9 +51,8 @@ type race_pair = {
 type t = {
   program : Ast.program;
   callgraph : Callgraph.t;
-  precision : precision;
-  pointsto : Pointsto.t option;  (** [Some] at Sharp precision *)
-  escaping : ISet.t;             (** thread-escaping allocation sites (Sharp) *)
+  pointsto : Pointsto.t;
+  escaping : ISet.t;             (** thread-escaping allocation sites *)
   mhp : Mhp.t;                   (** fork/join may-happen-in-parallel facts *)
   refined : bool;                (** MHP + pairwise-lockset refinement applied *)
   sites : Sites.info list;
@@ -80,34 +76,20 @@ let intersect_locks (sites : Sites.info list) : Sites.lock option =
       in
       (match common with l :: _ -> Some l | [] -> None)
 
-(* Render a lock identity for reports: a site lock prints as the global that
+(* Render a lock identity for reports: a lock prints as the global that
    uniquely holds it when there is one (the common case), else by its
    allocation site. *)
-let lock_display (pt : Pointsto.t option) (p : Ast.program) (l : Sites.lock) : string =
-  match l with
-  | Sites.LName g -> g
-  | Sites.LSite a -> (
-    match pt with
-    | Some pt -> (
-      match List.filter (fun g -> ISet.mem a (Pointsto.pts_global pt g)) p.globals with
-      | [ g ] -> g
-      | _ -> Printf.sprintf "lock@s%d" a)
-    | None -> Printf.sprintf "lock@s%d" a)
+let lock_display (pt : Pointsto.t) (p : Ast.program) (a : Sites.lock) : string =
+  match List.filter (fun g -> ISet.mem a (Pointsto.pts_global pt g)) p.globals with
+  | [ g ] -> g
+  | _ -> Printf.sprintf "lock@s%d" a
 
-let analyze ?(precision = Sharp) ?(refine = true) (p : Ast.program) : t =
+let analyze ?refine:(refined = true) (p : Ast.program) : t =
   let cg = Callgraph.build p in
   let mhp = Mhp.build cg p in
-  (* the MHP/pairwise-lockset refinement only applies on top of the sharp
-     pipeline; Coarse stays the legacy old-vs-new comparison baseline *)
-  let refined = refine && precision = Sharp in
-  let pointsto, escaping, sites =
-    match precision with
-    | Coarse -> (None, ISet.empty, Sites.collect_coarse p)
-    | Sharp ->
-      let pt = Pointsto.solve p in
-      let esc = Escape.escaping pt p in
-      (Some pt, esc, Sites.collect_sharp pt ~escaping:(Escape.is_escaping esc) p)
-  in
+  let pointsto = Pointsto.solve p in
+  let escaping = Escape.escaping pointsto p in
+  let sites = Sites.collect pointsto p in
   (* AUnknown merging: a base with an empty points-to set may alias any
      allocation, so its name bucket absorbs every same-name partition *)
   let unknown_keys = Hashtbl.create 8 in
@@ -131,31 +113,23 @@ let analyze ?(precision = Sharp) ?(refine = true) (p : Ast.program) : t =
     if Hashtbl.length unknown_keys = 0 then sites
     else List.map (fun (s : Sites.info) -> { s with Sites.target = coarsen s.Sites.target }) sites
   in
-  (* group sites by target.  Coarse reproduces the legacy pipeline, which
-     dropped syntactically-fresh sites before grouping; Sharp groups all
-     sites and lets escape decide sharedness. *)
+  (* group sites by target; escape decides sharedness *)
   let groups =
     List.fold_left
       (fun m (s : Sites.info) ->
-        if precision = Coarse && s.base_local then m
-        else
-          let prev = Option.value ~default:[] (TM.find_opt s.target m) in
-          TM.add s.target (s :: prev) m)
+        let prev = Option.value ~default:[] (TM.find_opt s.target m) in
+        TM.add s.target (s :: prev) m)
       TM.empty sites
   in
   let targets =
     TM.mapi
       (fun target group ->
         let group = List.rev group in
-        (* dynamic thread contexts that can reach an accessing site.  At
-           Sharp precision init-phase sites do not count: they run before
-           any thread exists, so a target whose remaining sites sit in one
-           dynamic context has no unordered access pair. *)
-        let counted =
-          match precision with
-          | Sharp -> List.filter (fun (s : Sites.info) -> not s.init_phase) group
-          | Coarse -> group
-        in
+        (* dynamic thread contexts that can reach an accessing site.
+           Init-phase sites do not count: they run before any thread
+           exists, so a target whose remaining sites sit in one dynamic
+           context has no unordered access pair. *)
+        let counted = List.filter (fun (s : Sites.info) -> not s.init_phase) group in
         let entries =
           List.sort_uniq compare
             (List.concat_map (fun (s : Sites.info) -> Callgraph.entries_reaching cg s.fn) counted)
@@ -168,7 +142,7 @@ let analyze ?(precision = Sharp) ?(refine = true) (p : Ast.program) : t =
              thread-confined even when several contexts execute its code *)
           match target with
           | Sites.(TField (ASite a, _) | TArray (ASite a) | TMap (ASite a)) ->
-            precision = Sharp && not (ISet.mem a escaping)
+            not (ISet.mem a escaping)
           | _ -> false
         in
         (* refined: a (site, partition) membership needs instrumenting only
@@ -286,7 +260,6 @@ let analyze ?(precision = Sharp) ?(refine = true) (p : Ast.program) : t =
   {
     program = p;
     callgraph = cg;
-    precision;
     pointsto;
     escaping;
     mhp;
@@ -304,12 +277,9 @@ let analyze ?(precision = Sharp) ?(refine = true) (p : Ast.program) : t =
 let info_shared (a : t) (s : Sites.info) : bool =
   match TM.find_opt s.target a.targets with
   | None -> false
-  | Some tc -> (
-    match a.precision with
-    | Coarse -> (not s.base_local) && tc.shared
-    | Sharp ->
-      if a.refined then tc.shared && ISet.mem s.sid tc.active
-      else (not s.init_phase) && tc.shared)
+  | Some tc ->
+    if a.refined then tc.shared && ISet.mem s.sid tc.active
+    else (not s.init_phase) && tc.shared
 
 let shared_sids (a : t) : (int, bool) Hashtbl.t =
   let h = Hashtbl.create 64 in

@@ -14,9 +14,8 @@
     path would have to pass through a global, a spawn argument, or the heap
     image of an object that itself escapes — all in the closure).  Eliding
     instrumentation on thread-confined data therefore drops no cross-thread
-    flow dependence; see DESIGN.md, "Elision soundness".  This replaces the
-    per-body [base_fresh] syntactic heuristic, and works across calls
-    because points-to edges already span call/return boundaries. *)
+    flow dependence; see DESIGN.md, "Elision soundness".  It works across
+    calls because points-to edges already span call/return boundaries. *)
 
 module ISet = Pointsto.ISet
 
@@ -42,5 +41,3 @@ let escaping (pt : Pointsto.t) (p : Lang.Ast.program) : t =
       !esc
   done;
   !esc
-
-let is_escaping (esc : t) (sid : int) : bool = ISet.mem sid esc

@@ -532,8 +532,6 @@ let analysis_json (a : Analyze.t) ~(instrumented : int) ~(guarded : int)
       ( "summary",
         Json.Obj
           [
-            ("precision", Json.Str (match a.Analyze.precision with
-                                    | Analyze.Sharp -> "sharp" | Analyze.Coarse -> "coarse"));
             ("refined", Json.Bool a.Analyze.refined);
             ("total_access_sites", Json.Int total_sites);
             ("instrumented_sites", Json.Int instrumented);

@@ -11,7 +11,7 @@
     worklist sophistication would buy nothing.
 
     Downstream consumers:
-    - {!Sites.collect_sharp} partitions access targets per allocation site
+    - {!Sites.collect} partitions access targets per allocation site
       instead of per field name;
     - {!Escape} computes thread-escape by heap reachability from globals
       and spawn arguments;

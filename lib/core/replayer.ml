@@ -180,10 +180,9 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
 
 (** Generate constraints, solve, and build the schedule.  [budget] bounds
     the solver's work so a pathological constraint system aborts with
-    honest statistics instead of hanging; [naive] switches to the
-    unpruned quadratic generator (differential oracle). *)
-let solve ?(naive = false) ?budget ?(hint_shift = 0) (log : Log.t) : solve_report =
-  let cs = Constraints.generate ~naive log in
+    honest statistics instead of hanging. *)
+let solve ?budget ?(hint_shift = 0) (log : Log.t) : solve_report =
+  let cs = Constraints.generate log in
   let hint =
     (* IDL is translation-invariant, so shifting the witness hint by a
        constant preserves satisfaction; epoch chaining shifts each epoch's

@@ -21,8 +21,8 @@ type t = {
   total_access_sites : int;
 }
 
-let transform ?(enable_o2 = true) ?precision ?refine (p : Ast.program) : t =
-  let analysis = Analysis.Analyze.analyze ?precision ?refine p in
+let transform ?(enable_o2 = true) ?refine (p : Ast.program) : t =
+  let analysis = Analysis.Analyze.analyze ?refine p in
   let shared = Analysis.Analyze.shared_sids analysis in
   let guarded =
     if enable_o2 then Analysis.Analyze.guarded_sids analysis else Hashtbl.create 1

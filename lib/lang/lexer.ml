@@ -56,7 +56,10 @@ let tokenize (src : string) : located list =
     else if is_digit c then begin
       let j = ref !i in
       while !j < n && is_digit src.[!j] do incr j done;
-      emit (INT (int_of_string (String.sub src !i (!j - !i))));
+      let lit = String.sub src !i (!j - !i) in
+      (match int_of_string_opt lit with
+      | Some v -> emit (INT v)
+      | None -> raise (Lex_error ("integer literal out of range: " ^ lit, !line)));
       i := !j
     end
     else if is_ident_start c then begin

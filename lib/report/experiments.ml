@@ -638,37 +638,30 @@ let interp_perfcheck ?(seed = 7)
   Gate.check ~gate:"perfcheck" ~baseline_path perfcheck_rules j ppf
 
 (* ------------------------------------------------------------------ *)
-(* Static-analysis precision (BENCH_analysis.json)                      *)
+(* Static analysis (BENCH_analysis.json)                                 *)
 (* ------------------------------------------------------------------ *)
 
 type analysis_measure = {
   am_bm : string;
   am_total : int;              (* access sites in the program *)
-  am_coarse_instr : int;       (* instrumented under the legacy name-bucket pass *)
-  am_sharp_instr : int;        (* instrumented under points-to + escape *)
-  am_coarse_guarded : int;
-  am_sharp_guarded : int;
-  am_coarse_space : int;       (* Section-5 space units, v_both recording *)
-  am_sharp_space : int;
-  am_coarse_overhead : float;  (* modeled record overhead, v_both *)
-  am_sharp_overhead : float;
-  am_static_pairs : int;       (* sharp static race pairs *)
+  am_instr : int;              (* instrumented by the default plan *)
+  am_guarded : int;
+  am_space : int;              (* Section-5 space units, v_both recording *)
+  am_overhead : float;         (* modeled record overhead, v_both *)
+  am_static_pairs : int;       (* static race pairs *)
   am_confirmed_pairs : int;    (* confirmed by the HB detector (round-robin) *)
   am_native_sps : float;
-  am_basic_coarse_sps : float; (* v_basic recording under the coarse plan *)
-  am_basic_sharp_sps : float;  (* v_basic recording under the sharp plan *)
+  am_basic_sps : float;        (* v_basic recording under the plan *)
 }
 
 let measure_analysis ?(seed = 7) ~iters (bm : Workloads.benchmark) : analysis_measure =
   let p = Workloads.program bm in
   let sched () = Workloads.scheduler ~seed bm in
-  let tr_c = Instrument.Transformer.transform ~precision:Analysis.Analyze.Coarse p in
-  let tr_s = Instrument.Transformer.transform ~precision:Analysis.Analyze.Sharp p in
+  let tr = Instrument.Transformer.transform p in
   let record ?plan variant =
     Light_core.Light.record ~variant ~sched:(sched ()) ~seed ?plan p
   in
-  let rec_c = record ~plan:tr_c.plan Light_core.Light.v_both in
-  let rec_s = record Light_core.Light.v_both in
+  let rec_both = record Light_core.Light.v_both in
   (* dynamic confirmation of the static race pairs: one detector run under
      the deterministic scheduler, so the column is stdout-safe *)
   let _, det = Analysis.Hb_detector.detect ~sched:(Sched.round_robin ()) p in
@@ -682,35 +675,29 @@ let measure_analysis ?(seed = 7) ~iters (bm : Workloads.benchmark) : analysis_me
       (List.filter
          (fun (r : Analysis.Analyze.race_pair) ->
            Hashtbl.mem dyn_pairs (min r.t1.sid r.t2.sid, max r.t1.sid r.t2.sid))
-         tr_s.analysis.races)
+         tr.analysis.races)
   in
   let cp = Interp.compile p in
   let _, native =
     steps_per_sec ~iters (fun () -> Interp.run_compiled ~sched:(sched ()) cp)
   in
-  let native_sps = native.sps_med in
-  (* both timed runs take a precomputed plan: the point is the cost of the
+  (* the timed run takes the precomputed plan: the point is the cost of the
      instrumentation the plan leaves behind, not of running the analysis *)
-  let record_basic plan () = (record ~plan Light_core.Light.v_basic).outcome in
-  let _, basic_coarse = steps_per_sec ~iters (record_basic tr_c.plan) in
-  let _, basic_sharp = steps_per_sec ~iters (record_basic tr_s.plan) in
-  let basic_coarse_sps = basic_coarse.sps_med and basic_sharp_sps = basic_sharp.sps_med in
+  let _, basic =
+    steps_per_sec ~iters (fun () ->
+        (record ~plan:tr.plan Light_core.Light.v_basic).outcome)
+  in
   {
     am_bm = bm.name;
-    am_total = tr_s.total_access_sites;
-    am_coarse_instr = tr_c.instrumented_sites;
-    am_sharp_instr = tr_s.instrumented_sites;
-    am_coarse_guarded = tr_c.guarded_sites;
-    am_sharp_guarded = tr_s.guarded_sites;
-    am_coarse_space = rec_c.space_longs;
-    am_sharp_space = rec_s.space_longs;
-    am_coarse_overhead = rec_c.overhead;
-    am_sharp_overhead = rec_s.overhead;
-    am_static_pairs = List.length tr_s.analysis.races;
+    am_total = tr.total_access_sites;
+    am_instr = tr.instrumented_sites;
+    am_guarded = tr.guarded_sites;
+    am_space = rec_both.space_longs;
+    am_overhead = rec_both.overhead;
+    am_static_pairs = List.length tr.analysis.races;
     am_confirmed_pairs = confirmed;
-    am_native_sps = native_sps;
-    am_basic_coarse_sps = basic_coarse_sps;
-    am_basic_sharp_sps = basic_sharp_sps;
+    am_native_sps = native.sps_med;
+    am_basic_sps = basic.sps_med;
   }
 
 let analysis_json ~iters (ms : analysis_measure list) : J.t =
@@ -718,23 +705,16 @@ let analysis_json ~iters (ms : analysis_measure list) : J.t =
     J.Obj
       [
         ("workload", J.Str m.am_bm); ("total_sites", J.Int m.am_total);
-        ("coarse_instr", J.Int m.am_coarse_instr); ("sharp_instr", J.Int m.am_sharp_instr);
-        ("coarse_guarded", J.Int m.am_coarse_guarded);
-        ("sharp_guarded", J.Int m.am_sharp_guarded);
-        ("coarse_space", J.Int m.am_coarse_space); ("sharp_space", J.Int m.am_sharp_space);
-        ("coarse_overhead", J.Float m.am_coarse_overhead);
-        ("sharp_overhead", J.Float m.am_sharp_overhead);
+        ("instr", J.Int m.am_instr); ("guarded", J.Int m.am_guarded);
+        ("space", J.Int m.am_space); ("overhead", J.Float m.am_overhead);
         ("static_pairs", J.Int m.am_static_pairs);
         ("confirmed_pairs", J.Int m.am_confirmed_pairs);
         ("native_sps", J.Float m.am_native_sps);
-        ("basic_coarse_sps", J.Float m.am_basic_coarse_sps);
-        ("basic_sharp_sps", J.Float m.am_basic_sharp_sps);
-        ("ratio_basic_coarse", J.Float (m.am_native_sps /. m.am_basic_coarse_sps));
-        ("ratio_basic_sharp", J.Float (m.am_native_sps /. m.am_basic_sharp_sps));
+        ("basic_sps", J.Float m.am_basic_sps);
+        ("ratio_basic", J.Float (m.am_native_sps /. m.am_basic_sps));
       ]
   in
-  let count p = J.Int (List.length (List.filter p ms)) in
-  let geo f = J.Float (geomean_f (List.map f ms)) in
+  let sum f = J.Int (List.fold_left (fun n m -> n + f m) 0 ms) in
   J.Obj
     [
       ("iters", J.Int iters);
@@ -742,65 +722,47 @@ let analysis_json ~iters (ms : analysis_measure list) : J.t =
       ( "summary",
         J.Obj
           [
-            ("decreased", count (fun m -> m.am_sharp_instr < m.am_coarse_instr));
-            ("regressed", count (fun m -> m.am_sharp_instr > m.am_coarse_instr));
-            ( "geomean_space_ratio",
-              geo (fun m -> float_of_int m.am_sharp_space /. float_of_int m.am_coarse_space) );
-            ("geomean_ratio_basic_coarse", geo (fun m -> m.am_native_sps /. m.am_basic_coarse_sps));
-            ("geomean_ratio_basic_sharp", geo (fun m -> m.am_native_sps /. m.am_basic_sharp_sps));
+            ("total_sites", sum (fun m -> m.am_total));
+            ("instr", sum (fun m -> m.am_instr));
+            ("guarded", sum (fun m -> m.am_guarded));
+            ( "geomean_ratio_basic",
+              J.Float (geomean_f (List.map (fun m -> m.am_native_sps /. m.am_basic_sps) ms)) );
           ] );
     ]
 
-(* Static-analysis precision, old (name-bucket) vs new (points-to + escape +
-   must-alias locks) — instrumented/guarded sites, Section-5 space units,
-   modeled record overhead, race pairs with dynamic HB confirmation, and the
-   wall-clock basic-recording ratios.  Sequential for timing purity, like
+(* Static analysis (points-to + escape + must-alias locks + MHP
+   refinement): instrumented/guarded sites, Section-5 space units, modeled
+   record overhead, race pairs with dynamic HB confirmation, and the
+   wall-clock basic-recording ratio.  Sequential for timing purity, like
    the interp bench; every wall-clock column hides behind LIGHT_TIMINGS. *)
 let analysis_bench ?(seed = 7) ?(json_path = "BENCH_analysis.json") () ppf : unit =
   let iters = bench_iters () in
   let ms = List.map (measure_analysis ~seed ~iters) Workloads.all in
-  let pct v = Printf.sprintf "%.0f%%" (100. *. v) in
   Chart.table
-    ~title:
-      "Static-analysis precision: coarse (name buckets) vs sharp (points-to + \
-       escape), v_both recording"
-    ~header:
-      [ "workload"; "sites"; "instr c>s"; "guard c>s"; "space c>s"; "ovh c>s";
-        "races"; "dyn"; "xbasic c"; "xbasic s" ]
+    ~title:"Static analysis: instrumentation plan, v_both recording"
+    ~header:[ "workload"; "sites"; "instr"; "guard"; "space"; "ovh"; "races"; "dyn"; "xbasic" ]
     (List.map
        (fun m ->
          [
            m.am_bm;
            string_of_int m.am_total;
-           Printf.sprintf "%d>%d" m.am_coarse_instr m.am_sharp_instr;
-           Printf.sprintf "%d>%d" m.am_coarse_guarded m.am_sharp_guarded;
-           Printf.sprintf "%d>%d" m.am_coarse_space m.am_sharp_space;
-           Printf.sprintf "%s>%s" (pct m.am_coarse_overhead) (pct m.am_sharp_overhead);
+           string_of_int m.am_instr;
+           string_of_int m.am_guarded;
+           string_of_int m.am_space;
+           Printf.sprintf "%.0f%%" (100. *. m.am_overhead);
            string_of_int m.am_static_pairs;
            string_of_int m.am_confirmed_pairs;
-           timing_cell (Printf.sprintf "%.1f" (m.am_native_sps /. m.am_basic_coarse_sps));
-           timing_cell (Printf.sprintf "%.1f" (m.am_native_sps /. m.am_basic_sharp_sps));
+           timing_cell (Printf.sprintf "%.1f" (m.am_native_sps /. m.am_basic_sps));
          ])
        ms)
     ppf;
-  let decreased =
-    List.length (List.filter (fun m -> m.am_sharp_instr < m.am_coarse_instr) ms)
-  in
-  let regressed =
-    List.length (List.filter (fun m -> m.am_sharp_instr > m.am_coarse_instr) ms)
-  in
-  Fmt.pf ppf
-    "  instrumented sites: strictly fewer on %d/%d workloads, %d regressions@."
-    decreased (List.length ms) regressed;
-  Fmt.pf ppf "  geomean space ratio (sharp/coarse, v_both): %.3f@."
-    (geomean_f
-       (List.map
-          (fun m -> float_of_int m.am_sharp_space /. float_of_int m.am_coarse_space)
-          ms));
+  let total f = List.fold_left (fun n m -> n + f m) 0 ms in
+  Fmt.pf ppf "  instrumented sites: %d of %d (%d lock-guarded)@."
+    (total (fun m -> m.am_instr)) (total (fun m -> m.am_total))
+    (total (fun m -> m.am_guarded));
   if show_timings () then
-    Fmt.pf ppf "  geomean record overhead (basic): coarse %.2fx, sharp %.2fx@."
-      (geomean_f (List.map (fun m -> m.am_native_sps /. m.am_basic_coarse_sps) ms))
-      (geomean_f (List.map (fun m -> m.am_native_sps /. m.am_basic_sharp_sps) ms));
+    Fmt.pf ppf "  geomean record overhead (basic): %.2fx@."
+      (geomean_f (List.map (fun m -> m.am_native_sps /. m.am_basic_sps) ms));
   write_artifact ppf json_path (analysis_json ~iters ms)
 
 (* ------------------------------------------------------------------ *)
@@ -808,7 +770,7 @@ let analysis_bench ?(seed = 7) ?(json_path = "BENCH_analysis.json") () ppf : uni
 (* ------------------------------------------------------------------ *)
 
 (* The static twin of [interp_perfcheck]: no timers, no recording — just
-   the default (sharp, refined, O2) plan baked to mode bytes per workload,
+   the default (refined, O2) plan baked to mode bytes per workload,
    counted with {!Plan.count_modes} so the gate measures exactly what the
    recorder's fast path consults. *)
 

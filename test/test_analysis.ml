@@ -3,11 +3,11 @@
 
 open Analysis
 
-let analyze ?precision ?refine src =
-  Analyze.analyze ?precision ?refine
+let analyze ?refine src =
+  Analyze.analyze ?refine
     (Lang.Check.validate_exn (Lang.Parser.parse_program src))
 
-(* sharp targets are per-allocation-site partitions (".f@s7"); tests match on
+(* targets are per-allocation-site partitions (".f@s7"); tests match on
    the name bucket (".f", "g", "[]", "{}") across all partitions *)
 let classes_of (a : Analyze.t) (name : string) : Analyze.target_class list =
   Analyze.TM.fold
@@ -161,7 +161,7 @@ let test_reads_only_no_race () =
     a.races
 
 (* ------------------------------------------------------------------ *)
-(* Sharp-precision corner cases                                        *)
+(* Precision corner cases                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_escape_via_field_store () =
@@ -191,10 +191,7 @@ let test_same_field_different_sites () =
   let classes = classes_of a ".f" in
   Alcotest.(check int) "two .f partitions" 2 (List.length classes);
   Alcotest.(check int) "exactly one partition shared" 1
-    (List.length (List.filter (fun (tc : Analyze.target_class) -> tc.shared) classes));
-  (* the coarse name bucket cannot tell them apart *)
-  let c = analyze ~precision:Analyze.Coarse src in
-  Alcotest.(check int) "coarse: one .f bucket" 1 (List.length (classes_of c ".f"))
+    (List.length (List.filter (fun (tc : Analyze.target_class) -> tc.shared) classes))
 
 let test_distinct_lock_sites_inconsistent () =
   (* both locks resolve (through local aliases) but to different allocation
@@ -248,8 +245,8 @@ let test_spawned_loop_lock_not_unique () =
   Alcotest.(check (option string)) "per-thread lock rejected" None (guarded a ".f")
 
 let test_lock_via_local_alias () =
-  (* the lock flows through two local copies: name-based resolution loses
-     it, points-to must-alias keeps it *)
+  (* the lock flows through two local copies: points-to must-alias still
+     resolves it to the global's allocation site *)
   let src =
     "class C { f; } global g; global l;
      fn w() { a = l; b = a; sync (b) { g.f = 1; } }
@@ -257,9 +254,7 @@ let test_lock_via_local_alias () =
             spawn t1 = w(); spawn t2 = w(); join t1; join t2; }"
   in
   let a = analyze src in
-  Alcotest.(check (option string)) "alias chain resolved" (Some "l") (guarded a ".f");
-  let c = analyze ~precision:Analyze.Coarse src in
-  Alcotest.(check (option string)) "coarse alias chain lost" None (guarded c ".f")
+  Alcotest.(check (option string)) "alias chain resolved" (Some "l") (guarded a ".f")
 
 let test_plan_consistency () =
   (* the transformer's plan marks exactly the shared non-fresh sites *)
@@ -497,7 +492,7 @@ let test_json_roundtrip () =
     [ "summary"; "targets"; "races" ] (json_keys r);
   Alcotest.(check (list string)) "summary keys pinned"
     [
-      "precision"; "refined"; "total_access_sites"; "instrumented_sites";
+      "refined"; "total_access_sites"; "instrumented_sites";
       "guarded_sites"; "sequential_sids"; "race_pairs";
     ]
     (json_keys (get "summary" r));

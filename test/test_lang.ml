@@ -48,7 +48,15 @@ let test_lexer_errors () =
   Alcotest.check_raises "unterminated string" (Lexer.Lex_error ("unterminated string", 1))
     (fun () -> ignore (Lexer.tokenize "\"abc"));
   Alcotest.(check bool) "bad char raises" true
-    (try ignore (Lexer.tokenize "a ^ b"); false with Lexer.Lex_error _ -> true)
+    (try ignore (Lexer.tokenize "a ^ b"); false with Lexer.Lex_error _ -> true);
+  (* one past max_int: rejected with its line, not wrapped or a bare Failure *)
+  Alcotest.check_raises "int literal overflow"
+    (Lexer.Lex_error ("integer literal out of range: 4611686018427387904", 2))
+    (fun () -> ignore (Lexer.tokenize "x = 1;\nx = 4611686018427387904;"));
+  Alcotest.(check bool) "max_int literal accepted" true
+    (List.exists
+       (fun (t : Lexer.located) -> t.tok = Lexer.INT max_int)
+       (Lexer.tokenize (string_of_int max_int)))
 
 let test_lexer_sys_opaque () =
   let toks = Lexer.tokenize "@time #hash" in
