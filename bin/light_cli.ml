@@ -294,30 +294,30 @@ let record_cmd =
           ~epoch_len:epoch pp
       in
       print_outcome r.er_outcome;
+      let chunks = r.er_file.f_chunks in
       let longs =
         List.fold_left
-          (fun a (e : Light_core.Epoch.epoch) ->
-            a + Light_core.Log.space_longs e.ep_log)
-          0 r.er_epochs
+          (fun a (ck : Light_core.Epoch.chunk) -> a + Light_core.Log.space_longs ck.ck_log)
+          0 chunks
       in
       Printf.printf "recorded %d epoch(s) of %d steps, %d longs total\n"
-        (List.length r.er_epochs) epoch longs;
+        (List.length chunks) epoch longs;
       List.iter
-        (fun (e : Light_core.Epoch.epoch) ->
+        (fun (ck : Light_core.Epoch.chunk) ->
           Printf.printf
-            "  epoch %d: steps %d..%d, %d deps + %d ranges, clock %d\n" e.ep_idx
-            e.ep_start_steps e.ep_steps
-            (List.length e.ep_log.Light_core.Log.deps)
-            (List.length e.ep_log.Light_core.Log.ranges)
-            e.ep_clock)
-        r.er_epochs;
+            "  epoch %d: steps %d..%d, %d deps + %d ranges, clock %d\n" ck.ck_idx
+            ck.ck_start_steps ck.ck_steps
+            (List.length ck.ck_log.Light_core.Log.deps)
+            (List.length ck.ck_log.Light_core.Log.ranges)
+            ck.ck_clock)
+        chunks;
       (match profile with
       | None -> ()
       | Some topn -> print_profile p r.er_site_hits topn);
       match out with
       | Some path ->
         Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Light_core.Epoch.to_string_v4 r));
+            Out_channel.output_string oc (Light_core.Epoch.to_string_v4 r.er_file));
         Printf.printf "v4 log written to %s\n" path
       | None -> ()
     end

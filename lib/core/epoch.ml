@@ -3,7 +3,8 @@
     A monolithic recording holds the whole run's dependence log (and its
     constraint system) in memory at once — fine for a test run, fatal for a
     service that records forever.  Following iReplayer's in-situ epoch
-    model, this module cuts the recording into fixed-length step windows:
+    model, this module cuts the recording into fixed-length step windows,
+    each one a {!chunk}:
 
     - recording runs on the tree walker ({!Interp}); at each epoch
       boundary its complete state is checkpointed ({!Interp.snapshot}:
@@ -13,62 +14,68 @@
       table, so reads in the next epoch reference pre-boundary writes as
       the virtual initialization write — whose value is exactly what the
       checkpoint restores;
-    - constraint generation + solving run per epoch.  Each epoch's witness
-      hint is shifted above the previous epoch's largest model value
-      ({!Replayer.solve} [?hint_shift]); IDL is translation-invariant, so
-      the per-epoch schedules concatenate into one globally consistent
-      order;
-    - replay of epoch [k] restores checkpoint [k] on the register VM
-      ({!Vm.restore_state}) and replays only epoch [k]'s constrained
-      events, fenced at the epoch's counter watermark — O(epoch) work
-      regardless of run length.  Checkpoints are written by the tree
-      walker and restored by the VM only.
+    - constraint generation + solving run per epoch ({!solve_epochs}).
+      Each epoch's witness hint is shifted above the previous epoch's
+      largest model value ({!Replayer.solve} [?hint_shift]); IDL is
+      translation-invariant, so the per-epoch schedules concatenate into
+      one globally consistent order;
+    - replay of a chunk ({!replay_chunk}) restores its checkpoint on the
+      register VM ({!Vm.restore_state}) and replays only that epoch's
+      constrained events, fenced at the epoch's counter watermark —
+      O(epoch) work regardless of run length.  Checkpoints are written by
+      the tree walker and restored by the VM only.
 
-    The on-disk form is log format v4: a per-epoch header line, checkpoint
-    lines, an intern-table {e delta}, then the epoch's v3-style record
-    body.  The v3 reader and writer are untouched ({!Log}); the
-    monolithic path remains the differential oracle. *)
+    The on-disk form is log format v4: a per-epoch [E] line, checkpoint
+    lines, an intern-table {e delta}, then the epoch's v3 record lines.
+    One streaming {!writer} produces every v4 byte; the reader decodes
+    record lines with v3's line decoder ({!Log.record_line}) and checkpoint
+    lines with the same cursor token readers.  The monolithic path remains
+    the differential oracle. *)
 
 open Runtime
+
+(** One sealed epoch: everything {!replay_chunk} needs except the compiled
+    program, and exactly what a v4 file holds for it. *)
+type chunk = {
+  ck_idx : int;
+  ck_start_steps : int;  (** interpreter step count at the epoch's start *)
+  ck_steps : int;        (** step count at the epoch's end (= next start) *)
+  ck_clock : int;        (** cumulative recorder access clock at the end *)
+  ck_sched : string;     (** scheduler pick-state token at the start *)
+  ck_snapshot : Interp.snapshot;  (** checkpoint at the epoch's start *)
+  ck_log : Log.t;  (** sealed window; [counters] = watermark at the end *)
+}
+
+(** A v4 file: the recording variant's flags, the epoch length and the
+    chunks in order. *)
+type file = {
+  f_o1 : bool;
+  f_o2 : bool;
+  f_epoch_len : int;
+  f_chunks : chunk list;
+}
+
+type recording = {
+  er_file : file;
+  er_obs : Interp.observables list;
+      (** each chunk's window reads/outputs/syscalls, in chunk order *)
+  er_outcome : Interp.outcome;  (** whole-run observables, reassembled *)
+  er_site_hits : int array;  (** cumulative across all sealed epochs *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type epoch = {
-  ep_idx : int;
-  ep_start_steps : int;  (** interpreter step count at the epoch's start *)
-  ep_steps : int;        (** step count at the epoch's end (= next start) *)
-  ep_clock : int;        (** cumulative recorder access clock at the end *)
-  ep_sched : string;     (** scheduler pick-state token at the start *)
-  ep_snapshot : Interp.snapshot;  (** checkpoint at the epoch's start *)
-  ep_log : Log.t;  (** sealed window; [counters] = watermark at the end *)
-  ep_obs : Interp.observables;  (** this window's reads/outputs/syscalls *)
-  ep_out_base : (int * int) list;
-      (** cumulative output count per thread at the epoch's start, for
-          slicing a monolithic outcome against this window *)
-}
-
-type recording = {
-  er_prepared : Light.prepared;
-  er_epoch_len : int;
-  er_seed : int;
-  er_epochs : epoch list;  (** in order *)
-  er_outcome : Interp.outcome;  (** whole-run observables, reassembled *)
-  er_site_hits : int array;  (** cumulative across all sealed epochs *)
-  er_seal_times : float list;  (** per-epoch seal latency, seconds *)
-}
-
-(** Record [pp] under [sched], checkpointing and sealing every [epoch_len]
-    interpreter steps.  The final epoch is sealed by whatever terminates
-    the run (normal completion, deadlock, or [max_steps]); a run ending
-    exactly on a boundary still seals the (then empty) trailing window. *)
 (* The recording loop, parameterized over what happens to each sealed
    epoch: [record_epochs] accumulates them (and reassembles the whole-run
    observables), [record_epochs_stream] serializes and drops them, so its
-   live memory is bounded by one window regardless of run length. *)
+   live memory is bounded by one window regardless of run length.  The
+   final epoch is sealed by whatever terminates the run (normal
+   completion, deadlock, or [max_steps]); a run ending exactly on a
+   boundary still seals the (then empty) trailing window. *)
 let run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len
-    (pp : Light.prepared) ~(on_epoch : epoch -> unit) =
+    (pp : Light.prepared) ~(on_epoch : chunk -> Interp.observables -> unit) =
   if epoch_len <= 0 then invalid_arg "record_epochs: epoch_len must be positive";
   let recorder =
     Recorder.create ~variant:(Light.prepared_variant pp) ~weights
@@ -79,18 +86,11 @@ let run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len
       ~plan:(Light.prepared_plan pp) ~seed (Light.prepared_compiled pp)
   in
   let seal_times = ref [] in
-  let out_counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let idx = ref 0 in
   let final = ref None in
   while !final = None do
     let sn = Interp.snapshot st in
     let sched_tok = sched.Sched.save () in
-    let out_base =
-      List.map
-        (fun (t : Interp.snap_thread) ->
-          (t.sn_tid, Option.value ~default:0 (Hashtbl.find_opt out_counts t.sn_tid)))
-        sn.snap_threads
-    in
     let stop_at = Interp.state_steps st + epoch_len in
     let status = Interp.run_state ~max_steps ~stop_at ~sched st in
     let t0 = Unix.gettimeofday () in
@@ -98,46 +98,41 @@ let run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len
     let obs = Interp.drain_observables st in
     let log = Recorder.seal recorder ~syscalls:obs.obs_syscalls ~counters in
     seal_times := (Unix.gettimeofday () -. t0) :: !seal_times;
-    List.iter
-      (fun (tid, outs) ->
-        let prev = Option.value ~default:0 (Hashtbl.find_opt out_counts tid) in
-        Hashtbl.replace out_counts tid (prev + List.length outs))
-      obs.Interp.obs_outputs;
     on_epoch
       {
-        ep_idx = !idx;
-        ep_start_steps = sn.Interp.snap_steps;
-        ep_steps = Interp.state_steps st;
-        ep_clock = Recorder.accesses recorder;
-        ep_sched = sched_tok;
-        ep_snapshot = sn;
-        ep_log = log;
-        ep_obs = obs;
-        ep_out_base = out_base;
-      };
+        ck_idx = !idx;
+        ck_start_steps = sn.Interp.snap_steps;
+        ck_steps = Interp.state_steps st;
+        ck_clock = Recorder.accesses recorder;
+        ck_sched = sched_tok;
+        ck_snapshot = sn;
+        ck_log = log;
+      }
+      obs;
     incr idx;
     final := status
   done;
   (Option.get !final, st, recorder, List.rev !seal_times)
 
+(** Record [pp] under [sched], checkpointing and sealing every [epoch_len]
+    interpreter steps, and keep every chunk with its window observables. *)
 let record_epochs ?(sched = Sched.random ~seed:1)
     ?(max_steps = 5_000_000) ?(seed = 0)
     ?(weights = Metrics.Cost.default_weights) ~(epoch_len : int)
     (pp : Light.prepared) : recording =
   let epochs = ref [] in
-  let status, st, recorder, seal_times =
+  let status, st, recorder, _ =
     run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len pp
-      ~on_epoch:(fun e -> epochs := e :: !epochs)
+      ~on_epoch:(fun ck obs -> epochs := (ck, obs) :: !epochs)
   in
-  let eps = List.rev !epochs in
+  let chunks, windows = List.split (List.rev !epochs) in
   (* reassemble the whole-run observables from the per-epoch windows (the
      state's own buffers were drained at every boundary) *)
   let base = Interp.outcome_of_state st status in
   let gather proj tid =
     List.concat_map
-      (fun (e : epoch) ->
-        match List.assoc_opt tid (proj e.ep_obs) with Some l -> l | None -> [])
-      eps
+      (fun w -> match List.assoc_opt tid (proj w) with Some l -> l | None -> [])
+      windows
   in
   let tids = List.map fst base.Interp.counters in
   let outcome =
@@ -145,17 +140,16 @@ let record_epochs ?(sched = Sched.random ~seed:1)
       base with
       Interp.reads = List.map (fun tid -> (tid, gather (fun o -> o.Interp.obs_reads) tid)) tids;
       outputs = List.map (fun tid -> (tid, gather (fun o -> o.Interp.obs_outputs) tid)) tids;
-      syscalls = List.concat_map (fun (e : epoch) -> e.ep_obs.Interp.obs_syscalls) eps;
+      syscalls = List.concat_map (fun w -> w.Interp.obs_syscalls) windows;
     }
   in
+  let v = Light.prepared_variant pp in
   {
-    er_prepared = pp;
-    er_epoch_len = epoch_len;
-    er_seed = seed;
-    er_epochs = eps;
+    er_file =
+      { f_o1 = v.Recorder.o1; f_o2 = v.Recorder.o2; f_epoch_len = epoch_len; f_chunks = chunks };
+    er_obs = windows;
     er_outcome = outcome;
     er_site_hits = Recorder.site_hits recorder;
-    er_seal_times = seal_times;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -168,19 +162,19 @@ type epoch_solution = {
   es_report : Replayer.solve_report;
 }
 
-(** Solve every epoch's constraint system in order, seeding each from its
+(** Solve every chunk's constraint system in order, seeding each from its
     own recorded-schedule witness shifted above the previous epoch's
     largest model value, so the concatenation of the per-epoch orders is a
     single consistent global order. *)
-let solve_epochs ?budget (r : recording) : epoch_solution list =
+let solve_epochs ?budget (chunks : chunk list) : epoch_solution list =
   let shift = ref 0 in
   List.map
-    (fun (e : epoch) ->
-      let rep = Replayer.solve ?budget ~hint_shift:!shift e.ep_log in
+    (fun ck ->
+      let rep = Replayer.solve ?budget ~hint_shift:!shift ck.ck_log in
       let applied = !shift in
       shift := max !shift rep.Replayer.max_model + 16;
-      { es_idx = e.ep_idx; es_shift = applied; es_report = rep })
-    r.er_epochs
+      { es_idx = ck.ck_idx; es_shift = applied; es_report = rep })
+    chunks
 
 (* ------------------------------------------------------------------ *)
 (* Single-epoch replay                                                 *)
@@ -220,13 +214,15 @@ let fenced_hooks (hooks : Interp.hooks) (watermark : (int * int) list) :
       | None -> Some fence);
   }
 
-(* Solve epoch [idx]'s sealed [log], restore its [snapshot] (taken at step
-   [start_steps]) on the VM and run fenced at the log's counter watermark.
-   A checkpoint of another program is an [Error], not an exception. *)
-let replay_fenced ?solver_budget ~max_steps (pp : Light.prepared) ~(idx : int)
-    (log : Log.t) (snapshot : Interp.snapshot) ~(start_steps : int) :
-    (epoch_replay, string) result =
-  let rep = Replayer.solve ?budget:solver_budget log in
+(** Replay one chunk standalone against [pp] (the (re-)prepared program;
+    v4 stores no program text, like v3): solve its sealed log, restore its
+    checkpoint on the VM, and run fenced at its counter watermark.  Work is
+    proportional to the epoch, never the run.  A checkpoint that does not
+    belong to [pp]'s program is an [Error] naming the epoch and the
+    unknown statement id. *)
+let replay_chunk ?solver_budget ?(max_steps = 10_000_000) (pp : Light.prepared)
+    (ck : chunk) : (epoch_replay, string) result =
+  let rep = Replayer.solve ?budget:solver_budget ck.ck_log in
   match rep.Replayer.schedule with
   | None ->
     Error
@@ -235,13 +231,17 @@ let replay_fenced ?solver_budget ~max_steps (pp : Light.prepared) ~(idx : int)
       | _ -> "epoch constraint system unsatisfiable")
   | Some sch ->
     let plan = Light.prepared_plan pp in
-    let hooks = fenced_hooks (Replayer.driver sch ~plan) log.Log.counters in
-    match Vm.restore_state ~hooks ~plan (Light.prepared_bytecode pp) snapshot with
+    let hooks = fenced_hooks (Replayer.driver sch ~plan) ck.ck_log.Log.counters in
+    match Vm.restore_state ~hooks ~plan (Light.prepared_bytecode pp) ck.ck_snapshot with
     | exception Invalid_argument msg ->
-      Error (Printf.sprintf "epoch %d: checkpoint does not match the program (%s)" idx msg)
+      Error
+        (Printf.sprintf "epoch %d: checkpoint does not match the program (%s)" ck.ck_idx msg)
     | st ->
       let status =
-        match Vm.run_state ~max_steps:(start_steps + max_steps) ~sched:(Sched.round_robin ()) st with
+        match
+          Vm.run_state ~max_steps:(ck.ck_start_steps + max_steps)
+            ~sched:(Sched.round_robin ()) st
+        with
         | Some s -> s
         | None -> assert false
       in
@@ -251,22 +251,11 @@ let replay_fenced ?solver_budget ~max_steps (pp : Light.prepared) ~(idx : int)
         {
           rr_status = status;
           rr_complete =
-            List.for_all (fun (t, d) -> List.assoc_opt t counters = Some d) log.Log.counters;
-          rr_steps = Vm.state_steps st - start_steps;
+            List.for_all (fun (t, d) -> List.assoc_opt t counters = Some d) ck.ck_log.Log.counters;
+          rr_steps = Vm.state_steps st - ck.ck_start_steps;
           rr_obs = obs;
           rr_report = rep;
         }
-
-(** Replay epoch [k] of [r] standalone: solve its sealed log, restore its
-    checkpoint on the VM, and run fenced at its counter watermark.  Work is
-    proportional to the epoch, never the run. *)
-let replay_epoch ?solver_budget ?(max_steps = 10_000_000) (r : recording) (k : int) :
-    (epoch_replay, string) result =
-  match List.nth_opt r.er_epochs k with
-  | None -> Error (Printf.sprintf "no epoch %d (recording has %d)" k (List.length r.er_epochs))
-  | Some e ->
-    replay_fenced ?solver_budget ~max_steps r.er_prepared ~idx:e.ep_idx e.ep_log
-      e.ep_snapshot ~start_steps:e.ep_start_steps
 
 (* ------------------------------------------------------------------ *)
 (* Window slicing (differential oracles)                               *)
@@ -275,21 +264,22 @@ let replay_epoch ?solver_budget ?(max_steps = 10_000_000) (r : recording) (k : i
 (** Slice a whole-run outcome down to epoch [k]'s window: per-thread reads
     with counters in [(d0, d1]], outputs by cumulative position, syscalls
     by per-thread index — directly comparable with {!epoch_replay.rr_obs}
-    (and with {!epoch.ep_obs}). *)
+    (and with the window's own entry of {!recording.er_obs}). *)
 let slice_outcome (r : recording) (k : int) (o : Interp.outcome) :
     Interp.observables =
-  let e = List.nth r.er_epochs k in
+  let ck = List.nth r.er_file.f_chunks k in
+  let win = List.nth r.er_obs k in
   let d0 tid =
     match
       List.find_opt
         (fun (t : Interp.snap_thread) -> t.sn_tid = tid)
-        e.ep_snapshot.Interp.snap_threads
+        ck.ck_snapshot.Interp.snap_threads
     with
     | Some t -> t.Interp.sn_d
     | None -> 0
   in
-  let d1 tid = Option.value ~default:0 (List.assoc_opt tid e.ep_log.Log.counters) in
-  let tids = List.map fst e.ep_log.Log.counters in
+  let d1 tid = Option.value ~default:0 (List.assoc_opt tid ck.ck_log.Log.counters) in
+  let tids = List.map fst ck.ck_log.Log.counters in
   let reads =
     List.map
       (fun tid ->
@@ -297,16 +287,19 @@ let slice_outcome (r : recording) (k : int) (o : Interp.outcome) :
         (tid, List.filter (fun (c, _) -> c > d0 tid && c <= d1 tid) all))
       tids
   in
+  let n_outputs tid (w : Interp.observables) =
+    match List.assoc_opt tid w.Interp.obs_outputs with Some l -> List.length l | None -> 0
+  in
   let outputs =
     List.map
       (fun tid ->
         let all = Option.value ~default:[] (List.assoc_opt tid o.Interp.outputs) in
-        let base = Option.value ~default:0 (List.assoc_opt tid e.ep_out_base) in
-        let count =
-          match List.assoc_opt tid e.ep_obs.Interp.obs_outputs with
-          | Some l -> List.length l
-          | None -> 0
+        (* the thread's outputs in the windows before this one *)
+        let base =
+          List.fold_left ( + ) 0
+            (List.filteri (fun i _ -> i < k) (List.map (n_outputs tid) r.er_obs))
         in
+        let count = n_outputs tid win in
         ( tid,
           List.filteri (fun i _ -> i >= base && i < base + count) all ))
       tids
@@ -314,7 +307,7 @@ let slice_outcome (r : recording) (k : int) (o : Interp.outcome) :
   let sys_lo tid = (* syscall idx range from the window's own syscalls *)
     List.filter_map
       (fun (t, i, _, _) -> if t = tid then Some i else None)
-      e.ep_obs.Interp.obs_syscalls
+      win.Interp.obs_syscalls
     |> function [] -> None | l -> Some (List.fold_left min max_int l, List.fold_left max 0 l)
   in
   let syscalls =
@@ -378,47 +371,8 @@ let window_matches ~(expected : Interp.observables)
   List.rev !ms
 
 (* ------------------------------------------------------------------ *)
-(* Log format v4 (streaming chunked)                                   *)
+(* Log format v4: the streaming writer                                 *)
 (* ------------------------------------------------------------------ *)
-
-(** What one epoch contributes to a v4 file (and what a reader gets back):
-    everything {!replay_epoch} needs except the compiled program. *)
-type chunk = {
-  ck_idx : int;
-  ck_start_steps : int;
-  ck_steps : int;
-  ck_clock : int;
-  ck_sched : string;
-  ck_snapshot : Interp.snapshot;
-  ck_log : Log.t;
-}
-
-type file = {
-  f_o1 : bool;
-  f_o2 : bool;
-  f_epoch_len : int;
-  f_chunks : chunk list;
-}
-
-let chunk_of_epoch (e : epoch) : chunk =
-  {
-    ck_idx = e.ep_idx;
-    ck_start_steps = e.ep_start_steps;
-    ck_steps = e.ep_steps;
-    ck_clock = e.ep_clock;
-    ck_sched = e.ep_sched;
-    ck_snapshot = e.ep_snapshot;
-    ck_log = e.ep_log;
-  }
-
-let file_of_recording (r : recording) : file =
-  let v = Light.prepared_variant r.er_prepared in
-  {
-    f_o1 = v.Recorder.o1;
-    f_o2 = v.Recorder.o2;
-    f_epoch_len = r.er_epoch_len;
-    f_chunks = List.map chunk_of_epoch r.er_epochs;
-  }
 
 let add_status (buf : Buffer.t) (s : Interp.tstatus) : unit =
   let open Interp in
@@ -432,25 +386,9 @@ let add_status (buf : Buffer.t) (s : Interp.tstatus) : unit =
   | Finished -> Buffer.add_string buf "fin"
   | Crashed -> Buffer.add_string buf "crashed"
 
-let status_of_string (s : string) : Interp.tstatus =
-  let open Interp in
-  match String.split_on_char ':' s with
-  | [ "run" ] -> Runnable
-  | [ "bll"; m ] -> BlockedLock (int_of_string m)
-  | [ "blj"; t ] -> BlockedJoin (int_of_string t)
-  | [ "wait"; m ] -> InWait (int_of_string m)
-  | [ "ntf"; m ] -> Notified (int_of_string m)
-  | [ "reacq"; m ] -> Reacquiring (int_of_string m)
-  | [ "fin" ] -> Finished
-  | [ "crashed" ] -> Crashed
-  | _ -> failwith ("bad thread status: " ^ s)
-
 let add_slot (buf : Buffer.t) (v : Value.t) : unit =
   if v == Interp.unbound then Buffer.add_char buf 'u'
   else Buffer.add_string buf (Log.value_str v)
-
-let slot_of_string (s : string) : Value.t =
-  if s = "u" then Interp.unbound else Log.value_of_string s
 
 (* Checkpoint lines.  Thread frames ride on [c frame] continuation lines
    under their [C thread] line; everything else is one line per item. *)
@@ -578,22 +516,34 @@ let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
       nl ())
     sn.Interp.snap_crashes
 
-(** Serialize chunks into format v4.  The intern table is written as a
-    {e delta}: each epoch's [F] lines cover only the named field ids first
-    used in that epoch, so a streaming writer never rewrites earlier
+(** The v4 writer.  [sink] receives the header immediately, then one
+    serialized chunk per {!write_chunk} call.  The intern table is written
+    as a {e delta}: each chunk's [F] lines cover only the named field ids
+    first used in that epoch, so the writer never rewrites earlier
     output. *)
-let add_v4_header (buf : Buffer.t) ~(o1 : bool) ~(o2 : bool)
-    ~(epoch_len : int) : unit =
-  Buffer.add_string buf "light-log v4 o1=";
-  Log.add_bool buf o1;
-  Buffer.add_string buf " o2=";
-  Log.add_bool buf o2;
+type writer = {
+  wr_sink : string -> unit;
+  wr_buf : Buffer.t;
+  wr_seen : (int, unit) Hashtbl.t;  (** field ids whose [F] line is written *)
+}
+
+let flush (w : writer) : unit =
+  w.wr_sink (Buffer.contents w.wr_buf);
+  Buffer.clear w.wr_buf
+
+let writer ~(o1 : bool) ~(o2 : bool) ~(epoch_len : int)
+    (sink : string -> unit) : writer =
+  let w = { wr_sink = sink; wr_buf = Buffer.create 65536; wr_seen = Hashtbl.create 32 } in
+  let buf = w.wr_buf in
+  Log.add_header buf ~version:"v4" ~o1 ~o2;
   Buffer.add_string buf " epoch=";
   Log.add_int buf epoch_len;
-  Buffer.add_char buf '\n'
+  Buffer.add_char buf '\n';
+  flush w;
+  w
 
-let add_v4_chunk (buf : Buffer.t) (seen_flds : (int, unit) Hashtbl.t)
-    (ck : chunk) : unit =
+let write_chunk (w : writer) (ck : chunk) : unit =
+  let buf = w.wr_buf in
   Buffer.add_string buf "E ";
   Log.add_int buf ck.ck_idx;
   Buffer.add_char buf ' ';
@@ -604,53 +554,16 @@ let add_v4_chunk (buf : Buffer.t) (seen_flds : (int, unit) Hashtbl.t)
   Log.add_int buf ck.ck_clock;
   Buffer.add_char buf '\n';
   add_snapshot buf ck.ck_snapshot ~sched:ck.ck_sched;
-  (* intern-table delta for this epoch's records *)
-  let note (loc : Loc.t) =
-    if loc.Loc.fld >= 0 && not (Hashtbl.mem seen_flds loc.Loc.fld) then begin
-      Hashtbl.add seen_flds loc.Loc.fld ();
-      Buffer.add_string buf "F ";
-      Log.add_int buf loc.Loc.fld;
-      Buffer.add_char buf ' ';
-      Log.add_enc_field buf (Loc.fld_name loc.Loc.fld);
-      Buffer.add_char buf '\n'
-    end
-  in
-  List.iter (fun (d : Log.dep) -> note d.Log.loc) ck.ck_log.Log.deps;
-  List.iter (fun (r : Log.range) -> note r.Log.loc) ck.ck_log.Log.ranges;
-  Log.body_add ck.ck_log buf
+  Log.add_fields buf w.wr_seen ck.ck_log;  (* this epoch's intern-table delta *)
+  Log.body_add ck.ck_log buf;
+  flush w
 
-let chunks_to_string ~(o1 : bool) ~(o2 : bool) ~(epoch_len : int)
-    (chunks : chunk list) : string =
-  let buf = Buffer.create 65536 in
-  add_v4_header buf ~o1 ~o2 ~epoch_len;
-  let seen_flds = Hashtbl.create 32 in
-  List.iter (add_v4_chunk buf seen_flds) chunks;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Streaming writer and bounded-memory recording                       *)
-(* ------------------------------------------------------------------ *)
-
-(** Incremental v4 writer.  [sink] receives the header immediately, then
-    one serialized chunk per {!write_chunk} call; concatenating everything
-    it was handed is byte-identical to {!chunks_to_string} over the same
-    chunks (the intern-table delta state lives inside the writer). *)
-type writer = {
-  wr_sink : string -> unit;
-  wr_seen : (int, unit) Hashtbl.t;
-}
-
-let writer ~(o1 : bool) ~(o2 : bool) ~(epoch_len : int)
-    (sink : string -> unit) : writer =
-  let buf = Buffer.create 64 in
-  add_v4_header buf ~o1 ~o2 ~epoch_len;
-  sink (Buffer.contents buf);
-  { wr_sink = sink; wr_seen = Hashtbl.create 32 }
-
-let write_chunk (w : writer) (ck : chunk) : unit =
-  let buf = Buffer.create 65536 in
-  add_v4_chunk buf w.wr_seen ck;
-  w.wr_sink (Buffer.contents buf)
+(** A whole file in format v4, through {!writer}. *)
+let to_string_v4 (f : file) : string =
+  let out = Buffer.create 65536 in
+  let w = writer ~o1:f.f_o1 ~o2:f.f_o2 ~epoch_len:f.f_epoch_len (Buffer.add_string out) in
+  List.iter (write_chunk w) f.f_chunks;
+  Buffer.contents out
 
 type stream_summary = {
   ss_status : Interp.status_summary;
@@ -661,11 +574,11 @@ type stream_summary = {
   ss_site_hits : int array;    (** cumulative across all sealed epochs *)
 }
 
-(** Like {!record_epochs}, but each sealed epoch is handed to [emit] as a
-    v4 chunk and then dropped: nothing per-epoch is retained, so live
-    memory is bounded by one window regardless of run length.  Pair [emit]
-    with {!writer} + {!write_chunk} over an output channel to stream the
-    log to disk as it is recorded. *)
+(** Like {!record_epochs}, but each sealed chunk is handed to [emit] and
+    then dropped: nothing per-epoch is retained, so live memory is bounded
+    by one window regardless of run length.  Pair [emit] with {!writer} +
+    {!write_chunk} over an output channel to stream the log to disk as it
+    is recorded. *)
 let record_epochs_stream ?(sched = Sched.random ~seed:1)
     ?(max_steps = 5_000_000) ?(seed = 0)
     ?(weights = Metrics.Cost.default_weights) ~(epoch_len : int)
@@ -673,9 +586,9 @@ let record_epochs_stream ?(sched = Sched.random ~seed:1)
   let n = ref 0 in
   let status, st, recorder, seal_times =
     run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len pp
-      ~on_epoch:(fun e ->
+      ~on_epoch:(fun ck _ ->
         incr n;
-        emit (chunk_of_epoch e))
+        emit ck)
   in
   {
     ss_status = status;
@@ -686,9 +599,9 @@ let record_epochs_stream ?(sched = Sched.random ~seed:1)
     ss_site_hits = Recorder.site_hits recorder;
   }
 
-let to_string_v4 (r : recording) : string =
-  let f = file_of_recording r in
-  chunks_to_string ~o1:f.f_o1 ~o2:f.f_o2 ~epoch_len:f.f_epoch_len f.f_chunks
+(* ------------------------------------------------------------------ *)
+(* Log format v4: the reader                                           *)
+(* ------------------------------------------------------------------ *)
 
 let is_v4 (s : string) : bool =
   let i = ref 0 in
@@ -696,17 +609,145 @@ let is_v4 (s : string) : bool =
   while !i < n && s.[!i] = '\n' do incr i done;
   n - !i >= 12 && String.sub s !i 12 = "light-log v4"
 
-(** Parse a v4 file.  Each epoch's record body is handed to the v3 parser
-    ({!Log.of_string}) with the intern-table lines accumulated so far
-    prepended, so the battle-tested v3 reader does all event decoding;
-    checkpoint lines are decoded here.  A malformed file fails with
-    [Failure] and a message. *)
-let of_string_v4 (s : string) : file =
-  let lines = String.split_on_char '\n' s in
-  let lines = List.filter (fun l -> l <> "") lines in
-  let header, rest =
-    match lines with [] -> failwith "empty log" | h :: t -> (h, t)
+(* A count, then that many items read by [item]: a count that disagrees
+   with the items that follow fails on the first missing or extra one.
+   [List.init] applies [item] left to right. *)
+let counted (c : Log.cursor) (item : Log.cursor -> 'a) : 'a list =
+  let n = Log.int_tok c in
+  if n < 0 then Log.bad c;
+  List.init n (fun _ -> item c)
+
+let status_tok (c : Log.cursor) : Interp.tstatus =
+  let st, len = Log.next_tok c in
+  let colon = Log.find_in c st len ':' in
+  if colon < 0 then
+    match String.sub c.cs st len with
+    | "run" -> Runnable
+    | "fin" -> Finished
+    | "crashed" -> Crashed
+    | _ -> Log.bad c
+  else
+    let m = Log.int_sub c (colon + 1) (st + len - colon - 1) in
+    match String.sub c.cs st (colon - st) with
+    | "bll" -> BlockedLock m
+    | "blj" -> BlockedJoin m
+    | "wait" -> InWait m
+    | "ntf" -> Notified m
+    | "reacq" -> Reacquiring m
+    | _ -> Log.bad c
+
+let cont_tok (c : Log.cursor) : Interp.scont =
+  let st, len = Log.next_tok c in
+  let colon = Log.find_in c st len ':' in
+  match if len = 0 then ' ' else c.cs.[st] with
+  | 'q' -> Interp.SSeq (Log.int_sub c (st + 1) (len - 1))
+  | 'u' when colon >= 0 ->
+    Interp.SUnlock
+      (Log.int_sub c (st + 1) (colon - st - 1), Log.int_sub c (colon + 1) (st + len - colon - 1))
+  | _ -> Log.bad c
+
+let slot_tok (c : Log.cursor) : Value.t =
+  let st, len = Log.next_tok c in
+  if len = 1 && c.cs.[st] = 'u' then Interp.unbound else Log.value_sub c st len
+
+(* A [c frame] continuation line: the next line of the file. *)
+let frame_line (c : Log.cursor) : Interp.snap_frame =
+  if not (Log.next_line c && Log.tag c = 'c') then Log.bad c;
+  let st, len = Log.next_tok c in
+  if String.sub c.cs st len <> "frame" then Log.bad c;
+  let sn_ret_to =
+    let st, len = Log.next_tok c in
+    if len = 1 && c.cs.[st] = '-' then None else Some (Log.int_sub c st len)
   in
+  let sn_cont = counted c cont_tok in
+  let sn_slots = Array.of_list (counted c slot_tok) in
+  Log.eod c;
+  { Interp.sn_cont; sn_slots; sn_ret_to }
+
+(* Decode the rest of a [C] line into [ck], whose snapshot lists are kept
+   newest first while the epoch is read.  A [C thread] line also consumes
+   its [c frame] lines. *)
+let checkpoint_line (c : Log.cursor) (ck : chunk) : chunk =
+  let sn = ck.ck_snapshot in
+  let with_sn sn = { ck with ck_snapshot = sn } in
+  let st, len = Log.next_tok c in
+  match String.sub c.cs st len with
+  | "sched" ->
+    let tok = String.sub c.cs c.pos (c.eol - c.pos) in
+    c.pos <- c.eol;
+    { ck with ck_sched = tok }
+  | "rng" ->
+    let st, len = Log.next_tok c in
+    Log.eod c;
+    with_sn { sn with snap_rng = String.sub c.cs st len }
+  | "obj" ->
+    let id = Log.int_tok c in
+    let cls = Log.field_tok c in
+    let fields =
+      counted c (fun c ->
+          let f = Log.field_tok c in
+          (f, Log.value_tok c))
+    in
+    Log.eod c;
+    with_sn { sn with snap_heap = (id, cls, fields) :: sn.snap_heap }
+  | "thread" ->
+    let sn_tid = Log.int_tok c in
+    let sn_status = status_tok c in
+    let sn_wait_restore = Log.int_tok c in
+    let sn_alloc = Log.int_tok c in
+    let sn_d = Log.int_tok c in
+    let sn_sys_idx = Log.int_tok c in
+    let sn_spawn_idx = Log.int_tok c in
+    let sn_started = Log.bool_tok c in
+    let sn_held =
+      counted c (fun c ->
+          let m = Log.int_tok c in
+          (m, Log.int_tok c))
+    in
+    let nframes = Log.int_tok c in
+    Log.eod c;
+    if nframes < 0 then Log.bad c;
+    let sn_frames = List.init nframes (fun _ -> frame_line c) in
+    let t =
+      { Interp.sn_tid; sn_frames; sn_status; sn_held; sn_wait_restore; sn_alloc; sn_d;
+        sn_sys_idx; sn_spawn_idx; sn_started }
+    in
+    with_sn { sn with snap_threads = t :: sn.snap_threads }
+  | "lock" ->
+    let m = Log.int_tok c in
+    let owner = Log.int_tok c in
+    let count = Log.int_tok c in
+    Log.eod c;
+    with_sn { sn with snap_locks = (m, (owner, count)) :: sn.snap_locks }
+  | "waitq" ->
+    let m = Log.int_tok c in
+    let rec waiters () =
+      if c.pos < c.eol then
+        let w = Log.int_tok c in
+        w :: waiters ()
+      else []
+    in
+    with_sn { sn with snap_waitsets = (m, waiters ()) :: sn.snap_waitsets }
+  | "crash" ->
+    let tid = Log.int_tok c in
+    let site = Log.int_tok c in
+    let line = Log.int_tok c in
+    let cnt = Log.int_tok c in
+    let msg = Log.field_tok c in
+    Log.eod c;
+    with_sn
+      { sn with snap_crashes = { Interp.tid; site; line; msg; c = cnt } :: sn.snap_crashes }
+  | _ -> Log.bad c
+
+(** Parse a v4 file in one in-place scan.  Record lines are decoded by the
+    v3 line decoder into the current epoch; the intern-table deltas
+    accumulate across epochs.  A malformed file — including any line
+    before the first [E] line — fails with [Failure] naming the header or
+    the line. *)
+let of_string_v4 (s : string) : file =
+  let c = Log.cursor s in
+  if not (Log.next_line c) then failwith "empty log";
+  let header = Log.line c in
   let o1, o2, epoch_len =
     match Log.header_flags ~version:"v4" header with
     | o1, o2, [ e ] when String.starts_with ~prefix:"epoch=" e -> (
@@ -715,202 +756,55 @@ let of_string_v4 (s : string) : file =
       | None -> failwith ("bad log header: " ^ header))
     | _ -> failwith ("bad log header: " ^ header)
   in
-  let fields_of_line l = String.split_on_char ' ' l in
-  (* accumulated intern lines (cumulative across epochs) *)
-  let flines = Buffer.create 256 in
+  let fmap = Hashtbl.create 32 in
   let chunks = ref [] in
-  (* per-epoch accumulators *)
-  let cur = ref None in
-  let body = Buffer.create 4096 in
-  let heap = ref [] and threads = ref [] and locks = ref [] in
-  let waitqs = ref [] and crashes = ref [] in
-  let sched = ref "" and rng = ref "" in
-  let cur_thread : (Interp.snap_thread * Interp.snap_frame list ref) option ref =
-    ref None
-  in
-  let close_thread () =
-    match !cur_thread with
-    | None -> ()
-    | Some (t, frames) ->
-      threads := { t with Interp.sn_frames = List.rev !frames } :: !threads;
-      cur_thread := None
-  in
-  let close_epoch () =
-    match !cur with
-    | None -> ()
-    | Some (idx, start_steps, steps, clock) ->
-      close_thread ();
-      let v3doc =
-        Printf.sprintf "light-log v3 o1=%b o2=%b\n%s%s" o1 o2
-          (Buffer.contents flines) (Buffer.contents body)
-      in
-      let log = Log.of_string v3doc in
-      let sn =
-        {
-          Interp.snap_steps = start_steps;
-          snap_heap = List.rev !heap;
-          snap_threads = List.rev !threads;
-          snap_locks = List.rev !locks;
-          snap_waitsets = List.rev !waitqs;
-          snap_crashes = List.rev !crashes;
-          snap_rng = !rng;
-        }
-      in
-      chunks :=
-        {
-          ck_idx = idx;
-          ck_start_steps = start_steps;
-          ck_steps = steps;
-          ck_clock = clock;
-          ck_sched = !sched;
-          ck_snapshot = sn;
-          ck_log = log;
-        }
-        :: !chunks;
-      Buffer.clear body;
-      heap := [];
-      threads := [];
-      locks := [];
-      waitqs := [];
-      crashes := [];
-      sched := "";
-      rng := "";
-      cur := None
-  in
-  List.iter
-    (fun line ->
-      match fields_of_line line with
-      | "E" :: idx :: start_steps :: steps :: clock :: [] ->
-        close_epoch ();
-        cur :=
-          Some
-            ( int_of_string idx,
-              int_of_string start_steps,
-              int_of_string steps,
-              int_of_string clock )
-      | "C" :: "sched" :: rest_tok ->
-        close_thread ();
-        sched := String.concat " " rest_tok
-      | [ "C"; "rng"; h ] ->
-        close_thread ();
-        rng := h
-      | "C" :: "obj" :: id :: cls :: _n :: fields ->
-        close_thread ();
-        let rec pairs = function
-          | [] -> []
-          | f :: v :: rest -> (Log.dec_field f, Log.value_of_string v) :: pairs rest
-          | _ -> failwith ("bad C obj line: " ^ line)
-        in
-        heap := (int_of_string id, Log.dec_field cls, pairs fields) :: !heap
-      | "C" :: "thread" :: tid :: status :: wait_restore :: alloc :: d :: sys_idx
-        :: spawn_idx :: started :: nheld :: rest_tok ->
-        close_thread ();
-        let nheld = int_of_string nheld in
-        let rec take_held n = function
-          | rest when n = 0 -> ([], rest)
-          | m :: c :: rest ->
-            let held, tail = take_held (n - 1) rest in
-            ((int_of_string m, int_of_string c) :: held, tail)
-          | _ -> failwith ("bad C thread line: " ^ line)
-        in
-        let held, tail = take_held nheld rest_tok in
-        (match tail with
-        | [ _nframes ] ->
-          cur_thread :=
-            Some
-              ( {
-                  Interp.sn_tid = int_of_string tid;
-                  sn_frames = [];
-                  sn_status = status_of_string status;
-                  sn_held = held;
-                  sn_wait_restore = int_of_string wait_restore;
-                  sn_alloc = int_of_string alloc;
-                  sn_d = int_of_string d;
-                  sn_sys_idx = int_of_string sys_idx;
-                  sn_spawn_idx = int_of_string spawn_idx;
-                  sn_started =
-                    (match bool_of_string_opt started with
-                    | Some b -> b
-                    | None -> failwith ("bad C thread line: " ^ line));
-                },
-                ref [] )
-        | _ -> failwith ("bad C thread line: " ^ line))
-      | "c" :: "frame" :: ret_to :: ncont :: rest_tok -> (
-        let ncont = int_of_string ncont in
-        let rec take n l =
-          if n = 0 then ([], l)
-          else
-            match l with
-            | x :: rest ->
-              let xs, tail = take (n - 1) rest in
-              (x :: xs, tail)
-            | [] -> failwith ("bad c frame line: " ^ line)
-        in
-        let cont_toks, tail = take ncont rest_tok in
-        let cont =
-          List.map
-            (fun tok ->
-              if String.length tok < 2 then failwith ("bad cont token: " ^ tok)
-              else if tok.[0] = 'q' then
-                Interp.SSeq (int_of_string (String.sub tok 1 (String.length tok - 1)))
-              else if tok.[0] = 'u' then
-                match String.split_on_char ':' (String.sub tok 1 (String.length tok - 1)) with
-                | [ m; sid ] -> Interp.SUnlock (int_of_string m, int_of_string sid)
-                | _ -> failwith ("bad cont token: " ^ tok)
-              else failwith ("bad cont token: " ^ tok))
-            cont_toks
-        in
-        match tail with
-        | nslots :: slot_toks ->
-          if List.length slot_toks <> int_of_string nslots then
-            failwith ("bad c frame line: " ^ line);
-          let frame =
-            {
-              Interp.sn_cont = cont;
-              sn_slots = Array.of_list (List.map slot_of_string slot_toks);
-              sn_ret_to = (if ret_to = "-" then None else Some (int_of_string ret_to));
-            }
-          in
-          (match !cur_thread with
-          | Some (_, frames) -> frames := frame :: !frames
-          | None -> failwith "c frame line outside C thread")
-        | [] -> failwith ("bad c frame line: " ^ line))
-      | [ "C"; "lock"; m; owner; count ] ->
-        close_thread ();
-        locks :=
-          (int_of_string m, (int_of_string owner, int_of_string count)) :: !locks
-      | "C" :: "waitq" :: m :: waiters ->
-        close_thread ();
-        waitqs := (int_of_string m, List.map int_of_string waiters) :: !waitqs
-      | [ "C"; "crash"; tid; site; lineno; c; msg ] ->
-        close_thread ();
-        crashes :=
+  (* the epoch being read, and its records *)
+  let cur = ref None and recs = ref (Log.records ()) in
+  let close () =
+    Option.iter
+      (fun ck ->
+        let sn = ck.ck_snapshot in
+        let sn =
           {
-            Interp.tid = int_of_string tid;
-            site = int_of_string site;
-            line = int_of_string lineno;
-            msg = Log.dec_field msg;
-            c = int_of_string c;
+            sn with
+            snap_heap = List.rev sn.snap_heap;
+            snap_threads = List.rev sn.snap_threads;
+            snap_locks = List.rev sn.snap_locks;
+            snap_waitsets = List.rev sn.snap_waitsets;
+            snap_crashes = List.rev sn.snap_crashes;
           }
-          :: !crashes
-      | "F" :: _ ->
-        close_thread ();
-        Buffer.add_string flines line;
-        Buffer.add_char flines '\n'
-      | ("T" | "D" | "R" | "S") :: _ ->
-        close_thread ();
-        Buffer.add_string body line;
-        Buffer.add_char body '\n'
-      | _ -> failwith ("bad log line: " ^ line))
-    rest;
-  close_epoch ();
+        in
+        chunks := { ck with ck_snapshot = sn; ck_log = Log.log_of_records ~o1 ~o2 !recs } :: !chunks)
+      !cur
+  in
+  while Log.next_line c do
+    match (Log.tag c, !cur) with
+    | 'E', _ ->
+      close ();
+      let ck_idx = Log.int_tok c in
+      let ck_start_steps = Log.int_tok c in
+      let ck_steps = Log.int_tok c in
+      let ck_clock = Log.int_tok c in
+      Log.eod c;
+      let snapshot =
+        {
+          Interp.snap_steps = ck_start_steps;
+          snap_heap = [];
+          snap_threads = [];
+          snap_locks = [];
+          snap_waitsets = [];
+          snap_crashes = [];
+          snap_rng = "";
+        }
+      in
+      cur :=
+        Some
+          { ck_idx; ck_start_steps; ck_steps; ck_clock; ck_sched = ""; ck_snapshot = snapshot;
+            ck_log = Log.empty };
+      recs := Log.records ()
+    | _, None -> Log.bad c
+    | 'C', Some ck -> cur := Some (checkpoint_line c ck)
+    | tag, Some _ -> Log.record_line c ~fmap !recs tag
+  done;
+  close ();
   { f_o1 = o1; f_o2 = o2; f_epoch_len = epoch_len; f_chunks = List.rev !chunks }
-
-(** Replay epoch [k] straight out of a parsed v4 file: the caller supplies
-    the (re-)prepared program (v4 stores no program text, like v3).  A
-    checkpoint that does not belong to [pp]'s program is an [Error] naming
-    the epoch and the unknown statement id. *)
-let replay_chunk ?solver_budget ?(max_steps = 10_000_000) (pp : Light.prepared)
-    (ck : chunk) : (epoch_replay, string) result =
-  replay_fenced ?solver_budget ~max_steps pp ~idx:ck.ck_idx ck.ck_log ck.ck_snapshot
-    ~start_steps:ck.ck_start_steps

@@ -149,8 +149,6 @@ let dec_field_sub (s : string) (st : int) (len : int) : string =
   done;
   Buffer.contents buf
 
-let dec_field (s : string) : string = dec_field_sub s 0 (String.length s)
-
 (* v3 ships the intern table once in the header (F lines) and writes
    integer field ids in events.  Array-element ids (negative, arithmetic
    encoding) are process-independent and appear verbatim; interned ids
@@ -169,20 +167,6 @@ let value_str (v : Value.t) =
   | VRef o -> "r" ^ string_of_int o
   | VStr s -> "s" ^ enc_field s
   | VThread t -> "t" ^ string_of_int t
-
-let value_of_string s : Value.t =
-  if s = "n" then VNull
-  else if s = "" then failwith "bad value: "
-  else
-    let body = String.sub s 1 (String.length s - 1) in
-    match s.[0] with
-    | 'i' -> VInt (int_of_string body)
-    | 'b' -> (
-      match bool_of_string_opt body with Some b -> VBool b | None -> failwith ("bad value: " ^ s))
-    | 'r' -> VRef (int_of_string body)
-    | 's' -> VStr (dec_field body)
-    | 't' -> VThread (int_of_string body)
-    | _ -> failwith ("bad value: " ^ s)
 
 let body_add (l : t) (buf : Buffer.t) : unit =
   let sp () = Buffer.add_char buf ' ' in
@@ -251,17 +235,18 @@ let body_add (l : t) (buf : Buffer.t) : unit =
       nl ())
     l.syscalls
 
-(** v3 serialization: the intern table is stored once as F lines in the
-    header, events carry integer field ids. *)
-let to_string (l : t) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "light-log v3 o1=";
-  add_bool buf l.o1;
+(** A ["light-log <version> o1=B o2=B"] header, without its newline. *)
+let add_header (buf : Buffer.t) ~(version : string) ~(o1 : bool) ~(o2 : bool) : unit =
+  Buffer.add_string buf "light-log ";
+  Buffer.add_string buf version;
+  Buffer.add_string buf " o1=";
+  add_bool buf o1;
   Buffer.add_string buf " o2=";
-  add_bool buf l.o2;
-  Buffer.add_char buf '\n';
-  (* the intern-table header: every named (non-element) field id in use *)
-  let seen = Hashtbl.create 16 in
+  add_bool buf o2
+
+(** The intern-table lines ([F id name]) for the named (non-element)
+    field ids of [l]'s records that are not yet in [seen]; adds them. *)
+let add_fields (buf : Buffer.t) (seen : (int, unit) Hashtbl.t) (l : t) : unit =
   let note (loc : Loc.t) =
     if loc.fld >= 0 && not (Hashtbl.mem seen loc.fld) then begin
       Hashtbl.add seen loc.fld ();
@@ -273,7 +258,15 @@ let to_string (l : t) : string =
     end
   in
   List.iter (fun (d : dep) -> note d.loc) l.deps;
-  List.iter (fun (r : range) -> note r.loc) l.ranges;
+  List.iter (fun (r : range) -> note r.loc) l.ranges
+
+(** v3 serialization: the intern table is stored once as F lines in the
+    header, events carry integer field ids. *)
+let to_string (l : t) : string =
+  let buf = Buffer.create 4096 in
+  add_header buf ~version:"v3" ~o1:l.o1 ~o2:l.o2;
+  Buffer.add_char buf '\n';
+  add_fields buf (Hashtbl.create 16) l;
   body_add l buf;
   Buffer.contents buf
 
@@ -288,163 +281,240 @@ let header_flags ~(version : string) (header : string) : bool * bool * string li
   | "light-log" :: v :: o1 :: o2 :: rest when v = version -> (flag "o1" o1, flag "o2" o2, rest)
   | _ -> bad ()
 
+(* ------------------------------------------------------------------ *)
+(* Reading: one in-place line cursor for the v3 and v4 readers          *)
+(* ------------------------------------------------------------------ *)
+
+(* A cursor walks the input one line at a time; every integer, event,
+   location and value is decoded straight out of the input bytes, and the
+   only substrings taken are the decoded field-name / syscall payloads
+   themselves.  A malformed token fails with [Failure "bad log line:
+   <line>"], including an integer that does not fit in an [int]; a
+   malformed event or location names the token instead. *)
+type cursor = {
+  cs : string;
+  mutable bol : int;  (** start of the current line *)
+  mutable eol : int;  (** its end: the newline or the end of input *)
+  mutable pos : int;  (** next unread byte of the line *)
+}
+
+let cursor (s : string) : cursor = { cs = s; bol = 0; eol = 0; pos = 0 }
+
+(** The current line. *)
+let line (c : cursor) : string = String.sub c.cs c.bol (c.eol - c.bol)
+
+let bad (c : cursor) : 'a = failwith ("bad log line: " ^ line c)
+
+(** Advance to the next non-empty line; [false] (the cursor unmoved) at
+    the end of input. *)
+let next_line (c : cursor) : bool =
+  let n = String.length c.cs in
+  let i = ref c.eol in
+  while !i < n && c.cs.[!i] = '\n' do incr i done;
+  !i < n
+  && begin
+    c.bol <- !i;
+    c.eol <- (match String.index_from_opt c.cs !i '\n' with Some e -> e | None -> n);
+    c.pos <- !i;
+    true
+  end
+
+(** The next space-delimited token of the line, as [(start, length)]. *)
+let next_tok (c : cursor) : int * int =
+  if c.pos >= c.eol then bad c;
+  let st = c.pos in
+  while c.pos < c.eol && c.cs.[c.pos] <> ' ' do c.pos <- c.pos + 1 done;
+  let len = c.pos - st in
+  if c.pos < c.eol then c.pos <- c.pos + 1;  (* skip the delimiter *)
+  (st, len)
+
+(** The line's end: no token may follow. *)
+let eod (c : cursor) : unit = if c.pos <> c.eol then bad c
+
+(** The first index of [ch] in the token at [st, st+len), or [-1]. *)
+let find_in (c : cursor) (st : int) (len : int) (ch : char) : int =
+  let r = ref (-1) in
+  for k = st + len - 1 downto st do
+    if c.cs.[k] = ch then r := k
+  done;
+  !r
+
+(** The decimal integer at [st, st+len). *)
+let int_sub (c : cursor) (st : int) (len : int) : int =
+  let s = c.cs in
+  if len <= 0 then bad c;
+  let neg = s.[st] = '-' in
+  let i0 = if neg then st + 1 else st in
+  if i0 >= st + len then bad c;
+  let v = ref 0 in
+  for k = i0 to st + len - 1 do
+    let d = Char.code (String.unsafe_get s k) - 48 in
+    if d < 0 || d > 9 then bad c;
+    v := (!v * 10) + d
+  done;
+  if st + len - i0 > 18 then
+    (* 19 digits or more may not fit in an [int]: such a number is a
+       bad line, not a wrapped one, and the stdlib's reader knows *)
+    match int_of_string_opt (String.sub s st len) with Some v -> v | None -> bad c
+  else if neg then - !v
+  else !v
+
+let int_tok (c : cursor) : int =
+  let st, len = next_tok c in
+  int_sub c st len
+
+let bool_sub (c : cursor) (st : int) (len : int) : bool =
+  let s = c.cs in
+  if len = 4 && s.[st] = 't' && s.[st + 1] = 'r' && s.[st + 2] = 'u' && s.[st + 3] = 'e'
+  then true
+  else if
+    len = 5 && s.[st] = 'f' && s.[st + 1] = 'a' && s.[st + 2] = 'l'
+    && s.[st + 3] = 's' && s.[st + 4] = 'e'
+  then false
+  else bad c
+
+let bool_tok (c : cursor) : bool =
+  let st, len = next_tok c in
+  bool_sub c st len
+
+let evt_tok (c : cursor) : evt option =
+  let st, len = next_tok c in
+  if len = 1 && c.cs.[st] = '-' then None
+  else begin
+    let colon = find_in c st len ':' in
+    if colon < 0 then failwith ("bad event: " ^ String.sub c.cs st len);
+    Some (int_sub c st (colon - st), int_sub c (colon + 1) (st + len - colon - 1))
+  end
+
+(** A location; named field ids are remapped through [fmap], the file's
+    intern table read so far (file-local ids to this process's). *)
+let loc_tok (c : cursor) (fmap : (int, int) Hashtbl.t) : Loc.t =
+  let st, len = next_tok c in
+  let slash = find_in c st len '/' in
+  if slash < 0 then failwith ("bad location: " ^ String.sub c.cs st len);
+  let obj = int_sub c st (slash - st) in
+  let fld = int_sub c (slash + 1) (st + len - slash - 1) in
+  if fld < 0 then { Loc.obj; fld }
+  else
+    match Hashtbl.find_opt fmap fld with
+    | Some fld -> { Loc.obj; fld }
+    | None ->
+      failwith
+        (Printf.sprintf "bad location (field id %d not in intern table): %s" fld
+           (String.sub c.cs st len))
+
+(** The value token at [st, st+len), in {!value_str}'s form. *)
+let value_sub (c : cursor) (st : int) (len : int) : Value.t =
+  if len <= 0 then bad c
+  else
+    match c.cs.[st] with
+    | 'n' when len = 1 -> VNull
+    | 'i' -> VInt (int_sub c (st + 1) (len - 1))
+    | 'b' -> VBool (bool_sub c (st + 1) (len - 1))
+    | 'r' -> VRef (int_sub c (st + 1) (len - 1))
+    | 's' -> VStr (dec_field_sub c.cs (st + 1) (len - 1))
+    | 't' -> VThread (int_sub c (st + 1) (len - 1))
+    | _ -> bad c
+
+let value_tok (c : cursor) : Value.t =
+  let st, len = next_tok c in
+  value_sub c st len
+
+(** A percent-encoded field name. *)
+let field_tok (c : cursor) : string =
+  let st, len = next_tok c in
+  dec_field_sub c.cs st len
+
+(** The one-character tag that opens every line. *)
+let tag (c : cursor) : char =
+  let st, len = next_tok c in
+  if len <> 1 then bad c;
+  c.cs.[st]
+
+(** The records read so far, newest first: one v3 document's, or one v4
+    epoch's. *)
+type records = {
+  mutable r_deps : dep list;
+  mutable r_ranges : range list;
+  mutable r_syscalls : (int * int * string * Value.t) list;
+  mutable r_counters : (int * int) list;
+}
+
+let records () : records = { r_deps = []; r_ranges = []; r_syscalls = []; r_counters = [] }
+
+let log_of_records ~(o1 : bool) ~(o2 : bool) (r : records) : t =
+  {
+    deps = List.rev r.r_deps;
+    ranges = List.rev r.r_ranges;
+    syscalls = List.rev r.r_syscalls;
+    counters = List.rev r.r_counters;
+    o1;
+    o2;
+  }
+
+(** Decode the rest of an F, T, D, R or S line, the cursor standing after
+    its [tag]: an F line extends [fmap], the others are added to [r]. *)
+let record_line (c : cursor) ~(fmap : (int, int) Hashtbl.t) (r : records) (tag : char) :
+    unit =
+  match tag with
+  | 'F' ->
+    let id = int_tok c in
+    let name = field_tok c in
+    eod c;
+    Hashtbl.replace fmap id (Loc.fld_of_name name)
+  | 'T' ->
+    let t = int_tok c in
+    let n = int_tok c in
+    eod c;
+    r.r_counters <- (t, n) :: r.r_counters
+  | 'D' ->
+    let loc = loc_tok c fmap in
+    let w = evt_tok c in
+    let rf = match evt_tok c with Some e -> e | None -> bad c in
+    let rl_c = int_tok c in
+    let dep_obs = int_tok c in
+    let w_obs = int_tok c in
+    eod c;
+    r.r_deps <- { loc; w; rf; rl_c; dep_obs; w_obs } :: r.r_deps
+  | 'R' ->
+    let loc = loc_tok c fmap in
+    let rt = int_tok c in
+    let lo = int_tok c in
+    let hi = int_tok c in
+    let w_in = evt_tok c in
+    let prefix_reads = bool_tok c in
+    let has_write = bool_tok c in
+    let rng_obs = int_tok c in
+    let lo_obs = int_tok c in
+    let w_obs = int_tok c in
+    eod c;
+    r.r_ranges <-
+      { loc; rt; lo; hi; w_in; prefix_reads; has_write; rng_obs; lo_obs; w_obs }
+      :: r.r_ranges
+  | 'S' ->
+    let t = int_tok c in
+    let i = int_tok c in
+    let nst, nlen = next_tok c in
+    let v = value_tok c in
+    eod c;
+    r.r_syscalls <- (t, i, String.sub c.cs nst nlen, v) :: r.r_syscalls
+  | _ -> bad c
+
 (** Reads a v3 log (intern-table header, integer field ids); locations
     come back keyed by this process's intern ids.  The parser is a single
-    in-place scan: a cursor walks the string and every integer, event, and
-    location is decoded straight out of the input bytes; the only
-    substrings taken are the decoded field-name / syscall payloads
-    themselves.  Malformed input fails with [Failure] naming the header or
-    the line, including an integer that does not fit in an [int]. *)
+    in-place scan with a {!cursor}.  Malformed input fails with [Failure]
+    naming the header or the line. *)
 let of_string (s : string) : t =
-  let n = String.length s in
-  let hstart = ref 0 in
-  while !hstart < n && s.[!hstart] = '\n' do incr hstart done;
-  if !hstart >= n then failwith "empty log";
-  let hdr_end =
-    match String.index_from_opt s !hstart '\n' with Some i -> i | None -> n
-  in
-  let header = String.sub s !hstart (hdr_end - !hstart) in
+  let c = cursor s in
+  if not (next_line c) then failwith "empty log";
+  let header = line c in
   let o1, o2 =
     match header_flags ~version:"v3" header with
     | o1, o2, [] -> (o1, o2)
     | _ -> failwith ("bad log header: " ^ header)
   in
-  (* file-local intern ids -> this process's ids *)
-  let fmap : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let deps = ref [] and ranges = ref [] and sys = ref [] and counters = ref [] in
-  let pos = ref (if hdr_end < n then hdr_end + 1 else n) in
-  while !pos < n do
-    if s.[!pos] = '\n' then incr pos
-    else begin
-      let bol = !pos in
-      let eol = match String.index_from_opt s bol '\n' with Some e -> e | None -> n in
-      let bad () = failwith ("bad log line: " ^ String.sub s bol (eol - bol)) in
-      let p = ref bol in
-      (* tokens are space-delimited within [bol, eol) *)
-      let next_tok () : int * int =
-        if !p >= eol then bad ();
-        let st = !p in
-        while !p < eol && s.[!p] <> ' ' do incr p done;
-        let len = !p - st in
-        if !p < eol then incr p;  (* skip the delimiter *)
-        (st, len)
-      in
-      let int_sub (st : int) (len : int) : int =
-        if len = 0 then bad ();
-        let neg = s.[st] = '-' in
-        let i0 = if neg then st + 1 else st in
-        if i0 >= st + len then bad ();
-        let v = ref 0 in
-        for k = i0 to st + len - 1 do
-          let d = Char.code (String.unsafe_get s k) - 48 in
-          if d < 0 || d > 9 then bad ();
-          v := (!v * 10) + d
-        done;
-        if st + len - i0 > 18 then
-          (* 19 digits or more may not fit in an [int]: such a number is a
-             bad line, not a wrapped one, and the stdlib's reader knows *)
-          match int_of_string_opt (String.sub s st len) with Some v -> v | None -> bad ()
-        else if neg then - !v
-        else !v
-      in
-      let int_tok () : int =
-        let st, len = next_tok () in
-        int_sub st len
-      in
-      let evt_tok () : evt option =
-        let st, len = next_tok () in
-        if len = 1 && s.[st] = '-' then None
-        else begin
-          let colon = ref (-1) in
-          for k = st to st + len - 1 do
-            if !colon < 0 && s.[k] = ':' then colon := k
-          done;
-          if !colon < 0 then failwith ("bad event: " ^ String.sub s st len);
-          Some (int_sub st (!colon - st), int_sub (!colon + 1) (st + len - !colon - 1))
-        end
-      in
-      let bool_tok () : bool =
-        let st, len = next_tok () in
-        if len = 4 && s.[st] = 't' && s.[st + 1] = 'r' && s.[st + 2] = 'u' && s.[st + 3] = 'e'
-        then true
-        else if
-          len = 5 && s.[st] = 'f' && s.[st + 1] = 'a' && s.[st + 2] = 'l'
-          && s.[st + 3] = 's' && s.[st + 4] = 'e'
-        then false
-        else bad ()
-      in
-      let loc_tok () : Loc.t =
-        let st, len = next_tok () in
-        let slash = ref (-1) in
-        for k = st to st + len - 1 do
-          if !slash < 0 && s.[k] = '/' then slash := k
-        done;
-        if !slash < 0 then failwith ("bad location: " ^ String.sub s st len);
-        let obj = int_sub st (!slash - st) in
-        let fld = int_sub (!slash + 1) (st + len - !slash - 1) in
-        if fld < 0 then { Loc.obj; fld }
-        else
-          match Hashtbl.find_opt fmap fld with
-          | Some fld -> { Loc.obj; fld }
-          | None ->
-            failwith
-              (Printf.sprintf "bad location (field id %d not in intern table): %s" fld
-                 (String.sub s st len))
-      in
-      let eod () = if !p <> eol then bad () in
-      let tag_st, tag_len = next_tok () in
-      if tag_len <> 1 then bad ();
-      (match s.[tag_st] with
-      | 'F' ->
-        let id = int_tok () in
-        let nst, nlen = next_tok () in
-        eod ();
-        Hashtbl.replace fmap id (Loc.fld_of_name (dec_field_sub s nst nlen))
-      | 'T' ->
-        let t = int_tok () in
-        let c = int_tok () in
-        eod ();
-        counters := (t, c) :: !counters
-      | 'D' ->
-        let loc = loc_tok () in
-        let w = evt_tok () in
-        let rf = match evt_tok () with Some e -> e | None -> bad () in
-        let rl_c = int_tok () in
-        let dep_obs = int_tok () in
-        let w_obs = int_tok () in
-        eod ();
-        deps := { loc; w; rf; rl_c; dep_obs; w_obs } :: !deps
-      | 'R' ->
-        let loc = loc_tok () in
-        let rt = int_tok () in
-        let lo = int_tok () in
-        let hi = int_tok () in
-        let w_in = evt_tok () in
-        let prefix_reads = bool_tok () in
-        let has_write = bool_tok () in
-        let rng_obs = int_tok () in
-        let lo_obs = int_tok () in
-        let w_obs = int_tok () in
-        eod ();
-        ranges :=
-          { loc; rt; lo; hi; w_in; prefix_reads; has_write; rng_obs; lo_obs; w_obs }
-          :: !ranges
-      | 'S' ->
-        let t = int_tok () in
-        let i = int_tok () in
-        let nst, nlen = next_tok () in
-        let vst, vlen = next_tok () in
-        eod ();
-        sys := (t, i, String.sub s nst nlen, value_of_string (String.sub s vst vlen)) :: !sys
-      | _ -> bad ());
-      pos := eol
-    end
+  let fmap = Hashtbl.create 16 and r = records () in
+  while next_line c do
+    record_line c ~fmap r (tag c)
   done;
-  {
-    deps = List.rev !deps;
-    ranges = List.rev !ranges;
-    syscalls = List.rev !sys;
-    counters = List.rev !counters;
-    o1;
-    o2;
-  }
+  log_of_records ~o1 ~o2 r

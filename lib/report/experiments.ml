@@ -393,11 +393,12 @@ type interp_measure = {
 (* CI runs with a reduced budget via LIGHT_BENCH_ITERS *)
 let bench_iters () = env_int "LIGHT_BENCH_ITERS" 5
 
-(* steps/second of [run]: one warmup execution (whose step count is
-   returned), then [iters] individually timed executions *)
-let steps_per_sec ~iters (run : unit -> Interp.outcome) : int * series =
-  let o0 = run () in
-  let steps = float_of_int o0.steps in
+(* steps/second of [run], which returns its step count: one warmup
+   execution (whose step count is returned), then [iters] individually
+   timed executions *)
+let steps_per_sec ~iters (run : unit -> int) : int * series =
+  let steps0 = run () in
+  let steps = float_of_int steps0 in
   let samples =
     Array.init iters (fun _ ->
         let t0 = Unix.gettimeofday () in
@@ -411,24 +412,24 @@ let steps_per_sec ~iters (run : unit -> Interp.outcome) : int * series =
     if n land 1 = 1 then samples.(n / 2)
     else 0.5 *. (samples.((n / 2) - 1) +. samples.(n / 2))
   in
-  (o0.steps, { sps_med = med; sps_min = samples.(0); sps_max = samples.(n - 1) })
+  (steps0, { sps_med = med; sps_min = samples.(0); sps_max = samples.(n - 1) })
 
 let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measure =
   let p = Workloads.program bm in
   let sched () = Workloads.scheduler ~seed bm in
   let cp = Interp.compile p in
   let steps, native =
-    steps_per_sec ~iters (fun () -> Interp.run_compiled ~sched:(sched ()) cp)
+    steps_per_sec ~iters (fun () -> (Interp.run_compiled ~sched:(sched ()) cp).steps)
   in
   let bp = Lang.Compile.lower cp in
-  let _, vm = steps_per_sec ~iters (fun () -> Vm.run_program ~sched:(sched ()) bp) in
-  let _, ref_ = steps_per_sec ~iters (fun () -> Interp_ref.run ~sched:(sched ()) p) in
+  let _, vm = steps_per_sec ~iters (fun () -> (Vm.run_program ~sched:(sched ()) bp).steps) in
+  let _, ref_ = steps_per_sec ~iters (fun () -> (Interp_ref.run ~sched:(sched ()) p).steps) in
   (* instrument once, record every iteration: the analysis and the slot
      resolution are prepare-time costs (measured by the analysis bench);
      what this bench times is the recording fast path *)
   let record variant =
     let pp = Light_core.Light.prepare ~variant p in
-    fun () -> (Light_core.Light.record_prepared ~sched:(sched ()) ~seed pp).outcome
+    fun () -> (Light_core.Light.record_prepared ~sched:(sched ()) ~seed pp).outcome.steps
   in
   let _, basic = steps_per_sec ~iters (record Light_core.Light.v_basic) in
   let _, o1 = steps_per_sec ~iters (record Light_core.Light.v_o1) in
@@ -442,10 +443,10 @@ let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measur
     in
     let sch = Option.get (Light_core.Replayer.solve rc.log).schedule in
     let tree () =
-      Interp.run ~hooks:(Light_core.Replayer.driver sch ~plan:rc.plan) ~plan:rc.plan
-        ~max_steps:10_000_000 ~sched:(Sched.round_robin ()) rc.program
+      (Interp.run ~hooks:(Light_core.Replayer.driver sch ~plan:rc.plan) ~plan:rc.plan
+         ~max_steps:10_000_000 ~sched:(Sched.round_robin ()) rc.program).steps
     in
-    let vm () = Light_core.Replayer.replay rc.program ~plan:rc.plan sch in
+    let vm () = (Light_core.Replayer.replay rc.program ~plan:rc.plan sch).steps in
     (snd (steps_per_sec ~iters tree), snd (steps_per_sec ~iters vm))
   in
   (* epoch mode on the same fast path: checkpoint + seal ~8 times per run,
@@ -453,31 +454,12 @@ let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measur
      last-write clear) on top of v_basic recording.  The production
      streaming shape (seal, hand off, drop) is what's timed — like the
      monolithic series, it ends at in-memory sealed logs. *)
-  let record_epoch =
+  let _, epoch =
     let pp = Light_core.Light.prepare ~variant:Light_core.Light.v_basic p in
     let epoch_len = max 512 ((steps / 8) + 1) in
-    fun () ->
-      ignore
-        (Light_core.Epoch.record_epochs_stream ~sched:(sched ()) ~seed
-           ~epoch_len ~emit:ignore pp)
-  in
-  let epoch =
-    let sps = float_of_int steps in
-    record_epoch ();  (* warmup, like [steps_per_sec] *)
-    let samples =
-      Array.init iters (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          record_epoch ();
-          let dt = Unix.gettimeofday () -. t0 in
-          sps /. Float.max dt 1e-9)
-    in
-    Array.sort compare samples;
-    let n = Array.length samples in
-    let med =
-      if n land 1 = 1 then samples.(n / 2)
-      else 0.5 *. (samples.((n / 2) - 1) +. samples.(n / 2))
-    in
-    { sps_med = med; sps_min = samples.(0); sps_max = samples.(n - 1) }
+    steps_per_sec ~iters (fun () ->
+        (Light_core.Epoch.record_epochs_stream ~sched:(sched ()) ~seed ~epoch_len
+           ~emit:ignore pp).ss_steps)
   in
   {
     im_bm = bm.name;
@@ -679,13 +661,13 @@ let measure_analysis ?(seed = 7) ~iters (bm : Workloads.benchmark) : analysis_me
   in
   let cp = Interp.compile p in
   let _, native =
-    steps_per_sec ~iters (fun () -> Interp.run_compiled ~sched:(sched ()) cp)
+    steps_per_sec ~iters (fun () -> (Interp.run_compiled ~sched:(sched ()) cp).steps)
   in
   (* the timed run takes the precomputed plan: the point is the cost of the
      instrumentation the plan leaves behind, not of running the analysis *)
   let _, basic =
     steps_per_sec ~iters (fun () ->
-        (record ~plan:tr.plan Light_core.Light.v_basic).outcome)
+        (record ~plan:tr.plan Light_core.Light.v_basic).outcome.steps)
   in
   {
     am_bm = bm.name;
@@ -1120,18 +1102,7 @@ let epochs_bench ?(json_path = "BENCH_epochs.json") () ppf : unit =
       (In_channel.with_open_text log_path In_channel.input_all)
   in
   let chunks = f.Light_core.Epoch.f_chunks in
-  let shift = ref 0 in
-  let solves =
-    List.map
-      (fun (ck : Light_core.Epoch.chunk) ->
-        let rep =
-          Light_core.Replayer.solve ~hint_shift:!shift ck.Light_core.Epoch.ck_log
-        in
-        let applied = !shift in
-        shift := max !shift rep.Light_core.Replayer.max_model + 16;
-        (ck.Light_core.Epoch.ck_idx, applied, rep))
-      chunks
-  in
+  let solves = Light_core.Epoch.solve_epochs chunks in
   (* phase 3: O(epoch) single-epoch replays from their checkpoints *)
   let n = List.length chunks in
   let picks = List.sort_uniq compare [ 0; n / 2; n - 1 ] in
@@ -1168,15 +1139,15 @@ let epochs_bench ?(json_path = "BENCH_epochs.json") () ppf : unit =
          summary.Light_core.Epoch.ss_steps epoch_len)
     ~header:[ "epoch"; "steps"; "deps"; "ranges"; "space (longs)"; "solve"; "solve (s)" ]
     (List.map2
-       (fun r (_, _, (rep : Light_core.Replayer.solve_report)) ->
+       (fun r (sol : Light_core.Epoch.epoch_solution) ->
          [
            string_of_int r.eb_idx;
            string_of_int r.eb_window;
            string_of_int r.eb_deps;
            string_of_int r.eb_ranges;
            string_of_int r.eb_space;
-           result_name rep.Light_core.Replayer.result_kind;
-           timing_cell (Printf.sprintf "%.4f" rep.Light_core.Replayer.solve_time_s);
+           result_name sol.es_report.result_kind;
+           timing_cell (Printf.sprintf "%.4f" sol.es_report.solve_time_s);
          ])
        rows solves)
     ppf;
@@ -1214,13 +1185,14 @@ let epochs_bench ?(json_path = "BENCH_epochs.json") () ppf : unit =
        file %d bytes@."
       rss_epoch_kb rss_total_kb !heap_max heap_mono log_bytes
   end;
-  let epoch_row (r, (_, sh, (rep : Light_core.Replayer.solve_report))) =
+  let epoch_row (r, (sol : Light_core.Epoch.epoch_solution)) =
     J.Obj
       [
         ("epoch", J.Int r.eb_idx); ("steps", J.Int r.eb_window); ("deps", J.Int r.eb_deps);
         ("ranges", J.Int r.eb_ranges); ("space_longs", J.Int r.eb_space);
-        ("hint_shift", J.Int sh); ("result", J.Str (result_name rep.result_kind));
-        ("solve_s", J.Float rep.solve_time_s);
+        ("hint_shift", J.Int sol.es_shift);
+        ("result", J.Str (result_name sol.es_report.result_kind));
+        ("solve_s", J.Float sol.es_report.solve_time_s);
       ]
   in
   let replay_row (k, window, steps, dt, st) =

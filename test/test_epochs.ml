@@ -170,7 +170,7 @@ let test_seal_passive_and_cumulative () =
           ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 ~epoch_len:700 pp
       in
       Alcotest.(check bool) (name ^ ": multiple epochs") true
-        (List.length r.Light_core.Epoch.er_epochs > 1);
+        (List.length r.Light_core.Epoch.er_file.f_chunks > 1);
       let mono =
         Light_core.Light.record_prepared
           ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 pp
@@ -222,7 +222,7 @@ let normalize_v4 (txt : string) : string =
 
 let test_v4_pinned () =
   let r = record_pinned () in
-  let txt = Light_core.Epoch.to_string_v4 r in
+  let txt = Light_core.Epoch.to_string_v4 r.er_file in
   Alcotest.(check bool) "sniffs as v4" true (Light_core.Epoch.is_v4 txt);
   let first_line = List.hd (String.split_on_char '\n' txt) in
   Alcotest.(check string) "pinned header" "light-log v4 o1=true o2=true epoch=60"
@@ -233,7 +233,7 @@ let test_v4_pinned () =
     |> List.length
   in
   Alcotest.(check int) "pinned epoch count"
-    (List.length r.Light_core.Epoch.er_epochs)
+    (List.length r.Light_core.Epoch.er_file.f_chunks)
     n_epochs;
   Alcotest.(check string) "pinned v4 bytes (rng/sched normalized)"
     "ffb273b232d9b3a6c3931fe870d71378"
@@ -241,17 +241,13 @@ let test_v4_pinned () =
 
 let test_v4_roundtrip_pinned () =
   let r = record_pinned () in
-  let txt = Light_core.Epoch.to_string_v4 r in
+  let txt = Light_core.Epoch.to_string_v4 r.er_file in
   let f = Light_core.Epoch.of_string_v4 txt in
   Alcotest.(check int) "epoch_len survives" 60 f.Light_core.Epoch.f_epoch_len;
   Alcotest.(check int) "chunk count"
-    (List.length r.Light_core.Epoch.er_epochs)
+    (List.length r.Light_core.Epoch.er_file.f_chunks)
     (List.length f.Light_core.Epoch.f_chunks);
-  let txt2 =
-    Light_core.Epoch.chunks_to_string ~o1:f.Light_core.Epoch.f_o1
-      ~o2:f.Light_core.Epoch.f_o2 ~epoch_len:f.Light_core.Epoch.f_epoch_len
-      f.Light_core.Epoch.f_chunks
-  in
+  let txt2 = Light_core.Epoch.to_string_v4 f in
   Alcotest.(check bool) "re-serialization byte-identical" true (txt = txt2)
 
 (* Random programs (loop and message-passing shapes) through random
@@ -291,16 +287,11 @@ let prop_v4_roundtrip =
         Light_core.Epoch.record_epochs
           ~sched:(Sched.sticky ~seed ~stickiness:8) ~seed ~epoch_len pp
       in
-      let txt = Light_core.Epoch.to_string_v4 r in
+      let txt = Light_core.Epoch.to_string_v4 r.er_file in
       let f = Light_core.Epoch.of_string_v4 txt in
-      let txt2 =
-        Light_core.Epoch.chunks_to_string ~o1:f.Light_core.Epoch.f_o1
-          ~o2:f.Light_core.Epoch.f_o2 ~epoch_len:f.Light_core.Epoch.f_epoch_len
-          f.Light_core.Epoch.f_chunks
-      in
-      txt = txt2
+      txt = Light_core.Epoch.to_string_v4 f
       && List.length f.Light_core.Epoch.f_chunks
-         = List.length r.Light_core.Epoch.er_epochs)
+         = List.length r.Light_core.Epoch.er_file.f_chunks)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch replay differential (full suite)                              *)
@@ -330,7 +321,7 @@ let run_diff_cell (bm : Workloads.benchmark) : diff_cell =
       (String.concat "; " rr.Light_core.Light.faithful)
   | Ok _ -> ());
   (* incremental solving: every epoch solves, shifts never decrease *)
-  let sols = Light_core.Epoch.solve_epochs r in
+  let sols = Light_core.Epoch.solve_epochs r.Light_core.Epoch.er_file.f_chunks in
   let last_shift = ref (-1) in
   List.iter
     (fun (s : Light_core.Epoch.epoch_solution) ->
@@ -342,15 +333,15 @@ let run_diff_cell (bm : Workloads.benchmark) : diff_cell =
     sols;
   (* per-epoch replay: O(epoch) and window-identical to the monolithic run *)
   List.iteri
-    (fun k (e : Light_core.Epoch.epoch) ->
-      match Light_core.Epoch.replay_epoch r k with
+    (fun k (ck : Light_core.Epoch.chunk) ->
+      match Light_core.Epoch.replay_chunk pp ck with
       | Error msg -> err "epoch %d: replay failed: %s" k msg
       | Ok rr ->
         (* the fence denies shared accesses past the watermark, but local
            (unshared) steps run on until the next shared access, so the
            replay may overrun the window by the threads' local stretches —
            a run-length-independent constant, never a free-run *)
-        let window = e.ep_steps - e.ep_start_steps in
+        let window = ck.ck_steps - ck.ck_start_steps in
         if not rr.rr_complete then err "epoch %d: replay stopped short of its watermark" k;
         if rr.rr_steps > window + 2048 then
           err "epoch %d: replay not O(epoch): %d steps for a %d-step window" k
@@ -361,7 +352,7 @@ let run_diff_cell (bm : Workloads.benchmark) : diff_cell =
         List.iter
           (fun m -> err "epoch %d: window mismatch: %s" k m)
           (Light_core.Epoch.window_matches ~expected rr.rr_obs))
-    r.Light_core.Epoch.er_epochs;
+    r.Light_core.Epoch.er_file.f_chunks;
   { dc_label = bm.Workloads.name; dc_errors = List.rev !errors }
 
 let diff_cells =
@@ -383,7 +374,7 @@ let test_chunk_replay_from_text () =
     Light_core.Epoch.record_epochs ~sched:(Workloads.scheduler ~seed:3 bm)
       ~seed:3 ~epoch_len:900 pp
   in
-  let f = Light_core.Epoch.of_string_v4 (Light_core.Epoch.to_string_v4 r) in
+  let f = Light_core.Epoch.of_string_v4 (Light_core.Epoch.to_string_v4 r.er_file) in
   List.iteri
     (fun k ck ->
       match Light_core.Epoch.replay_chunk pp ck with
@@ -413,7 +404,7 @@ let test_chunk_replay_mismatch () =
     Light_core.Light.prepare
       (Lang.Check.validate_exn (Lang.Parser.parse_program "main { print 1; }"))
   in
-  let ck = List.nth (Light_core.Epoch.file_of_recording r).f_chunks 1 in
+  let ck = List.nth r.Light_core.Epoch.er_file.f_chunks 1 in
   match Light_core.Epoch.replay_chunk other ck with
   | Ok _ -> Alcotest.fail "mismatched checkpoint replayed"
   | Error msg ->

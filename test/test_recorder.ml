@@ -357,10 +357,36 @@ let test_log_malformed () =
     "bad location (field id 9 not in intern table): 0/9"
     (failure "field id" (hdr ^ "D 0/9 1:1 2:1 1 2 1\n"));
   ignore (failure "bad bool value" (hdr ^ "S 1 0 @x bmaybe\n"));
-  match Light_core.Epoch.of_string_v4 "light-log v4 o1=true o2=false epoch=x\n" with
-  | _ -> Alcotest.fail "v4 header: parsed"
-  | exception Failure msg ->
-    Alcotest.(check string) "v4 header" "bad log header: light-log v4 o1=true o2=false epoch=x" msg
+  (* v4: every failure names the header or the offending line *)
+  let failure_v4 what s =
+    match Epoch.of_string_v4 s with
+    | _ -> Alcotest.failf "%s: parsed" what
+    | exception Failure msg -> msg
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  Alcotest.(check string) "v4 header" "bad log header: light-log v4 o1=true o2=false epoch=x"
+    (failure_v4 "v4 header" "light-log v4 o1=true o2=false epoch=x\n");
+  let v4 ?(pre = "") ?(e = "E 0 0 59 30") ?(obj = "C obj 0 $globals 1 x n")
+      ?(thread = "C thread 1 run 0 0 0 0 0 true 0 1") () =
+    String.concat "\n"
+      [ "light-log v4 o1=true o2=false epoch=60" ^ pre; e; "C sched 0"; "C rng 00"; obj;
+        thread; "c frame - 1 q6 3 u u u"; "F 4 x"; "T 1 6"; "D 0/4 - 1:1 1 2 0"; "" ]
+  in
+  Alcotest.(check int) "well-formed v4 parses" 1
+    (List.length (Epoch.of_string_v4 (v4 ())).f_chunks);
+  Alcotest.(check string) "record line before the first E line" "bad log line: T 1 6"
+    (failure_v4 "pre-E line" (v4 ~pre:"\nT 1 6" ()));
+  Alcotest.(check string) "hex token in a C thread line"
+    "bad log line: C thread 0x1 run 0 0 0 0 0 true 0 1"
+    (failure_v4 "hex" (v4 ~thread:"C thread 0x1 run 0 0 0 0 0 true 0 1" ()));
+  Alcotest.(check string) "C obj field count" "bad log line: C obj 0 $globals 7 x n"
+    (failure_v4 "obj count" (v4 ~obj:"C obj 0 $globals 7 x n" ()));
+  Alcotest.(check string) "frame count above the frames" "bad log line: F 4 x"
+    (failure_v4 "frames over" (v4 ~thread:"C thread 1 run 0 0 0 0 0 true 0 2" ()));
+  Alcotest.(check string) "frame count below the frames" "bad log line: c frame - 1 q6 3 u u u"
+    (failure_v4 "frames under" (v4 ~thread:"C thread 1 run 0 0 0 0 0 true 0 0" ()));
+  Alcotest.(check string) "bad E integer" "bad log line: E 0 0 5x9 30"
+    (failure_v4 "E int" (v4 ~e:"E 0 0 5x9 30" ()))
 
 (* qcheck: serialization round-trips over random logs *)
 let log_gen : Log.t QCheck.arbitrary =

@@ -583,11 +583,11 @@ let epoch_steps name =
     Epoch.record_epochs ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 ~epoch_len:400 pp
   in
   List.mapi
-    (fun k _ ->
-      match Epoch.replay_epoch r k with
+    (fun k ck ->
+      match Epoch.replay_chunk pp ck with
       | Ok rr -> Printf.sprintf "%d:%s" rr.rr_steps (status_str rr.rr_status)
       | Error e -> Alcotest.failf "%s: epoch %d: %s" name k e)
-    r.er_epochs
+    r.er_file.f_chunks
 
 (* Swap the solved ranks of main's spawn write for thread 101 and that
    thread's first constrained event: the child is then due before it

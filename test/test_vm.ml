@@ -223,15 +223,15 @@ let test_epoch_cross_replay () =
           ~epoch_len:400 pp
       in
       List.iteri
-        (fun k (e : Light_core.Epoch.epoch) ->
-          match Light_core.Epoch.replay_epoch rt k with
+        (fun k (ck, expected) ->
+          match Light_core.Epoch.replay_chunk pp ck with
           | Error err -> Alcotest.failf "%s: epoch %d on vm: %s" name k err
           | Ok rr ->
             Alcotest.(check (list string))
               (Printf.sprintf "%s: epoch %d window (vm replay)" name k)
               []
-              (Light_core.Epoch.window_matches ~expected:e.ep_obs rr.rr_obs))
-        rt.er_epochs)
+              (Light_core.Epoch.window_matches ~expected rr.rr_obs))
+        (List.combine rt.er_file.f_chunks rt.er_obs))
     epoch_workloads
 
 let () =
