@@ -13,8 +13,30 @@
 
 open Cmdliner
 
+(* Every file the tool reads or writes (program, log, reproducer, [-o])
+   goes through these two: an I/O error prints [light: <path>: <reason>]
+   and exits 1, instead of escaping as an uncaught exception. *)
+let file_error path msg =
+  (* [Sys_error] messages usually, but not always, start with the path *)
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+    else msg
+  in
+  Printf.eprintf "light: %s: %s\n" path reason;
+  exit 1
+
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> file_error path msg
+
+let write_file path contents =
+  try Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents)
+  with Sys_error msg -> file_error path msg
+
 let read_program path =
-  match Lang.Parser.parse_file path with
+  match Lang.Parser.parse_program (read_file path) with
   | exception (Lang.Lexer.Lex_error (msg, line) | Lang.Parser.Parse_error (msg, line))
     ->
     Error (Printf.sprintf "%s:%d: %s" path line msg)
@@ -316,8 +338,7 @@ let record_cmd =
       | Some topn -> print_profile p r.er_site_hits topn);
       match out with
       | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Light_core.Epoch.to_string_v4 r.er_file));
+        write_file path (Light_core.Epoch.to_string_v4 r.er_file);
         Printf.printf "v4 log written to %s\n" path
       | None -> ()
     end
@@ -332,8 +353,7 @@ let record_cmd =
       | Some topn -> print_profile p r.site_hits topn);
       match out with
       | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Light_core.Log.to_string r.log));
+        write_file path (Light_core.Log.to_string r.log);
         Printf.printf "log written to %s\n" path
       | None -> ()
     end
@@ -405,7 +425,7 @@ let replay_cmd =
   in
   let run file logfile epoch =
     let p = or_die (read_program file) in
-    let txt = In_channel.with_open_text logfile In_channel.input_all in
+    let txt = read_file logfile in
     (* a malformed log is an error naming the file, not an uncaught
        exception *)
     let parse of_string =
@@ -580,8 +600,7 @@ let hunt_cmd =
             Printf.printf "  !! thread %d crashes at line %d: %s\n" c.tid c.line c.msg)
           o.crashes
       | None -> ());
-      Out_channel.with_open_text out (fun oc ->
-          Out_channel.output_string oc (Explore.reproducer_to_string rp));
+      write_file out (Explore.reproducer_to_string rp);
       Printf.printf "reproducer written to %s\n" out
   in
   let limit =
@@ -695,8 +714,7 @@ let reproduce_cmd =
     let p = or_die (read_program file) in
     let rp =
       or_die
-        (Explore.reproducer_of_string
-           (In_channel.with_open_text repro_file In_channel.input_all))
+        (Explore.reproducer_of_string (read_file repro_file))
     in
     match Explore.run_reproducer p rp with
     | Error e -> or_die (Error e)

@@ -45,9 +45,15 @@ type thread_tables = {
           ones before it *)
 }
 
+(* Thread tables by tid, for the gate's per-call lookup: open addressing
+   with linear probing over a power-of-two table at most half full, so a
+   probe is a multiply and an array read or two; [-1] marks a free slot
+   (tids are positive). *)
+type by_tid = { keys : int array; vals : thread_tables array; mask : int }
+
 type schedule = {
   order : Log.evt array;  (** rank -> event *)
-  threads : thread_tables Tid.t;
+  threads : by_tid;
   syscall_values : (int * int, Value.t) Hashtbl.t;
   notify_pairs : (Log.evt, int) Hashtbl.t;  (** notify write event -> waiter tid *)
 }
@@ -71,6 +77,24 @@ type solve_report = {
 
 let no_tables =
   { base = 0; rank = [||]; pred = [||]; last = -1; ivs = Loc.Tbl.create 1 }
+
+let[@inline] tid_slot (t : int) (mask : int) : int =
+  let x = t * 0x9E3779B1 in
+  (x lxor (x lsr 17)) land mask
+
+let by_tid_of (tbl : thread_tables Tid.t) : by_tid =
+  let cap = ref 8 in
+  while !cap < 2 * Tid.length tbl do cap := 2 * !cap done;
+  let keys = Array.make !cap (-1) and vals = Array.make !cap no_tables in
+  let mask = !cap - 1 in
+  Tid.iter
+    (fun t th ->
+      let i = ref (tid_slot t mask) in
+      while keys.(!i) >= 0 do i := (!i + 1) land mask done;
+      keys.(!i) <- t;
+      vals.(!i) <- th)
+    tbl;
+  { keys; vals; mask }
 
 type span = { mutable lo : int; mutable hi : int }
 
@@ -176,7 +200,7 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
       if r.loc.fld = Loc.cond_fld then
         match r.w_in with Some w -> Hashtbl.replace notify_pairs w r.rt | None -> ())
     log.ranges;
-  { order; threads; syscall_values; notify_pairs }
+  { order; threads = by_tid_of threads; syscall_values; notify_pairs }
 
 (** Generate constraints, solve, and build the schedule.  [budget] bounds
     the solver's work so a pathological constraint system aborts with
@@ -221,7 +245,12 @@ let solve ?budget ?(hint_shift = 0) (log : Log.t) : solve_report =
 (* ------------------------------------------------------------------ *)
 
 let tables (sch : schedule) (t : int) : thread_tables =
-  match Tid.find sch.threads t with th -> th | exception Not_found -> no_tables
+  let ts = sch.threads in
+  let i = ref (tid_slot t ts.mask) in
+  while Array.unsafe_get ts.keys !i <> t && Array.unsafe_get ts.keys !i >= 0 do
+    i := (!i + 1) land ts.mask
+  done;
+  if Array.unsafe_get ts.keys !i = t then Array.unsafe_get ts.vals !i else no_tables
 
 let rank_at (th : thread_tables) (c : int) : int =
   let i = c - th.base in
@@ -246,6 +275,29 @@ let interior (th : thread_tables) (loc : Loc.t) (c : int) : bool =
     done;
     !best >= 0 && a.((2 * !best) + 1) >= c
 
+(* The O2 "guarded" bit per site as one byte per site id, in the style of
+   [Plan.modes], filled on first use ('\002' = not asked yet): the driver
+   does not know the program's largest site id. *)
+let guarded_bits (plan : Plan.t) : int -> bool =
+  let bits = ref (Bytes.make 64 '\002') in
+  fun site ->
+    if site < 0 then plan.guarded_site site
+    else begin
+      let b = !bits in
+      if site >= Bytes.length b then begin
+        let b' = Bytes.make (max (site + 1) (2 * Bytes.length b)) '\002' in
+        Bytes.blit b 0 b' 0 (Bytes.length b);
+        bits := b'
+      end;
+      match Bytes.unsafe_get !bits site with
+      | '\000' -> false
+      | '\001' -> true
+      | _ ->
+        let g = plan.guarded_site site in
+        Bytes.unsafe_set !bits site (if g then '\001' else '\000');
+        g
+    end
+
 (** [?suppress:false] turns off blind-write suppression — the exploration
     mode: every executed step is then a legal program step, so any crash a
     flipped schedule reaches is a genuine interleaving of the program, not
@@ -255,6 +307,7 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
   let n = Array.length sch.order in
   let next_rank = ref 0 in
   let executed = Bytes.make n '\000' in
+  let guarded_site = guarded_bits plan in
   (* positions for wakeup choice *)
   let last_notify : Log.evt option ref = ref None in
   let gate (pre : Event.pre) : bool =
@@ -282,8 +335,8 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
     &&
     let th = tables sch pre.tid in
     rank_at th pre.c < 0
-    && (not (interior th pre.loc pre.c))
-    && not (plan.guarded_site pre.site)
+    && (not (guarded_site pre.site))
+    && not (interior th pre.loc pre.c)
   in
   let syscall_override ~tid ~idx ~name:_ =
     Hashtbl.find_opt sch.syscall_values (tid, idx)

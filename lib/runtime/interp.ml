@@ -61,7 +61,15 @@ type outcome = {
 type hooks = {
   gate : (Event.pre -> bool) option;
       (** consulted before a shared access (on the first ghost access for
-          compound sync transitions); [false] delays the thread *)
+          compound sync transitions); [false] delays the thread.  Contract:
+          a [true] for a pending access stays true until the thread takes
+          it, and a [false] can turn true only after some shared access
+          executes (whatever the gate reads moves only when one does, as
+          the replayer's rank cursor moves only in [on_shared]).  The VM
+          relies on it: it asks again about a denied thread only after a
+          shared access, and not at all about an admitted one until that
+          thread steps.  The tree walker asks about every enabled thread
+          at every step. *)
   observe : (Event.t -> unit) option;
   on_shared : (tid:int -> c:int -> loc:Loc.t -> kind:Event.akind -> site:int
                -> ghost:Event.ghost_kind -> unit) option;

@@ -22,11 +22,16 @@
     - a cached enabled set: the per-step enabledness walk is skipped
       while no transition changed lock/status/thread structure and the
       stepped thread did not stop on a possibly-blocking statement head.
-      An ungated run picks straight from the cached tid list.  A gated
-      run filters the cached thread records through the gate every step
-      (admission moves with replay progress, enabledness does not), and
-      each thread's next shared access is cached until it steps, so the
-      filter is one gate call per enabled thread.
+      An ungated run picks straight from the cached tid list;
+    - a gated step asks the gate only when an answer can have changed (the
+      contract on [Interp.hooks.gate]): each thread keeps its next shared
+      access, peeked without allocating when the next transition makes
+      none, its admission bit and the access count at its last poll.  The
+      stepped thread is asked anew; a denied one again only after some
+      shared access executed; an admitted one not until it steps.  The
+      admitted tid list is reused until the admitted set changes, and the
+      peeked access record doubles as the suppression query and the
+      [on_shared] location of the access it describes.
 
     Thread/frame bookkeeping mirrors {!Interp} field for field; shared
     pieces (expression evaluation for enabledness peeking, syscall and
@@ -57,9 +62,19 @@ type vthread = {
   mutable started : bool;
   mutable reads_rev : (int * Value.t) list;
   mutable outputs_rev : string list;
-  mutable pre_cache : Event.pre option;  (* as in Interp.thread *)
-  mutable pre_valid : bool;
+  mutable pending : Event.pre;
+      (** the next shared access ([no_access] when the next transition
+          makes none); valid while [polled >= 0] *)
+  mutable polled : int;
+      (** [st.accesses] when the gate last answered for [pending]; -1 once
+          the thread steps or is woken, so [pending] is recomputed *)
+  mutable admitted : bool;  (** the gate's last answer for [pending] *)
 }
+
+(* [pending] of a thread whose next transition makes no shared access;
+   compared physically *)
+let no_access : Event.pre =
+  { Event.tid = 0; c = 0; loc = { Loc.obj = 0; fld = 0 }; kind = Read; site = 0; ghost = NotGhost }
 
 (* ------------------------------------------------------------------ *)
 (* Flat heap: open addressing over (obj, fld) with linear probing      *)
@@ -168,13 +183,23 @@ type state = {
   maybe_blocking : bool array;
       (* per pc: boundary whose statement head can block (sync/lock/join);
          resting there invalidates the enabled-set cache *)
+  access_at : bool array;
+      (* per pc: the transition starting there makes a shared access (a
+         shared site, or a sync ghost), so the gate must see it *)
   mutable enabled : vthread array;
       (* [0 .. n_enabled-1]: the semantically enabled threads, in reverse
          thread order; valid while [cache_ok] *)
   mutable n_enabled : int;
-  mutable cached_runnable : int list;  (* their tids, in the same order *)
+  mutable cached_runnable : int list;
+      (* ungated runs: their tids, in thread order (a gated run picks from
+         [admitted_tids] instead) *)
   mutable cache_ok : bool;
   mutable dirty : bool;  (* set by any transition that can change enabledness *)
+  mutable accesses : int;  (* shared accesses executed so far, ghosts included *)
+  mutable admitted_tids : int list;
+      (* gated runs: the enabled threads whose [admitted] bit is set, in
+         thread order; valid while [admitted_ok] *)
+  mutable admitted_ok : bool;
 }
 
 let shared_site st (sid : int) : bool =
@@ -247,6 +272,7 @@ let[@inline] as_bool st (pc : int) (v : Value.t) : bool =
 let access st (t : vthread) ~(obj : int) ~(fld : int) ~(kind : Event.akind)
     ~(site : int) ~(ghost : Event.ghost_kind) (value : Value.t) : unit =
   t.d <- t.d + 1;
+  st.accesses <- st.accesses + 1;
   (match kind, ghost with
   | Event.Read, Event.NotGhost -> t.reads_rev <- (t.d, value) :: t.reads_rev
   | _ -> ());
@@ -256,7 +282,11 @@ let access st (t : vthread) ~(obj : int) ~(fld : int) ~(kind : Event.akind)
       :: st.trace_rev;
   (match st.hooks.on_shared with
   | None -> ()
-  | Some f -> f ~tid:t.tid ~c:t.d ~loc:{ Loc.obj; fld } ~kind ~site ~ghost);
+  | Some f ->
+    (* a gated run peeked this location already: hand over that record *)
+    let p = t.pending.loc in
+    let loc = if p.obj = obj && p.fld = fld then p else { Loc.obj; fld } in
+    f ~tid:t.tid ~c:t.d ~loc ~kind ~site ~ghost);
   match st.hooks.observe with
   | None -> ()
   | Some f ->
@@ -273,18 +303,18 @@ let[@inline] do_write st (t : vthread) ~(obj : int) ~(fld : int) ~(sid : int)
     (match st.hooks.suppress_write with
     | None -> heap_set st.heap obj fld v
     | Some suppress ->
-      if
-        not
-          (suppress
-             {
-               Event.tid = t.tid;
-               c = t.d + 1;
-               loc = { Loc.obj; fld };
-               kind = Write;
-               site = sid;
-               ghost = NotGhost;
-             })
-      then heap_set st.heap obj fld v);
+      (* the gate's peek of this write, when it is one, is the same record *)
+      let p = t.pending in
+      let pre =
+        if
+          p.c = t.d + 1 && p.loc.obj = obj && p.loc.fld = fld && p.kind = Write
+          && p.site = sid && p.ghost = NotGhost
+        then p
+        else
+          { Event.tid = t.tid; c = t.d + 1; loc = { Loc.obj; fld }; kind = Write; site = sid;
+            ghost = NotGhost }
+      in
+      if not (suppress pre) then heap_set st.heap obj fld v);
     access st t ~obj ~fld ~kind:Write ~site:sid ~ghost:NotGhost v
   end
   else heap_set st.heap obj fld v
@@ -351,7 +381,7 @@ let pick_wakeup st (m : Value.objid) : int option =
 let wake st (w : int) (m : Value.objid) : unit =
   let wt = Hashtbl.find st.threads w in
   wt.status <- Notified m;
-  wt.pre_valid <- false;
+  wt.polled <- -1;
   st.dirty <- true
 
 let observe_event st (ev : Event.t) : unit =
@@ -383,8 +413,9 @@ let make_thread ~tid ~frames : vthread =
     started = false;
     reads_rev = [];
     outputs_rev = [];
-    pre_cache = None;
-    pre_valid = false;
+    pending = no_access;
+    polled = -1;
+    admitted = false;
   }
 
 let new_vframe (fi : fninfo) ~(ret_to : int option) : vframe =
@@ -852,89 +883,91 @@ let step_thread st (t : vthread) : unit =
 (* Enabledness + the replay gate (mirrors Interp)                      *)
 (* ------------------------------------------------------------------ *)
 
-let pre_of (t : vthread) ~loc ~kind ~site ~ghost : Event.pre =
+let[@inline] pre_of (t : vthread) ~loc ~kind ~site ~ghost : Event.pre =
   { Event.tid = t.tid; c = t.d + 1; loc; kind; site; ghost }
 
-(* The next shared access the thread will perform, computed by peeking at
-   the resolved statement heading the resting pc ([bc_stmt_at]).  Pure
-   expression evaluation reuses [Interp.eval] over the register frame:
-   registers [0..nslots-1] are exactly the statement's slots. *)
-let next_pre st (t : vthread) : Event.pre option =
-  let shared site = shared_site st site in
+(* The access made by statement [s] (whose [access_at] bit is set) over
+   the register frame [slots]: registers [0..nslots-1] are exactly the
+   statement's slots, so pure expressions evaluate through [Interp.eval].
+   An address that does not evaluate (the statement will crash) makes no
+   access. *)
+let stmt_pre (t : vthread) (s : Resolve.rstmt) (slots : Value.t array) : Event.pre =
+  let site = s.rsid in
+  try
+    match s.rnode with
+    | Resolve.RLoad (_, o, fld) ->
+      pre_of t ~loc:(Loc.field_id (Interp.eval_ref s slots o) fld) ~kind:Read ~site ~ghost:NotGhost
+    | RStore (o, fld, _) ->
+      pre_of t ~loc:(Loc.field_id (Interp.eval_ref s slots o) fld) ~kind:Write ~site ~ghost:NotGhost
+    | RLoadIdx (_, a, i) -> (
+      match Interp.eval s slots a, Interp.eval s slots i with
+      | VRef o, VInt n -> pre_of t ~loc:(Loc.elem o n) ~kind:Read ~site ~ghost:NotGhost
+      | _ -> no_access)
+    | RStoreIdx (a, i, _) -> (
+      match Interp.eval s slots a, Interp.eval s slots i with
+      | VRef o, VInt n -> pre_of t ~loc:(Loc.elem o n) ~kind:Write ~site ~ghost:NotGhost
+      | _ -> no_access)
+    | RGlobalLoad (_, g) -> pre_of t ~loc:(Loc.global_id g) ~kind:Read ~site ~ghost:NotGhost
+    | RGlobalStore (g, _) -> pre_of t ~loc:(Loc.global_id g) ~kind:Write ~site ~ghost:NotGhost
+    | RMapGet (_, m, k) | RMapHas (_, m, k) ->
+      pre_of t
+        ~loc:(Loc.mapkey (Interp.eval_ref s slots m) (Interp.eval s slots k))
+        ~kind:Read ~site ~ghost:NotGhost
+    | RMapPut (m, k, _) ->
+      pre_of t
+        ~loc:(Loc.mapkey (Interp.eval_ref s slots m) (Interp.eval s slots k))
+        ~kind:Write ~site ~ghost:NotGhost
+    | RSync (m, _) | RLock m ->
+      pre_of t ~loc:(Loc.lock_ghost (Interp.eval_ref s slots m)) ~kind:Read ~site
+        ~ghost:LockAcqRead
+    | RUnlock m ->
+      pre_of t ~loc:(Loc.lock_ghost (Interp.eval_ref s slots m)) ~kind:Write ~site
+        ~ghost:LockRelWrite
+    | RWait m ->
+      pre_of t ~loc:(Loc.lock_ghost (Interp.eval_ref s slots m)) ~kind:Write ~site
+        ~ghost:WaitRelWrite
+    | RNotify m | RNotifyAll m ->
+      pre_of t ~loc:(Loc.cond_ghost (Interp.eval_ref s slots m)) ~kind:Write ~site
+        ~ghost:NotifyWrite
+    | RSpawn _ ->
+      (* the child's ghost id depends on the fresh tid *)
+      let child = (t.tid * 100) + t.spawn_idx + 1 in
+      pre_of t ~loc:(Loc.thread_ghost child) ~kind:Write ~site ~ghost:SpawnWrite
+    | RJoin h -> (
+      match Interp.eval s slots h with
+      | VThread target -> pre_of t ~loc:(Loc.thread_ghost target) ~kind:Read ~site ~ghost:JoinRead
+      | _ -> no_access)
+    | _ -> no_access
+  with Interp.Rt_crash _ -> no_access
+
+(* The next shared access the thread will perform ([no_access] for none),
+   peeked at the statement heading the resting pc.  Only statements whose
+   [access_at] bit is set are looked at, so a transition that makes no
+   shared access costs a table read and allocates nothing. *)
+let next_pre st (t : vthread) : Event.pre =
   match t.status with
   | Interp.Notified m ->
-    Some (pre_of t ~loc:(Loc.cond_ghost m) ~kind:Read ~site:0 ~ghost:WaitCondRead)
-  | Reacquiring m ->
-    Some (pre_of t ~loc:(Loc.lock_ghost m) ~kind:Read ~site:0 ~ghost:WaitReacqRead)
+    pre_of t ~loc:(Loc.cond_ghost m) ~kind:Read ~site:0 ~ghost:WaitCondRead
+  | Reacquiring m -> pre_of t ~loc:(Loc.lock_ghost m) ~kind:Read ~site:0 ~ghost:WaitReacqRead
   | Runnable | BlockedLock _ | BlockedJoin _ -> (
     if not t.started then
-      Some
-        (pre_of t ~loc:(Loc.thread_ghost t.tid) ~kind:Read ~site:0 ~ghost:ThreadFirstRead)
+      pre_of t ~loc:(Loc.thread_ghost t.tid) ~kind:Read ~site:0 ~ghost:ThreadFirstRead
     else
       match t.frames with
-      | [] ->
-        Some
-          (pre_of t ~loc:(Loc.thread_ghost t.tid) ~kind:Write ~site:0 ~ghost:ThreadExitWrite)
+      | [] -> pre_of t ~loc:(Loc.thread_ghost t.tid) ~kind:Write ~site:0 ~ghost:ThreadExitWrite
       | f :: _ -> (
-        match st.prog.bc_code.(f.pc) with
-        | IHalt -> None  (* implicit return: no shared access *)
-        | IExitSync sid -> (
-          match f.sync_stack with
-          | m :: _ ->
-            Some (pre_of t ~loc:(Loc.lock_ghost m) ~kind:Write ~site:sid ~ghost:LockRelWrite)
-          | [] -> None)
-        | _ -> (
-          match st.prog.bc_stmt_at.(f.pc) with
-          | None -> None
-          | Some s -> (
-            let slots = f.regs in
-            let e x = Interp.eval s slots x in
-            let eref x = Interp.eval_ref s slots x in
-            try
-              match s.rnode with
-              | Resolve.RLoad (_, o, fld) when shared s.rsid ->
-                Some (pre_of t ~loc:(Loc.field_id (eref o) fld) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-              | RStore (o, fld, _) when shared s.rsid ->
-                Some (pre_of t ~loc:(Loc.field_id (eref o) fld) ~kind:Write ~site:s.rsid ~ghost:NotGhost)
-              | RLoadIdx (_, a, i) when shared s.rsid -> (
-                match e a, e i with
-                | VRef o, VInt n ->
-                  Some (pre_of t ~loc:(Loc.elem o n) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-                | _ -> None)
-              | RStoreIdx (a, i, _) when shared s.rsid -> (
-                match e a, e i with
-                | VRef o, VInt n ->
-                  Some (pre_of t ~loc:(Loc.elem o n) ~kind:Write ~site:s.rsid ~ghost:NotGhost)
-                | _ -> None)
-              | RGlobalLoad (_, g) when shared s.rsid ->
-                Some (pre_of t ~loc:(Loc.global_id g) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-              | RGlobalStore (g, _) when shared s.rsid ->
-                Some (pre_of t ~loc:(Loc.global_id g) ~kind:Write ~site:s.rsid ~ghost:NotGhost)
-              | RMapGet (_, m, k) when shared s.rsid ->
-                Some (pre_of t ~loc:(Loc.mapkey (eref m) (e k)) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-              | RMapHas (_, m, k) when shared s.rsid ->
-                Some (pre_of t ~loc:(Loc.mapkey (eref m) (e k)) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-              | RMapPut (m, k, _) when shared s.rsid ->
-                Some (pre_of t ~loc:(Loc.mapkey (eref m) (e k)) ~kind:Write ~site:s.rsid ~ghost:NotGhost)
-              | RSync (m, _) | RLock m ->
-                Some (pre_of t ~loc:(Loc.lock_ghost (eref m)) ~kind:Read ~site:s.rsid ~ghost:LockAcqRead)
-              | RUnlock m ->
-                Some (pre_of t ~loc:(Loc.lock_ghost (eref m)) ~kind:Write ~site:s.rsid ~ghost:LockRelWrite)
-              | RWait m ->
-                Some (pre_of t ~loc:(Loc.lock_ghost (eref m)) ~kind:Write ~site:s.rsid ~ghost:WaitRelWrite)
-              | RNotify m | RNotifyAll m ->
-                Some (pre_of t ~loc:(Loc.cond_ghost (eref m)) ~kind:Write ~site:s.rsid ~ghost:NotifyWrite)
-              | RSpawn _ ->
-                let child = (t.tid * 100) + t.spawn_idx + 1 in
-                Some (pre_of t ~loc:(Loc.thread_ghost child) ~kind:Write ~site:s.rsid ~ghost:SpawnWrite)
-              | RJoin h -> (
-                match e h with
-                | VThread target ->
-                  Some (pre_of t ~loc:(Loc.thread_ghost target) ~kind:Read ~site:s.rsid ~ghost:JoinRead)
-                | _ -> None)
-              | _ -> None
-            with Interp.Rt_crash _ -> None))))
-  | InWait _ | Finished | Crashed -> None
+        if not (Array.unsafe_get st.access_at f.pc) then no_access
+        else
+          match Array.unsafe_get st.prog.bc_code f.pc with
+          | IExitSync sid -> (
+            match f.sync_stack with
+            | m :: _ -> pre_of t ~loc:(Loc.lock_ghost m) ~kind:Write ~site:sid ~ghost:LockRelWrite
+            | [] -> no_access)
+          | _ -> (
+            match Array.unsafe_get st.prog.bc_stmt_at f.pc with
+            | Some s -> stmt_pre t s f.regs
+            | None -> no_access)))
+  | InWait _ | Finished | Crashed -> no_access
 
 let semantically_enabled st (t : vthread) : bool =
   match t.status with
@@ -970,16 +1003,6 @@ let semantically_enabled st (t : vthread) : bool =
         | None -> true)
       | _ -> true)
 
-let gate_allows st (t : vthread) : bool =
-  match st.hooks.gate with
-  | None -> true
-  | Some gate -> (
-    if not t.pre_valid then begin
-      t.pre_cache <- next_pre st t;
-      t.pre_valid <- true
-    end;
-    match t.pre_cache with None -> true | Some pre -> gate pre)
-
 (* ------------------------------------------------------------------ *)
 (* State construction                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -1005,6 +1028,21 @@ let make_state ~(hooks : Interp.hooks) ~plan ~collect_trace ~rng ~steps ~crashes
           | _ -> false)
         | None -> false)
   in
+  let access_at =
+    Array.init (Array.length bp.bc_code) (fun pc ->
+        match bp.bc_code.(pc), bp.bc_stmt_at.(pc) with
+        | IExitSync _, _ -> true
+        | IHalt, _ | _, None -> false
+        | _, Some s -> (
+          match s.Resolve.rnode with
+          | RLoad _ | RStore _ | RLoadIdx _ | RStoreIdx _ | RGlobalLoad _ | RGlobalStore _
+          | RMapGet _ | RMapHas _ | RMapPut _ ->
+            s.rsid >= 0 && s.rsid < Array.length shared && shared.(s.rsid)
+          | RSync _ | RLock _ | RUnlock _ | RWait _ | RNotify _ | RNotifyAll _ | RSpawn _
+          | RJoin _ ->
+            true
+          | _ -> false))
+  in
   {
     prog = bp;
     hooks;
@@ -1024,11 +1062,15 @@ let make_state ~(hooks : Interp.hooks) ~plan ~collect_trace ~rng ~steps ~crashes
     rng;
     consts = Array.map value_of_const bp.bc_consts;
     maybe_blocking;
+    access_at;
     enabled = [||];
     n_enabled = 0;
     cached_runnable = [];
     cache_ok = false;
     dirty = false;
+    accesses = 0;
+    admitted_tids = [];
+    admitted_ok = false;
   }
 
 let init_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
@@ -1051,18 +1093,19 @@ let init_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
 (* Run loop (mirrors Interp.run_state, plus the enabled-set cache)     *)
 (* ------------------------------------------------------------------ *)
 
-(* Recompute the enabled set into [st.enabled] / [st.cached_runnable];
-   false when no thread is live. *)
+(* Recompute the enabled set into [st.enabled] (and [st.cached_runnable]
+   when ungated); false when no thread is live. *)
 let refresh_enabled st : bool =
   if Array.length st.enabled < st.n_threads then
     st.enabled <- Array.make (Array.length st.order) st.order.(0);
+  let gated = st.hooks.gate <> None in
   let tids = ref [] and n = ref 0 and any_live = ref false in
   for i = st.n_threads - 1 downto 0 do
     let t = st.order.(i) in
     if t.status <> Interp.Finished && t.status <> Interp.Crashed then begin
       any_live := true;
       if semantically_enabled st t then begin
-        tids := t.tid :: !tids;
+        if not gated then tids := t.tid :: !tids;
         st.enabled.(!n) <- t;
         incr n
       end
@@ -1070,16 +1113,61 @@ let refresh_enabled st : bool =
   done;
   st.n_enabled <- !n;
   st.cached_runnable <- !tids;
+  st.admitted_ok <- false;
   !any_live
 
-(* the gate-admitted subset of the enabled set, in thread order *)
-let gate_filter st : int list =
+(* the tids of the enabled threads satisfying [keep], in thread order *)
+let enabled_tids st (keep : vthread -> bool) : int list =
   let acc = ref [] in
   for i = 0 to st.n_enabled - 1 do
     let t = Array.unsafe_get st.enabled i in
-    if gate_allows st t then acc := t.tid :: !acc
+    if keep t then acc := t.tid :: !acc
   done;
   !acc
+
+(* the picked thread: [tid] is enabled, so a scan of the enabled set finds
+   it without hashing (and round-robin replay switches thread every step) *)
+let enabled_thread st (tid : int) : vthread =
+  let i = ref 0 in
+  while !i < st.n_enabled && (Array.unsafe_get st.enabled !i).tid <> tid do incr i done;
+  if !i < st.n_enabled then Array.unsafe_get st.enabled !i else Hashtbl.find st.threads tid
+
+(* The gate-admitted subset of the enabled set, in thread order.  By the
+   contract on [Interp.hooks.gate], an admitted thread stays admitted until
+   it steps, and a denied one can be admitted only after some shared access
+   executes; so only a thread that stepped (or was woken) since its last
+   poll, or a denied thread polled before the latest access, is asked
+   again, and the list is rebuilt only when the admitted set it holds
+   changed. *)
+let gate_filter st (gate : Event.pre -> bool) : int list =
+  let changed = ref (not st.admitted_ok) in
+  for i = 0 to st.n_enabled - 1 do
+    let t = Array.unsafe_get st.enabled i in
+    if t.polled < 0 || ((not t.admitted) && t.polled < st.accesses) then begin
+      if t.polled < 0 then t.pending <- next_pre st t;
+      let ok = t.pending == no_access || gate t.pending in
+      t.polled <- st.accesses;
+      if ok <> t.admitted then begin
+        t.admitted <- ok;
+        changed := true
+      end
+    end
+  done;
+  if !changed then begin
+    (* [enabled] holds reverse thread order: walk it backwards against the
+       list, and allocate a new one only when they differ *)
+    let rest = ref st.admitted_tids and same = ref true and i = ref (st.n_enabled - 1) in
+    while !same && !i >= 0 do
+      let t = Array.unsafe_get st.enabled !i in
+      (if t.admitted then
+         match !rest with x :: r when x = t.tid -> rest := r | _ -> same := false);
+      decr i
+    done;
+    let unchanged = !same && match !rest with [] -> true | _ :: _ -> false in
+    if not unchanged then st.admitted_tids <- enabled_tids st (fun t -> t.admitted);
+    st.admitted_ok <- true
+  end;
+  st.admitted_tids
 
 let live_tids st : int list =
   let live = ref [] in
@@ -1091,13 +1179,12 @@ let live_tids st : int list =
 
 let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
     (st : state) : Interp.status_summary option =
-  let gated = st.hooks.gate <> None in
   let finished = ref false in
   let paused = ref false in
   let status = ref Interp.AllFinished in
-  (* 1-entry pick memo: consecutive steps usually run the same thread, so
-     skip the tid hashtable on the repeat *)
-  let memo : vthread option ref = ref None in
+  (* 1-entry pick memo: a sticky schedule runs the same thread for long
+     stretches, so skip even the scan of the enabled set on the repeat *)
+  let memo = ref (make_thread ~tid:(-1) ~frames:[]) in
   while (not !finished) && not !paused do
     if not st.cache_ok then begin
       if not (refresh_enabled st) then begin
@@ -1112,14 +1199,16 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
     end;
     let runnable =
       if !finished then []
-      else if not gated then st.cached_runnable
       else
-        match gate_filter st with
-        | [] ->
-          finished := true;
-          status := Interp.GateStuck st.cached_runnable;
-          []
-        | runnable -> runnable
+        match st.hooks.gate with
+        | None -> st.cached_runnable
+        | Some gate -> (
+          match gate_filter st gate with
+          | [] ->
+            finished := true;
+            status := Interp.GateStuck (enabled_tids st (fun _ -> true));
+            []
+          | runnable -> runnable)
     in
     if not !finished then begin
       if st.steps >= max_steps then begin
@@ -1131,12 +1220,11 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
         let tid = sched.pick ~step:st.steps ~runnable in
         let tid = if List.mem tid runnable then tid else List.hd runnable in
         let t =
-          match !memo with
-          | Some m when m.tid = tid -> m
-          | _ ->
-            let x = Hashtbl.find st.threads tid in
-            memo := Some x;
-            x
+          if !memo.tid = tid then !memo
+          else begin
+            memo := enabled_thread st tid;
+            !memo
+          end
         in
         st.steps <- st.steps + 1;
         st.dirty <- false;
@@ -1144,7 +1232,7 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
         | Interp.Rt_crash (site, line, msg) ->
           st.crashes <- { Interp.tid; site; line; msg; c = t.d } :: st.crashes;
           finish_thread st t ~crashed:true);
-        t.pre_valid <- false;
+        t.polled <- -1;
         (* cache maintenance: drop it when the transition touched lock /
            status / thread structure, or when the stepped thread rests on
            a possibly-blocking statement head *)
@@ -1345,8 +1433,9 @@ let restore_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
           started = snt.sn_started;
           reads_rev = [];
           outputs_rev = [];
-          pre_cache = None;
-          pre_valid = false;
+          pending = no_access;
+          polled = -1;
+          admitted = false;
         }
       in
       push_thread st t)

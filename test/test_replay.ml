@@ -560,13 +560,16 @@ let solved (r : Light.recording) =
   | None -> Alcotest.fail "unsat"
 
 (* the 28 workloads at scale 1 and seed 1, then the 8 Figure-6 bugs under
-   their triggering schedule *)
-let pinned_recordings () =
-  List.map
+   their triggering schedule; [only] picks workloads by name *)
+let pinned_recordings ?(only = fun _ -> true) () =
+  List.filter_map
     (fun (bm : Workloads.benchmark) ->
-      ( bm.name,
-        Light.record ~sched:(Workloads.scheduler ~seed:1 bm) ~seed:1
-          (Workloads.program bm) ))
+      if not (only bm.name) then None
+      else
+        Some
+          ( bm.name,
+            Light.record ~sched:(Workloads.scheduler ~seed:1 bm) ~seed:1
+              (Workloads.program bm) ))
     Workloads.all
   @ List.map
       (fun (b : Bugs.Defs.bug) ->
@@ -705,6 +708,85 @@ let test_inverted_order_stuck () =
         "2 stuck1 d41d8cd98f00b204e9800998ecf8427e"
         (fingerprint (inverted_replay engine)))
     [ Vm.Tree; Vm.Bytecode ]
+
+(* The contract on [Interp.hooks.gate] that lets the VM poll less: an
+   answer for a pending access stays true until the thread takes it, and a
+   denied one can change only after some shared access executes.  A
+   wrapper gate counts the shared accesses (through [on_shared], which
+   fires on every one) and checks each poll: on the VM a thread denied for
+   a pending access is asked again only after an access ran, and on both
+   engines a [true] for a pending access is never followed by [false] for
+   it.  The wrapper changes no answer, so the pinned fingerprints hold. *)
+let contended = [ "dacapo-avrora"; "dacapo-xalan"; "stamp-vacation"; "mp-queue"; "mp-barrier" ]
+
+let test_gate_contract () =
+  let repolls = ref 0 in
+  List.iter
+    (fun (name, (r : Light.recording)) ->
+      let sch = solved r in
+      List.iter
+        (fun engine ->
+          let tag = name ^ "/" ^ Vm.engine_name engine in
+          let accesses = ref 0 in
+          (* per tid: the pending counter last asked about, the answer, and
+             the access count at that poll *)
+          let last : (int, int * bool * int) Hashtbl.t = Hashtbl.create 16 in
+          let wrap (h : Interp.hooks) =
+            let g = Option.get h.gate and on_shared = Option.get h.on_shared in
+            let gate (pre : Event.pre) =
+              let ok = g pre in
+              (match Hashtbl.find_opt last pre.tid with
+              | Some (c, prev, at) when c = pre.c ->
+                if prev && not ok then
+                  Alcotest.failf "%s: (%d,%d) admitted, then denied" tag pre.tid c;
+                if (not prev) && engine = Vm.Bytecode then begin
+                  if at = !accesses then
+                    Alcotest.failf "%s: (%d,%d) re-polled with no access since its denial"
+                      tag pre.tid c;
+                  incr repolls
+                end
+              | _ -> ());
+              Hashtbl.replace last pre.tid (pre.c, ok, !accesses);
+              ok
+            in
+            let on_shared ~tid ~c ~loc ~kind ~site ~ghost =
+              incr accesses;
+              on_shared ~tid ~c ~loc ~kind ~site ~ghost
+            in
+            { h with gate = Some gate; on_shared = Some on_shared }
+          in
+          Alcotest.(check string) tag (List.assoc name pinned_replays)
+            (fingerprint (gated_run ~wrap engine r.program ~plan:r.plan sch)))
+        [ Vm.Tree; Vm.Bytecode ])
+    (pinned_recordings ~only:(fun n -> List.mem n contended) ());
+  Alcotest.(check bool) "denied threads were polled again" true (!repolls > 0)
+
+(* Allocation of a gated VM step against an ungated round-robin one, on
+   the same program and plan: minor-heap words are deterministic for a
+   given run, so the bound is exact, not a timing.  The driver is built
+   outside the measured run. *)
+let test_replay_alloc () =
+  List.iter
+    (fun name ->
+      let bm = Option.get (Workloads.by_name name) in
+      let p = Workloads.program ~scale:1 bm in
+      let r = Light.record ~sched:(Workloads.scheduler ~seed:1 bm) ~seed:1 p in
+      let bp = Lang.Compile.lower (Interp.compile p) in
+      let words_per_step hooks =
+        let w0 = Gc.minor_words () in
+        let o =
+          Vm.run_program ?hooks ~plan:r.plan ~max_steps:10_000_000
+            ~sched:(Sched.round_robin ()) bp
+        in
+        (Gc.minor_words () -. w0) /. float_of_int o.steps
+      in
+      let ungated = words_per_step None in
+      let hooks = Replayer.driver (solved r) ~plan:r.plan in
+      let gated = words_per_step (Some hooks) in
+      if gated > 1.5 *. ungated then
+        Alcotest.failf "%s: gated replay %.1f words/step > 1.5 x ungated %.1f" name gated
+          ungated)
+    [ "jgf-series"; "mp-queue" ]
 
 (* One thread changing another's status or enabledness while the other
    waits: a notify and unlock moving a waiter InWait -> Notified ->
@@ -1184,6 +1266,10 @@ let () =
             test_cache_handoff_wakeup;
           Alcotest.test_case "cache: recorded deadlock replays as Deadlock" `Quick
             test_cache_deadlock;
+          Alcotest.test_case "gate contract: monotone admission, poll after access" `Quick
+            test_gate_contract;
+          Alcotest.test_case "gated VM replay allocates <= 1.5x an ungated run" `Quick
+            test_replay_alloc;
         ] );
       ( "generate",
         [

@@ -264,17 +264,19 @@ let check_verdicts rules ~base cases =
       Alcotest.(check bool) what want (run_gate rules ~base fresh))
     cases
 
-let interp ?(replay = 1.0) ~basic ~epoch ~vm () =
+let interp ?(replay = 1.0) ?(replay_over_vm = 1.0) ~basic ~epoch ~vm () =
   J.Obj
     [
       ( "geomean",
         J.Obj [ ("ratio_basic", J.Float basic); ("ratio_epoch", J.Float epoch);
-                ("vm_speedup", J.Float vm); ("replay_speedup", J.Float replay) ] );
+                ("vm_speedup", J.Float vm); ("replay_speedup", J.Float replay);
+                ("replay_over_vm", J.Float replay_over_vm) ] );
     ]
 
 let test_perfcheck_thresholds () =
   (* baseline +20%: 1.25 -> 1.5; epoch within +10% of the fresh basic
-     ratio: 2.5 -> 2.75; VM speedup and VM replay speedup at least 1.0 *)
+     ratio: 2.5 -> 2.75; VM speedup and VM replay speedup at least 1.0;
+     VM replay at most 1.65x the VM's native run *)
   let rules = Report.Experiments.perfcheck_rules in
   let base = interp ~basic:1.25 ~epoch:0.0 ~vm:0.0 () in
   check_verdicts rules ~base
@@ -292,6 +294,12 @@ let test_perfcheck_thresholds () =
       ("replay_speedup at floor", interp ~replay:1.0 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (), true);
       ( "replay_speedup below floor",
         interp ~replay:0.9999 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
+        false );
+      ( "replay_over_vm at ceiling",
+        interp ~replay_over_vm:1.65 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
+        true );
+      ( "replay_over_vm past ceiling",
+        interp ~replay_over_vm:1.6501 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
         false );
     ]
 
