@@ -74,6 +74,18 @@ let print_outcome (o : Runtime.Interp.outcome) =
   | StepLimit -> print_endline "!! step limit exceeded");
   Printf.printf "(%d steps, %d threads)\n" o.steps (List.length o.counters)
 
+(* For each thread of a stalled replay, the event it waits for; [fence]
+   gives a v4 chunk's end-of-epoch counter per thread *)
+let print_waits (sch : Light_core.Replayer.schedule) ~fence ~counters ts =
+  List.iter
+    (fun tid ->
+      let c = Option.value (List.assoc_opt tid counters) ~default:0 + 1 in
+      if c > fence tid then
+        Printf.printf "!! thread %d waits at counter %d: past the epoch's end (counter %d)\n"
+          tid c (fence tid)
+      else print_endline ("!! " ^ Light_core.Replayer.describe_wait sch ~tid ~c))
+    ts
+
 (* A replay that stalls on the gate or runs out of steps did not follow
    the recorded run; a deadlock may be the recorded behaviour itself. *)
 let replay_diverged : Runtime.Interp.status_summary -> bool = function
@@ -420,6 +432,11 @@ let replay_cmd =
             in
             if not ok then
               Printf.printf "!! epoch %d: replay stopped short of the epoch's end\n" k;
+            (match rr.rr_status, rr.rr_report.schedule with
+            | GateStuck ts, Some sch when not rr.rr_complete ->
+              let fence tid = Option.value (List.assoc_opt tid ck.ck_log.counters) ~default:0 in
+              print_waits sch ~fence ~counters:rr.rr_counters ts
+            | _ -> ());
             all_ok && ok))
       true ks
   in
@@ -460,6 +477,9 @@ let replay_cmd =
         let plan = (Instrument.Transformer.transform p).plan in
         let o = Light_core.Replayer.replay p ~plan sch in
         print_outcome o;
+        (match o.status with
+        | GateStuck ts -> print_waits sch ~fence:(fun _ -> max_int) ~counters:o.counters ts
+        | _ -> ());
         if replay_diverged o.status then exit 1
     end
   in
@@ -714,7 +734,9 @@ let reproduce_cmd =
     let p = or_die (read_program file) in
     let rp =
       or_die
-        (Explore.reproducer_of_string (read_file repro_file))
+        (Result.map_error
+           (Printf.sprintf "bad reproducer %s: %s" repro_file)
+           (Explore.reproducer_of_string (read_file repro_file)))
     in
     match Explore.run_reproducer p rp with
     | Error e -> or_die (Error e)

@@ -178,7 +178,7 @@ let replay_hooks (l : log) : Interp.hooks =
   in
   {
     Interp.default_hooks with
-    gate = Some gate;
+    gate = Some (Pred gate);
     observe = Some observe;
     syscall_override = Some (fun ~tid ~idx ~name:_ -> Hashtbl.find_opt sys (tid, idx));
   }

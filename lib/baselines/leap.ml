@@ -82,7 +82,7 @@ let replay_hooks (l : log) ~(syscalls : (int * int * string * Value.t) list) : I
   in
   {
     Interp.default_hooks with
-    gate = Some gate;
+    gate = Some (Pred gate);
     observe = Some observe;
     syscall_override = Some (fun ~tid ~idx ~name:_ -> Hashtbl.find_opt sys (tid, idx));
   }

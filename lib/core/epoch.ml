@@ -188,13 +188,15 @@ type epoch_replay = {
       (** every thread of the watermark ended at exactly its recorded
           end-of-epoch counter: false when the replay stalled short of the
           epoch's end *)
+  rr_counters : (int * int) list;  (** each thread's D(t) where the replay ended *)
   rr_steps : int;  (** steps executed by the replay (O(epoch)) *)
   rr_obs : Interp.observables;  (** the replayed window's observables *)
   rr_report : Replayer.solve_report;
 }
 
 (* Fence the replay at the epoch's counter watermark: any shared access
-   that would push a thread past its recorded end-of-epoch D(t) is denied.
+   that would push a thread past its recorded end-of-epoch D(t) waits for
+   rank [max_int], which the cursor never reaches.
    Without the fence, threads whose constrained events all executed would
    free-run into later epochs (their accesses are unconstrained in this
    epoch's schedule), making the replay O(run) again.  A thread absent
@@ -203,16 +205,14 @@ let fenced_hooks (hooks : Interp.hooks) (watermark : (int * int) list) :
     Interp.hooks =
   let dmax : (int, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (t, d) -> Hashtbl.replace dmax t d) watermark;
-  let fence (pre : Event.pre) =
-    pre.Event.c <= (match Hashtbl.find dmax pre.Event.tid with d -> d | exception Not_found -> 0)
-  in
-  {
-    hooks with
-    Interp.gate =
-      (match hooks.Interp.gate with
-      | Some g -> Some (fun pre -> fence pre && g pre)
-      | None -> Some fence);
-  }
+  match hooks.Interp.gate with
+  | Some (Rank r) ->
+    let wait ~tid ~c =
+      if c > Option.value (Hashtbl.find_opt dmax tid) ~default:0 then max_int
+      else r.wait ~tid ~c
+    in
+    { hooks with Interp.gate = Some (Rank { r with wait }) }
+  | Some (Pred _) | None -> invalid_arg "Epoch.fenced_hooks: the driver's rank gate"
 
 (** Replay one chunk standalone against [pp] (the (re-)prepared program;
     v4 stores no program text, like v3): solve its sealed log, restore its
@@ -252,6 +252,7 @@ let replay_chunk ?solver_budget ?(max_steps = 10_000_000) (pp : Light.prepared)
           rr_status = status;
           rr_complete =
             List.for_all (fun (t, d) -> List.assoc_opt t counters = Some d) ck.ck_log.Log.counters;
+          rr_counters = counters;
           rr_steps = Vm.state_steps st - ck.ck_start_steps;
           rr_obs = obs;
           rr_report = rep;

@@ -256,6 +256,31 @@ let rank_at (th : thread_tables) (c : int) : int =
   let i = c - th.base in
   if i >= 0 && i < Array.length th.rank then Array.unsafe_get th.rank i else -1
 
+(** The rank the replay cursor must reach before thread [tid] may take its
+    access with counter [c]: the event's own rank if it is constrained
+    (exact-rank turn-taking), else one past the rank of the thread's last
+    constrained event before it ([pred + 1]; [last + 1] past the thread's
+    table, 0 for a thread with none).  Pure, so the VM asks it once per
+    counter. *)
+let wait_rank (sch : schedule) ~(tid : int) ~(c : int) : int =
+  let th = tables sch tid in
+  let i = c - th.base in
+  if i < 0 then 0
+  else if i >= Array.length th.rank then th.last + 1
+  else
+    let k = Array.unsafe_get th.rank i in
+    if k >= 0 then k else Array.unsafe_get th.pred i + 1
+
+(** What a thread of a stalled replay waits for, as one line: its pending
+    counter [c] (one past its final counter), the rank the cursor must
+    reach, and the event at that rank. *)
+let describe_wait (sch : schedule) ~(tid : int) ~(c : int) : string =
+  let k = wait_rank sch ~tid ~c in
+  if k < Array.length sch.order then
+    let t', c' = sch.order.(k) in
+    Printf.sprintf "thread %d waits at counter %d for rank %d: event (%d,%d)" tid c k t' c'
+  else Printf.sprintf "thread %d waits at counter %d for rank %d: the end of the schedule" tid c k
+
 (** The rank of a constrained event, [None] for an unconstrained one. *)
 let rank (sch : schedule) ((t, c) : Log.evt) : int option =
   let k = rank_at (tables sch t) c in
@@ -310,15 +335,6 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
   let guarded_site = guarded_bits plan in
   (* positions for wakeup choice *)
   let last_notify : Log.evt option ref = ref None in
-  let gate (pre : Event.pre) : bool =
-    let th = tables sch pre.tid in
-    let i = pre.c - th.base in
-    if i < 0 then true
-    else if i >= Array.length th.rank then !next_rank > th.last
-    else
-      let k = Array.unsafe_get th.rank i in
-      if k >= 0 then k = !next_rank else !next_rank > Array.unsafe_get th.pred i
-  in
   let on_shared ~tid ~c ~loc:_ ~kind:_ ~site:_ ~ghost =
     let k = rank_at (tables sch tid) c in
     if k >= 0 && Bytes.unsafe_get executed k = '\000' then begin
@@ -329,14 +345,11 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
     end;
     if ghost = Event.NotifyWrite then last_notify := Some (tid, c)
   in
-  let suppress_write (pre : Event.pre) : bool =
+  let suppress_write ~tid ~c ~obj ~fld ~site : bool =
     suppress
-    && pre.ghost = Event.NotGhost
     &&
-    let th = tables sch pre.tid in
-    rank_at th pre.c < 0
-    && (not (guarded_site pre.site))
-    && not (interior th pre.loc pre.c)
+    let th = tables sch tid in
+    rank_at th c < 0 && (not (guarded_site site)) && not (interior th { Loc.obj; fld } c)
   in
   let syscall_override ~tid ~idx ~name:_ =
     Hashtbl.find_opt sch.syscall_values (tid, idx)
@@ -350,7 +363,7 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
     | None -> List.hd waiters
   in
   {
-    Interp.gate = Some gate;
+    Interp.gate = Some (Rank { wait = wait_rank sch; cursor = next_rank });
     observe = None;
     on_shared = Some on_shared;
     syscall_override = Some syscall_override;

@@ -565,62 +565,64 @@ let reproducer_to_string (rp : reproducer) : string =
   Buffer.add_string buf log_s;
   Buffer.contents buf
 
+(* a malformed reproducer line: the message, already naming the line *)
+exception Bad_line of string
+
 let reproducer_of_string (s : string) : (reproducer, string) result =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let lines = String.split_on_char '\n' s in
-  match lines with
+  match String.split_on_char '\n' s with
   | magic :: rest when magic = "LIGHT-REPRO v1" ->
     let flips = ref [] and expected = ref [] and sections = ref [] in
-    let rec go consumed = function
-      | [] -> err "missing log section"
+    let rec go lno consumed = function
+      | [] | [ "" ] -> Error "missing log section"
       | line :: rest -> (
         let consumed = consumed + String.length line + 1 in
+        let bad fmt =
+          Printf.ksprintf (fun m -> raise (Bad_line (Printf.sprintf "line %d: %s: %s" lno m line))) fmt
+        in
+        (* decimal only, as in the log formats *)
+        let int tok =
+          let digits =
+            if String.length tok > 1 && tok.[0] = '-' then String.sub tok 1 (String.length tok - 1)
+            else tok
+          in
+          match int_of_string_opt tok with
+          | Some n when digits <> "" && String.for_all (fun ch -> ch >= '0' && ch <= '9') digits -> n
+          | _ -> bad "bad integer %S" tok
+        in
+        let loc obj fld_toks = { Loc.obj = int obj; fld = Loc.fld_of_name (String.concat " " fld_toks) } in
+        let kind = function "R" -> Event.Read | "W" -> Event.Write | k -> bad "bad access kind %S" k in
         match String.split_on_char ' ' line with
-        | "flip" :: ta :: ca :: sa :: ka :: tb :: cb :: sb :: kb :: racy :: obj
-          :: fld_toks ->
-          let kind = function
-            | "R" -> Ok Event.Read
-            | "W" -> Ok Event.Write
-            | k -> err "bad access kind %S" k
+        | "flip" :: ta :: ca :: sa :: ka :: tb :: cb :: sb :: kb :: racy :: obj :: fld_toks ->
+          let f =
+            {
+              fa = (int ta, int ca);
+              fb = (int tb, int cb);
+              f_loc = loc obj fld_toks;
+              fa_site = int sa;
+              fb_site = int sb;
+              fa_kind = kind ka;
+              fb_kind = kind kb;
+              f_racy = racy = "1";
+            }
           in
-          (match (kind ka, kind kb) with
-          | Ok fa_kind, Ok fb_kind ->
-            flips :=
-              {
-                fa = (int_of_string ta, int_of_string ca);
-                fb = (int_of_string tb, int_of_string cb);
-                f_loc =
-                  { Loc.obj = int_of_string obj;
-                    fld = Loc.fld_of_name (String.concat " " fld_toks) };
-                fa_site = int_of_string sa;
-                fb_site = int_of_string sb;
-                fa_kind;
-                fb_kind;
-                f_racy = racy = "1";
-              }
-              :: !flips;
-            go consumed rest
-          | Error e, _ | _, Error e -> Error e)
+          flips := f :: !flips;
+          go (lno + 1) consumed rest
         | "section" :: ta :: ca :: tr :: cr :: obj :: fld_toks ->
-          let loc =
-            { Loc.obj = int_of_string obj;
-              fld = Loc.fld_of_name (String.concat " " fld_toks) }
-          in
-          let sec =
-            ( (int_of_string ta, int_of_string ca),
-              (int_of_string tr, int_of_string cr) )
-          in
-          sections := (loc, sec) :: !sections;
-          go consumed rest
+          let sec = ((int ta, int ca), (int tr, int cr)) in
+          sections := (loc obj fld_toks, sec) :: !sections;
+          go (lno + 1) consumed rest
         | "expect" :: tid :: site :: msg_toks ->
-          expected :=
-            (int_of_string tid, int_of_string site, String.concat " " msg_toks)
-            :: !expected;
-          go consumed rest
+          expected := (int tid, int site, String.concat " " msg_toks) :: !expected;
+          go (lno + 1) consumed rest
         | [ "log"; n ] ->
-          let n = int_of_string n in
-          if consumed + n > String.length s then err "truncated log section"
+          let n = int n in
+          if n < 0 then bad "negative log length"
+          else if n > String.length s - consumed then
+            bad "log section runs past the end (%d bytes left)" (String.length s - consumed)
           else begin
+            let rp_log =
+              try Log.of_string (String.sub s consumed n) with Failure m -> bad "%s" m
+            in
             (* regroup the flat section lines per location, preserving order *)
             let by_loc = Hashtbl.create 8 and order = ref [] in
             List.iter
@@ -636,19 +638,12 @@ let reproducer_of_string (s : string) : (reproducer, string) result =
                 (fun loc -> (loc, List.rev !(Hashtbl.find by_loc loc)))
                 !order
             in
-            Ok
-              {
-                rp_flips = List.rev !flips;
-                rp_log = Log.of_string (String.sub s consumed n);
-                rp_sections;
-                rp_expected = List.rev !expected;
-              }
+            Ok { rp_flips = List.rev !flips; rp_log; rp_sections; rp_expected = List.rev !expected }
           end
-        | _ -> err "unparseable line %S" line)
+        | _ -> bad "unparseable line")
     in
-    (try go (String.length magic + 1) rest
-     with Failure m -> err "parse error: %s" m)
-  | _ -> err "not a LIGHT-REPRO file"
+    (try go 2 (String.length magic + 1) rest with Bad_line m -> Error m)
+  | _ -> Error "not a LIGHT-REPRO file"
 
 let run_reproducer ?budget ?max_steps (p : Lang.Ast.program) (rp : reproducer) :
     (Interp.outcome, string) result =

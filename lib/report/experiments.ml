@@ -603,10 +603,10 @@ let interp_bench ?(seed = 7) ?(json_path = "BENCH_interp.json") () ppf : unit =
    not fall behind the tree walker it replaces, in native runs or in gated
    replay (the VM is the replayer's only engine).  Gated replay on the VM
    must also stay near the VM's own native run: [replay_over_vm] measured
-   1.29-1.47 in geomean (2-vCPU host, 2-3 iterations), 1.95 before the
-   gate polled only where an answer can change; 1.65 leaves about 15% of
-   headroom over the worst of those runs and still trips well short of
-   the old cost. *)
+   1.15-1.24 in geomean with rank admission (2-vCPU host, 2 iterations;
+   1.34-1.50 with the polled boolean gate in the same runs, 1.95 before
+   that gate polled only where an answer can change); 1.65 still trips
+   well short of the old cost. *)
 let perfcheck_rules : Gate.rule list =
   [
     { metric = "geomean.ratio_basic"; reference = Baseline; direction = At_most; tolerance = 0.20 };

@@ -55,21 +55,25 @@ type outcome = {
   trace : Event.access list;           (** full access trace if requested *)
 }
 
+(** How a replay tool admits a thread's next shared access (on the first
+    ghost access for compound sync transitions); a denied thread waits. *)
+type gate =
+  | Rank of { wait : tid:int -> c:int -> int; cursor : int ref }
+      (** the pending access [(tid, c)] is admitted once [!cursor >= wait
+          ~tid ~c].  [wait] must be pure and [cursor] must only grow (the
+          replayer's is the lowest rank not yet executed), so the VM asks
+          [wait] once per counter and compares one int per thread per
+          step.  Runs on both engines. *)
+  | Pred of (Event.pre -> bool)
+      (** [false] delays the thread: a predicate over the whole pending
+          access, asked about every enabled thread at every step.  Tree
+          walker only; the VM rejects it with [Invalid_argument]. *)
+
 (** All hooks are optional; [None] lets the interpreter skip the
     corresponding bookkeeping entirely (no pre-event or event-record
     construction on native runs). *)
 type hooks = {
-  gate : (Event.pre -> bool) option;
-      (** consulted before a shared access (on the first ghost access for
-          compound sync transitions); [false] delays the thread.  Contract:
-          a [true] for a pending access stays true until the thread takes
-          it, and a [false] can turn true only after some shared access
-          executes (whatever the gate reads moves only when one does, as
-          the replayer's rank cursor moves only in [on_shared]).  The VM
-          relies on it: it asks again about a denied thread only after a
-          shared access, and not at all about an admitted one until that
-          thread steps.  The tree walker asks about every enabled thread
-          at every step. *)
+  gate : gate option;
   observe : (Event.t -> unit) option;
   on_shared : (tid:int -> c:int -> loc:Loc.t -> kind:Event.akind -> site:int
                -> ghost:Event.ghost_kind -> unit) option;
@@ -82,8 +86,10 @@ type hooks = {
       (** replay-run substitution of recorded syscall values (Section 3.2) *)
   choose_wakeup : (lock:Value.objid -> waiters:int list -> int) option;
       (** pick which waiter a [notify] wakes; default FIFO *)
-  suppress_write : (Event.pre -> bool) option;
-      (** replay-run blind-write suppression (Section 4.2) *)
+  suppress_write : (tid:int -> c:int -> obj:int -> fld:int -> site:int -> bool) option;
+      (** replay-run blind-write suppression (Section 4.2): asked about a
+          non-ghost write [(tid, c)] to [obj.fld] at [site] before it
+          executes; [true] skips the heap update *)
   on_branch : (tid:int -> taken:bool -> unit) option;
       (** every if/while condition evaluation (used by path-recording tools
           such as Clap); may raise to abort the run *)
@@ -366,10 +372,10 @@ let do_release st (t : thread) (m : Value.objid) ~(site : int) ~(ghost : Event.g
 (* Enabledness                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* What shared access (if any) does the thread perform next?  Used both to
-   consult the replay gate and to decide blocking.  Pure evaluation may crash;
-   in that case we report no access so the thread runs and crashes properly.
-   Only computed when a gate is installed (replay-side runs). *)
+(* What shared access (if any) does the thread perform next?  Only
+   computed for a [Pred] gate (the baselines' replays).  Pure evaluation
+   may crash; in that case we report no access so the thread runs and
+   crashes properly. *)
 let next_pre st (t : thread) : Event.pre option =
   let shared site = shared_site st site in
   match t.status with
@@ -469,17 +475,43 @@ let semantically_enabled st (t : thread) : bool =
         | _ -> true)
       | _ -> true)
 
+(* Does the thread's next transition make a shared access?  The VM's
+   [access_at] rule, so a rank gate admits the same threads on both
+   engines: a statement whose address does not evaluate waits too (it
+   crashes when stepped, and the crash's exit write is its access). *)
+let makes_access st (t : thread) : bool =
+  match t.status with
+  | Notified _ | Reacquiring _ -> true
+  | Runnable | BlockedLock _ | BlockedJoin _ -> (
+    (not t.started)
+    ||
+    match t.frames with
+    | [] | { cont = CUnlock _; _ } :: _ -> true
+    | { cont = CSeq { todo = s :: _; _ }; _ } :: _ -> (
+      match s.rnode with
+      | RLoad _ | RStore _ | RLoadIdx _ | RStoreIdx _ | RGlobalLoad _ | RGlobalStore _
+      | RMapGet _ | RMapHas _ | RMapPut _ ->
+        shared_site st s.rsid
+      | RSync _ | RLock _ | RUnlock _ | RWait _ | RNotify _ | RNotifyAll _ | RSpawn _
+      | RJoin _ ->
+        true
+      | _ -> false)
+    | _ -> false)
+  | InWait _ | Finished | Crashed -> false
+
 (* [next_pre] reads only the thread's own frames, slots, counters and
    status, so its answer is cached until one of them changes. *)
 let gate_allows st (t : thread) : bool =
   match st.hooks.gate with
   | None -> true
-  | Some gate -> (
+  | Some (Rank { wait; cursor }) ->
+    (not (makes_access st t)) || !cursor >= wait ~tid:t.tid ~c:(t.d + 1)
+  | Some (Pred p) -> (
     if not t.pre_valid then begin
       t.pre_cache <- next_pre st t;
       t.pre_valid <- true
     end;
-    match t.pre_cache with None -> true | Some pre -> gate pre)
+    match t.pre_cache with None -> true | Some pre -> p pre)
 
 (* ------------------------------------------------------------------ *)
 (* Stepping                                                            *)
@@ -513,7 +545,7 @@ let do_write st (t : thread) (s : rstmt) (loc : Loc.t) (v : Value.t) : unit =
     (match st.hooks.suppress_write with
     | None -> heap_write st loc v
     | Some suppress ->
-      if not (suppress (pre_of t ~loc ~kind:Write ~site:s.rsid ~ghost:NotGhost)) then
+      if not (suppress ~tid:t.tid ~c:(t.d + 1) ~obj:loc.obj ~fld:loc.fld ~site:s.rsid) then
         heap_write st loc v);
     access st t ~loc ~kind:Write ~site:s.rsid ~ghost:NotGhost v
   end

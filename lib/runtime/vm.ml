@@ -2,8 +2,9 @@
     {!Lang.Bytecode} programs ({!Lang.Compile.lower}).
 
     Semantically this module is a drop-in replacement for {!Interp}: same
-    hooks surface, same crash messages and attribution, same D(t) counter
-    stream, and — the load-bearing property — the same epoch checkpoint
+    hooks surface (except that a gate must be an [Interp.Rank]), same
+    crash messages and attribution, same D(t) counter stream, and — the
+    load-bearing property — the same epoch checkpoint
     values ({!Interp.snapshot}), produced from PC + register frames via
     the compile-time continuation templates.  The differential suite
     (test_vm) holds VM runs byte-identical to the tree interpreter on
@@ -23,15 +24,13 @@
       while no transition changed lock/status/thread structure and the
       stepped thread did not stop on a possibly-blocking statement head.
       An ungated run picks straight from the cached tid list;
-    - a gated step asks the gate only when an answer can have changed (the
-      contract on [Interp.hooks.gate]): each thread keeps its next shared
-      access, peeked without allocating when the next transition makes
-      none, its admission bit and the access count at its last poll.  The
-      stepped thread is asked anew; a denied one again only after some
-      shared access executed; an admitted one not until it steps.  The
-      admitted tid list is reused until the admitted set changes, and the
-      peeked access record doubles as the suppression query and the
-      [on_shared] location of the access it describes.
+    - rank admission: a gated run admits a thread once the driver's
+      monotone cursor reaches the wait rank of its next shared access
+      ([Interp.Rank]).  Whether the next transition makes a shared access
+      is the per-pc [access_at] bit plus the thread's status, so no access
+      is peeked or built; the wait is asked once per counter and cached,
+      and each step costs one int compare per enabled thread.  The
+      admitted tid list is reused while it is unchanged.
 
     Thread/frame bookkeeping mirrors {!Interp} field for field; shared
     pieces (expression evaluation for enabledness peeking, syscall and
@@ -62,19 +61,9 @@ type vthread = {
   mutable started : bool;
   mutable reads_rev : (int * Value.t) list;
   mutable outputs_rev : string list;
-  mutable pending : Event.pre;
-      (** the next shared access ([no_access] when the next transition
-          makes none); valid while [polled >= 0] *)
-  mutable polled : int;
-      (** [st.accesses] when the gate last answered for [pending]; -1 once
-          the thread steps or is woken, so [pending] is recomputed *)
-  mutable admitted : bool;  (** the gate's last answer for [pending] *)
+  mutable wait_c : int;  (** the counter [wait] was asked for, -1 for none *)
+  mutable wait : int;  (** the wait rank of the access [(tid, wait_c)] *)
 }
-
-(* [pending] of a thread whose next transition makes no shared access;
-   compared physically *)
-let no_access : Event.pre =
-  { Event.tid = 0; c = 0; loc = { Loc.obj = 0; fld = 0 }; kind = Read; site = 0; ghost = NotGhost }
 
 (* ------------------------------------------------------------------ *)
 (* Flat heap: open addressing over (obj, fld) with linear probing      *)
@@ -185,7 +174,7 @@ type state = {
          resting there invalidates the enabled-set cache *)
   access_at : bool array;
       (* per pc: the transition starting there makes a shared access (a
-         shared site, or a sync ghost), so the gate must see it *)
+         shared site, or a sync ghost), so the gate must admit it *)
   mutable enabled : vthread array;
       (* [0 .. n_enabled-1]: the semantically enabled threads, in reverse
          thread order; valid while [cache_ok] *)
@@ -195,11 +184,9 @@ type state = {
          [admitted_tids] instead) *)
   mutable cache_ok : bool;
   mutable dirty : bool;  (* set by any transition that can change enabledness *)
-  mutable accesses : int;  (* shared accesses executed so far, ghosts included *)
   mutable admitted_tids : int list;
-      (* gated runs: the enabled threads whose [admitted] bit is set, in
-         thread order; valid while [admitted_ok] *)
-  mutable admitted_ok : bool;
+      (* gated runs: the enabled threads the rank rule admitted at the
+         last step, in thread order *)
 }
 
 let shared_site st (sid : int) : bool =
@@ -272,7 +259,6 @@ let[@inline] as_bool st (pc : int) (v : Value.t) : bool =
 let access st (t : vthread) ~(obj : int) ~(fld : int) ~(kind : Event.akind)
     ~(site : int) ~(ghost : Event.ghost_kind) (value : Value.t) : unit =
   t.d <- t.d + 1;
-  st.accesses <- st.accesses + 1;
   (match kind, ghost with
   | Event.Read, Event.NotGhost -> t.reads_rev <- (t.d, value) :: t.reads_rev
   | _ -> ());
@@ -282,11 +268,7 @@ let access st (t : vthread) ~(obj : int) ~(fld : int) ~(kind : Event.akind)
       :: st.trace_rev;
   (match st.hooks.on_shared with
   | None -> ()
-  | Some f ->
-    (* a gated run peeked this location already: hand over that record *)
-    let p = t.pending.loc in
-    let loc = if p.obj = obj && p.fld = fld then p else { Loc.obj; fld } in
-    f ~tid:t.tid ~c:t.d ~loc ~kind ~site ~ghost);
+  | Some f -> f ~tid:t.tid ~c:t.d ~loc:{ Loc.obj; fld } ~kind ~site ~ghost);
   match st.hooks.observe with
   | None -> ()
   | Some f ->
@@ -303,18 +285,8 @@ let[@inline] do_write st (t : vthread) ~(obj : int) ~(fld : int) ~(sid : int)
     (match st.hooks.suppress_write with
     | None -> heap_set st.heap obj fld v
     | Some suppress ->
-      (* the gate's peek of this write, when it is one, is the same record *)
-      let p = t.pending in
-      let pre =
-        if
-          p.c = t.d + 1 && p.loc.obj = obj && p.loc.fld = fld && p.kind = Write
-          && p.site = sid && p.ghost = NotGhost
-        then p
-        else
-          { Event.tid = t.tid; c = t.d + 1; loc = { Loc.obj; fld }; kind = Write; site = sid;
-            ghost = NotGhost }
-      in
-      if not (suppress pre) then heap_set st.heap obj fld v);
+      if not (suppress ~tid:t.tid ~c:(t.d + 1) ~obj ~fld ~site:sid) then
+        heap_set st.heap obj fld v);
     access st t ~obj ~fld ~kind:Write ~site:sid ~ghost:NotGhost v
   end
   else heap_set st.heap obj fld v
@@ -381,7 +353,6 @@ let pick_wakeup st (m : Value.objid) : int option =
 let wake st (w : int) (m : Value.objid) : unit =
   let wt = Hashtbl.find st.threads w in
   wt.status <- Notified m;
-  wt.polled <- -1;
   st.dirty <- true
 
 let observe_event st (ev : Event.t) : unit =
@@ -413,9 +384,8 @@ let make_thread ~tid ~frames : vthread =
     started = false;
     reads_rev = [];
     outputs_rev = [];
-    pending = no_access;
-    polled = -1;
-    admitted = false;
+    wait_c = -1;
+    wait = 0;
   }
 
 let new_vframe (fi : fninfo) ~(ret_to : int option) : vframe =
@@ -883,91 +853,18 @@ let step_thread st (t : vthread) : unit =
 (* Enabledness + the replay gate (mirrors Interp)                      *)
 (* ------------------------------------------------------------------ *)
 
-let[@inline] pre_of (t : vthread) ~loc ~kind ~site ~ghost : Event.pre =
-  { Event.tid = t.tid; c = t.d + 1; loc; kind; site; ghost }
-
-(* The access made by statement [s] (whose [access_at] bit is set) over
-   the register frame [slots]: registers [0..nslots-1] are exactly the
-   statement's slots, so pure expressions evaluate through [Interp.eval].
-   An address that does not evaluate (the statement will crash) makes no
-   access. *)
-let stmt_pre (t : vthread) (s : Resolve.rstmt) (slots : Value.t array) : Event.pre =
-  let site = s.rsid in
-  try
-    match s.rnode with
-    | Resolve.RLoad (_, o, fld) ->
-      pre_of t ~loc:(Loc.field_id (Interp.eval_ref s slots o) fld) ~kind:Read ~site ~ghost:NotGhost
-    | RStore (o, fld, _) ->
-      pre_of t ~loc:(Loc.field_id (Interp.eval_ref s slots o) fld) ~kind:Write ~site ~ghost:NotGhost
-    | RLoadIdx (_, a, i) -> (
-      match Interp.eval s slots a, Interp.eval s slots i with
-      | VRef o, VInt n -> pre_of t ~loc:(Loc.elem o n) ~kind:Read ~site ~ghost:NotGhost
-      | _ -> no_access)
-    | RStoreIdx (a, i, _) -> (
-      match Interp.eval s slots a, Interp.eval s slots i with
-      | VRef o, VInt n -> pre_of t ~loc:(Loc.elem o n) ~kind:Write ~site ~ghost:NotGhost
-      | _ -> no_access)
-    | RGlobalLoad (_, g) -> pre_of t ~loc:(Loc.global_id g) ~kind:Read ~site ~ghost:NotGhost
-    | RGlobalStore (g, _) -> pre_of t ~loc:(Loc.global_id g) ~kind:Write ~site ~ghost:NotGhost
-    | RMapGet (_, m, k) | RMapHas (_, m, k) ->
-      pre_of t
-        ~loc:(Loc.mapkey (Interp.eval_ref s slots m) (Interp.eval s slots k))
-        ~kind:Read ~site ~ghost:NotGhost
-    | RMapPut (m, k, _) ->
-      pre_of t
-        ~loc:(Loc.mapkey (Interp.eval_ref s slots m) (Interp.eval s slots k))
-        ~kind:Write ~site ~ghost:NotGhost
-    | RSync (m, _) | RLock m ->
-      pre_of t ~loc:(Loc.lock_ghost (Interp.eval_ref s slots m)) ~kind:Read ~site
-        ~ghost:LockAcqRead
-    | RUnlock m ->
-      pre_of t ~loc:(Loc.lock_ghost (Interp.eval_ref s slots m)) ~kind:Write ~site
-        ~ghost:LockRelWrite
-    | RWait m ->
-      pre_of t ~loc:(Loc.lock_ghost (Interp.eval_ref s slots m)) ~kind:Write ~site
-        ~ghost:WaitRelWrite
-    | RNotify m | RNotifyAll m ->
-      pre_of t ~loc:(Loc.cond_ghost (Interp.eval_ref s slots m)) ~kind:Write ~site
-        ~ghost:NotifyWrite
-    | RSpawn _ ->
-      (* the child's ghost id depends on the fresh tid *)
-      let child = (t.tid * 100) + t.spawn_idx + 1 in
-      pre_of t ~loc:(Loc.thread_ghost child) ~kind:Write ~site ~ghost:SpawnWrite
-    | RJoin h -> (
-      match Interp.eval s slots h with
-      | VThread target -> pre_of t ~loc:(Loc.thread_ghost target) ~kind:Read ~site ~ghost:JoinRead
-      | _ -> no_access)
-    | _ -> no_access
-  with Interp.Rt_crash _ -> no_access
-
-(* The next shared access the thread will perform ([no_access] for none),
-   peeked at the statement heading the resting pc.  Only statements whose
-   [access_at] bit is set are looked at, so a transition that makes no
-   shared access costs a table read and allocates nothing. *)
-let next_pre st (t : vthread) : Event.pre =
+(* Does the thread's next transition make a shared access?  Its first
+   (the spawn ghost read), a woken waiter's two, the exit write, and any
+   statement whose [access_at] bit is set.  A statement whose address does
+   not evaluate is gated too: it crashes when stepped, and the crash's
+   exit write is the access it waits for. *)
+let makes_access st (t : vthread) : bool =
   match t.status with
-  | Interp.Notified m ->
-    pre_of t ~loc:(Loc.cond_ghost m) ~kind:Read ~site:0 ~ghost:WaitCondRead
-  | Reacquiring m -> pre_of t ~loc:(Loc.lock_ghost m) ~kind:Read ~site:0 ~ghost:WaitReacqRead
+  | Interp.Notified _ | Reacquiring _ -> true
   | Runnable | BlockedLock _ | BlockedJoin _ -> (
-    if not t.started then
-      pre_of t ~loc:(Loc.thread_ghost t.tid) ~kind:Read ~site:0 ~ghost:ThreadFirstRead
-    else
-      match t.frames with
-      | [] -> pre_of t ~loc:(Loc.thread_ghost t.tid) ~kind:Write ~site:0 ~ghost:ThreadExitWrite
-      | f :: _ -> (
-        if not (Array.unsafe_get st.access_at f.pc) then no_access
-        else
-          match Array.unsafe_get st.prog.bc_code f.pc with
-          | IExitSync sid -> (
-            match f.sync_stack with
-            | m :: _ -> pre_of t ~loc:(Loc.lock_ghost m) ~kind:Write ~site:sid ~ghost:LockRelWrite
-            | [] -> no_access)
-          | _ -> (
-            match Array.unsafe_get st.prog.bc_stmt_at f.pc with
-            | Some s -> stmt_pre t s f.regs
-            | None -> no_access)))
-  | InWait _ | Finished | Crashed -> no_access
+    (not t.started)
+    || match t.frames with [] -> true | f :: _ -> Array.unsafe_get st.access_at f.pc)
+  | InWait _ | Finished | Crashed -> false
 
 let semantically_enabled st (t : vthread) : bool =
   match t.status with
@@ -1015,6 +912,9 @@ let value_of_const : const -> Value.t = function
 
 let make_state ~(hooks : Interp.hooks) ~plan ~collect_trace ~rng ~steps ~crashes
     (bp : Bytecode.program) : state =
+  (match hooks.gate with
+  | Some (Pred _) -> invalid_arg "Vm: a Pred gate runs on the tree walker only"
+  | Some (Rank _) | None -> ());
   let cp = bp.bc_src in
   let shared =
     Array.init (cp.Resolve.cp_max_sid + 1) (fun sid -> plan.Plan.shared_site sid)
@@ -1068,9 +968,7 @@ let make_state ~(hooks : Interp.hooks) ~plan ~collect_trace ~rng ~steps ~crashes
     cached_runnable = [];
     cache_ok = false;
     dirty = false;
-    accesses = 0;
     admitted_tids = [];
-    admitted_ok = false;
   }
 
 let init_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
@@ -1113,7 +1011,6 @@ let refresh_enabled st : bool =
   done;
   st.n_enabled <- !n;
   st.cached_runnable <- !tids;
-  st.admitted_ok <- false;
   !any_live
 
 (* the tids of the enabled threads satisfying [keep], in thread order *)
@@ -1132,41 +1029,33 @@ let enabled_thread st (tid : int) : vthread =
   while !i < st.n_enabled && (Array.unsafe_get st.enabled !i).tid <> tid do incr i done;
   if !i < st.n_enabled then Array.unsafe_get st.enabled !i else Hashtbl.find st.threads tid
 
-(* The gate-admitted subset of the enabled set, in thread order.  By the
-   contract on [Interp.hooks.gate], an admitted thread stays admitted until
-   it steps, and a denied one can be admitted only after some shared access
-   executes; so only a thread that stepped (or was woken) since its last
-   poll, or a denied thread polled before the latest access, is asked
-   again, and the list is rebuilt only when the admitted set it holds
-   changed. *)
-let gate_filter st (gate : Event.pre -> bool) : int list =
-  let changed = ref (not st.admitted_ok) in
-  for i = 0 to st.n_enabled - 1 do
+(* The rank the cursor must reach before [t] takes its next transition:
+   [min_int] when that makes no shared access, else the wait of the access
+   [(tid, d + 1)], asked once per counter ([wait] is pure). *)
+let wait_of st (t : vthread) (wait : tid:int -> c:int -> int) : int =
+  if not (makes_access st t) then min_int
+  else begin
+    let c = t.d + 1 in
+    if t.wait_c <> c then begin
+      t.wait <- wait ~tid:t.tid ~c;
+      t.wait_c <- c
+    end;
+    t.wait
+  end
+
+(* The enabled threads the rank rule admits at [cursor], in thread order.
+   [enabled] holds reverse thread order: walk it backwards against the
+   last answer, and allocate a new list only when they differ. *)
+let admitted st (wait : tid:int -> c:int -> int) (cursor : int) : int list =
+  let rest = ref st.admitted_tids and same = ref true in
+  for i = st.n_enabled - 1 downto 0 do
     let t = Array.unsafe_get st.enabled i in
-    if t.polled < 0 || ((not t.admitted) && t.polled < st.accesses) then begin
-      if t.polled < 0 then t.pending <- next_pre st t;
-      let ok = t.pending == no_access || gate t.pending in
-      t.polled <- st.accesses;
-      if ok <> t.admitted then begin
-        t.admitted <- ok;
-        changed := true
-      end
-    end
+    if cursor >= wait_of st t wait then
+      match !rest with x :: r when x = t.tid -> rest := r | _ -> same := false
   done;
-  if !changed then begin
-    (* [enabled] holds reverse thread order: walk it backwards against the
-       list, and allocate a new one only when they differ *)
-    let rest = ref st.admitted_tids and same = ref true and i = ref (st.n_enabled - 1) in
-    while !same && !i >= 0 do
-      let t = Array.unsafe_get st.enabled !i in
-      (if t.admitted then
-         match !rest with x :: r when x = t.tid -> rest := r | _ -> same := false);
-      decr i
-    done;
-    let unchanged = !same && match !rest with [] -> true | _ :: _ -> false in
-    if not unchanged then st.admitted_tids <- enabled_tids st (fun t -> t.admitted);
-    st.admitted_ok <- true
-  end;
+  (match !rest with
+  | [] when !same -> ()
+  | _ -> st.admitted_tids <- enabled_tids st (fun t -> cursor >= wait_of st t wait));
   st.admitted_tids
 
 let live_tids st : int list =
@@ -1202,8 +1091,9 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
       else
         match st.hooks.gate with
         | None -> st.cached_runnable
-        | Some gate -> (
-          match gate_filter st gate with
+        | Some (Pred _) -> assert false (* rejected by [make_state] *)
+        | Some (Rank { wait; cursor }) -> (
+          match admitted st wait !cursor with
           | [] ->
             finished := true;
             status := Interp.GateStuck (enabled_tids st (fun _ -> true));
@@ -1232,7 +1122,6 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
         | Interp.Rt_crash (site, line, msg) ->
           st.crashes <- { Interp.tid; site; line; msg; c = t.d } :: st.crashes;
           finish_thread st t ~crashed:true);
-        t.polled <- -1;
         (* cache maintenance: drop it when the transition touched lock /
            status / thread structure, or when the stepped thread rests on
            a possibly-blocking statement head *)
@@ -1433,9 +1322,8 @@ let restore_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
           started = snt.sn_started;
           reads_rev = [];
           outputs_rev = [];
-          pending = no_access;
-          polled = -1;
-          admitted = false;
+          wait_c = -1;
+          wait = 0;
         }
       in
       push_thread st t)

@@ -275,6 +275,47 @@ let prop_budget_honest =
              | Explore.Infeasible | Explore.SolveAborted -> true)
            results)
 
+(* A malformed reproducer line is an [Error] naming its 1-based line
+   number and text, never an exception: non-decimal tokens, bad access
+   kinds, negative or over-long log lengths, and a broken log body. *)
+let test_reproducer_errors () =
+  let log = Light_core.Log.to_string Light_core.Log.empty in
+  let flip = "flip 1 2 3 R 101 1 4 W 1 0 x" in
+  let repro ?(log_line = Printf.sprintf "log %d" (String.length log)) lines =
+    String.concat "\n" (("LIGHT-REPRO v1" :: lines) @ [ log_line ]) ^ "\n" ^ log
+  in
+  (match Explore.reproducer_of_string (repro [ flip; "expect 1 3 boom" ]) with
+  | Ok rp -> Alcotest.(check int) "well-formed: one flip" 1 (List.length rp.rp_flips)
+  | Error e -> Alcotest.failf "well-formed reproducer: %s" e);
+  List.iter
+    (fun (what, txt, want) ->
+      Alcotest.(check (result reject string)) what (Error want)
+        (Result.map (fun _ -> ()) (Explore.reproducer_of_string txt)))
+    [
+      ("negative log length", repro ~log_line:"log -5" [ flip ], "line 3: negative log length: log -5");
+      ( "over-long log",
+        repro ~log_line:"log 9999" [ flip ],
+        Printf.sprintf "line 3: log section runs past the end (%d bytes left): log 9999"
+          (String.length log) );
+      ( "non-integer flip token",
+        repro [ "flip x1 6 9 R 101 1 4 W 1 0 x" ],
+        {|line 2: bad integer "x1": flip x1 6 9 R 101 1 4 W 1 0 x|} );
+      ( "hex flip token",
+        repro [ flip; "flip 0x1 2 3 R 101 1 4 W 1 0 x" ],
+        {|line 3: bad integer "0x1": flip 0x1 2 3 R 101 1 4 W 1 0 x|} );
+      ( "bad access kind",
+        repro [ "flip 1 2 3 Q 101 1 4 W 1 0 x" ],
+        {|line 2: bad access kind "Q": flip 1 2 3 Q 101 1 4 W 1 0 x|} );
+      ("bad section", repro [ "section 1 2 y 4 0 x" ], {|line 2: bad integer "y": section 1 2 y 4 0 x|});
+      ("bad expect", repro [ flip; "expect 1 z boom" ], {|line 3: bad integer "z": expect 1 z boom|});
+      ("unparseable line", repro [ "flip 1 2" ], "line 2: unparseable line: flip 1 2");
+      ("bad log length token", repro ~log_line:"log 12a" [], {|line 2: bad integer "12a": log 12a|});
+      ( "broken log body",
+        "LIGHT-REPRO v1\nlog 4\nnope\n",
+        "line 2: bad log header: nope: log 4" );
+      ("no log section", "LIGHT-REPRO v1\n" ^ flip ^ "\n", "missing log section");
+    ]
+
 let () =
   Alcotest.run "explore"
     [
@@ -286,6 +327,8 @@ let () =
             test_toggle_involutive;
           Alcotest.test_case "infeasible flips reported, never crash" `Quick
             test_infeasible_reported;
+          Alcotest.test_case "malformed reproducers name their line" `Quick
+            test_reproducer_errors;
         ] );
       ( "hunt",
         [

@@ -594,7 +594,8 @@ let epoch_steps name =
 
 (* Swap the solved ranks of main's spawn write for thread 101 and that
    thread's first constrained event: the child is then due before it
-   exists, so the gate must stall. *)
+   exists, so the gate must stall.  Returns the run, the swapped schedule,
+   the spawn write and the child's event. *)
 let inverted_replay engine =
   let p = parse racy_fields in
   let r = Light.record ~variant:Light.v_basic ~sched:(Sched.sticky ~seed:1 ~stickiness:4) p in
@@ -613,7 +614,8 @@ let inverted_replay engine =
     let m = Array.copy model in
     m.(var child) <- model.(var spawn);
     m.(var spawn) <- model.(var child);
-    gated_run engine p ~plan:r.plan (Replayer.build_schedule r.log cs m)
+    let sch = Replayer.build_schedule r.log cs m in
+    (gated_run engine p ~plan:r.plan sch, sch, spawn, child)
   | _ -> Alcotest.fail "unsat"
 
 (* Reference fingerprints of the replay runs above.  A change to the gate
@@ -701,70 +703,83 @@ let test_pinned_epochs () =
     (fun (name, steps) -> Alcotest.(check (list string)) name steps (epoch_steps name))
     pinned_epochs
 
+(* The stalled main thread waits at its spawn write, whose turn comes only
+   after the child's event that the cursor can never pass. *)
 let test_inverted_order_stuck () =
   List.iter
     (fun engine ->
-      Alcotest.(check string) (Vm.engine_name engine)
-        "2 stuck1 d41d8cd98f00b204e9800998ecf8427e"
-        (fingerprint (inverted_replay engine)))
+      let tag = Vm.engine_name engine in
+      let o, sch, spawn, child = inverted_replay engine in
+      Alcotest.(check string) tag "2 stuck1 d41d8cd98f00b204e9800998ecf8427e" (fingerprint o);
+      let c = List.assoc 1 o.counters + 1 in
+      let k = Replayer.wait_rank sch ~tid:1 ~c in
+      Alcotest.(check (pair int int)) (tag ^ ": main waits at its spawn write") spawn sch.order.(k);
+      Alcotest.(check (option int)) (tag ^ ": the spawn's own rank") (Some k) (Replayer.rank sch spawn);
+      Alcotest.(check bool) (tag ^ ": the child's event ranks first") true
+        (Option.get (Replayer.rank sch child) < k);
+      Alcotest.(check string) (tag ^ ": named")
+        (Printf.sprintf "thread 1 waits at counter %d for rank %d: event (1,%d)" c k c)
+        (Replayer.describe_wait sch ~tid:1 ~c))
     [ Vm.Tree; Vm.Bytecode ]
 
-(* The contract on [Interp.hooks.gate] that lets the VM poll less: an
-   answer for a pending access stays true until the thread takes it, and a
-   denied one can change only after some shared access executes.  A
-   wrapper gate counts the shared accesses (through [on_shared], which
-   fires on every one) and checks each poll: on the VM a thread denied for
-   a pending access is asked again only after an access ran, and on both
-   engines a [true] for a pending access is never followed by [false] for
-   it.  The wrapper changes no answer, so the pinned fingerprints hold. *)
+(* The rank protocol: the VM asks [wait] about a pending access [(tid, c)]
+   once, so a gated run makes at most one call per executed shared access
+   plus one per thread (the access it ends on or waits at).  A counting
+   wrapper over [Replayer.wait_rank] ([on_shared] counts the accesses: it
+   fires on every one) changes no answer, so the pinned fingerprints hold
+   on both engines. *)
 let contended = [ "dacapo-avrora"; "dacapo-xalan"; "stamp-vacation"; "mp-queue"; "mp-barrier" ]
 
-let test_gate_contract () =
-  let repolls = ref 0 in
+let test_rank_protocol () =
   List.iter
     (fun (name, (r : Light.recording)) ->
       let sch = solved r in
       List.iter
         (fun engine ->
           let tag = name ^ "/" ^ Vm.engine_name engine in
-          let accesses = ref 0 in
-          (* per tid: the pending counter last asked about, the answer, and
-             the access count at that poll *)
-          let last : (int, int * bool * int) Hashtbl.t = Hashtbl.create 16 in
+          let calls = ref 0 and accesses = ref 0 in
+          let asked : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
           let wrap (h : Interp.hooks) =
-            let g = Option.get h.gate and on_shared = Option.get h.on_shared in
-            let gate (pre : Event.pre) =
-              let ok = g pre in
-              (match Hashtbl.find_opt last pre.tid with
-              | Some (c, prev, at) when c = pre.c ->
-                if prev && not ok then
-                  Alcotest.failf "%s: (%d,%d) admitted, then denied" tag pre.tid c;
-                if (not prev) && engine = Vm.Bytecode then begin
-                  if at = !accesses then
-                    Alcotest.failf "%s: (%d,%d) re-polled with no access since its denial"
-                      tag pre.tid c;
-                  incr repolls
-                end
-              | _ -> ());
-              Hashtbl.replace last pre.tid (pre.c, ok, !accesses);
-              ok
-            in
-            let on_shared ~tid ~c ~loc ~kind ~site ~ghost =
-              incr accesses;
-              on_shared ~tid ~c ~loc ~kind ~site ~ghost
-            in
-            { h with gate = Some gate; on_shared = Some on_shared }
+            match h.gate, h.on_shared with
+            | Some (Rank r), Some on_shared ->
+              let wait ~tid ~c =
+                incr calls;
+                if engine = Vm.Bytecode && Hashtbl.mem asked (tid, c) then
+                  Alcotest.failf "%s: (%d,%d) asked twice" tag tid c;
+                Hashtbl.replace asked (tid, c) ();
+                let w = r.wait ~tid ~c in
+                if w <> Replayer.wait_rank sch ~tid ~c then
+                  Alcotest.failf "%s: the driver's wait is not wait_rank" tag;
+                w
+              in
+              let on_shared ~tid ~c ~loc ~kind ~site ~ghost =
+                incr accesses;
+                on_shared ~tid ~c ~loc ~kind ~site ~ghost
+              in
+              { h with gate = Some (Rank { r with wait }); on_shared = Some on_shared }
+            | _ -> Alcotest.failf "%s: the driver's gate is not a rank gate" tag
           in
-          Alcotest.(check string) tag (List.assoc name pinned_replays)
-            (fingerprint (gated_run ~wrap engine r.program ~plan:r.plan sch)))
+          let o = gated_run ~wrap engine r.program ~plan:r.plan sch in
+          Alcotest.(check string) tag (List.assoc name pinned_replays) (fingerprint o);
+          let bound = !accesses + List.length o.counters in
+          if engine = Vm.Bytecode && !calls > bound then
+            Alcotest.failf "%s: %d wait_rank calls > %d accesses + threads" tag !calls bound)
         [ Vm.Tree; Vm.Bytecode ])
-    (pinned_recordings ~only:(fun n -> List.mem n contended) ());
-  Alcotest.(check bool) "denied threads were polled again" true (!repolls > 0)
+    (pinned_recordings ~only:(fun n -> List.mem n contended) ())
+
+(* The VM admits by rank only: a predicate gate, which the baselines'
+   replays need, is refused before the run starts. *)
+let test_vm_rejects_pred () =
+  let p = parse racy_fields in
+  let hooks = { Interp.default_hooks with gate = Some (Pred (fun _ -> true)) } in
+  match Vm.run ~hooks ~sched:(Sched.round_robin ()) p with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Vm.run ran a Pred gate"
 
 (* Allocation of a gated VM step against an ungated round-robin one, on
-   the same program and plan: minor-heap words are deterministic for a
-   given run, so the bound is exact, not a timing.  The driver is built
-   outside the measured run. *)
+   the same program and plan, for every workload: minor-heap words are
+   deterministic for a given run, so the bound is exact, not a timing.
+   The driver is built outside the measured run. *)
 let test_replay_alloc () =
   List.iter
     (fun name ->
@@ -786,7 +801,7 @@ let test_replay_alloc () =
       if gated > 1.5 *. ungated then
         Alcotest.failf "%s: gated replay %.1f words/step > 1.5 x ungated %.1f" name gated
           ungated)
-    [ "jgf-series"; "mp-queue" ]
+    (List.map (fun (bm : Workloads.benchmark) -> bm.name) Workloads.all)
 
 (* One thread changing another's status or enabledness while the other
    waits: a notify and unlock moving a waiter InWait -> Notified ->
@@ -869,21 +884,26 @@ let test_cache_gate_flip () =
   List.iter
     (fun seed ->
       let r = Light.record ~sched:(Sched.sticky ~seed ~stickiness:3) p in
-      (* the reader's accesses the gate denied and has not yet admitted *)
+      (* the reader's accesses whose wait rank was ahead of the cursor
+         when asked: one that then executes was held, then admitted *)
       let denied = Hashtbl.create 16 in
       let wrap (h : Interp.hooks) =
-        let g = Option.get h.gate in
-        let gate (pre : Event.pre) =
-          let ok = g pre in
-          if pre.tid = 102 then
-            if not ok then Hashtbl.replace denied pre.c ()
-            else if Hashtbl.mem denied pre.c then begin
+        match h.gate, h.on_shared with
+        | Some (Rank r), Some on_shared ->
+          let wait ~tid ~c =
+            let w = r.wait ~tid ~c in
+            if tid = 102 && !(r.cursor) < w then Hashtbl.replace denied c ();
+            w
+          in
+          let on_shared ~tid ~c ~loc ~kind ~site ~ghost =
+            if tid = 102 && Hashtbl.mem denied c then begin
               incr flips;
-              Hashtbl.remove denied pre.c
+              Hashtbl.remove denied c
             end;
-          ok
-        in
-        { h with gate = Some gate }
+            on_shared ~tid ~c ~loc ~kind ~site ~ghost
+          in
+          { h with gate = Some (Rank { r with wait }); on_shared = Some on_shared }
+        | _ -> Alcotest.fail "the driver's gate is not a rank gate"
       in
       let tag = Printf.sprintf "gate-flip seed=%d" seed in
       let o = same_replay ~wrap tag p ~plan:r.plan (solved r) in
@@ -978,11 +998,35 @@ let test_cache_deadlock () =
         (status_str o.status))
     deadlocks
 
+(* A statement whose address does not evaluate (here a null [v.n]) makes
+   no access, but it is a shared-access statement, so the rank rule holds
+   it until the access it would take, the crash's exit write, is due: on
+   both engines alike, and the replay stays faithful. *)
+let null_store = {|
+  class C { n; } global c; global x;
+  fn w(k) { v = c; if (k > 1) { v = null; } x = x + 1; v.n = 2; x = x + 1; }
+  main { c = new C; x = 0; spawn a = w(1); spawn b = w(2); x = x + 5; c.n = x;
+         join a; join b; print x; }
+|}
+
+let test_address_crash () =
+  let p = parse null_store in
+  List.iter
+    (fun seed ->
+      let r = Light.record ~sched:(Sched.sticky ~seed ~stickiness:2) p in
+      let tag = Printf.sprintf "null-store seed=%d" seed in
+      Alcotest.(check int) (tag ^ ": recorded crash") 1 (List.length r.outcome.crashes);
+      let o = same_replay tag p ~plan:r.plan (solved r) in
+      Alcotest.(check (list string)) (tag ^ ": faithful") []
+        (Interp.replay_matches ~original:r.outcome ~replay:o))
+    (List.init 20 (fun i -> i + 1))
+
 (* Both admission rules and blind-write suppression on a hand-built
    three-event schedule: thread 1 reads [f] over counters 1..3 from thread
    2's write (2,1), solved as (1,1) < (2,1) < (1,3).  A compound
    transition's second access runs without a gate check, so (1,3) can
-   execute ahead of rank 1; thread 1's next access must then still wait. *)
+   execute ahead of rank 1; thread 1's next access must then still wait.
+   Neither engine passes a ghost write to [suppress_write]. *)
 let test_gate_tables () =
   let f = Loc.field 7 "f" and g = Loc.field 7 "g" in
   let log =
@@ -996,30 +1040,35 @@ let test_gate_tables () =
   List.iteri (fun k e -> model.(Option.get (Constraints.var_of cs e)) <- k) [ (1, 1); (2, 1); (1, 3) ];
   let sch = Replayer.build_schedule log cs model in
   let hooks = Replayer.driver sch ~plan:Plan.all_shared in
-  let gate = Option.get hooks.gate and on_shared = Option.get hooks.on_shared in
-  let suppress = Option.get hooks.suppress_write in
-  let pre ?(loc = f) ?(ghost = Event.NotGhost) (tid, c) =
-    { Event.tid; c; loc; kind = Write; site = 1; ghost }
+  let cursor =
+    match hooks.gate with Some (Rank r) -> r.cursor | _ -> Alcotest.fail "not a rank gate"
   in
+  let on_shared = Option.get hooks.on_shared in
+  let suppress = Option.get hooks.suppress_write in
+  let admitted (tid, c) = !cursor >= Replayer.wait_rank sch ~tid ~c in
+  let suppressed ?(loc = f) (tid, c) = suppress ~tid ~c ~obj:loc.Loc.obj ~fld:loc.fld ~site:1 in
   let run (tid, c) = on_shared ~tid ~c ~loc:f ~kind:Read ~site:1 ~ghost:NotGhost in
   let chk what expected got = Alcotest.(check bool) what expected got in
   Alcotest.(check (list (option int))) "ranks" [ Some 0; None; Some 2; Some 1; None ]
     (List.map (Replayer.rank sch) [ (1, 1); (1, 2); (1, 3); (2, 1); (3, 1) ]);
-  chk "rank 0 is due" true (gate (pre (1, 1)));
-  chk "rank 2 is not" false (gate (pre (1, 3)));
+  Alcotest.(check (list int)) "wait ranks" [ 0; 1; 2; 3; 1; 0 ]
+    (List.map
+       (fun (tid, c) -> Replayer.wait_rank sch ~tid ~c)
+       [ (1, 1); (1, 2); (1, 3); (1, 4); (2, 1); (3, 1) ]);
+  chk "rank 0 is due" true (admitted (1, 1));
+  chk "rank 2 is not" false (admitted (1, 3));
   run (1, 1);
-  chk "unconstrained after its predecessor" true (gate (pre (1, 2)));
-  chk "rank 2 waits for rank 1" false (gate (pre (1, 3)));
+  chk "unconstrained after its predecessor" true (admitted (1, 2));
+  chk "rank 2 waits for rank 1" false (admitted (1, 3));
   run (1, 3);
-  chk "past the table: waits for the last rank" false (gate (pre (1, 4)));
-  chk "unknown thread runs" true (gate (pre (3, 1)));
+  chk "past the table: waits for the last rank" false (admitted (1, 4));
+  chk "unknown thread runs" true (admitted (3, 1));
   run (2, 1);
-  chk "past the table once it ran" true (gate (pre (1, 4)));
-  chk "interior write kept" false (suppress (pre (1, 2)));
-  chk "constrained write kept" false (suppress (pre (1, 3)));
-  chk "write to another location suppressed" true (suppress (pre ~loc:g (1, 2)));
-  chk "write past the interval suppressed" true (suppress (pre (1, 4)));
-  chk "ghost write kept" false (suppress (pre ~ghost:LockRelWrite (1, 4)))
+  chk "past the table once it ran" true (admitted (1, 4));
+  chk "interior write kept" false (suppressed (1, 2));
+  chk "constrained write kept" false (suppressed (1, 3));
+  chk "write to another location suppressed" true (suppressed ~loc:g (1, 2));
+  chk "write past the interval suppressed" true (suppressed (1, 4))
 
 (* The linear-time rank order equals a comparison sort by (model value,
    event), on value ranges narrow enough to force ties and wide enough to
@@ -1266,10 +1315,13 @@ let () =
             test_cache_handoff_wakeup;
           Alcotest.test_case "cache: recorded deadlock replays as Deadlock" `Quick
             test_cache_deadlock;
-          Alcotest.test_case "gate contract: monotone admission, poll after access" `Quick
-            test_gate_contract;
+          Alcotest.test_case "rank protocol: each (tid, c) asked once" `Quick
+            test_rank_protocol;
           Alcotest.test_case "gated VM replay allocates <= 1.5x an ungated run" `Quick
             test_replay_alloc;
+          Alcotest.test_case "the VM refuses a predicate gate" `Quick test_vm_rejects_pred;
+          Alcotest.test_case "address crash waits its turn on both engines" `Quick
+            test_address_crash;
         ] );
       ( "generate",
         [
