@@ -74,8 +74,9 @@ let print_outcome (o : Runtime.Interp.outcome) =
   | StepLimit -> print_endline "!! step limit exceeded");
   Printf.printf "(%d steps, %d threads)\n" o.steps (List.length o.counters)
 
-(* For each thread of a stalled replay, the event it waits for; [fence]
-   gives a v4 chunk's end-of-epoch counter per thread *)
+(* For each thread of a stalled replay, the event it waits for, then
+   what holds the cursor; [fence] gives a v4 chunk's end-of-epoch counter
+   per thread *)
 let print_waits (sch : Light_core.Replayer.schedule) ~fence ~counters ts =
   List.iter
     (fun tid ->
@@ -84,7 +85,10 @@ let print_waits (sch : Light_core.Replayer.schedule) ~fence ~counters ts =
         Printf.printf "!! thread %d waits at counter %d: past the epoch's end (counter %d)\n"
           tid c (fence tid)
       else print_endline ("!! " ^ Light_core.Replayer.describe_wait sch ~tid ~c))
-    ts
+    ts;
+  Option.iter
+    (fun line -> print_endline ("!! " ^ line))
+    (Light_core.Replayer.describe_cursor sch ~counters)
 
 (* A replay that stalls on the gate or runs out of steps did not follow
    the recorded run; a deadlock may be the recorded behaviour itself. *)
@@ -341,8 +345,8 @@ let record_cmd =
           Printf.printf
             "  epoch %d: steps %d..%d, %d deps + %d ranges, clock %d\n" ck.ck_idx
             ck.ck_start_steps ck.ck_steps
-            (List.length ck.ck_log.Light_core.Log.deps)
-            (List.length ck.ck_log.Light_core.Log.ranges)
+            (Light_core.Log.n_deps ck.ck_log)
+            (Light_core.Log.n_ranges ck.ck_log)
             ck.ck_clock)
         chunks;
       (match profile with
@@ -358,7 +362,7 @@ let record_cmd =
       let r = Light_core.Light.record ~variant ~sched:(sched_of ~seed ~stickiness) p in
       print_outcome r.outcome;
       Printf.printf "recorded %d deps + %d ranges = %d longs (overhead %.0f%%)\n"
-        (List.length r.log.deps) (List.length r.log.ranges) r.space_longs
+        (Light_core.Log.n_deps r.log) (Light_core.Log.n_ranges r.log) r.space_longs
         (100. *. r.overhead);
       (match profile with
       | None -> ()
@@ -443,11 +447,14 @@ let replay_cmd =
   let run file logfile epoch =
     let p = or_die (read_program file) in
     let txt = read_file logfile in
-    (* a malformed log is an error naming the file, not an uncaught
-       exception *)
+    (* a malformed log is an error naming the file and the place, not an
+       uncaught exception *)
     let parse of_string =
-      try of_string txt
-      with Failure msg -> or_die (Error (Printf.sprintf "bad log %s: %s" logfile msg))
+      match of_string txt with
+      | Ok l -> l
+      | Error (e : Light_core.Log.error) ->
+        or_die
+          (Error (Printf.sprintf "bad log %s: line %d (byte %d): %s" logfile e.line e.byte e.msg))
     in
     if Light_core.Epoch.is_v4 txt then begin
       let f = parse Light_core.Epoch.of_string_v4 in
@@ -463,15 +470,15 @@ let replay_cmd =
       | Some _ ->
         or_die (Error "--epoch requires a v4 log (record with --epoch N)")
       | None -> ());
-      let log = parse Light_core.Log.of_string in
+      let log = parse Light_core.Log.parse in
       let report = Light_core.Replayer.solve log in
       match report.schedule with
       | None ->
         or_die
           (Error
-             (match report.result_kind with
-             | Light_core.Replayer.SolverAborted -> "solver budget exhausted"
-             | _ -> "constraint system unsatisfiable"))
+             (match report.exhausted with
+             | Some b -> Light_core.Replayer.budget_exhausted b
+             | None -> "constraint system unsatisfiable"))
       | Some sch ->
         print_solve report;
         let plan = (Instrument.Transformer.transform p).plan in

@@ -72,36 +72,26 @@
     whole systems.
 
     {b Cost.}  Generation is linear in the log apart from sorts, and works
-    on flat int arrays.  The log is read once into a struct-of-arrays
-    {!table} whose rows are the intervals; every distinct event gets its
-    variable there, through one open-addressing table keyed by [(tid, c)].
-    One hash pass numbers the locations and one sort of the distinct
-    locations by (object, field name) ranks them in [Loc.Map] order,
-    without [Loc.compare]'s per-comparison name allocation.  One radix sort
-    puts every row in (location, thread, start) order; singleton
-    materialization, the init-value edges, the sweep and the replayer's
-    interval tables all read that one order, where "is this event inside
-    an interval of its thread" is a binary search with a running max of the
-    ends.  The per-thread chains come from a radix sort and the time
-    estimates from one walk along them; reachability and the hint share
-    one compressed adjacency of the hard graph.  The sweep does two binary
-    searches per (reader, writer thread) and touches only the gap; one
-    radix sort on the literals finds the duplicate clauses. *)
+    on flat int arrays.  The log's dep and range rows are read in place,
+    once, into a struct-of-arrays {!table} whose rows are the intervals
+    (no list or record copy of the log comes first); every distinct event
+    gets its variable there, through one open-addressing table keyed by
+    [(tid, c)].  One hash pass numbers the locations and one sort of the
+    distinct locations by (object, field name) ranks them in [Loc.Map]
+    order, without [Loc.compare]'s per-comparison name allocation.  One
+    radix sort puts every row in (location, thread, start) order;
+    singleton materialization, the init-value edges, the sweep and the
+    replayer's interval tables all read that one order, where "is this
+    event inside an interval of its thread" is a binary search with a
+    running max of the ends ({!location_rows} groups the same rows for
+    validation and exploration).  The per-thread chains come from a radix
+    sort and the time estimates from one walk along them; reachability
+    and the hint share one compressed adjacency of the hard graph.  The
+    sweep does two binary searches per (reader, writer thread) and touches
+    only the gap; one radix sort on the literals finds the duplicate
+    clauses. *)
 
 open Runtime
-
-type interval = {
-  iv_loc : Loc.t;
-  start_e : Log.evt;
-  end_e : Log.evt;
-  writes : bool;
-  reads : bool;
-  src : Log.evt option option;
-      (** [None]: no incoming dependence; [Some None]: virtual init write;
-          [Some (Some w)]: recorded write *)
-  obs : int;
-  src_obs : int;  (** access-clock stamp of the recorded source write, or 0 *)
-}
 
 type gen_stats = {
   n_pairs : int;
@@ -360,9 +350,6 @@ let sort_by (keys : int array list) (idx : int array) : int array =
     (List.rev keys);
   !src
 
-(* [idx] stably sorted by [key.(i)] *)
-let radix_sort (key : int array) (idx : int array) : int array = sort_by [ key ] (Array.copy idx)
-
 (* [0 .. n-1] grouped by [key] (values [0 .. ng-1]), ascending within a
    group, and the bounds of the groups (see {!bounds}) *)
 let group (key : int array) (n : int) (ng : int) : int array * int array =
@@ -421,20 +408,26 @@ end
 (* The interval table                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The rank in [Loc.Map] order (object, then field name) of each of the
-   locations [locs.(k)], [k < n], in an array of [size], and the distinct
-   locations in that order.  Distinct locations never share an (obj,
-   name) key: element fields print as "#<i>" and no interned name starts
-   with '#'. *)
-let loc_ranks (locs : Loc.t array) (n : int) (size : int) : int array * Loc.t array =
+(* The rank in [Loc.Map] order (object, then field name) of the location
+   of each recorded row of [log] (its deps, then its ranges), in an array
+   of [size], and the distinct locations in that order.  Distinct
+   locations never share an (obj, name) key: element fields print as
+   "#<i>" and no interned name starts with '#'. *)
+let loc_ranks (log : Log.t) (size : int) : int array * Loc.t array =
+  let n_deps = Log.n_deps log in
   let ids = Pairs.create 64 in
   let rank = Array.make size 0 in
   let first = ref [] in
-  for k = 0 to n - 1 do
-    let l = locs.(k) in
+  (* every row starts with its location's object and field *)
+  let col k j =
+    if k < n_deps then log.deps.((k * Log.dep_width) + j)
+    else log.ranges.(((k - n_deps) * Log.range_width) + j)
+  in
+  for k = 0 to n_deps + Log.n_ranges log - 1 do
+    let obj = col k 0 and fld = col k 1 in
     let g0 = ids.n in
-    let g = Pairs.find_or_add ids l.obj l.fld g0 in
-    if g = g0 then first := l :: !first;
+    let g = Pairs.find_or_add ids obj fld g0 in
+    if g = g0 then first := { Loc.obj; fld } :: !first;
     rank.(k) <- g
   done;
   let first = Array.of_list (List.rev !first) in
@@ -448,27 +441,31 @@ let loc_ranks (locs : Loc.t array) (n : int) (size : int) : int array * Loc.t ar
     by_name;
   let rank_of = Array.make ids.n 0 in
   Array.iteri (fun r g -> rank_of.(g) <- r) by_name;
-  for k = 0 to n - 1 do
+  for k = 0 to n_deps + Log.n_ranges log - 1 do
     rank.(k) <- rank_of.(rank.(k))
   done;
   (rank, Array.map (fun g -> first.(g)) by_name)
 
 let table_of_log ?(extra_events = []) (log : Log.t) : table =
-  let n_deps = List.length log.deps in
-  let n_base = n_deps + List.length log.ranges in
+  let open Log in
+  let d = log.deps and r = log.ranges in
+  let n_deps = n_deps log in
+  let n_base = n_deps + n_ranges log in
   (* one singleton row per sourced recorded interval *)
-  let n_cand =
-    List.fold_left (fun a (d : Log.dep) -> if d.w <> None then a + 1 else a) 0 log.deps
-    + List.fold_left
-        (fun a (r : Log.range) -> if r.prefix_reads && r.w_in <> None then a + 1 else a)
-        0 log.ranges
-  in
-  let m = n_base + n_cand in
+  let n_cand = ref 0 in
+  for k = 0 to n_deps - 1 do
+    if d.((k * dep_width) + d_wt) >= 0 then incr n_cand
+  done;
+  for i = 0 to n_base - n_deps - 1 do
+    let b = i * range_width in
+    if r.(b + r_prefix) <> 0 && r.(b + r_wt) >= 0 then incr n_cand
+  done;
+  let m = n_base + !n_cand in
   let col () = Array.make m 0 in
   let tid = col () and lo = col () and hi = col () and obs = col () in
   let sv = col () and ev = col () in
   let flags = Bytes.make m '\000' in
-  let loc = Array.make n_base { Loc.obj = 0; fld = 0 } and src = Array.make n_base no_src in
+  let src = Array.make n_base no_src in
   let src_obs = Array.make n_base 0 and lo_obs = Array.make (n_base - n_deps) 0 in
   let loose = ref [] in
   (* variables, numbered in order of first reference: each recorded
@@ -480,8 +477,9 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
       ~expect:((2 * n_base) + (n_base - n_deps) + n_extra)
       ~limit:((3 * n_base) + n_extra)
   in
-  let row k (l : Loc.t) t s e o so fl (w : Log.evt option) =
-    loc.(k) <- l;
+  (* row [k]: thread [t], counters [s..e], stamps [o] and [so], flags
+     [fl] and source write [wt:wc] ([wt] -1: the initialization write) *)
+  let row k t s e o so fl wt wc =
     tid.(k) <- t;
     lo.(k) <- s;
     hi.(k) <- e;
@@ -490,31 +488,29 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
     Bytes.unsafe_set flags k (Char.unsafe_chr fl);
     sv.(k) <- Evars.var vars t s;
     ev.(k) <- Evars.var vars t e;
-    match w with
-    | Some (wt, wc) when fl land f_sourced <> 0 -> src.(k) <- Evars.var vars wt wc
-    | None when fl land f_sourced <> 0 -> src.(k) <- init_src
-    | Some w -> loose := (k, w) :: !loose
-    | None -> ()
+    if fl land f_sourced <> 0 then src.(k) <- (if wt >= 0 then Evars.var vars wt wc else init_src)
+    else if wt >= 0 then loose := (k, (wt, wc)) :: !loose
   in
-  List.iteri
-    (fun k (d : Log.dep) ->
-      row k d.loc (fst d.rf) (snd d.rf) d.rl_c d.dep_obs d.w_obs (f_reads lor f_sourced) d.w)
-    log.deps;
-  List.iteri
-    (fun i (r : Log.range) ->
-      lo_obs.(i) <- r.lo_obs;
-      (* only runs containing reads are recorded *)
-      row (n_deps + i) r.loc r.rt r.lo r.hi r.rng_obs r.w_obs
-        (f_reads
-        lor (if r.has_write then f_writes else 0)
-        lor if r.prefix_reads then f_sourced else 0)
-        r.w_in)
-    log.ranges;
+  for k = 0 to n_deps - 1 do
+    let b = k * dep_width in
+    row k d.(b + d_rft) d.(b + d_rfc) d.(b + d_rl) d.(b + d_obs) d.(b + d_wobs)
+      (f_reads lor f_sourced) d.(b + d_wt) d.(b + d_wc)
+  done;
+  for i = 0 to n_base - n_deps - 1 do
+    let b = i * range_width in
+    lo_obs.(i) <- r.(b + r_loobs);
+    (* only runs containing reads are recorded *)
+    row (n_deps + i) r.(b + r_t) r.(b + r_lo) r.(b + r_hi) r.(b + r_obs) r.(b + r_wobs)
+      (f_reads
+      lor (if r.(b + r_write) <> 0 then f_writes else 0)
+      lor if r.(b + r_prefix) <> 0 then f_sourced else 0)
+      r.(b + r_wt) r.(b + r_wc)
+  done;
   List.iter (fun (t, c) -> ignore (Evars.var vars t c)) extra_events;
   let fl k = Char.code (Bytes.unsafe_get flags k) in
   (* the referenced source writes, as write-only singleton rows: one per
      sourced interval, the last in log order first *)
-  let grank, locs = loc_ranks loc n_base m in
+  let grank, locs = loc_ranks log m in
   let next = ref n_base in
   for k = n_base - 1 downto 0 do
     let w = src.(k) in
@@ -561,47 +557,20 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Interval views                                                      *)
+(* Rows by location                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let interval_of_row (tb : table) (k : int) : interval =
-  let recorded = k < tb.n_base in
-  {
-    iv_loc = tb.locs.(tb.grank.(k));
-    start_e = (tb.tid.(k), tb.lo.(k));
-    end_e = (tb.tid.(k), tb.hi.(k));
-    writes = has tb k f_writes;
-    reads = has tb k f_reads;
-    src =
-      (if not (recorded && has tb k f_sourced) then None
-       else if tb.src.(k) >= 0 then Some (Some (tb.et.(tb.src.(k)), tb.ec.(tb.src.(k))))
-       else Some None);
-    obs = tb.obs.(k);
-    src_obs = (if recorded then tb.src_obs.(k) else 0);
-  }
-
-(** The table as a list: the recorded intervals in log order, then the
-    live singletons by location in reverse [Loc.Map] order, each
-    location's by the log position of the last interval naming the write. *)
-let intervals_of_log (log : Log.t) : interval list =
-  let tb = table_of_log log in
-  let singletons =
-    let m = Array.length tb.tid in
-    List.filter (fun k -> has tb k f_writes) (List.init (m - tb.n_base) (fun i -> m - 1 - i))
-  in
-  let neg = Array.map (fun g -> -g) tb.grank in
-  List.init tb.n_base (interval_of_row tb)
-  @ List.map (interval_of_row tb) (Array.to_list (radix_sort neg (Array.of_list singletons)))
-
-(** [ivs] grouped by location in [Loc.Map] order, each group in reverse
-    input order. *)
-let by_location (ivs : interval list) : (Loc.t * interval list) list =
-  let a = Array.of_list ivs in
-  let n = Array.length a in
-  let rank, locs = loc_ranks (Array.map (fun iv -> iv.iv_loc) a) n n in
-  let groups = Array.make (Array.length locs) [] in
-  Array.iteri (fun k iv -> groups.(rank.(k)) <- iv :: groups.(rank.(k))) a;
-  Array.to_list (Array.map (fun l -> ((List.hd l).iv_loc, l)) groups)
+(** Each location's live rows, by location rank ([Loc.Map] order): its
+    live singletons by row, then its recorded intervals from the last in
+    the log to the first. *)
+let location_rows (tb : table) : int list array =
+  let rows = Array.make (Array.length tb.locs) [] in
+  let add k = rows.(tb.grank.(k)) <- k :: rows.(tb.grank.(k)) in
+  for k = 0 to tb.n_base - 1 do add k done;
+  for k = Array.length tb.tid - 1 downto tb.n_base do
+    if has tb k f_writes then add k
+  done;
+  rows
 
 (* ------------------------------------------------------------------ *)
 (* Variables by thread                                                 *)
@@ -1031,39 +1000,34 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
   in
   (* the original pairwise generator, kept as the differential oracle for
      the pruning sweep below; each location's rows in the order the
-     list-based generator held them: the live singletons in row order,
-     then the recorded intervals in reverse *)
+     list-based generator held them ({!location_rows}), by stamp *)
   let naive_pairs () =
-    for g = 0 to nl - 1 do
-      let rows = Array.to_list (Array.sub members mstart.(g) (mstart.(g + 1) - mstart.(g))) in
-      let single = List.filter (fun k -> k >= tb.n_base && writes k) rows in
-      let recorded = List.rev (List.filter (fun k -> k < tb.n_base) rows) in
-      let sorted =
-        List.stable_sort (fun a b -> Int.compare tb.obs.(a) tb.obs.(b)) (single @ recorded)
-      in
-      List.iter
-        (fun i ->
-          if reads i then
-            List.iter
-              (fun j ->
-                if j <> i && writes j then begin
-                  if esrc i = init_src then
-                    (* initial-value reads precede every write on the loc *)
-                    add_hard ev.(i) sv.(j)
-                  else if esrc i >= 0 then begin
-                    if not (inside tb.et.(esrc i) tb.ec.(esrc i) j) then begin
-                      incr n_pairs;
-                      emit_clause i j (esrc i)
+    Array.iter
+      (fun rows ->
+        let sorted = List.stable_sort (fun a b -> Int.compare tb.obs.(a) tb.obs.(b)) rows in
+        List.iter
+          (fun i ->
+            if reads i then
+              List.iter
+                (fun j ->
+                  if j <> i && writes j then begin
+                    if esrc i = init_src then
+                      (* initial-value reads precede every write on the loc *)
+                      add_hard ev.(i) sv.(j)
+                    else if esrc i >= 0 then begin
+                      if not (inside tb.et.(esrc i) tb.ec.(esrc i) j) then begin
+                        incr n_pairs;
+                        emit_clause i j (esrc i)
+                      end
                     end
-                  end
-                  else if tid.(i) <> tid.(j) && not (is_freed i) then begin
-                    incr n_pairs;
-                    emit_clause i j sv.(i)
-                  end
-                end)
-              sorted)
-        sorted
-    done
+                    else if tid.(i) <> tid.(j) && not (is_freed i) then begin
+                      incr n_pairs;
+                      emit_clause i j sv.(i)
+                    end
+                  end)
+                sorted)
+          sorted)
+      (location_rows tb)
   in
   (* the pruned sweep; it returns the graph of the hard edges it reasoned
      from and their number *)

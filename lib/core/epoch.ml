@@ -28,8 +28,9 @@
     The on-disk form is log format v4: a per-epoch [E] line, checkpoint
     lines, an intern-table {e delta}, then the epoch's v3 record lines.
     One streaming {!writer} produces every v4 byte; the reader decodes
-    record lines with v3's line decoder ({!Log.record_line}) and checkpoint
-    lines with the same cursor token readers.  The monolithic path remains
+    record lines with v3's line decoder ({!Log.record_line}) into the
+    same rows the recorder seals, and checkpoint lines with the same
+    cursor token readers.  The monolithic path remains
     the differential oracle. *)
 
 open Runtime
@@ -226,9 +227,9 @@ let replay_chunk ?solver_budget ?(max_steps = 10_000_000) (pp : Light.prepared)
   match rep.Replayer.schedule with
   | None ->
     Error
-      (match rep.Replayer.result_kind with
-      | Replayer.SolverAborted -> "solver budget exhausted"
-      | _ -> "epoch constraint system unsatisfiable")
+      (match rep.Replayer.exhausted with
+      | Some b -> Replayer.budget_exhausted b
+      | None -> "epoch constraint system unsatisfiable")
   | Some sch ->
     let plan = Light.prepared_plan pp in
     let hooks = fenced_hooks (Replayer.driver sch ~plan) ck.ck_log.Log.counters in
@@ -619,17 +620,17 @@ let counted (c : Log.cursor) (item : Log.cursor -> 'a) : 'a list =
   List.init n (fun _ -> item c)
 
 let status_tok (c : Log.cursor) : Interp.tstatus =
-  let st, len = Log.next_tok c in
-  let colon = Log.find_in c st len ':' in
+  Log.next_tok c;
+  let colon = Log.find_in c c.ts c.tl ':' in
   if colon < 0 then
-    match String.sub c.cs st len with
+    match Log.tok_text c with
     | "run" -> Runnable
     | "fin" -> Finished
     | "crashed" -> Crashed
     | _ -> Log.bad c
   else
-    let m = Log.int_sub c (colon + 1) (st + len - colon - 1) in
-    match String.sub c.cs st (colon - st) with
+    let m = Log.right c colon in
+    match String.sub c.cs c.ts (colon - c.ts) with
     | "bll" -> BlockedLock m
     | "blj" -> BlockedJoin m
     | "wait" -> InWait m
@@ -638,27 +639,27 @@ let status_tok (c : Log.cursor) : Interp.tstatus =
     | _ -> Log.bad c
 
 let cont_tok (c : Log.cursor) : Interp.scont =
-  let st, len = Log.next_tok c in
+  Log.next_tok c;
+  let st = c.ts and len = c.tl in
   let colon = Log.find_in c st len ':' in
   match if len = 0 then ' ' else c.cs.[st] with
   | 'q' -> Interp.SSeq (Log.int_sub c (st + 1) (len - 1))
   | 'u' when colon >= 0 ->
-    Interp.SUnlock
-      (Log.int_sub c (st + 1) (colon - st - 1), Log.int_sub c (colon + 1) (st + len - colon - 1))
+    Interp.SUnlock (Log.int_sub c (st + 1) (colon - st - 1), Log.right c colon)
   | _ -> Log.bad c
 
 let slot_tok (c : Log.cursor) : Value.t =
-  let st, len = Log.next_tok c in
-  if len = 1 && c.cs.[st] = 'u' then Interp.unbound else Log.value_sub c st len
+  Log.next_tok c;
+  if c.tl = 1 && c.cs.[c.ts] = 'u' then Interp.unbound else Log.value_sub c c.ts c.tl
 
 (* A [c frame] continuation line: the next line of the file. *)
 let frame_line (c : Log.cursor) : Interp.snap_frame =
   if not (Log.next_line c && Log.tag c = 'c') then Log.bad c;
-  let st, len = Log.next_tok c in
-  if String.sub c.cs st len <> "frame" then Log.bad c;
+  Log.next_tok c;
+  if Log.tok_text c <> "frame" then Log.bad c;
   let sn_ret_to =
-    let st, len = Log.next_tok c in
-    if len = 1 && c.cs.[st] = '-' then None else Some (Log.int_sub c st len)
+    Log.next_tok c;
+    if c.tl = 1 && c.cs.[c.ts] = '-' then None else Some (Log.int_sub c c.ts c.tl)
   in
   let sn_cont = counted c cont_tok in
   let sn_slots = Array.of_list (counted c slot_tok) in
@@ -671,16 +672,17 @@ let frame_line (c : Log.cursor) : Interp.snap_frame =
 let checkpoint_line (c : Log.cursor) (ck : chunk) : chunk =
   let sn = ck.ck_snapshot in
   let with_sn sn = { ck with ck_snapshot = sn } in
-  let st, len = Log.next_tok c in
-  match String.sub c.cs st len with
+  Log.next_tok c;
+  match Log.tok_text c with
   | "sched" ->
     let tok = String.sub c.cs c.pos (c.eol - c.pos) in
     c.pos <- c.eol;
     { ck with ck_sched = tok }
   | "rng" ->
-    let st, len = Log.next_tok c in
+    Log.next_tok c;
+    let rng = Log.tok_text c in
     Log.eod c;
-    with_sn { sn with snap_rng = String.sub c.cs st len }
+    with_sn { sn with snap_rng = rng }
   | "obj" ->
     let id = Log.int_tok c in
     let cls = Log.field_tok c in
@@ -741,26 +743,25 @@ let checkpoint_line (c : Log.cursor) (ck : chunk) : chunk =
   | _ -> Log.bad c
 
 (** Parse a v4 file in one in-place scan.  Record lines are decoded by the
-    v3 line decoder into the current epoch; the intern-table deltas
-    accumulate across epochs.  A malformed file — including any line
-    before the first [E] line — fails with [Failure] naming the header or
-    the line. *)
-let of_string_v4 (s : string) : file =
-  let c = Log.cursor s in
-  if not (Log.next_line c) then failwith "empty log";
-  let header = Log.line c in
+    v3 line decoder into the current epoch's rows (one {!Log.builder},
+    built at each epoch's end); the intern-table deltas accumulate across
+    epochs.  A malformed file — including any line before the first [E]
+    line — is an [Error] naming the header or the line, located as
+    {!Log.parse} locates it. *)
+let of_string_v4 (s : string) : (file, Log.error) result =
+  Log.located s @@ fun c ->
   let o1, o2, epoch_len =
-    match Log.header_flags ~version:"v4" header with
+    match Log.header c ~version:"v4" with
     | o1, o2, [ e ] when String.starts_with ~prefix:"epoch=" e -> (
       match int_of_string_opt (String.sub e 6 (String.length e - 6)) with
       | Some n -> (o1, o2, n)
-      | None -> failwith ("bad log header: " ^ header))
-    | _ -> failwith ("bad log header: " ^ header)
+      | None -> Log.bad_header c)
+    | _ -> Log.bad_header c
   in
-  let fmap = Hashtbl.create 32 in
+  let fmap = Hashtbl.create 32 and b = Log.builder () in
   let chunks = ref [] in
-  (* the epoch being read, and its records *)
-  let cur = ref None and recs = ref (Log.records ()) in
+  (* the epoch being read; its records are in [b] *)
+  let cur = ref None in
   let close () =
     Option.iter
       (fun ck ->
@@ -775,7 +776,7 @@ let of_string_v4 (s : string) : file =
             snap_crashes = List.rev sn.snap_crashes;
           }
         in
-        chunks := { ck with ck_snapshot = sn; ck_log = Log.log_of_records ~o1 ~o2 !recs } :: !chunks)
+        chunks := { ck with ck_snapshot = sn; ck_log = Log.build b ~o1 ~o2 } :: !chunks)
       !cur
   in
   while Log.next_line c do
@@ -801,11 +802,10 @@ let of_string_v4 (s : string) : file =
       cur :=
         Some
           { ck_idx; ck_start_steps; ck_steps; ck_clock; ck_sched = ""; ck_snapshot = snapshot;
-            ck_log = Log.empty };
-      recs := Log.records ()
+            ck_log = Log.empty }
     | _, None -> Log.bad c
     | 'C', Some ck -> cur := Some (checkpoint_line c ck)
-    | tag, Some _ -> Log.record_line c ~fmap !recs tag
+    | tag, Some _ -> Log.record_line c ~fmap b tag
   done;
   close ();
   { f_o1 = o1; f_o2 = o2; f_epoch_len = epoch_len; f_chunks = List.rev !chunks }

@@ -163,9 +163,9 @@ let replay ?max_steps ?solver_budget (r : recording) :
     let s = report.solver_stats in
     Error
       (Printf.sprintf "%s (%d decisions, %d backtracks, %d conflicts, %.1fs)"
-         (match report.result_kind with
-         | Replayer.SolverAborted -> "solver budget exhausted"
-         | _ -> "constraint system unsatisfiable")
+         (match report.exhausted with
+         | Some b -> Replayer.budget_exhausted b
+         | None -> "constraint system unsatisfiable")
          s.decisions s.backtracks s.theory_conflicts report.solve_time_s)
   | Some sch ->
     let replay_outcome =

@@ -1,22 +1,29 @@
 (** The Light recording: what survives the original run.
 
     An access is identified by [(tid, c)] — thread id and the thread-local
-    counter value [D(t)] (Section 2.3).  Two record kinds exist:
+    counter value [D(t)] (Section 2.3).  Two record kinds exist, each a
+    row of ints; a log holds each kind's rows in one flat array, in
+    emission order.  These rows are the log from {!Recorder.seal} through
+    the v3/v4 text to the constraint table: no per-record value is built.
 
-    - {!dep}: a flow dependence [w -> r] (Definition 3.1), compressed over
-      the common write-then-many-reads-by-one-thread idiom via the [prec]
-      map of Algorithm 1 (lines 7/9): [rl_c] is the counter of the *last*
-      read of the same write by the reading thread, so the offline phase can
-      materialize the implicit dependences.  [w = None] denotes a read of
-      the location's initial (allocation-time) value, modeled as a flow
-      dependence on a virtual initialization write that precedes every other
-      write to the location.
+    - a dep ([obj fld w_t w_c w_obs rf_t rf_c rl_c dep_obs]): a flow
+      dependence [w -> r] (Definition 3.1), compressed over the common
+      write-then-many-reads-by-one-thread idiom via the [prec] map of
+      Algorithm 1 (lines 7/9): [rl_c] is the counter of the *last* read of
+      the write [w_t:w_c] by the thread whose first such read is
+      [rf_t:rf_c], so the offline phase can materialize the implicit
+      dependences.  [w_t = -1] (and [w_c = -1]) denotes a read of the
+      location's initial (allocation-time) value, modeled as a flow
+      dependence on a virtual initialization write that precedes every
+      other write to the location.
 
-    - {!range}: an O1 record (Lemma 4.3): a maximal sequence of consecutive
-      accesses to one location by one thread with no interleaving access to
-      that location.  Only the endpoints are recorded; interior dependences
-      are re-inferred from thread-local order.  [w_in] feeds the reads that
-      precede the range's first own write (if any).
+    - a range ([obj fld rt lo hi w_t w_c prefix_reads has_write rng_obs
+      lo_obs w_obs], flags 0 or 1): an O1 record (Lemma 4.3), a maximal
+      sequence of consecutive accesses to one location by one thread with
+      no interleaving access to that location.  Only the endpoints are
+      recorded; interior dependences are re-inferred from thread-local
+      order.  [w_t:w_c] feeds the reads that precede the range's first own
+      write (if any).
 
     Space is accounted in the paper's unit (long integers), with records
     grouped per location as Leap's vectors are (location id amortized):
@@ -32,38 +39,128 @@ open Runtime
 
 type evt = int * int  (** (tid, counter) *)
 
-type dep = {
-  loc : Loc.t;
-  w : evt option;  (** [None]: virtual initialization write *)
-  rf : evt;        (** first read of this write by the reading thread *)
-  rl_c : int;      (** counter of the last such read (>= snd rf) *)
-  dep_obs : int;   (** access-clock stamp of the last read *)
-  w_obs : int;     (** access-clock stamp of [w] (0 for the virtual write) *)
-}
-
-type range = {
-  loc : Loc.t;
-  rt : int;        (** thread owning the run *)
-  lo : int;        (** counter of the first access *)
-  hi : int;        (** counter of the last access *)
-  w_in : evt option;  (** write feeding the prefix reads; [None] = initial value *)
-  prefix_reads : bool;  (** the run begins with reads (before any own write) *)
-  has_write : bool;
-  rng_obs : int;  (** access-clock stamp of the last access *)
-  lo_obs : int;   (** access-clock stamp of the first access *)
-  w_obs : int;    (** access-clock stamp of [w_in] (0 when absent) *)
-}
+(* row widths and columns; a row starts with [obj] and [fld] *)
+let dep_width = 9
+let range_width = 12
+let d_wt = 2
+let d_wc = 3
+let d_wobs = 4
+let d_rft = 5
+let d_rfc = 6
+let d_rl = 7
+let d_obs = 8
+let r_t = 2
+let r_lo = 3
+let r_hi = 4
+let r_wt = 5
+let r_wc = 6
+let r_prefix = 7
+let r_write = 8
+let r_obs = 9
+let r_loobs = 10
+let r_wobs = 11
 
 type t = {
-  deps : dep list;
-  ranges : range list;
+  deps : int array;    (** [dep_width] ints per dep *)
+  ranges : int array;  (** [range_width] ints per range *)
   syscalls : (int * int * string * Value.t) list;  (** tid, idx, name, value *)
   counters : (int * int) list;  (** final D(t) per thread *)
   o1 : bool;
   o2 : bool;
 }
 
-let empty = { deps = []; ranges = []; syscalls = []; counters = []; o1 = false; o2 = false }
+let empty = { deps = [||]; ranges = [||]; syscalls = []; counters = []; o1 = false; o2 = false }
+
+let n_deps (l : t) : int = Array.length l.deps / dep_width
+let n_ranges (l : t) : int = Array.length l.ranges / range_width
+
+(* ------------------------------------------------------------------ *)
+(* Appending rows                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(** A growable buffer of rows. *)
+type rows = { mutable buf : int array; mutable len : int }
+
+(** A log being appended to, by the recorder between seals or by the
+    decoder; syscalls and counters newest first. *)
+type builder = {
+  b_deps : rows;
+  b_ranges : rows;
+  mutable b_syscalls : (int * int * string * Value.t) list;
+  mutable b_counters : (int * int) list;
+}
+
+let builder () : builder =
+  {
+    b_deps = { buf = Array.make 4096 0; len = 0 };
+    b_ranges = { buf = Array.make 1024 0; len = 0 };
+    b_syscalls = [];
+    b_counters = [];
+  }
+
+(* the start of [k] more ints at the end of [a] *)
+let[@inline] reserve (a : rows) (k : int) : int =
+  let base = a.len in
+  if base + k > Array.length a.buf then begin
+    let bigger = Array.make (max (2 * Array.length a.buf) (base + k)) 0 in
+    Array.blit a.buf 0 bigger 0 base;
+    a.buf <- bigger
+  end;
+  a.len <- base + k;
+  base
+
+let add_dep (b : builder) obj fld w_t w_c w_obs rf_t rf_c rl_c dep_obs : unit =
+  let i = reserve b.b_deps dep_width in
+  let a = b.b_deps.buf in
+  a.(i) <- obj;
+  a.(i + 1) <- fld;
+  a.(i + d_wt) <- w_t;
+  a.(i + d_wc) <- w_c;
+  a.(i + d_wobs) <- w_obs;
+  a.(i + d_rft) <- rf_t;
+  a.(i + d_rfc) <- rf_c;
+  a.(i + d_rl) <- rl_c;
+  a.(i + d_obs) <- dep_obs
+
+let add_range (b : builder) obj fld rt lo hi w_t w_c prefix_reads has_write rng_obs lo_obs
+    w_obs : unit =
+  let i = reserve b.b_ranges range_width in
+  let a = b.b_ranges.buf in
+  a.(i) <- obj;
+  a.(i + 1) <- fld;
+  a.(i + r_t) <- rt;
+  a.(i + r_lo) <- lo;
+  a.(i + r_hi) <- hi;
+  a.(i + r_wt) <- w_t;
+  a.(i + r_wc) <- w_c;
+  a.(i + r_prefix) <- prefix_reads;
+  a.(i + r_write) <- has_write;
+  a.(i + r_obs) <- rng_obs;
+  a.(i + r_loobs) <- lo_obs;
+  a.(i + r_wobs) <- w_obs
+
+(** Forget everything appended (capacity retained). *)
+let clear (b : builder) : unit =
+  b.b_deps.len <- 0;
+  b.b_ranges.len <- 0;
+  b.b_syscalls <- [];
+  b.b_counters <- []
+
+(** What was appended since the last {!build} or {!clear}, as a log with
+    exact-length row arrays; [b] is cleared. *)
+let build (b : builder) ~(o1 : bool) ~(o2 : bool) : t =
+  let l =
+    {
+      deps = Array.sub b.b_deps.buf 0 b.b_deps.len;
+      ranges = Array.sub b.b_ranges.buf 0 b.b_ranges.len;
+      syscalls = List.rev b.b_syscalls;
+      counters = List.rev b.b_counters;
+      o1;
+      o2;
+    }
+  in
+  clear b;
+  l
 
 (* ------------------------------------------------------------------ *)
 (* Space accounting (long-integer units, Section 5.2)                   *)
@@ -72,15 +169,15 @@ let empty = { deps = []; ranges = []; syscalls = []; counters = []; o1 = false; 
 (* Records are stored grouped by location (as Leap's per-location vectors
    are), so the location id is amortized and not counted per record —
    consistent with counting Leap at one long per access. *)
-let dep_longs (d : dep) : int = 2 + if d.rl_c > snd d.rf then 1 else 0
-let range_longs (_ : range) : int = 3
-
 let space_longs (l : t) : int =
-  List.fold_left (fun acc d -> acc + dep_longs d) 0 l.deps
-  + List.fold_left (fun acc r -> acc + range_longs r) 0 l.ranges
-  + (2 * List.length l.syscalls)
+  let n = ref ((3 * n_ranges l) + (2 * List.length l.syscalls)) in
+  for k = 0 to n_deps l - 1 do
+    let b = k * dep_width in
+    n := !n + 2 + if l.deps.(b + d_rl) > l.deps.(b + d_rfc) then 1 else 0
+  done;
+  !n
 
-let num_records (l : t) : int = List.length l.deps + List.length l.ranges
+let num_records (l : t) : int = n_deps l + n_ranges l
 
 (* ------------------------------------------------------------------ *)
 (* Serialization (line-oriented text; used by the CLI)                  *)
@@ -108,13 +205,14 @@ let add_int (buf : Buffer.t) (n : int) : unit =
 let add_bool (buf : Buffer.t) (b : bool) : unit =
   Buffer.add_string buf (if b then "true" else "false")
 
-let add_evt (buf : Buffer.t) (e : evt option) : unit =
-  match e with
-  | None -> Buffer.add_char buf '-'
-  | Some (t, c) ->
+(* a source write, [-] for the virtual initialization write *)
+let add_src (buf : Buffer.t) (t : int) (c : int) : unit =
+  if t < 0 then Buffer.add_char buf '-'
+  else begin
     add_int buf t;
     Buffer.add_char buf ':';
     add_int buf c
+  end
 
 (* field names may contain arbitrary map-key strings; percent-encode the
    characters that would break the line format *)
@@ -154,10 +252,10 @@ let dec_field_sub (s : string) (st : int) (len : int) : string =
    encoding) are process-independent and appear verbatim; interned ids
    (>= 0) are remapped through the F table on load, since intern ids are
    only meaningful within one process. *)
-let add_loc (buf : Buffer.t) (l : Loc.t) : unit =
-  add_int buf l.obj;
+let add_loc (buf : Buffer.t) (a : int array) (b : int) : unit =
+  add_int buf a.(b);
   Buffer.add_char buf '/';
-  add_int buf l.fld
+  add_int buf a.(b + 1)
 
 let value_str (v : Value.t) =
   match v with
@@ -179,49 +277,50 @@ let body_add (l : t) (buf : Buffer.t) : unit =
       add_int buf c;
       nl ())
     l.counters;
-  List.iter
-    (fun (d : dep) ->
-      Buffer.add_string buf "D ";
-      add_loc buf d.loc;
-      sp ();
-      add_evt buf d.w;
-      sp ();
-      let rf_t, rf_c = d.rf in
-      add_int buf rf_t;
-      Buffer.add_char buf ':';
-      add_int buf rf_c;
-      sp ();
-      add_int buf d.rl_c;
-      sp ();
-      add_int buf d.dep_obs;
-      sp ();
-      add_int buf d.w_obs;
-      nl ())
-    l.deps;
-  List.iter
-    (fun (r : range) ->
-      Buffer.add_string buf "R ";
-      add_loc buf r.loc;
-      sp ();
-      add_int buf r.rt;
-      sp ();
-      add_int buf r.lo;
-      sp ();
-      add_int buf r.hi;
-      sp ();
-      add_evt buf r.w_in;
-      sp ();
-      add_bool buf r.prefix_reads;
-      sp ();
-      add_bool buf r.has_write;
-      sp ();
-      add_int buf r.rng_obs;
-      sp ();
-      add_int buf r.lo_obs;
-      sp ();
-      add_int buf r.w_obs;
-      nl ())
-    l.ranges;
+  let a = l.deps in
+  for k = 0 to n_deps l - 1 do
+    let b = k * dep_width in
+    Buffer.add_string buf "D ";
+    add_loc buf a b;
+    sp ();
+    add_src buf a.(b + d_wt) a.(b + d_wc);
+    sp ();
+    add_int buf a.(b + d_rft);
+    Buffer.add_char buf ':';
+    add_int buf a.(b + d_rfc);
+    sp ();
+    add_int buf a.(b + d_rl);
+    sp ();
+    add_int buf a.(b + d_obs);
+    sp ();
+    add_int buf a.(b + d_wobs);
+    nl ()
+  done;
+  let a = l.ranges in
+  for k = 0 to n_ranges l - 1 do
+    let b = k * range_width in
+    Buffer.add_string buf "R ";
+    add_loc buf a b;
+    sp ();
+    add_int buf a.(b + r_t);
+    sp ();
+    add_int buf a.(b + r_lo);
+    sp ();
+    add_int buf a.(b + r_hi);
+    sp ();
+    add_src buf a.(b + r_wt) a.(b + r_wc);
+    sp ();
+    add_bool buf (a.(b + r_prefix) <> 0);
+    sp ();
+    add_bool buf (a.(b + r_write) <> 0);
+    sp ();
+    add_int buf a.(b + r_obs);
+    sp ();
+    add_int buf a.(b + r_loobs);
+    sp ();
+    add_int buf a.(b + r_wobs);
+    nl ()
+  done;
   List.iter
     (fun (t, i, n, v) ->
       Buffer.add_string buf "S ";
@@ -247,18 +346,21 @@ let add_header (buf : Buffer.t) ~(version : string) ~(o1 : bool) ~(o2 : bool) : 
 (** The intern-table lines ([F id name]) for the named (non-element)
     field ids of [l]'s records that are not yet in [seen]; adds them. *)
 let add_fields (buf : Buffer.t) (seen : (int, unit) Hashtbl.t) (l : t) : unit =
-  let note (loc : Loc.t) =
-    if loc.fld >= 0 && not (Hashtbl.mem seen loc.fld) then begin
-      Hashtbl.add seen loc.fld ();
-      Buffer.add_string buf "F ";
-      add_int buf loc.fld;
-      Buffer.add_char buf ' ';
-      add_enc_field buf (Loc.fld_name loc.fld);
-      Buffer.add_char buf '\n'
-    end
+  let note (a : int array) (width : int) =
+    for k = 0 to (Array.length a / width) - 1 do
+      let fld = a.((k * width) + 1) in
+      if fld >= 0 && not (Hashtbl.mem seen fld) then begin
+        Hashtbl.add seen fld ();
+        Buffer.add_string buf "F ";
+        add_int buf fld;
+        Buffer.add_char buf ' ';
+        add_enc_field buf (Loc.fld_name fld);
+        Buffer.add_char buf '\n'
+      end
+    done
   in
-  List.iter (fun (d : dep) -> note d.loc) l.deps;
-  List.iter (fun (r : range) -> note r.loc) l.ranges
+  note l.deps dep_width;
+  note l.ranges range_width
 
 (** v3 serialization: the intern table is stored once as F lines in the
     header, events carry integer field ids. *)
@@ -270,17 +372,6 @@ let to_string (l : t) : string =
   body_add l buf;
   Buffer.contents buf
 
-(** The [o1=B o2=B] flags of a ["light-log <version>"] header line and
-    the tokens after them; a header of another shape fails naming it. *)
-let header_flags ~(version : string) (header : string) : bool * bool * string list =
-  let bad () = failwith ("bad log header: " ^ header) in
-  let flag name tok =
-    if tok = name ^ "=true" then true else if tok = name ^ "=false" then false else bad ()
-  in
-  match String.split_on_char ' ' header with
-  | "light-log" :: v :: o1 :: o2 :: rest when v = version -> (flag "o1" o1, flag "o2" o2, rest)
-  | _ -> bad ()
-
 (* ------------------------------------------------------------------ *)
 (* Reading: one in-place line cursor for the v3 and v4 readers          *)
 (* ------------------------------------------------------------------ *)
@@ -288,56 +379,82 @@ let header_flags ~(version : string) (header : string) : bool * bool * string li
 (* A cursor walks the input one line at a time; every integer, event,
    location and value is decoded straight out of the input bytes, and the
    only substrings taken are the decoded field-name / syscall payloads
-   themselves.  A malformed token fails with [Failure "bad log line:
-   <line>"], including an integer that does not fit in an [int]; a
-   malformed event or location names the token instead. *)
+   themselves, so a dep or range line allocates nothing.  A malformed
+   token fails with [Failure "bad log line: <line>"], including an integer
+   that does not fit in an [int]; a malformed event or location names the
+   token instead.  The cursor keeps the line number and the last token,
+   which {!located} reports. *)
 type cursor = {
   cs : string;
   mutable bol : int;  (** start of the current line *)
   mutable eol : int;  (** its end: the newline or the end of input *)
   mutable pos : int;  (** next unread byte of the line *)
+  mutable ts : int;   (** start of the last token read *)
+  mutable tl : int;   (** its length *)
+  mutable lnum : int; (** the current line's number, from 1 *)
 }
 
-let cursor (s : string) : cursor = { cs = s; bol = 0; eol = 0; pos = 0 }
+let cursor (s : string) : cursor = { cs = s; bol = 0; eol = 0; pos = 0; ts = 0; tl = 0; lnum = 1 }
 
 (** The current line. *)
 let line (c : cursor) : string = String.sub c.cs c.bol (c.eol - c.bol)
 
 let bad (c : cursor) : 'a = failwith ("bad log line: " ^ line c)
+let bad_header (c : cursor) : 'a = failwith ("bad log header: " ^ line c)
 
 (** Advance to the next non-empty line; [false] (the cursor unmoved) at
     the end of input. *)
 let next_line (c : cursor) : bool =
-  let n = String.length c.cs in
+  let s = c.cs in
+  let n = String.length s in
   let i = ref c.eol in
-  while !i < n && c.cs.[!i] = '\n' do incr i done;
+  while !i < n && s.[!i] = '\n' do incr i done;
   !i < n
   && begin
+    c.lnum <- c.lnum + (!i - c.eol);
     c.bol <- !i;
-    c.eol <- (match String.index_from_opt c.cs !i '\n' with Some e -> e | None -> n);
     c.pos <- !i;
+    c.ts <- !i;
+    c.tl <- 0;
+    let e = ref !i in
+    while !e < n && String.unsafe_get s !e <> '\n' do incr e done;
+    c.eol <- !e;
     true
   end
 
-(** The next space-delimited token of the line, as [(start, length)]. *)
-let next_tok (c : cursor) : int * int =
-  if c.pos >= c.eol then bad c;
-  let st = c.pos in
-  while c.pos < c.eol && c.cs.[c.pos] <> ' ' do c.pos <- c.pos + 1 done;
-  let len = c.pos - st in
-  if c.pos < c.eol then c.pos <- c.pos + 1;  (* skip the delimiter *)
-  (st, len)
+(** The [o1=B o2=B] flags of the first line, a ["light-log <version>"]
+    header, and the tokens after them; no line, or a header of another
+    shape, fails naming it. *)
+let header (c : cursor) ~(version : string) : bool * bool * string list =
+  if not (next_line c) then failwith "empty log";
+  let flag name tok =
+    if tok = name ^ "=true" then true else if tok = name ^ "=false" then false else bad_header c
+  in
+  match String.split_on_char ' ' (line c) with
+  | "light-log" :: v :: o1 :: o2 :: rest when v = version -> (flag "o1" o1, flag "o2" o2, rest)
+  | _ -> bad_header c
+
+(** Read the next space-delimited token of the line into [ts], [tl]. *)
+let next_tok (c : cursor) : unit =
+  let s = c.cs and e = c.eol and p = ref c.pos in
+  c.ts <- !p;
+  if !p >= e then bad c;
+  while !p < e && String.unsafe_get s !p <> ' ' do incr p done;
+  c.tl <- !p - c.ts;
+  c.pos <- (if !p < e then !p + 1 else !p)  (* past the delimiter *)
 
 (** The line's end: no token may follow. *)
-let eod (c : cursor) : unit = if c.pos <> c.eol then bad c
+let eod (c : cursor) : unit =
+  if c.pos <> c.eol then begin
+    c.ts <- c.pos;
+    bad c
+  end
 
 (** The first index of [ch] in the token at [st, st+len), or [-1]. *)
 let find_in (c : cursor) (st : int) (len : int) (ch : char) : int =
-  let r = ref (-1) in
-  for k = st + len - 1 downto st do
-    if c.cs.[k] = ch then r := k
-  done;
-  !r
+  let s = c.cs and e = st + len and i = ref st in
+  while !i < e && String.unsafe_get s !i <> ch do incr i done;
+  if !i < e then !i else -1
 
 (** The decimal integer at [st, st+len). *)
 let int_sub (c : cursor) (st : int) (len : int) : int =
@@ -360,8 +477,8 @@ let int_sub (c : cursor) (st : int) (len : int) : int =
   else !v
 
 let int_tok (c : cursor) : int =
-  let st, len = next_tok c in
-  int_sub c st len
+  next_tok c;
+  int_sub c c.ts c.tl
 
 let bool_sub (c : cursor) (st : int) (len : int) : bool =
   let s = c.cs in
@@ -374,34 +491,22 @@ let bool_sub (c : cursor) (st : int) (len : int) : bool =
   else bad c
 
 let bool_tok (c : cursor) : bool =
-  let st, len = next_tok c in
-  bool_sub c st len
+  next_tok c;
+  bool_sub c c.ts c.tl
 
-let evt_tok (c : cursor) : evt option =
-  let st, len = next_tok c in
-  if len = 1 && c.cs.[st] = '-' then None
-  else begin
-    let colon = find_in c st len ':' in
-    if colon < 0 then failwith ("bad event: " ^ String.sub c.cs st len);
-    Some (int_sub c st (colon - st), int_sub c (colon + 1) (st + len - colon - 1))
-  end
+(** The current token's text. *)
+let tok_text (c : cursor) : string = String.sub c.cs c.ts c.tl
 
-(** A location; named field ids are remapped through [fmap], the file's
-    intern table read so far (file-local ids to this process's). *)
-let loc_tok (c : cursor) (fmap : (int, int) Hashtbl.t) : Loc.t =
-  let st, len = next_tok c in
-  let slash = find_in c st len '/' in
-  if slash < 0 then failwith ("bad location: " ^ String.sub c.cs st len);
-  let obj = int_sub c st (slash - st) in
-  let fld = int_sub c (slash + 1) (st + len - slash - 1) in
-  if fld < 0 then { Loc.obj; fld }
-  else
-    match Hashtbl.find_opt fmap fld with
-    | Some fld -> { Loc.obj; fld }
-    | None ->
-      failwith
-        (Printf.sprintf "bad location (field id %d not in intern table): %s" fld
-           (String.sub c.cs st len))
+(** The position of [ch] in the current token, failing with
+    ["<what>: <token>"] when it has none. *)
+let split_tok (c : cursor) (ch : char) (what : string) : int =
+  let m = find_in c c.ts c.tl ch in
+  if m < 0 then failwith (what ^ ": " ^ tok_text c);
+  m
+
+(* the integers before and after position [m] of the current token *)
+let left (c : cursor) (m : int) : int = int_sub c c.ts (m - c.ts)
+let right (c : cursor) (m : int) : int = int_sub c (m + 1) (c.ts + c.tl - m - 1)
 
 (** The value token at [st, st+len), in {!value_str}'s form. *)
 let value_sub (c : cursor) (st : int) (len : int) : Value.t =
@@ -417,45 +522,48 @@ let value_sub (c : cursor) (st : int) (len : int) : Value.t =
     | _ -> bad c
 
 let value_tok (c : cursor) : Value.t =
-  let st, len = next_tok c in
-  value_sub c st len
+  next_tok c;
+  value_sub c c.ts c.tl
 
 (** A percent-encoded field name. *)
 let field_tok (c : cursor) : string =
-  let st, len = next_tok c in
-  dec_field_sub c.cs st len
+  next_tok c;
+  dec_field_sub c.cs c.ts c.tl
 
 (** The one-character tag that opens every line. *)
 let tag (c : cursor) : char =
-  let st, len = next_tok c in
-  if len <> 1 then bad c;
-  c.cs.[st]
+  next_tok c;
+  if c.tl <> 1 then bad c;
+  c.cs.[c.ts]
 
-(** The records read so far, newest first: one v3 document's, or one v4
-    epoch's. *)
-type records = {
-  mutable r_deps : dep list;
-  mutable r_ranges : range list;
-  mutable r_syscalls : (int * int * string * Value.t) list;
-  mutable r_counters : (int * int) list;
-}
+(* The field id after the '/' at [m] of the location token, remapped
+   through [fmap], the file's intern table read so far (file-local ids to
+   this process's) *)
+let loc_fld (c : cursor) (fmap : (int, int) Hashtbl.t) (m : int) : int =
+  let fld = right c m in
+  if fld < 0 then fld
+  else
+    match Hashtbl.find fmap fld with
+    | f -> f
+    | exception Not_found ->
+      failwith
+        (Printf.sprintf "bad location (field id %d not in intern table): %s" fld (tok_text c))
 
-let records () : records = { r_deps = []; r_ranges = []; r_syscalls = []; r_counters = [] }
-
-let log_of_records ~(o1 : bool) ~(o2 : bool) (r : records) : t =
-  {
-    deps = List.rev r.r_deps;
-    ranges = List.rev r.r_ranges;
-    syscalls = List.rev r.r_syscalls;
-    counters = List.rev r.r_counters;
-    o1;
-    o2;
-  }
+(* An event token [t:c]: the position of its ':', or -1 for [-] (the
+   virtual initialization write).  Thread ids are never negative. *)
+let evt_tok (c : cursor) : int =
+  next_tok c;
+  if c.tl = 1 && c.cs.[c.ts] = '-' then -1
+  else begin
+    let m = split_tok c ':' "bad event" in
+    if left c m < 0 then bad c;
+    m
+  end
 
 (** Decode the rest of an F, T, D, R or S line, the cursor standing after
-    its [tag]: an F line extends [fmap], the others are added to [r]. *)
-let record_line (c : cursor) ~(fmap : (int, int) Hashtbl.t) (r : records) (tag : char) :
-    unit =
+    its [tag]: an F line extends [fmap], the others are appended to [b]
+    (a D or R line without allocating). *)
+let record_line (c : cursor) ~(fmap : (int, int) Hashtbl.t) (b : builder) (tag : char) : unit =
   match tag with
   | 'F' ->
     let id = int_tok c in
@@ -466,55 +574,80 @@ let record_line (c : cursor) ~(fmap : (int, int) Hashtbl.t) (r : records) (tag :
     let t = int_tok c in
     let n = int_tok c in
     eod c;
-    r.r_counters <- (t, n) :: r.r_counters
+    b.b_counters <- (t, n) :: b.b_counters
   | 'D' ->
-    let loc = loc_tok c fmap in
+    next_tok c;
+    let lm = split_tok c '/' "bad location" in
+    let obj = left c lm in
+    let fld = loc_fld c fmap lm in
     let w = evt_tok c in
-    let rf = match evt_tok c with Some e -> e | None -> bad c in
+    let w_t = if w < 0 then -1 else left c w in
+    let w_c = if w < 0 then -1 else right c w in
+    let rf = evt_tok c in
+    if rf < 0 then bad c;
+    let rf_t = left c rf in
+    let rf_c = right c rf in
     let rl_c = int_tok c in
     let dep_obs = int_tok c in
     let w_obs = int_tok c in
     eod c;
-    r.r_deps <- { loc; w; rf; rl_c; dep_obs; w_obs } :: r.r_deps
+    add_dep b obj fld w_t w_c w_obs rf_t rf_c rl_c dep_obs
   | 'R' ->
-    let loc = loc_tok c fmap in
+    next_tok c;
+    let lm = split_tok c '/' "bad location" in
+    let obj = left c lm in
+    let fld = loc_fld c fmap lm in
     let rt = int_tok c in
     let lo = int_tok c in
     let hi = int_tok c in
-    let w_in = evt_tok c in
+    let w = evt_tok c in
+    let w_t = if w < 0 then -1 else left c w in
+    let w_c = if w < 0 then -1 else right c w in
     let prefix_reads = bool_tok c in
     let has_write = bool_tok c in
     let rng_obs = int_tok c in
     let lo_obs = int_tok c in
     let w_obs = int_tok c in
     eod c;
-    r.r_ranges <-
-      { loc; rt; lo; hi; w_in; prefix_reads; has_write; rng_obs; lo_obs; w_obs }
-      :: r.r_ranges
+    add_range b obj fld rt lo hi w_t w_c (Bool.to_int prefix_reads) (Bool.to_int has_write)
+      rng_obs lo_obs w_obs
   | 'S' ->
     let t = int_tok c in
     let i = int_tok c in
-    let nst, nlen = next_tok c in
+    next_tok c;
+    let name = tok_text c in
     let v = value_tok c in
     eod c;
-    r.r_syscalls <- (t, i, String.sub c.cs nst nlen, v) :: r.r_syscalls
+    b.b_syscalls <- (t, i, name, v) :: b.b_syscalls
   | _ -> bad c
+
+(** Where a read failed: the line's number (from 1), the byte offset of
+    the token being decoded, and the message. *)
+type error = { line : int; byte : int; msg : string }
+
+(** [read] run over a fresh cursor on [s], a [Failure] it raises located
+    at the cursor. *)
+let located (s : string) (read : cursor -> 'a) : ('a, error) result =
+  let c = cursor s in
+  match read c with
+  | v -> Ok v
+  | exception Failure msg -> Error { line = c.lnum; byte = c.ts; msg }
 
 (** Reads a v3 log (intern-table header, integer field ids); locations
     come back keyed by this process's intern ids.  The parser is a single
-    in-place scan with a {!cursor}.  Malformed input fails with [Failure]
-    naming the header or the line. *)
+    in-place scan with a {!cursor} that appends rows to one {!builder}.  A
+    malformed input is an [Error] naming the header or the line. *)
+let parse (s : string) : (t, error) result =
+  located s (fun c ->
+      let o1, o2 =
+        match header c ~version:"v3" with o1, o2, [] -> (o1, o2) | _ -> bad_header c
+      in
+      let fmap = Hashtbl.create 16 and b = builder () in
+      while next_line c do
+        record_line c ~fmap b (tag c)
+      done;
+      build b ~o1 ~o2)
+
+(** {!parse}, failing with [Failure] and the error's message. *)
 let of_string (s : string) : t =
-  let c = cursor s in
-  if not (next_line c) then failwith "empty log";
-  let header = line c in
-  let o1, o2 =
-    match header_flags ~version:"v3" header with
-    | o1, o2, [] -> (o1, o2)
-    | _ -> failwith ("bad log header: " ^ header)
-  in
-  let fmap = Hashtbl.create 16 and r = records () in
-  while next_line c do
-    record_line c ~fmap r (tag c)
-  done;
-  log_of_records ~o1 ~o2 r
+  match parse s with Ok l -> l | Error e -> failwith e.msg

@@ -34,12 +34,13 @@
       a (thread, loc) allocates its descriptor once and every subsequent
       access mutates integers (the seed allocated a fresh record and an
       option per prec replacement);
-    - closed records land in int {!Arena} buffers (9 ints per dep, 12 per
-      range, the [_obs] clock stamps packed alongside) in emission order;
-      [Log.evt]-based structures materialize only at {!finalize}.  The
-      single-domain simulator multiplexes what would be per-thread buffers
-      into one arena per record kind — order equals the seed's merged
-      thread-local buffers, so logs are byte-identical. *)
+    - closed records are appended as rows to a {!Log.builder} (9 ints per
+      dep, 12 per range, the [_obs] clock stamps packed alongside) in
+      emission order.  Those rows are the log: {!seal} hands them out as
+      one exact-length copy per record kind, and nothing is materialized
+      per record.  The single-domain simulator multiplexes what would be
+      per-thread buffers into one buffer per record kind — order equals
+      the seed's merged thread-local buffers, so logs are byte-identical. *)
 
 open Runtime
 
@@ -155,36 +156,6 @@ module Lw = struct
     t.n <- 0
 end
 
-(* ------------------------------------------------------------------ *)
-(* Record arenas                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Growable int buffer holding closed records as packed integers, in
-   emission order; entries never move until finalization. *)
-module Arena = struct
-  type t = { mutable buf : int array; mutable len : int }
-
-  let create cap = { buf = Array.make cap 0; len = 0 }
-
-  let[@inline] reserve (a : t) (k : int) : int =
-    let base = a.len in
-    if base + k > Array.length a.buf then begin
-      let bigger = Array.make (max (2 * Array.length a.buf) (base + k)) 0 in
-      Array.blit a.buf 0 bigger 0 base;
-      a.buf <- bigger
-    end;
-    a.len <- base + k;
-    base
-end
-
-(* a dep is 9 ints: obj fld w_t w_c w_obs rf_t rf_c rl_c dep_obs
-   (w_t = -1 encodes the virtual initialization write) *)
-let dep_width = 9
-
-(* a range is 12 ints:
-   obj fld rt lo hi w_t w_c prefix_reads has_write rng_obs lo_obs w_obs *)
-let range_width = 12
-
 (* open dep being extended by the prec optimization; the [_obs] fields
    carry access-clock stamps for the solver's witness reconstruction.
    All-int and fully mutable: one allocation per (thread, loc), reused in
@@ -242,8 +213,7 @@ type t = {
   prec : (int, open_dep Loc.Tbl.t) Hashtbl.t;
   (* O1 path: current run per location *)
   runs : open_run Loc.Tbl.t;
-  deps : Arena.t;    (* merged thread-local buffers, dep_width ints each *)
-  ranges : Arena.t;  (* range_width ints each *)
+  rows : Log.builder;  (* closed records since the last seal *)
   mutable site_hits : int array;  (* per-sid access counts (observability) *)
   mutable accesses : int;  (* global access clock; stamps the [_obs] fields *)
   mutable skipped_guarded : int;
@@ -259,8 +229,7 @@ let create ?(variant = v_both) ?(weights = Metrics.Cost.default_weights)
     lw = Lw.create ();
     prec = Hashtbl.create 16;
     runs = Loc.Tbl.create 1024;
-    deps = Arena.create 4096;
-    ranges = Arena.create 1024;
+    rows = Log.builder ();
     site_hits = Array.make (max 1 (Bytes.length modes)) 0;
     accesses = 0;
     skipped_guarded = 0;
@@ -269,7 +238,7 @@ let create ?(variant = v_both) ?(weights = Metrics.Cost.default_weights)
 (** Reset-in-place for session recycling: restore exactly the observable
     state of a fresh [create ~variant modes] while retaining every grown
     capacity — the last-write table's five parallel arrays, the dep/range
-    arena buffers, the open-run and prec hash tables' buckets, and the
+    row buffers, the open-run and prec hash tables' buckets, and the
     contention-stripe rings (~200KB of allocation per session avoided).
     Soundness of the reuse: recording consults only table {e contents},
     never capacity, so a cleared-but-bigger structure is indistinguishable
@@ -288,8 +257,7 @@ let reset ?variant (r : t) (modes : Bytes.t) : unit =
      buckets are both warm *)
   Hashtbl.iter (fun _ tbl -> Loc.Tbl.clear tbl) r.prec;
   Loc.Tbl.clear r.runs;
-  r.deps.Arena.len <- 0;
-  r.ranges.Arena.len <- 0;
+  Log.clear r.rows;
   let n = max 1 (Bytes.length modes) in
   if Array.length r.site_hits < n then r.site_hits <- Array.make n 0
   else Array.fill r.site_hits 0 (Array.length r.site_hits) 0;
@@ -298,17 +266,8 @@ let reset ?variant (r : t) (modes : Bytes.t) : unit =
 
 let emit_dep (r : t) (loc : Loc.t) (od : open_dep) : unit =
   Metrics.Cost.charge_dep_append r.meter;
-  let b = Arena.reserve r.deps dep_width in
-  let a = r.deps.buf in
-  a.(b) <- loc.obj;
-  a.(b + 1) <- loc.fld;
-  a.(b + 2) <- od.od_w_t;
-  a.(b + 3) <- od.od_w_c;
-  a.(b + 4) <- od.od_w_obs;
-  a.(b + 5) <- od.od_rf_t;
-  a.(b + 6) <- od.od_rf_c;
-  a.(b + 7) <- od.od_rl;
-  a.(b + 8) <- od.od_rl_obs
+  Log.add_dep r.rows loc.obj loc.fld od.od_w_t od.od_w_c od.od_w_obs od.od_rf_t od.od_rf_c
+    od.od_rl od.od_rl_obs
 
 let prec_of (r : t) (tid : int) : open_dep Loc.Tbl.t =
   match Hashtbl.find r.prec tid with
@@ -317,6 +276,31 @@ let prec_of (r : t) (tid : int) : open_dep Loc.Tbl.t =
     let h = Loc.Tbl.create 64 in
     Hashtbl.add r.prec tid h;
     h
+
+(* Algorithm 1, lines 7/9: thread [t]'s reads [rf_c..rl] of [loc], all
+   from the write [w_t:w_c], extend the thread's open dep on [loc] when it
+   has that source (line 7); otherwise the open dep is emitted and
+   replaced by this span. *)
+let read_span (r : t) (loc : Loc.t) ~t ~w_t ~w_c ~w_obs ~rf_c ~rl ~rl_obs : unit =
+  let prec = prec_of r t in
+  match Loc.Tbl.find prec loc with
+  | od when od.od_w_t = w_t && od.od_w_c = w_c ->
+    Metrics.Cost.charge_prec_hit r.meter;
+    od.od_rl <- rl;
+    od.od_rl_obs <- rl_obs
+  | od ->
+    emit_dep r loc od;
+    od.od_w_t <- w_t;
+    od.od_w_c <- w_c;
+    od.od_w_obs <- w_obs;
+    od.od_rf_t <- t;
+    od.od_rf_c <- rf_c;
+    od.od_rl <- rl;
+    od.od_rl_obs <- rl_obs
+  | exception Not_found ->
+    Loc.Tbl.add prec loc
+      { od_w_t = w_t; od_w_c = w_c; od_w_obs = w_obs; od_rf_t = t; od_rf_c = rf_c; od_rl = rl;
+        od_rl_obs = rl_obs }
 
 let emit_range (r : t) (loc : Loc.t) (run : open_run) : unit =
   (* Pure-write runs are not recorded: their last write is referenced by the
@@ -329,34 +313,9 @@ let emit_range (r : t) (loc : Loc.t) (run : open_run) : unit =
      the same write (common when several threads interleave reads) compress
      into one record. *)
   if run.or_has_read then
-    if not run.or_has_write then begin
-      let prec = prec_of r run.or_t in
-      match Loc.Tbl.find prec loc with
-      | od when od.od_w_t = run.or_w_in_t && od.od_w_c = run.or_w_in_c ->
-        Metrics.Cost.charge_prec_hit r.meter;
-        od.od_rl <- run.or_hi;
-        od.od_rl_obs <- run.or_hi_obs
-      | od ->
-        emit_dep r loc od;
-        od.od_w_t <- run.or_w_in_t;
-        od.od_w_c <- run.or_w_in_c;
-        od.od_w_obs <- run.or_w_obs;
-        od.od_rf_t <- run.or_t;
-        od.od_rf_c <- run.or_lo;
-        od.od_rl <- run.or_hi;
-        od.od_rl_obs <- run.or_hi_obs
-      | exception Not_found ->
-        Loc.Tbl.add prec loc
-          {
-            od_w_t = run.or_w_in_t;
-            od_w_c = run.or_w_in_c;
-            od_w_obs = run.or_w_obs;
-            od_rf_t = run.or_t;
-            od_rf_c = run.or_lo;
-            od_rl = run.or_hi;
-            od_rl_obs = run.or_hi_obs;
-          }
-    end
+    if not run.or_has_write then
+      read_span r loc ~t:run.or_t ~w_t:run.or_w_in_t ~w_c:run.or_w_in_c ~w_obs:run.or_w_obs
+        ~rf_c:run.or_lo ~rl:run.or_hi ~rl_obs:run.or_hi_obs
     else if
       (not run.or_middle_read)
       && not (run.or_last_prefix_read > 0 && run.or_first_read_after_w > 0)
@@ -373,27 +332,12 @@ let emit_range (r : t) (loc : Loc.t) (run : open_run) : unit =
         Loc.Tbl.remove prec loc
       | exception Not_found -> ());
       Metrics.Cost.charge_dep_append r.meter;
-      let b = Arena.reserve r.deps dep_width in
-      let a = r.deps.buf in
-      a.(b) <- loc.obj;
-      a.(b + 1) <- loc.fld;
-      a.(b + 5) <- run.or_t;
-      if run.or_first_read_after_w > 0 then begin
-        a.(b + 2) <- run.or_t;
-        a.(b + 3) <- run.or_last_write;
-        a.(b + 4) <- run.or_last_write_obs;
-        a.(b + 6) <- run.or_first_read_after_w;
-        a.(b + 7) <- run.or_hi;
-        a.(b + 8) <- run.or_hi_obs
-      end
-      else begin
-        a.(b + 2) <- run.or_w_in_t;
-        a.(b + 3) <- run.or_w_in_c;
-        a.(b + 4) <- run.or_w_obs;
-        a.(b + 6) <- run.or_lo;
-        a.(b + 7) <- run.or_last_prefix_read;
-        a.(b + 8) <- run.or_last_prefix_read_obs
-      end
+      if run.or_first_read_after_w > 0 then
+        Log.add_dep r.rows loc.obj loc.fld run.or_t run.or_last_write run.or_last_write_obs
+          run.or_t run.or_first_read_after_w run.or_hi run.or_hi_obs
+      else
+        Log.add_dep r.rows loc.obj loc.fld run.or_w_in_t run.or_w_in_c run.or_w_obs run.or_t
+          run.or_lo run.or_last_prefix_read run.or_last_prefix_read_obs
     end
     else begin
       (* write-containing run: the prec entry for this (thread, loc) must be
@@ -405,25 +349,43 @@ let emit_range (r : t) (loc : Loc.t) (run : open_run) : unit =
         Loc.Tbl.remove prec loc
       | exception Not_found -> ());
       Metrics.Cost.charge_dep_append r.meter;
-      let b = Arena.reserve r.ranges range_width in
-      let a = r.ranges.buf in
-      a.(b) <- loc.obj;
-      a.(b + 1) <- loc.fld;
-      a.(b + 2) <- run.or_t;
-      a.(b + 3) <- run.or_lo;
-      a.(b + 4) <- run.or_hi;
-      a.(b + 5) <- run.or_w_in_t;
-      a.(b + 6) <- run.or_w_in_c;
-      a.(b + 7) <- (if run.or_prefix_reads then 1 else 0);
-      a.(b + 8) <- (if run.or_has_write then 1 else 0);
-      a.(b + 9) <- run.or_hi_obs;
-      a.(b + 10) <- run.or_lo_obs;
-      a.(b + 11) <- run.or_w_obs
+      Log.add_range r.rows loc.obj loc.fld run.or_t run.or_lo run.or_hi run.or_w_in_t
+        run.or_w_in_c (Bool.to_int run.or_prefix_reads) (Bool.to_int run.or_has_write)
+        run.or_hi_obs run.or_lo_obs run.or_w_obs
     end
 
 (* ------------------------------------------------------------------ *)
 (* Access handling                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Start [run] afresh at thread [tid]'s access [c] with clock [now]: a
+   read takes the location's last write as the run's feeding write. *)
+let start_run (r : t) (run : open_run) (loc : Loc.t) ~tid ~c ~now ~(is_read : bool) : unit =
+  let wslot = if is_read then Lw.find r.lw loc.obj loc.fld else -1 in
+  run.or_t <- tid;
+  run.or_lo <- c;
+  run.or_lo_obs <- now;
+  run.or_hi <- c;
+  run.or_hi_obs <- now;
+  (if wslot >= 0 then begin
+     run.or_w_in_t <- Array.unsafe_get r.lw.Lw.wt wslot;
+     run.or_w_in_c <- Array.unsafe_get r.lw.Lw.wc wslot;
+     run.or_w_obs <- Array.unsafe_get r.lw.Lw.wobs wslot
+   end
+   else begin
+     run.or_w_in_t <- -1;
+     run.or_w_in_c <- -1;
+     run.or_w_obs <- 0
+   end);
+  run.or_prefix_reads <- is_read;
+  run.or_has_write <- not is_read;
+  run.or_has_read <- is_read;
+  run.or_middle_read <- false;
+  run.or_last_prefix_read <- (if is_read then c else 0);
+  run.or_last_prefix_read_obs <- (if is_read then now else 0);
+  run.or_last_write <- (if is_read then 0 else c);
+  run.or_last_write_obs <- (if is_read then 0 else now);
+  run.or_first_read_after_w <- 0
 
 let on_access_fast (r : t) ~(tid : int) ~(c : int) ~(loc : Loc.t)
     ~(kind : Event.akind) ~(site : int) ~(ghost : Event.ghost_kind) : unit =
@@ -475,57 +437,19 @@ let on_access_fast (r : t) ~(tid : int) ~(c : int) ~(loc : Loc.t)
         let level = touch r.stripes loc ~tid in
         charge_switch r.meter ~level;
         emit_range r loc run;
-        let is_read = kind = Event.Read in
-        let wslot = if is_read then Lw.find r.lw loc.obj loc.fld else -1 in
-        run.or_t <- tid;
-        run.or_lo <- c;
-        run.or_lo_obs <- now;
-        run.or_hi <- c;
-        run.or_hi_obs <- now;
-        (if wslot >= 0 then begin
-           run.or_w_in_t <- Array.unsafe_get r.lw.Lw.wt wslot;
-           run.or_w_in_c <- Array.unsafe_get r.lw.Lw.wc wslot;
-           run.or_w_obs <- Array.unsafe_get r.lw.Lw.wobs wslot
-         end
-         else begin
-           run.or_w_in_t <- -1;
-           run.or_w_in_c <- -1;
-           run.or_w_obs <- 0
-         end);
-        run.or_prefix_reads <- is_read;
-        run.or_has_write <- not is_read;
-        run.or_has_read <- is_read;
-        run.or_middle_read <- false;
-        run.or_last_prefix_read <- (if is_read then c else 0);
-        run.or_last_prefix_read_obs <- (if is_read then now else 0);
-        run.or_last_write <- (if is_read then 0 else c);
-        run.or_last_write_obs <- (if is_read then 0 else now);
-        run.or_first_read_after_w <- 0
+        start_run r run loc ~tid ~c ~now ~is_read:(kind = Event.Read)
       | exception Not_found ->
         let level = touch r.stripes loc ~tid in
         charge_switch r.meter ~level;
-        let is_read = kind = Event.Read in
-        let wslot = if is_read then Lw.find r.lw loc.obj loc.fld else -1 in
-        Loc.Tbl.add r.runs loc
-          {
-            or_t = tid;
-            or_lo = c;
-            or_lo_obs = now;
-            or_hi = c;
-            or_hi_obs = now;
-            or_w_in_t = (if wslot >= 0 then r.lw.Lw.wt.(wslot) else -1);
-            or_w_in_c = (if wslot >= 0 then r.lw.Lw.wc.(wslot) else -1);
-            or_w_obs = (if wslot >= 0 then r.lw.Lw.wobs.(wslot) else 0);
-            or_prefix_reads = is_read;
-            or_has_write = not is_read;
-            or_has_read = is_read;
-            or_middle_read = false;
-            or_last_prefix_read = (if is_read then c else 0);
-            or_last_prefix_read_obs = (if is_read then now else 0);
-            or_last_write = (if is_read then 0 else c);
-            or_last_write_obs = (if is_read then 0 else now);
-            or_first_read_after_w = 0;
-          });
+        let run =
+          { or_t = 0; or_lo = 0; or_lo_obs = 0; or_hi = 0; or_hi_obs = 0; or_w_in_t = 0;
+            or_w_in_c = 0; or_w_obs = 0; or_prefix_reads = false; or_has_write = false;
+            or_has_read = false; or_middle_read = false; or_last_prefix_read = 0;
+            or_last_prefix_read_obs = 0; or_last_write = 0; or_last_write_obs = 0;
+            or_first_read_after_w = 0 }
+        in
+        start_run r run loc ~tid ~c ~now ~is_read:(kind = Event.Read);
+        Loc.Tbl.add r.runs loc run);
       if kind = Event.Write then Lw.set r.lw loc.obj loc.fld ~wt:tid ~wc:c ~wobs:now
     end
     else begin
@@ -541,33 +465,9 @@ let on_access_fast (r : t) ~(tid : int) ~(c : int) ~(loc : Loc.t)
         let wslot = Lw.find r.lw loc.obj loc.fld in
         let cw_t = if wslot >= 0 then Array.unsafe_get r.lw.Lw.wt wslot else -1 in
         let cw_c = if wslot >= 0 then Array.unsafe_get r.lw.Lw.wc wslot else -1 in
-        let prec = prec_of r tid in
-        (match Loc.Tbl.find prec loc with
-        | od when od.od_w_t = cw_t && od.od_w_c = cw_c ->
-          (* same write as the previous read: extend the span (line 7) *)
-          charge_prec_hit r.meter;
-          od.od_rl <- c;
-          od.od_rl_obs <- now
-        | od ->
-          emit_dep r loc od;
-          od.od_w_t <- cw_t;
-          od.od_w_c <- cw_c;
-          od.od_w_obs <- (if wslot >= 0 then Array.unsafe_get r.lw.Lw.wobs wslot else 0);
-          od.od_rf_t <- tid;
-          od.od_rf_c <- c;
-          od.od_rl <- c;
-          od.od_rl_obs <- now
-        | exception Not_found ->
-          Loc.Tbl.add prec loc
-            {
-              od_w_t = cw_t;
-              od_w_c = cw_c;
-              od_w_obs = (if wslot >= 0 then r.lw.Lw.wobs.(wslot) else 0);
-              od_rf_t = tid;
-              od_rf_c = c;
-              od_rl = c;
-              od_rl_obs = now;
-            })
+        read_span r loc ~t:tid ~w_t:cw_t ~w_c:cw_c
+          ~w_obs:(if wslot >= 0 then Array.unsafe_get r.lw.Lw.wobs wslot else 0)
+          ~rf_c:c ~rl:c ~rl_obs:now
     end
   end
 
@@ -583,7 +483,7 @@ let on_access (r : t) (a : Event.access) : unit =
 (** Close out everything recorded since the previous seal (or creation) and
     return it as a [Log.t].  Unlike a plain flush this also {e clears} the
     last-write table, so accesses recorded after a seal reference writes
-    from before it as [w = None] — the virtual initialization write, whose
+    from before it as source tid -1 — the virtual initialization write, whose
     value is supplied by the epoch's checkpoint.  That one invariant is what
     makes each sealed log a self-contained per-epoch constraint system.
     The access clock, site-hit counts and cost meter stay cumulative across
@@ -596,57 +496,8 @@ let seal (r : t) ~(syscalls : (int * int * string * Value.t) list)
   Loc.Tbl.reset r.runs;
   Hashtbl.iter (fun _ tbl -> Loc.Tbl.iter (fun loc od -> emit_dep r loc od) tbl) r.prec;
   Hashtbl.reset r.prec;
-  (* materialize the arenas, back to front (the lists come out in emission
-     order, as the seed's reversed cons-lists did) *)
-  let deps = ref [] in
-  let a = r.deps.Arena.buf in
-  let b = ref (r.deps.Arena.len - dep_width) in
-  while !b >= 0 do
-    let b0 = !b in
-    deps :=
-      {
-        Log.loc = { Loc.obj = a.(b0); fld = a.(b0 + 1) };
-        w = (if a.(b0 + 2) < 0 then None else Some (a.(b0 + 2), a.(b0 + 3)));
-        w_obs = a.(b0 + 4);
-        rf = (a.(b0 + 5), a.(b0 + 6));
-        rl_c = a.(b0 + 7);
-        dep_obs = a.(b0 + 8);
-      }
-      :: !deps;
-    b := b0 - dep_width
-  done;
-  let ranges = ref [] in
-  let a = r.ranges.Arena.buf in
-  let b = ref (r.ranges.Arena.len - range_width) in
-  while !b >= 0 do
-    let b0 = !b in
-    ranges :=
-      {
-        Log.loc = { Loc.obj = a.(b0); fld = a.(b0 + 1) };
-        rt = a.(b0 + 2);
-        lo = a.(b0 + 3);
-        hi = a.(b0 + 4);
-        w_in = (if a.(b0 + 5) < 0 then None else Some (a.(b0 + 5), a.(b0 + 6)));
-        prefix_reads = a.(b0 + 7) = 1;
-        has_write = a.(b0 + 8) = 1;
-        rng_obs = a.(b0 + 9);
-        lo_obs = a.(b0 + 10);
-        w_obs = a.(b0 + 11);
-      }
-      :: !ranges;
-    b := b0 - range_width
-  done;
-  r.deps.Arena.len <- 0;
-  r.ranges.Arena.len <- 0;
   Lw.clear r.lw;
-  {
-    Log.deps = !deps;
-    ranges = !ranges;
-    syscalls;
-    counters;
-    o1 = r.variant.o1;
-    o2 = r.variant.o2;
-  }
+  { (Log.build r.rows ~o1:r.variant.o1 ~o2:r.variant.o2) with syscalls; counters }
 
 let finalize (r : t) ~(outcome : Interp.outcome) : Log.t =
   seal r ~syscalls:outcome.syscalls ~counters:outcome.counters

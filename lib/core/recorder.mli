@@ -12,8 +12,9 @@
 
     The per-access fast path is allocation-free: the plan decision is a
     byte load from the baked {!Runtime.Plan.modes} table, the last-write
-    map is a flat open-addressing int table, and closed records accumulate
-    in int arenas until {!finalize} materializes the {!Core.Log.t}. *)
+    map is a flat open-addressing int table, and closed records are appended
+    as the log's own rows ({!Log.builder}); {!finalize} and {!seal} hand
+    them out as one exact-length copy per record kind. *)
 
 open Runtime
 
@@ -33,7 +34,7 @@ val create : ?variant:variant -> ?weights:Metrics.Cost.weights -> Bytes.t -> t
 val reset : ?variant:variant -> t -> Bytes.t -> unit
 (** [reset r modes] retargets [r] to a new session over [modes] in place:
     observationally identical to a fresh [create] (cleared last-write
-    table, arenas, open runs/deps, access clock, {!site_hits}, cost meter
+    table, row buffers, open runs/deps, access clock, {!site_hits}, cost meter
     and contention stripes — recycled sessions produce byte-identical
     logs) but retaining every grown capacity, so a long-lived worker pays
     no per-session allocation.  Omitting [?variant] keeps the current
@@ -44,8 +45,8 @@ val hooks : t -> Interp.hooks
     [on_shared] hook). *)
 
 val finalize : t -> outcome:Interp.outcome -> Log.t
-(** Flush open records and assemble the log (merging the thread-local
-    buffers, attaching syscall values and final counters). *)
+(** Flush open records and hand out the log (the merged thread-local
+    row buffers, with the syscall values and final counters). *)
 
 val seal :
   t ->
@@ -55,7 +56,7 @@ val seal :
 (** Epoch boundary: like {!finalize} but callable mid-run, attaching the
     window's syscalls and the current counter watermark.  Also clears the
     last-write table, so accesses after the seal record pre-seal writes as
-    the virtual initialization write ([w = None]) — their values come from
+    the virtual initialization write (source tid -1) — their values come from
     the epoch checkpoint instead of the previous epoch's log.  The access
     clock, cost meter and {!site_hits} stay cumulative across seals. *)
 

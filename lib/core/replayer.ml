@@ -73,6 +73,7 @@ type solve_report = {
   max_model : int;
       (** largest model value assigned (0 when unsolved) — epoch chaining
           shifts the next epoch's hint above this watermark *)
+  exhausted : Dlsolver.Idl.bound option;  (** the budget bound an abort hit *)
 }
 
 let no_tables =
@@ -103,7 +104,7 @@ type span = { mutable lo : int; mutable hi : int }
    by event (the solver's values are almost always distinct). *)
 let rank_order (evts : Log.evt array) (model : int array) : int array =
   let n = Array.length model in
-  let idx = Constraints.radix_sort model (Array.init n Fun.id) in
+  let idx = Constraints.sort_by [ model ] (Array.init n Fun.id) in
   let i = ref 0 in
   while !i < n do
     let j = ref (!i + 1) in
@@ -188,18 +189,18 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
   done;
   let syscall_values = Hashtbl.create 64 in
   List.iter (fun (t, i, _, v) -> Hashtbl.replace syscall_values (t, i) v) log.syscalls;
-  (* notify -> waiter pairing from condition-ghost records *)
+  (* notify -> waiter pairing from condition-ghost records: each row's
+     source write, read by its reading thread *)
   let notify_pairs = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Log.dep) ->
-      if d.loc.fld = Loc.cond_fld then
-        match d.w with Some w -> Hashtbl.replace notify_pairs w (fst d.rf) | None -> ())
-    log.deps;
-  List.iter
-    (fun (r : Log.range) ->
-      if r.loc.fld = Loc.cond_fld then
-        match r.w_in with Some w -> Hashtbl.replace notify_pairs w r.rt | None -> ())
-    log.ranges;
+  let pair (a : int array) width ~wt ~wc ~rt =
+    for k = 0 to (Array.length a / width) - 1 do
+      let b = k * width in
+      if a.(b + 1) = Loc.cond_fld && a.(b + wt) >= 0 then
+        Hashtbl.replace notify_pairs (a.(b + wt), a.(b + wc)) a.(b + rt)
+    done
+  in
+  pair log.deps Log.dep_width ~wt:Log.d_wt ~wc:Log.d_wc ~rt:Log.d_rft;
+  pair log.ranges Log.range_width ~wt:Log.r_wt ~wc:Log.r_wc ~rt:Log.r_t;
   { order; threads = by_tid_of threads; syscall_values; notify_pairs }
 
 (** Generate constraints, solve, and build the schedule.  [budget] bounds
@@ -219,7 +220,7 @@ let solve ?budget ?(hint_shift = 0) (log : Log.t) : solve_report =
   let t0 = Unix.gettimeofday () in
   let result = Dlsolver.Idl.solve ?budget ?hint cs.problem in
   let dt = Unix.gettimeofday () -. t0 in
-  let mk kind stats schedule max_model =
+  let mk kind stats schedule max_model exhausted =
     {
       schedule;
       result_kind = kind;
@@ -230,15 +231,26 @@ let solve ?budget ?(hint_shift = 0) (log : Log.t) : solve_report =
       n_clauses = cs.n_clauses;
       solve_time_s = dt;
       max_model;
+      exhausted;
     }
   in
   match result with
   | Sat (model, stats) ->
     mk Solved stats
       (Some (build_schedule log cs model))
-      (Array.fold_left max 0 model)
-  | Unsat stats -> mk Unsatisfiable stats None 0
-  | Aborted stats -> mk SolverAborted stats None 0
+      (Array.fold_left max 0 model) None
+  | Unsat stats -> mk Unsatisfiable stats None 0 None
+  | Aborted (stats, b) -> mk SolverAborted stats None 0 (Some b)
+
+(** Why a solve was aborted, naming the bound it hit, e.g.
+    ["solver budget exhausted: 2000000 backtracks"]. *)
+let budget_exhausted (b : Dlsolver.Idl.bound) : string =
+  "solver budget exhausted: "
+  ^
+  match b with
+  | Backtracks n -> Printf.sprintf "%d backtracks" n
+  | Conflicts n -> Printf.sprintf "%d conflicts" n
+  | Seconds s -> Printf.sprintf "%g CPU seconds" s
 
 (* ------------------------------------------------------------------ *)
 (* Replay-run driver                                                   *)
@@ -280,6 +292,19 @@ let describe_wait (sch : schedule) ~(tid : int) ~(c : int) : string =
     let t', c' = sch.order.(k) in
     Printf.sprintf "thread %d waits at counter %d for rank %d: event (%d,%d)" tid c k t' c'
   else Printf.sprintf "thread %d waits at counter %d for rank %d: the end of the schedule" tid c k
+
+(** What holds the cursor of a stalled replay, as one line: the lowest
+    rank whose event [(t, c)] never ran — [c] is past [t]'s final counter
+    in [counters] (0 for a thread absent from them) — and that counter.
+    [None] when every event of the schedule ran. *)
+let describe_cursor (sch : schedule) ~(counters : (int * int) list) : string option =
+  let final t = Option.value (List.assoc_opt t counters) ~default:0 in
+  Array.find_index (fun (t, c) -> c > final t) sch.order
+  |> Option.map (fun k ->
+         let t, c = sch.order.(k) in
+         Printf.sprintf
+           "cursor held at rank %d by event (%d,%d): thread %d stopped at counter %d" k t c t
+           (final t))
 
 (** The rank of a constrained event, [None] for an unconstrained one. *)
 let rank (sch : schedule) ((t, c) : Log.evt) : int option =

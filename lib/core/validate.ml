@@ -13,9 +13,9 @@
       write before the range's first access ([w_in -> (rt, lo)]);
     - with [~zones:true], the full Equation-1 noninterference condition:
       no write-bearing interval of the location lands inside the protected
-      zone of a read interval.  The zone sweep is quadratic per location,
-      so tests enable it on small logs; the linear checks above run at
-      workload scale.
+      zone of a read interval (the rows of {!Constraints.table_of_log}).
+      The zone sweep is quadratic per location, so tests enable it on
+      small logs; the linear checks above run at workload scale.
 
     Returns human-readable violations; [[]] means the schedule validates.
 
@@ -60,63 +60,71 @@ let check ?(zones = false) ?(free = []) (log : Log.t) (sch : Replayer.schedule) 
     | None, _ -> err "%s: write %s unranked" what (pp w)
     | _, None -> err "%s: read %s unranked" what (pp r)
   in
-  List.iter
-    (fun (d : Log.dep) ->
-      if not (Hashtbl.mem freed d.rf) then
-        match d.w with Some w -> dep_edge "dep" w d.rf | None -> ())
-    log.deps;
-  List.iter
-    (fun (r : Log.range) ->
-      if r.prefix_reads && not (Hashtbl.mem freed (r.rt, r.lo)) then
-        match r.w_in with Some w -> dep_edge "range" w (r.rt, r.lo) | None -> ())
-    log.ranges;
-  (* Equation-1 zones, checked straight from the interval normalization the
-     constraint generator uses — one rank comparison per (reader, writer)
-     pair, mirroring the naive clause set *)
+  let d = log.deps in
+  for k = 0 to Log.n_deps log - 1 do
+    let b = k * Log.dep_width in
+    let r = (d.(b + Log.d_rft), d.(b + Log.d_rfc)) in
+    if d.(b + Log.d_wt) >= 0 && not (Hashtbl.mem freed r) then
+      dep_edge "dep" (d.(b + Log.d_wt), d.(b + Log.d_wc)) r
+  done;
+  let a = log.ranges in
+  for k = 0 to Log.n_ranges log - 1 do
+    let b = k * Log.range_width in
+    let r = (a.(b + Log.r_t), a.(b + Log.r_lo)) in
+    if a.(b + Log.r_prefix) <> 0 && a.(b + Log.r_wt) >= 0 && not (Hashtbl.mem freed r) then
+      dep_edge "range" (a.(b + Log.r_wt), a.(b + Log.r_wc)) r
+  done;
+  (* Equation-1 zones, checked straight from the interval table the
+     constraint generator builds — one rank comparison per (reader,
+     writer) pair on a location, mirroring the naive clause set *)
   if zones then begin
+    let tb = Constraints.table_of_log log in
     let must e =
       match rank e with
       | Some r -> r
       | None -> err "zone check: %s unranked" (pp e); -1
     in
-    let inside (t, c) (j : Constraints.interval) =
-      fst j.start_e = t && snd j.start_e <= c && c <= snd j.end_e
+    let has = Constraints.has tb in
+    let start k = (tb.tid.(k), tb.lo.(k)) and end_ k = (tb.tid.(k), tb.hi.(k)) in
+    let inside (t, c) j = tb.tid.(j) = t && tb.lo.(j) <= c && c <= tb.hi.(j) in
+    (* the source of row [i]'s reads: a variable, [init_src], or [no_src]
+       when it has none or is freed *)
+    let zsrc i =
+      if i >= tb.n_base || (not (has i Constraints.f_sourced)) || Hashtbl.mem freed (start i)
+      then Constraints.no_src
+      else tb.src.(i)
     in
-    List.iter
-      (fun (_, ivs) ->
+    Array.iter
+      (fun rows ->
         List.iter
-          (fun (i : Constraints.interval) ->
-            if i.reads then
+          (fun i ->
+            if has i Constraints.f_reads then
               List.iter
-                (fun (j : Constraints.interval) ->
-                  if j != i && j.writes then begin
-                    let clear = must i.end_e < must j.start_e in
-                    let src =
-                      match i.src with
-                      | Some _ when Hashtbl.mem freed i.start_e -> None
-                      | s -> s
-                    in
-                    match src with
-                    | Some None ->
+                (fun j ->
+                  if j <> i && has j Constraints.f_writes then begin
+                    let clear = must (end_ i) < must (start j) in
+                    let z = zsrc i in
+                    if z = Constraints.init_src then begin
                       if not clear then
-                        err "init reader %s..%s not before writer %s" (pp i.start_e)
-                          (pp i.end_e) (pp j.start_e)
-                    | Some (Some w) ->
-                      if (not (inside w j)) && not (clear || must j.end_e < must w)
-                      then
+                        err "init reader %s..%s not before writer %s" (pp (start i))
+                          (pp (end_ i)) (pp (start j))
+                    end
+                    else if z >= 0 then begin
+                      let w = (tb.et.(z), tb.ec.(z)) in
+                      if (not (inside w j)) && not (clear || must (end_ j) < must w) then
                         err "writer %s..%s inside zone (%s..%s] of reader %s..%s"
-                          (pp j.start_e) (pp j.end_e) (pp w) (pp i.end_e)
-                          (pp i.start_e) (pp i.end_e)
-                    | None ->
-                      if
-                        fst i.start_e <> fst j.start_e
-                        && not (clear || must j.end_e < must i.start_e)
-                      then
-                        err "writer %s..%s overlaps sourceless reader %s..%s"
-                          (pp j.start_e) (pp j.end_e) (pp i.start_e) (pp i.end_e)
+                          (pp (start j)) (pp (end_ j)) (pp w) (pp (end_ i))
+                          (pp (start i)) (pp (end_ i))
+                    end
+                    else if
+                      tb.tid.(i) <> tb.tid.(j)
+                      && not (clear || must (end_ j) < must (start i))
+                    then
+                      err "writer %s..%s overlaps sourceless reader %s..%s"
+                        (pp (start j)) (pp (end_ j)) (pp (start i)) (pp (end_ i))
                   end)
-                ivs)
-          ivs)
-      (Constraints.by_location (Constraints.intervals_of_log log))
+                rows)
+          rows)
+      (Constraints.location_rows tb)
   end;
   List.rev !errs

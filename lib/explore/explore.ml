@@ -23,6 +23,7 @@
 
 open Runtime
 module Log = Light_core.Log
+module Constraints = Light_core.Constraints
 
 (* ------------------------------------------------------------------ *)
 (* Flips                                                               *)
@@ -59,34 +60,32 @@ let toggle (s : flip list) (f : flip) : flip list =
 (* ------------------------------------------------------------------ *)
 
 let relaxation (log : Log.t) (flips : flip list) : Log.evt list * Log.evt list =
-  let ivs = Light_core.Constraints.intervals_of_log log in
+  let tb = Constraints.table_of_log log in
   let tids =
     List.concat_map (fun f -> [ fst f.fa; fst f.fb ]) flips |> List.sort_uniq compare
   in
-  let touches (e : Log.evt) (iv : Light_core.Constraints.interval) =
-    fst iv.start_e = fst e && snd iv.start_e <= snd e && snd e <= snd iv.end_e
-  in
   let free = Hashtbl.create 16 in
-  List.iter
-    (fun (iv : Light_core.Constraints.interval) ->
-      if iv.src <> None then begin
-        let involved =
-          (* a data interval containing a flip endpoint on the flipped
-             location: its read-from write may legitimately change *)
-          List.exists
-            (fun f ->
-              Loc.equal iv.iv_loc f.f_loc && (touches f.fa iv || touches f.fb iv))
-            flips
-          (* lock-acquisition pins of the flipped threads: freeing them lets
-             the two critical-section orders invert (the atomicity-violation
-             case, where the racy pair itself is lock-protected); spawn/join
-             and condition ghosts stay pinned — wakeup steering and thread
-             lifetimes are not up for negotiation *)
-          || (iv.iv_loc.Loc.fld = Loc.lock_fld && List.mem (fst iv.start_e) tids)
-        in
-        if involved then Hashtbl.replace free iv.start_e ()
-      end)
-    ivs;
+  (* the recorded intervals with a source pin *)
+  for k = 0 to tb.n_base - 1 do
+    if Constraints.has tb k Constraints.f_sourced then begin
+      let loc = tb.locs.(tb.grank.(k)) and t = tb.tid.(k) in
+      let touches ((et, ec) : Log.evt) = et = t && tb.lo.(k) <= ec && ec <= tb.hi.(k) in
+      let involved =
+        (* a data interval containing a flip endpoint on the flipped
+           location: its read-from write may legitimately change *)
+        List.exists
+          (fun f -> Loc.equal loc f.f_loc && (touches f.fa || touches f.fb))
+          flips
+        (* lock-acquisition pins of the flipped threads: freeing them lets
+           the two critical-section orders invert (the atomicity-violation
+           case, where the racy pair itself is lock-protected); spawn/join
+           and condition ghosts stay pinned — wakeup steering and thread
+           lifetimes are not up for negotiation *)
+        || (loc.Loc.fld = Loc.lock_fld && List.mem t tids)
+      in
+      if involved then Hashtbl.replace free (t, tb.lo.(k)) ()
+    end
+  done;
   let extra = Hashtbl.create 8 in
   List.iter
     (fun f ->
@@ -104,42 +103,36 @@ let relaxation (log : Log.t) (flips : flip list) : Log.evt list * Log.evt list =
    foreign acquires from sitting on it. *)
 let lock_sections (log : Log.t) :
     (Loc.t * (Log.evt * Log.evt) list) list =
-  let by_loc =
-    Light_core.Constraints.intervals_of_log log
-    |> List.filter (fun (iv : Light_core.Constraints.interval) ->
-           iv.iv_loc.Loc.fld = Loc.lock_fld)
-    |> Light_core.Constraints.by_location
-  in
-  List.fold_left
-    (fun acc (loc, ivs) ->
-      let per_tid : (int, (int * bool) list ref) Hashtbl.t = Hashtbl.create 4 in
-      List.iter
-        (fun (iv : Light_core.Constraints.interval) ->
-          let t = fst iv.start_e in
-          let entry = (snd iv.start_e, iv.writes) in
-          match Hashtbl.find_opt per_tid t with
-          | Some l -> l := entry :: !l
-          | None -> Hashtbl.add per_tid t (ref [ entry ]))
-        ivs;
-      let sections =
-        Hashtbl.fold
-          (fun t l acc ->
-            let sorted = List.sort compare !l in
-            let rec walk = function
-              | (c, false) :: rest ->
-                let rel =
-                  List.find_map (fun (c', w) -> if w then Some c' else None) rest
-                in
-                ((t, c), (t, Option.value ~default:c rel)) :: walk rest
-              | (_, true) :: rest -> walk rest
-              | [] -> []
-            in
-            walk sorted @ acc)
-          per_tid []
-        |> List.sort compare
-      in
-      (loc, sections) :: acc)
-    [] by_loc
+  let tb = Constraints.table_of_log log in
+  Array.to_list (Array.mapi (fun g rows -> (tb.locs.(g), rows)) (Constraints.location_rows tb))
+  |> List.filter (fun ((loc : Loc.t), _) -> loc.fld = Loc.lock_fld)
+  |> List.map (fun (loc, rows) ->
+         let per_tid : (int, (int * bool) list ref) Hashtbl.t = Hashtbl.create 4 in
+         List.iter
+           (fun k ->
+             let entry = (tb.lo.(k), Constraints.has tb k Constraints.f_writes) in
+             match Hashtbl.find_opt per_tid tb.tid.(k) with
+             | Some l -> l := entry :: !l
+             | None -> Hashtbl.add per_tid tb.tid.(k) (ref [ entry ]))
+           rows;
+         let sections =
+           Hashtbl.fold
+             (fun t l acc ->
+               let sorted = List.sort compare !l in
+               let rec walk = function
+                 | (c, false) :: rest ->
+                   let rel =
+                     List.find_map (fun (c', w) -> if w then Some c' else None) rest
+                   in
+                   ((t, c), (t, Option.value ~default:c rel)) :: walk rest
+                 | (_, true) :: rest -> walk rest
+                 | [] -> []
+               in
+               walk sorted @ acc)
+             per_tid []
+           |> List.sort compare
+         in
+         (loc, sections))
   |> List.sort compare
 
 (* Exact critical sections from an access trace: LockAcqRead (and a wait's
@@ -764,33 +757,28 @@ let hunt ?pool ?budget ?(limit = 32) ?(depth = 2) (ctx : context) : hunt_result 
 (* ------------------------------------------------------------------ *)
 
 let log_candidates ?(limit = 32) (log : Log.t) : flip list =
+  let tb = Constraints.table_of_log log in
   let out = ref [] and seen = Hashtbl.create 64 in
-  List.iter
-    (fun (loc, ivs) ->
-      let ivs =
-        List.sort
-          (fun (a : Light_core.Constraints.interval) b -> compare a.obs b.obs)
-          ivs
-      in
+  let start k = (tb.tid.(k), tb.lo.(k)) in
+  let writes k = Constraints.has tb k Constraints.f_writes in
+  Array.iteri
+    (fun g rows ->
+      let loc = tb.locs.(g) in
+      let rows = List.sort (fun a b -> compare tb.obs.(a) tb.obs.(b)) rows in
       List.iter
-        (fun (i : Light_core.Constraints.interval) ->
+        (fun i ->
           List.iter
-            (fun (j : Light_core.Constraints.interval) ->
-              if
-                i.obs < j.obs
-                && fst i.start_e <> fst j.start_e
-                && (i.writes || j.writes)
+            (fun j ->
+              if tb.obs.(i) < tb.obs.(j) && tb.tid.(i) <> tb.tid.(j) && (writes i || writes j)
               then begin
-                let key = (i.start_e, j.start_e, loc) in
+                let key = (start i, start j, loc) in
                 if not (Hashtbl.mem seen key) then begin
                   Hashtbl.add seen key ();
-                  let kind_of (iv : Light_core.Constraints.interval) =
-                    if iv.writes then Event.Write else Event.Read
-                  in
+                  let kind_of k = if writes k then Event.Write else Event.Read in
                   out :=
                     {
-                      fa = i.end_e;
-                      fb = j.start_e;
+                      fa = (tb.tid.(i), tb.hi.(i));
+                      fb = start j;
                       f_loc = loc;
                       fa_site = 0;
                       fb_site = 0;
@@ -801,9 +789,9 @@ let log_candidates ?(limit = 32) (log : Log.t) : flip list =
                     :: !out
                 end
               end)
-            ivs)
-        ivs)
-    Light_core.Constraints.(by_location (intervals_of_log log));
+            rows)
+        rows)
+    (Constraints.location_rows tb);
   List.filteri (fun i _ -> i < limit) (List.rev !out)
 
 let enumerate_log ?budget ?limit (log : Log.t) : (flip * solved) list =

@@ -1092,9 +1092,8 @@ let epochs_bench ?(json_path = "BENCH_epochs.json") () ppf : unit =
                 eb_idx = ck.Light_core.Epoch.ck_idx;
                 eb_window =
                   ck.Light_core.Epoch.ck_steps - ck.Light_core.Epoch.ck_start_steps;
-                eb_deps = List.length ck.Light_core.Epoch.ck_log.Light_core.Log.deps;
-                eb_ranges =
-                  List.length ck.Light_core.Epoch.ck_log.Light_core.Log.ranges;
+                eb_deps = Light_core.Log.n_deps ck.Light_core.Epoch.ck_log;
+                eb_ranges = Light_core.Log.n_ranges ck.Light_core.Epoch.ck_log;
                 eb_space = Light_core.Log.space_longs ck.Light_core.Epoch.ck_log;
               }
               :: !rows)
@@ -1106,8 +1105,8 @@ let epochs_bench ?(json_path = "BENCH_epochs.json") () ppf : unit =
   let log_bytes = (Unix.stat log_path).Unix.st_size in
   (* phase 2: incremental per-epoch solving over the streamed file *)
   let f =
-    Light_core.Epoch.of_string_v4
-      (In_channel.with_open_text log_path In_channel.input_all)
+    Light_core.Epoch.of_string_v4 (In_channel.with_open_text log_path In_channel.input_all)
+    |> Result.fold ~ok:Fun.id ~error:(fun (e : Light_core.Log.error) -> failwith e.msg)
   in
   let chunks = f.Light_core.Epoch.f_chunks in
   let solves = Light_core.Epoch.solve_epochs chunks in

@@ -48,10 +48,13 @@ type stats = {
   final_edges : int;
 }
 
+(** A budget bound, with its limit. *)
+type bound = Backtracks of int | Conflicts of int | Seconds of float
+
 type result =
   | Sat of int array * stats   (** a satisfying assignment of the x variables *)
   | Unsat of stats
-  | Aborted of stats           (** work or wall-clock budget exhausted *)
+  | Aborted of stats * bound   (** the work or CPU-time bound found exceeded *)
 
 type budget = {
   max_backtracks : int;      (** decision levels undone before giving up *)
@@ -62,7 +65,7 @@ type budget = {
 let default_budget =
   { max_backtracks = 2_000_000; max_conflicts = max_int; max_time_s = infinity }
 
-exception Give_up
+exception Give_up of bound
 exception Unsat_now
 
 module ISet = Set.Make (Int)
@@ -101,11 +104,11 @@ let solve ?max_backtracks ?(budget = default_budget) ?hint (p : problem) : resul
     }
   in
   let check_budget () =
-    if
-      !backtracks > budget.max_backtracks
-      || !conflicts > budget.max_conflicts
-      || (budget.max_time_s < infinity && Sys.time () -. t_start > budget.max_time_s)
-    then raise Give_up
+    if !backtracks > budget.max_backtracks then
+      raise (Give_up (Backtracks budget.max_backtracks));
+    if !conflicts > budget.max_conflicts then raise (Give_up (Conflicts budget.max_conflicts));
+    if budget.max_time_s < infinity && Sys.time () -. t_start > budget.max_time_s then
+      raise (Give_up (Seconds budget.max_time_s))
   in
   let hard_ok =
     List.for_all
@@ -258,5 +261,5 @@ let solve ?max_backtracks ?(budget = default_budget) ?hint (p : problem) : resul
       model ()
     with
     | Unsat_now -> Unsat (stats ())
-    | Give_up -> Aborted (stats ())
+    | Give_up b -> Aborted (stats (), b)
   end

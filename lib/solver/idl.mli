@@ -45,12 +45,17 @@ type stats = {
   final_edges : int;
 }
 
+(** A budget bound, with its limit. *)
+type bound = Backtracks of int | Conflicts of int | Seconds of float
+
 type result =
   | Sat of int array * stats
       (** a satisfying assignment: [m.(i)] is the value of [x_i]; every hard
           atom holds and every clause has a satisfied member *)
   | Unsat of stats
-  | Aborted of stats  (** a work or time budget was exhausted *)
+  | Aborted of stats * bound
+      (** a work or time budget was exhausted: the first of backtracks,
+          conflicts and CPU time found over its bound *)
 
 type budget = {
   max_backtracks : int;  (** decision levels undone before giving up *)
@@ -61,7 +66,7 @@ type budget = {
 val default_budget : budget
 (** 2,000,000 backtracks, unlimited conflicts, unlimited time. *)
 
-exception Give_up
+exception Give_up of bound
 exception Unsat_now
 (** Internal control flow; never escape {!solve}. *)
 

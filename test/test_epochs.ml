@@ -239,10 +239,16 @@ let test_v4_pinned () =
     "ffb273b232d9b3a6c3931fe870d71378"
     (Digest.to_hex (Digest.string (normalize_v4 txt)))
 
+(* a v4 text the test itself wrote *)
+let read_v4 (txt : string) : Light_core.Epoch.file =
+  match Light_core.Epoch.of_string_v4 txt with
+  | Ok f -> f
+  | Error e -> Alcotest.failf "line %d (byte %d): %s" e.line e.byte e.msg
+
 let test_v4_roundtrip_pinned () =
   let r = record_pinned () in
   let txt = Light_core.Epoch.to_string_v4 r.er_file in
-  let f = Light_core.Epoch.of_string_v4 txt in
+  let f = read_v4 txt in
   Alcotest.(check int) "epoch_len survives" 60 f.Light_core.Epoch.f_epoch_len;
   Alcotest.(check int) "chunk count"
     (List.length r.Light_core.Epoch.er_file.f_chunks)
@@ -288,7 +294,7 @@ let prop_v4_roundtrip =
           ~sched:(Sched.sticky ~seed ~stickiness:8) ~seed ~epoch_len pp
       in
       let txt = Light_core.Epoch.to_string_v4 r.er_file in
-      let f = Light_core.Epoch.of_string_v4 txt in
+      let f = read_v4 txt in
       txt = Light_core.Epoch.to_string_v4 f
       && List.length f.Light_core.Epoch.f_chunks
          = List.length r.Light_core.Epoch.er_file.f_chunks)
@@ -374,7 +380,7 @@ let test_chunk_replay_from_text () =
     Light_core.Epoch.record_epochs ~sched:(Workloads.scheduler ~seed:3 bm)
       ~seed:3 ~epoch_len:900 pp
   in
-  let f = Light_core.Epoch.of_string_v4 (Light_core.Epoch.to_string_v4 r.er_file) in
+  let f = read_v4 (Light_core.Epoch.to_string_v4 r.er_file) in
   List.iteri
     (fun k ck ->
       match Light_core.Epoch.replay_chunk pp ck with

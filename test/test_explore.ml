@@ -242,17 +242,22 @@ let synth_log_gen =
   QCheck.Gen.(
     let evt = pair (int_range 0 2) (int_range 0 6) in
     let loc_g = map (fun o -> Loc.field o "f") (int_range 0 2) in
+    (* each dep appends its row *)
     let dep_g =
-      loc_g >>= fun loc ->
+      loc_g >>= fun (loc : Loc.t) ->
       opt evt >>= fun w ->
-      evt >>= fun rf ->
+      evt >>= fun (rf_t, rf_c) ->
       int_range 0 2 >>= fun span ->
       int_range 0 40 >>= fun dep_obs ->
       int_range 0 40 >>= fun w_obs ->
-      return { Light_core.Log.loc; w; rf; rl_c = snd rf + span; dep_obs; w_obs }
+      let w_t, w_c = Option.value w ~default:(-1, -1) in
+      return (fun b ->
+          Light_core.Log.add_dep b loc.obj loc.fld w_t w_c w_obs rf_t rf_c (rf_c + span) dep_obs)
     in
     list_size (int_range 1 6) dep_g >>= fun deps ->
-    return { Light_core.Log.empty with deps })
+    let b = Light_core.Log.builder () in
+    List.iter (fun add -> add b) deps;
+    return (Light_core.Log.build b ~o1:false ~o2:false))
 
 let tight = { Dlsolver.Idl.max_backtracks = 2; max_conflicts = 2; max_time_s = 10.0 }
 

@@ -39,25 +39,33 @@ let record ?(seed = 3) ?(stickiness = 4) variant =
 (* Structural invariants                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* A log's rows, one array each: its deps ([obj fld w_t w_c w_obs rf_t
+   rf_c rl_c dep_obs]) and its ranges ([obj fld rt lo hi w_t w_c
+   prefix_reads has_write rng_obs lo_obs w_obs]). *)
+let rows (a : int array) (width : int) : int array list =
+  List.init (Array.length a / width) (fun k -> Array.sub a (k * width) width)
+
+let deps (log : Log.t) = rows log.deps Log.dep_width
+let ranges (log : Log.t) = rows log.ranges Log.range_width
+
 let check_log_wellformed (log : Log.t) =
   let counter_of t = Option.value ~default:0 (List.assoc_opt t log.counters) in
   List.iter
-    (fun (d : Log.dep) ->
-      let rt, rc = d.rf in
+    (fun d ->
+      let wt = d.(Log.d_wt) and wc = d.(Log.d_wc) and rt = d.(Log.d_rft) and rc = d.(Log.d_rfc) in
       Alcotest.(check bool) "read counter in range" true (rc >= 1 && rc <= counter_of rt);
-      Alcotest.(check bool) "span ordered" true (d.rl_c >= rc);
-      match d.w with
-      | Some (wt, wc) ->
+      Alcotest.(check bool) "span ordered" true (d.(Log.d_rl) >= rc);
+      if wt >= 0 then begin
         Alcotest.(check bool) "write counter in range" true (wc >= 1 && wc <= counter_of wt);
         Alcotest.(check bool) "no self-loop into the future" true
           (not (wt = rt && wc >= rc))
-      | None -> ())
-    log.deps;
+      end)
+    (deps log);
   List.iter
-    (fun (r : Log.range) ->
-      Alcotest.(check bool) "range ordered" true (r.lo <= r.hi);
-      Alcotest.(check bool) "range in range" true (r.hi <= counter_of r.rt))
-    log.ranges;
+    (fun r ->
+      Alcotest.(check bool) "range ordered" true (r.(Log.r_lo) <= r.(Log.r_hi));
+      Alcotest.(check bool) "range in range" true (r.(Log.r_hi) <= counter_of r.(Log.r_t)))
+    (ranges log);
   (* per (thread, loc), records must not overlap in counter space *)
   let spans = Hashtbl.create 64 in
   let add t loc lo hi =
@@ -70,8 +78,8 @@ let check_log_wellformed (log : Log.t) =
       prev;
     Hashtbl.replace spans key ((lo, hi) :: prev)
   in
-  List.iter (fun (d : Log.dep) -> add (fst d.rf) d.loc (snd d.rf) d.rl_c) log.deps;
-  List.iter (fun (r : Log.range) -> add r.rt r.loc r.lo r.hi) log.ranges
+  List.iter (fun d -> add d.(Log.d_rft) (d.(0), d.(1)) d.(Log.d_rfc) d.(Log.d_rl)) (deps log);
+  List.iter (fun r -> add r.(Log.r_t) (r.(0), r.(1)) r.(Log.r_lo) r.(Log.r_hi)) (ranges log)
 
 let test_log_wellformed () =
   List.iter
@@ -80,8 +88,8 @@ let test_log_wellformed () =
 
 let test_basic_has_no_ranges () =
   let r = record Light.v_basic in
-  Alcotest.(check int) "V_basic records deps only" 0 (List.length r.log.ranges);
-  Alcotest.(check bool) "has deps" true (List.length r.log.deps > 0)
+  Alcotest.(check int) "V_basic records deps only" 0 (Log.n_ranges r.log);
+  Alcotest.(check bool) "has deps" true (Log.n_deps r.log > 0)
 
 let test_o2_reduces_records () =
   let o1 = record Light.v_o1 in
@@ -136,15 +144,13 @@ let test_guarded_skip_count () =
   (* the remaining records are on ghost locations or on the global slot
      holding the lock reference (read outside the sync region) — never on
      the guarded field *)
-  let allowed (l : Loc.t) = Loc.is_ghost l || l.obj = 0 in
+  let allowed row = Loc.is_ghost { Loc.obj = row.(0); fld = row.(1) } || row.(0) = 0 in
   List.iter
-    (fun (d : Log.dep) ->
-      Alcotest.(check bool) "dep not on guarded field" true (allowed d.loc))
-    both.log.deps;
+    (fun d -> Alcotest.(check bool) "dep not on guarded field" true (allowed d))
+    (deps both.log);
   List.iter
-    (fun (r : Log.range) ->
-      Alcotest.(check bool) "range not on guarded field" true (allowed r.loc))
-    both.log.ranges
+    (fun r -> Alcotest.(check bool) "range not on guarded field" true (allowed r))
+    (ranges both.log)
 
 (* ------------------------------------------------------------------ *)
 (* The five open_run closing shapes (white-box)                         *)
@@ -187,14 +193,14 @@ let test_shape_reads_only () =
   access r ~tid:2 ~c:2 Event.Read;   (* clock 3 *)
   access r ~tid:2 ~c:3 Event.Read;   (* clock 4 *)
   let log = close r in
-  Alcotest.(check int) "no ranges" 0 (List.length log.ranges);
-  match log.deps with
-  | [ d ] ->
-    Alcotest.(check bool) "w = t1's write" true (d.w = Some (1, 1));
-    Alcotest.(check bool) "rf = first read" true (d.rf = (2, 1));
-    Alcotest.(check int) "rl = last read" 3 d.rl_c;
-    Alcotest.(check int) "w stamped at clock 1" 1 d.w_obs;
-    Alcotest.(check int) "span stamped at clock 4" 4 d.dep_obs
+  Alcotest.(check int) "no ranges" 0 (Log.n_ranges log);
+  match deps log with
+  | [ [| _; _; w_t; w_c; w_obs; rf_t; rf_c; rl_c; dep_obs |] ] ->
+    Alcotest.(check (pair int int)) "w = t1's write" (1, 1) (w_t, w_c);
+    Alcotest.(check (pair int int)) "rf = first read" (2, 1) (rf_t, rf_c);
+    Alcotest.(check int) "rl = last read" 3 rl_c;
+    Alcotest.(check int) "w stamped at clock 1" 1 w_obs;
+    Alcotest.(check int) "span stamped at clock 4" 4 dep_obs
   | ds -> Alcotest.failf "expected exactly one dep, got %d" (List.length ds)
 
 let test_shape_writes_only () =
@@ -205,8 +211,8 @@ let test_shape_writes_only () =
   access r ~tid:1 ~c:2 Event.Write;
   access r ~tid:1 ~c:3 Event.Write;
   let log = close r in
-  Alcotest.(check int) "no deps" 0 (List.length log.deps);
-  Alcotest.(check int) "no ranges" 0 (List.length log.ranges)
+  Alcotest.(check int) "no deps" 0 (Log.n_deps log);
+  Alcotest.(check int) "no ranges" 0 (Log.n_ranges log)
 
 let test_shape_reads_then_writes () =
   (* [R+ W+]: one dep (w_in -> prefix-read span); the trailing writes
@@ -218,13 +224,13 @@ let test_shape_reads_then_writes () =
   access r ~tid:2 ~c:3 Event.Write;  (* clock 4 *)
   access r ~tid:2 ~c:4 Event.Write;  (* clock 5 *)
   let log = close r in
-  Alcotest.(check int) "no ranges" 0 (List.length log.ranges);
-  match log.deps with
-  | [ d ] ->
-    Alcotest.(check bool) "w = w_in" true (d.w = Some (1, 1));
-    Alcotest.(check bool) "rf = run lo" true (d.rf = (2, 1));
-    Alcotest.(check int) "rl = last prefix read" 2 d.rl_c;
-    Alcotest.(check int) "span stamped at the last prefix read" 3 d.dep_obs
+  Alcotest.(check int) "no ranges" 0 (Log.n_ranges log);
+  match deps log with
+  | [ [| _; _; w_t; w_c; _; rf_t; rf_c; rl_c; dep_obs |] ] ->
+    Alcotest.(check (pair int int)) "w = w_in" (1, 1) (w_t, w_c);
+    Alcotest.(check (pair int int)) "rf = run lo" (2, 1) (rf_t, rf_c);
+    Alcotest.(check int) "rl = last prefix read" 2 rl_c;
+    Alcotest.(check int) "span stamped at the last prefix read" 3 dep_obs
   | ds -> Alcotest.failf "expected exactly one dep, got %d" (List.length ds)
 
 let test_shape_writes_then_reads () =
@@ -235,14 +241,14 @@ let test_shape_writes_then_reads () =
   access r ~tid:2 ~c:3 Event.Read;   (* clock 3 *)
   access r ~tid:2 ~c:4 Event.Read;   (* clock 4 *)
   let log = close r in
-  Alcotest.(check int) "no ranges" 0 (List.length log.ranges);
-  match log.deps with
-  | [ d ] ->
-    Alcotest.(check bool) "w = own last write" true (d.w = Some (2, 2));
-    Alcotest.(check int) "w stamped at clock 2" 2 d.w_obs;
-    Alcotest.(check bool) "rf = first read after w" true (d.rf = (2, 3));
-    Alcotest.(check int) "rl = run hi" 4 d.rl_c;
-    Alcotest.(check int) "span stamped at run hi" 4 d.dep_obs
+  Alcotest.(check int) "no ranges" 0 (Log.n_ranges log);
+  match deps log with
+  | [ [| _; _; w_t; w_c; w_obs; rf_t; rf_c; rl_c; dep_obs |] ] ->
+    Alcotest.(check (pair int int)) "w = own last write" (2, 2) (w_t, w_c);
+    Alcotest.(check int) "w stamped at clock 2" 2 w_obs;
+    Alcotest.(check (pair int int)) "rf = first read after w" (2, 3) (rf_t, rf_c);
+    Alcotest.(check int) "rl = run hi" 4 rl_c;
+    Alcotest.(check int) "span stamped at run hi" 4 dep_obs
   | ds -> Alcotest.failf "expected exactly one dep, got %d" (List.length ds)
 
 let test_shape_middle_read () =
@@ -253,18 +259,17 @@ let test_shape_middle_read () =
   access r ~tid:2 ~c:2 Event.Read;   (* clock 2 *)
   access r ~tid:2 ~c:3 Event.Write;  (* clock 3 *)
   let log = close r in
-  Alcotest.(check int) "no deps" 0 (List.length log.deps);
-  match log.ranges with
-  | [ rg ] ->
-    Alcotest.(check int) "owned by t2" 2 rg.rt;
-    Alcotest.(check int) "lo" 1 rg.lo;
-    Alcotest.(check int) "hi" 3 rg.hi;
-    Alcotest.(check bool) "no feeding write (run starts with a write)" true
-      (rg.w_in = None);
-    Alcotest.(check bool) "no prefix reads" false rg.prefix_reads;
-    Alcotest.(check bool) "has a write" true rg.has_write;
-    Alcotest.(check int) "lo stamped at clock 1" 1 rg.lo_obs;
-    Alcotest.(check int) "hi stamped at clock 3" 3 rg.rng_obs
+  Alcotest.(check int) "no deps" 0 (Log.n_deps log);
+  match ranges log with
+  | [ [| _; _; rt; lo; hi; w_t; _; prefix_reads; has_write; rng_obs; lo_obs; _ |] ] ->
+    Alcotest.(check int) "owned by t2" 2 rt;
+    Alcotest.(check int) "lo" 1 lo;
+    Alcotest.(check int) "hi" 3 hi;
+    Alcotest.(check int) "no feeding write (run starts with a write)" (-1) w_t;
+    Alcotest.(check int) "no prefix reads" 0 prefix_reads;
+    Alcotest.(check int) "has a write" 1 has_write;
+    Alcotest.(check int) "lo stamped at clock 1" 1 lo_obs;
+    Alcotest.(check int) "hi stamped at clock 3" 3 rng_obs
   | rs -> Alcotest.failf "expected exactly one range, got %d" (List.length rs)
 
 (* ------------------------------------------------------------------ *)
@@ -297,25 +302,17 @@ let test_log_roundtrip_tricky_values () =
    formatting regression cannot hide behind a parser that accepts it *)
 let test_serialization_exact_bytes () =
   let fx = Loc.fld_of_name "f x" in
-  let log : Log.t =
+  let b = Log.builder () in
+  (* obj fld w_t w_c w_obs rf_t rf_c rl_c dep_obs *)
+  Log.add_dep b 3 fx 1 4 2 2 5 7 11;
+  Log.add_dep b 3 (-5) (-1) (-1) 0 1 1 1 1;
+  (* obj fld rt lo hi w_t w_c prefix_reads has_write rng_obs lo_obs w_obs *)
+  Log.add_range b 3 fx 2 6 9 (-1) (-1) 1 0 12 8 0;
+  let log =
     {
-      deps =
-        [
-          { loc = { obj = 3; fld = fx }; w = Some (1, 4); rf = (2, 5); rl_c = 7;
-            dep_obs = 11; w_obs = 2 };
-          { loc = { obj = 3; fld = -5 }; w = None; rf = (1, 1); rl_c = 1;
-            dep_obs = 1; w_obs = 0 };
-        ];
-      ranges =
-        [
-          { loc = { obj = 3; fld = fx }; rt = 2; lo = 6; hi = 9; w_in = None;
-            prefix_reads = true; has_write = false; rng_obs = 12; lo_obs = 8;
-            w_obs = 0 };
-        ];
+      (Log.build b ~o1:true ~o2:false) with
       syscalls = [ (1, 0, "@rand", Runtime.Value.VInt 42) ];
       counters = [ (1, 5); (2, 9) ];
-      o1 = true;
-      o2 = false;
     }
   in
   let expected =
@@ -357,12 +354,33 @@ let test_log_malformed () =
     "bad location (field id 9 not in intern table): 0/9"
     (failure "field id" (hdr ^ "D 0/9 1:1 2:1 1 2 1\n"));
   ignore (failure "bad bool value" (hdr ^ "S 1 0 @x bmaybe\n"));
+  (* [Log.parse] locates the same failures: the line, and the byte offset
+     of the token being read *)
+  let located what s =
+    match Log.parse s with
+    | Ok _ -> Alcotest.failf "%s: parsed" what
+    | Error (e : Log.error) -> (e.line, e.byte, e.msg)
+  in
+  let loc3 = Alcotest.(triple int int string) in
+  Alcotest.check loc3 "overflow, located" (3, 40, "bad log line: T 1 99999999999999999999999")
+    (located "overflow" (hdr ^ "T 1 5\nT 1 99999999999999999999999\n"));
+  Alcotest.check loc3 "blank lines counted"
+    (5, 40, "bad location (field id 9 not in intern table): 0/9")
+    (located "field id" (hdr ^ "\nT 1 5\n\nD 0/9 1:1 2:1 1 2 1\n"));
+  Alcotest.check loc3 "a missing token, at the line's end"
+    (2, 46, "bad log line: D 0/-3 - 1:1 1 2")
+    (located "short D" (hdr ^ "D 0/-3 - 1:1 1 2\n"));
+  Alcotest.check loc3 "an extra token" (2, 36, "bad log line: T 1 5 6")
+    (located "long T" (hdr ^ "T 1 5 6\n"));
+  Alcotest.check loc3 "the header" (1, 0, "bad log header: light-log v3 o1=maybe o2=true")
+    (located "header" "light-log v3 o1=maybe o2=true\n");
+  Alcotest.check loc3 "a negative source thread" (2, 37, "bad log line: D 0/-3 -1:4 1:1 1 2 0")
+    (located "negative tid" (hdr ^ "D 0/-3 -1:4 1:1 1 2 0\n"));
   (* v4: every failure names the header or the offending line *)
   let failure_v4 what s =
     match Epoch.of_string_v4 s with
-    | _ -> Alcotest.failf "%s: parsed" what
-    | exception Failure msg -> msg
-    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    | Ok _ -> Alcotest.failf "%s: parsed" what
+    | Error (e : Log.error) -> e.msg
   in
   Alcotest.(check string) "v4 header" "bad log header: light-log v4 o1=true o2=false epoch=x"
     (failure_v4 "v4 header" "light-log v4 o1=true o2=false epoch=x\n");
@@ -373,7 +391,11 @@ let test_log_malformed () =
         thread; "c frame - 1 q6 3 u u u"; "F 4 x"; "T 1 6"; "D 0/4 - 1:1 1 2 0"; "" ]
   in
   Alcotest.(check int) "well-formed v4 parses" 1
-    (List.length (Epoch.of_string_v4 (v4 ())).f_chunks);
+    (match Epoch.of_string_v4 (v4 ()) with Ok f -> List.length f.f_chunks | Error _ -> 0);
+  Alcotest.(check (option (pair int int))) "v4 errors are located" (Some (2, 45))
+    (match Epoch.of_string_v4 (v4 ~e:"E 0 0 5x9 30" ()) with
+    | Error e -> Some (e.line, e.byte)
+    | Ok _ -> None);
   Alcotest.(check string) "record line before the first E line" "bad log line: T 1 6"
     (failure_v4 "pre-E line" (v4 ~pre:"\nT 1 6" ()));
   Alcotest.(check string) "hex token in a C thread line"
@@ -387,6 +409,29 @@ let test_log_malformed () =
     (failure_v4 "frames under" (v4 ~thread:"C thread 1 run 0 0 0 0 0 true 0 0" ()));
   Alcotest.(check string) "bad E integer" "bad log line: E 0 0 5x9 30"
     (failure_v4 "E int" (v4 ~e:"E 0 0 5x9 30" ()))
+
+(* Parsing appends each dep and range row in place and copies the rows
+   once at the end (into the major heap at these sizes), so the minor words
+   per record come from the few T and S lines alone; one boxed value per
+   dep or range line would exceed the bound. *)
+let test_parse_allocation () =
+  List.iter
+    (fun name ->
+      let bm = Option.get (Workloads.by_name name) in
+      let r =
+        Light.record ~sched:(Workloads.scheduler ~seed:1 bm) ~seed:1 (Workloads.program bm)
+      in
+      let txt = Log.to_string r.log and n = Log.num_records r.log in
+      if n < 200 then Alcotest.failf "%s: %d records, fewer than 200" name n;
+      let w0 = Gc.minor_words () in
+      let log = Sys.opaque_identity (Log.of_string txt) in
+      let per = (Gc.minor_words () -. w0) /. float n in
+      Alcotest.(check int) (name ^ ": every record read") n (Log.num_records log);
+      if per > 8. then Alcotest.failf "%s: %.1f minor words per record (%d records)" name per n)
+    [
+      "dacapo-avrora"; "dacapo-xalan"; "stamp-intruder"; "tomcat-kernel"; "mp-queue"; "mp-fanin";
+      "stamp-vacation";
+    ]
 
 (* qcheck: serialization round-trips over random logs *)
 let log_gen : Log.t QCheck.arbitrary =
@@ -402,17 +447,19 @@ let log_gen : Log.t QCheck.arbitrary =
     return { Loc.obj; fld }
   in
   let evt = pair (int_range 1 9) (int_range 1 999) in
+  (* each record appends its row *)
   let dep =
-    let* loc = loc in
+    let* (loc : Loc.t) = loc in
     let* w = opt evt in
-    let* rf = evt in
+    let* rf_t, rf_c = evt in
     let* span = int_range 0 50 in
     let* dep_obs = int_range 0 5000 in
     let* w_obs = int_range 0 5000 in
-    return { Log.loc; w; rf; rl_c = snd rf + span; dep_obs; w_obs }
+    let w_t, w_c = Option.value w ~default:(-1, -1) in
+    return (fun b -> Log.add_dep b loc.obj loc.fld w_t w_c w_obs rf_t rf_c (rf_c + span) dep_obs)
   in
   let range =
-    let* loc = loc in
+    let* (loc : Loc.t) = loc in
     let* rt = int_range 1 9 in
     let* lo = int_range 1 999 in
     let* span = int_range 0 50 in
@@ -422,9 +469,10 @@ let log_gen : Log.t QCheck.arbitrary =
     let* rng_obs = int_range 0 5000 in
     let* lo_obs = int_range 0 5000 in
     let* w_obs = int_range 0 5000 in
-    return
-      { Log.loc; rt; lo; hi = lo + span; w_in; prefix_reads; has_write; rng_obs;
-        lo_obs; w_obs }
+    let w_t, w_c = Option.value w_in ~default:(-1, -1) in
+    return (fun b ->
+        Log.add_range b loc.obj loc.fld rt lo (lo + span) w_t w_c (Bool.to_int prefix_reads)
+          (Bool.to_int has_write) rng_obs lo_obs w_obs)
   in
   let value =
     let open Runtime.Value in
@@ -452,7 +500,9 @@ let log_gen : Log.t QCheck.arbitrary =
     let* counters = list_size (int_range 0 4) (pair (int_range 1 9) (int_range 1 999)) in
     let* o1 = bool in
     let* o2 = bool in
-    return { Log.deps; ranges; syscalls; counters; o1; o2 }
+    let b = Log.builder () in
+    List.iter (fun add -> add b) (deps @ ranges);
+    return { (Log.build b ~o1 ~o2) with syscalls; counters }
   in
   QCheck.make ~print:Log.to_string gen
 
@@ -503,6 +553,8 @@ let () =
           Alcotest.test_case "tricky values" `Quick test_log_roundtrip_tricky_values;
           Alcotest.test_case "exact bytes pinned" `Quick test_serialization_exact_bytes;
           Alcotest.test_case "malformed logs fail with Failure" `Quick test_log_malformed;
+          Alcotest.test_case "parsing allocates <= 8 minor words per record" `Quick
+            test_parse_allocation;
           QCheck_alcotest.to_alcotest prop_random_log_roundtrip;
           QCheck_alcotest.to_alcotest prop_log_wellformed;
         ] );

@@ -203,6 +203,21 @@ let test_crash_site_reproduced () =
 (* Constraint generation (Section 4.2 worked example)                  *)
 (* ------------------------------------------------------------------ *)
 
+(* A log's rows, one array each: its deps ([obj fld w_t w_c w_obs rf_t
+   rf_c rl_c dep_obs]) and its ranges ([obj fld rt lo hi w_t w_c
+   prefix_reads has_write rng_obs lo_obs w_obs]). *)
+let rows (a : int array) (width : int) : int array list =
+  List.init (Array.length a / width) (fun k -> Array.sub a (k * width) width)
+
+let deps (log : Log.t) = rows log.deps Log.dep_width
+let ranges (log : Log.t) = rows log.ranges Log.range_width
+
+(* a log of the rows the functions in [adds] append, in order *)
+let log_of (adds : (Log.builder -> unit) list) : Log.t =
+  let b = Log.builder () in
+  List.iter (fun add -> add b) adds;
+  Log.build b ~o1:false ~o2:false
+
 let test_constraints_shape () =
   let p = parse racy_fields in
   let r = Light.record ~variant:Light.v_basic ~sched:(Sched.sticky ~seed:1 ~stickiness:4) p in
@@ -211,11 +226,12 @@ let test_constraints_shape () =
   Alcotest.(check bool) "has hard atoms" true (cs.n_hard > 0);
   (* every interval endpoint has a variable *)
   let has_var e = Light_core.Constraints.var_of cs e <> None in
-  List.iter
-    (fun (iv : Light_core.Constraints.interval) ->
-      Alcotest.(check bool) "start var" true (has_var iv.start_e);
-      Alcotest.(check bool) "end var" true (has_var iv.end_e))
-    (Light_core.Constraints.intervals_of_log r.log)
+  let tb = cs.table in
+  Array.iter
+    (fun k ->
+      Alcotest.(check bool) "start var" true (has_var (tb.tid.(k), tb.lo.(k)));
+      Alcotest.(check bool) "end var" true (has_var (tb.tid.(k), tb.hi.(k))))
+    tb.order
 
 let test_schedule_respects_deps () =
   let p = parse racy_fields in
@@ -226,14 +242,12 @@ let test_schedule_respects_deps () =
   | Some sch ->
     let rank = Replayer.rank sch in
     List.iter
-      (fun (d : Log.dep) ->
-        match d.w with
-        | Some w -> (
-          match rank w, rank d.rf with
+      (fun d ->
+        if d.(Log.d_wt) >= 0 then
+          match rank (d.(Log.d_wt), d.(Log.d_wc)), rank (d.(Log.d_rft), d.(Log.d_rfc)) with
           | Some rw, Some rr -> Alcotest.(check bool) "write before read" true (rw < rr)
           | _ -> Alcotest.fail "dep endpoints unranked")
-        | None -> ())
-      r.log.deps
+      (deps r.log)
 
 (* ------------------------------------------------------------------ *)
 (* Feasibility under replay of larger mixes                             *)
@@ -325,16 +339,18 @@ let synth_log_gen =
     let evt = pair (int_range 0 2) (int_range 0 6) in
     let loc_g = map (fun o -> Runtime.Loc.field o "f") (int_range 0 2) in
     let dep_g =
-      loc_g >>= fun loc ->
+      loc_g >>= fun (loc : Loc.t) ->
       opt evt >>= fun w ->
-      evt >>= fun rf ->
+      evt >>= fun (rf_t, rf_c) ->
       int_range 0 2 >>= fun span ->
       int_range 0 40 >>= fun dep_obs ->
       int_range 0 40 >>= fun w_obs ->
-      return { Log.loc; w; rf; rl_c = snd rf + span; dep_obs; w_obs }
+      let w_t, w_c = Option.value w ~default:(-1, -1) in
+      return (fun b ->
+          Log.add_dep b loc.obj loc.fld w_t w_c w_obs rf_t rf_c (rf_c + span) dep_obs)
     in
     let range_g =
-      loc_g >>= fun loc ->
+      loc_g >>= fun (loc : Loc.t) ->
       int_range 0 2 >>= fun rt ->
       int_range 0 5 >>= fun lo ->
       int_range 0 3 >>= fun span ->
@@ -344,22 +360,13 @@ let synth_log_gen =
       int_range 0 40 >>= fun rng_obs ->
       int_range 0 40 >>= fun lo_obs ->
       int_range 0 40 >>= fun w_obs ->
-      return
-        {
-          Log.loc;
-          rt;
-          lo;
-          hi = lo + span;
-          w_in;
-          prefix_reads;
-          has_write;
-          rng_obs;
-          lo_obs;
-          w_obs;
-        }
+      let w_t, w_c = Option.value w_in ~default:(-1, -1) in
+      return (fun b ->
+          Log.add_range b loc.obj loc.fld rt lo (lo + span) w_t w_c (Bool.to_int prefix_reads)
+            (Bool.to_int has_write) rng_obs lo_obs w_obs)
     in
     pair (list_size (int_range 0 5) dep_g) (list_size (int_range 0 4) range_g)
-    >>= fun (deps, ranges) -> return { Log.empty with deps; ranges })
+    >>= fun (deps, ranges) -> return (log_of (deps @ ranges)))
 
 let sat_in (p : Dlsolver.Idl.problem) (m : int array) =
   List.for_all (fun (a : Dlsolver.Idl.atom) -> m.(a.u) - m.(a.v) <= a.k) p.hard
@@ -392,40 +399,87 @@ let prop_pruned_equisat =
       | Aborted _, _ | _, Aborted _ -> QCheck.assume_fail ()
       | _ -> false)
 
+(* An interval of the constraint table, as a value. *)
+type iv = {
+  iv_loc : Loc.t;
+  start_e : Log.evt;
+  end_e : Log.evt;
+  writes : bool;
+  reads : bool;
+  src : Log.evt option option;
+      (** [None]: no incoming dependence; [Some None]: virtual init write;
+          [Some (Some w)]: recorded write *)
+  obs : int;
+  src_obs : int;
+}
+
+(* The table's live rows: the recorded intervals in log order, then the
+   live singletons by location in reverse [Loc.Map] order, each location's
+   by the log position of the last interval naming the write (the order
+   the list-based view listed them in). *)
+let table_intervals (log : Log.t) : iv list =
+  let tb = Constraints.table_of_log log in
+  let has = Constraints.has tb in
+  let of_row k =
+    let recorded = k < tb.n_base in
+    {
+      iv_loc = tb.locs.(tb.grank.(k));
+      start_e = (tb.tid.(k), tb.lo.(k));
+      end_e = (tb.tid.(k), tb.hi.(k));
+      writes = has k Constraints.f_writes;
+      reads = has k Constraints.f_reads;
+      src =
+        (if not (recorded && has k Constraints.f_sourced) then None
+         else if tb.src.(k) >= 0 then Some (Some (tb.et.(tb.src.(k)), tb.ec.(tb.src.(k))))
+         else Some None);
+      obs = tb.obs.(k);
+      src_obs = (if recorded then tb.src_obs.(k) else 0);
+    }
+  in
+  let m = Array.length tb.tid in
+  let singletons =
+    List.init (m - tb.n_base) (fun i -> m - 1 - i)
+    |> List.filter (fun k -> has k Constraints.f_writes)
+  in
+  List.init tb.n_base of_row
+  @ List.map of_row (List.stable_sort (fun a b -> compare tb.grank.(b) tb.grank.(a)) singletons)
+
 (* The singleton materialization as it was first written: a list scan of
    the location's intervals per source write, grouped through [Loc.Map]. *)
-let reference_intervals (log : Log.t) : Constraints.interval list =
+let reference_intervals (log : Log.t) : iv list =
+  let loc row = { Loc.obj = row.(0); fld = row.(1) } in
+  let src row wt wc = if row.(wt) < 0 then None else Some (row.(wt), row.(wc)) in
   let base =
     List.map
-      (fun (d : Log.dep) ->
+      (fun d ->
         {
-          Constraints.iv_loc = d.loc;
-          start_e = d.rf;
-          end_e = (fst d.rf, d.rl_c);
+          iv_loc = loc d;
+          start_e = (d.(Log.d_rft), d.(Log.d_rfc));
+          end_e = (d.(Log.d_rft), d.(Log.d_rl));
           writes = false;
           reads = true;
-          src = Some d.w;
-          obs = d.dep_obs;
-          src_obs = d.w_obs;
+          src = Some (src d Log.d_wt Log.d_wc);
+          obs = d.(Log.d_obs);
+          src_obs = d.(Log.d_wobs);
         })
-      log.deps
+      (deps log)
     @ List.map
-        (fun (r : Log.range) ->
+        (fun r ->
           {
-            Constraints.iv_loc = r.loc;
-            start_e = (r.rt, r.lo);
-            end_e = (r.rt, r.hi);
-            writes = r.has_write;
+            iv_loc = loc r;
+            start_e = (r.(Log.r_t), r.(Log.r_lo));
+            end_e = (r.(Log.r_t), r.(Log.r_hi));
+            writes = r.(Log.r_write) <> 0;
             reads = true;
-            src = (if r.prefix_reads then Some r.w_in else None);
-            obs = r.rng_obs;
-            src_obs = r.w_obs;
+            src = (if r.(Log.r_prefix) <> 0 then Some (src r Log.r_wt Log.r_wc) else None);
+            obs = r.(Log.r_obs);
+            src_obs = r.(Log.r_wobs);
           })
-        log.ranges
+        (ranges log)
   in
   let by_loc =
     List.fold_left
-      (fun m (iv : Constraints.interval) ->
+      (fun m (iv : iv) ->
         Loc.Map.update iv.iv_loc (fun p -> Some (iv :: Option.value ~default:[] p)) m)
       Loc.Map.empty base
   in
@@ -434,18 +488,17 @@ let reference_intervals (log : Log.t) : Constraints.interval list =
       (fun loc ivs acc ->
         let covered (t, c) =
           List.exists
-            (fun (iv : Constraints.interval) ->
-              fst iv.start_e = t && snd iv.start_e <= c && c <= snd iv.end_e)
+            (fun (iv : iv) -> fst iv.start_e = t && snd iv.start_e <= c && c <= snd iv.end_e)
             ivs
         in
         let seen = Hashtbl.create 8 in
         List.fold_left
-          (fun acc (iv : Constraints.interval) ->
+          (fun acc (iv : iv) ->
             match iv.src with
             | Some (Some w) when not (Hashtbl.mem seen w || covered w) ->
               Hashtbl.add seen w ();
               {
-                Constraints.iv_loc = loc;
+                iv_loc = loc;
                 start_e = w;
                 end_e = w;
                 writes = true;
@@ -462,9 +515,9 @@ let reference_intervals (log : Log.t) : Constraints.interval list =
   base @ singletons
 
 let prop_intervals_reference =
-  QCheck.Test.make ~count:400 ~name:"intervals_of_log = list-scan reference"
+  QCheck.Test.make ~count:400 ~name:"table rows = list-scan reference"
     (QCheck.make ~print:Log.to_string synth_log_gen)
-    (fun log -> Constraints.intervals_of_log log = reference_intervals log)
+    (fun log -> table_intervals log = reference_intervals log)
 
 (* [var_of] finds a variable exactly where [evts] has its event, with and
    without an extra event; the grid covers every event the synthetic logs
@@ -517,36 +570,32 @@ let loc_gen =
         map Loc.global (oneofl [ "g"; "h" ]);
       ])
 
+(* One dep per location, reading the initial value (so no singleton
+   joins): [Constraints.location_rows] groups the rows by location in
+   [Loc.Map] order, each group in reverse log order. *)
 let prop_by_location_order =
-  QCheck.Test.make ~count:400 ~name:"by_location groups in Loc.Map order"
+  QCheck.Test.make ~count:400 ~name:"location_rows groups in Loc.Map order"
     QCheck.(
       make
         ~print:(fun ls -> String.concat " " (List.map Loc.to_string ls))
         Gen.(list_size (int_range 0 40) loc_gen))
     (fun locs ->
-      let ivs =
-        List.mapi
-          (fun k iv_loc ->
-            {
-              Constraints.iv_loc;
-              start_e = (0, k);
-              end_e = (0, k);
-              writes = true;
-              reads = false;
-              src = None;
-              obs = k;
-              src_obs = 0;
-            })
-          locs
+      let log =
+        log_of
+          (List.mapi
+             (fun k (l : Loc.t) b -> Log.add_dep b l.obj l.fld (-1) (-1) 0 0 k k k)
+             locs)
       in
+      let tb = Constraints.table_of_log log in
       let reference =
         List.fold_left
-          (fun m (iv : Constraints.interval) ->
-            Loc.Map.update iv.iv_loc (fun p -> Some (iv :: Option.value ~default:[] p)) m)
-          Loc.Map.empty ivs
+          (fun m (k, l) -> Loc.Map.update l (fun p -> Some (k :: Option.value ~default:[] p)) m)
+          Loc.Map.empty
+          (List.mapi (fun k l -> (k, l)) locs)
         |> Loc.Map.bindings
       in
-      Constraints.by_location ivs = reference)
+      Array.to_list (Array.mapi (fun g rows -> (tb.locs.(g), rows)) (Constraints.location_rows tb))
+      = reference)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned replay admission                                              *)
@@ -606,8 +655,11 @@ let inverted_replay engine =
     let child = Array.find_opt (fun (t, _) -> t = 101) order |> Option.get in
     let spawn =
       List.find_map
-        (fun (d : Log.dep) -> if d.rf = child then d.w else None)
-        r.log.deps
+        (fun d ->
+          if (d.(Log.d_rft), d.(Log.d_rfc)) = child && d.(Log.d_wt) >= 0 then
+            Some (d.(Log.d_wt), d.(Log.d_wc))
+          else None)
+        (deps r.log)
       |> Option.get
     in
     let var e = Option.get (Constraints.var_of cs e) in
@@ -719,7 +771,10 @@ let test_inverted_order_stuck () =
         (Option.get (Replayer.rank sch child) < k);
       Alcotest.(check string) (tag ^ ": named")
         (Printf.sprintf "thread 1 waits at counter %d for rank %d: event (1,%d)" c k c)
-        (Replayer.describe_wait sch ~tid:1 ~c))
+        (Replayer.describe_wait sch ~tid:1 ~c);
+      Alcotest.(check (option string)) (tag ^ ": the cursor's holder, never spawned")
+        (Some "cursor held at rank 0 by event (101,1): thread 101 stopped at counter 0")
+        (Replayer.describe_cursor sch ~counters:o.counters))
     [ Vm.Tree; Vm.Bytecode ]
 
 (* The rank protocol: the VM asks [wait] about a pending access [(tid, c)]
@@ -1029,12 +1084,8 @@ let test_address_crash () =
    Neither engine passes a ghost write to [suppress_write]. *)
 let test_gate_tables () =
   let f = Loc.field 7 "f" and g = Loc.field 7 "g" in
-  let log =
-    {
-      Log.empty with
-      deps = [ { Log.loc = f; w = Some (2, 1); rf = (1, 1); rl_c = 3; dep_obs = 0; w_obs = 0 } ];
-    }
-  in
+  (* obj fld w_t w_c w_obs rf_t rf_c rl_c dep_obs *)
+  let log = log_of [ (fun b -> Log.add_dep b f.obj f.fld 2 1 0 1 1 3 0) ] in
   let cs = Constraints.generate log in
   let model = Array.make (Array.length cs.evts) 0 in
   List.iteri (fun k e -> model.(Option.get (Constraints.var_of cs e)) <- k) [ (1, 1); (2, 1); (1, 3) ];
@@ -1124,17 +1175,31 @@ let render_system (cs : Constraints.t) =
    follows the process's intern ids and so what ran before; records sorted
    by stamps, events and location names make the pinned inputs fixed. *)
 let canonical (log : Log.t) : Log.t =
-  let dep_key (d : Log.dep) = (d.dep_obs, d.rf, d.rl_c, d.w, d.w_obs, Loc.to_string d.loc) in
-  let range_key (r : Log.range) =
-    ( (r.rng_obs, r.lo_obs, r.w_obs),
-      (r.rt, r.lo, r.hi, r.w_in),
-      (r.prefix_reads, r.has_write, Loc.to_string r.loc) )
+  let loc_str row = Loc.to_string { Loc.obj = row.(0); fld = row.(1) } in
+  let src row wt wc = if row.(wt) < 0 then None else Some (row.(wt), row.(wc)) in
+  let dep_key d =
+    ( d.(Log.d_obs),
+      (d.(Log.d_rft), d.(Log.d_rfc)),
+      d.(Log.d_rl),
+      src d Log.d_wt Log.d_wc,
+      d.(Log.d_wobs),
+      loc_str d )
   in
-  {
-    log with
-    deps = List.sort (fun a b -> compare (dep_key a) (dep_key b)) log.deps;
-    ranges = List.sort (fun a b -> compare (range_key a) (range_key b)) log.ranges;
-  }
+  let range_key r =
+    ( (r.(Log.r_obs), r.(Log.r_loobs), r.(Log.r_wobs)),
+      (r.(Log.r_t), r.(Log.r_lo), r.(Log.r_hi), src r Log.r_wt Log.r_wc),
+      (r.(Log.r_prefix) <> 0, r.(Log.r_write) <> 0, loc_str r) )
+  in
+  let sort key l = List.sort (fun a b -> compare (key a) (key b)) l in
+  let b = Log.builder () in
+  List.iter
+    (fun d -> Log.add_dep b d.(0) d.(1) d.(2) d.(3) d.(4) d.(5) d.(6) d.(7) d.(8))
+    (sort dep_key (deps log));
+  List.iter
+    (fun r ->
+      Log.add_range b r.(0) r.(1) r.(2) r.(3) r.(4) r.(5) r.(6) r.(7) r.(8) r.(9) r.(10) r.(11))
+    (sort range_key (ranges log));
+  { (Log.build b ~o1:log.o1 ~o2:log.o2) with syscalls = log.syscalls; counters = log.counters }
 
 (* the 8 Figure-6 bugs under their triggering schedule, then four
    contended workloads at scale 1 and seed 1 *)
@@ -1191,16 +1256,18 @@ let synthetic_logs n : Log.t list =
     (t, int 0 6)
   in
   let opt f = if Random.State.bool st then Some (f ()) else None in
-  let dep () =
-    let loc = Loc.field (int 0 2) "f" in
+  let dep b =
+    let (loc : Loc.t) = Loc.field (int 0 2) "f" in
     let w = opt evt in
-    let rf = evt () in
-    let rl_c = snd rf + int 0 2 in
+    let rf_t, rf_c = evt () in
+    let rl_c = rf_c + int 0 2 in
     let dep_obs = int 0 40 in
-    { Log.loc; w; rf; rl_c; dep_obs; w_obs = int 0 40 }
+    let w_obs = int 0 40 in
+    let w_t, w_c = Option.value w ~default:(-1, -1) in
+    Log.add_dep b loc.obj loc.fld w_t w_c w_obs rf_t rf_c rl_c dep_obs
   in
-  let range () =
-    let loc = Loc.field (int 0 2) "f" in
+  let range b =
+    let (loc : Loc.t) = Loc.field (int 0 2) "f" in
     let rt = int 0 2 in
     let lo = int 0 5 in
     let hi = lo + int 0 3 in
@@ -1209,11 +1276,16 @@ let synthetic_logs n : Log.t list =
     let has_write = Random.State.bool st in
     let rng_obs = int 0 40 in
     let lo_obs = int 0 40 in
-    { Log.loc; rt; lo; hi; w_in; prefix_reads; has_write; rng_obs; lo_obs; w_obs = int 0 40 }
+    let w_obs = int 0 40 in
+    let w_t, w_c = Option.value w_in ~default:(-1, -1) in
+    Log.add_range b loc.obj loc.fld rt lo hi w_t w_c (Bool.to_int prefix_reads)
+      (Bool.to_int has_write) rng_obs lo_obs w_obs
   in
   List.init n (fun _ ->
-      let deps = List.init (int 0 5) (fun _ -> dep ()) in
-      { Log.empty with deps; ranges = List.init (int 0 4) (fun _ -> range ()) })
+      let b = Log.builder () in
+      for _ = 1 to int 0 5 do dep b done;
+      for _ = 1 to int 0 4 do range b done;
+      Log.build b ~o1:false ~o2:false)
 
 (* Synthetic logs, pruned and naive, plain and with the first dep's pin
    freed and an extra event: nested intervals, unit reductions, dedup and
@@ -1221,7 +1293,9 @@ let synthetic_logs n : Log.t list =
 let synthetic_digest () =
   synthetic_logs 300
   |> List.concat_map (fun (log : Log.t) ->
-         let free = match log.deps with d :: _ -> [ d.rf ] | [] -> [] in
+         let free =
+           if Log.n_deps log > 0 then [ (log.deps.(Log.d_rft), log.deps.(Log.d_rfc)) ] else []
+         in
          List.concat_map
            (fun naive ->
              [

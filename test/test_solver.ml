@@ -182,7 +182,7 @@ let conflicting_pair =
 let test_idl_budget_backtracks () =
   let budget = { Idl.default_budget with max_backtracks = 0 } in
   match Idl.solve ~budget conflicting_pair with
-  | Aborted s ->
+  | Aborted (s, _) ->
     Alcotest.(check bool) "stats honest: work was done" true
       (s.theory_conflicts >= 1 && s.backtracks >= 1)
   | _ -> Alcotest.fail "expected abort on backtrack budget"
@@ -190,8 +190,28 @@ let test_idl_budget_backtracks () =
 let test_idl_budget_conflicts () =
   let budget = { Idl.default_budget with max_conflicts = 0 } in
   match Idl.solve ~budget conflicting_pair with
-  | Aborted s -> Alcotest.(check int) "stopped at first conflict" 1 s.theory_conflicts
+  | Aborted (s, _) -> Alcotest.(check int) "stopped at first conflict" 1 s.theory_conflicts
   | _ -> Alcotest.fail "expected abort on conflict budget"
+
+(* An abort names the bound it hit, with its limit, and the replayer's
+   message says so.  A negative CPU-time bound trips at the first check,
+   whatever the clock's resolution. *)
+let test_idl_budget_named () =
+  List.iter
+    (fun (budget, expected) ->
+      match Idl.solve ~budget conflicting_pair with
+      | Aborted (_, b) ->
+        Alcotest.(check string) expected expected (Light_core.Replayer.budget_exhausted b)
+      | _ -> Alcotest.failf "%s: expected an abort" expected)
+    [
+      ( { Idl.default_budget with max_backtracks = 0 },
+        "solver budget exhausted: 0 backtracks" );
+      ({ Idl.default_budget with max_conflicts = 0 }, "solver budget exhausted: 0 conflicts");
+      ( { Idl.default_budget with max_time_s = -1. },
+        "solver budget exhausted: -1 CPU seconds" );
+    ];
+  Alcotest.(check string) "the default bound" "solver budget exhausted: 2000000 backtracks"
+    (Light_core.Replayer.budget_exhausted (Backtracks Idl.default_budget.max_backtracks))
 
 let test_idl_hint_seeding () =
   let p =
@@ -391,6 +411,7 @@ let () =
             test_idl_backjump_skips_levels;
           Alcotest.test_case "backtrack budget aborts" `Quick test_idl_budget_backtracks;
           Alcotest.test_case "conflict budget aborts" `Quick test_idl_budget_conflicts;
+          Alcotest.test_case "an abort names its budget bound" `Quick test_idl_budget_named;
           Alcotest.test_case "potential hint seeding" `Quick test_idl_hint_seeding;
           QCheck_alcotest.to_alcotest prop_perm_order;
           QCheck_alcotest.to_alcotest prop_dag_sat;
