@@ -426,7 +426,7 @@ let replay_cmd =
             List.iter
               (fun (tid, lines) ->
                 List.iter (fun l -> Printf.printf "[thread %d] %s\n" tid l) lines)
-              rr.rr_obs.Runtime.Interp.obs_outputs;
+              rr.rr_obs.Runtime.Vm.obs_outputs;
             (* an interior epoch ends on the fence, so the gate stalls by
                design once every thread reaches its watermark *)
             let ok =

@@ -6,8 +6,8 @@
     model, this module cuts the recording into fixed-length step windows,
     each one a {!chunk}:
 
-    - recording runs on the tree walker ({!Interp}); at each epoch
-      boundary its complete state is checkpointed ({!Interp.snapshot}:
+    - recording runs on the register VM ({!Vm}); at each epoch boundary
+      it pauses and its complete state is checkpointed ({!Vm.snapshot}:
       frames, heap, locks, waitsets, scheduler and RNG positions) and the
       recorder's arena buffers are {e sealed} ({!Recorder.seal}) into a
       self-contained per-epoch {!Log.t}.  Sealing clears the last-write
@@ -22,8 +22,9 @@
     - replay of a chunk ({!replay_chunk}) restores its checkpoint on the
       register VM ({!Vm.restore_state}) and replays only that epoch's
       constrained events, fenced at the epoch's counter watermark —
-      O(epoch) work regardless of run length.  Checkpoints are written by
-      the tree walker and restored by the VM only.
+      O(epoch) work regardless of run length.  One engine writes and
+      restores every checkpoint, and only [Vm] and this module know its
+      format.
 
     The on-disk form is log format v4: a per-epoch [E] line, checkpoint
     lines, an intern-table {e delta}, then the epoch's v3 record lines.
@@ -43,7 +44,7 @@ type chunk = {
   ck_steps : int;        (** step count at the epoch's end (= next start) *)
   ck_clock : int;        (** cumulative recorder access clock at the end *)
   ck_sched : string;     (** scheduler pick-state token at the start *)
-  ck_snapshot : Interp.snapshot;  (** checkpoint at the epoch's start *)
+  ck_snapshot : Vm.snapshot;  (** checkpoint at the epoch's start *)
   ck_log : Log.t;  (** sealed window; [counters] = watermark at the end *)
 }
 
@@ -58,7 +59,7 @@ type file = {
 
 type recording = {
   er_file : file;
-  er_obs : Interp.observables list;
+  er_obs : Vm.observables list;
       (** each chunk's window reads/outputs/syscalls, in chunk order *)
   er_outcome : Interp.outcome;  (** whole-run observables, reassembled *)
   er_site_hits : int array;  (** cumulative across all sealed epochs *)
@@ -76,34 +77,34 @@ type recording = {
    completion, deadlock, or [max_steps]); a run ending exactly on a
    boundary still seals the (then empty) trailing window. *)
 let run_epoch_loop ~sched ~max_steps ~seed ~weights ~epoch_len
-    (pp : Light.prepared) ~(on_epoch : chunk -> Interp.observables -> unit) =
+    (pp : Light.prepared) ~(on_epoch : chunk -> Vm.observables -> unit) =
   if epoch_len <= 0 then invalid_arg "record_epochs: epoch_len must be positive";
   let recorder =
     Recorder.create ~variant:(Light.prepared_variant pp) ~weights
       (Light.prepared_modes pp)
   in
   let st =
-    Interp.init_state ~hooks:(Recorder.hooks recorder)
-      ~plan:(Light.prepared_plan pp) ~seed (Light.prepared_compiled pp)
+    Vm.init_state ~hooks:(Recorder.hooks recorder)
+      ~plan:(Light.prepared_plan pp) ~seed (Light.prepared_bytecode pp)
   in
   let seal_times = ref [] in
   let idx = ref 0 in
   let final = ref None in
   while !final = None do
-    let sn = Interp.snapshot st in
+    let sn = Vm.snapshot st in
     let sched_tok = sched.Sched.save () in
-    let stop_at = Interp.state_steps st + epoch_len in
-    let status = Interp.run_state ~max_steps ~stop_at ~sched st in
+    let stop_at = Vm.state_steps st + epoch_len in
+    let status = Vm.run_state ~max_steps ~stop_at ~sched st in
     let t0 = Unix.gettimeofday () in
-    let counters = Interp.state_counters st in
-    let obs = Interp.drain_observables st in
+    let counters = Vm.state_counters st in
+    let obs = Vm.drain_observables st in
     let log = Recorder.seal recorder ~syscalls:obs.obs_syscalls ~counters in
     seal_times := (Unix.gettimeofday () -. t0) :: !seal_times;
     on_epoch
       {
         ck_idx = !idx;
-        ck_start_steps = sn.Interp.snap_steps;
-        ck_steps = Interp.state_steps st;
+        ck_start_steps = sn.Vm.snap_steps;
+        ck_steps = Vm.state_steps st;
         ck_clock = Recorder.accesses recorder;
         ck_sched = sched_tok;
         ck_snapshot = sn;
@@ -129,7 +130,7 @@ let record_epochs ?(sched = Sched.random ~seed:1)
   let chunks, windows = List.split (List.rev !epochs) in
   (* reassemble the whole-run observables from the per-epoch windows (the
      state's own buffers were drained at every boundary) *)
-  let base = Interp.outcome_of_state st status in
+  let base = Vm.outcome_of_state st status in
   let gather proj tid =
     List.concat_map
       (fun w -> match List.assoc_opt tid (proj w) with Some l -> l | None -> [])
@@ -139,9 +140,9 @@ let record_epochs ?(sched = Sched.random ~seed:1)
   let outcome =
     {
       base with
-      Interp.reads = List.map (fun tid -> (tid, gather (fun o -> o.Interp.obs_reads) tid)) tids;
-      outputs = List.map (fun tid -> (tid, gather (fun o -> o.Interp.obs_outputs) tid)) tids;
-      syscalls = List.concat_map (fun w -> w.Interp.obs_syscalls) windows;
+      Interp.reads = List.map (fun tid -> (tid, gather (fun o -> o.Vm.obs_reads) tid)) tids;
+      outputs = List.map (fun tid -> (tid, gather (fun o -> o.Vm.obs_outputs) tid)) tids;
+      syscalls = List.concat_map (fun w -> w.Vm.obs_syscalls) windows;
     }
   in
   let v = Light.prepared_variant pp in
@@ -191,7 +192,7 @@ type epoch_replay = {
           epoch's end *)
   rr_counters : (int * int) list;  (** each thread's D(t) where the replay ended *)
   rr_steps : int;  (** steps executed by the replay (O(epoch)) *)
-  rr_obs : Interp.observables;  (** the replayed window's observables *)
+  rr_obs : Vm.observables;  (** the replayed window's observables *)
   rr_report : Replayer.solve_report;
 }
 
@@ -268,16 +269,16 @@ let replay_chunk ?solver_budget ?(max_steps = 10_000_000) (pp : Light.prepared)
     by per-thread index — directly comparable with {!epoch_replay.rr_obs}
     (and with the window's own entry of {!recording.er_obs}). *)
 let slice_outcome (r : recording) (k : int) (o : Interp.outcome) :
-    Interp.observables =
+    Vm.observables =
   let ck = List.nth r.er_file.f_chunks k in
   let win = List.nth r.er_obs k in
   let d0 tid =
     match
       List.find_opt
-        (fun (t : Interp.snap_thread) -> t.sn_tid = tid)
-        ck.ck_snapshot.Interp.snap_threads
+        (fun (t : Vm.snap_thread) -> t.sn_tid = tid)
+        ck.ck_snapshot.Vm.snap_threads
     with
-    | Some t -> t.Interp.sn_d
+    | Some t -> t.Vm.sn_d
     | None -> 0
   in
   let d1 tid = Option.value ~default:0 (List.assoc_opt tid ck.ck_log.Log.counters) in
@@ -289,8 +290,8 @@ let slice_outcome (r : recording) (k : int) (o : Interp.outcome) :
         (tid, List.filter (fun (c, _) -> c > d0 tid && c <= d1 tid) all))
       tids
   in
-  let n_outputs tid (w : Interp.observables) =
-    match List.assoc_opt tid w.Interp.obs_outputs with Some l -> List.length l | None -> 0
+  let n_outputs tid (w : Vm.observables) =
+    match List.assoc_opt tid w.Vm.obs_outputs with Some l -> List.length l | None -> 0
   in
   let outputs =
     List.map
@@ -309,7 +310,7 @@ let slice_outcome (r : recording) (k : int) (o : Interp.outcome) :
   let sys_lo tid = (* syscall idx range from the window's own syscalls *)
     List.filter_map
       (fun (t, i, _, _) -> if t = tid then Some i else None)
-      win.Interp.obs_syscalls
+      win.Vm.obs_syscalls
     |> function [] -> None | l -> Some (List.fold_left min max_int l, List.fold_left max 0 l)
   in
   let syscalls =
@@ -318,35 +319,35 @@ let slice_outcome (r : recording) (k : int) (o : Interp.outcome) :
         match sys_lo t with Some (lo, hi) -> i >= lo && i <= hi | None -> false)
       o.Interp.syscalls
   in
-  { Interp.obs_reads = reads; obs_outputs = outputs; obs_syscalls = syscalls }
+  { Vm.obs_reads = reads; obs_outputs = outputs; obs_syscalls = syscalls }
 
 (** Compare a replayed epoch window against an expected one.  Reads must
     match exactly inside the counter window; outputs and syscalls must
     match on the window positions, tolerating deterministic local overrun
     past the boundary (extra trailing items in the replay are items of the
     next window, checked there). *)
-let window_matches ~(expected : Interp.observables)
-    (actual : Interp.observables) : string list =
+let window_matches ~(expected : Vm.observables)
+    (actual : Vm.observables) : string list =
   let ms = ref [] in
   let add fmt = Printf.ksprintf (fun m -> ms := m :: !ms) fmt in
   List.iter
     (fun (tid, exp_reads) ->
-      let act = Option.value ~default:[] (List.assoc_opt tid actual.Interp.obs_reads) in
+      let act = Option.value ~default:[] (List.assoc_opt tid actual.Vm.obs_reads) in
       (* the fence caps replay reads at the watermark, but a restored run's
          reads all carry counters in the window by construction *)
       if exp_reads <> act then
         add "reads: thread %d differs (%d expected, %d actual)" tid
           (List.length exp_reads) (List.length act))
-    expected.Interp.obs_reads;
+    expected.Vm.obs_reads;
   List.iter
     (fun (tid, exp_outs) ->
-      let act = Option.value ~default:[] (List.assoc_opt tid actual.Interp.obs_outputs) in
+      let act = Option.value ~default:[] (List.assoc_opt tid actual.Vm.obs_outputs) in
       let n = List.length exp_outs in
       let act_window = List.filteri (fun i _ -> i < n) act in
       if List.length act < n then
         add "outputs: thread %d short (%d expected, %d actual)" tid n (List.length act)
       else if exp_outs <> act_window then add "outputs: thread %d differs" tid)
-    expected.Interp.obs_outputs;
+    expected.Vm.obs_outputs;
   (* syscalls are a per-thread stream (idx is the thread-local position);
      the global interleaving differs between the original and the replay,
      so compare per thread, ordered by idx *)
@@ -359,7 +360,7 @@ let window_matches ~(expected : Interp.observables)
       sys;
     Hashtbl.fold (fun t l acc -> (t, List.sort compare l) :: acc) tbl []
   in
-  let act_by_tid = by_tid actual.Interp.obs_syscalls in
+  let act_by_tid = by_tid actual.Vm.obs_syscalls in
   List.iter
     (fun (tid, exp_l) ->
       let act_l = Option.value ~default:[] (List.assoc_opt tid act_by_tid) in
@@ -369,7 +370,7 @@ let window_matches ~(expected : Interp.observables)
           (List.length act_l)
       else if exp_l <> List.filteri (fun i _ -> i < n) act_l then
         add "syscalls: thread %d differs" tid)
-    (by_tid expected.Interp.obs_syscalls);
+    (by_tid expected.Vm.obs_syscalls);
   List.rev !ms
 
 (* ------------------------------------------------------------------ *)
@@ -394,7 +395,7 @@ let add_slot (buf : Buffer.t) (v : Value.t) : unit =
 
 (* Checkpoint lines.  Thread frames ride on [c frame] continuation lines
    under their [C thread] line; everything else is one line per item. *)
-let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
+let add_snapshot (buf : Buffer.t) (sn : Vm.snapshot) ~(sched : string) :
     unit =
   let sp () = Buffer.add_char buf ' ' in
   let nl () = Buffer.add_char buf '\n' in
@@ -402,7 +403,7 @@ let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
   Buffer.add_string buf sched;
   nl ();
   Buffer.add_string buf "C rng ";
-  Buffer.add_string buf sn.Interp.snap_rng;
+  Buffer.add_string buf sn.Vm.snap_rng;
   nl ();
   List.iter
     (fun (id, cls, fields) ->
@@ -420,9 +421,9 @@ let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
           Buffer.add_string buf (Log.value_str v))
         fields;
       nl ())
-    sn.Interp.snap_heap;
+    sn.Vm.snap_heap;
   List.iter
-    (fun (t : Interp.snap_thread) ->
+    (fun (t : Vm.snap_thread) ->
       Buffer.add_string buf "C thread ";
       Log.add_int buf t.sn_tid;
       sp ();
@@ -452,7 +453,7 @@ let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
       Log.add_int buf (List.length t.sn_frames);
       nl ();
       List.iter
-        (fun (f : Interp.snap_frame) ->
+        (fun (f : Vm.snap_frame) ->
           Buffer.add_string buf "c frame ";
           (match f.sn_ret_to with
           | None -> Buffer.add_char buf '-'
@@ -460,13 +461,13 @@ let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
           sp ();
           Log.add_int buf (List.length f.sn_cont);
           List.iter
-            (fun (sc : Interp.scont) ->
+            (fun (sc : Vm.scont) ->
               sp ();
               match sc with
-              | Interp.SSeq sid ->
+              | Vm.SSeq sid ->
                 Buffer.add_char buf 'q';
                 Log.add_int buf sid
-              | Interp.SUnlock (m, sid) ->
+              | Vm.SUnlock (m, sid) ->
                 Buffer.add_char buf 'u';
                 Log.add_int buf m;
                 Buffer.add_char buf ':';
@@ -481,7 +482,7 @@ let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
             f.sn_slots;
           nl ())
         t.sn_frames)
-    sn.Interp.snap_threads;
+    sn.Vm.snap_threads;
   List.iter
     (fun (m, (owner, count)) ->
       Buffer.add_string buf "C lock ";
@@ -491,7 +492,7 @@ let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
       sp ();
       Log.add_int buf count;
       nl ())
-    sn.Interp.snap_locks;
+    sn.Vm.snap_locks;
   List.iter
     (fun (m, waiters) ->
       Buffer.add_string buf "C waitq ";
@@ -502,7 +503,7 @@ let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
           Log.add_int buf w)
         waiters;
       nl ())
-    sn.Interp.snap_waitsets;
+    sn.Vm.snap_waitsets;
   List.iter
     (fun (c : Interp.crash) ->
       Buffer.add_string buf "C crash ";
@@ -516,7 +517,7 @@ let add_snapshot (buf : Buffer.t) (sn : Interp.snapshot) ~(sched : string) :
       sp ();
       Log.add_enc_field buf c.Interp.msg;
       nl ())
-    sn.Interp.snap_crashes
+    sn.Vm.snap_crashes
 
 (** The v4 writer.  [sink] receives the header immediately, then one
     serialized chunk per {!write_chunk} call.  The intern table is written
@@ -594,7 +595,7 @@ let record_epochs_stream ?(sched = Sched.random ~seed:1)
   in
   {
     ss_status = status;
-    ss_steps = Interp.state_steps st;
+    ss_steps = Vm.state_steps st;
     ss_clock = Recorder.accesses recorder;
     ss_epochs = !n;
     ss_seal_times = seal_times;
@@ -638,14 +639,14 @@ let status_tok (c : Log.cursor) : Interp.tstatus =
     | "reacq" -> Reacquiring m
     | _ -> Log.bad c
 
-let cont_tok (c : Log.cursor) : Interp.scont =
+let cont_tok (c : Log.cursor) : Vm.scont =
   Log.next_tok c;
   let st = c.ts and len = c.tl in
   let colon = Log.find_in c st len ':' in
   match if len = 0 then ' ' else c.cs.[st] with
-  | 'q' -> Interp.SSeq (Log.int_sub c (st + 1) (len - 1))
+  | 'q' -> Vm.SSeq (Log.int_sub c (st + 1) (len - 1))
   | 'u' when colon >= 0 ->
-    Interp.SUnlock (Log.int_sub c (st + 1) (colon - st - 1), Log.right c colon)
+    Vm.SUnlock (Log.int_sub c (st + 1) (colon - st - 1), Log.right c colon)
   | _ -> Log.bad c
 
 let slot_tok (c : Log.cursor) : Value.t =
@@ -653,7 +654,7 @@ let slot_tok (c : Log.cursor) : Value.t =
   if c.tl = 1 && c.cs.[c.ts] = 'u' then Interp.unbound else Log.value_sub c c.ts c.tl
 
 (* A [c frame] continuation line: the next line of the file. *)
-let frame_line (c : Log.cursor) : Interp.snap_frame =
+let frame_line (c : Log.cursor) : Vm.snap_frame =
   if not (Log.next_line c && Log.tag c = 'c') then Log.bad c;
   Log.next_tok c;
   if Log.tok_text c <> "frame" then Log.bad c;
@@ -664,7 +665,7 @@ let frame_line (c : Log.cursor) : Interp.snap_frame =
   let sn_cont = counted c cont_tok in
   let sn_slots = Array.of_list (counted c slot_tok) in
   Log.eod c;
-  { Interp.sn_cont; sn_slots; sn_ret_to }
+  { Vm.sn_cont; sn_slots; sn_ret_to }
 
 (* Decode the rest of a [C] line into [ck], whose snapshot lists are kept
    newest first while the epoch is read.  A [C thread] line also consumes
@@ -675,12 +676,19 @@ let checkpoint_line (c : Log.cursor) (ck : chunk) : chunk =
   Log.next_tok c;
   match Log.tok_text c with
   | "sched" ->
-    let tok = String.sub c.cs c.pos (c.eol - c.pos) in
-    c.pos <- c.eol;
+    (* one token, in whatever form the scheduler's [save] wrote it *)
+    Log.next_tok c;
+    let tok = Log.tok_text c in
+    Log.eod c;
     { ck with ck_sched = tok }
   | "rng" ->
+    (* a [Sched.marshal_hex] token: restoring anything else would fail
+       past the reader, unlocated *)
     Log.next_tok c;
     let rng = Log.tok_text c in
+    let hex ch = (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f') in
+    if rng = "" || String.length rng land 1 = 1 || not (String.for_all hex rng) then
+      Log.bad c;
     Log.eod c;
     with_sn { sn with snap_rng = rng }
   | "obj" ->
@@ -712,7 +720,7 @@ let checkpoint_line (c : Log.cursor) (ck : chunk) : chunk =
     if nframes < 0 then Log.bad c;
     let sn_frames = List.init nframes (fun _ -> frame_line c) in
     let t =
-      { Interp.sn_tid; sn_frames; sn_status; sn_held; sn_wait_restore; sn_alloc; sn_d;
+      { Vm.sn_tid; sn_frames; sn_status; sn_held; sn_wait_restore; sn_alloc; sn_d;
         sn_sys_idx; sn_spawn_idx; sn_started }
     in
     with_sn { sn with snap_threads = t :: sn.snap_threads }
@@ -790,7 +798,7 @@ let of_string_v4 (s : string) : (file, Log.error) result =
       Log.eod c;
       let snapshot =
         {
-          Interp.snap_steps = ck_start_steps;
+          Vm.snap_steps = ck_start_steps;
           snap_heap = [];
           snap_threads = [];
           snap_locks = [];

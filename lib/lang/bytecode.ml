@@ -26,10 +26,12 @@
       preserved instruction for instruction.
     - {b Snapshot-PC invariant.}  Every pc a thread can rest at between
       transitions is a boundary, and every boundary pc has a
-      compile-time continuation template ([templates]) equal to
-      [Interp.encode_cont]'s output with the lock object ids abstracted;
-      the per-frame sync stack fills them back in.  This is what lets
-      the VM share the epoch checkpoint format byte for byte. *)
+      compile-time continuation template ([templates]): the chain of
+      statement sequences (each named by its head statement's sid) and
+      pending sync exits still to run, the tree walker's continuation,
+      with the lock object ids abstracted; the per-frame sync stack
+      fills them back in.  This is what lets the VM write and restore
+      epoch checkpoints ([Vm.snapshot]) by pc. *)
 
 (** Constant-pool entry.  The VM boxes these into [Value.t] at load. *)
 type const = KInt of int | KBool of bool | KNull | KStr of string
@@ -114,7 +116,7 @@ type instr =
   | ISyscall of int * string * operand array
   | IOpaque of int * string * operand array
 
-(** Continuation-template entry: [Interp.scont] with the lock object id
+(** Continuation-template entry: [Vm.scont] with the lock object id
     of an [SUnlock] left abstract (it lives in the frame's sync stack —
     innermost first, the same order the template lists its [TUnlock]s). *)
 type template_entry = TSeq of int | TUnlock of int

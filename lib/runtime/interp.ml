@@ -978,12 +978,32 @@ type compiled = Resolve.compiled
 
 let compile : Ast.program -> compiled = Resolve.compile
 
-(** Build the initial interpreter state: globals object, main thread, seeded
-    RNG.  Running is a separate step ({!run_state}) so callers can pause at
-    step boundaries, snapshot, and resume — the substrate of epoch-based
-    recording. *)
-let init_state ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(collect_trace = false)
-    ?(seed = 0) (cp : compiled) : state =
+(* Assemble the outcome record from a finished state. *)
+let outcome_of_state (st : state) (status : status_summary) : outcome =
+  let per_thread f = List.init st.n_threads (fun i -> (st.order.(i).tid, f st.order.(i))) in
+  {
+    status;
+    steps = st.steps;
+    crashes = List.rev st.crashes;
+    reads = per_thread (fun t -> List.rev t.reads_rev);
+    outputs = per_thread (fun t -> List.rev t.outputs_rev);
+    counters = per_thread (fun t -> t.d);
+    syscalls = List.rev st.syscalls_rev;
+    final_heap =
+      Hashtbl.fold (fun id (o : obj) acc -> (id, o) :: acc) st.heap []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map (fun (id, o) ->
+             ( id,
+               Hashtbl.fold (fun f v acc -> (Loc.fld_name f, v) :: acc) o.fields []
+               |> List.sort compare ));
+    trace = List.rev st.trace_rev;
+  }
+
+(** Run [cp] from its initial state (globals object, main thread, seeded
+    RNG) until termination or [max_steps].  Pausing, checkpointing and
+    resuming a run (epoch recording) are the VM's job ({!Vm.run_state}). *)
+let run_compiled ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(max_steps = 5_000_000)
+    ?(collect_trace = false) ?(seed = 0) ~(sched : Sched.t) (cp : compiled) : outcome =
   let shared = Array.init (cp.cp_max_sid + 1) (fun sid -> plan.Plan.shared_site sid) in
   let st =
     {
@@ -1010,20 +1030,10 @@ let init_state ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(collect_trac
   let main_thread = make_thread ~tid:1 ~frames:[ new_frame cp.cp_main ~ret_to:None ] in
   main_thread.started <- true;  (* main has no spawn ghost to read *)
   push_thread st main_thread;
-  st
-
-(** Run until termination, [max_steps], or the [stop_at] step watermark.
-    Returns [None] when paused at [stop_at] (the run can be resumed by
-    calling [run_state] again on the same state), [Some status] when the run
-    actually ended.  The pause point is a clean step boundary: no thread is
-    mid-transition. *)
-let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
-    (st : state) : status_summary option =
   let gated = st.hooks.gate <> None in
   let finished = ref false in
-  let paused = ref false in
   let status = ref AllFinished in
-  while not !finished && not !paused do
+  while not !finished do
     (* one backwards walk of the creation-order vector: the accumulated list
        comes out in creation order, exactly as the seed's list-filter
        construction did.  The [live] list is only needed to report a
@@ -1058,7 +1068,6 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
            else GateStuck sem_enabled)
       end
       else if st.steps >= max_steps then (finished := true; status := StepLimit)
-      else if st.steps >= stop_at then paused := true
       else begin
         let tid = sched.pick ~step:st.steps ~runnable in
         let tid = if List.mem tid runnable then tid else List.hd runnable in
@@ -1072,178 +1081,11 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
       end
     end
   done;
-  if !paused then None else Some !status
-
-let per_thread (st : state) f =
-  List.init st.n_threads (fun i ->
-      let t = st.order.(i) in
-      (t.tid, f t))
-
-(** Assemble the outcome record from a finished (or paused) state. *)
-let outcome_of_state (st : state) (status : status_summary) : outcome =
-  let per_thread f = per_thread st f in
-  {
-    status;
-    steps = st.steps;
-    crashes = List.rev st.crashes;
-    reads = per_thread (fun t -> List.rev t.reads_rev);
-    outputs = per_thread (fun t -> List.rev t.outputs_rev);
-    counters = per_thread (fun t -> t.d);
-    syscalls = List.rev st.syscalls_rev;
-    final_heap =
-      Hashtbl.fold (fun id (o : obj) acc -> (id, o) :: acc) st.heap []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.map (fun (id, o) ->
-             ( id,
-               Hashtbl.fold (fun f v acc -> (Loc.fld_name f, v) :: acc) o.fields []
-               |> List.sort compare ));
-    trace = List.rev st.trace_rev;
-  }
-
-let run_compiled ?hooks ?plan ?max_steps ?collect_trace ?seed ~(sched : Sched.t)
-    (cp : compiled) : outcome =
-  let st = init_state ?hooks ?plan ?collect_trace ?seed cp in
-  match run_state ?max_steps ~sched st with
-  | Some status -> outcome_of_state st status
-  | None -> assert false (* stop_at defaults to max_int: never pauses *)
+  outcome_of_state st !status
 
 let run ?hooks ?plan ?max_steps ?collect_trace ?seed ~(sched : Sched.t)
     (program : Ast.program) : outcome =
   run_compiled ?hooks ?plan ?max_steps ?collect_trace ?seed ~sched (compile program)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental observables (epoch recording)                           *)
-(* ------------------------------------------------------------------ *)
-
-(** The per-epoch slice of the Theorem-1 observables.  [drain_observables]
-    returns everything accumulated since the previous drain (or the start of
-    the run) and clears the buffers, so an epoch recorder owns exactly its
-    window of reads/outputs/syscalls while the cumulative counters (D(t),
-    sys_idx, steps) keep advancing monotonically. *)
-type observables = {
-  obs_reads : (int * (int * Value.t) list) list;
-  obs_outputs : (int * string list) list;
-  obs_syscalls : (int * int * string * Value.t) list;
-}
-
-let drain_observables (st : state) : observables =
-  let obs =
-    {
-      obs_reads = per_thread st (fun t -> List.rev t.reads_rev);
-      obs_outputs = per_thread st (fun t -> List.rev t.outputs_rev);
-      obs_syscalls = List.rev st.syscalls_rev;
-    }
-  in
-  for i = 0 to st.n_threads - 1 do
-    let t = st.order.(i) in
-    t.reads_rev <- [];
-    t.outputs_rev <- []
-  done;
-  st.syscalls_rev <- [];
-  obs
-
-(** Final D(t) per thread right now — the counter watermark an epoch log
-    stores so its c-values can be windowed against the checkpoint. *)
-let state_counters (st : state) : (int * int) list = per_thread st (fun t -> t.d)
-
-let state_steps (st : state) : int = st.steps
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot (epoch checkpoints)                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* A continuation is serialized positionally: every [CSeq] node's [todo]
-   list is a suffix of some statement list of the compiled program
-   (pop_stmt only ever moves to tails), so the head statement's globally
-   unique sid identifies the whole suffix.  [CUnlock] carries its own
-   payload.  Checkpoints are restored on the VM only ({!Vm}), which
-   maps each leading sid back to a bytecode pc. *)
-type scont = SSeq of int | SUnlock of Value.objid * int
-
-type snap_frame = {
-  sn_cont : scont list;  (* outermost-first chain, [] = CDone *)
-  sn_slots : Value.t array;
-  sn_ret_to : int option;
-}
-
-type snap_thread = {
-  sn_tid : int;
-  sn_frames : snap_frame list;
-  sn_status : tstatus;
-  sn_held : (Value.objid * int) list;
-  sn_wait_restore : int;
-  sn_alloc : int;
-  sn_d : int;
-  sn_sys_idx : int;
-  sn_spawn_idx : int;
-  sn_started : bool;
-}
-
-(** A complete, self-contained interpreter checkpoint.  Heap fields are
-    keyed by field {e name} (not interned id) so a snapshot written by one
-    process can be restored by another with a differently-populated intern
-    table.  Observable buffers (reads/outputs) are {e not} captured: epoch
-    recording drains them at every boundary, so they are empty by invariant
-    at snapshot time.  The RNG and scheduler states are hex-marshalled
-    tokens ({!Sched.marshal_hex}). *)
-type snapshot = {
-  snap_steps : int;
-  snap_heap : (Value.objid * string * (string * Value.t) list) list;
-      (* (id, class, fields sorted by name), ascending id *)
-  snap_threads : snap_thread list;  (* creation order *)
-  snap_locks : (Value.objid * (int * int)) list;  (* lock -> owner, count *)
-  snap_waitsets : (Value.objid * int list) list;  (* FIFO, oldest first *)
-  snap_crashes : crash list;  (* chronological *)
-  snap_rng : string;
-}
-
-let rec encode_cont (c : cont) : scont list =
-  match norm c with
-  | CDone -> []
-  | CSeq { todo = s :: _; next } -> SSeq s.rsid :: encode_cont next
-  | CSeq { todo = []; _ } -> assert false (* excluded by norm *)
-  | CUnlock (m, sid, k) -> SUnlock (m, sid) :: encode_cont k
-
-let snapshot (st : state) : snapshot =
-  let snap_frame (f : frame) =
-    { sn_cont = encode_cont f.cont; sn_slots = Array.copy f.slots; sn_ret_to = f.ret_to }
-  in
-  let snap_thread (t : thread) =
-    {
-      sn_tid = t.tid;
-      sn_frames = List.map snap_frame t.frames;
-      sn_status = t.status;
-      sn_held = t.held;
-      sn_wait_restore = t.wait_restore;
-      sn_alloc = t.alloc;
-      sn_d = t.d;
-      sn_sys_idx = t.sys_idx;
-      sn_spawn_idx = t.spawn_idx;
-      sn_started = t.started;
-    }
-  in
-  {
-    snap_steps = st.steps;
-    snap_heap =
-      Hashtbl.fold (fun id (o : obj) acc -> (id, o) :: acc) st.heap []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.map (fun (id, o) ->
-             ( id,
-               o.cls,
-               Hashtbl.fold (fun f v acc -> (Loc.fld_name f, v) :: acc) o.fields []
-               |> List.sort compare ));
-    snap_threads = List.init st.n_threads (fun i -> snap_thread st.order.(i));
-    snap_locks =
-      Hashtbl.fold (fun m ov acc -> (m, ov) :: acc) st.locks []
-      |> List.sort compare;
-    snap_waitsets =
-      Hashtbl.fold
-        (fun m q acc -> (m, List.rev (Queue.fold (fun acc x -> x :: acc) [] q)) :: acc)
-        st.waitsets []
-      |> List.sort compare;
-    snap_crashes = List.rev st.crashes;
-    snap_rng = Sched.marshal_hex st.rng;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Determinism oracle (Theorem 1 observables)                           *)
@@ -1252,7 +1094,9 @@ let snapshot (st : state) : snapshot =
 type mismatch = string
 
 (** Compare the Theorem-1 observables of two runs: per-thread sequences of
-    shared-read values, per-thread outputs, and crashes (site + counter). *)
+    shared-read values, per-thread outputs, and crashes (site + counter).
+    A crash mismatch names the first crash, as [(tid, site, counter,
+    msg)], that only one side has. *)
 let replay_matches ~(original : outcome) ~(replay : outcome) : mismatch list =
   let ms = ref [] in
   let add fmt = Printf.ksprintf (fun m -> ms := m :: !ms) fmt in
@@ -1281,7 +1125,25 @@ let replay_matches ~(original : outcome) ~(replay : outcome) : mismatch list =
   let crash_key (c : crash) = (c.tid, c.site, c.c, c.msg) in
   let ok = List.map crash_key original.crashes in
   let rk = List.map crash_key replay.crashes in
-  if List.sort compare ok <> List.sort compare rk then
-    add "crashes differ: original %d, replay %d" (List.length original.crashes)
-      (List.length replay.crashes);
+  (* the first crash of [xs], in its own order, that [ys] lacks, counting
+     repeats *)
+  let rec unmatched xs ys =
+    match xs with
+    | [] -> None
+    | x :: rest -> (
+      let rec drop = function
+        | [] -> None
+        | y :: ys -> if y = x then Some ys else Option.map (List.cons y) (drop ys)
+      in
+      match drop ys with Some ys -> unmatched rest ys | None -> Some x)
+  in
+  if List.sort compare ok <> List.sort compare rk then begin
+    let side, (tid, site, c, msg) =
+      match unmatched ok rk with
+      | Some k -> ("original", k)
+      | None -> ("replay", Option.get (unmatched rk ok))
+    in
+    add "crashes differ: original %d, replay %d; first only in %s: (%d, %d, %d, %S)"
+      (List.length original.crashes) (List.length replay.crashes) side tid site c msg
+  end;
   List.rev !ms

@@ -3,12 +3,13 @@
 
     Semantically this module is a drop-in replacement for {!Interp}: same
     hooks surface (except that a gate must be an [Interp.Rank]), same
-    crash messages and attribution, same D(t) counter stream, and — the
-    load-bearing property — the same epoch checkpoint
-    values ({!Interp.snapshot}), produced from PC + register frames via
-    the compile-time continuation templates.  The differential suite
-    (test_vm) holds VM runs byte-identical to the tree interpreter on
-    logs and observables.
+    crash messages and attribution, same D(t) counter stream.  The
+    differential suite (test_vm) holds VM runs byte-identical to the tree
+    interpreter on logs and observables.  It is also the one engine that
+    pauses a run ([run_state ~stop_at]) and writes and restores epoch
+    checkpoints ({!snapshot}, {!restore_state}): a checkpoint is produced
+    from PC + register frames via the compile-time continuation
+    templates, and its types live here, next to those two functions.
 
     Where the speed comes from:
     - flat instruction array, no continuation-chain allocation and no
@@ -35,7 +36,8 @@
     Thread/frame bookkeeping mirrors {!Interp} field for field; shared
     pieces (expression evaluation for enabledness peeking, syscall and
     opaque builtins, the [Rt_crash] exception, the [unbound] sentinel and
-    all result types) are {e reused} from it, not duplicated. *)
+    the outcome and status types) are {e reused} from it, not
+    duplicated. *)
 
 open Lang
 open Bytecode
@@ -988,7 +990,7 @@ let init_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
   st
 
 (* ------------------------------------------------------------------ *)
-(* Run loop (mirrors Interp.run_state, plus the enabled-set cache)     *)
+(* Run loop (mirrors Interp.run_compiled, plus the enabled-set cache)  *)
 (* ------------------------------------------------------------------ *)
 
 (* Recompute the enabled set into [st.enabled] (and [st.cached_runnable]
@@ -1066,6 +1068,11 @@ let live_tids st : int list =
   done;
   !live
 
+(** Run until termination, [max_steps], or the [stop_at] step watermark.
+    Returns [None] when paused at [stop_at] (calling [run_state] again on
+    the same state resumes the run), [Some status] when the run ended.
+    The pause point is a clean step boundary, no thread mid-transition,
+    so {!snapshot} can checkpoint it. *)
 let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
     (st : state) : Interp.status_summary option =
   let finished = ref false in
@@ -1137,7 +1144,7 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
   if !paused then None else Some !status
 
 (* ------------------------------------------------------------------ *)
-(* Outcome assembly + incremental observables                          *)
+(* Outcome assembly                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let per_thread (st : state) f =
@@ -1180,10 +1187,25 @@ let outcome_of_state (st : state) (status : Interp.status_summary) : Interp.outc
     trace = List.rev st.trace_rev;
   }
 
-let drain_observables (st : state) : Interp.observables =
+(* ------------------------------------------------------------------ *)
+(* Epoch checkpoints: window observables, snapshot, restore            *)
+(* ------------------------------------------------------------------ *)
+
+(** The per-epoch slice of the Theorem-1 observables.  [drain_observables]
+    returns everything accumulated since the previous drain (or the start of
+    the run) and clears the buffers, so an epoch recorder owns exactly its
+    window of reads/outputs/syscalls while the cumulative counters (D(t),
+    sys_idx, steps) keep advancing monotonically. *)
+type observables = {
+  obs_reads : (int * (int * Value.t) list) list;
+  obs_outputs : (int * string list) list;
+  obs_syscalls : (int * int * string * Value.t) list;
+}
+
+let drain_observables (st : state) : observables =
   let obs =
     {
-      Interp.obs_reads = per_thread st (fun t -> List.rev t.reads_rev);
+      obs_reads = per_thread st (fun t -> List.rev t.reads_rev);
       obs_outputs = per_thread st (fun t -> List.rev t.outputs_rev);
       obs_syscalls = List.rev st.syscalls_rev;
     }
@@ -1196,41 +1218,81 @@ let drain_observables (st : state) : Interp.observables =
   st.syscalls_rev <- [];
   obs
 
+(** D(t) per thread right now: the counter watermark an epoch log stores
+    so its c-values can be windowed against the checkpoint. *)
 let state_counters (st : state) : (int * int) list = per_thread st (fun t -> t.d)
+
 let state_steps (st : state) : int = st.steps
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot / restore (epoch checkpoints)                              *)
-(* ------------------------------------------------------------------ *)
+(* A continuation is stored positionally, as the tree walker's would be
+   ({!Interp.cont}): every statement sequence still to run is a suffix of
+   some statement list of the compiled program, so its head statement's
+   globally unique sid identifies it.  A pending sync-block exit carries
+   its lock.  The VM never builds this chain: a resting pc is always a
+   statement boundary, and the compile-time template at that pc
+   ([bc_templates]) is the chain with the lock objids of its [TUnlock]
+   entries left out, refilled from the frame's [sync_stack] (the same
+   innermost-first order by construction). *)
+type scont = SSeq of int | SUnlock of Value.objid * int
 
-(* VM checkpoints reuse [Interp.snapshot] verbatim: a resting pc is always a
-   statement boundary, and the compile-time continuation template at that pc
-   ([bc_templates]) is exactly what [Interp.encode_cont] would produce for
-   the equivalent tree-walker continuation — with the lock objids of
-   [TUnlock] entries abstracted out, refilled here from the frame's
-   [sync_stack] (same innermost-first order by construction).  So the VM
-   restores the tree walker's checkpoints, and its own snapshots equal
-   the tree walker's at the same step. *)
-let encode_frame (p : Bytecode.program) (f : vframe) : Interp.snap_frame =
+type snap_frame = {
+  sn_cont : scont list;  (* outermost-first chain, [] = the implicit return *)
+  sn_slots : Value.t array;
+  sn_ret_to : int option;
+}
+
+type snap_thread = {
+  sn_tid : int;
+  sn_frames : snap_frame list;
+  sn_status : Interp.tstatus;
+  sn_held : (Value.objid * int) list;
+  sn_wait_restore : int;
+  sn_alloc : int;
+  sn_d : int;
+  sn_sys_idx : int;
+  sn_spawn_idx : int;
+  sn_started : bool;
+}
+
+(** A complete, self-contained checkpoint of a paused run.  Heap fields
+    are keyed by field {e name} (not interned id) so a snapshot written by
+    one process can be restored by another with a differently-populated
+    intern table.  Observable buffers (reads/outputs) are {e not}
+    captured: epoch recording drains them at every boundary, so they are
+    empty by invariant at snapshot time.  The RNG state is a hex-marshalled
+    token ({!Sched.marshal_hex}). *)
+type snapshot = {
+  snap_steps : int;
+  snap_heap : (Value.objid * string * (string * Value.t) list) list;
+      (* (id, class, fields sorted by name), ascending id *)
+  snap_threads : snap_thread list;  (* creation order *)
+  snap_locks : (Value.objid * (int * int)) list;  (* lock -> owner, count *)
+  snap_waitsets : (Value.objid * int list) list;  (* FIFO, oldest first *)
+  snap_crashes : Interp.crash list;  (* chronological *)
+  snap_rng : string;
+}
+
+let encode_frame (p : Bytecode.program) (f : vframe) : snap_frame =
   let locks = ref f.sync_stack in
   let sn_cont =
     List.map
       (function
-        | TSeq sid -> Interp.SSeq sid
+        | TSeq sid -> SSeq sid
         | TUnlock sid -> (
           match !locks with
           | m :: rest ->
             locks := rest;
-            Interp.SUnlock (m, sid)
+            SUnlock (m, sid)
           | [] -> assert false (* template/sync_stack agree by construction *)))
       p.bc_templates.(f.pc)
   in
-  { Interp.sn_cont; sn_slots = Array.sub f.regs 0 f.nslots; sn_ret_to = f.ret_to }
+  { sn_cont; sn_slots = Array.sub f.regs 0 f.nslots; sn_ret_to = f.ret_to }
 
-let snapshot (st : state) : Interp.snapshot =
+(** Checkpoint a state paused at a step boundary ({!run_state} [~stop_at]). *)
+let snapshot (st : state) : snapshot =
   let snap_thread (t : vthread) =
     {
-      Interp.sn_tid = t.tid;
+      sn_tid = t.tid;
       sn_frames = List.map (encode_frame st.prog) t.frames;
       sn_status = t.status;
       sn_held = t.held;
@@ -1243,7 +1305,7 @@ let snapshot (st : state) : Interp.snapshot =
     }
   in
   {
-    Interp.snap_steps = st.steps;
+    snap_steps = st.steps;
     snap_heap = heap_objects st;
     snap_threads = List.init st.n_threads (fun i -> snap_thread st.order.(i));
     snap_locks =
@@ -1257,8 +1319,8 @@ let snapshot (st : state) : Interp.snapshot =
     snap_rng = Sched.marshal_hex st.rng;
   }
 
-let decode_frame (p : Bytecode.program) (f : Interp.snap_frame) : vframe =
-  match f.Interp.sn_cont with
+let decode_frame (p : Bytecode.program) (f : snap_frame) : vframe =
+  match f.sn_cont with
   | [] ->
     (* CDone: the only remaining work is the implicit return at pc 0 *)
     {
@@ -1275,8 +1337,8 @@ let decode_frame (p : Bytecode.program) (f : Interp.snap_frame) : vframe =
     in
     let pc =
       match head with
-      | Interp.SSeq sid -> pc_of sid p.bc_pc_of_sid
-      | Interp.SUnlock (_, sid) -> pc_of sid p.bc_exit_pc_of_sid
+      | SSeq sid -> pc_of sid p.bc_pc_of_sid
+      | SUnlock (_, sid) -> pc_of sid p.bc_exit_pc_of_sid
     in
     let fi = p.bc_fns.(p.bc_fn_of_pc.(pc)) in
     let nslots = Array.length f.sn_slots in
@@ -1284,8 +1346,8 @@ let decode_frame (p : Bytecode.program) (f : Interp.snap_frame) : vframe =
     Array.blit f.sn_slots 0 regs 0 nslots;
     let sync_stack =
       List.filter_map
-        (function Interp.SUnlock (m, _) -> Some m | Interp.SSeq _ -> None)
-        f.Interp.sn_cont
+        (function SUnlock (m, _) -> Some m | SSeq _ -> None)
+        f.sn_cont
     in
     { pc; regs; nslots; ret_to = f.sn_ret_to; sync_stack }
 
@@ -1293,10 +1355,10 @@ let decode_frame (p : Bytecode.program) (f : Interp.snap_frame) : vframe =
     Raises [Invalid_argument] naming the first statement id the program
     does not have, when the checkpoint belongs to another program. *)
 let restore_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
-    (bp : Bytecode.program) (sn : Interp.snapshot) : state =
+    (bp : Bytecode.program) (sn : snapshot) : state =
   let st =
     make_state ~hooks ~plan ~collect_trace:false
-      ~rng:(Sched.unmarshal_hex sn.Interp.snap_rng)
+      ~rng:(Sched.unmarshal_hex sn.snap_rng)
       ~steps:sn.snap_steps
       ~crashes:(List.rev sn.snap_crashes)
       bp
@@ -1307,7 +1369,7 @@ let restore_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
       List.iter (fun (fname, v) -> heap_set st.heap id (Loc.fld_of_name fname) v) fields)
     sn.snap_heap;
   List.iter
-    (fun (snt : Interp.snap_thread) ->
+    (fun (snt : snap_thread) ->
       let t =
         {
           tid = snt.sn_tid;
@@ -1355,7 +1417,8 @@ let run ?hooks ?plan ?max_steps ?collect_trace ?seed ~(sched : Sched.t)
     (Compile.lower (Interp.compile program))
 
 (* ------------------------------------------------------------------ *)
-(* Engine selection (recording only; replay always runs on the VM)     *)
+(* Engine selection (monolithic recording only; replay and epoch       *)
+(* recording always run on the VM)                                     *)
 (* ------------------------------------------------------------------ *)
 
 type engine = Tree | Bytecode

@@ -6,10 +6,10 @@
    - {e scheduler save/load}: restoring a scheduler's pick state into a
      fresh instance of the same constructor reproduces the pick stream
      exactly — the checkpoint's scheduler token is sufficient;
-   - {e snapshot/restore}: pausing any workload on the tree walker at a
-     step boundary, snapshotting, and resuming from the checkpoint on the
-     register VM (the production restore path) is observationally
-     identical to the uninterrupted run — status, steps,
+   - {e snapshot/restore}: pausing any workload on the register VM at a
+     step boundary, snapshotting, and resuming from the checkpoint on a
+     fresh VM state is observationally identical to the tree walker's
+     uninterrupted run — status, steps,
      counters, crashes, final heap, and the concatenated observables all
      match, under both sticky and random schedulers;
    - {e sealing passivity} (and the [--profile] aggregation fix): epoch
@@ -70,29 +70,30 @@ let test_sched_save_load () =
 
 let assoc_or_empty tid l = Option.value ~default:[] (List.assoc_opt tid l)
 
-(* Run [bm] uninterrupted; run it again on the tree walker pausing at
-   step [k], snapshot, restore into a fresh VM state + scheduler, and
-   resume.  The restored run plus the pre-pause observables must equal
-   the uninterrupted run. *)
+(* Run [bm] uninterrupted on the tree walker; run it again on the VM
+   pausing at step [k], snapshot, restore into a fresh VM state +
+   scheduler, and resume.  The restored run plus the pre-pause
+   observables must equal the uninterrupted run. *)
 let check_snapshot_restore (bm : Workloads.benchmark) (sname, mk_sched) k =
   let label what = Printf.sprintf "%s/%s: %s" bm.Workloads.name sname what in
   let p = Workloads.program bm in
   let cp = Interp.compile p in
   let oref = Interp.run_compiled ~seed:5 ~sched:(mk_sched ()) cp in
+  let bp = Lang.Compile.lower cp in
   let sched1 = mk_sched () in
-  let st1 = Interp.init_state ~seed:5 cp in
-  match Interp.run_state ~stop_at:k ~sched:sched1 st1 with
+  let st1 = Vm.init_state ~seed:5 bp in
+  match Vm.run_state ~stop_at:k ~sched:sched1 st1 with
   | Some _ ->
     (* finished before the pause point: nothing to restore, but the run
        must still match the reference *)
     Alcotest.(check bool) (label "short run matches") true
-      (Interp.state_steps st1 = oref.Interp.steps)
+      (Vm.state_steps st1 = oref.Interp.steps)
   | None ->
-    let obs_pre = Interp.drain_observables st1 in
+    let obs_pre = Vm.drain_observables st1 in
     let tok = sched1.Sched.save () in
-    let sn = Interp.snapshot st1 in
-    Alcotest.(check int) (label "snapshot at pause step") k sn.Interp.snap_steps;
-    let st2 = Vm.restore_state (Lang.Compile.lower cp) sn in
+    let sn = Vm.snapshot st1 in
+    Alcotest.(check int) (label "snapshot at pause step") k sn.Vm.snap_steps;
+    let st2 = Vm.restore_state bp sn in
     let sched2 = mk_sched () in
     sched2.Sched.load tok;
     let status2 =
@@ -113,7 +114,7 @@ let check_snapshot_restore (bm : Workloads.benchmark) (sname, mk_sched) k =
     List.iter
       (fun (tid, ref_reads) ->
         let got =
-          assoc_or_empty tid obs_pre.Interp.obs_reads
+          assoc_or_empty tid obs_pre.Vm.obs_reads
           @ assoc_or_empty tid o2.Interp.reads
         in
         Alcotest.(check bool)
@@ -123,7 +124,7 @@ let check_snapshot_restore (bm : Workloads.benchmark) (sname, mk_sched) k =
     List.iter
       (fun (tid, ref_outs) ->
         let got =
-          assoc_or_empty tid obs_pre.Interp.obs_outputs
+          assoc_or_empty tid obs_pre.Vm.obs_outputs
           @ assoc_or_empty tid o2.Interp.outputs
         in
         Alcotest.(check bool)
@@ -131,7 +132,7 @@ let check_snapshot_restore (bm : Workloads.benchmark) (sname, mk_sched) k =
           true (got = ref_outs))
       oref.Interp.outputs;
     Alcotest.(check bool) (label "syscalls") true
-      (obs_pre.Interp.obs_syscalls @ o2.Interp.syscalls = oref.Interp.syscalls)
+      (obs_pre.Vm.obs_syscalls @ o2.Interp.syscalls = oref.Interp.syscalls)
 
 let restore_scheds =
   [

@@ -384,10 +384,10 @@ let test_log_malformed () =
   in
   Alcotest.(check string) "v4 header" "bad log header: light-log v4 o1=true o2=false epoch=x"
     (failure_v4 "v4 header" "light-log v4 o1=true o2=false epoch=x\n");
-  let v4 ?(pre = "") ?(e = "E 0 0 59 30") ?(obj = "C obj 0 $globals 1 x n")
-      ?(thread = "C thread 1 run 0 0 0 0 0 true 0 1") () =
+  let v4 ?(pre = "") ?(e = "E 0 0 59 30") ?(rng = "C rng 00")
+      ?(obj = "C obj 0 $globals 1 x n") ?(thread = "C thread 1 run 0 0 0 0 0 true 0 1") () =
     String.concat "\n"
-      [ "light-log v4 o1=true o2=false epoch=60" ^ pre; e; "C sched 0"; "C rng 00"; obj;
+      [ "light-log v4 o1=true o2=false epoch=60" ^ pre; e; "C sched 0"; rng; obj;
         thread; "c frame - 1 q6 3 u u u"; "F 4 x"; "T 1 6"; "D 0/4 - 1:1 1 2 0"; "" ]
   in
   Alcotest.(check int) "well-formed v4 parses" 1
@@ -401,6 +401,17 @@ let test_log_malformed () =
   Alcotest.(check string) "hex token in a C thread line"
     "bad log line: C thread 0x1 run 0 0 0 0 0 true 0 1"
     (failure_v4 "hex" (v4 ~thread:"C thread 0x1 run 0 0 0 0 0 true 0 1" ()));
+  (* the rng token is restored by unmarshalling: anything but even-length
+     lowercase hex fails here, located, not in the restore *)
+  List.iter
+    (fun tok ->
+      Alcotest.(check string) ("rng token " ^ tok) ("bad log line: C rng " ^ tok)
+        (failure_v4 "rng" (v4 ~rng:("C rng " ^ tok) ())))
+    [ "0g"; "000"; "0A"; "00 11" ];
+  Alcotest.(check (option (pair int int))) "a bad rng token is located" (Some (4, 67))
+    (match Epoch.of_string_v4 (v4 ~rng:"C rng 0z" ()) with
+    | Error e -> Some (e.line, e.byte)
+    | Ok _ -> None);
   Alcotest.(check string) "C obj field count" "bad log line: C obj 0 $globals 7 x n"
     (failure_v4 "obj count" (v4 ~obj:"C obj 0 $globals 7 x n" ()));
   Alcotest.(check string) "frame count above the frames" "bad log line: F 4 x"

@@ -193,7 +193,29 @@ let test_crash_site_reproduced () =
         | Ok rr ->
           let key (c : Interp.crash) = (c.tid, c.site, c.c, c.msg) in
           Alcotest.(check bool) "identical crash (thread, site, counter, message)" true
-            (List.map key r.outcome.crashes = List.map key rr.replay_outcome.crashes)
+            (List.map key r.outcome.crashes = List.map key rr.replay_outcome.crashes);
+          (* a crash on one side only is named by the oracle *)
+          let n = List.length r.outcome.crashes in
+          let c = List.hd r.outcome.crashes in
+          let named ~orig ~rep side =
+            [
+              Printf.sprintf
+                "crashes differ: original %d, replay %d; first only in %s: (%d, %d, %d, %S)"
+                orig rep side c.tid c.site c.c c.msg;
+            ]
+          in
+          let matches original replay = Interp.replay_matches ~original ~replay in
+          Alcotest.(check (list string)) "a lost crash is named"
+            (named ~orig:n ~rep:0 "original")
+            (matches r.outcome { rr.replay_outcome with crashes = [] });
+          Alcotest.(check (list string)) "an extra crash is named"
+            (named ~orig:0 ~rep:n "replay")
+            (matches { r.outcome with crashes = [] } rr.replay_outcome);
+          Alcotest.(check (list string)) "a changed message is named"
+            (named ~orig:n ~rep:n "original")
+            (matches r.outcome
+               { rr.replay_outcome with
+                 crashes = { c with msg = "other" } :: List.tl rr.replay_outcome.crashes })
       end
     end
   done;

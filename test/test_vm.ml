@@ -4,9 +4,8 @@
     identical [outcome] records on every workload under both schedulers and
     on random generated programs; with the Light recorder installed, the
     VM's logs must be {e byte-identical} to the tree-walker's across all
-    three recorder variants; the VM's snapshots must equal the tree
-    walker's at every pause point, and tree-walker checkpoints must restore
-    on the VM and replay. *)
+    three recorder variants.  Epoch checkpoints are written and restored
+    by the VM alone; test_epochs covers them. *)
 
 open Runtime
 
@@ -179,61 +178,6 @@ let replay_prop =
         let fp engine = Replay_fp.(fingerprint (gated_run engine p ~plan:r.plan sch)) in
         fp Vm.Tree = fp Vm.Bytecode)
 
-(* ------------------------------------------------------------------ *)
-(* Epoch mode through the VM                                            *)
-(* ------------------------------------------------------------------ *)
-
-let epoch_workloads = [ "mp-queue"; "mp-barrier"; "cache4j"; "dacapo-avrora" ]
-
-(* The VM's snapshots are the tree walker's: pause both engines every 400
-   steps of the same run and the checkpoints must be structurally equal,
-   which is what lets the VM restore the tree walker's epoch checkpoints. *)
-let test_snapshot_identity () =
-  List.iter
-    (fun name ->
-      let bm = wl name in
-      let cp = Interp.compile (Workloads.program bm) in
-      let tst = Interp.init_state ~seed:3 cp in
-      let vst = Vm.init_state ~seed:3 (Lang.Compile.lower cp) in
-      let tsched = Workloads.scheduler ~seed:3 bm in
-      let vsched = Workloads.scheduler ~seed:3 bm in
-      let rec go stop_at =
-        let ts = Interp.run_state ~stop_at ~sched:tsched tst in
-        let vs = Vm.run_state ~stop_at ~sched:vsched vst in
-        let at = Printf.sprintf "%s at step %d" name (Interp.state_steps tst) in
-        Alcotest.(check bool) (at ^ ": status") true (ts = vs);
-        Alcotest.(check bool) (at ^ ": snapshot") true
-          (Interp.snapshot tst = Vm.snapshot vst);
-        if ts = None then go (stop_at + 400)
-      in
-      go 400)
-    epoch_workloads
-
-(* Cross-engine restore: replay every epoch of a tree-recorded run from
-   its checkpoint on the VM; each replayed window reproduces the recorded
-   one. *)
-let test_epoch_cross_replay () =
-  List.iter
-    (fun name ->
-      let bm = wl name in
-      let p = Workloads.program bm in
-      let pp = Light_core.Light.prepare p in
-      let rt =
-        Light_core.Epoch.record_epochs ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3
-          ~epoch_len:400 pp
-      in
-      List.iteri
-        (fun k (ck, expected) ->
-          match Light_core.Epoch.replay_chunk pp ck with
-          | Error err -> Alcotest.failf "%s: epoch %d on vm: %s" name k err
-          | Ok rr ->
-            Alcotest.(check (list string))
-              (Printf.sprintf "%s: epoch %d window (vm replay)" name k)
-              []
-              (Light_core.Epoch.window_matches ~expected rr.rr_obs))
-        (List.combine rt.er_file.f_chunks rt.er_obs))
-    epoch_workloads
-
 let () =
   Alcotest.run "vm"
     [
@@ -250,12 +194,5 @@ let () =
           Alcotest.test_case "replay via the VM (all engine pairings)" `Slow
             test_vm_replay;
           QCheck_alcotest.to_alcotest replay_prop;
-        ] );
-      ( "epochs",
-        [
-          Alcotest.test_case "snapshots equal the tree walker's" `Slow
-            test_snapshot_identity;
-          Alcotest.test_case "cross-engine checkpoint replay" `Slow
-            test_epoch_cross_replay;
         ] );
     ]
