@@ -234,6 +234,9 @@ let replay_chunk ?solver_budget ?(max_steps = 10_000_000) (pp : Light.prepared)
   | Some sch ->
     let plan = Light.prepared_plan pp in
     let hooks = fenced_hooks (Replayer.driver sch ~plan) ck.ck_log.Log.counters in
+    match Vm.rng_of_token ck.ck_snapshot.Vm.snap_rng with
+    | Error why -> Error (Printf.sprintf "epoch %d: bad C rng state (%s)" ck.ck_idx why)
+    | Ok _ -> (
     match Vm.restore_state ~hooks ~plan (Light.prepared_bytecode pp) ck.ck_snapshot with
     | exception Invalid_argument msg ->
       Error
@@ -258,7 +261,7 @@ let replay_chunk ?solver_budget ?(max_steps = 10_000_000) (pp : Light.prepared)
           rr_steps = Vm.state_steps st - ck.ck_start_steps;
           rr_obs = obs;
           rr_report = rep;
-        }
+        })
 
 (* ------------------------------------------------------------------ *)
 (* Window slicing (differential oracles)                               *)
@@ -682,8 +685,9 @@ let checkpoint_line (c : Log.cursor) (ck : chunk) : chunk =
     Log.eod c;
     { ck with ck_sched = tok }
   | "rng" ->
-    (* a [Sched.marshal_hex] token: restoring anything else would fail
-       past the reader, unlocated *)
+    (* a [Sched.marshal_hex] token: its shape is checked here, located;
+       whether its bytes are a generator state is {!Vm.rng_of_token}'s
+       check, which {!replay_chunk} names *)
     Log.next_tok c;
     let rng = Log.tok_text c in
     let hex ch = (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f') in

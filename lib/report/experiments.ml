@@ -614,10 +614,11 @@ let interp_bench ?(seed = 7) ?(json_path = "BENCH_interp.json") () ppf : unit =
    The VM must not fall behind the tree walker it replaces, in native runs
    or in gated replay (the VM is the replayer's only engine).  Gated replay on the VM
    must also stay near the VM's own native run: [replay_over_vm] measured
-   1.15-1.24 in geomean with rank admission (2-vCPU host, 2 iterations;
-   1.34-1.50 with the polled boolean gate in the same runs, 1.95 before
-   that gate polled only where an answer can change); 1.65 still trips
-   well short of the old cost. *)
+   0.95-1.06 in geomean in 7 runs with the one-walk round-robin pick
+   (2-vCPU host, 2 iterations), against 1.11-1.23 in 7 alternated runs
+   with the admitted tid list and the scheduler's pick, 1.34-1.50 with
+   the polled boolean gate and 1.95 before that; 1.15 is about 9% over
+   the worst run and trips at the median of the list-based pick. *)
 let perfcheck_rules : Gate.rule list =
   [
     { metric = "geomean.ratio_basic"; reference = Baseline; direction = At_most; tolerance = 0.20 };
@@ -626,7 +627,7 @@ let perfcheck_rules : Gate.rule list =
     { metric = "geomean.vm_speedup"; reference = Const 1.0; direction = At_least; tolerance = 0.0 };
     { metric = "geomean.replay_speedup"; reference = Const 1.0; direction = At_least;
       tolerance = 0.0 };
-    { metric = "geomean.replay_over_vm"; reference = Const 1.65; direction = At_most;
+    { metric = "geomean.replay_over_vm"; reference = Const 1.15; direction = At_most;
       tolerance = 0.0 };
   ]
 

@@ -62,8 +62,11 @@ type gate =
       (** the pending access [(tid, c)] is admitted once [!cursor >= wait
           ~tid ~c].  [wait] must be pure and [cursor] must only grow (the
           replayer's is the lowest rank not yet executed), so the VM asks
-          [wait] once per counter and compares one int per thread per
-          step.  Runs on both engines. *)
+          [wait] once per counter.  A rank-gated run picks round-robin
+          among the admitted threads: the VM does so in one walk of its
+          enabled set and never asks the run's scheduler; the tree walker
+          asks its scheduler, and every gated caller passes it
+          [Sched.round_robin].  Runs on both engines. *)
   | Pred of (Event.pre -> bool)
       (** [false] delays the thread: a predicate over the whole pending
           access, asked about every enabled thread at every step.  Tree

@@ -29,9 +29,10 @@
       monotone cursor reaches the wait rank of its next shared access
       ([Interp.Rank]).  Whether the next transition makes a shared access
       is the per-pc [access_at] bit plus the thread's status, so no access
-      is peeked or built; the wait is asked once per counter and cached,
-      and each step costs one int compare per enabled thread.  The
-      admitted tid list is reused while it is unchanged.
+      is peeked or built; the wait is asked once per counter and cached.
+      A gated step picks round-robin among the admitted threads in one
+      walk of the enabled set ([rank_pick]): no tid list, no scheduler
+      call, no scan for the picked thread.
 
     Thread/frame bookkeeping mirrors {!Interp} field for field; shared
     pieces (expression evaluation for enabledness peeking, syscall and
@@ -183,12 +184,12 @@ type state = {
   mutable n_enabled : int;
   mutable cached_runnable : int list;
       (* ungated runs: their tids, in thread order (a gated run picks from
-         [admitted_tids] instead) *)
+         [enabled] directly) *)
   mutable cache_ok : bool;
   mutable dirty : bool;  (* set by any transition that can change enabledness *)
-  mutable admitted_tids : int list;
-      (* gated runs: the enabled threads the rank rule admitted at the
-         last step, in thread order *)
+  mutable last_pick : int;
+      (* gated runs: the tid of the last thread stepped, -1 before the
+         first step (the round-robin position of [rank_pick]) *)
 }
 
 let shared_site st (sid : int) : bool =
@@ -970,7 +971,7 @@ let make_state ~(hooks : Interp.hooks) ~plan ~collect_trace ~rng ~steps ~crashes
     cached_runnable = [];
     cache_ok = false;
     dirty = false;
-    admitted_tids = [];
+    last_pick = -1;
   }
 
 let init_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
@@ -1015,17 +1016,16 @@ let refresh_enabled st : bool =
   st.cached_runnable <- !tids;
   !any_live
 
-(* the tids of the enabled threads satisfying [keep], in thread order *)
-let enabled_tids st (keep : vthread -> bool) : int list =
+(* the tids of the enabled threads, in thread order *)
+let enabled_tids st : int list =
   let acc = ref [] in
   for i = 0 to st.n_enabled - 1 do
-    let t = Array.unsafe_get st.enabled i in
-    if keep t then acc := t.tid :: !acc
+    acc := (Array.unsafe_get st.enabled i).tid :: !acc
   done;
   !acc
 
 (* the picked thread: [tid] is enabled, so a scan of the enabled set finds
-   it without hashing (and round-robin replay switches thread every step) *)
+   it without hashing *)
 let enabled_thread st (tid : int) : vthread =
   let i = ref 0 in
   while !i < st.n_enabled && (Array.unsafe_get st.enabled !i).tid <> tid do incr i done;
@@ -1045,20 +1045,23 @@ let wait_of st (t : vthread) (wait : tid:int -> c:int -> int) : int =
     t.wait
   end
 
-(* The enabled threads the rank rule admits at [cursor], in thread order.
-   [enabled] holds reverse thread order: walk it backwards against the
-   last answer, and allocate a new list only when they differ. *)
-let admitted st (wait : tid:int -> c:int -> int) (cursor : int) : int list =
-  let rest = ref st.admitted_tids and same = ref true in
-  for i = st.n_enabled - 1 downto 0 do
-    let t = Array.unsafe_get st.enabled i in
-    if cursor >= wait_of st t wait then
-      match !rest with x :: r when x = t.tid -> rest := r | _ -> same := false
+(* The index in [enabled] of the thread a rank-gated run steps next, -1
+   when the rank rule admits none at [cursor]: the first admitted thread
+   in thread order whose tid is above [last_pick], else the first admitted
+   thread -- what [Sched.round_robin] picks from the admitted tid list.
+   [enabled] holds reverse thread order, so walk it backwards, and stop at
+   the first admitted thread above [last_pick]. *)
+let rank_pick st (wait : tid:int -> c:int -> int) (cursor : int) : int =
+  let last = st.last_pick in
+  let first = ref (-1) and pick = ref (-1) and i = ref (st.n_enabled - 1) in
+  while !pick < 0 && !i >= 0 do
+    let t = Array.unsafe_get st.enabled !i in
+    if cursor >= wait_of st t wait then begin
+      if t.tid > last then pick := !i else if !first < 0 then first := !i
+    end;
+    decr i
   done;
-  (match !rest with
-  | [] when !same -> ()
-  | _ -> st.admitted_tids <- enabled_tids st (fun t -> cursor >= wait_of st t wait));
-  st.admitted_tids
+  if !pick >= 0 then !pick else !first
 
 let live_tids st : int list =
   let live = ref [] in
@@ -1072,7 +1075,9 @@ let live_tids st : int list =
     Returns [None] when paused at [stop_at] (calling [run_state] again on
     the same state resumes the run), [Some status] when the run ended.
     The pause point is a clean step boundary, no thread mid-transition,
-    so {!snapshot} can checkpoint it. *)
+    so {!snapshot} can checkpoint it.  An ungated run steps the thread
+    [sched] picks; a [Rank]-gated run picks round-robin among the admitted
+    threads ({!rank_pick}) and never asks [sched]. *)
 let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
     (st : state) : Interp.status_summary option =
   let finished = ref false in
@@ -1093,19 +1098,20 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
       end
       else st.cache_ok <- true
     end;
-    let runnable =
-      if !finished then []
+    (* a gated run's pick, as an index into [enabled]; -1 when ungated *)
+    let ranked =
+      if !finished then -1
       else
         match st.hooks.gate with
-        | None -> st.cached_runnable
+        | None -> -1
         | Some (Pred _) -> assert false (* rejected by [make_state] *)
-        | Some (Rank { wait; cursor }) -> (
-          match admitted st wait !cursor with
-          | [] ->
+        | Some (Rank { wait; cursor }) ->
+          let i = rank_pick st wait !cursor in
+          if i < 0 then begin
             finished := true;
-            status := Interp.GateStuck (enabled_tids st (fun _ -> true));
-            []
-          | runnable -> runnable)
+            status := Interp.GateStuck (enabled_tids st)
+          end;
+          i
     in
     if not !finished then begin
       if st.steps >= max_steps then begin
@@ -1114,12 +1120,17 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
       end
       else if st.steps >= stop_at then paused := true
       else begin
-        let tid = sched.pick ~step:st.steps ~runnable in
-        let tid = if List.mem tid runnable then tid else List.hd runnable in
         let t =
-          if !memo.tid = tid then !memo
+          if ranked >= 0 then begin
+            let t = Array.unsafe_get st.enabled ranked in
+            st.last_pick <- t.tid;
+            t
+          end
           else begin
-            memo := enabled_thread st tid;
+            let runnable = st.cached_runnable in
+            let tid = sched.pick ~step:st.steps ~runnable in
+            let tid = if List.mem tid runnable then tid else List.hd runnable in
+            if !memo.tid <> tid then memo := enabled_thread st tid;
             !memo
           end
         in
@@ -1127,7 +1138,7 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
         st.dirty <- false;
         (try step_thread st t with
         | Interp.Rt_crash (site, line, msg) ->
-          st.crashes <- { Interp.tid; site; line; msg; c = t.d } :: st.crashes;
+          st.crashes <- { Interp.tid = t.tid; site; line; msg; c = t.d } :: st.crashes;
           finish_thread st t ~crashed:true);
         (* cache maintenance: drop it when the transition touched lock /
            status / thread structure, or when the stepped thread rests on
@@ -1319,6 +1330,32 @@ let snapshot (st : state) : snapshot =
     snap_rng = Sched.marshal_hex st.rng;
   }
 
+(* A [Marshal]ed [Random.State.t] is a fixed frame (header and bigarray
+   descriptor) followed by the 32 bytes of generator state.  Unmarshalling
+   bytes of another shape is undefined, so a token is trusted only once
+   its frame equals the one this runtime writes. *)
+let rng_frame =
+  let m = Marshal.to_string (Random.State.make [| 0 |]) [] in
+  String.sub m 0 (String.length m - 32)
+
+(** Decode a snapshot's [snap_rng] token, the even-length lowercase hex
+    of a [Marshal]ed generator state ({!Sched.marshal_hex}); [Error]
+    says what is wrong with it. *)
+let rng_of_token (tok : string) : (Random.State.t, string) result =
+  let nib ch =
+    match ch with '0' .. '9' -> Char.code ch - 48 | 'a' .. 'f' -> Char.code ch - 87 | _ -> -1
+  in
+  let n = String.length tok / 2 and len = String.length rng_frame + 32 in
+  if String.length tok land 1 = 1 || not (String.for_all (fun ch -> nib ch >= 0) tok) then
+    Error "not even-length lowercase hex"
+  else if n <> len then Error (Printf.sprintf "%d bytes, a generator state has %d" n len)
+  else begin
+    let b = Bytes.init n (fun i -> Char.chr ((16 * nib tok.[2 * i]) + nib tok.[(2 * i) + 1])) in
+    if Bytes.sub_string b 0 (String.length rng_frame) <> rng_frame then
+      Error "not a marshalled generator state"
+    else Ok (Marshal.from_bytes b 0 : Random.State.t)
+  end
+
 let decode_frame (p : Bytecode.program) (f : snap_frame) : vframe =
   match f.sn_cont with
   | [] ->
@@ -1353,12 +1390,17 @@ let decode_frame (p : Bytecode.program) (f : snap_frame) : vframe =
 
 (** Rebuild a runnable state from a checkpoint taken of [bp]'s program.
     Raises [Invalid_argument] naming the first statement id the program
-    does not have, when the checkpoint belongs to another program. *)
+    does not have, when the checkpoint belongs to another program, or
+    saying why [snap_rng] is no generator state ({!rng_of_token}). *)
 let restore_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
     (bp : Bytecode.program) (sn : snapshot) : state =
+  let rng =
+    match rng_of_token sn.snap_rng with
+    | Ok rng -> rng
+    | Error why -> invalid_arg ("bad C rng state: " ^ why)
+  in
   let st =
-    make_state ~hooks ~plan ~collect_trace:false
-      ~rng:(Sched.unmarshal_hex sn.snap_rng)
+    make_state ~hooks ~plan ~collect_trace:false ~rng
       ~steps:sn.snap_steps
       ~crashes:(List.rev sn.snap_crashes)
       bp

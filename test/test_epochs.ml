@@ -419,6 +419,37 @@ let test_chunk_replay_mismatch () =
       (String.starts_with msg
          ~prefix:"epoch 1: checkpoint does not match the program (unknown statement id ")
 
+(* A v4 file whose [C rng] token is no generator state replays to an
+   [Error] naming that state: not an uncaught [Failure] from unmarshalling
+   it, and not a program mismatch.  The tokens are the ones a [sed] on a
+   recorded file makes: too short, or the right hex of the wrong bytes. *)
+let test_chunk_replay_bad_rng () =
+  let bm = Option.get (Workloads.by_name "mp-fanin") in
+  let pp = Light_core.Light.prepare (Workloads.program bm) in
+  let r =
+    Light_core.Epoch.record_epochs ~sched:(Workloads.scheduler ~seed:3 bm)
+      ~seed:3 ~epoch_len:100 pp
+  in
+  let txt = Light_core.Epoch.to_string_v4 r.er_file in
+  let with_rng tok =
+    String.split_on_char '\n' txt
+    |> List.map (fun l -> if String.starts_with ~prefix:"C rng " l then "C rng " ^ tok else l)
+    |> String.concat "\n"
+  in
+  List.iter
+    (fun (what, tok, why) ->
+      match Light_core.Epoch.of_string_v4 (with_rng tok) with
+      | Error e -> Alcotest.failf "%s: does not parse: %s" what e.msg
+      | Ok f -> (
+        match Light_core.Epoch.replay_chunk pp (List.hd f.f_chunks) with
+        | Ok _ -> Alcotest.failf "%s: replayed" what
+        | Error msg -> Alcotest.(check string) what ("epoch 0: bad C rng state (" ^ why ^ ")") msg))
+    [
+      ("80 hex zeros", String.make 80 '0', "40 bytes, a generator state has 85");
+      ("0000", "0000", "2 bytes, a generator state has 85");
+      ("170 hex zeros", String.make 170 '0', "not a marshalled generator state");
+    ]
+
 let () =
   Alcotest.run "epochs"
     [
@@ -444,5 +475,7 @@ let () =
             test_chunk_replay_from_text;
           Alcotest.test_case "chunk replay against another program" `Quick
             test_chunk_replay_mismatch;
+          Alcotest.test_case "chunk replay names a corrupt C rng" `Quick
+            test_chunk_replay_bad_rng;
         ] );
     ]

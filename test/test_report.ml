@@ -280,7 +280,7 @@ let interp ?(replay = 1.0) ?(replay_over_vm = 1.0) ?vm_basic ~basic ~epoch ~vm (
 let test_perfcheck_thresholds () =
   (* baseline +20%: 1.25 -> 1.5; epoch within +10% of the fresh VM basic
      ratio: 2.5 -> 2.75, whatever the tree walker's basic ratio; VM speedup and VM replay speedup at least 1.0;
-     VM replay at most 1.65x the VM's native run *)
+     VM replay at most 1.15x the VM's native run *)
   let rules = Report.Experiments.perfcheck_rules in
   let base = interp ~basic:1.25 ~epoch:0.0 ~vm:0.0 () in
   check_verdicts rules ~base
@@ -306,10 +306,10 @@ let test_perfcheck_thresholds () =
         interp ~replay:0.9999 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
         false );
       ( "replay_over_vm at ceiling",
-        interp ~replay_over_vm:1.65 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
+        interp ~replay_over_vm:1.15 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
         true );
       ( "replay_over_vm past ceiling",
-        interp ~replay_over_vm:1.6501 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
+        interp ~replay_over_vm:1.1501 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
         false );
     ]
 
