@@ -380,37 +380,41 @@ let window_matches ~(expected : Vm.observables)
 (* Log format v4: the streaming writer                                 *)
 (* ------------------------------------------------------------------ *)
 
-let add_status (buf : Buffer.t) (s : Interp.tstatus) : unit =
+let add_status (buf : Log.sink) (s : Interp.tstatus) : unit =
   let open Interp in
+  let tagged tag n =
+    Log.add_string buf tag;
+    Log.add_int buf n
+  in
   match s with
-  | Runnable -> Buffer.add_string buf "run"
-  | BlockedLock m -> Buffer.add_string buf (Printf.sprintf "bll:%d" m)
-  | BlockedJoin t -> Buffer.add_string buf (Printf.sprintf "blj:%d" t)
-  | InWait m -> Buffer.add_string buf (Printf.sprintf "wait:%d" m)
-  | Notified m -> Buffer.add_string buf (Printf.sprintf "ntf:%d" m)
-  | Reacquiring m -> Buffer.add_string buf (Printf.sprintf "reacq:%d" m)
-  | Finished -> Buffer.add_string buf "fin"
-  | Crashed -> Buffer.add_string buf "crashed"
+  | Runnable -> Log.add_string buf "run"
+  | BlockedLock m -> tagged "bll:" m
+  | BlockedJoin t -> tagged "blj:" t
+  | InWait m -> tagged "wait:" m
+  | Notified m -> tagged "ntf:" m
+  | Reacquiring m -> tagged "reacq:" m
+  | Finished -> Log.add_string buf "fin"
+  | Crashed -> Log.add_string buf "crashed"
 
-let add_slot (buf : Buffer.t) (v : Value.t) : unit =
-  if v == Interp.unbound then Buffer.add_char buf 'u'
-  else Buffer.add_string buf (Log.value_str v)
+let add_slot (buf : Log.sink) (v : Value.t) : unit =
+  if v == Interp.unbound then Log.add_char buf 'u'
+  else Log.add_string buf (Log.value_str v)
 
 (* Checkpoint lines.  Thread frames ride on [c frame] continuation lines
    under their [C thread] line; everything else is one line per item. *)
-let add_snapshot (buf : Buffer.t) (sn : Vm.snapshot) ~(sched : string) :
+let add_snapshot (buf : Log.sink) (sn : Vm.snapshot) ~(sched : string) :
     unit =
-  let sp () = Buffer.add_char buf ' ' in
-  let nl () = Buffer.add_char buf '\n' in
-  Buffer.add_string buf "C sched ";
-  Buffer.add_string buf sched;
+  let sp () = Log.add_char buf ' ' in
+  let nl () = Log.add_char buf '\n' in
+  Log.add_string buf "C sched ";
+  Log.add_string buf sched;
   nl ();
-  Buffer.add_string buf "C rng ";
-  Buffer.add_string buf sn.Vm.snap_rng;
+  Log.add_string buf "C rng ";
+  Log.add_string buf sn.Vm.snap_rng;
   nl ();
   List.iter
     (fun (id, cls, fields) ->
-      Buffer.add_string buf "C obj ";
+      Log.add_string buf "C obj ";
       Log.add_int buf id;
       sp ();
       Log.add_enc_field buf cls;
@@ -421,13 +425,13 @@ let add_snapshot (buf : Buffer.t) (sn : Vm.snapshot) ~(sched : string) :
           sp ();
           Log.add_enc_field buf f;
           sp ();
-          Buffer.add_string buf (Log.value_str v))
+          Log.add_string buf (Log.value_str v))
         fields;
       nl ())
     sn.Vm.snap_heap;
   List.iter
     (fun (t : Vm.snap_thread) ->
-      Buffer.add_string buf "C thread ";
+      Log.add_string buf "C thread ";
       Log.add_int buf t.sn_tid;
       sp ();
       add_status buf t.sn_status;
@@ -457,9 +461,9 @@ let add_snapshot (buf : Buffer.t) (sn : Vm.snapshot) ~(sched : string) :
       nl ();
       List.iter
         (fun (f : Vm.snap_frame) ->
-          Buffer.add_string buf "c frame ";
+          Log.add_string buf "c frame ";
           (match f.sn_ret_to with
-          | None -> Buffer.add_char buf '-'
+          | None -> Log.add_char buf '-'
           | Some x -> Log.add_int buf x);
           sp ();
           Log.add_int buf (List.length f.sn_cont);
@@ -468,12 +472,12 @@ let add_snapshot (buf : Buffer.t) (sn : Vm.snapshot) ~(sched : string) :
               sp ();
               match sc with
               | Vm.SSeq sid ->
-                Buffer.add_char buf 'q';
+                Log.add_char buf 'q';
                 Log.add_int buf sid
               | Vm.SUnlock (m, sid) ->
-                Buffer.add_char buf 'u';
+                Log.add_char buf 'u';
                 Log.add_int buf m;
-                Buffer.add_char buf ':';
+                Log.add_char buf ':';
                 Log.add_int buf sid)
             f.sn_cont;
           sp ();
@@ -488,7 +492,7 @@ let add_snapshot (buf : Buffer.t) (sn : Vm.snapshot) ~(sched : string) :
     sn.Vm.snap_threads;
   List.iter
     (fun (m, (owner, count)) ->
-      Buffer.add_string buf "C lock ";
+      Log.add_string buf "C lock ";
       Log.add_int buf m;
       sp ();
       Log.add_int buf owner;
@@ -498,7 +502,7 @@ let add_snapshot (buf : Buffer.t) (sn : Vm.snapshot) ~(sched : string) :
     sn.Vm.snap_locks;
   List.iter
     (fun (m, waiters) ->
-      Buffer.add_string buf "C waitq ";
+      Log.add_string buf "C waitq ";
       Log.add_int buf m;
       List.iter
         (fun w ->
@@ -509,7 +513,7 @@ let add_snapshot (buf : Buffer.t) (sn : Vm.snapshot) ~(sched : string) :
     sn.Vm.snap_waitsets;
   List.iter
     (fun (c : Interp.crash) ->
-      Buffer.add_string buf "C crash ";
+      Log.add_string buf "C crash ";
       Log.add_int buf c.Interp.tid;
       sp ();
       Log.add_int buf c.Interp.site;
@@ -529,36 +533,36 @@ let add_snapshot (buf : Buffer.t) (sn : Vm.snapshot) ~(sched : string) :
     output. *)
 type writer = {
   wr_sink : string -> unit;
-  wr_buf : Buffer.t;
-  wr_seen : (int, unit) Hashtbl.t;  (** field ids whose [F] line is written *)
+  wr_buf : Log.sink;
+  wr_seen : Log.seen;  (** field ids whose [F] line is written *)
 }
 
 let flush (w : writer) : unit =
-  w.wr_sink (Buffer.contents w.wr_buf);
-  Buffer.clear w.wr_buf
+  w.wr_sink (Log.contents w.wr_buf);
+  Log.clear_sink w.wr_buf
 
 let writer ~(o1 : bool) ~(o2 : bool) ~(epoch_len : int)
     (sink : string -> unit) : writer =
-  let w = { wr_sink = sink; wr_buf = Buffer.create 65536; wr_seen = Hashtbl.create 32 } in
+  let w = { wr_sink = sink; wr_buf = Log.sink 65536; wr_seen = Log.seen () } in
   let buf = w.wr_buf in
   Log.add_header buf ~version:"v4" ~o1 ~o2;
-  Buffer.add_string buf " epoch=";
+  Log.add_string buf " epoch=";
   Log.add_int buf epoch_len;
-  Buffer.add_char buf '\n';
+  Log.add_char buf '\n';
   flush w;
   w
 
 let write_chunk (w : writer) (ck : chunk) : unit =
   let buf = w.wr_buf in
-  Buffer.add_string buf "E ";
+  Log.add_string buf "E ";
   Log.add_int buf ck.ck_idx;
-  Buffer.add_char buf ' ';
+  Log.add_char buf ' ';
   Log.add_int buf ck.ck_start_steps;
-  Buffer.add_char buf ' ';
+  Log.add_char buf ' ';
   Log.add_int buf ck.ck_steps;
-  Buffer.add_char buf ' ';
+  Log.add_char buf ' ';
   Log.add_int buf ck.ck_clock;
-  Buffer.add_char buf '\n';
+  Log.add_char buf '\n';
   add_snapshot buf ck.ck_snapshot ~sched:ck.ck_sched;
   Log.add_fields buf w.wr_seen ck.ck_log;  (* this epoch's intern-table delta *)
   Log.body_add ck.ck_log buf;

@@ -183,55 +183,140 @@ let num_records (l : t) : int = n_deps l + n_ranges l
 (* Serialization (line-oriented text; used by the CLI)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The writer emits integers digit-by-digit into the output buffer and the
-   reader scans tokens in place with a cursor — neither side allocates an
-   intermediate string per line or per field (the seed used a
-   [Printf.sprintf] per line and a [String.split_on_char] per line and per
-   event).  The format is byte-identical to the seed's. *)
+(* The writers append to a {!sink}, a byte buffer that grows by doubling
+   and that {!to_string} presizes from the row counts.  A dep or range line
+   reserves its longest possible length once and is then written with
+   unchecked stores: each integer is sized once and its digits are filled
+   in backwards, two per division, so nothing is allocated and no
+   per-character bounds check is made.  The reader scans tokens in place
+   with a cursor.  The format is byte-identical to the seed's. *)
 
-(* decimal writer; no scratch buffer so it is safe across engine domains *)
-let rec add_pos (buf : Buffer.t) (n : int) : unit =
-  if n >= 10 then add_pos buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+(** A growable output buffer; [fill] bytes of [bytes] are written. *)
+type sink = { mutable bytes : Bytes.t; mutable fill : int }
 
-let add_int (buf : Buffer.t) (n : int) : unit =
-  if n >= 0 then add_pos buf n
-  else if n = min_int then Buffer.add_string buf (string_of_int n)
+let sink (n : int) : sink = { bytes = Bytes.create (max 64 n); fill = 0 }
+
+(** The bytes written so far. *)
+let contents (s : sink) : string = Bytes.sub_string s.bytes 0 s.fill
+
+(** Forget what was written (capacity retained). *)
+let clear_sink (s : sink) : unit = s.fill <- 0
+
+let grow_sink (s : sink) (k : int) : unit =
+  let b = Bytes.create (max (2 * Bytes.length s.bytes) (s.fill + k)) in
+  Bytes.blit s.bytes 0 b 0 s.fill;
+  s.bytes <- b
+
+(* room for [k] more bytes *)
+let[@inline] reserve_bytes (s : sink) (k : int) : unit =
+  if s.fill + k > Bytes.length s.bytes then grow_sink s k
+
+(* The [put_*] writers store at [p] of a buffer with room for them and
+   return the position after what they wrote. *)
+
+let[@inline] put_char (b : Bytes.t) (p : int) (c : char) : int =
+  Bytes.unsafe_set b p c;
+  p + 1
+
+let put_str (b : Bytes.t) (p : int) (s : string) : int =
+  Bytes.unsafe_blit_string s 0 b p (String.length s);
+  p + String.length s
+
+let min_int_str = string_of_int min_int
+
+(* the longest decimal [int] *)
+let int_max_len = String.length min_int_str
+
+(* "00" "01" ... "99": the two digits of [k] at [2k] *)
+let digit_pairs =
+  String.init 200 (fun i ->
+      let k = i / 2 in
+      Char.chr (48 + if i land 1 = 0 then k / 10 else k mod 10))
+
+(* the number of decimal digits of [n >= 0] *)
+let ndigits (n : int) : int =
+  if n < 10 then 1
+  else if n < 100 then 2
+  else if n < 1000 then 3
+  else if n < 10000 then 4
+  else if n < 100000 then 5
+  else if n < 1000000 then 6
   else begin
-    Buffer.add_char buf '-';
-    add_pos buf (-n)
+    let k = ref 7 and p = ref 10000000 in
+    (* [max_int] has 19 digits; stop before [p] overflows *)
+    while !k < 19 && n >= !p do
+      incr k;
+      p := !p * 10
+    done;
+    !k
   end
 
-let add_bool (buf : Buffer.t) (b : bool) : unit =
-  Buffer.add_string buf (if b then "true" else "false")
+let put_nat (b : Bytes.t) (p : int) (n : int) : int =
+  let e = p + ndigits n in
+  let i = ref e and n = ref n in
+  while !n >= 100 do
+    let q = !n / 100 in
+    let r = 2 * (!n - (q * 100)) in
+    i := !i - 2;
+    Bytes.unsafe_set b !i (String.unsafe_get digit_pairs r);
+    Bytes.unsafe_set b (!i + 1) (String.unsafe_get digit_pairs (r + 1));
+    n := q
+  done;
+  if !n >= 10 then begin
+    let r = 2 * !n in
+    Bytes.unsafe_set b (!i - 2) (String.unsafe_get digit_pairs r);
+    Bytes.unsafe_set b (!i - 1) (String.unsafe_get digit_pairs (r + 1))
+  end
+  else Bytes.unsafe_set b (!i - 1) (Char.unsafe_chr (48 + !n));
+  e
+
+let put_int (b : Bytes.t) (p : int) (n : int) : int =
+  if n >= 0 then put_nat b p n
+  else if n = min_int then put_str b p min_int_str
+  else put_nat b (put_char b p '-') (-n)
+
+let put_bool (b : Bytes.t) (p : int) (v : bool) : int =
+  put_str b p (if v then "true" else "false")
 
 (* a source write, [-] for the virtual initialization write *)
-let add_src (buf : Buffer.t) (t : int) (c : int) : unit =
-  if t < 0 then Buffer.add_char buf '-'
-  else begin
-    add_int buf t;
-    Buffer.add_char buf ':';
-    add_int buf c
-  end
+let put_src (b : Bytes.t) (p : int) (t : int) (c : int) : int =
+  if t < 0 then put_char b p '-' else put_int b (put_char b (put_int b p t) ':') c
+
+let add_char (s : sink) (c : char) : unit =
+  reserve_bytes s 1;
+  s.fill <- put_char s.bytes s.fill c
+
+let add_string (s : sink) (str : string) : unit =
+  reserve_bytes s (String.length str);
+  s.fill <- put_str s.bytes s.fill str
+
+let add_int (s : sink) (n : int) : unit =
+  reserve_bytes s int_max_len;
+  s.fill <- put_int s.bytes s.fill n
+
+let add_bool (s : sink) (v : bool) : unit = add_string s (if v then "true" else "false")
 
 (* field names may contain arbitrary map-key strings; percent-encode the
    characters that would break the line format *)
-let add_enc_field (buf : Buffer.t) (f : string) : unit =
+let add_enc_field (s : sink) (f : string) : unit =
   let hex = "0123456789abcdef" in
+  reserve_bytes s (3 * String.length f);
+  let b = s.bytes and p = ref s.fill in
   String.iter
     (fun c ->
       if c = ' ' || c = '%' || c = '\n' then begin
-        Buffer.add_char buf '%';
-        Buffer.add_char buf hex.[Char.code c lsr 4];
-        Buffer.add_char buf hex.[Char.code c land 15]
+        p := put_char b !p '%';
+        p := put_char b !p hex.[Char.code c lsr 4];
+        p := put_char b !p hex.[Char.code c land 15]
       end
-      else Buffer.add_char buf c)
-    f
+      else p := put_char b !p c)
+    f;
+  s.fill <- !p
 
 let enc_field (f : string) : string =
-  let buf = Buffer.create (String.length f) in
-  add_enc_field buf f;
-  Buffer.contents buf
+  let s = sink (String.length f) in
+  add_enc_field s f;
+  contents s
 
 (* decode the %-escapes of [s.[st .. st+len-1]] *)
 let dec_field_sub (s : string) (st : int) (len : int) : string =
@@ -252,10 +337,11 @@ let dec_field_sub (s : string) (st : int) (len : int) : string =
    encoding) are process-independent and appear verbatim; interned ids
    (>= 0) are remapped through the F table on load, since intern ids are
    only meaningful within one process. *)
-let add_loc (buf : Buffer.t) (a : int array) (b : int) : unit =
-  add_int buf a.(b);
-  Buffer.add_char buf '/';
-  add_int buf a.(b + 1)
+(* a row column; the writers' loops stay inside the rows *)
+let[@inline] at (a : int array) (i : int) : int = Array.unsafe_get a i
+
+let put_loc (b : Bytes.t) (p : int) (a : int array) (r : int) : int =
+  put_int b (put_char b (put_int b p (at a r)) '/') (at a (r + 1))
 
 let value_str (v : Value.t) =
   match v with
@@ -266,96 +352,99 @@ let value_str (v : Value.t) =
   | VStr s -> "s" ^ enc_field s
   | VThread t -> "t" ^ string_of_int t
 
-let body_add (l : t) (buf : Buffer.t) : unit =
-  let sp () = Buffer.add_char buf ' ' in
-  let nl () = Buffer.add_char buf '\n' in
+(* the longest D and R lines: the tag, a space and every column as a
+   separated [int] *)
+let dep_line_max = 2 + (dep_width * (int_max_len + 1))
+let range_line_max = 2 + (range_width * (int_max_len + 1))
+
+let body_add (l : t) (s : sink) : unit =
   List.iter
     (fun (t, c) ->
-      Buffer.add_string buf "T ";
-      add_int buf t;
-      sp ();
-      add_int buf c;
-      nl ())
+      add_string s "T ";
+      add_int s t;
+      add_char s ' ';
+      add_int s c;
+      add_char s '\n')
     l.counters;
   let a = l.deps in
   for k = 0 to n_deps l - 1 do
-    let b = k * dep_width in
-    Buffer.add_string buf "D ";
-    add_loc buf a b;
-    sp ();
-    add_src buf a.(b + d_wt) a.(b + d_wc);
-    sp ();
-    add_int buf a.(b + d_rft);
-    Buffer.add_char buf ':';
-    add_int buf a.(b + d_rfc);
-    sp ();
-    add_int buf a.(b + d_rl);
-    sp ();
-    add_int buf a.(b + d_obs);
-    sp ();
-    add_int buf a.(b + d_wobs);
-    nl ()
+    let r = k * dep_width in
+    reserve_bytes s dep_line_max;
+    let b = s.bytes in
+    let p = put_char b (put_char b s.fill 'D') ' ' in
+    let p = put_char b (put_loc b p a r) ' ' in
+    let p = put_char b (put_src b p (at a (r + d_wt)) (at a (r + d_wc))) ' ' in
+    let p = put_char b (put_int b p (at a (r + d_rft))) ':' in
+    let p = put_char b (put_int b p (at a (r + d_rfc))) ' ' in
+    let p = put_char b (put_int b p (at a (r + d_rl))) ' ' in
+    let p = put_char b (put_int b p (at a (r + d_obs))) ' ' in
+    s.fill <- put_char b (put_int b p (at a (r + d_wobs))) '\n'
   done;
   let a = l.ranges in
   for k = 0 to n_ranges l - 1 do
-    let b = k * range_width in
-    Buffer.add_string buf "R ";
-    add_loc buf a b;
-    sp ();
-    add_int buf a.(b + r_t);
-    sp ();
-    add_int buf a.(b + r_lo);
-    sp ();
-    add_int buf a.(b + r_hi);
-    sp ();
-    add_src buf a.(b + r_wt) a.(b + r_wc);
-    sp ();
-    add_bool buf (a.(b + r_prefix) <> 0);
-    sp ();
-    add_bool buf (a.(b + r_write) <> 0);
-    sp ();
-    add_int buf a.(b + r_obs);
-    sp ();
-    add_int buf a.(b + r_loobs);
-    sp ();
-    add_int buf a.(b + r_wobs);
-    nl ()
+    let r = k * range_width in
+    reserve_bytes s range_line_max;
+    let b = s.bytes in
+    let p = put_char b (put_char b s.fill 'R') ' ' in
+    let p = put_char b (put_loc b p a r) ' ' in
+    let p = put_char b (put_int b p (at a (r + r_t))) ' ' in
+    let p = put_char b (put_int b p (at a (r + r_lo))) ' ' in
+    let p = put_char b (put_int b p (at a (r + r_hi))) ' ' in
+    let p = put_char b (put_src b p (at a (r + r_wt)) (at a (r + r_wc))) ' ' in
+    let p = put_char b (put_bool b p (at a (r + r_prefix) <> 0)) ' ' in
+    let p = put_char b (put_bool b p (at a (r + r_write) <> 0)) ' ' in
+    let p = put_char b (put_int b p (at a (r + r_obs))) ' ' in
+    let p = put_char b (put_int b p (at a (r + r_loobs))) ' ' in
+    s.fill <- put_char b (put_int b p (at a (r + r_wobs))) '\n'
   done;
   List.iter
     (fun (t, i, n, v) ->
-      Buffer.add_string buf "S ";
-      add_int buf t;
-      sp ();
-      add_int buf i;
-      sp ();
-      Buffer.add_string buf n;
-      sp ();
-      Buffer.add_string buf (value_str v);
-      nl ())
+      add_string s "S ";
+      add_int s t;
+      add_char s ' ';
+      add_int s i;
+      add_char s ' ';
+      add_string s n;
+      add_char s ' ';
+      add_string s (value_str v);
+      add_char s '\n')
     l.syscalls
 
 (** A ["light-log <version> o1=B o2=B"] header, without its newline. *)
-let add_header (buf : Buffer.t) ~(version : string) ~(o1 : bool) ~(o2 : bool) : unit =
-  Buffer.add_string buf "light-log ";
-  Buffer.add_string buf version;
-  Buffer.add_string buf " o1=";
-  add_bool buf o1;
-  Buffer.add_string buf " o2=";
-  add_bool buf o2
+let add_header (s : sink) ~(version : string) ~(o1 : bool) ~(o2 : bool) : unit =
+  add_string s "light-log ";
+  add_string s version;
+  add_string s " o1=";
+  add_bool s o1;
+  add_string s " o2=";
+  add_bool s o2
+
+(** The named field ids a writer has written an [F] line for: one mark per
+    intern id. *)
+type seen = { mutable marks : Bytes.t }
+
+let seen () : seen = { marks = Bytes.make 64 '\000' }
 
 (** The intern-table lines ([F id name]) for the named (non-element)
     field ids of [l]'s records that are not yet in [seen]; adds them. *)
-let add_fields (buf : Buffer.t) (seen : (int, unit) Hashtbl.t) (l : t) : unit =
+let add_fields (s : sink) (seen : seen) (l : t) : unit =
   let note (a : int array) (width : int) =
     for k = 0 to (Array.length a / width) - 1 do
       let fld = a.((k * width) + 1) in
-      if fld >= 0 && not (Hashtbl.mem seen fld) then begin
-        Hashtbl.add seen fld ();
-        Buffer.add_string buf "F ";
-        add_int buf fld;
-        Buffer.add_char buf ' ';
-        add_enc_field buf (Loc.fld_name fld);
-        Buffer.add_char buf '\n'
+      if fld >= 0 then begin
+        if fld >= Bytes.length seen.marks then begin
+          let m = Bytes.make (max (2 * Bytes.length seen.marks) (fld + 1)) '\000' in
+          Bytes.blit seen.marks 0 m 0 (Bytes.length seen.marks);
+          seen.marks <- m
+        end;
+        if Bytes.unsafe_get seen.marks fld = '\000' then begin
+          Bytes.unsafe_set seen.marks fld '\001';
+          add_string s "F ";
+          add_int s fld;
+          add_char s ' ';
+          add_enc_field s (Loc.fld_name fld);
+          add_char s '\n'
+        end
       end
     done
   in
@@ -365,12 +454,12 @@ let add_fields (buf : Buffer.t) (seen : (int, unit) Hashtbl.t) (l : t) : unit =
 (** v3 serialization: the intern table is stored once as F lines in the
     header, events carry integer field ids. *)
 let to_string (l : t) : string =
-  let buf = Buffer.create 4096 in
-  add_header buf ~version:"v3" ~o1:l.o1 ~o2:l.o2;
-  Buffer.add_char buf '\n';
-  add_fields buf (Hashtbl.create 16) l;
-  body_add l buf;
-  Buffer.contents buf
+  let s = sink (64 + (48 * List.length l.counters) + (64 * n_deps l) + (80 * n_ranges l)) in
+  add_header s ~version:"v3" ~o1:l.o1 ~o2:l.o2;
+  add_char s '\n';
+  add_fields s (seen ()) l;
+  body_add l s;
+  contents s
 
 (* ------------------------------------------------------------------ *)
 (* Reading: one in-place line cursor for the v3 and v4 readers          *)

@@ -25,11 +25,19 @@
     - the plan decision per site is resolved at prepare time into a byte
       table ({!Runtime.Plan.modes}) — one byte load instead of two closure
       calls into sid-keyed hashtables;
-    - the last-write map is a flat open-addressing table ({!Lw}) over the
-      packed interned [Loc.t] (two parallel int key columns, three int value
-      columns): a probe is integer compares on int arrays, an update is
-      three integer stores — no boxing, no option allocation.  The table is
-      never iterated, so record order is untouched;
+    - one flat open-addressing table ({!Lw}) over the packed interned
+      [Loc.t] holds all a location's per-access state: its last write
+      (three int columns, tid -1 before the first write), its contention
+      stripe (computed once, when the location is first seen) and its open
+      O1 run.  So an access makes one integer-hashed probe, with integer
+      compares on int arrays, and finds its feeding write, its run and its
+      stripe there; an update is three integer stores — no boxing, no
+      option allocation, no [Loc.Tbl] lookup.  The table is never
+      iterated, so record order is untouched: [seal] closes the runs in
+      the order of [runs], a [Loc.Tbl] a location joins only with its
+      first run of an epoch;
+    - the stripe's convoy level is kept as a running count of the distinct
+      threads in its window ({!Metrics.Cost.touch_stripe}), not recounted;
     - open deps and open runs are all-int mutable records reused in place:
       a (thread, loc) allocates its descriptor once and every subsequent
       access mutates integers (the seed allocated a fresh record and an
@@ -56,105 +64,6 @@ let variant_name v =
   | true, false -> "O1"
   | false, true -> "O2"
   | true, true -> "O1+O2"
-
-(* ------------------------------------------------------------------ *)
-(* Flat last-write table                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Open-addressing, power-of-two capacity, linear probing; keys are the two
-   [Loc.t] immediates in parallel int columns ([kobj] = min_int marks an
-   empty slot: object ids are small positive or small negative ghost ids),
-   values are the last write's (tid, counter, access-clock stamp).  Entries
-   are never removed; the table doubles at 50% load. *)
-module Lw = struct
-  type t = {
-    mutable mask : int;
-    mutable kobj : int array;
-    mutable kfld : int array;
-    mutable wt : int array;
-    mutable wc : int array;
-    mutable wobs : int array;
-    mutable n : int;
-  }
-
-  let empty_key = min_int
-
-  let create () =
-    let cap = 2048 in
-    {
-      mask = cap - 1;
-      kobj = Array.make cap empty_key;
-      kfld = Array.make cap 0;
-      wt = Array.make cap 0;
-      wc = Array.make cap 0;
-      wobs = Array.make cap 0;
-      n = 0;
-    }
-
-  let[@inline] hash (obj : int) (fld : int) : int =
-    let h = (obj * 65599) + fld in
-    let h = h * 0x9E3779B1 in
-    (h lxor (h lsr 16)) land max_int
-
-  (* slot holding (obj, fld), or the empty slot where it would go *)
-  let[@inline] slot (t : t) (obj : int) (fld : int) : int =
-    let mask = t.mask in
-    let i = ref (hash obj fld land mask) in
-    while
-      (let o = Array.unsafe_get t.kobj !i in
-       o <> empty_key && not (o = obj && Array.unsafe_get t.kfld !i = fld))
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let grow (t : t) : unit =
-    let old_obj = t.kobj and old_fld = t.kfld in
-    let old_wt = t.wt and old_wc = t.wc and old_wobs = t.wobs in
-    let cap = 2 * (t.mask + 1) in
-    t.mask <- cap - 1;
-    t.kobj <- Array.make cap empty_key;
-    t.kfld <- Array.make cap 0;
-    t.wt <- Array.make cap 0;
-    t.wc <- Array.make cap 0;
-    t.wobs <- Array.make cap 0;
-    Array.iteri
-      (fun i o ->
-        if o <> empty_key then begin
-          let j = slot t o old_fld.(i) in
-          t.kobj.(j) <- o;
-          t.kfld.(j) <- old_fld.(i);
-          t.wt.(j) <- old_wt.(i);
-          t.wc.(j) <- old_wc.(i);
-          t.wobs.(j) <- old_wobs.(i)
-        end)
-      old_obj
-
-  (* slot with the key present, or -1 *)
-  let[@inline] find (t : t) (obj : int) (fld : int) : int =
-    let i = slot t obj fld in
-    if Array.unsafe_get t.kobj i = empty_key then -1 else i
-
-  let[@inline] set (t : t) (obj : int) (fld : int) ~(wt : int) ~(wc : int)
-      ~(wobs : int) : unit =
-    let i = slot t obj fld in
-    if Array.unsafe_get t.kobj i = empty_key then begin
-      t.n <- t.n + 1;
-      Array.unsafe_set t.kobj i obj;
-      Array.unsafe_set t.kfld i fld
-    end;
-    Array.unsafe_set t.wt i wt;
-    Array.unsafe_set t.wc i wc;
-    Array.unsafe_set t.wobs i wobs;
-    if 2 * t.n > t.mask then grow t
-
-  (* forget every entry (capacity retained) — epoch sealing: the next
-     epoch's readers must see "no last write", i.e. the virtual
-     initialization write of the epoch's checkpoint state *)
-  let clear (t : t) : unit =
-    Array.fill t.kobj 0 (Array.length t.kobj) empty_key;
-    t.n <- 0
-end
 
 (* open dep being extended by the prec optimization; the [_obs] fields
    carry access-clock stamps for the solver's witness reconstruction.
@@ -200,6 +109,144 @@ type open_run = {
   mutable or_first_read_after_w : int;  (* first read after the last own write, or 0 *)
 }
 
+(* ------------------------------------------------------------------ *)
+(* Flat per-location table                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The run a location has before its first access in an epoch: its thread
+   id is no thread's, so the extend test needs no separate emptiness test.
+   Never started or mutated. *)
+let no_run : open_run =
+  { or_t = min_int; or_lo = 0; or_lo_obs = 0; or_hi = 0; or_hi_obs = 0; or_w_in_t = -1;
+    or_w_in_c = -1; or_w_obs = 0; or_prefix_reads = false; or_has_write = false;
+    or_has_read = false; or_middle_read = false; or_last_prefix_read = 0;
+    or_last_prefix_read_obs = 0; or_last_write = 0; or_last_write_obs = 0;
+    or_first_read_after_w = 0 }
+
+(* Everything an access needs about its location, found by one probe.
+   Open addressing, power-of-two capacity, linear probing; keys are the two
+   [Loc.t] immediates in parallel int columns ([kobj] = min_int marks an
+   empty slot: object ids are small positive or small negative ghost ids).
+   Per key: the last write's (tid, counter, access-clock stamp), tid -1
+   while the location has no write (the virtual initialization write, so a
+   read copies the three columns as they are); the location's contention
+   stripe ({!Metrics.Cost.stripe_of}, computed once at insertion); and its
+   open O1 run, [no_run] before the first.  Entries are never removed
+   between seals; the table doubles at 50% load. *)
+module Lw = struct
+  type t = {
+    mutable mask : int;
+    mutable kobj : int array;
+    mutable kfld : int array;
+    mutable wt : int array;
+    mutable wc : int array;
+    mutable wobs : int array;
+    mutable stripe : int array;
+    mutable run : open_run array;
+    mutable n : int;
+  }
+
+  let empty_key = min_int
+
+  (* 511 locations before the first doubling; the 28 workloads touch at
+     most 276 at any scale *)
+  let create () =
+    let cap = 1024 in
+    {
+      mask = cap - 1;
+      kobj = Array.make cap empty_key;
+      kfld = Array.make cap 0;
+      wt = Array.make cap 0;
+      wc = Array.make cap 0;
+      wobs = Array.make cap 0;
+      stripe = Array.make cap 0;
+      run = Array.make cap no_run;
+      n = 0;
+    }
+
+  let[@inline] hash (obj : int) (fld : int) : int =
+    let h = (obj * 65599) + fld in
+    let h = h * 0x9E3779B1 in
+    (h lxor (h lsr 16)) land max_int
+
+  (* slot holding (obj, fld), or the empty slot where it would go *)
+  let[@inline] slot (t : t) (obj : int) (fld : int) : int =
+    let mask = t.mask in
+    let i = ref (hash obj fld land mask) in
+    while
+      (let o = Array.unsafe_get t.kobj !i in
+       o <> empty_key && not (o = obj && Array.unsafe_get t.kfld !i = fld))
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let grow (t : t) : unit =
+    let old_obj = t.kobj and old_fld = t.kfld in
+    let old_wt = t.wt and old_wc = t.wc and old_wobs = t.wobs in
+    let old_stripe = t.stripe and old_run = t.run in
+    let cap = 2 * (t.mask + 1) in
+    t.mask <- cap - 1;
+    t.kobj <- Array.make cap empty_key;
+    t.kfld <- Array.make cap 0;
+    t.wt <- Array.make cap 0;
+    t.wc <- Array.make cap 0;
+    t.wobs <- Array.make cap 0;
+    t.stripe <- Array.make cap 0;
+    t.run <- Array.make cap no_run;
+    Array.iteri
+      (fun i o ->
+        if o <> empty_key then begin
+          let j = slot t o old_fld.(i) in
+          t.kobj.(j) <- o;
+          t.kfld.(j) <- old_fld.(i);
+          t.wt.(j) <- old_wt.(i);
+          t.wc.(j) <- old_wc.(i);
+          t.wobs.(j) <- old_wobs.(i);
+          t.stripe.(j) <- old_stripe.(i);
+          t.run.(j) <- old_run.(i)
+        end)
+      old_obj
+
+  (* a location's first access since the last seal: no write, no run *)
+  let insert (t : t) (loc : Loc.t) (i : int) : int =
+    let i =
+      if 2 * (t.n + 1) > t.mask then begin
+        grow t;
+        slot t loc.obj loc.fld
+      end
+      else i
+    in
+    t.n <- t.n + 1;
+    t.kobj.(i) <- loc.obj;
+    t.kfld.(i) <- loc.fld;
+    t.wt.(i) <- -1;
+    t.wc.(i) <- -1;
+    t.wobs.(i) <- 0;
+    t.stripe.(i) <- Metrics.Cost.stripe_of loc;
+    t.run.(i) <- no_run;
+    i
+
+  (* the slot of [loc], inserted if absent *)
+  let[@inline] probe (t : t) (loc : Loc.t) : int =
+    let i = slot t loc.obj loc.fld in
+    if Array.unsafe_get t.kobj i <> empty_key then i else insert t loc i
+
+  let[@inline] set_write (t : t) (i : int) ~(tid : int) ~(c : int) ~(now : int) : unit =
+    Array.unsafe_set t.wt i tid;
+    Array.unsafe_set t.wc i c;
+    Array.unsafe_set t.wobs i now
+
+  (* forget every entry (capacity retained) — epoch sealing: the next
+     epoch's readers must see "no last write", i.e. the virtual
+     initialization write of the epoch's checkpoint state, and the next
+     epoch's accesses open fresh runs *)
+  let clear (t : t) : unit =
+    Array.fill t.kobj 0 (Array.length t.kobj) empty_key;
+    Array.fill t.run 0 (Array.length t.run) no_run;
+    t.n <- 0
+end
+
 type t = {
   (* [variant], [modes] and [site_hits] are mutable so a long-lived recorder
      can be retargeted to another prepared program by [reset] (the record
@@ -208,10 +255,10 @@ type t = {
   mutable modes : Bytes.t;  (* per-sid plan decision, Plan.m_* encoding *)
   meter : Metrics.Cost.meter;
   stripes : Metrics.Cost.stripes;
-  lw : Lw.t;  (* last write per location, with its clock *)
+  lw : Lw.t;  (* per location: last write with its clock, stripe, open run *)
   (* V_basic path: prec per (thread, loc) *)
   prec : (int, open_dep Loc.Tbl.t) Hashtbl.t;
-  (* O1 path: current run per location *)
+  (* O1 path: the open runs of [lw], in the order [seal] closes them *)
   runs : open_run Loc.Tbl.t;
   rows : Log.builder;  (* closed records since the last seal *)
   mutable site_hits : int array;  (* per-sid access counts (observability) *)
@@ -237,7 +284,7 @@ let create ?(variant = v_both) ?(weights = Metrics.Cost.default_weights)
 
 (** Reset-in-place for session recycling: restore exactly the observable
     state of a fresh [create ~variant modes] while retaining every grown
-    capacity — the last-write table's five parallel arrays, the dep/range
+    capacity — the location table's seven parallel arrays, the dep/range
     row buffers, the open-run and prec hash tables' buckets, and the
     contention-stripe rings (~200KB of allocation per session avoided).
     Soundness of the reuse: recording consults only table {e contents},
@@ -359,18 +406,18 @@ let emit_range (r : t) (loc : Loc.t) (run : open_run) : unit =
 (* ------------------------------------------------------------------ *)
 
 (* Start [run] afresh at thread [tid]'s access [c] with clock [now]: a
-   read takes the location's last write as the run's feeding write. *)
-let start_run (r : t) (run : open_run) (loc : Loc.t) ~tid ~c ~now ~(is_read : bool) : unit =
-  let wslot = if is_read then Lw.find r.lw loc.obj loc.fld else -1 in
+   read takes the last write of the location at [lw] slot [i] (tid -1 when
+   it has none) as the run's feeding write. *)
+let start_run (lw : Lw.t) (i : int) (run : open_run) ~tid ~c ~now ~(is_read : bool) : unit =
   run.or_t <- tid;
   run.or_lo <- c;
   run.or_lo_obs <- now;
   run.or_hi <- c;
   run.or_hi_obs <- now;
-  (if wslot >= 0 then begin
-     run.or_w_in_t <- Array.unsafe_get r.lw.Lw.wt wslot;
-     run.or_w_in_c <- Array.unsafe_get r.lw.Lw.wc wslot;
-     run.or_w_obs <- Array.unsafe_get r.lw.Lw.wobs wslot
+  (if is_read then begin
+     run.or_w_in_t <- Array.unsafe_get lw.Lw.wt i;
+     run.or_w_in_c <- Array.unsafe_get lw.Lw.wc i;
+     run.or_w_obs <- Array.unsafe_get lw.Lw.wobs i
    end
    else begin
      run.or_w_in_t <- -1;
@@ -410,15 +457,17 @@ let on_access_fast (r : t) ~(tid : int) ~(c : int) ~(loc : Loc.t)
   else begin
     charge_tick r.meter;
     let now = r.accesses in  (* this access's clock stamp *)
+    let lw = r.lw in
+    let i = Lw.probe lw loc in  (* the one lookup of this access *)
     if r.variant.o1 then begin
       (* O1 run tracking: extending the thread's own run is a thread-local
          fast path; breaking another thread's run takes the striped atomic *)
-      (match Loc.Tbl.find r.runs loc with
-      | run when run.or_t = tid ->
+      let run = Array.unsafe_get lw.Lw.run i in
+      if run.or_t = tid then begin
         charge_extend r.meter;
         run.or_hi <- c;
         run.or_hi_obs <- now;
-        (match kind with
+        match kind with
         | Write ->
           if run.or_first_read_after_w > 0 then run.or_middle_read <- true;
           run.or_has_write <- true;
@@ -431,43 +480,39 @@ let on_access_fast (r : t) ~(tid : int) ~(c : int) ~(loc : Loc.t)
             run.or_last_prefix_read <- c;
             run.or_last_prefix_read_obs <- now
           end
-          else if run.or_first_read_after_w = 0 then run.or_first_read_after_w <- c)
-      | run ->
-        (* another thread's run: close it and reuse its descriptor in place *)
-        let level = touch r.stripes loc ~tid in
+          else if run.or_first_read_after_w = 0 then run.or_first_read_after_w <- c
+      end
+      else begin
+        let level = touch_stripe r.stripes (Array.unsafe_get lw.Lw.stripe i) ~tid in
         charge_switch r.meter ~level;
-        emit_range r loc run;
-        start_run r run loc ~tid ~c ~now ~is_read:(kind = Event.Read)
-      | exception Not_found ->
-        let level = touch r.stripes loc ~tid in
-        charge_switch r.meter ~level;
-        let run =
-          { or_t = 0; or_lo = 0; or_lo_obs = 0; or_hi = 0; or_hi_obs = 0; or_w_in_t = 0;
-            or_w_in_c = 0; or_w_obs = 0; or_prefix_reads = false; or_has_write = false;
-            or_has_read = false; or_middle_read = false; or_last_prefix_read = 0;
-            or_last_prefix_read_obs = 0; or_last_write = 0; or_last_write_obs = 0;
-            or_first_read_after_w = 0 }
-        in
-        start_run r run loc ~tid ~c ~now ~is_read:(kind = Event.Read);
-        Loc.Tbl.add r.runs loc run);
-      if kind = Event.Write then Lw.set r.lw loc.obj loc.fld ~wt:tid ~wc:c ~wobs:now
+        if run != no_run then begin
+          (* another thread's run: close it and reuse its descriptor in place *)
+          emit_range r loc run;
+          start_run lw i run ~tid ~c ~now ~is_read:(kind = Event.Read)
+        end
+        else begin
+          (* the location's first run since the last seal: [seal] closes
+             the runs in [r.runs] order *)
+          let run = { no_run with or_t = tid } in
+          start_run lw i run ~tid ~c ~now ~is_read:(kind = Event.Read);
+          lw.Lw.run.(i) <- run;
+          Loc.Tbl.add r.runs loc run
+        end
+      end;
+      if kind = Event.Write then Lw.set_write lw i ~tid ~c ~now
     end
     else begin
       (* Algorithm 1 verbatim *)
+      let level = touch_stripe r.stripes (Array.unsafe_get lw.Lw.stripe i) ~tid in
       match kind with
       | Write ->
-        let level = touch r.stripes loc ~tid in
         charge_lw r.meter ~level;
-        Lw.set r.lw loc.obj loc.fld ~wt:tid ~wc:c ~wobs:now
+        Lw.set_write lw i ~tid ~c ~now
       | Read ->
-        let level = touch r.stripes loc ~tid in
         charge_validate r.meter ~level;
-        let wslot = Lw.find r.lw loc.obj loc.fld in
-        let cw_t = if wslot >= 0 then Array.unsafe_get r.lw.Lw.wt wslot else -1 in
-        let cw_c = if wslot >= 0 then Array.unsafe_get r.lw.Lw.wc wslot else -1 in
-        read_span r loc ~t:tid ~w_t:cw_t ~w_c:cw_c
-          ~w_obs:(if wslot >= 0 then Array.unsafe_get r.lw.Lw.wobs wslot else 0)
-          ~rf_c:c ~rl:c ~rl_obs:now
+        read_span r loc ~t:tid ~w_t:(Array.unsafe_get lw.Lw.wt i)
+          ~w_c:(Array.unsafe_get lw.Lw.wc i) ~w_obs:(Array.unsafe_get lw.Lw.wobs i) ~rf_c:c
+          ~rl:c ~rl_obs:now
     end
   end
 

@@ -11,8 +11,9 @@
     sites the static analysis proves consistently lock-guarded.
 
     The per-access fast path is allocation-free: the plan decision is a
-    byte load from the baked {!Runtime.Plan.modes} table, the last-write
-    map is a flat open-addressing int table, and closed records are appended
+    byte load from the baked {!Runtime.Plan.modes} table, one probe of a
+    flat open-addressing int table finds the location's last write, open
+    run and contention stripe, and closed records are appended
     as the log's own rows ({!Log.builder}); {!finalize} and {!seal} hand
     them out as one exact-length copy per record kind. *)
 

@@ -176,45 +176,62 @@ let overhead (m : meter) ~(steps : int) : float =
 
 (* Each stripe remembers its last [window] accessor thread ids; the convoy
    level is the number of *other* distinct threads in that window — an
-   estimate of how many cores are pulling the stripe's cache line. *)
+   estimate of how many cores are pulling the stripe's cache line.  The
+   stripe also keeps the number of distinct thread ids in its window,
+   updated from the evicted and the inserted id: nothing to do when they
+   are equal, otherwise one scan of the window tells whether the evicted id
+   left it and whether the inserted one is new.  The level is that count
+   less the accessing thread, exactly the recount of the window. *)
 
 let window = 8
 
 type stripes = {
-  ring : int array;   (* nstripes * window recent tids, -1 = empty *)
-  pos : int array;
+  ring : int array;      (* nstripes * window recent tids, -1 = empty *)
+  pos : int array;       (* per stripe, the ring slot written next *)
+  distinct : int array;  (* per stripe, distinct tids >= 0 in the ring *)
 }
 
 let nstripes = 1024
 
-let stripes () = { ring = Array.make (nstripes * window) (-1); pos = Array.make nstripes 0 }
+let stripes () =
+  {
+    ring = Array.make (nstripes * window) (-1);
+    pos = Array.make nstripes 0;
+    distinct = Array.make nstripes 0;
+  }
 
 (** Forget all convoy history (capacity retained): a recycled recorder's next
     session must see exactly the contention state a fresh recorder would. *)
 let reset_stripes (s : stripes) : unit =
   Array.fill s.ring 0 (Array.length s.ring) (-1);
-  Array.fill s.pos 0 (Array.length s.pos) 0
+  Array.fill s.pos 0 (Array.length s.pos) 0;
+  Array.fill s.distinct 0 (Array.length s.distinct) 0
 
 let stripe_of (l : Runtime.Loc.t) : int = Runtime.Loc.hash l land (nstripes - 1)
+
+(** {!touch} on a stripe index from {!stripe_of}, for callers that cache it
+    per location. *)
+let touch_stripe (s : stripes) (i : int) ~(tid : int) : int =
+  let i = i land (nstripes - 1) in
+  let base = i * window in
+  let p = Array.unsafe_get s.pos i in
+  let evicted = Array.unsafe_get s.ring (base + p) in
+  Array.unsafe_set s.pos i ((p + 1) land (window - 1));
+  if evicted <> tid then begin
+    Array.unsafe_set s.ring (base + p) tid;
+    let ev = ref 0 and ins = ref 0 in
+    for j = base to base + window - 1 do
+      let t = Array.unsafe_get s.ring j in
+      if t = evicted then incr ev else if t = tid then incr ins
+    done;
+    let d = Array.unsafe_get s.distinct i in
+    let d = if evicted >= 0 && !ev = 0 then d - 1 else d in
+    Array.unsafe_set s.distinct i (if tid >= 0 && !ins = 1 then d + 1 else d)
+  end;
+  let d = Array.unsafe_get s.distinct i in
+  if tid >= 0 then d - 1 else d
 
 (** Record an access to [l] by [tid]; returns the stripe's convoy level
     (0 = uncontended: no other thread in the recent window). *)
 let touch (s : stripes) (l : Runtime.Loc.t) ~(tid : int) : int =
-  let i = stripe_of l in
-  let base = i * window in
-  s.ring.(base + s.pos.(i)) <- tid;
-  s.pos.(i) <- (s.pos.(i) + 1) mod window;
-  (* distinct other threads in the window *)
-  let level = ref 0 in
-  for j = 0 to window - 1 do
-    let t = s.ring.(base + j) in
-    if t >= 0 && t <> tid then begin
-      (* count only first occurrence *)
-      let dup = ref false in
-      for k = 0 to j - 1 do
-        if s.ring.(base + k) = t then dup := true
-      done;
-      if not !dup then incr level
-    end
-  done;
-  !level
+  touch_stripe s (stripe_of l) ~tid

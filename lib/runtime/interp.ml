@@ -63,10 +63,11 @@ type gate =
           ~tid ~c].  [wait] must be pure and [cursor] must only grow (the
           replayer's is the lowest rank not yet executed), so the VM asks
           [wait] once per counter.  A rank-gated run picks round-robin
-          among the admitted threads: the VM does so in one walk of its
-          enabled set and never asks the run's scheduler; the tree walker
-          asks its scheduler, and every gated caller passes it
-          [Sched.round_robin].  Runs on both engines. *)
+          among the admitted threads ({!Sched.round_robin_pick}: the first
+          admitted thread above the last one picked, else the first
+          admitted) and never asks the run's scheduler, so both engines
+          replay one interleaving whatever scheduler is passed.  The VM
+          picks in one walk of its enabled set.  Runs on both engines. *)
   | Pred of (Event.pre -> bool)
       (** [false] delays the thread: a predicate over the whole pending
           access, asked about every enabled thread at every step.  Tree
@@ -1034,6 +1035,8 @@ let run_compiled ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(max_steps 
   main_thread.started <- true;  (* main has no spawn ghost to read *)
   push_thread st main_thread;
   let gated = st.hooks.gate <> None in
+  let ranked = match st.hooks.gate with Some (Rank _) -> true | _ -> false in
+  let last_pick = ref (-1) in  (* a rank-gated run's previous pick *)
   let finished = ref false in
   let status = ref AllFinished in
   while not !finished do
@@ -1072,8 +1075,17 @@ let run_compiled ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(max_steps 
       end
       else if st.steps >= max_steps then (finished := true; status := StepLimit)
       else begin
-        let tid = sched.pick ~step:st.steps ~runnable in
-        let tid = if List.mem tid runnable then tid else List.hd runnable in
+        let tid =
+          if ranked then begin
+            (* the VM's pick: round-robin among the admitted threads *)
+            let tid = Sched.round_robin_pick ~last:!last_pick runnable in
+            last_pick := tid;
+            tid
+          end
+          else
+            let tid = sched.pick ~step:st.steps ~runnable in
+            if List.mem tid runnable then tid else List.hd runnable
+        in
         let t = Hashtbl.find st.threads tid in
         st.steps <- st.steps + 1;
         (try step_thread st t with

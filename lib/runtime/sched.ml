@@ -44,6 +44,9 @@ let rec first_above last ~wrap = function
   | [] -> wrap
   | t :: rest -> if t > last then t else first_above last ~wrap rest
 
+let round_robin_pick ~last (runnable : int list) : int =
+  first_above last ~wrap:(List.hd runnable) runnable
+
 (* Every scheduler here is a [unit -> t]-style constructor: a [t] value
    carries mutable pick state, and sharing one instance across runs (or
    across domains) leaks schedule state from one run into the next.
@@ -55,7 +58,7 @@ let round_robin () : t =
     name = "round-robin";
     pick =
       (fun ~step:_ ~runnable ->
-        let t = first_above !last ~wrap:(List.hd runnable) runnable in
+        let t = round_robin_pick ~last:!last runnable in
         last := t;
         t);
     save = (fun () -> string_of_int !last);

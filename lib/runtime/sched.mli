@@ -35,6 +35,11 @@ val round_robin : unit -> t
 (** Lowest thread id above the previously picked one, wrapping around.
     A constructor: the rotation cursor is per-instance state. *)
 
+val round_robin_pick : last:int -> int list -> int
+(** What {!round_robin} picks from a non-empty runnable list after
+    picking [last]: the first id above [last] in list order, else the
+    first id.  Rank-gated runs pick this way on both engines. *)
+
 val random : seed:int -> t
 (** Uniform choice at every step. *)
 

@@ -15,12 +15,13 @@ let status_str : Interp.status_summary -> string = function
   | GateStuck ts -> "stuck" ^ String.concat "," (List.map string_of_int ts)
 
 (* the replay run of [sch] on [engine], with the trace collected; [wrap]
-   can instrument the replayer's hooks *)
-let gated_run ?(wrap = Fun.id) engine (program : Lang.Ast.program) ~plan
-    (sch : Replayer.schedule) =
+   can instrument the replayer's hooks, and [sched] is the scheduler the
+   run is given (a rank-gated run never asks it) *)
+let gated_run ?(wrap = Fun.id) ?(sched = Sched.round_robin ()) engine
+    (program : Lang.Ast.program) ~plan (sch : Replayer.schedule) =
   let run = match engine with Vm.Tree -> Interp.run | Vm.Bytecode -> Vm.run in
   run ~hooks:(wrap (Replayer.driver sch ~plan)) ~plan ~collect_trace:true
-    ~max_steps:10_000_000 ~sched:(Sched.round_robin ()) program
+    ~max_steps:10_000_000 ~sched program
 
 let fingerprint (o : Interp.outcome) =
   let b = Buffer.create 4096 in

@@ -57,6 +57,90 @@ let test_stripes_independent () =
     Alcotest.(check int) "other stripe unaffected" 0 (Cost.touch s b ~tid:3)
   end
 
+(* The convoy level as the window recount: a stripe's last [window]
+   accessor tids in a ring, and the level the number of distinct tids
+   other than the accessing one, counting each tid's first occurrence
+   only.  {!Cost.touch} keeps a running count instead; this is the
+   oracle it must agree with. *)
+module Recount = struct
+  type t = { ring : int array; pos : int array }
+
+  let create () =
+    { ring = Array.make (Cost.nstripes * Cost.window) (-1); pos = Array.make Cost.nstripes 0 }
+
+  let reset o =
+    Array.fill o.ring 0 (Array.length o.ring) (-1);
+    Array.fill o.pos 0 (Array.length o.pos) 0
+
+  let touch o i ~tid =
+    let base = i * Cost.window in
+    o.ring.(base + o.pos.(i)) <- tid;
+    o.pos.(i) <- (o.pos.(i) + 1) mod Cost.window;
+    let level = ref 0 in
+    for j = 0 to Cost.window - 1 do
+      let t = o.ring.(base + j) in
+      if t >= 0 && t <> tid then begin
+        let dup = ref false in
+        for k = 0 to j - 1 do
+          if o.ring.(base + k) = t then dup := true
+        done;
+        if not !dup then incr level
+      end
+    done;
+    !level
+end
+
+(* Seeded random access sequences over a few stripes, 1-12 threads, with
+   the stripes reset mid-sequence: [touch] (by location) and
+   [touch_stripe] (by cached index) return the recount's level at every
+   access. *)
+let prop_convoy_level_incremental =
+  QCheck.Test.make ~count:300 ~name:"incremental convoy level = window recount"
+    QCheck.(pair (int_range 1 12) (int_range 0 1_000_000))
+    (fun (nthreads, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let locs = Array.init 4 (fun k -> Runtime.Loc.field (k * 7) "f") in
+      let s = Cost.stripes () and o = Recount.create () in
+      for step = 1 to 400 do
+        if Random.State.int rng 150 = 0 then begin
+          Cost.reset_stripes s;
+          Recount.reset o
+        end;
+        let l = locs.(Random.State.int rng (Array.length locs)) in
+        let i = Cost.stripe_of l in
+        let tid = Random.State.int rng nthreads in
+        let got =
+          if Random.State.bool rng then Cost.touch s l ~tid else Cost.touch_stripe s i ~tid
+        in
+        let want = Recount.touch o i ~tid in
+        if got <> want then
+          QCheck.Test.fail_reportf "step %d, stripe %d, tid %d: level %d, recount %d" step i
+            tid got want
+      done;
+      true)
+
+(* A recorder recycled across sessions charges exactly what a fresh one
+   does: the convoy counts, like the rings, start from nothing. *)
+let test_recycled_levels () =
+  let open Light_core in
+  let prep name =
+    let bm = Option.get (Workloads.by_name name) in
+    (bm, Light.prepare (Workloads.program bm))
+  in
+  let record ?recorder (bm, pp) =
+    let r = Light.record_prepared ?recorder ~sched:(Workloads.scheduler ~seed:2 bm) ~seed:2 pp in
+    (r.meter.units, r.meter.ops, Log.to_string r.log)
+  in
+  let queue = prep "mp-queue" and xalan = prep "dacapo-xalan" in
+  let fresh = record queue in
+  let recorder = Recorder.create (Bytes.make 1 Runtime.Plan.m_recorded) in
+  ignore (record ~recorder xalan);
+  let units, ops, log = record ~recorder queue in
+  let f_units, f_ops, f_log = fresh in
+  Alcotest.(check int) "units" f_units units;
+  Alcotest.(check int) "ops" f_ops ops;
+  Alcotest.(check bool) "log" true (String.equal f_log log)
+
 let test_summarize () =
   let s = Stats.summarize [ 1.0; 3.0; 2.0; 10.0 ] in
   Alcotest.(check (float 0.001)) "avg" 4.0 s.average;
@@ -86,6 +170,9 @@ let () =
           Alcotest.test_case "meter" `Quick test_meter;
           Alcotest.test_case "convoy tracking" `Quick test_stripes_convoy;
           Alcotest.test_case "stripe independence" `Quick test_stripes_independent;
+          QCheck_alcotest.to_alcotest prop_convoy_level_incremental;
+          Alcotest.test_case "recycled recorder charges as a fresh one" `Quick
+            test_recycled_levels;
         ] );
       ( "stats",
         [

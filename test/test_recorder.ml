@@ -521,6 +521,177 @@ let prop_random_log_roundtrip =
   QCheck.Test.make ~count:200 ~name:"random logs round-trip (v3)" log_gen
     (fun log -> Log.of_string (Log.to_string log) = log)
 
+(* The v3 text as [string_of_int] and [Printf] write it: the reference
+   for the direct writer, which sizes each integer and fills its digits in
+   backwards. *)
+let reference_to_string (l : Log.t) : string =
+  let b = Buffer.create 256 in
+  let i = string_of_int in
+  let src t c = if t < 0 then "-" else i t ^ ":" ^ i c in
+  let flag v = if v <> 0 then "true" else "false" in
+  Printf.bprintf b "light-log v3 o1=%b o2=%b\n" l.o1 l.o2;
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (row : int array) ->
+      let fld = row.(1) in
+      if fld >= 0 && not (Hashtbl.mem seen fld) then begin
+        Hashtbl.add seen fld ();
+        Printf.bprintf b "F %s %s\n" (i fld) (Log.enc_field (Loc.fld_name fld))
+      end)
+    (deps l @ ranges l);
+  List.iter (fun (t, c) -> Printf.bprintf b "T %s %s\n" (i t) (i c)) l.counters;
+  List.iter
+    (fun d ->
+      Printf.bprintf b "D %s/%s %s %s:%s %s %s %s\n" (i d.(0)) (i d.(1))
+        (src d.(Log.d_wt) d.(Log.d_wc))
+        (i d.(Log.d_rft)) (i d.(Log.d_rfc)) (i d.(Log.d_rl)) (i d.(Log.d_obs))
+        (i d.(Log.d_wobs)))
+    (deps l);
+  List.iter
+    (fun r ->
+      Printf.bprintf b "R %s/%s %s %s %s %s %s %s %s %s %s\n" (i r.(0)) (i r.(1))
+        (i r.(Log.r_t)) (i r.(Log.r_lo)) (i r.(Log.r_hi))
+        (src r.(Log.r_wt) r.(Log.r_wc))
+        (flag r.(Log.r_prefix)) (flag r.(Log.r_write)) (i r.(Log.r_obs))
+        (i r.(Log.r_loobs)) (i r.(Log.r_wobs)))
+    (ranges l);
+  List.iter
+    (fun (t, k, n, v) -> Printf.bprintf b "S %s %s %s %s\n" (i t) (i k) n (Log.value_str v))
+    l.syscalls;
+  Buffer.contents b
+
+(* Integers at the writer's edges: the extremes, every power of ten and
+   its predecessor (where the digit count changes), their negations, and
+   arbitrary ones. *)
+let edge_int : int QCheck.Gen.t =
+  let open QCheck.Gen in
+  let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
+  let tens = List.init 19 pow10 in
+  frequency
+    [
+      (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 1 ]);
+      (3, map2 (fun p d -> p - d) (oneofl tens) (int_range 0 1));
+      (3, map2 (fun p d -> d - p) (oneofl tens) (int_range 0 1));
+      (2, int);
+      (2, small_signed_int);
+    ]
+
+let nonneg_int : int QCheck.Gen.t = QCheck.Gen.map (fun n -> n land max_int) edge_int
+
+(* Random rows across the whole [int] range: negative object and
+   array-element ids, [-1] init sources, and thread ids (which the reader
+   requires to be non-negative) up to [max_int]. *)
+let wide_log_gen : Log.t QCheck.arbitrary =
+  let open QCheck.Gen in
+  let fld =
+    oneof
+      [
+        map Loc.fld_of_name (oneofl [ "f"; "count"; "k 1%x"; "x y z" ]);
+        map (fun n -> -1 - (n land max_int)) edge_int;
+      ]
+  in
+  let src =
+    frequency [ (1, return (-1, -1)); (1, map (fun c -> (-1, c)) edge_int);
+                (3, pair nonneg_int edge_int) ]
+  in
+  let dep =
+    let* obj = edge_int and* fld = fld and* w_t, w_c = src and* rf_t = nonneg_int in
+    let* rf_c = edge_int and* rl = edge_int and* obs = edge_int and* w_obs = edge_int in
+    return (fun b -> Log.add_dep b obj fld w_t w_c w_obs rf_t rf_c rl obs)
+  in
+  let range =
+    let* obj = edge_int and* fld = fld and* rt = edge_int and* lo = edge_int in
+    let* hi = edge_int and* w_t, w_c = src and* prefix = int_range 0 1 in
+    let* write = int_range 0 1 and* obs = edge_int and* lo_obs = edge_int in
+    let* w_obs = edge_int in
+    return (fun b -> Log.add_range b obj fld rt lo hi w_t w_c prefix write obs lo_obs w_obs)
+  in
+  let gen =
+    let* deps = list_size (int_range 0 30) dep in
+    let* ranges = list_size (int_range 0 30) range in
+    let* counters = list_size (int_range 0 4) (pair edge_int edge_int) in
+    let* syscalls =
+      list_size (int_range 0 3)
+        (map2 (fun (t, k) n -> (t, k, "@rand", Runtime.Value.VInt n)) (pair edge_int edge_int)
+           edge_int)
+    in
+    let* o1 = bool and* o2 = bool in
+    let b = Log.builder () in
+    List.iter (fun add -> add b) (deps @ ranges);
+    return { (Log.build b ~o1 ~o2) with syscalls; counters }
+  in
+  QCheck.make ~print:reference_to_string gen
+
+let prop_writer_reference =
+  QCheck.Test.make ~count:300 ~name:"v3 writer = string_of_int reference, re-read identically"
+    wide_log_gen (fun log ->
+      let txt = Log.to_string log in
+      if txt <> reference_to_string log then QCheck.Test.fail_report "writer differs";
+      (* the reader's normal form (a [-] source reads back as -1:-1) writes
+         the same text *)
+      if Log.to_string (Log.of_string txt) <> txt then
+        QCheck.Test.fail_report "re-read log writes other bytes";
+      true)
+
+(* [Log.add_int], which the v4 snapshot writer also calls, writes what
+   [string_of_int] does, one integer at a time and into a growing sink. *)
+let prop_add_int =
+  QCheck.Test.make ~count:300 ~name:"Log.add_int = string_of_int"
+    (QCheck.make ~print:QCheck.Print.(list int) QCheck.Gen.(list_size (int_range 1 40) edge_int))
+    (fun ns ->
+      let all = Log.sink 0 in
+      List.for_all
+        (fun n ->
+          let one = Log.sink 0 in
+          Log.add_int one n;
+          Log.add_int all n;
+          Log.add_char all ' ';
+          Log.contents one = string_of_int n)
+        ns
+      && Log.contents all = String.concat "" (List.map (fun n -> string_of_int n ^ " ") ns))
+
+(* Once every location has been seen, the v_both access path allocates
+   nothing: one probe of the flat table finds the last write, the open run
+   and the stripe, closing a run reuses its descriptor and its thread's
+   prec entry, and the stripe count moves in place.  The accesses are
+   built before the measured pass; the warm-up pass inserts the two
+   locations, the runs, both threads' prec tables and their entries. *)
+let test_access_allocation () =
+  let la : Loc.t = { obj = 7; fld = 0 } and lb : Loc.t = { obj = 8; fld = -3 } in
+  let acc tid c loc kind : Event.access =
+    { Event.tid; c; loc; kind; site = 0; ghost = Event.NotGhost }
+  in
+  let pass =
+    [|
+      acc 1 1 la Event.Write; (* switch: closes t2's write-only run *)
+      acc 1 2 la Event.Write; (* extend *)
+      acc 2 1 la Event.Read;  (* switch: t1's run dropped, t2 reads t1:2 *)
+      acc 2 2 la Event.Read;  (* extend *)
+      acc 1 3 la Event.Read;  (* switch: t2's reads flush into its prec entry *)
+      acc 1 4 la Event.Write; (* extend: R+ W+ *)
+      acc 2 3 la Event.Write; (* switch: t1's run closes as one dep *)
+      acc 2 4 lb Event.Write;
+      acc 1 5 lb Event.Read;  (* switch on the second location *)
+      acc 2 5 lb Event.Read;
+      acc 2 6 la Event.Write;
+    |]
+  in
+  List.iter
+    (fun variant ->
+      let r = Recorder.create ~variant (Bytes.make 1 Runtime.Plan.m_recorded) in
+      for k = 0 to Array.length pass - 1 do
+        Recorder.on_access r pass.(k)
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 100 do
+        for k = 0 to Array.length pass - 1 do
+          Recorder.on_access r pass.(k)
+        done
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.)) (Recorder.variant_name variant ^ ": minor words") 0. words)
+    [ Recorder.v_both; Recorder.v_basic ]
+
 (* qcheck: recorder invariants over random seeds and variants *)
 let seed_variant_gen =
   QCheck.make
@@ -557,6 +728,8 @@ let () =
           Alcotest.test_case "R+W+ -> dep on w_in" `Quick test_shape_reads_then_writes;
           Alcotest.test_case "W+R+ -> dep on own write" `Quick test_shape_writes_then_reads;
           Alcotest.test_case "middle read -> range" `Quick test_shape_middle_read;
+          Alcotest.test_case "known locations: no allocation per access" `Quick
+            test_access_allocation;
         ] );
       ( "serialization",
         [
@@ -567,6 +740,8 @@ let () =
           Alcotest.test_case "parsing allocates <= 8 minor words per record" `Quick
             test_parse_allocation;
           QCheck_alcotest.to_alcotest prop_random_log_roundtrip;
+          QCheck_alcotest.to_alcotest prop_writer_reference;
+          QCheck_alcotest.to_alcotest prop_add_int;
           QCheck_alcotest.to_alcotest prop_log_wellformed;
         ] );
     ]

@@ -863,6 +863,20 @@ let test_vm_gated_pick () =
         [ 1; 7 ])
     (pinned_recordings ~only:(fun n -> List.mem n contended) ())
 
+(* The tree walker picks as the VM does: given a random scheduler, a
+   rank-gated replay of stamp-vacation steps the same interleaving on both
+   engines, the pinned one. *)
+let test_tree_gated_pick () =
+  let name = "stamp-vacation" in
+  let r = List.assoc name (pinned_recordings ~only:(String.equal name) ()) in
+  let sch = solved r in
+  let fp engine =
+    fingerprint (gated_run ~sched:(Sched.random ~seed:1) engine r.program ~plan:r.plan sch)
+  in
+  let tree = fp Vm.Tree in
+  Alcotest.(check string) "tree walker = VM" (fp Vm.Bytecode) tree;
+  Alcotest.(check string) "pinned" (List.assoc name pinned_replays) tree
+
 (* The VM admits by rank only: a predicate gate, which the baselines'
    replays need, is refused before the run starts. *)
 let test_vm_rejects_pred () =
@@ -1437,6 +1451,8 @@ let () =
             test_replay_alloc;
           Alcotest.test_case "a gated VM run picks round-robin, whatever the scheduler"
             `Quick test_vm_gated_pick;
+          Alcotest.test_case "a gated tree-walker run picks as the VM does" `Quick
+            test_tree_gated_pick;
           Alcotest.test_case "the VM refuses a predicate gate" `Quick test_vm_rejects_pred;
           Alcotest.test_case "address crash waits its turn on both engines" `Quick
             test_address_crash;
