@@ -731,7 +731,9 @@ let serve_cmd =
        ~doc:
          "Drive many recording sessions of one program through the record \
           service (bounded queue, recycled recorder arenas); per-session \
-          logs are byte-identical for any worker count")
+          logs, and so the corpus digest, are byte-identical for any worker \
+          count and from run to run (logs number fields by first use, not \
+          by process-local intern ids)")
     Term.(const run $ target_arg $ sessions $ seed_arg $ stick_arg
           $ variant_arg $ engine_arg $ steps $ queue $ jobs_arg $ no_recycle
           $ reject)

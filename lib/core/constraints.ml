@@ -177,136 +177,8 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Int tables and sorts                                                *)
+(* Sorts                                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* An open-addressing map from int pairs to non-negative ints, probed
-   linearly, kept at most half full.  [find_or_add] is the one probe. *)
-module Pairs = struct
-  type t = {
-    mutable mask : int;
-    mutable ka : int array;
-    mutable kb : int array;
-    mutable vs : int array;  (* -1: empty *)
-    mutable n : int;
-  }
-
-  let create (n : int) : t =
-    let cap = ref 16 in
-    while !cap < 2 * n do cap := 2 * !cap done;
-    { mask = !cap - 1; ka = Array.make !cap 0; kb = Array.make !cap 0;
-      vs = Array.make !cap (-1); n = 0 }
-
-  let[@inline] slot (t : t) (a : int) (b : int) : int =
-    let h = ((a * 65599) + b) * 0x9E3779B1 in
-    let i = ref ((h lxor (h lsr 17)) land t.mask) in
-    while
-      Array.unsafe_get t.vs !i >= 0
-      && not (Array.unsafe_get t.ka !i = a && Array.unsafe_get t.kb !i = b)
-    do
-      i := (!i + 1) land t.mask
-    done;
-    !i
-
-  let grow (t : t) : unit =
-    let ka = t.ka and kb = t.kb and vs = t.vs in
-    let cap = 2 * (t.mask + 1) in
-    t.mask <- cap - 1;
-    t.ka <- Array.make cap 0;
-    t.kb <- Array.make cap 0;
-    t.vs <- Array.make cap (-1);
-    Array.iteri
-      (fun i v ->
-        if v >= 0 then begin
-          let j = slot t ka.(i) kb.(i) in
-          t.ka.(j) <- ka.(i);
-          t.kb.(j) <- kb.(i);
-          t.vs.(j) <- v
-        end)
-      vs
-
-  (** the value of [(a, b)]; when absent, [v] is added and returned *)
-  let find_or_add (t : t) (a : int) (b : int) (v : int) : int =
-    let i = slot t a b in
-    let old = Array.unsafe_get t.vs i in
-    if old >= 0 then old
-    else begin
-      t.ka.(i) <- a;
-      t.kb.(i) <- b;
-      t.vs.(i) <- v;
-      t.n <- t.n + 1;
-      if 2 * t.n > t.mask then grow t;
-      v
-    end
-
-  (** whether [(a, b)] was absent; it is present afterwards *)
-  let add_new (t : t) (a : int) (b : int) : bool =
-    let n0 = t.n in
-    ignore (find_or_add t a b 0);
-    t.n > n0
-end
-
-(* The variables keyed by their events: variable [v] is the event
-   [(et.(v), ec.(v))], and [slots] indexes them by open addressing,
-   probed linearly and kept at most half full. *)
-module Evars = struct
-  type t = {
-    mutable et : int array;
-    mutable ec : int array;
-    mutable n : int;
-    limit : int;  (* no more variables than this *)
-    mutable slots : int array;  (* variable, or -1 *)
-  }
-
-  let create ~(expect : int) ~(limit : int) : t =
-    let s = ref 16 in
-    while !s < 2 * expect do s := 2 * !s done;
-    { et = Array.make expect 0; ec = Array.make expect 0; n = 0; limit; slots = Array.make !s (-1) }
-
-  let[@inline] slot (e : t) (t : int) (c : int) : int =
-    let mask = Array.length e.slots - 1 in
-    let h = ((t * 65599) + c) * 0x9E3779B1 in
-    let i = ref ((h lxor (h lsr 17)) land mask) in
-    while
-      let v = Array.unsafe_get e.slots !i in
-      v >= 0 && not (e.et.(v) = t && e.ec.(v) = c)
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let grow (e : t) : unit =
-    if e.n = Array.length e.et then begin
-      let cap = min (2 * max 8 e.n) e.limit in
-      let et = Array.make cap 0 and ec = Array.make cap 0 in
-      Array.blit e.et 0 et 0 e.n;
-      Array.blit e.ec 0 ec 0 e.n;
-      e.et <- et;
-      e.ec <- ec
-    end;
-    if 2 * (e.n + 1) > Array.length e.slots then begin
-      e.slots <- Array.make (2 * Array.length e.slots) (-1);
-      for v = 0 to e.n - 1 do
-        e.slots.(slot e e.et.(v) e.ec.(v)) <- v
-      done
-    end
-
-  (** the variable of [(t, c)], numbered next when new *)
-  let var (e : t) (t : int) (c : int) : int =
-    let i = slot e t c in
-    let v = e.slots.(i) in
-    if v >= 0 then v
-    else begin
-      let v = e.n and len = Array.length e.slots in
-      grow e;
-      let i = if Array.length e.slots <> len then slot e t c else i in
-      e.et.(v) <- t;
-      e.ec.(v) <- c;
-      e.n <- v + 1;
-      e.slots.(i) <- v;
-      v
-    end
-end
 
 (* [idx] stably sorted by [keys], the most significant first, each an
    array indexed by the elements of [idx]: an LSD radix sort on [key -
@@ -415,31 +287,27 @@ end
    "#<i>" and no interned name starts with '#'. *)
 let loc_ranks (log : Log.t) (size : int) : int array * Loc.t array =
   let n_deps = Log.n_deps log in
-  let ids = Pairs.create 64 in
+  let ids = Pair_index.create 64 in
   let rank = Array.make size 0 in
-  let first = ref [] in
   (* every row starts with its location's object and field *)
   let col k j =
     if k < n_deps then log.deps.((k * Log.dep_width) + j)
     else log.ranges.(((k - n_deps) * Log.range_width) + j)
   in
   for k = 0 to n_deps + Log.n_ranges log - 1 do
-    let obj = col k 0 and fld = col k 1 in
-    let g0 = ids.n in
-    let g = Pairs.find_or_add ids obj fld g0 in
-    if g = g0 then first := { Loc.obj; fld } :: !first;
-    rank.(k) <- g
+    rank.(k) <- Pair_index.index ids (col k 0) (col k 1)
   done;
-  let first = Array.of_list (List.rev !first) in
+  let n = Pair_index.length ids in
+  let first = Array.init n (fun g -> { Loc.obj = ids.fst.(g); fld = ids.snd.(g) }) in
   let name = Array.map (fun (l : Loc.t) -> Loc.fld_name l.fld) first in
-  let by_name = Array.init ids.n Fun.id in
+  let by_name = Array.init n Fun.id in
   Array.sort
     (fun a b ->
       match Int.compare first.(a).obj first.(b).obj with
       | 0 -> String.compare name.(a) name.(b)
       | c -> c)
     by_name;
-  let rank_of = Array.make ids.n 0 in
+  let rank_of = Array.make n 0 in
   Array.iteri (fun r g -> rank_of.(g) <- r) by_name;
   for k = 0 to n_deps + Log.n_ranges log - 1 do
     rank.(k) <- rank_of.(rank.(k))
@@ -472,11 +340,7 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
      interval's start, end and source, then the extra events; an interval
      names two or three events *)
   let n_extra = List.length extra_events in
-  let vars =
-    Evars.create
-      ~expect:((2 * n_base) + (n_base - n_deps) + n_extra)
-      ~limit:((3 * n_base) + n_extra)
-  in
+  let vars = Pair_index.create ((2 * n_base) + (n_base - n_deps) + n_extra) in
   (* row [k]: thread [t], counters [s..e], stamps [o] and [so], flags
      [fl] and source write [wt:wc] ([wt] -1: the initialization write) *)
   let row k t s e o so fl wt wc =
@@ -486,9 +350,10 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
     obs.(k) <- o;
     src_obs.(k) <- so;
     Bytes.unsafe_set flags k (Char.unsafe_chr fl);
-    sv.(k) <- Evars.var vars t s;
-    ev.(k) <- Evars.var vars t e;
-    if fl land f_sourced <> 0 then src.(k) <- (if wt >= 0 then Evars.var vars wt wc else init_src)
+    sv.(k) <- Pair_index.index vars t s;
+    ev.(k) <- Pair_index.index vars t e;
+    if fl land f_sourced <> 0 then
+      src.(k) <- (if wt >= 0 then Pair_index.index vars wt wc else init_src)
     else if wt >= 0 then loose := (k, (wt, wc)) :: !loose
   in
   for k = 0 to n_deps - 1 do
@@ -506,7 +371,7 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
       lor if r.(b + r_prefix) <> 0 then f_sourced else 0)
       r.(b + r_wt) r.(b + r_wc)
   done;
-  List.iter (fun (t, c) -> ignore (Evars.var vars t c)) extra_events;
+  List.iter (fun (t, c) -> ignore (Pair_index.index vars t c)) extra_events;
   let fl k = Char.code (Bytes.unsafe_get flags k) in
   (* the referenced source writes, as write-only singleton rows: one per
      sourced interval, the last in log order first *)
@@ -518,9 +383,9 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
       let r = !next in
       incr next;
       grank.(r) <- grank.(k);
-      tid.(r) <- vars.et.(w);
-      lo.(r) <- vars.ec.(w);
-      hi.(r) <- vars.ec.(w);
+      tid.(r) <- vars.fst.(w);
+      lo.(r) <- vars.snd.(w);
+      hi.(r) <- vars.snd.(w);
       obs.(r) <- src_obs.(k);
       sv.(r) <- w;
       ev.(r) <- w;
@@ -553,7 +418,8 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
   let order = Array.sub order 0 !live in
   {
     n_deps; n_base; locs; grank; tid; lo; hi; obs; flags; sv; ev; src;
-    src_obs; lo_obs; loose = !loose; nv = vars.n; et = vars.et; ec = vars.ec; order;
+    src_obs; lo_obs; loose = !loose; nv = Pair_index.length vars; et = vars.fst; ec = vars.snd;
+    order;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1088,7 +954,7 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
     let entry v s = match reach with Some vc -> vc.((v * nt) + s) | None -> min_int in
     (* the write at [ws.(x)] starts hard-after counter [c] of slot [s] *)
     let after x s c = entry sv.(ws.(x)) s >= c in
-    let seen_unit = Pairs.create 256 in
+    let seen_unit = Pair_index.create 256 in
     for g = 0 to nl - 1 do
       for x = mstart.(g + 1) - 1 downto mstart.(g) do
         let i = members.(x) in
@@ -1153,7 +1019,9 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
                   if sourced && t2 = t1 && hi.(j) < lo.(i) then begin
                     (* thread order falsifies O(end i) < O(start j): the
                        clause reduces to the unit O(end j) < O(w) *)
-                    if Pairs.add_new seen_unit ev.(j) v_zstart then add_hard ev.(j) v_zstart;
+                    let n = Pair_index.length seen_unit in
+                    if Pair_index.index seen_unit ev.(j) v_zstart = n then
+                      add_hard ev.(j) v_zstart;
                     incr n_unit
                   end
                   else emit_clause i j v_zstart

@@ -27,7 +27,7 @@
       format.
 
     The on-disk form is log format v4: a per-epoch [E] line, checkpoint
-    lines, an intern-table {e delta}, then the epoch's v3 record lines.
+    lines, a field-table {e delta}, then the epoch's v3 record lines.
     One streaming {!writer} produces every v4 byte; the reader decodes
     record lines with v3's line decoder ({!Log.record_line}) into the
     same rows the recorder seals, and checkpoint lines with the same
@@ -527,14 +527,14 @@ let add_snapshot (buf : Log.sink) (sn : Vm.snapshot) ~(sched : string) :
     sn.Vm.snap_crashes
 
 (** The v4 writer.  [sink] receives the header immediately, then one
-    serialized chunk per {!write_chunk} call.  The intern table is written
-    as a {e delta}: each chunk's [F] lines cover only the named field ids
-    first used in that epoch, so the writer never rewrites earlier
-    output. *)
+    serialized chunk per {!write_chunk} call.  The field table is written
+    as a {e delta}: each chunk's [F] lines number only the named fields
+    first used in that epoch, continuing the numbering of the chunks
+    before it, so the writer never rewrites earlier output. *)
 type writer = {
   wr_sink : string -> unit;
   wr_buf : Log.sink;
-  wr_seen : Log.seen;  (** field ids whose [F] line is written *)
+  wr_seen : Log.seen;  (** the fields numbered by earlier chunks' [F] lines *)
 }
 
 let flush (w : writer) : unit =
@@ -564,8 +564,7 @@ let write_chunk (w : writer) (ck : chunk) : unit =
   Log.add_int buf ck.ck_clock;
   Log.add_char buf '\n';
   add_snapshot buf ck.ck_snapshot ~sched:ck.ck_sched;
-  Log.add_fields buf w.wr_seen ck.ck_log;  (* this epoch's intern-table delta *)
-  Log.body_add ck.ck_log buf;
+  Log.body_add w.wr_seen ck.ck_log buf;  (* F lines: this epoch's new fields *)
   flush w
 
 (** A whole file in format v4, through {!writer}. *)
@@ -760,7 +759,7 @@ let checkpoint_line (c : Log.cursor) (ck : chunk) : chunk =
 
 (** Parse a v4 file in one in-place scan.  Record lines are decoded by the
     v3 line decoder into the current epoch's rows (one {!Log.builder},
-    built at each epoch's end); the intern-table deltas accumulate across
+    built at each epoch's end); the field-table deltas accumulate across
     epochs.  A malformed file — including any line before the first [E]
     line — is an [Error] naming the header or the line, located as
     {!Log.parse} locates it. *)

@@ -332,16 +332,26 @@ let dec_field_sub (s : string) (st : int) (len : int) : string =
   done;
   Buffer.contents buf
 
-(* v3 ships the intern table once in the header (F lines) and writes
-   integer field ids in events.  Array-element ids (negative, arithmetic
-   encoding) are process-independent and appear verbatim; interned ids
-   (>= 0) are remapped through the F table on load, since intern ids are
-   only meaningful within one process. *)
+(* v3 ships a field table in the header (F lines) and writes integer
+   field numbers in events.  Array-element ids (negative, arithmetic
+   encoding) are process-independent and appear verbatim.  A named field
+   (intern id >= 0) is written as its number in the writer's [seen]
+   table, which numbers the named fields 0, 1, 2, ... in the order they
+   first appear in the rows, so the bytes do not depend on the process's
+   intern ids; the reader maps F numbers back to intern ids on load. *)
 (* a row column; the writers' loops stay inside the rows *)
 let[@inline] at (a : int array) (i : int) : int = Array.unsafe_get a i
 
-let put_loc (b : Bytes.t) (p : int) (a : int array) (r : int) : int =
-  put_int b (put_char b (put_int b p (at a r)) '/') (at a (r + 1))
+(** The named fields a writer has numbered: [num.(id)] is intern id
+    [id]'s field number, or -1 before its [F] line is written. *)
+type seen = { mutable num : int array; mutable next : int }
+
+let seen () : seen = { num = Array.make 64 (-1); next = 0 }
+
+let put_loc (seen : seen) (b : Bytes.t) (p : int) (a : int array) (r : int) : int =
+  let fld = at a (r + 1) in
+  put_int b (put_char b (put_int b p (at a r)) '/')
+    (if fld >= 0 then Array.unsafe_get seen.num fld else fld)
 
 let value_str (v : Value.t) =
   match v with
@@ -357,7 +367,37 @@ let value_str (v : Value.t) =
 let dep_line_max = 2 + (dep_width * (int_max_len + 1))
 let range_line_max = 2 + (range_width * (int_max_len + 1))
 
-let body_add (l : t) (s : sink) : unit =
+(** The field-table lines ([F number name]) for the named fields of
+    [l]'s rows that are not yet in [seen], which numbers them. *)
+let add_fields (s : sink) (seen : seen) (l : t) : unit =
+  let note (a : int array) (width : int) =
+    for k = 0 to (Array.length a / width) - 1 do
+      let fld = a.((k * width) + 1) in
+      if fld >= 0 then begin
+        if fld >= Array.length seen.num then begin
+          let m = Array.make (max (2 * Array.length seen.num) (fld + 1)) (-1) in
+          Array.blit seen.num 0 m 0 (Array.length seen.num);
+          seen.num <- m
+        end;
+        if Array.unsafe_get seen.num fld < 0 then begin
+          seen.num.(fld) <- seen.next;
+          add_string s "F ";
+          add_int s seen.next;
+          add_char s ' ';
+          add_enc_field s (Loc.fld_name fld);
+          add_char s '\n';
+          seen.next <- seen.next + 1
+        end
+      end
+    done
+  in
+  note l.deps dep_width;
+  note l.ranges range_width
+
+(** [l]'s records: the [F] lines of its new fields, added to [seen], then
+    its T, D, R and S lines. *)
+let body_add (seen : seen) (l : t) (s : sink) : unit =
+  add_fields s seen l;
   List.iter
     (fun (t, c) ->
       add_string s "T ";
@@ -372,7 +412,7 @@ let body_add (l : t) (s : sink) : unit =
     reserve_bytes s dep_line_max;
     let b = s.bytes in
     let p = put_char b (put_char b s.fill 'D') ' ' in
-    let p = put_char b (put_loc b p a r) ' ' in
+    let p = put_char b (put_loc seen b p a r) ' ' in
     let p = put_char b (put_src b p (at a (r + d_wt)) (at a (r + d_wc))) ' ' in
     let p = put_char b (put_int b p (at a (r + d_rft))) ':' in
     let p = put_char b (put_int b p (at a (r + d_rfc))) ' ' in
@@ -386,7 +426,7 @@ let body_add (l : t) (s : sink) : unit =
     reserve_bytes s range_line_max;
     let b = s.bytes in
     let p = put_char b (put_char b s.fill 'R') ' ' in
-    let p = put_char b (put_loc b p a r) ' ' in
+    let p = put_char b (put_loc seen b p a r) ' ' in
     let p = put_char b (put_int b p (at a (r + r_t))) ' ' in
     let p = put_char b (put_int b p (at a (r + r_lo))) ' ' in
     let p = put_char b (put_int b p (at a (r + r_hi))) ' ' in
@@ -419,46 +459,13 @@ let add_header (s : sink) ~(version : string) ~(o1 : bool) ~(o2 : bool) : unit =
   add_string s " o2=";
   add_bool s o2
 
-(** The named field ids a writer has written an [F] line for: one mark per
-    intern id. *)
-type seen = { mutable marks : Bytes.t }
-
-let seen () : seen = { marks = Bytes.make 64 '\000' }
-
-(** The intern-table lines ([F id name]) for the named (non-element)
-    field ids of [l]'s records that are not yet in [seen]; adds them. *)
-let add_fields (s : sink) (seen : seen) (l : t) : unit =
-  let note (a : int array) (width : int) =
-    for k = 0 to (Array.length a / width) - 1 do
-      let fld = a.((k * width) + 1) in
-      if fld >= 0 then begin
-        if fld >= Bytes.length seen.marks then begin
-          let m = Bytes.make (max (2 * Bytes.length seen.marks) (fld + 1)) '\000' in
-          Bytes.blit seen.marks 0 m 0 (Bytes.length seen.marks);
-          seen.marks <- m
-        end;
-        if Bytes.unsafe_get seen.marks fld = '\000' then begin
-          Bytes.unsafe_set seen.marks fld '\001';
-          add_string s "F ";
-          add_int s fld;
-          add_char s ' ';
-          add_enc_field s (Loc.fld_name fld);
-          add_char s '\n'
-        end
-      end
-    done
-  in
-  note l.deps dep_width;
-  note l.ranges range_width
-
-(** v3 serialization: the intern table is stored once as F lines in the
-    header, events carry integer field ids. *)
+(** v3 serialization: the field table is stored once as F lines in the
+    header, events carry integer field numbers. *)
 let to_string (l : t) : string =
   let s = sink (64 + (48 * List.length l.counters) + (64 * n_deps l) + (80 * n_ranges l)) in
   add_header s ~version:"v3" ~o1:l.o1 ~o2:l.o2;
   add_char s '\n';
-  add_fields s (seen ()) l;
-  body_add l s;
+  body_add (seen ()) l s;
   contents s
 
 (* ------------------------------------------------------------------ *)
@@ -626,8 +633,8 @@ let tag (c : cursor) : char =
   c.cs.[c.ts]
 
 (* The field id after the '/' at [m] of the location token, remapped
-   through [fmap], the file's intern table read so far (file-local ids to
-   this process's) *)
+   through [fmap], the file's field table read so far (file-local numbers
+   to this process's intern ids) *)
 let loc_fld (c : cursor) (fmap : (int, int) Hashtbl.t) (m : int) : int =
   let fld = right c m in
   if fld < 0 then fld
@@ -722,7 +729,7 @@ let located (s : string) (read : cursor -> 'a) : ('a, error) result =
   | v -> Ok v
   | exception Failure msg -> Error { line = c.lnum; byte = c.ts; msg }
 
-(** Reads a v3 log (intern-table header, integer field ids); locations
+(** Reads a v3 log (field-table header, integer field numbers); locations
     come back keyed by this process's intern ids.  The parser is a single
     in-place scan with a {!cursor} that appends rows to one {!builder}.  A
     malformed input is an [Error] naming the header or the line. *)

@@ -25,23 +25,26 @@
     - the plan decision per site is resolved at prepare time into a byte
       table ({!Runtime.Plan.modes}) — one byte load instead of two closure
       calls into sid-keyed hashtables;
-    - one flat open-addressing table ({!Lw}) over the packed interned
-      [Loc.t] holds all a location's per-access state: its last write
+    - one location index ({!Lw}) numbers the locations densely in the
+      order they are first touched ({!Pair_index}), and int columns by
+      that number hold all a location's per-access state: its last write
       (three int columns, tid -1 before the first write), its contention
       stripe (computed once, when the location is first seen) and its open
-      O1 run.  So an access makes one integer-hashed probe, with integer
-      compares on int arrays, and finds its feeding write, its run and its
-      stripe there; an update is three integer stores — no boxing, no
-      option allocation, no [Loc.Tbl] lookup.  The table is never
-      iterated, so record order is untouched: [seal] closes the runs in
-      the order of [runs], a [Loc.Tbl] a location joins only with its
-      first run of an epoch;
+      O1 run.  So an access makes one integer-keyed probe and finds its
+      feeding write, its run and its stripe there; an update is three
+      integer stores — no boxing, no option allocation, no [Loc.t];
+    - the v_basic [prec] map is a second index, keyed by (thread,
+      location number), over an array of open deps;
+    - [seal] closes the open runs in location-number order and then the
+      open deps in prec-number order: first-touch order, which follows
+      the run alone and not the process's intern ids, so a run's log is
+      one byte string whatever else the process did;
     - the stripe's convoy level is kept as a running count of the distinct
       threads in its window ({!Metrics.Cost.touch_stripe}), not recounted;
-    - open deps and open runs are all-int mutable records reused in place:
-      a (thread, loc) allocates its descriptor once and every subsequent
-      access mutates integers (the seed allocated a fresh record and an
-      option per prec replacement);
+    - open deps and open runs are all-int mutable records reused in place,
+      across seals and recycled sessions too: a location number (or prec
+      number) allocates its descriptor once and every subsequent access
+      mutates integers;
     - closed records are appended as rows to a {!Log.builder} (9 ints per
       dep, 12 per range, the [_obs] clock stamps packed alongside) in
       emission order.  Those rows are the log: {!seal} hands them out as
@@ -67,8 +70,9 @@ let variant_name v =
 
 (* open dep being extended by the prec optimization; the [_obs] fields
    carry access-clock stamps for the solver's witness reconstruction.
-   All-int and fully mutable: one allocation per (thread, loc), reused in
-   place across flushes.  [od_w_t] = -1 encodes the virtual init write. *)
+   All-int and fully mutable: one allocation per prec number, reused in
+   place across flushes.  [od_w_t] = -1 encodes the virtual init write;
+   [od_rf_t] = -1 marks a descriptor with no open dep. *)
 type open_dep = {
   mutable od_w_t : int;
   mutable od_w_c : int;
@@ -87,8 +91,10 @@ type open_dep = {
    - writes then reads  [W+ R+]     -> dep (last own write -> trailing span)
    - anything else (a read strictly between writes, or reads on both sides)
                                     -> a range record
-   Like [open_dep], one descriptor per location, reused in place when the
-   owning thread changes.  [or_w_in_t] = -1 encodes "no feeding write". *)
+   Like [open_dep], one descriptor per location number, allocated at its
+   first run and reused in place when the owning thread changes.  [or_t]
+   = [no_thread] marks a location with no open run (no thread has that
+   id); [or_w_in_t] = -1 encodes "no feeding write". *)
 type open_run = {
   mutable or_t : int;
   mutable or_lo : int;
@@ -109,142 +115,89 @@ type open_run = {
   mutable or_first_read_after_w : int;  (* first read after the last own write, or 0 *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Flat per-location table                                             *)
-(* ------------------------------------------------------------------ *)
+let no_thread = min_int
 
-(* The run a location has before its first access in an epoch: its thread
-   id is no thread's, so the extend test needs no separate emptiness test.
-   Never started or mutated. *)
-let no_run : open_run =
-  { or_t = min_int; or_lo = 0; or_lo_obs = 0; or_hi = 0; or_hi_obs = 0; or_w_in_t = -1;
+(* a descriptor with no open run *)
+let new_run () : open_run =
+  { or_t = no_thread; or_lo = 0; or_lo_obs = 0; or_hi = 0; or_hi_obs = 0; or_w_in_t = -1;
     or_w_in_c = -1; or_w_obs = 0; or_prefix_reads = false; or_has_write = false;
     or_has_read = false; or_middle_read = false; or_last_prefix_read = 0;
     or_last_prefix_read_obs = 0; or_last_write = 0; or_last_write_obs = 0;
     or_first_read_after_w = 0 }
 
-(* Everything an access needs about its location, found by one probe.
-   Open addressing, power-of-two capacity, linear probing; keys are the two
-   [Loc.t] immediates in parallel int columns ([kobj] = min_int marks an
-   empty slot: object ids are small positive or small negative ghost ids).
-   Per key: the last write's (tid, counter, access-clock stamp), tid -1
-   while the location has no write (the virtual initialization write, so a
-   read copies the three columns as they are); the location's contention
+(* the run of a location number that has never had one: shared, never
+   started or mutated *)
+let no_run : open_run = new_run ()
+
+(* ------------------------------------------------------------------ *)
+(* Per-location columns                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything an access needs about its location, found by one probe of
+   [locs], which numbers the locations in first-touch order.  Per number:
+   the last write's (tid, counter, access-clock stamp), tid -1 while the
+   location has no write (the virtual initialization write, so a read
+   copies the three columns as they are); the location's contention
    stripe ({!Metrics.Cost.stripe_of}, computed once at insertion); and its
-   open O1 run, [no_run] before the first.  Entries are never removed
-   between seals; the table doubles at 50% load. *)
+   open O1 run.  Numbers are never removed between seals. *)
 module Lw = struct
   type t = {
-    mutable mask : int;
-    mutable kobj : int array;
-    mutable kfld : int array;
+    locs : Pair_index.t;  (* (obj, fld) -> location number *)
     mutable wt : int array;
     mutable wc : int array;
     mutable wobs : int array;
     mutable stripe : int array;
     mutable run : open_run array;
-    mutable n : int;
   }
 
-  let empty_key = min_int
-
-  (* 511 locations before the first doubling; the 28 workloads touch at
-     most 276 at any scale *)
+  (* the 28 workloads touch at most 276 locations at any scale *)
   let create () =
-    let cap = 1024 in
+    let cap = 512 in
     {
-      mask = cap - 1;
-      kobj = Array.make cap empty_key;
-      kfld = Array.make cap 0;
+      locs = Pair_index.create cap;
       wt = Array.make cap 0;
       wc = Array.make cap 0;
       wobs = Array.make cap 0;
       stripe = Array.make cap 0;
       run = Array.make cap no_run;
-      n = 0;
     }
 
-  let[@inline] hash (obj : int) (fld : int) : int =
-    let h = (obj * 65599) + fld in
-    let h = h * 0x9E3779B1 in
-    (h lxor (h lsr 16)) land max_int
-
-  (* slot holding (obj, fld), or the empty slot where it would go *)
-  let[@inline] slot (t : t) (obj : int) (fld : int) : int =
-    let mask = t.mask in
-    let i = ref (hash obj fld land mask) in
-    while
-      (let o = Array.unsafe_get t.kobj !i in
-       o <> empty_key && not (o = obj && Array.unsafe_get t.kfld !i = fld))
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
   let grow (t : t) : unit =
-    let old_obj = t.kobj and old_fld = t.kfld in
-    let old_wt = t.wt and old_wc = t.wc and old_wobs = t.wobs in
-    let old_stripe = t.stripe and old_run = t.run in
-    let cap = 2 * (t.mask + 1) in
-    t.mask <- cap - 1;
-    t.kobj <- Array.make cap empty_key;
-    t.kfld <- Array.make cap 0;
-    t.wt <- Array.make cap 0;
-    t.wc <- Array.make cap 0;
-    t.wobs <- Array.make cap 0;
-    t.stripe <- Array.make cap 0;
-    t.run <- Array.make cap no_run;
-    Array.iteri
-      (fun i o ->
-        if o <> empty_key then begin
-          let j = slot t o old_fld.(i) in
-          t.kobj.(j) <- o;
-          t.kfld.(j) <- old_fld.(i);
-          t.wt.(j) <- old_wt.(i);
-          t.wc.(j) <- old_wc.(i);
-          t.wobs.(j) <- old_wobs.(i);
-          t.stripe.(j) <- old_stripe.(i);
-          t.run.(j) <- old_run.(i)
-        end)
-      old_obj
+    let n = Array.length t.wt in
+    let wider a = Array.append a (Array.make n 0) in
+    t.wt <- wider t.wt;
+    t.wc <- wider t.wc;
+    t.wobs <- wider t.wobs;
+    t.stripe <- wider t.stripe;
+    t.run <- Array.append t.run (Array.make n no_run)
 
-  (* a location's first access since the last seal: no write, no run *)
-  let insert (t : t) (loc : Loc.t) (i : int) : int =
-    let i =
-      if 2 * (t.n + 1) > t.mask then begin
-        grow t;
-        slot t loc.obj loc.fld
-      end
-      else i
-    in
-    t.n <- t.n + 1;
-    t.kobj.(i) <- loc.obj;
-    t.kfld.(i) <- loc.fld;
+  (* location [i]'s first access since the last seal: no write, no run *)
+  let insert (t : t) (i : int) ~(obj : int) ~(fld : int) : unit =
+    if i = Array.length t.wt then grow t;
     t.wt.(i) <- -1;
     t.wc.(i) <- -1;
     t.wobs.(i) <- 0;
-    t.stripe.(i) <- Metrics.Cost.stripe_of loc;
-    t.run.(i) <- no_run;
-    i
+    t.stripe.(i) <- Metrics.Cost.stripe_of obj fld;
+    let run = t.run.(i) in
+    if run != no_run then run.or_t <- no_thread
 
-  (* the slot of [loc], inserted if absent *)
-  let[@inline] probe (t : t) (loc : Loc.t) : int =
-    let i = slot t loc.obj loc.fld in
-    if Array.unsafe_get t.kobj i <> empty_key then i else insert t loc i
+  (* the number of location [(obj, fld)], inserted if absent *)
+  let[@inline] probe (t : t) ~(obj : int) ~(fld : int) : int =
+    let n = Pair_index.length t.locs in
+    let i = Pair_index.index t.locs obj fld in
+    if i = n then insert t i ~obj ~fld;
+    i
 
   let[@inline] set_write (t : t) (i : int) ~(tid : int) ~(c : int) ~(now : int) : unit =
     Array.unsafe_set t.wt i tid;
     Array.unsafe_set t.wc i c;
     Array.unsafe_set t.wobs i now
 
-  (* forget every entry (capacity retained) — epoch sealing: the next
+  (* forget every location (capacity retained) — epoch sealing: the next
      epoch's readers must see "no last write", i.e. the virtual
      initialization write of the epoch's checkpoint state, and the next
      epoch's accesses open fresh runs *)
-  let clear (t : t) : unit =
-    Array.fill t.kobj 0 (Array.length t.kobj) empty_key;
-    Array.fill t.run 0 (Array.length t.run) no_run;
-    t.n <- 0
+  let clear (t : t) : unit = Pair_index.clear t.locs
 end
 
 type t = {
@@ -256,15 +209,18 @@ type t = {
   meter : Metrics.Cost.meter;
   stripes : Metrics.Cost.stripes;
   lw : Lw.t;  (* per location: last write with its clock, stripe, open run *)
-  (* V_basic path: prec per (thread, loc) *)
-  prec : (int, open_dep Loc.Tbl.t) Hashtbl.t;
-  (* O1 path: the open runs of [lw], in the order [seal] closes them *)
-  runs : open_run Loc.Tbl.t;
+  (* the prec map: (thread, location number) -> prec number, which
+     indexes [deps] *)
+  precs : Pair_index.t;
+  mutable deps : open_dep array;
   rows : Log.builder;  (* closed records since the last seal *)
   mutable site_hits : int array;  (* per-sid access counts (observability) *)
   mutable accesses : int;  (* global access clock; stamps the [_obs] fields *)
   mutable skipped_guarded : int;
 }
+
+let new_dep () : open_dep =
+  { od_w_t = -1; od_w_c = -1; od_w_obs = 0; od_rf_t = -1; od_rf_c = 0; od_rl = 0; od_rl_obs = 0 }
 
 let create ?(variant = v_both) ?(weights = Metrics.Cost.default_weights)
     (modes : Bytes.t) : t =
@@ -274,8 +230,8 @@ let create ?(variant = v_both) ?(weights = Metrics.Cost.default_weights)
     meter = Metrics.Cost.meter ~weights ();
     stripes = Metrics.Cost.stripes ();
     lw = Lw.create ();
-    prec = Hashtbl.create 16;
-    runs = Loc.Tbl.create 1024;
+    precs = Pair_index.create 64;
+    deps = Array.init 64 (fun _ -> new_dep ());
     rows = Log.builder ();
     site_hits = Array.make (max 1 (Bytes.length modes)) 0;
     accesses = 0;
@@ -284,26 +240,22 @@ let create ?(variant = v_both) ?(weights = Metrics.Cost.default_weights)
 
 (** Reset-in-place for session recycling: restore exactly the observable
     state of a fresh [create ~variant modes] while retaining every grown
-    capacity — the location table's seven parallel arrays, the dep/range
-    row buffers, the open-run and prec hash tables' buckets, and the
-    contention-stripe rings (~200KB of allocation per session avoided).
-    Soundness of the reuse: recording consults only table {e contents},
-    never capacity, so a cleared-but-bigger structure is indistinguishable
-    from a fresh one and recycled sessions produce byte-identical logs (the
-    service tests diff them).  [site_hits] is re-zeroed here so profile
-    counts never bleed across sessions; it only reallocates when the new
-    program has more sites.  The meter's weights are retained. *)
+    capacity — the location and prec indexes with their columns and
+    descriptors, the dep/range row buffers and the contention-stripe
+    rings (~200KB of allocation per session avoided).  Soundness of the
+    reuse: recording consults only table {e contents}, never capacity, so
+    a cleared-but-bigger structure is indistinguishable from a fresh one
+    and recycled sessions produce byte-identical logs (the service tests
+    diff them).  [site_hits] is re-zeroed here so profile counts never
+    bleed across sessions; it only reallocates when the new program has
+    more sites.  The meter's weights are retained. *)
 let reset ?variant (r : t) (modes : Bytes.t) : unit =
   (match variant with Some v -> r.variant <- v | None -> ());
   r.modes <- modes;
   Metrics.Cost.reset_meter r.meter;
   Metrics.Cost.reset_stripes r.stripes;
   Lw.clear r.lw;
-  (* keep the per-thread prec tables themselves: the next session almost
-     always runs the same tid range, so the outer table and the inner
-     buckets are both warm *)
-  Hashtbl.iter (fun _ tbl -> Loc.Tbl.clear tbl) r.prec;
-  Loc.Tbl.clear r.runs;
+  Pair_index.clear r.precs;
   Log.clear r.rows;
   let n = max 1 (Bytes.length modes) in
   if Array.length r.site_hits < n then r.site_hits <- Array.make n 0
@@ -311,32 +263,40 @@ let reset ?variant (r : t) (modes : Bytes.t) : unit =
   r.accesses <- 0;
   r.skipped_guarded <- 0
 
-let emit_dep (r : t) (loc : Loc.t) (od : open_dep) : unit =
+(* location [i]'s open dep [od] becomes a record *)
+let emit_dep (r : t) (i : int) (od : open_dep) : unit =
   Metrics.Cost.charge_dep_append r.meter;
-  Log.add_dep r.rows loc.obj loc.fld od.od_w_t od.od_w_c od.od_w_obs od.od_rf_t od.od_rf_c
-    od.od_rl od.od_rl_obs
+  let locs = r.lw.Lw.locs in
+  Log.add_dep r.rows locs.fst.(i) locs.snd.(i) od.od_w_t od.od_w_c od.od_w_obs od.od_rf_t
+    od.od_rf_c od.od_rl od.od_rl_obs
 
-let prec_of (r : t) (tid : int) : open_dep Loc.Tbl.t =
-  match Hashtbl.find r.prec tid with
-  | h -> h
-  | exception Not_found ->
-    let h = Loc.Tbl.create 64 in
-    Hashtbl.add r.prec tid h;
-    h
+(* thread [t]'s prec descriptor for location [i], numbered if new (with
+   no open dep) *)
+let prec (r : t) ~(t : int) (i : int) : open_dep =
+  let n = Pair_index.length r.precs in
+  let p = Pair_index.index r.precs t i in
+  if p < n then Array.unsafe_get r.deps p
+  else begin
+    if p = Array.length r.deps then
+      r.deps <- Array.append r.deps (Array.init p (fun _ -> new_dep ()));
+    let od = r.deps.(p) in
+    od.od_rf_t <- -1;
+    od
+  end
 
-(* Algorithm 1, lines 7/9: thread [t]'s reads [rf_c..rl] of [loc], all
-   from the write [w_t:w_c], extend the thread's open dep on [loc] when it
-   has that source (line 7); otherwise the open dep is emitted and
+(* Algorithm 1, lines 7/9: thread [t]'s reads [rf_c..rl] of location [i],
+   all from the write [w_t:w_c], extend the thread's open dep on [i] when
+   it has that source (line 7); otherwise the open dep is emitted and
    replaced by this span. *)
-let read_span (r : t) (loc : Loc.t) ~t ~w_t ~w_c ~w_obs ~rf_c ~rl ~rl_obs : unit =
-  let prec = prec_of r t in
-  match Loc.Tbl.find prec loc with
-  | od when od.od_w_t = w_t && od.od_w_c = w_c ->
+let read_span (r : t) (i : int) ~t ~w_t ~w_c ~w_obs ~rf_c ~rl ~rl_obs : unit =
+  let od = prec r ~t i in
+  if od.od_rf_t >= 0 && od.od_w_t = w_t && od.od_w_c = w_c then begin
     Metrics.Cost.charge_prec_hit r.meter;
     od.od_rl <- rl;
     od.od_rl_obs <- rl_obs
-  | od ->
-    emit_dep r loc od;
+  end
+  else begin
+    if od.od_rf_t >= 0 then emit_dep r i od;
     od.od_w_t <- w_t;
     od.od_w_c <- w_c;
     od.od_w_obs <- w_obs;
@@ -344,12 +304,22 @@ let read_span (r : t) (loc : Loc.t) ~t ~w_t ~w_c ~w_obs ~rf_c ~rl ~rl_obs : unit
     od.od_rf_c <- rf_c;
     od.od_rl <- rl;
     od.od_rl_obs <- rl_obs
-  | exception Not_found ->
-    Loc.Tbl.add prec loc
-      { od_w_t = w_t; od_w_c = w_c; od_w_obs = w_obs; od_rf_t = t; od_rf_c = rf_c; od_rl = rl;
-        od_rl_obs = rl_obs }
+  end
 
-let emit_range (r : t) (loc : Loc.t) (run : open_run) : unit =
+(* thread [t]'s open dep on location [i], if any, becomes a record first,
+   so records stay disjoint in counter space *)
+let flush_prec (r : t) ~(t : int) (i : int) : unit =
+  let p = Pair_index.find r.precs t i in
+  if p >= 0 then begin
+    let od = r.deps.(p) in
+    if od.od_rf_t >= 0 then begin
+      emit_dep r i od;
+      od.od_rf_t <- -1
+    end
+  end
+
+(* location [i]'s closed run becomes a record *)
+let emit_range (r : t) (i : int) (run : open_run) : unit =
   (* Pure-write runs are not recorded: their last write is referenced by the
      next reader's [w_in] if it matters; earlier writes are blind.  Any run
      containing a read must be recorded — its reads need the interval's
@@ -361,44 +331,31 @@ let emit_range (r : t) (loc : Loc.t) (run : open_run) : unit =
      into one record. *)
   if run.or_has_read then
     if not run.or_has_write then
-      read_span r loc ~t:run.or_t ~w_t:run.or_w_in_t ~w_c:run.or_w_in_c ~w_obs:run.or_w_obs
+      read_span r i ~t:run.or_t ~w_t:run.or_w_in_t ~w_c:run.or_w_in_c ~w_obs:run.or_w_obs
         ~rf_c:run.or_lo ~rl:run.or_hi ~rl_obs:run.or_hi_obs
-    else if
-      (not run.or_middle_read)
-      && not (run.or_last_prefix_read > 0 && run.or_first_read_after_w > 0)
-    then begin
-      (* one-sided run: a single dep carries the same constraints as the
-         range, one long cheaper.  [R+ W+]: the prefix reads see w_in and the
-         trailing writes behave like V_basic writes (last one referenced by
-         future readers, earlier ones blind).  [W+ R+]: the trailing reads
-         see the run's last own write. *)
-      let prec = prec_of r run.or_t in
-      (match Loc.Tbl.find prec loc with
-      | od ->
-        emit_dep r loc od;
-        Loc.Tbl.remove prec loc
-      | exception Not_found -> ());
-      Metrics.Cost.charge_dep_append r.meter;
-      if run.or_first_read_after_w > 0 then
-        Log.add_dep r.rows loc.obj loc.fld run.or_t run.or_last_write run.or_last_write_obs
-          run.or_t run.or_first_read_after_w run.or_hi run.or_hi_obs
-      else
-        Log.add_dep r.rows loc.obj loc.fld run.or_w_in_t run.or_w_in_c run.or_w_obs run.or_t
-          run.or_lo run.or_last_prefix_read run.or_last_prefix_read_obs
-    end
     else begin
-      (* write-containing run: the prec entry for this (thread, loc) must be
-         flushed first so records stay disjoint in counter space *)
-      let prec = prec_of r run.or_t in
-      (match Loc.Tbl.find prec loc with
-      | od ->
-        emit_dep r loc od;
-        Loc.Tbl.remove prec loc
-      | exception Not_found -> ());
+      flush_prec r ~t:run.or_t i;
       Metrics.Cost.charge_dep_append r.meter;
-      Log.add_range r.rows loc.obj loc.fld run.or_t run.or_lo run.or_hi run.or_w_in_t
-        run.or_w_in_c (Bool.to_int run.or_prefix_reads) (Bool.to_int run.or_has_write)
-        run.or_hi_obs run.or_lo_obs run.or_w_obs
+      let obj = r.lw.Lw.locs.Pair_index.fst.(i) and fld = r.lw.Lw.locs.Pair_index.snd.(i) in
+      if
+        (not run.or_middle_read)
+        && not (run.or_last_prefix_read > 0 && run.or_first_read_after_w > 0)
+      then
+        (* one-sided run: a single dep carries the same constraints as the
+           range, one long cheaper.  [R+ W+]: the prefix reads see w_in and
+           the trailing writes behave like V_basic writes (last one
+           referenced by future readers, earlier ones blind).  [W+ R+]: the
+           trailing reads see the run's last own write. *)
+        if run.or_first_read_after_w > 0 then
+          Log.add_dep r.rows obj fld run.or_t run.or_last_write run.or_last_write_obs run.or_t
+            run.or_first_read_after_w run.or_hi run.or_hi_obs
+        else
+          Log.add_dep r.rows obj fld run.or_w_in_t run.or_w_in_c run.or_w_obs run.or_t run.or_lo
+            run.or_last_prefix_read run.or_last_prefix_read_obs
+      else
+        Log.add_range r.rows obj fld run.or_t run.or_lo run.or_hi run.or_w_in_t run.or_w_in_c
+          (Bool.to_int run.or_prefix_reads) (Bool.to_int run.or_has_write) run.or_hi_obs
+          run.or_lo_obs run.or_w_obs
     end
 
 (* ------------------------------------------------------------------ *)
@@ -406,8 +363,8 @@ let emit_range (r : t) (loc : Loc.t) (run : open_run) : unit =
 (* ------------------------------------------------------------------ *)
 
 (* Start [run] afresh at thread [tid]'s access [c] with clock [now]: a
-   read takes the last write of the location at [lw] slot [i] (tid -1 when
-   it has none) as the run's feeding write. *)
+   read takes the last write of location [i] (tid -1 when it has none) as
+   the run's feeding write. *)
 let start_run (lw : Lw.t) (i : int) (run : open_run) ~tid ~c ~now ~(is_read : bool) : unit =
   run.or_t <- tid;
   run.or_lo <- c;
@@ -434,8 +391,10 @@ let start_run (lw : Lw.t) (i : int) (run : open_run) ~tid ~c ~now ~(is_read : bo
   run.or_last_write_obs <- (if is_read then 0 else now);
   run.or_first_read_after_w <- 0
 
-let on_access_fast (r : t) ~(tid : int) ~(c : int) ~(loc : Loc.t)
-    ~(kind : Event.akind) ~(site : int) ~(ghost : Event.ghost_kind) : unit =
+(* One shared access: thread [tid]'s access [c] to [obj.fld] at [site];
+   {!hooks} installs it as the interpreters' [on_shared]. *)
+let access (r : t) ~(tid : int) ~(c : int) ~(obj : int) ~(fld : int) ~(kind : Event.akind)
+    ~(site : int) ~(ghost : Event.ghost_kind) : unit =
   let open Metrics.Cost in
   r.accesses <- r.accesses + 1;
   if site >= 0 && site < Array.length r.site_hits then
@@ -458,7 +417,7 @@ let on_access_fast (r : t) ~(tid : int) ~(c : int) ~(loc : Loc.t)
     charge_tick r.meter;
     let now = r.accesses in  (* this access's clock stamp *)
     let lw = r.lw in
-    let i = Lw.probe lw loc in  (* the one lookup of this access *)
+    let i = Lw.probe lw ~obj ~fld in  (* the one lookup of this access *)
     if r.variant.o1 then begin
       (* O1 run tracking: extending the thread's own run is a thread-local
          fast path; breaking another thread's run takes the striped atomic *)
@@ -485,19 +444,20 @@ let on_access_fast (r : t) ~(tid : int) ~(c : int) ~(loc : Loc.t)
       else begin
         let level = touch_stripe r.stripes (Array.unsafe_get lw.Lw.stripe i) ~tid in
         charge_switch r.meter ~level;
-        if run != no_run then begin
-          (* another thread's run: close it and reuse its descriptor in place *)
-          emit_range r loc run;
-          start_run lw i run ~tid ~c ~now ~is_read:(kind = Event.Read)
-        end
-        else begin
-          (* the location's first run since the last seal: [seal] closes
-             the runs in [r.runs] order *)
-          let run = { no_run with or_t = tid } in
-          start_run lw i run ~tid ~c ~now ~is_read:(kind = Event.Read);
-          lw.Lw.run.(i) <- run;
-          Loc.Tbl.add r.runs loc run
-        end
+        let run =
+          if run != no_run then begin
+            (* another thread's run: close it and reuse its descriptor in
+               place *)
+            if run.or_t <> no_thread then emit_range r i run;
+            run
+          end
+          else begin
+            let run = new_run () in
+            lw.Lw.run.(i) <- run;
+            run
+          end
+        in
+        start_run lw i run ~tid ~c ~now ~is_read:(kind = Event.Read)
       end;
       if kind = Event.Write then Lw.set_write lw i ~tid ~c ~now
     end
@@ -510,16 +470,11 @@ let on_access_fast (r : t) ~(tid : int) ~(c : int) ~(loc : Loc.t)
         Lw.set_write lw i ~tid ~c ~now
       | Read ->
         charge_validate r.meter ~level;
-        read_span r loc ~t:tid ~w_t:(Array.unsafe_get lw.Lw.wt i)
+        read_span r i ~t:tid ~w_t:(Array.unsafe_get lw.Lw.wt i)
           ~w_c:(Array.unsafe_get lw.Lw.wc i) ~w_obs:(Array.unsafe_get lw.Lw.wobs i) ~rf_c:c
           ~rl:c ~rl_obs:now
     end
   end
-
-(** Exposed for white-box tests; [hooks] routes accesses through the
-    flattened fast path directly. *)
-let on_access (r : t) (a : Event.access) : unit =
-  on_access_fast r ~tid:a.tid ~c:a.c ~loc:a.loc ~kind:a.kind ~site:a.site ~ghost:a.ghost
 
 (* ------------------------------------------------------------------ *)
 (* Finalization                                                        *)
@@ -535,13 +490,19 @@ let on_access (r : t) (a : Event.access) : unit =
     seals. *)
 let seal (r : t) ~(syscalls : (int * int * string * Value.t) list)
     ~(counters : (int * int) list) : Log.t =
-  (* flush open runs first: read-only runs drain into the prec map, which is
-     flushed afterwards *)
-  Loc.Tbl.iter (fun loc run -> emit_range r loc run) r.runs;
-  Loc.Tbl.reset r.runs;
-  Hashtbl.iter (fun _ tbl -> Loc.Tbl.iter (fun loc od -> emit_dep r loc od) tbl) r.prec;
-  Hashtbl.reset r.prec;
-  Lw.clear r.lw;
+  (* flush open runs first, in location-number order: read-only runs drain
+     into the prec map, which is flushed afterwards in prec-number order *)
+  let lw = r.lw in
+  for i = 0 to Pair_index.length lw.Lw.locs - 1 do
+    let run = lw.Lw.run.(i) in
+    if run.or_t <> no_thread then emit_range r i run
+  done;
+  for p = 0 to Pair_index.length r.precs - 1 do
+    let od = r.deps.(p) in
+    if od.od_rf_t >= 0 then emit_dep r r.precs.Pair_index.snd.(p) od
+  done;
+  Pair_index.clear r.precs;
+  Lw.clear lw;
   { (Log.build r.rows ~o1:r.variant.o1 ~o2:r.variant.o2) with syscalls; counters }
 
 let finalize (r : t) ~(outcome : Interp.outcome) : Log.t =
@@ -554,8 +515,8 @@ let hooks (r : t) : Interp.hooks =
     Interp.default_hooks with
     on_shared =
       Some
-        (fun ~tid ~c ~loc ~kind ~site ~ghost ->
-          on_access_fast r ~tid ~c ~loc ~kind ~site ~ghost);
+        (fun ~tid ~c ~obj ~fld ~kind ~site ~ghost ->
+          access r ~tid ~c ~obj ~fld ~kind ~site ~ghost);
   }
 
 let meter (r : t) : Metrics.Cost.meter = r.meter

@@ -12,10 +12,11 @@
 
     The per-access fast path is allocation-free: the plan decision is a
     byte load from the baked {!Runtime.Plan.modes} table, one probe of a
-    flat open-addressing int table finds the location's last write, open
+    location index ({!Pair_index}) finds the location's last write, open
     run and contention stripe, and closed records are appended
     as the log's own rows ({!Log.builder}); {!finalize} and {!seal} hand
-    them out as one exact-length copy per record kind. *)
+    them out as one exact-length copy per record kind, the records still
+    open closed in the order their locations were first touched. *)
 
 open Runtime
 
@@ -42,8 +43,9 @@ val reset : ?variant:variant -> t -> Bytes.t -> unit
     variant; the meter's weights are always retained. *)
 
 val hooks : t -> Interp.hooks
-(** Interpreter hooks for a recording run (installs the allocation-free
-    [on_shared] hook). *)
+(** Interpreter hooks for a recording run: the allocation-free
+    [on_shared] hook, which is the recorder's one entry point for
+    accesses. *)
 
 val finalize : t -> outcome:Interp.outcome -> Log.t
 (** Flush open records and hand out the log (the merged thread-local
@@ -64,22 +66,6 @@ val seal :
 val accesses : t -> int
 (** Cumulative access-clock value across all seals (the [_obs] stamp
     domain). *)
-
-val on_access_fast :
-  t ->
-  tid:int ->
-  c:int ->
-  loc:Loc.t ->
-  kind:Event.akind ->
-  site:int ->
-  ghost:Event.ghost_kind ->
-  unit
-(** The zero-allocation per-access entry point; [hooks] routes accesses
-    here. *)
-
-val on_access : t -> Event.access -> unit
-(** Exposed for white-box tests; unpacks the access record into
-    {!on_access_fast}. *)
 
 val meter : t -> Metrics.Cost.meter
 (** The cost accumulator charged by this recorder's hooks. *)

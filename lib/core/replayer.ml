@@ -360,7 +360,7 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
   let guarded_site = guarded_bits plan in
   (* positions for wakeup choice *)
   let last_notify : Log.evt option ref = ref None in
-  let on_shared ~tid ~c ~loc:_ ~kind:_ ~site:_ ~ghost =
+  let on_shared ~tid ~c ~obj:_ ~fld:_ ~kind:_ ~site:_ ~ghost =
     let k = rank_at (tables sch tid) c in
     if k >= 0 && Bytes.unsafe_get executed k = '\000' then begin
       Bytes.unsafe_set executed k '\001';

@@ -207,7 +207,9 @@ let reset_stripes (s : stripes) : unit =
   Array.fill s.pos 0 (Array.length s.pos) 0;
   Array.fill s.distinct 0 (Array.length s.distinct) 0
 
-let stripe_of (l : Runtime.Loc.t) : int = Runtime.Loc.hash l land (nstripes - 1)
+(** The stripe of location [(obj, fld)]: its {!Runtime.Loc.hash}, masked
+    (computed from the two ints, so no [Loc.t] is built). *)
+let stripe_of (obj : int) (fld : int) : int = Hashtbl.hash ((obj * 65599) + fld) land (nstripes - 1)
 
 (** {!touch} on a stripe index from {!stripe_of}, for callers that cache it
     per location. *)
@@ -234,4 +236,4 @@ let touch_stripe (s : stripes) (i : int) ~(tid : int) : int =
 (** Record an access to [l] by [tid]; returns the stripe's convoy level
     (0 = uncontended: no other thread in the recent window). *)
 let touch (s : stripes) (l : Runtime.Loc.t) ~(tid : int) : int =
-  touch_stripe s (stripe_of l) ~tid
+  touch_stripe s (stripe_of l.obj l.fld) ~tid

@@ -79,13 +79,14 @@ type gate =
 type hooks = {
   gate : gate option;
   observe : (Event.t -> unit) option;
-  on_shared : (tid:int -> c:int -> loc:Loc.t -> kind:Event.akind -> site:int
+  on_shared : (tid:int -> c:int -> obj:int -> fld:int -> kind:Event.akind -> site:int
                -> ghost:Event.ghost_kind -> unit) option;
       (** allocation-free variant of [observe] for shared accesses only: the
-          arguments arrive flattened (no [Event.access] record, no [Event.t]
-          constructor, no value), so a recorder on this hook pays zero
-          allocation per access.  Fired on every instrumented access,
-          including ghosts, before [observe]. *)
+          arguments arrive as ints and constants (no [Loc.t], no
+          [Event.access] record, no [Event.t] constructor, no value), so
+          neither engine allocates to call it and a recorder on this hook
+          pays zero allocation per access.  Fired on every instrumented
+          access, including ghosts, before [observe]. *)
   syscall_override : (tid:int -> idx:int -> name:string -> Value.t option) option;
       (** replay-run substitution of recorded syscall values (Section 3.2) *)
   choose_wakeup : (lock:Value.objid -> waiters:int list -> int) option;
@@ -323,7 +324,7 @@ let access st (t : thread) ~(loc : Loc.t) ~(kind : Event.akind) ~(site : int)
     st.trace_rev <- { Event.tid = t.tid; c = t.d; loc; kind; site; ghost } :: st.trace_rev;
   (match st.hooks.on_shared with
   | None -> ()
-  | Some f -> f ~tid:t.tid ~c:t.d ~loc ~kind ~site ~ghost);
+  | Some f -> f ~tid:t.tid ~c:t.d ~obj:loc.obj ~fld:loc.fld ~kind ~site ~ghost);
   match st.hooks.observe with
   | None -> ()
   | Some f -> f (Access ({ Event.tid = t.tid; c = t.d; loc; kind; site; ghost }, value))

@@ -271,7 +271,7 @@ let access st (t : vthread) ~(obj : int) ~(fld : int) ~(kind : Event.akind)
       :: st.trace_rev;
   (match st.hooks.on_shared with
   | None -> ()
-  | Some f -> f ~tid:t.tid ~c:t.d ~loc:{ Loc.obj; fld } ~kind ~site ~ghost);
+  | Some f -> f ~tid:t.tid ~c:t.d ~obj ~fld ~kind ~site ~ghost);
   match st.hooks.observe with
   | None -> ()
   | Some f ->

@@ -51,7 +51,7 @@ let test_stripes_convoy () =
 let test_stripes_independent () =
   let s = Cost.stripes () in
   let a = Runtime.Loc.field 1 "f" and b = Runtime.Loc.field 2 "g" in
-  if Cost.stripe_of a <> Cost.stripe_of b then begin
+  if Cost.stripe_of a.obj a.fld <> Cost.stripe_of b.obj b.fld then begin
     ignore (Cost.touch s a ~tid:1);
     ignore (Cost.touch s a ~tid:2);
     Alcotest.(check int) "other stripe unaffected" 0 (Cost.touch s b ~tid:3)
@@ -107,7 +107,10 @@ let prop_convoy_level_incremental =
           Recount.reset o
         end;
         let l = locs.(Random.State.int rng (Array.length locs)) in
-        let i = Cost.stripe_of l in
+        let i = Cost.stripe_of l.obj l.fld in
+        if i <> Runtime.Loc.hash l land (Cost.nstripes - 1) then
+          QCheck.Test.fail_reportf "stripe %d of %s is not its masked Loc.hash" i
+            (Runtime.Loc.to_string l);
         let tid = Random.State.int rng nthreads in
         let got =
           if Random.State.bool rng then Cost.touch s l ~tid else Cost.touch_stripe s i ~tid

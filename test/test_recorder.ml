@@ -178,9 +178,11 @@ let outcome0 : Interp.outcome =
 (* an O1 recorder whose single site 0 is recorded *)
 let o1_recorder () = Recorder.create ~variant:Recorder.v_o1 (Bytes.make 1 Runtime.Plan.m_recorded)
 
+(* the recorder's one entry point for accesses *)
+let on_shared (r : Recorder.t) = Option.get (Recorder.hooks r).on_shared
+
 let access r ~tid ~c kind =
-  Recorder.on_access r
-    { Event.tid; c; loc = loc0; kind; site = 0; ghost = Event.NotGhost }
+  on_shared r ~tid ~c ~obj:loc0.obj ~fld:loc0.fld ~kind ~site:0 ~ghost:Event.NotGhost
 
 let close (r : Recorder.t) : Log.t = Recorder.finalize r ~outcome:outcome0
 
@@ -316,16 +318,14 @@ let test_serialization_exact_bytes () =
     }
   in
   let expected =
-    Printf.sprintf
-      "light-log v3 o1=true o2=false\n\
-       F %d f%%20x\n\
-       T 1 5\n\
-       T 2 9\n\
-       D 3/%d 1:4 2:5 7 11 2\n\
-       D 3/-5 - 1:1 1 1 0\n\
-       R 3/%d 2 6 9 - true false 12 8 0\n\
-       S 1 0 @rand i42\n"
-      fx fx fx
+    "light-log v3 o1=true o2=false\n\
+     F 0 f%20x\n\
+     T 1 5\n\
+     T 2 9\n\
+     D 3/0 1:4 2:5 7 11 2\n\
+     D 3/-5 - 1:1 1 1 0\n\
+     R 3/0 2 6 9 - true false 12 8 0\n\
+     S 1 0 @rand i42\n"
   in
   Alcotest.(check string) "v3 bytes pinned" expected (Log.to_string log)
 
@@ -530,26 +530,29 @@ let reference_to_string (l : Log.t) : string =
   let src t c = if t < 0 then "-" else i t ^ ":" ^ i c in
   let flag v = if v <> 0 then "true" else "false" in
   Printf.bprintf b "light-log v3 o1=%b o2=%b\n" l.o1 l.o2;
+  (* named fields are numbered in order of first appearance *)
   let seen = Hashtbl.create 16 in
   List.iter
     (fun (row : int array) ->
       let fld = row.(1) in
       if fld >= 0 && not (Hashtbl.mem seen fld) then begin
-        Hashtbl.add seen fld ();
-        Printf.bprintf b "F %s %s\n" (i fld) (Log.enc_field (Loc.fld_name fld))
+        let n = Hashtbl.length seen in
+        Hashtbl.add seen fld n;
+        Printf.bprintf b "F %s %s\n" (i n) (Log.enc_field (Loc.fld_name fld))
       end)
     (deps l @ ranges l);
+  let fld f = i (if f >= 0 then Hashtbl.find seen f else f) in
   List.iter (fun (t, c) -> Printf.bprintf b "T %s %s\n" (i t) (i c)) l.counters;
   List.iter
     (fun d ->
-      Printf.bprintf b "D %s/%s %s %s:%s %s %s %s\n" (i d.(0)) (i d.(1))
+      Printf.bprintf b "D %s/%s %s %s:%s %s %s %s\n" (i d.(0)) (fld d.(1))
         (src d.(Log.d_wt) d.(Log.d_wc))
         (i d.(Log.d_rft)) (i d.(Log.d_rfc)) (i d.(Log.d_rl)) (i d.(Log.d_obs))
         (i d.(Log.d_wobs)))
     (deps l);
   List.iter
     (fun r ->
-      Printf.bprintf b "R %s/%s %s %s %s %s %s %s %s %s %s\n" (i r.(0)) (i r.(1))
+      Printf.bprintf b "R %s/%s %s %s %s %s %s %s %s %s %s\n" (i r.(0)) (fld r.(1))
         (i r.(Log.r_t)) (i r.(Log.r_lo)) (i r.(Log.r_hi))
         (src r.(Log.r_wt) r.(Log.r_wc))
         (flag r.(Log.r_prefix)) (flag r.(Log.r_write)) (i r.(Log.r_obs))
@@ -650,43 +653,43 @@ let prop_add_int =
         ns
       && Log.contents all = String.concat "" (List.map (fun n -> string_of_int n ^ " ") ns))
 
-(* Once every location has been seen, the v_both access path allocates
-   nothing: one probe of the flat table finds the last write, the open run
-   and the stripe, closing a run reuses its descriptor and its thread's
-   prec entry, and the stripe count moves in place.  The accesses are
-   built before the measured pass; the warm-up pass inserts the two
-   locations, the runs, both threads' prec tables and their entries. *)
+(* Once every location has been seen, the access hook allocates nothing,
+   in either variant: one probe of the location index finds the last
+   write, the open run and the stripe, closing a run reuses its
+   descriptor and its thread's prec entry, a v_basic read finds its prec
+   entry by a second int probe, and the stripe count moves in place.  The
+   accesses are built before the measured pass; the warm-up pass numbers
+   the two locations and both threads' prec entries. *)
 let test_access_allocation () =
   let la : Loc.t = { obj = 7; fld = 0 } and lb : Loc.t = { obj = 8; fld = -3 } in
-  let acc tid c loc kind : Event.access =
-    { Event.tid; c; loc; kind; site = 0; ghost = Event.NotGhost }
-  in
   let pass =
     [|
-      acc 1 1 la Event.Write; (* switch: closes t2's write-only run *)
-      acc 1 2 la Event.Write; (* extend *)
-      acc 2 1 la Event.Read;  (* switch: t1's run dropped, t2 reads t1:2 *)
-      acc 2 2 la Event.Read;  (* extend *)
-      acc 1 3 la Event.Read;  (* switch: t2's reads flush into its prec entry *)
-      acc 1 4 la Event.Write; (* extend: R+ W+ *)
-      acc 2 3 la Event.Write; (* switch: t1's run closes as one dep *)
-      acc 2 4 lb Event.Write;
-      acc 1 5 lb Event.Read;  (* switch on the second location *)
-      acc 2 5 lb Event.Read;
-      acc 2 6 la Event.Write;
+      (1, 1, la, Event.Write); (* switch: closes t2's write-only run *)
+      (1, 2, la, Event.Write); (* extend *)
+      (2, 1, la, Event.Read);  (* switch: t1's run dropped, t2 reads t1:2 *)
+      (2, 2, la, Event.Read);  (* extend *)
+      (1, 3, la, Event.Read);  (* switch: t2's reads flush into its prec entry *)
+      (1, 4, la, Event.Write); (* extend: R+ W+ *)
+      (2, 3, la, Event.Write); (* switch: t1's run closes as one dep *)
+      (2, 4, lb, Event.Write);
+      (1, 5, lb, Event.Read);  (* switch on the second location *)
+      (2, 5, lb, Event.Read);
+      (2, 6, la, Event.Write);
     |]
   in
   List.iter
     (fun variant ->
-      let r = Recorder.create ~variant (Bytes.make 1 Runtime.Plan.m_recorded) in
-      for k = 0 to Array.length pass - 1 do
-        Recorder.on_access r pass.(k)
-      done;
+      let f = on_shared (Recorder.create ~variant (Bytes.make 1 Runtime.Plan.m_recorded)) in
+      let run_pass () =
+        for k = 0 to Array.length pass - 1 do
+          let tid, c, (l : Loc.t), kind = pass.(k) in
+          f ~tid ~c ~obj:l.obj ~fld:l.fld ~kind ~site:0 ~ghost:Event.NotGhost
+        done
+      in
+      run_pass ();
       let w0 = Gc.minor_words () in
       for _ = 1 to 100 do
-        for k = 0 to Array.length pass - 1 do
-          Recorder.on_access r pass.(k)
-        done
+        run_pass ()
       done;
       let words = Gc.minor_words () -. w0 in
       Alcotest.(check (float 0.)) (Recorder.variant_name variant ^ ": minor words") 0. words)

@@ -701,9 +701,9 @@ let pinned_replays =
     ("jgf-crypt", "24682 done 8c4b38818978c316b2449da65e0a9298");
     ("jgf-sparse", "20074 done a0dcd19cdcf22f12d7602ba940bc3562");
     ("stamp-bayes", "23914 done 5fa8e4f2d2466ae87a3108d1dfa63dd1");
-    ("stamp-genome", "19687 done 4d94a3a6ae4bb0a103254973b386ad79");
+    ("stamp-genome", "19687 done bc266863413848f376375acbf79a2f90");
     ("stamp-intruder", "13930 done 0299b115a7060332164f92bc3cf1010f");
-    ("stamp-kmeans", "25834 done a989b2f1d0053682452bb899c4cfa713");
+    ("stamp-kmeans", "25834 done 6f63a17ec1e90c95de38beeb72ee40a4");
     ("stamp-labyrinth", "32362 done 67bdb20e7b6ac807bfa9076658937fe3");
     ("stamp-ssca2", "17770 done 3678aa3754363a9b87a7acb73e9f7df3");
     ("stamp-vacation", "22764 done b490fb736df946da1ecfa965596272f8");
@@ -829,9 +829,9 @@ let test_rank_protocol () =
                   Alcotest.failf "%s: the driver's wait is not wait_rank" tag;
                 w
               in
-              let on_shared ~tid ~c ~loc ~kind ~site ~ghost =
+              let on_shared ~tid ~c ~obj ~fld ~kind ~site ~ghost =
                 incr accesses;
-                on_shared ~tid ~c ~loc ~kind ~site ~ghost
+                on_shared ~tid ~c ~obj ~fld ~kind ~site ~ghost
               in
               { h with gate = Some (Rank { r with wait }); on_shared = Some on_shared }
             | _ -> Alcotest.failf "%s: the driver's gate is not a rank gate" tag
@@ -889,8 +889,9 @@ let test_vm_rejects_pred () =
 (* Allocation of a gated VM step against an ungated round-robin one, on
    the same program and plan, for every workload: minor-heap words are
    deterministic for a given run, so the bound is exact, not a timing.
-   The worst rows are dacapo-avrora at 1.34x and dacapo-xalan at 1.32x.
-   The driver is built outside the measured run. *)
+   Neither engine builds a [Loc.t] to call the access hook, so the
+   worst rows are dacapo-avrora at 1.08x and dacapo-xalan at 1.08x.  The
+   driver is built outside the measured run. *)
 let test_replay_alloc () =
   List.iter
     (fun name ->
@@ -909,8 +910,8 @@ let test_replay_alloc () =
       let ungated = words_per_step None in
       let hooks = Replayer.driver (solved r) ~plan:r.plan in
       let gated = words_per_step (Some hooks) in
-      if gated > 1.4 *. ungated then
-        Alcotest.failf "%s: gated replay %.1f words/step > 1.4 x ungated %.1f" name gated
+      if gated > 1.15 *. ungated then
+        Alcotest.failf "%s: gated replay %.1f words/step > 1.15 x ungated %.1f" name gated
           ungated)
     (List.map (fun (bm : Workloads.benchmark) -> bm.name) Workloads.all)
 
@@ -1006,12 +1007,12 @@ let test_cache_gate_flip () =
             if tid = 102 && !(r.cursor) < w then Hashtbl.replace denied c ();
             w
           in
-          let on_shared ~tid ~c ~loc ~kind ~site ~ghost =
+          let on_shared ~tid ~c ~obj ~fld ~kind ~site ~ghost =
             if tid = 102 && Hashtbl.mem denied c then begin
               incr flips;
               Hashtbl.remove denied c
             end;
-            on_shared ~tid ~c ~loc ~kind ~site ~ghost
+            on_shared ~tid ~c ~obj ~fld ~kind ~site ~ghost
           in
           { h with gate = Some (Rank { r with wait }); on_shared = Some on_shared }
         | _ -> Alcotest.fail "the driver's gate is not a rank gate"
@@ -1154,7 +1155,7 @@ let test_gate_tables () =
   let suppress = Option.get hooks.suppress_write in
   let admitted (tid, c) = !cursor >= Replayer.wait_rank sch ~tid ~c in
   let suppressed ?(loc = f) (tid, c) = suppress ~tid ~c ~obj:loc.Loc.obj ~fld:loc.fld ~site:1 in
-  let run (tid, c) = on_shared ~tid ~c ~loc:f ~kind:Read ~site:1 ~ghost:NotGhost in
+  let run (tid, c) = on_shared ~tid ~c ~obj:f.obj ~fld:f.fld ~kind:Read ~site:1 ~ghost:NotGhost in
   let chk what expected got = Alcotest.(check bool) what expected got in
   Alcotest.(check (list (option int))) "ranks" [ Some 0; None; Some 2; Some 1; None ]
     (List.map (Replayer.rank sch) [ (1, 1); (1, 2); (1, 3); (2, 1); (3, 1) ]);
@@ -1227,36 +1228,6 @@ let render_system (cs : Constraints.t) =
   Printf.bprintf b "\nstats %d %d %d %d\n" g.n_pairs g.n_pruned g.n_unit g.n_dedup;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* The recorder flushes its open records in hash-table order, which
-   follows the process's intern ids and so what ran before; records sorted
-   by stamps, events and location names make the pinned inputs fixed. *)
-let canonical (log : Log.t) : Log.t =
-  let loc_str row = Loc.to_string { Loc.obj = row.(0); fld = row.(1) } in
-  let src row wt wc = if row.(wt) < 0 then None else Some (row.(wt), row.(wc)) in
-  let dep_key d =
-    ( d.(Log.d_obs),
-      (d.(Log.d_rft), d.(Log.d_rfc)),
-      d.(Log.d_rl),
-      src d Log.d_wt Log.d_wc,
-      d.(Log.d_wobs),
-      loc_str d )
-  in
-  let range_key r =
-    ( (r.(Log.r_obs), r.(Log.r_loobs), r.(Log.r_wobs)),
-      (r.(Log.r_t), r.(Log.r_lo), r.(Log.r_hi), src r Log.r_wt Log.r_wc),
-      (r.(Log.r_prefix) <> 0, r.(Log.r_write) <> 0, loc_str r) )
-  in
-  let sort key l = List.sort (fun a b -> compare (key a) (key b)) l in
-  let b = Log.builder () in
-  List.iter
-    (fun d -> Log.add_dep b d.(0) d.(1) d.(2) d.(3) d.(4) d.(5) d.(6) d.(7) d.(8))
-    (sort dep_key (deps log));
-  List.iter
-    (fun r ->
-      Log.add_range b r.(0) r.(1) r.(2) r.(3) r.(4) r.(5) r.(6) r.(7) r.(8) r.(9) r.(10) r.(11))
-    (sort range_key (ranges log));
-  { (Log.build b ~o1:log.o1 ~o2:log.o2) with syscalls = log.syscalls; counters = log.counters }
-
 (* the 8 Figure-6 bugs under their triggering schedule, then four
    contended workloads at scale 1 and seed 1 *)
 let generate_recordings () =
@@ -1264,17 +1235,15 @@ let generate_recordings () =
     (fun (b : Bugs.Defs.bug) ->
       let p = Bugs.Defs.program_of b () in
       match Bugs.Harness.find_trigger p with
-      | Some tr -> (b.name, canonical (Light.record ~sched:(tr.make_sched ()) p).log)
+      | Some tr -> (b.name, (Light.record ~sched:(tr.make_sched ()) p).log)
       | None -> Alcotest.failf "%s: no trigger" b.name)
     Bugs.Defs.all
   @ List.map
       (fun name ->
         let bm = Option.get (Workloads.by_name name) in
         ( name,
-          canonical
-            (Light.record ~sched:(Workloads.scheduler ~seed:1 bm) ~seed:1
-               (Workloads.program bm))
-              .log ))
+          (Light.record ~sched:(Workloads.scheduler ~seed:1 bm) ~seed:1 (Workloads.program bm))
+            .log ))
       [ "mp-queue"; "dacapo-avrora"; "stamp-intruder"; "tomcat-kernel" ]
 
 (* Per log: the pruned and the naive system, plain and under the
@@ -1364,54 +1333,54 @@ let synthetic_digest () =
 (* Reference digests of [render_system] for the logs above. *)
 let pinned_systems =
   [
-    ("Cache4j", "1af1e8c0a6068ec484e6e2e096f42894");
-    ("Cache4j/naive", "06762455be3660a4bc55793ceb550f93");
-    ("Cache4j/flip", "92558f446867a00489cf3737160f0b7f");
-    ("Cache4j/flip/naive", "92a27356c648708534dbf52b779369d4");
-    ("Ftpserver", "0406c6b1542ae21bb68d6841535dcce4");
-    ("Ftpserver/naive", "3304e3f2f18eeba220e013149c1b6bcc");
-    ("Ftpserver/flip", "8080569daaf34c7a8933a71fd2ddcbe9");
-    ("Ftpserver/flip/naive", "028af6700f78ecb4797b411485b2c40c");
-    ("Lucene-481", "fece71a9a818e209c9a9e3ecc7096213");
-    ("Lucene-481/naive", "32f7a51d2e2c68b3a4c8dbd0b504a577");
-    ("Lucene-481/flip", "64ae420279e285f826160ad99e268983");
-    ("Lucene-481/flip/naive", "ca2aefc4395727113c137055c3521c71");
-    ("Lucene-651", "91a9a1372ad7f4f2cd7bc602bdd2eb59");
-    ("Lucene-651/naive", "bfaa08837254e74fc348f082f447a841");
-    ("Lucene-651/flip", "a905018ffee9c4973d207a84ad1d7fdd");
-    ("Lucene-651/flip/naive", "08504cde2412fae9df3845790e1a415a");
-    ("Tomcat-37458", "3f4da1ae2e832dacea0e044b63c47154");
-    ("Tomcat-37458/naive", "aad8e60b976f8cbd2671f14394f50623");
-    ("Tomcat-37458/flip", "2272cd301954d2d2b868a29c2bb89d07");
-    ("Tomcat-37458/flip/naive", "213fcba32ac269ae18c9bdd517b199a4");
+    ("Cache4j", "9301c887dd832fe91d0621bf944995ea");
+    ("Cache4j/naive", "b80a8a492c954168bb7ff15d87904fda");
+    ("Cache4j/flip", "b6f9e12c7558a762ef14f8fcd4209669");
+    ("Cache4j/flip/naive", "b8d86ff30a2ea49ccb454ea0b1f97533");
+    ("Ftpserver", "1e030668397683c28230a4f015ffd90b");
+    ("Ftpserver/naive", "da3c282852fe457c605792c35e1c5e89");
+    ("Ftpserver/flip", "2cdcd3d444d4723bbd2c94a48204880a");
+    ("Ftpserver/flip/naive", "32947a69dfdf1077f97048a38c9f89e6");
+    ("Lucene-481", "36dbecd5c53ec45828c7acc47aca985e");
+    ("Lucene-481/naive", "f0d46404558ef239d55fd495272b45c9");
+    ("Lucene-481/flip", "e0d244d335ec3cc0d32f545cbcd9fe40");
+    ("Lucene-481/flip/naive", "14fc3c85660380b7d7134a0d562468f1");
+    ("Lucene-651", "9d4a386ba83552e69fdf466f1a0c925c");
+    ("Lucene-651/naive", "08b3c09cfdadf54ce6c269d2015e4793");
+    ("Lucene-651/flip", "f69b151d5ca8f7548f23c27f2802fe3f");
+    ("Lucene-651/flip/naive", "1810ef2f99a2bff114de002f16f5f731");
+    ("Tomcat-37458", "dab73847033045c6a9301bbcee6af597");
+    ("Tomcat-37458/naive", "857376c55537875753fee805fc89813d");
+    ("Tomcat-37458/flip", "8abdadfa7e0bbb78c98cea18e8f7acc3");
+    ("Tomcat-37458/flip/naive", "b32d399592dbd37d4972d25c11fe7dfc");
     ("Tomcat-50885", "84c96bce9e3ad45c7c76b8d551eea618");
     ("Tomcat-50885/naive", "1591feb53d316d9806b156700887d0f8");
     ("Tomcat-50885/flip", "df11b3177af6d5216a6742fba3faf64c");
     ("Tomcat-50885/flip/naive", "a6a251b4703527dedf55add5d888fc47");
-    ("Tomcat-53498", "2a3b3564f74daf0d7980ec31a6cbddcf");
-    ("Tomcat-53498/naive", "531362ca5a9c8d768e5fe8e1e6d115c0");
-    ("Tomcat-53498/flip", "a6d82647c24113e0189e38b6d0f99e38");
-    ("Tomcat-53498/flip/naive", "60054cf03edd9b62c70bc483e8b8d226");
-    ("Weblech", "560738a26a4834b0fd84292134361584");
-    ("Weblech/naive", "78bcaff09753247f1e5cb3242971bfc0");
-    ("Weblech/flip", "40d1e08cc6477aad3e5d24f9e93d1f37");
-    ("Weblech/flip/naive", "7ffe6006ce7354df76870e408af363d3");
-    ("mp-queue", "aa9d97b878f5eb277f2449055ddb4979");
-    ("mp-queue/naive", "db61c2f3c40129ccbdfed2906e256483");
-    ("mp-queue/flip", "c97eec6f9475caa1c0e7361a2e50daa6");
-    ("mp-queue/flip/naive", "234f84821c37d5c5d9ae8ced19b9d16a");
-    ("dacapo-avrora", "c479b7a14996284919fa8a5abf8d32b0");
-    ("dacapo-avrora/naive", "4093eef89e7917cfa15a2883aefcda4c");
-    ("dacapo-avrora/flip", "ae4dd9572bea5f2caa6d1f01bad31543");
-    ("dacapo-avrora/flip/naive", "e2c9713decfde6b8722bc8bcac5d0367");
-    ("stamp-intruder", "83e9a429535fd869e304256fd14a325d");
-    ("stamp-intruder/naive", "55453daf4129f765319db0b506115e63");
-    ("stamp-intruder/flip", "f4f8f25eddf2eab6b202990479bd0aba");
-    ("stamp-intruder/flip/naive", "684bb71432a35c8cc1f06332a771fd15");
-    ("tomcat-kernel", "997f449e4fb078339acdb8ab1cdde2ae");
-    ("tomcat-kernel/naive", "b7813f6032be75c7aceef678476afed0");
-    ("tomcat-kernel/flip", "0a0e10eeb7b741d225ae0fcfad3afcd7");
-    ("tomcat-kernel/flip/naive", "03eec7aef2ee1e917f27b5cd2b2be8e5");
+    ("Tomcat-53498", "607e50bc38913d2e36ff78ca16a5be3e");
+    ("Tomcat-53498/naive", "fd3b56575580111b64861eea44d304cc");
+    ("Tomcat-53498/flip", "f46b62f861ec9f5100284c0da7e4e6e3");
+    ("Tomcat-53498/flip/naive", "a74ab26335791d343191b269ada5a97a");
+    ("Weblech", "9fe922a4aba76a4cf900c0ca1245ace8");
+    ("Weblech/naive", "34c0004aaf15b7083b35dc974a4ab65b");
+    ("Weblech/flip", "e6d66d585d1023fcb06b788b1ad55745");
+    ("Weblech/flip/naive", "2aa472a2d686ad1b2a9e958215e159b1");
+    ("mp-queue", "e90470661a58028b55aaa64daec2a3d1");
+    ("mp-queue/naive", "4218f499485de2435ef3ea9aabda9ba4");
+    ("mp-queue/flip", "5a35ea2a30fc21f4803776b4a2146c28");
+    ("mp-queue/flip/naive", "689d8b620fc65112bc3e87ca2498cb84");
+    ("dacapo-avrora", "d4707de5bca7e463c63e06c93cfd6aa7");
+    ("dacapo-avrora/naive", "05341b847cb9123b35366fde5e1e923c");
+    ("dacapo-avrora/flip", "7d13e4cbd68771ba65acffb71c64e050");
+    ("dacapo-avrora/flip/naive", "108719303741250260a5d6c6992b1af8");
+    ("stamp-intruder", "cafe5cc2437f4a82b052610dc8297f8a");
+    ("stamp-intruder/naive", "a1f95a0acd4aecda4233f85e43a32b46");
+    ("stamp-intruder/flip", "681b2ae5da68ceddf9f6cc17aa55c8d6");
+    ("stamp-intruder/flip/naive", "dc8e4afc06076268d564d04509a9cd6d");
+    ("tomcat-kernel", "c5f5c897977484109d651a997c6de0a1");
+    ("tomcat-kernel/naive", "828058aa5d8042a5fa259a5d1070dc6c");
+    ("tomcat-kernel/flip", "2b09cc93be77b1cbf5781d35ea59b49f");
+    ("tomcat-kernel/flip/naive", "1d634cf6f01b1c9d40875c6985418a8b");
   ]
 
 let test_pinned_systems () =
@@ -1447,7 +1416,7 @@ let () =
             test_cache_deadlock;
           Alcotest.test_case "rank protocol: each (tid, c) asked once" `Quick
             test_rank_protocol;
-          Alcotest.test_case "gated VM replay allocates <= 1.4x an ungated run" `Quick
+          Alcotest.test_case "gated VM replay allocates <= 1.15x an ungated run" `Quick
             test_replay_alloc;
           Alcotest.test_case "a gated VM run picks round-robin, whatever the scheduler"
             `Quick test_vm_gated_pick;
