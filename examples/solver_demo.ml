@@ -36,8 +36,8 @@ let () =
   in
   (* noninterference on x between (c4 -> c5) and (c1 -> c6):
      O(c5) < O(c1)  \/  O(c6) < O(c4) *)
-  let clauses = [| [| Idl.lt (o 5) (o 1); Idl.lt (o 6) (o 4) |] |] in
-  match Idl.solve { nvars = 6; hard; clauses } with
+  let clauses = [ [| Idl.lt (o 5) (o 1); Idl.lt (o 6) (o 4) |] ] in
+  match Idl.solve (Idl.make ~nvars:6 ~hard ~clauses) with
   | Sat (model, stats) ->
     let order =
       List.sort

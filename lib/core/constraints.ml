@@ -69,27 +69,31 @@
     by location in [Loc.Map] order) and of the clauses and their literals
     decides the solver's first descent and so the replay schedule.  The
     generator keeps that order fixed; test/test_replay.ml pins digests of
-    whole systems.
+    whole systems.  The system is the solver's flat {!Dlsolver.Idl.problem}
+    as generated: hard edges are pushed as triples into the column the
+    solver reads, and clause literals written in place in that order.
 
     {b Cost.}  Generation is linear in the log apart from sorts, and works
     on flat int arrays.  The log's dep and range rows are read in place,
     once, into a struct-of-arrays {!table} whose rows are the intervals
-    (no list or record copy of the log comes first); every distinct event
-    gets its variable there, through one open-addressing table keyed by
-    [(tid, c)].  One hash pass numbers the locations and one sort of the
-    distinct locations by (object, field name) ranks them in [Loc.Map]
-    order, without [Loc.compare]'s per-comparison name allocation.  One
-    radix sort puts every row in (location, thread, start) order;
-    singleton materialization, the init-value edges, the sweep and the
-    replayer's interval tables all read that one order, where "is this
-    event inside an interval of its thread" is a binary search with a
-    running max of the ends ({!location_rows} groups the same rows for
-    validation and exploration).  The per-thread chains come from a radix
-    sort and the time estimates from one walk along them; reachability
-    and the hint share one compressed adjacency of the hard graph.  The
-    sweep does two binary searches per (reader, writer thread) and touches
-    only the gap; one radix sort on the literals finds the duplicate
-    clauses. *)
+    (no list or record copy of the log comes first; stamps the table does
+    not sort by are read from the log's rows); every distinct event gets
+    its variable there, through one open-addressing table keyed by [(tid,
+    c)].  One hash pass numbers the locations and one sort of the distinct
+    locations by (object, field name) ranks them in [Loc.Map] order,
+    without [Loc.compare]'s per-comparison name allocation.  One radix sort
+    puts every row in (location, thread, start) order; singleton
+    materialization, the init-value edges, the sweep and the replayer's
+    interval tables all read that one order, where "is this event inside
+    an interval of its thread" is a binary search with a running max of
+    the ends ({!location_rows} groups the same rows for validation and
+    exploration).  The per-thread chains come from a radix sort and the
+    time estimates from one walk along them; reachability and the hint
+    share one compressed adjacency of the hard graph.  The sweep does two
+    binary searches per (reader, writer thread) and touches only the gap,
+    emitting each clause as a (reader, writer) pair of rows; one pass over
+    them with an index keyed by the literal pair drops the duplicates, and
+    one radix sort by stamp orders the rest. *)
 
 open Runtime
 
@@ -113,6 +117,7 @@ type gen_stats = {
     Every event an interval names has a variable: [sv], [ev] and [src] are
     the start, end and source variables. *)
 type table = {
+  log : Log.t;  (** rows [0 .. n_base - 1] are its deps, then its ranges *)
   n_deps : int;
   n_base : int;
   locs : Loc.t array; (** the locations in [Loc.Map] order *)
@@ -126,8 +131,6 @@ type table = {
   ev : int array;
   (* recorded rows only *)
   src : int array;    (** source variable, [init_src] or [no_src] *)
-  src_obs : int array;
-  lo_obs : int array; (** a range's stamp of its first access, by range *)
   loose : (int * Log.evt) list;
       (** the recorded rows with a write they do not read from (a range's
           [w_in] without prefix reads), with that write *)
@@ -135,7 +138,9 @@ type table = {
   nv : int;
   et : int array;     (** var -> thread *)
   ec : int array;     (** var -> counter *)
-  order : int array;  (** live rows by (location rank, thread, start, row) *)
+  order : int array;
+      (** the rows by (location rank, thread, start, row), dead singletons
+          (no flags) included *)
 }
 
 (* [flags] bits; a row is sourced when its first reads read from its
@@ -146,6 +151,13 @@ let f_sourced = 4
 
 let[@inline] has (tb : table) (k : int) (f : int) =
   Char.code (Bytes.unsafe_get tb.flags k) land f <> 0
+
+(** The stamp of the source write of the log's row [k] (its deps, then
+    its ranges), which is recorded row [k] of its table. *)
+let src_obs (log : Log.t) (k : int) : int =
+  let n_deps = Log.n_deps log in
+  if k < n_deps then log.deps.((k * Log.dep_width) + Log.d_wobs)
+  else log.ranges.(((k - n_deps) * Log.range_width) + Log.r_wobs)
 
 (* [src] encoding of an interval's source *)
 let no_src = -2  (* no incoming dependence, or freed *)
@@ -164,8 +176,7 @@ type threads = {
 
 type t = {
   problem : Dlsolver.Idl.problem;
-  evts : Log.evt array;  (** var index -> event *)
-  table : table;
+  table : table;  (** variable [v] is the event [(table.et.(v), table.ec.(v))] *)
   threads : threads;
   n_hard : int;
   n_clauses : int;
@@ -182,13 +193,18 @@ type t = {
 
 (* [idx] stably sorted by [keys], the most significant first, each an
    array indexed by the elements of [idx]: an LSD radix sort on [key -
-   min], 11 bits a pass, so the cost is linear in the number of indices.
-   The passes alternate between [idx] and one other buffer; either may be
-   the result. *)
+   min], 11 bits a pass (8 below 2048 indices, where the counts would
+   outweigh them), so the cost is linear in the number of indices.  The
+   passes alternate between [idx] and one other buffer; either may be the
+   result. *)
 let sort_by (keys : int array list) (idx : int array) : int array =
   let n = Array.length idx in
+  if n <= 1 then idx
+  else
+  let bits = if n < 2048 then 8 else 11 in
+  let radix = 1 lsl bits in
   let src = ref idx and dst = ref (Array.make n 0) in
-  let count = Array.make 2049 0 in
+  let count = Array.make (radix + 1) 0 in
   List.iter
     (fun key ->
       let lo = ref max_int and hi = ref min_int and s = !src in
@@ -201,23 +217,23 @@ let sort_by (keys : int array list) (idx : int array) : int array =
       let shift = ref 0 in
       while n > 0 && !shift < Sys.int_size && range lsr !shift > 0 do
         let sh = !shift and s = !src and d = !dst in
-        Array.fill count 0 2049 0;
+        Array.fill count 0 (radix + 1) 0;
         for x = 0 to n - 1 do
-          let g = ((key.(s.(x)) - lo) lsr sh) land 2047 in
+          let g = ((key.(s.(x)) - lo) lsr sh) land (radix - 1) in
           count.(g + 1) <- count.(g + 1) + 1
         done;
-        for g = 1 to 2048 do
+        for g = 1 to radix do
           count.(g) <- count.(g) + count.(g - 1)
         done;
         for x = 0 to n - 1 do
           let i = s.(x) in
-          let g = ((key.(i) - lo) lsr sh) land 2047 in
+          let g = ((key.(i) - lo) lsr sh) land (radix - 1) in
           d.(count.(g)) <- i;
           count.(g) <- count.(g) + 1
         done;
         src := d;
         dst := s;
-        shift := sh + 11
+        shift := sh + bits
       done)
     (List.rev keys);
   !src
@@ -334,21 +350,19 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
   let sv = col () and ev = col () in
   let flags = Bytes.make m '\000' in
   let src = Array.make n_base no_src in
-  let src_obs = Array.make n_base 0 and lo_obs = Array.make (n_base - n_deps) 0 in
   let loose = ref [] in
   (* variables, numbered in order of first reference: each recorded
      interval's start, end and source, then the extra events; an interval
      names two or three events *)
   let n_extra = List.length extra_events in
   let vars = Pair_index.create ((2 * n_base) + (n_base - n_deps) + n_extra) in
-  (* row [k]: thread [t], counters [s..e], stamps [o] and [so], flags
-     [fl] and source write [wt:wc] ([wt] -1: the initialization write) *)
-  let row k t s e o so fl wt wc =
+  (* row [k]: thread [t], counters [s..e], stamp [o], flags [fl] and
+     source write [wt:wc] ([wt] -1: the initialization write) *)
+  let row k t s e o fl wt wc =
     tid.(k) <- t;
     lo.(k) <- s;
     hi.(k) <- e;
     obs.(k) <- o;
-    src_obs.(k) <- so;
     Bytes.unsafe_set flags k (Char.unsafe_chr fl);
     sv.(k) <- Pair_index.index vars t s;
     ev.(k) <- Pair_index.index vars t e;
@@ -358,21 +372,19 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
   in
   for k = 0 to n_deps - 1 do
     let b = k * dep_width in
-    row k d.(b + d_rft) d.(b + d_rfc) d.(b + d_rl) d.(b + d_obs) d.(b + d_wobs)
-      (f_reads lor f_sourced) d.(b + d_wt) d.(b + d_wc)
+    row k d.(b + d_rft) d.(b + d_rfc) d.(b + d_rl) d.(b + d_obs) (f_reads lor f_sourced)
+      d.(b + d_wt) d.(b + d_wc)
   done;
   for i = 0 to n_base - n_deps - 1 do
     let b = i * range_width in
-    lo_obs.(i) <- r.(b + r_loobs);
     (* only runs containing reads are recorded *)
-    row (n_deps + i) r.(b + r_t) r.(b + r_lo) r.(b + r_hi) r.(b + r_obs) r.(b + r_wobs)
+    row (n_deps + i) r.(b + r_t) r.(b + r_lo) r.(b + r_hi) r.(b + r_obs)
       (f_reads
       lor (if r.(b + r_write) <> 0 then f_writes else 0)
       lor if r.(b + r_prefix) <> 0 then f_sourced else 0)
       r.(b + r_wt) r.(b + r_wc)
   done;
   List.iter (fun (t, c) -> ignore (Pair_index.index vars t c)) extra_events;
-  let fl k = Char.code (Bytes.unsafe_get flags k) in
   (* the referenced source writes, as write-only singleton rows: one per
      sourced interval, the last in log order first *)
   let grank, locs = loc_ranks log m in
@@ -386,7 +398,7 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
       tid.(r) <- vars.fst.(w);
       lo.(r) <- vars.snd.(w);
       hi.(r) <- vars.snd.(w);
-      obs.(r) <- src_obs.(k);
+      obs.(r) <- src_obs log k;
       sv.(r) <- w;
       ev.(r) <- w;
       Bytes.unsafe_set flags r (Char.unsafe_chr f_writes)
@@ -399,7 +411,7 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
      (whose interval is the last to name the pair, providing its stamp)
      lives *)
   let order = sort_by [ grank; tid; lo ] (Array.init m Fun.id) in
-  let live = ref 0 and reach = ref min_int in
+  let reach = ref min_int in
   Array.iteri
     (fun x k ->
       let k' = if x > 0 then order.(x - 1) else -1 in
@@ -409,17 +421,11 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
         if hi.(k) > !reach then reach := hi.(k)
       end
       else if !reach >= lo.(k) || (same_run && k' >= n_base && lo.(k) = lo.(k')) then
-        Bytes.unsafe_set flags k '\000';
-      if fl k <> 0 then begin
-        order.(!live) <- k;
-        incr live
-      end)
+        Bytes.unsafe_set flags k '\000')
     order;
-  let order = Array.sub order 0 !live in
   {
-    n_deps; n_base; locs; grank; tid; lo; hi; obs; flags; sv; ev; src;
-    src_obs; lo_obs; loose = !loose; nv = Pair_index.length vars; et = vars.fst; ec = vars.snd;
-    order;
+    log; n_deps; n_base; locs; grank; tid; lo; hi; obs; flags; sv; ev; src; loose = !loose;
+    nv = Pair_index.length vars; et = vars.fst; ec = vars.snd; order;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -555,10 +561,11 @@ let event_times (tb : table) (th : threads) : int array =
   in
   for k = 0 to tb.n_base - 1 do
     anchor tb.ev.(k) 0 0 tb.obs.(k);
-    if k >= tb.n_deps then anchor tb.sv.(k) 0 0 tb.lo_obs.(k - tb.n_deps);
-    if tb.src.(k) >= 0 then anchor tb.src.(k) 0 0 tb.src_obs.(k)
+    if k >= tb.n_deps then
+      anchor tb.sv.(k) 0 0 tb.log.ranges.(((k - tb.n_deps) * Log.range_width) + Log.r_loobs);
+    if tb.src.(k) >= 0 then anchor tb.src.(k) 0 0 (src_obs tb.log k)
   done;
-  List.iter (fun (k, (t, c)) -> anchor (find_var th tb.ec t c) t c tb.src_obs.(k)) tb.loose;
+  List.iter (fun (k, (t, c)) -> anchor (find_var th tb.ec t c) t c (src_obs tb.log k)) tb.loose;
   let others = Array.of_list (List.sort compare !others) in
   (* the estimates overwrite [amin] behind the walk, which reads ahead *)
   let prio = amin in
@@ -646,23 +653,23 @@ end
    of [v] are [dst.(off.(v)) .. dst.(off.(v+1) - 1)]. *)
 type graph = { off : int array; dst : int array }
 
-(* the first [m] edges of [hard], stored as [u; v] pairs *)
+(* the first [m] edges of [hard], stored as [u; v; k] triples *)
 let graph_of (nv : int) (hard : Vec.t) (m : int) : graph =
   let e = hard.a in
   (* out-degrees summed to each vertex's end, then each edge placed by
      stepping its source's bound back: the bounds end at the starts *)
   let off = Array.make (nv + 1) 0 in
   for i = 0 to m - 1 do
-    off.(e.(2 * i)) <- off.(e.(2 * i)) + 1
+    off.(e.(3 * i)) <- off.(e.(3 * i)) + 1
   done;
   for v = 1 to nv do
     off.(v) <- off.(v) + off.(v - 1)
   done;
   let dst = Array.make m 0 in
   for i = 0 to m - 1 do
-    let u = e.(2 * i) in
+    let u = e.(3 * i) in
     off.(u) <- off.(u) - 1;
-    dst.(off.(u)) <- e.((2 * i) + 1)
+    dst.(off.(u)) <- e.((3 * i) + 1)
   done;
   { off; dst }
 
@@ -828,13 +835,15 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
   let reads k = has tb k f_reads and writes k = has tb k f_writes in
   (* per-vertex buffers of the graph passes *)
   let indeg = Array.make nv 0 and scratch = Array.make nv 0 in
-  (* hard edges as [u; v] pairs; thread order and the dependences take
-     fewer than [nv + n_base], and a quarter of [n_base] more usually
-     holds the initial-value edges and unit reductions *)
-  let hard = Vec.create (2 * (nv + tb.n_base + (tb.n_base / 4) + 64)) in
+  (* hard edges as the solver takes them, [u; v; -1] triples for [O(u) <
+     O(v)]; thread order and the dependences take fewer than [nv +
+     n_base], and a quarter of [n_base] more usually holds the
+     initial-value edges and unit reductions *)
+  let hard = Vec.create (3 * (nv + tb.n_base + (tb.n_base / 4) + 64)) in
   let add_hard a b =
     Vec.push hard a;
-    Vec.push hard b
+    Vec.push hard b;
+    Vec.push hard (-1)
   in
   (* thread order, one chain per thread *)
   Array.iter
@@ -852,17 +861,18 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
       if esrc k >= 0 then add_hard (esrc k) sv.(k)
     done
   done;
-  (* clauses as [i; j; z] records: reader interval [i], writer interval
-     [j] and the start [z] of [i]'s protected zone, for O(end i) < O(start
-     j) \/ O(end j) < O(z) *)
-  let clauses = Vec.create 1024 in
+  (* the start of reader interval [i]'s protected zone: its source write,
+     or its own start when it has none *)
+  let zstart i = if esrc i >= 0 then esrc i else sv.(i) in
+  (* clauses as [i; j] pairs: reader interval [i] and writer interval [j],
+     for O(end i) < O(start j) \/ O(end j) < O(zstart i) *)
+  let clauses = Vec.create 16 in
   let n_pairs = ref 0 and n_pruned = ref 0 and n_unit = ref 0 and n_dedup = ref 0 in
   (* event [(t, c)] lies inside interval [j] *)
   let inside t c j = tid.(j) = t && lo.(j) <= c && c <= hi.(j) in
-  let emit_clause i j z =
+  let emit_clause i j =
     Vec.push clauses i;
-    Vec.push clauses j;
-    Vec.push clauses z
+    Vec.push clauses j
   in
   (* the original pairwise generator, kept as the differential oracle for
      the pruning sweep below; each location's rows in the order the
@@ -883,12 +893,12 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
                     else if esrc i >= 0 then begin
                       if not (inside tb.et.(esrc i) tb.ec.(esrc i) j) then begin
                         incr n_pairs;
-                        emit_clause i j (esrc i)
+                        emit_clause i j
                       end
                     end
                     else if tid.(i) <> tid.(j) && not (is_freed i) then begin
                       incr n_pairs;
-                      emit_clause i j sv.(i)
+                      emit_clause i j
                     end
                   end)
                 sorted)
@@ -945,16 +955,17 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
     done;
     (* reachability over the hard constraints accumulated so far; hard
        edges added later (unit reductions) only make pruning conservative *)
-    let n_reach = hard.n / 2 in
+    let n_reach = hard.n / 3 in
     let g = graph_of nv hard n_reach in
     let reach = compute_reach tb th g ~indeg ~q:scratch in
     let nt = Array.length th.tids in
-    (* greatest counter of an event of slot [s]'s thread hard-preceding
-       (or equal to) var [v]; [min_int] when reachability is unavailable *)
-    let entry v s = match reach with Some vc -> vc.((v * nt) + s) | None -> min_int in
-    (* the write at [ws.(x)] starts hard-after counter [c] of slot [s] *)
-    let after x s c = entry sv.(ws.(x)) s >= c in
-    let seen_unit = Pair_index.create 256 in
+    (* [vc.((v * stride) + s)] is the greatest counter of an event of slot
+       [s]'s thread hard-preceding (or equal to) var [v]; with no
+       reachability every entry is [min_int] (one row, stride 0) *)
+    let vc, stride =
+      match reach with Some vc -> (vc, nt) | None -> (Array.make (max 1 nt) min_int, 0)
+    in
+    let seen_unit = Pair_index.create 16 in
     for g = 0 to nl - 1 do
       for x = mstart.(g + 1) - 1 downto mstart.(g) do
         let i = members.(x) in
@@ -965,9 +976,7 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
           let t1 = tid.(i) and s1 = th.slot.(sv.(i)) in
           let c_end_i = hi.(i) in
           let sourced = esrc i >= 0 in
-          (* the protected zone starts at the source write, or at the
-             interval's own start when it has none *)
-          let v_zstart = if sourced then esrc i else sv.(i) in
+          let v_zstart = zstart i in
           let w_t = tb.et.(v_zstart) and w_c = tb.ec.(v_zstart) in
           let w_inside = sourced && covered tb ws pmax wstart.(g) wstart.(g + 1) w_t w_c in
           for r = rstart.(g) to rstart.(g + 1) - 1 do
@@ -984,7 +993,7 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
               (* writers whose end (and every earlier one's) is
                  hard-ordered before the zone start: their zone exit is
                  implied by thread order *)
-              let bound = entry v_zstart th.slot.(sv.(ws.(b0))) in
+              let bound = vc.((v_zstart * stride) + th.slot.(sv.(ws.(b0)))) in
               let l = ref b0 and h = ref e in
               while !l < !h do
                 let mid = (!l + !h) lsr 1 in
@@ -998,11 +1007,13 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
               let l = ref pfx and h = ref e and d = ref 1 in
               while !l + !d - 1 < !h do
                 let x = !l + !d - 1 in
-                if after x s1 c_end_i then h := x else (l := x + 1; d := 2 * !d)
+                (* the write at [ws.(x)] starts hard-after the reader's end *)
+                if vc.((sv.(ws.(x)) * stride) + s1) >= c_end_i then h := x
+                else (l := x + 1; d := 2 * !d)
               done;
               while !l < !h do
                 let mid = (!l + !h) lsr 1 in
-                if after mid s1 c_end_i then h := mid else l := mid + 1
+                if vc.((sv.(ws.(mid)) * stride) + s1) >= c_end_i then h := mid else l := mid + 1
               done;
               let sfx = l in
               (* a writer starting at the reader's own end event (possible
@@ -1024,7 +1035,7 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
                       add_hard ev.(j) v_zstart;
                     incr n_unit
                   end
-                  else emit_clause i j v_zstart
+                  else emit_clause i j
                 end
               done;
               n_pruned := !n_pruned + (cands - !handled)
@@ -1038,77 +1049,72 @@ let generate ?(naive = false) ?(free = []) ?(extra_events = []) (log : Log.t) : 
   let g, n_early =
     if naive then begin
       naive_pairs ();
-      (graph_of nv hard (hard.n / 2), hard.n / 2)
+      (graph_of nv hard (hard.n / 3), hard.n / 3)
     end
     else pruned_sweep ()
   in
-  let n_hard = hard.n / 2 in
+  let n_hard = hard.n / 3 in
   (* the hint's graph: the sweep's, plus the unit reductions it added as
      late edges, by source *)
   let late =
     let m = n_hard - n_early in
-    let src x = hard.a.(2 * (n_early + x)) in
+    let src x = hard.a.(3 * (n_early + x)) in
     let by_src = sort_by [ Array.init m src ] (Array.init m Fun.id) in
-    Array.init (2 * m) (fun y -> hard.a.((2 * (n_early + by_src.(y / 2))) + (y land 1)))
+    Array.init (2 * m) (fun y -> hard.a.((3 * (n_early + by_src.(y / 2))) + (y land 1)))
   in
   let hint = topo_hint nv (event_times tb th) g late ~indeg ~heap:scratch in
-  let n_emitted = clauses.n / 3 and c = clauses.a in
-  let ci x = c.(3 * x) and cj x = c.((3 * x) + 1) and cz x = c.((3 * x) + 2) in
-  (* the sweep's duplicates (the same two literals) leave only their
-     first emission; the naive generator keeps them all *)
-  let dup = Bytes.make n_emitted '\000' in
+  let c = clauses.a in
+  let ci x = c.(2 * x) and cj x = c.((2 * x) + 1) in
+  (* the sweep's duplicates (the same two literals, in either order)
+     leave only their first emission, compacted in place; the naive
+     generator keeps them all *)
   if not naive then begin
-    let p1 x = (ev.(ci x) * nv) + sv.(cj x) and p2 x = (ev.(cj x) * nv) + cz x in
-    let k1 = Array.init n_emitted (fun x -> min (p1 x) (p2 x))
-    and k2 = Array.init n_emitted (fun x -> max (p1 x) (p2 x)) in
-    let by_key = sort_by [ k1; k2 ] (Array.init n_emitted Fun.id) in
-    for y = 1 to n_emitted - 1 do
-      let x = by_key.(y) and x' = by_key.(y - 1) in
-      if k1.(x) = k1.(x') && k2.(x) = k2.(x') then begin
-        Bytes.set dup x '\001';
-        incr n_dedup
+    let n_emitted = clauses.n / 2 in
+    let seen = Pair_index.create n_emitted in
+    let y = ref 0 in
+    for x = 0 to n_emitted - 1 do
+      let i = ci x and j = cj x in
+      let p1 = (ev.(i) * nv) + sv.(j) and p2 = (ev.(j) * nv) + zstart i in
+      if Pair_index.index seen (min p1 p2) (max p1 p2) = !y then begin
+        c.(2 * !y) <- i;
+        c.((2 * !y) + 1) <- j;
+        incr y
       end
-    done
+    done;
+    n_dedup := n_emitted - !y;
+    clauses.n <- 2 * !y
   end;
+  let nc = clauses.n / 2 in
   (* the clauses by stamp, the later of the two intervals' observations;
      among equal stamps the later-emitted first *)
-  let nc = n_emitted - !n_dedup in
-  let later_first = Array.make nc 0 in
-  let y = ref 0 in
-  for x = n_emitted - 1 downto 0 do
-    if Bytes.get dup x = '\000' then begin
-      later_first.(!y) <- x;
-      incr y
-    end
-  done;
-  let stamps = Array.init n_emitted (fun x -> max tb.obs.(ci x) tb.obs.(cj x)) in
-  let by_stamp = sort_by [ stamps ] later_first in
-  (* Literal ordering: the first literal matches the original order when
-     the reader was observed before the writer.  Then the hint, a model of
-     the hard atoms that tracks the recorded schedule, reorders: placing a
-     hint-true literal first makes the solver's first descent assert a set
-     of literals that the hint itself satisfies — conflicts can only come
-     from clauses whose both literals the hint falsifies.  The stamp order
-     stays as the tie-break. *)
-  let clause_arr =
-    Array.map
-      (fun x ->
-        let i = ci x and j = cj x in
-        let r = Dlsolver.Idl.lt ev.(i) sv.(j) and w = Dlsolver.Idl.lt ev.(j) (cz x) in
-        let swap = tb.obs.(i) > tb.obs.(j) in
-        let a1 = if swap then w else r and a2 = if swap then r else w in
+  let stamp = Array.init nc (fun x -> max tb.obs.(ci x) tb.obs.(cj x)) in
+  let by_stamp = sort_by [ stamp ] (Array.init nc (fun y -> nc - 1 - y)) in
+  (* Literal placement, two [u; v; -1] triples a clause: a hint-true
+     literal first, so the solver's first descent asserts literals the hint
+     (a model of the hard atoms tracking the recorded schedule) satisfies;
+     else the original order, the reader's literal first when the reader
+     was observed before the writer. *)
+  let lits = Array.make (6 * nc) (-1) in
+  Array.iteri
+    (fun y x ->
+      let i = ci x and j = cj x in
+      (* O(end i) < O(start j), and O(end j) < O(zstart i) *)
+      let ru = ev.(i) and rv = sv.(j) and wu = ev.(j) and wv = zstart i in
+      let w_first =
         match hint with
-        | Some h when h.(a1.u) >= h.(a1.v) && h.(a2.u) < h.(a2.v) -> [| a2; a1 |]
-        | _ -> [| a1; a2 |])
-      by_stamp
-  in
-  let hard_atoms = ref [] in
-  for e = n_hard - 1 downto 0 do
-    hard_atoms := Dlsolver.Idl.lt hard.a.(2 * e) hard.a.((2 * e) + 1) :: !hard_atoms
-  done;
+        | Some h when h.(ru) < h.(rv) && h.(wu) >= h.(wv) -> false
+        | Some h when h.(wu) < h.(wv) && h.(ru) >= h.(rv) -> true
+        | _ -> tb.obs.(i) > tb.obs.(j)
+      in
+      let b = 6 * y and o = if w_first then 3 else 0 in
+      lits.(b + o) <- ru;
+      lits.(b + o + 1) <- rv;
+      lits.(b + 3 - o) <- wu;
+      lits.(b + 4 - o) <- wv)
+    by_stamp;
   {
-    problem = { Dlsolver.Idl.nvars = nv; hard = !hard_atoms; clauses = clause_arr };
-    evts = Array.init nv (fun v -> (tb.et.(v), tb.ec.(v)));
+    problem =
+      { nvars = nv; n_hard; hard = hard.a; clause_start = Array.init (nc + 1) (( * ) 2); lits };
     table = tb;
     threads = th;
     n_hard;

@@ -773,7 +773,7 @@ let of_string_v4 (s : string) : (file, Log.error) result =
       | None -> Log.bad_header c)
     | _ -> Log.bad_header c
   in
-  let fmap = Hashtbl.create 32 and b = Log.builder () in
+  let fmap = Log.fields () and b = Log.builder () in
   let chunks = ref [] in
   (* the epoch being read; its records are in [b] *)
   let cur = ref None in

@@ -632,18 +632,33 @@ let tag (c : cursor) : char =
   if c.tl <> 1 then bad c;
   c.cs.[c.ts]
 
+(** A file's field table read so far: [ids.(n)] is the intern id of the
+    field its [F] line numbered [n], [min_int] where no line did.  Writers
+    number fields densely, so the array grows to the largest number read,
+    which is bounded by the input's length. *)
+type fields = { mutable ids : int array }
+
+let fields () : fields = { ids = Array.make 16 min_int }
+
+(* record [F n name]'s field, whose intern id is [f] *)
+let define_field (c : cursor) (fm : fields) (n : int) (f : int) : unit =
+  if n < 0 || n > String.length c.cs then bad c;
+  if n >= Array.length fm.ids then begin
+    let a = Array.make (max (n + 1) (2 * Array.length fm.ids)) min_int in
+    Array.blit fm.ids 0 a 0 (Array.length fm.ids);
+    fm.ids <- a
+  end;
+  fm.ids.(n) <- f
+
 (* The field id after the '/' at [m] of the location token, remapped
-   through [fmap], the file's field table read so far (file-local numbers
-   to this process's intern ids) *)
-let loc_fld (c : cursor) (fmap : (int, int) Hashtbl.t) (m : int) : int =
+   through [fm] (file-local numbers to this process's intern ids) *)
+let loc_fld (c : cursor) (fm : fields) (m : int) : int =
   let fld = right c m in
   if fld < 0 then fld
+  else if fld < Array.length fm.ids && fm.ids.(fld) <> min_int then fm.ids.(fld)
   else
-    match Hashtbl.find fmap fld with
-    | f -> f
-    | exception Not_found ->
-      failwith
-        (Printf.sprintf "bad location (field id %d not in intern table): %s" fld (tok_text c))
+    failwith
+      (Printf.sprintf "bad location (field id %d not in intern table): %s" fld (tok_text c))
 
 (* An event token [t:c]: the position of its ':', or -1 for [-] (the
    virtual initialization write).  Thread ids are never negative. *)
@@ -659,13 +674,13 @@ let evt_tok (c : cursor) : int =
 (** Decode the rest of an F, T, D, R or S line, the cursor standing after
     its [tag]: an F line extends [fmap], the others are appended to [b]
     (a D or R line without allocating). *)
-let record_line (c : cursor) ~(fmap : (int, int) Hashtbl.t) (b : builder) (tag : char) : unit =
+let record_line (c : cursor) ~(fmap : fields) (b : builder) (tag : char) : unit =
   match tag with
   | 'F' ->
     let id = int_tok c in
     let name = field_tok c in
     eod c;
-    Hashtbl.replace fmap id (Loc.fld_of_name name)
+    define_field c fmap id (Loc.fld_of_name name)
   | 'T' ->
     let t = int_tok c in
     let n = int_tok c in
@@ -738,7 +753,7 @@ let parse (s : string) : (t, error) result =
       let o1, o2 =
         match header c ~version:"v3" with o1, o2, [] -> (o1, o2) | _ -> bad_header c
       in
-      let fmap = Hashtbl.create 16 and b = builder () in
+      let fmap = fields () and b = builder () in
       while next_line c do
         record_line c ~fmap b (tag c)
       done;

@@ -39,10 +39,11 @@ type thread_tables = {
       (** rank of the thread's last constrained event with counter < c, -1
           when there is none *)
   mutable last : int;  (** rank of the thread's last constrained event by counter *)
-  ivs : int array Loc.Tbl.t;
-      (** recorded intervals on each location, as [lo; reach] pairs sorted by
-          [lo], where [reach] is the largest [hi] among this pair and the
-          ones before it *)
+  mutable ivs : int array array;
+      (** recorded intervals on each location, by the location's number in
+          the schedule's [iv_locs] ([[||]] past the end or for none), as
+          [lo; reach] pairs sorted by [lo], where [reach] is the largest
+          [hi] among this pair and the ones before it *)
 }
 
 (* Thread tables by tid, for the gate's per-call lookup: open addressing
@@ -54,6 +55,9 @@ type by_tid = { keys : int array; vals : thread_tables array; mask : int }
 type schedule = {
   order : Log.evt array;  (** rank -> event *)
   threads : by_tid;
+  iv_locs : Pair_index.t;
+      (** the locations some thread has an interval with an interior on,
+          numbered: [(obj, fld)] -> the index into [ivs] *)
   syscall_values : (int * int, Value.t) Hashtbl.t;
   notify_pairs : (Log.evt, int) Hashtbl.t;  (** notify write event -> waiter tid *)
 }
@@ -77,7 +81,7 @@ type solve_report = {
 }
 
 let no_tables =
-  { base = 0; rank = [||]; pred = [||]; last = -1; ivs = Loc.Tbl.create 1 }
+  { base = 0; rank = [||]; pred = [||]; last = -1; ivs = [||] }
 
 let[@inline] tid_slot (t : int) (mask : int) : int =
   let x = t * 0x9E3779B1 in
@@ -99,10 +103,11 @@ let by_tid_of (tbl : thread_tables Tid.t) : by_tid =
 
 type span = { mutable lo : int; mutable hi : int }
 
-(* The event indices ordered by model value, ties by event: a linear-time
-   radix sort by model value, then each run of equal model values sorted
-   by event (the solver's values are almost always distinct). *)
-let rank_order (evts : Log.evt array) (model : int array) : int array =
+(* The variables ordered by model value, ties by event [(et.(v), ec.(v))]:
+   a linear-time radix sort by model value, then each run of equal model
+   values sorted by event (the solver's values are almost always
+   distinct). *)
+let rank_order ~(et : int array) ~(ec : int array) (model : int array) : int array =
   let n = Array.length model in
   let idx = Constraints.sort_by [ model ] (Array.init n Fun.id) in
   let i = ref 0 in
@@ -111,7 +116,9 @@ let rank_order (evts : Log.evt array) (model : int array) : int array =
     while !j < n && model.(idx.(!j)) = model.(idx.(!i)) do incr j done;
     if !j - !i > 1 then begin
       let run = Array.sub idx !i (!j - !i) in
-      Array.sort (fun a b -> compare evts.(a) evts.(b)) run;
+      Array.sort
+        (fun a b -> match Int.compare et.(a) et.(b) with 0 -> Int.compare ec.(a) ec.(b) | c -> c)
+        run;
       Array.blit run 0 idx !i (!j - !i)
     end;
     i := !j
@@ -119,8 +126,9 @@ let rank_order (evts : Log.evt array) (model : int array) : int array =
   idx
 
 let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : schedule =
-  let by_model = rank_order cs.evts model in
-  let order = Array.map (fun i -> cs.evts.(i)) by_model in
+  let et = cs.table.et and ec = cs.table.ec in
+  let by_model = rank_order ~et ~ec model in
+  let order = Array.map (fun v -> (et.(v), ec.(v))) by_model in
   (* per thread: counter span, then the rank table, then [pred] and [last]
      by one ascending scan of it *)
   let spans = Tid.create 16 in
@@ -142,7 +150,7 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
           rank = Array.make len (-1);
           pred = Array.make len (-1);
           last = -1;
-          ivs = Loc.Tbl.create 8;
+          ivs = [||];
         })
     spans;
   Array.iteri (fun k (t, c) -> let th = Tid.find threads t in th.rank.(c - th.base) <- k) order;
@@ -160,6 +168,7 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
      their thread has tables), and a constrained write is never
      suppressed. *)
   let iv = cs.table in
+  let iv_locs = Pair_index.create 16 in
   let rows = iv.order in
   let n = Array.length rows in
   let x = ref 0 in
@@ -183,7 +192,14 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
           incr j
         end
       done;
-      Loc.Tbl.replace (Tid.find threads iv.tid.(k0)).ivs iv.locs.(iv.grank.(k0)) a
+      let l = iv.locs.(iv.grank.(k0)) and th = Tid.find threads iv.tid.(k0) in
+      let g = Pair_index.index iv_locs l.obj l.fld in
+      if g >= Array.length th.ivs then begin
+        let b = Array.make (max (g + 1) (2 * Array.length th.ivs)) [||] in
+        Array.blit th.ivs 0 b 0 (Array.length th.ivs);
+        th.ivs <- b
+      end;
+      th.ivs.(g) <- a
     end;
     x := !e
   done;
@@ -201,7 +217,7 @@ let build_schedule (log : Log.t) (cs : Constraints.t) (model : int array) : sche
   in
   pair log.deps Log.dep_width ~wt:Log.d_wt ~wc:Log.d_wc ~rt:Log.d_rft;
   pair log.ranges Log.range_width ~wt:Log.r_wt ~wc:Log.r_wc ~rt:Log.r_t;
-  { order; threads = by_tid_of threads; syscall_values; notify_pairs }
+  { order; threads = by_tid_of threads; iv_locs; syscall_values; notify_pairs }
 
 (** Generate constraints, solve, and build the schedule.  [budget] bounds
     the solver's work so a pathological constraint system aborts with
@@ -311,19 +327,22 @@ let rank (sch : schedule) ((t, c) : Log.evt) : int option =
   let k = rank_at (tables sch t) c in
   if k < 0 then None else Some k
 
-(* is counter [c] inside a recorded interval of the thread on [loc]?  The
-   greatest [lo <= c] is found by binary search; its [reach] covers [c]
-   iff some interval starting at or before [c] ends at or after it *)
-let interior (th : thread_tables) (loc : Loc.t) (c : int) : bool =
-  match Loc.Tbl.find th.ivs loc with
-  | exception Not_found -> false
-  | a ->
-    let lo = ref 0 and hi = ref ((Array.length a / 2) - 1) and best = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      if a.(2 * mid) <= c then (best := mid; lo := mid + 1) else hi := mid - 1
-    done;
-    !best >= 0 && a.((2 * !best) + 1) >= c
+(* is counter [c] inside a recorded interval of the thread on [(obj,
+   fld)]?  The greatest [lo <= c] is found by binary search; its [reach]
+   covers [c] iff some interval starting at or before [c] ends at or after
+   it *)
+let interior (sch : schedule) (th : thread_tables) ~(obj : int) ~(fld : int) (c : int) : bool =
+  let g = Pair_index.find sch.iv_locs obj fld in
+  g >= 0
+  && g < Array.length th.ivs
+  &&
+  let a = th.ivs.(g) in
+  let lo = ref 0 and hi = ref ((Array.length a / 2) - 1) and best = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(2 * mid) <= c then (best := mid; lo := mid + 1) else hi := mid - 1
+  done;
+  !best >= 0 && a.((2 * !best) + 1) >= c
 
 (* The O2 "guarded" bit per site as one byte per site id, in the style of
    [Plan.modes], filled on first use ('\002' = not asked yet): the driver
@@ -374,7 +393,7 @@ let driver ?(suppress = true) (sch : schedule) ~(plan : Plan.t) : Interp.hooks =
     suppress
     &&
     let th = tables sch tid in
-    rank_at th c < 0 && (not (guarded_site site)) && not (interior th { Loc.obj; fld } c)
+    rank_at th c < 0 && (not (guarded_site site)) && not (interior sch th ~obj ~fld c)
   in
   let syscall_override ~tid ~idx ~name:_ =
     Hashtbl.find_opt sch.syscall_values (tid, idx)

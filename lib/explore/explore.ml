@@ -226,17 +226,13 @@ let solve_flips ?budget ?(hinted = true) ?sections (log : Log.t)
               else
                 match (var_of a1, var_of r1, var_of a2, var_of r2) with
                 | Some va1, Some vr1, Some va2, Some vr2 ->
-                  let l1 = Dlsolver.Idl.lt vr1 va2
-                  and l2 = Dlsolver.Idl.lt vr2 va1 in
+                  let l1 = Dlsolver.Idl.lt vr1 va2 and l2 = Dlsolver.Idl.lt vr2 va1 in
                   (* hint-true literal first: the recorded order stays the
                      solver's first descent *)
-                  let cl =
-                    match cs.hint with
-                    | Some h when h.(l1.Dlsolver.Idl.u) - h.(l1.Dlsolver.Idl.v) > l1.k
-                      -> [| l2; l1 |]
-                    | _ -> [| l1; l2 |]
-                  in
-                  Some cl
+                  Some
+                    (match cs.hint with
+                    | Some h when h.(vr1) >= h.(va2) -> [| l2; l1 |]
+                    | _ -> [| l1; l2 |])
                 | _ -> None)
             (pairs secs))
         sections
@@ -287,13 +283,7 @@ let solve_flips ?budget ?(hinted = true) ?sections (log : Log.t)
             sections)
         flips
   in
-  let problem =
-    {
-      cs.problem with
-      Dlsolver.Idl.hard = cs.problem.hard @ atoms @ window;
-      clauses = Array.append cs.problem.clauses (Array.of_list mutex);
-    }
-  in
+  let problem = Dlsolver.Idl.extend cs.problem ~hard:(atoms @ window) ~clauses:mutex in
   let hint = if hinted then cs.hint else None in
   let t0 = Unix.gettimeofday () in
   let res = Dlsolver.Idl.solve ?budget ?hint problem in

@@ -231,6 +231,7 @@ type solver_measure = {
   sm_gen_s : float;
   sm_solve_s : float;
   sm_gen_words : int;  (* words [Constraints.generate] allocates *)
+  sm_solve_words : int;  (* words [Idl.solve] allocates on the generated system *)
 }
 
 let solver_variants =
@@ -262,23 +263,31 @@ let measure_solver ?(seed = 3)
     sm_gen_s = g.gen_time_s;
     sm_solve_s = report.solve_time_s;
     sm_gen_words = 0;
+    sm_solve_words = 0;
   },
     r.log )
 
-(* The words [Constraints.generate] allocates for [log], counted on the
-   calling domain around one more call.  The minor heap is emptied first
-   and no other domain may run meanwhile: a young object promoted during
-   the call, by this domain's collection or another's, would change the
-   count, which is otherwise exact. *)
-let gen_words (log : Light_core.Log.t) : int =
+(* The words [f ()] allocates, counted on the calling domain.  The minor
+   heap is emptied before and after, so the counters include every word
+   the call allocated, and no other domain may run meanwhile: a young
+   object promoted during the call, by this domain's collection or
+   another's, would change the count, which is otherwise exact. *)
+let words_of (f : unit -> 'a) : int =
   let words () =
+    Gc.minor ();
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
-  Gc.minor ();
   let w0 = words () in
-  ignore (Sys.opaque_identity (Light_core.Constraints.generate log));
+  ignore (Sys.opaque_identity (f ()));
   int_of_float (words () -. w0)
+
+(* The words [Constraints.generate] allocates for [log], then the words
+   [Idl.solve] allocates on the system it generated. *)
+let gen_solve_words (log : Light_core.Log.t) : int * int =
+  let cs = Light_core.Constraints.generate log in
+  ( words_of (fun () -> Light_core.Constraints.generate log),
+    words_of (fun () -> Dlsolver.Idl.solve ?hint:cs.hint cs.problem) )
 
 let solver_json (ms : solver_measure list) : J.t =
   let row m =
@@ -292,13 +301,16 @@ let solver_json (ms : solver_measure list) : J.t =
         ("decisions", J.Int m.sm_decisions); ("backtracks", J.Int m.sm_backtracks);
         ("conflicts", J.Int m.sm_conflicts); ("gen_s", J.Float m.sm_gen_s);
         ("solve_s", J.Float m.sm_solve_s); ("gen_words", J.Int m.sm_gen_words);
+        ("solve_words", J.Int m.sm_solve_words);
       ]
   in
   let o1o2 = List.filter (fun m -> m.sm_variant = "O1+O2") ms in
+  let total f = J.Int (List.fold_left (fun a m -> a + f m) 0 o1o2) in
   J.Obj
     [
       ("rows", J.List (List.map row ms));
-      ("gen_words_o1o2", J.Int (List.fold_left (fun a m -> a + m.sm_gen_words) 0 o1o2));
+      ("gen_words_o1o2", total (fun m -> m.sm_gen_words));
+      ("solve_words_o1o2", total (fun m -> m.sm_solve_words));
     ]
 
 (* Per-workload constraint pipeline report: generation pruning ratios and
@@ -314,7 +326,9 @@ let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf : J
   in
   let ms =
     Engine.Batch.map ?pool grid ~f:(measure_solver ~seed)
-    |> List.map (fun (m, log) -> { m with sm_gen_words = gen_words log })
+    |> List.map (fun (m, log) ->
+           let gen, solve = gen_solve_words log in
+           { m with sm_gen_words = gen; sm_solve_words = solve })
   in
   Chart.table
     ~title:
@@ -354,12 +368,15 @@ let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf : J
   write_artifact ppf json_path j;
   j
 
-(* The generator's allocation over the default (O1+O2) logs.  It is a
-   count, the same on any host and for any pool size, so the 10% is not
-   for noise: it lets a change trade a little allocation for something
-   else without a baseline refresh, and stops a layout regression. *)
+(* The generator's and the solver's allocation over the default (O1+O2)
+   logs.  Each is a count, the same on any host and for any pool size, so
+   the 10% is not for noise: it lets a change trade a little allocation
+   for something else without a baseline refresh, and stops a layout
+   regression. *)
 let solvercheck_rules : Gate.rule list =
-  [ { metric = "gen_words_o1o2"; reference = Baseline; direction = At_most; tolerance = 0.10 } ]
+  List.map
+    (fun metric -> { Gate.metric; reference = Baseline; direction = At_most; tolerance = 0.10 })
+    [ "gen_words_o1o2"; "solve_words_o1o2" ]
 
 let solvercheck ?(baseline_path = "bench/BENCH_solver.baseline.json") ?json_path ?pool () ppf :
     bool =

@@ -1,66 +1,47 @@
-(** DPLL(T) solver for Integer Difference Logic.
+(** DPLL(T) solver for Integer Difference Logic (see idl.mli) over the
+    flat problem.  Clauses are decided in index order, so the decision
+    stack always holds exactly the clauses below the one being decided and
+    a clause's stack slot is its index.  A culprit set only ever names
+    clauses below its own (a deeper one is undone before the set is read
+    again), so the set being built is an int array with a stamp per clause
+    for membership, and the sets of the decisions on the stack are stacked
+    slices of one int pool. *)
 
-    This is the offline scheduling engine of the paper (Section 4.2): the
-    replay constraint system is a conjunction of difference atoms
-    [O(a) < O(b)] plus binary disjunctions of such atoms (noninterference).
-    Z3 discharges it via its IDL theory; we implement the same decision
-    procedure — boolean search over the disjunctions with an incremental
-    negative-cycle theory solver ({!Diff_graph}) checking each candidate.
+type atom = { u : int; v : int; k : int }
 
-    The search is conflict-driven: clauses are decided in order, and when a
-    clause has no theory-consistent literal the negative-cycle tags reported
-    by {!Diff_graph} name the decisions the conflict actually depends on, so
-    the search backjumps directly to the deepest of them instead of undoing
-    every intervening decision (conflict-directed backjumping; each decision
-    carries the culprit set its subtree's failures accumulated, which keeps
-    the jump complete).  Within a clause, literals follow the caller's
-    order until the clause itself conflicts; a re-decision of a conflicted
-    clause orders its literals by ascending activity (a score bumped at
-    every theory conflict), demoting literals that keep failing.  Clauses
-    that never conflict — and therefore the whole search on a well-ordered
-    input — preserve the caller's literal order, so the
-    recorded-observation witness ordering of the constraint generator
-    still solves with zero backtracking.  Every
-    decision remembers its resume index into that ordering: returning to a
-    clause after a backjump continues with the next untried literal rather
-    than re-asserting ones that already failed there. *)
-
-type atom = { u : int; v : int; k : int }  (** x_u - x_v <= k *)
-
-(** [lt a b] encodes the strict order [x_a < x_b] over integers. *)
 let lt a b : atom = { u = a; v = b; k = -1 }
-
-(** [le a b] encodes [x_a <= x_b]. *)
 let le a b : atom = { u = a; v = b; k = 0 }
 
-type problem = {
-  nvars : int;
-  hard : atom list;            (** asserted unconditionally *)
-  clauses : atom array array;  (** each must have >= 1 satisfied atom *)
-}
+type problem =
+  { nvars : int; n_hard : int; hard : int array; clause_start : int array; lits : int array }
 
-type stats = {
-  decisions : int;
-  backtracks : int;          (** decision levels undone *)
-  theory_conflicts : int;
-  theory_adds : int;         (** constraints pushed into the theory solver *)
-  max_depth : int;           (** deepest decision stack *)
-  final_edges : int;
-}
+let n_clauses (p : problem) : int = Array.length p.clause_start - 1
 
-(** A budget bound, with its limit. *)
+let extend (p : problem) ~(hard : atom list) ~(clauses : atom array list) : problem =
+  let triples atoms = Array.of_list (List.concat_map (fun t -> [ t.u; t.v; t.k ]) atoms) in
+  let nc = n_clauses p in
+  let _, ends =
+    List.fold_left_map (fun e cl -> (e + Array.length cl, e + Array.length cl)) p.clause_start.(nc)
+      clauses
+  in
+  {
+    p with
+    n_hard = p.n_hard + List.length hard;
+    hard = Array.append (Array.sub p.hard 0 (3 * p.n_hard)) (triples hard);
+    clause_start = Array.append p.clause_start (Array.of_list ends);
+    lits =
+      Array.concat
+        (Array.sub p.lits 0 (3 * p.clause_start.(nc))
+        :: List.map (fun cl -> triples (Array.to_list cl)) clauses);
+  }
+
+let make ~(nvars : int) ~(hard : atom list) ~(clauses : atom array list) : problem =
+  extend { nvars; n_hard = 0; hard = [||]; clause_start = [| 0 |]; lits = [||] } ~hard ~clauses
+
+type stats = { decisions : int; backtracks : int; theory_conflicts : int; theory_adds : int }
 type bound = Backtracks of int | Conflicts of int | Seconds of float
-
-type result =
-  | Sat of int array * stats   (** a satisfying assignment of the x variables *)
-  | Unsat of stats
-  | Aborted of stats * bound   (** the work or CPU-time bound found exceeded *)
-
-type budget = {
-  max_backtracks : int;      (** decision levels undone before giving up *)
-  max_conflicts : int;       (** theory conflicts before giving up *)
-  max_time_s : float;        (** CPU seconds ([Sys.time]) before giving up *)
-}
+type result = Sat of int array * stats | Unsat of stats | Aborted of stats * bound
+type budget = { max_backtracks : int; max_conflicts : int; max_time_s : float }
 
 let default_budget =
   { max_backtracks = 2_000_000; max_conflicts = max_int; max_time_s = infinity }
@@ -68,41 +49,13 @@ let default_budget =
 exception Give_up of bound
 exception Unsat_now
 
-module ISet = Set.Make (Int)
+(* hard atoms loaded between two budget checks *)
+let check_every = 4096
 
-(* a decision: clause [ci] satisfied by literal [perm.(lit)]; [culprits] are
-   the clause indices that failed literals at this level depended on *)
-type entry = {
-  ci : int;
-  perm : int array;
-  mutable lit : int;
-  mutable culprits : ISet.t;
-}
-
-let solve ?max_backtracks ?(budget = default_budget) ?hint (p : problem) : result =
-  let budget =
-    match max_backtracks with
-    | Some b -> { budget with max_backtracks = b }
-    | None -> budget
-  in
-  let g = Diff_graph.create (max 1 p.nvars) in
-  (* seeding the potentials with a model of (a subset of) the hard atoms —
-     e.g. a topological order of the constraint DAG — makes their assertion
-     relaxation-free instead of quadratic *)
-  (match hint with Some h -> Diff_graph.seed g h | None -> ());
-  let decisions = ref 0 and backtracks = ref 0 and conflicts = ref 0 in
-  let adds = ref 0 and max_depth = ref 0 in
+let solve ?(budget = default_budget) ?hint (p : problem) : result =
+  let n = n_clauses p and cs = p.clause_start and lits = p.lits in
+  let decisions = ref 0 and backtracks = ref 0 and conflicts = ref 0 and adds = ref 0 in
   let t_start = Sys.time () in
-  let stats () =
-    {
-      decisions = !decisions;
-      backtracks = !backtracks;
-      theory_conflicts = !conflicts;
-      theory_adds = !adds;
-      max_depth = !max_depth;
-      final_edges = Diff_graph.num_edges g;
-    }
-  in
   let check_budget () =
     if !backtracks > budget.max_backtracks then
       raise (Give_up (Backtracks budget.max_backtracks));
@@ -110,156 +63,181 @@ let solve ?max_backtracks ?(budget = default_budget) ?hint (p : problem) : resul
     if budget.max_time_s < infinity && Sys.time () -. t_start > budget.max_time_s then
       raise (Give_up (Seconds budget.max_time_s))
   in
-  let hard_ok =
-    List.for_all
-      (fun (a : atom) ->
-        incr adds;
-        match Diff_graph.add_constraint g ~u:a.u ~v:a.v ~k:a.k ~tag:(-1) with
-        | Ok () -> true
-        | Error _ -> incr conflicts; false)
-      p.hard
+  (* room for every hard atom, one literal per clause and a level each *)
+  let g =
+    Diff_graph.create ~edges:(p.n_hard + n + 1) ~levels:(n + 1) ~check:check_budget
+      (max 1 p.nvars)
   in
-  if not hard_ok then Unsat (stats ())
-  else begin
-    let clauses = p.clauses in
-    let n = Array.length clauses in
-    (* activity: bumped for the endpoint variables of conflicting literals.
-       Activity only reorders a clause that has itself conflicted before —
-       every other clause keeps the caller's literal order, so the
-       recorded-observation witness ordering still drives a conflict-free
-       search.  When a previously-conflicted clause is re-decided, its
-       literals are tried in ASCENDING activity: the literal whose
-       variables keep appearing in conflicts is demoted behind its
-       alternatives instead of being re-tried (and re-failed) first. *)
-    let act = Array.make (max 1 p.nvars) 0.0 in
-    let act_inc = ref 1.0 in
-    let bump x =
-      act.(x) <- act.(x) +. !act_inc;
-      if act.(x) > 1e100 then begin
-        Array.iteri (fun i a -> act.(i) <- a *. 1e-100) act;
-        act_inc := !act_inc *. 1e-100
-      end
-    in
-    let conflicted = Array.make (max 1 n) false in
-    let order_lits (ci : int) (clause : atom array) : int array =
-      let len = Array.length clause in
-      let perm = Array.init len (fun j -> j) in
-      if len > 1 && conflicted.(ci) then begin
-        let score j = act.(clause.(j).u) +. act.(clause.(j).v) in
-        let lst = Array.to_list perm in
-        let sorted =
-          List.stable_sort (fun a b -> compare (score a) (score b)) lst
-        in
-        List.iteri (fun idx j -> perm.(idx) <- j) sorted
-      end;
-      perm
-    in
-    (* decision stack, sorted by clause index (clauses decided in order) *)
-    let stack : entry option array = Array.make (max 1 n) None in
-    let sp = ref 0 in
-    let pos = Array.make (max 1 n) (-1) in  (* clause index -> stack slot *)
-    let all_stack_cis () =
-      let s = ref ISet.empty in
-      for d = 0 to !sp - 1 do
-        match stack.(d) with Some e -> s := ISet.add e.ci !s | None -> ()
-      done;
-      !s
-    in
-    let model () =
-      let m = Array.init p.nvars (fun i -> Diff_graph.potential g i) in
-      Sat (m, stats ())
-    in
+  (* seeding the potentials with a model of (a subset of) the hard atoms —
+     e.g. a topological order of the constraint DAG — makes their assertion
+     relaxation-free instead of quadratic *)
+  (match hint with Some h -> Diff_graph.seed g h | None -> ());
+  let stats () =
+    { decisions = !decisions; backtracks = !backtracks; theory_conflicts = !conflicts;
+      theory_adds = !adds }
+  in
+  (* activity: bumped for the endpoint variables of conflicting literals.
+     It only reorders a clause that has itself conflicted, whose literals
+     are then tried in ASCENDING activity: the literal whose variables keep
+     appearing in conflicts is demoted behind its alternatives.
+     [act_inc.(0)] is the bump. *)
+  let act = Array.make (max 1 p.nvars) 0.0 and act_inc = [| 1.0 |] in
+  let bump x =
+    act.(x) <- act.(x) +. act_inc.(0);
+    if act.(x) > 1e100 then begin
+      Array.iteri (fun i a -> act.(i) <- a *. 1e-100) act;
+      act_inc.(0) <- act_inc.(0) *. 1e-100
+    end
+  in
+  let conflicted = Bytes.make (max 1 n) '\000' in
+  (* [ord.(cs.(c) ..)]: clause [c]'s literals in the order they are tried,
+     set when [c] is decided afresh and kept while it is on the stack *)
+  let ord = Array.make (max 1 cs.(n)) 0 in
+  let order_lits c =
+    let s = cs.(c) and e = cs.(c + 1) in
+    for x = s to e - 1 do
+      ord.(x) <- x
+    done;
+    if e - s > 1 && Bytes.get conflicted c <> '\000' then begin
+      (* a stable insertion sort by score *)
+      let score l = act.(lits.(3 * l)) +. act.(lits.((3 * l) + 1)) in
+      for x = s + 1 to e - 1 do
+        let l = ord.(x) in
+        let y = ref (x - 1) in
+        while !y >= s && score ord.(!y) > score l do
+          ord.(!y + 1) <- ord.(!y);
+          decr y
+        done;
+        ord.(!y + 1) <- l
+      done
+    end
+  in
+  (* the decision stack, by clause: [chosen.(c)] is the position in [ord]
+     of the literal [c] asserted, and [c]'s culprit set is [pool.(cul.(c))
+     .. pool.(cul.(c) + cul_len.(c) - 1)] *)
+  let chosen = Array.make (max 1 n) 0 in
+  let cul = Array.make (max 1 n) 0 and cul_len = Array.make (max 1 n) 0 in
+  let pool = ref (Array.make 16 0) and top = ref 0 in
+  (* the culprit set being built: [cm.(0 .. !ncm - 1)]; [c] is a member
+     iff [mark.(c) = !stamp] *)
+  let cm = Array.make (max 1 n) 0 and ncm = ref 0 in
+  let mark = Array.make (max 1 n) (-1) and stamp = ref 0 in
+  let add c =
+    if mark.(c) <> !stamp then begin
+      mark.(c) <- !stamp;
+      cm.(!ncm) <- c;
+      incr ncm
+    end
+  in
+  try
+    let h = p.hard in
+    for e = 0 to p.n_hard - 1 do
+      if e mod check_every = 0 then check_budget ();
+      incr adds;
+      match
+        Diff_graph.add_constraint g ~u:h.(3 * e) ~v:h.((3 * e) + 1) ~k:h.((3 * e) + 2) ~tag:(-1)
+      with
+      | Ok () -> ()
+      | Error _ ->
+        incr conflicts;
+        raise Unsat_now
+    done;
     let i = ref 0 in
-    try
-      while !i < n do
-        (* decide clause [ci] starting at literal slot [start] of [perm],
-           with failure reasons [culprits] accumulated so far; on conflict,
-           backjump and loop with the target's stored resume state *)
-        let ci = ref !i
-        and perm = ref (order_lits !i clauses.(!i))
-        and start = ref 0
-        and culprits = ref ISet.empty in
-        let decided = ref false in
-        while not !decided do
-          let clause = clauses.(!ci) in
-          let len = Array.length clause in
-          let j = ref !start in
-          let chosen = ref (-1) in
-          while !chosen < 0 && !j < len do
-            let a = clause.((!perm).(!j)) in
-            Diff_graph.push g;
-            incr adds;
-            (match Diff_graph.add_constraint g ~u:a.u ~v:a.v ~k:a.k ~tag:!ci with
-            | Ok () -> chosen := !j
-            | Error c ->
-              incr conflicts;
-              Diff_graph.pop g;
-              conflicted.(!ci) <- true;
-              bump a.u;
-              bump a.v;
-              act_inc := !act_inc *. 1.03;
-              (* conflict reasons: every decision named by the cycle; an
-                 incomplete cycle walk degrades to blaming every decision
-                 (chronological backtracking), preserving completeness *)
-              let reasons =
-                if c.Diff_graph.complete then
-                  List.fold_left
-                    (fun s t -> if t >= 0 && t <> !ci then ISet.add t s else s)
-                    ISet.empty c.Diff_graph.tags
-                else all_stack_cis ()
-              in
-              culprits := ISet.union !culprits reasons;
-              check_budget ();
-              incr j)
-          done;
-          if !chosen >= 0 then begin
-            let e = { ci = !ci; perm = !perm; lit = !chosen; culprits = !culprits } in
-            stack.(!sp) <- Some e;
-            pos.(!ci) <- !sp;
-            incr sp;
-            if !sp > !max_depth then max_depth := !sp;
-            incr decisions;
-            (* conflict-free searches over large graphs would otherwise
-               never observe the wall-clock budget *)
-            check_budget ();
-            i := !ci + 1;
-            decided := true
-          end
-          else begin
-            (* clause [!ci] has no consistent literal: backjump to the
-               deepest decision the failure depends on *)
-            let on_stack = ISet.filter (fun c -> c < n && pos.(c) >= 0) !culprits in
-            if ISet.is_empty on_stack then raise Unsat_now;
-            let target_ci = ISet.max_elt on_stack in
-            let target_slot = pos.(target_ci) in
-            (* discard decisions above the target *)
-            while !sp - 1 > target_slot do
-              decr sp;
-              (match stack.(!sp) with
-              | Some e -> pos.(e.ci) <- -1
-              | None -> assert false);
-              stack.(!sp) <- None;
-              Diff_graph.pop g;
-              incr backtracks
-            done;
-            (* reopen the target: undo its assertion, inherit the reasons,
-               and resume at its next untried literal *)
-            let e = match stack.(target_slot) with Some e -> e | None -> assert false in
-            decr sp;
-            stack.(target_slot) <- None;
-            pos.(e.ci) <- -1;
+    while !i < n do
+      (* decide clause [ci] from position [start] of its literal order, with
+         the culprit set built so far; on conflict, backjump and loop with
+         the target's stored resume state *)
+      let ci = ref !i in
+      order_lits !ci;
+      let start = ref cs.(!ci) in
+      incr stamp;
+      ncm := 0;
+      let decided = ref false in
+      while not !decided do
+        let e = cs.(!ci + 1) in
+        let j = ref !start in
+        let pick = ref (-1) in
+        while !pick < 0 && !j < e do
+          let l = 3 * ord.(!j) in
+          let u = lits.(l) and v = lits.(l + 1) in
+          Diff_graph.push g;
+          incr adds;
+          (match Diff_graph.add_constraint g ~u ~v ~k:lits.(l + 2) ~tag:!ci with
+          | Ok () -> pick := !j
+          | Error c ->
+            incr conflicts;
             Diff_graph.pop g;
-            incr backtracks;
+            Bytes.set conflicted !ci '\001';
+            bump u;
+            bump v;
+            act_inc.(0) <- act_inc.(0) *. 1.03;
+            (* conflict reasons: every decision named by the cycle; an
+               incomplete cycle walk degrades to blaming every decision
+               (chronological backtracking), preserving completeness *)
+            if c.Diff_graph.complete then
+              List.iter (fun t -> if t >= 0 && t < !ci then add t) c.Diff_graph.tags
+            else
+              for t = 0 to !ci - 1 do
+                add t
+              done;
             check_budget ();
-            ci := e.ci;
-            perm := e.perm;
-            start := e.lit + 1;
-            culprits := ISet.remove e.ci (ISet.union e.culprits !culprits)
-          end
-        done
-      done;
-      model ()
-    with
-    | Unsat_now -> Unsat (stats ())
-    | Give_up b -> Aborted (stats (), b)
-  end
+            incr j)
+        done;
+        if !pick >= 0 then begin
+          chosen.(!ci) <- !pick;
+          cul.(!ci) <- !top;
+          cul_len.(!ci) <- !ncm;
+          if Array.length !pool < !top + !ncm then begin
+            let b = Array.make (2 * (!top + !ncm)) 0 in
+            Array.blit !pool 0 b 0 !top;
+            pool := b
+          end;
+          Array.blit cm 0 !pool !top !ncm;
+          top := !top + !ncm;
+          incr decisions;
+          (* conflict-free searches over large graphs would otherwise
+             never observe the wall-clock budget *)
+          check_budget ();
+          i := !ci + 1;
+          decided := true
+        end
+        else begin
+          (* clause [!ci] has no consistent literal: backjump to the
+             deepest decision the failure depends on *)
+          if !ncm = 0 then raise Unsat_now;
+          let target = ref cm.(0) in
+          for x = 1 to !ncm - 1 do
+            target := max !target cm.(x)
+          done;
+          let target = !target in
+          (* undo the decisions from the target up, then reopen it: the set
+             keeps its members below the target and takes in the target's
+             own, and the search resumes at its next untried literal *)
+          for _ = target to !ci - 1 do
+            Diff_graph.pop g;
+            incr backtracks
+          done;
+          check_budget ();
+          incr stamp;
+          let kept = ref 0 in
+          for x = 0 to !ncm - 1 do
+            if cm.(x) < target then begin
+              mark.(cm.(x)) <- !stamp;
+              cm.(!kept) <- cm.(x);
+              incr kept
+            end
+          done;
+          ncm := !kept;
+          for x = cul.(target) to cul.(target) + cul_len.(target) - 1 do
+            add !pool.(x)
+          done;
+          top := cul.(target);
+          ci := target;
+          start := chosen.(target) + 1
+        end
+      done
+    done;
+    Sat (Diff_graph.potentials g p.nvars, stats ())
+  with
+  | Unsat_now -> Unsat (stats ())
+  | Give_up b -> Aborted (stats (), b)

@@ -19,7 +19,14 @@
     clauses that conflicted before rank their literals by a conflict-bumped
     activity score (clauses that never conflicted keep the caller's order
     untouched), and each decision resumes at its next untried literal
-    rather than re-running theory work for literals that already failed. *)
+    rather than re-running theory work for literals that already failed.
+
+    The problem is flat, so the constraint generator hands over its own
+    columns: the hard atoms are one int array of [(u, v, k)] triples and
+    the clauses are in compressed-row form, offsets into one array of
+    literal triples.  The hard atoms load in one pass that checks each
+    against the potentials the caller's hint seeds and relaxes only the
+    atoms the hint violates. *)
 
 type atom = { u : int; v : int; k : int }
 (** The difference constraint [x_u - x_v <= k]. *)
@@ -30,19 +37,36 @@ val lt : int -> int -> atom
 val le : int -> int -> atom
 (** [le a b] is [x_a <= x_b]. *)
 
+(** The system, flat: atoms are [(u, v, k)] int triples, the hard ones in
+    one array and the clauses' literals in another, clause by clause. *)
 type problem = {
-  nvars : int;                 (** variables are [0 .. nvars-1] *)
-  hard : atom list;            (** asserted unconditionally *)
-  clauses : atom array array;  (** each clause needs >= 1 satisfied atom *)
+  nvars : int;               (** variables are [0 .. nvars-1] *)
+  n_hard : int;              (** hard atoms, asserted unconditionally *)
+  hard : int array;
+      (** hard atom [e] is [hard.(3e), hard.(3e+1), hard.(3e+2)]; the array
+          may be longer than [3 * n_hard] *)
+  clause_start : int array;
+      (** one more than there are clauses: clause [c]'s literals are
+          [clause_start.(c) .. clause_start.(c+1) - 1]; each clause needs
+          >= 1 satisfied literal *)
+  lits : int array;          (** literal [l] is the triple at [3l] *)
 }
+
+val n_clauses : problem -> int
+
+val make : nvars:int -> hard:atom list -> clauses:atom array list -> problem
+(** The problem over [nvars] variables with these hard atoms and clauses,
+    in order. *)
+
+val extend : problem -> hard:atom list -> clauses:atom array list -> problem
+(** [p]'s hard atoms followed by [hard], and its clauses followed by
+    [clauses]. *)
 
 type stats = {
   decisions : int;
   backtracks : int;        (** decision levels undone *)
   theory_conflicts : int;
   theory_adds : int;       (** constraints pushed into the theory solver *)
-  max_depth : int;         (** deepest decision stack reached *)
-  final_edges : int;
 }
 
 (** A budget bound, with its limit. *)
@@ -66,16 +90,12 @@ type budget = {
 val default_budget : budget
 (** 2,000,000 backtracks, unlimited conflicts, unlimited time. *)
 
-exception Give_up of bound
-exception Unsat_now
-(** Internal control flow; never escape {!solve}. *)
-
-val solve :
-  ?max_backtracks:int -> ?budget:budget -> ?hint:int array -> problem -> result
+val solve : ?budget:budget -> ?hint:int array -> problem -> result
 (** Solve the problem.  The [budget] bounds the search before giving up
-    with {!Aborted} (honest statistics, no hang); [max_backtracks]
-    overrides the budget's backtrack bound and is kept for callers of the
-    pre-budget interface.  [hint.(v)] seeds the theory potentials — a
+    with {!Aborted} (honest statistics, no hang).  [hint.(v)] seeds the theory potentials — a
     caller that knows a model of the hard atoms (e.g. a topological order
-    of its constraint DAG) makes their assertion relaxation-free; a wrong
-    hint only costs work, never soundness. *)
+    of its constraint DAG) makes their assertion relaxation-free: the hard
+    atoms load in one pass that relaxes only the atoms the hint violates.
+    A wrong hint only costs work, never soundness.  The budget is checked
+    per decision, per conflict, every 4096 hard atoms loaded and every
+    4096 steps of a relaxation wave. *)

@@ -353,6 +353,12 @@ let test_log_malformed () =
   Alcotest.(check string) "unknown field id"
     "bad location (field id 9 not in intern table): 0/9"
     (failure "field id" (hdr ^ "D 0/9 1:1 2:1 1 2 1\n"));
+  (* field numbers are dense: one past the input's length, or negative,
+     is a bad line rather than a table that size *)
+  Alcotest.(check string) "huge field number" "bad log line: F 4611686018427387903 x"
+    (failure "huge F" (hdr ^ "F 4611686018427387903 x\n"));
+  Alcotest.(check string) "negative field number" "bad log line: F -1 x"
+    (failure "negative F" (hdr ^ "F -1 x\n"));
   ignore (failure "bad bool value" (hdr ^ "S 1 0 @x bmaybe\n"));
   (* [Log.parse] locates the same failures: the line, and the byte offset
      of the token being read *)

@@ -390,12 +390,21 @@ let synth_log_gen =
     pair (list_size (int_range 0 5) dep_g) (list_size (int_range 0 4) range_g)
     >>= fun (deps, ranges) -> return (log_of (deps @ ranges)))
 
+(* every hard atom of [p] holds under [m], and a literal of every clause *)
 let sat_in (p : Dlsolver.Idl.problem) (m : int array) =
-  List.for_all (fun (a : Dlsolver.Idl.atom) -> m.(a.u) - m.(a.v) <= a.k) p.hard
-  && Array.for_all
-       (fun cl ->
-         Array.exists (fun (a : Dlsolver.Idl.atom) -> m.(a.u) - m.(a.v) <= a.k) cl)
-       p.clauses
+  let holds a x = m.(a.(3 * x)) - m.(a.((3 * x) + 1)) <= a.((3 * x) + 2) in
+  let ok = ref true in
+  for e = 0 to p.n_hard - 1 do
+    if not (holds p.hard e) then ok := false
+  done;
+  for c = 0 to Dlsolver.Idl.n_clauses p - 1 do
+    let some = ref false in
+    for l = p.clause_start.(c) to p.clause_start.(c + 1) - 1 do
+      if holds p.lits l then some := true
+    done;
+    if not !some then ok := false
+  done;
+  !ok
 
 let prop_pruned_equisat =
   QCheck.Test.make ~count:400
@@ -455,7 +464,7 @@ let table_intervals (log : Log.t) : iv list =
          else if tb.src.(k) >= 0 then Some (Some (tb.et.(tb.src.(k)), tb.ec.(tb.src.(k))))
          else Some None);
       obs = tb.obs.(k);
-      src_obs = (if recorded then tb.src_obs.(k) else 0);
+      src_obs = (if recorded then Constraints.src_obs log k else 0);
     }
   in
   let m = Array.length tb.tid in
@@ -541,19 +550,23 @@ let prop_intervals_reference =
     (QCheck.make ~print:Log.to_string synth_log_gen)
     (fun log -> table_intervals log = reference_intervals log)
 
-(* [var_of] finds a variable exactly where [evts] has its event, with and
-   without an extra event; the grid covers every event the synthetic logs
-   can name and some they cannot, so unreferenced events meet [None]. *)
+(* [var_of] finds a variable exactly where the table's [et]/[ec] columns
+   have its event, with and without an extra event; the grid covers every
+   event the synthetic logs can name and some they cannot, so unreferenced
+   events meet [None]. *)
 let prop_var_of =
-  QCheck.Test.make ~count:400 ~name:"var_of cs e = Some v iff cs.evts.(v) = e"
+  QCheck.Test.make ~count:400 ~name:"var_of cs e = Some v iff v's event is e"
     (QCheck.make ~print:Log.to_string synth_log_gen)
     (fun log ->
       List.for_all
         (fun extra_events ->
           let cs = Constraints.generate ~extra_events log in
+          let tb = cs.table in
           let var = Hashtbl.create 16 in
-          Array.iteri (fun v e -> Hashtbl.replace var e v) cs.evts;
-          Hashtbl.length var = Array.length cs.evts
+          for v = 0 to tb.nv - 1 do
+            Hashtbl.replace var (tb.et.(v), tb.ec.(v)) v
+          done;
+          Hashtbl.length var = tb.nv
           && List.for_all
                (fun t ->
                  List.for_all
@@ -889,9 +902,10 @@ let test_vm_rejects_pred () =
 (* Allocation of a gated VM step against an ungated round-robin one, on
    the same program and plan, for every workload: minor-heap words are
    deterministic for a given run, so the bound is exact, not a timing.
-   Neither engine builds a [Loc.t] to call the access hook, so the
-   worst rows are dacapo-avrora at 1.08x and dacapo-xalan at 1.08x.  The
-   driver is built outside the measured run. *)
+   Neither engine builds a [Loc.t] to call the access hook, and the
+   driver finds a write's intervals by location number, so no gated row
+   allocates more than its ungated run: the worst is stamp-labyrinth at
+   0.9987x.  The driver is built outside the measured run. *)
 let test_replay_alloc () =
   List.iter
     (fun name ->
@@ -910,9 +924,8 @@ let test_replay_alloc () =
       let ungated = words_per_step None in
       let hooks = Replayer.driver (solved r) ~plan:r.plan in
       let gated = words_per_step (Some hooks) in
-      if gated > 1.15 *. ungated then
-        Alcotest.failf "%s: gated replay %.1f words/step > 1.15 x ungated %.1f" name gated
-          ungated)
+      if gated > ungated then
+        Alcotest.failf "%s: gated replay %.2f words/step > ungated %.2f" name gated ungated)
     (List.map (fun (bm : Workloads.benchmark) -> bm.name) Workloads.all)
 
 (* One thread changing another's status or enabledness while the other
@@ -1144,7 +1157,7 @@ let test_gate_tables () =
   (* obj fld w_t w_c w_obs rf_t rf_c rl_c dep_obs *)
   let log = log_of [ (fun b -> Log.add_dep b f.obj f.fld 2 1 0 1 1 3 0) ] in
   let cs = Constraints.generate log in
-  let model = Array.make (Array.length cs.evts) 0 in
+  let model = Array.make cs.table.nv 0 in
   List.iteri (fun k e -> model.(Option.get (Constraints.var_of cs e)) <- k) [ (1, 1); (2, 1); (1, 3) ];
   let sch = Replayer.build_schedule log cs model in
   let hooks = Replayer.driver sch ~plan:Plan.all_shared in
@@ -1197,7 +1210,8 @@ let prop_rank_order =
         |> List.sort (fun i j -> compare (model.(i), evts.(i)) (model.(j), evts.(j)))
         |> List.map (fun i -> evts.(i))
       in
-      Array.to_list (Array.map (fun i -> evts.(i)) (Replayer.rank_order evts model))
+      let et = Array.map fst evts and ec = Array.map snd evts in
+      Array.to_list (Array.map (fun i -> evts.(i)) (Replayer.rank_order ~et ~ec model))
       = expected)
 
 (* ------------------------------------------------------------------ *)
@@ -1209,21 +1223,27 @@ let prop_rank_order =
    schedule, which equisatisfiability alone would not notice. *)
 let render_system (cs : Constraints.t) =
   let b = Buffer.create 65536 in
-  let atom (a : Dlsolver.Idl.atom) = Printf.bprintf b "%d,%d,%d;" a.u a.v a.k in
-  Printf.bprintf b "nvars %d\nhard " cs.problem.nvars;
-  List.iter atom cs.problem.hard;
+  let p = cs.problem in
+  let atom a x = Printf.bprintf b "%d,%d,%d;" a.(3 * x) a.((3 * x) + 1) a.((3 * x) + 2) in
+  Printf.bprintf b "nvars %d\nhard " p.nvars;
+  for e = 0 to p.n_hard - 1 do
+    atom p.hard e
+  done;
   Buffer.add_string b "\nclauses ";
-  Array.iter
-    (fun cl ->
-      Array.iter atom cl;
-      Buffer.add_char b '|')
-    cs.problem.clauses;
+  for c = 0 to Dlsolver.Idl.n_clauses p - 1 do
+    for l = p.clause_start.(c) to p.clause_start.(c + 1) - 1 do
+      atom p.lits l
+    done;
+    Buffer.add_char b '|'
+  done;
   Buffer.add_string b "\nhint ";
   (match cs.hint with
   | Some h -> Array.iter (Printf.bprintf b "%d,") h
   | None -> Buffer.add_string b "none");
   Buffer.add_string b "\nevts ";
-  Array.iter (fun (t, c) -> Printf.bprintf b "%d.%d," t c) cs.evts;
+  for v = 0 to cs.table.nv - 1 do
+    Printf.bprintf b "%d.%d," cs.table.et.(v) cs.table.ec.(v)
+  done;
   let g = cs.gen_stats in
   Printf.bprintf b "\nstats %d %d %d %d\n" g.n_pairs g.n_pruned g.n_unit g.n_dedup;
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -1416,7 +1436,7 @@ let () =
             test_cache_deadlock;
           Alcotest.test_case "rank protocol: each (tid, c) asked once" `Quick
             test_rank_protocol;
-          Alcotest.test_case "gated VM replay allocates <= 1.15x an ungated run" `Quick
+          Alcotest.test_case "gated VM replay allocates <= 1.0x an ungated run" `Quick
             test_replay_alloc;
           Alcotest.test_case "a gated VM run picks round-robin, whatever the scheduler"
             `Quick test_vm_gated_pick;

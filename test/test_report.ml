@@ -372,12 +372,16 @@ let test_servicecheck_thresholds () =
     [ ("speedup at -50%", service 2.5, true); ("speedup past -50%", service 2.4999, false) ]
 
 let test_solvercheck_thresholds () =
-  let gen n = J.Obj [ ("rows", J.List []); ("gen_words_o1o2", J.Int n) ] in
-  check_verdicts Report.Experiments.solvercheck_rules ~base:(gen 1000)
+  let words gen solve =
+    J.Obj [ ("rows", J.List []); ("gen_words_o1o2", J.Int gen); ("solve_words_o1o2", J.Int solve) ]
+  in
+  check_verdicts Report.Experiments.solvercheck_rules ~base:(words 1000 2000)
     [
-      ("fewer words", gen 10, true);
-      ("at +10%", gen 1100, true);
-      ("past +10%", gen 1101, false);
+      ("fewer words", words 10 20, true);
+      ("both at +10%", words 1100 2200, true);
+      ("generation past +10%", words 1101 2000, false);
+      ("solve past +10%", words 1000 2201, false);
+      ("solve not measured", J.Obj [ ("rows", J.List []); ("gen_words_o1o2", J.Int 1000) ], false);
       ("not measured", J.Obj [ ("rows", J.List []) ], false);
     ]
 
@@ -416,8 +420,10 @@ let test_committed_baselines () =
   let service = committed "BENCH_service.baseline.json" in
   let sites = committed "BENCH_sitecheck.baseline.json" in
   let solver = committed "BENCH_solver.baseline.json" in
-  Alcotest.(check (option (float 0.0))) "gen_words_o1o2" (Some 2839038.0)
+  Alcotest.(check (option (float 0.0))) "gen_words_o1o2" (Some 2066317.0)
     (Gate.metric solver "gen_words_o1o2");
+  Alcotest.(check (option (float 0.0))) "solve_words_o1o2" (Some 591482.0)
+    (Gate.metric solver "solve_words_o1o2");
   Alcotest.(check (option (float 0.0))) "ratio_basic" (Some 1.33)
     (Gate.metric interp "geomean.ratio_basic");
   Alcotest.(check (option (float 0.0))) "speedup_vs_naive" (Some 2.8668)
@@ -475,8 +481,8 @@ let test_sitecheck_verb () =
   Alcotest.(check bool) "tripping baseline fails" false ok;
   Alcotest.(check bool) "reports the regression" true (contains out "— FAIL")
 
-(* the solvercheck verb end to end: its count passes the committed
-   baseline and fails one that claims half the words *)
+(* the solvercheck verb end to end: its counts pass the committed
+   baseline, which fails when it claims half the solver's words *)
 let test_solvercheck_verb () =
   let json_path = Filename.temp_file "solvercheck" ".json" in
   let run baseline_path =
@@ -488,9 +494,12 @@ let test_solvercheck_verb () =
   Alcotest.(check bool) "committed baseline passes" true
     (run (baseline "BENCH_solver.baseline.json"));
   let fresh = match Gate.load json_path with Ok j -> j | Error e -> Alcotest.fail e in
-  let words = Option.get (Gate.metric fresh "gen_words_o1o2") in
+  let count m = J.Int (int_of_float (Option.get (Gate.metric fresh m))) in
+  let half m = J.Int (int_of_float (Option.get (Gate.metric fresh m)) / 2) in
   let tripping =
-    write_temp (J.to_string (J.Obj [ ("gen_words_o1o2", J.Int (int_of_float words / 2)) ]))
+    write_temp
+      (J.to_string
+         (J.Obj [ ("gen_words_o1o2", count "gen_words_o1o2"); ("solve_words_o1o2", half "solve_words_o1o2") ]))
   in
   let ok = run tripping in
   Sys.remove tripping;

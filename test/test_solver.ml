@@ -54,32 +54,52 @@ let test_graph_growth () =
   Alcotest.(check bool) "grows on demand" true
     (Diff_graph.add_constraint g ~u:100 ~v:200 ~k:(-1) ~tag:0 = Ok ())
 
+(* A long relaxation wave calls the graph's check: a 5000-step cascade
+   down a chain reaches it, and what it raises abandons the wave. *)
+let test_graph_check_in_wave () =
+  let calls = ref 0 in
+  let g = Diff_graph.create ~check:(fun () -> incr calls; raise Exit) 5002 in
+  for i = 0 to 4999 do
+    ignore (Diff_graph.add_constraint g ~u:i ~v:(i + 1) ~k:0 ~tag:0)
+  done;
+  Alcotest.(check int) "no wave yet" 0 !calls;
+  match Diff_graph.add_constraint g ~u:5000 ~v:5001 ~k:(-1) ~tag:1 with
+  | exception Exit -> Alcotest.(check int) "checked once" 1 !calls
+  | _ -> Alcotest.fail "the wave never checked"
+
 (* ------------------------------------------------------------------ *)
 (* Idl                                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* whether the atom at [3x] of [a] holds under [m] *)
+let holds (m : int array) (a : int array) (x : int) =
+  m.(a.(3 * x)) - m.(a.((3 * x) + 1)) <= a.((3 * x) + 2)
+
+(* whether some literal of clause [c] holds under [m] *)
+let clause_holds (p : Idl.problem) (m : int array) (c : int) =
+  let ok = ref false in
+  for l = p.clause_start.(c) to p.clause_start.(c + 1) - 1 do
+    if holds m p.lits l then ok := true
+  done;
+  !ok
+
 let check_model (p : Idl.problem) (m : int array) (chosen_ok : bool) =
-  List.iter
-    (fun (a : Idl.atom) ->
-      if not (m.(a.u) - m.(a.v) <= a.k) then Alcotest.fail "hard atom violated")
-    p.hard;
+  for e = 0 to p.n_hard - 1 do
+    if not (holds m p.hard e) then Alcotest.fail "hard atom violated"
+  done;
   if chosen_ok then
-    Array.iter
-      (fun clause ->
-        if
-          not
-            (Array.exists (fun (a : Idl.atom) -> m.(a.u) - m.(a.v) <= a.k) clause)
-        then Alcotest.fail "clause unsatisfied")
-      p.clauses
+    for c = 0 to Idl.n_clauses p - 1 do
+      if not (clause_holds p m c) then Alcotest.fail "clause unsatisfied"
+    done
 
 let test_idl_chain () =
-  let p = { Idl.nvars = 4; hard = [ Idl.lt 0 1; Idl.lt 1 2; Idl.lt 2 3 ]; clauses = [||] } in
+  let p = Idl.make ~nvars:4 ~hard:[ Idl.lt 0 1; Idl.lt 1 2; Idl.lt 2 3 ] ~clauses:[] in
   match Idl.solve p with
   | Sat (m, _) -> check_model p m true
   | _ -> Alcotest.fail "expected sat"
 
 let test_idl_unsat () =
-  let p = { Idl.nvars = 3; hard = [ Idl.lt 0 1; Idl.lt 1 2; Idl.lt 2 0 ]; clauses = [||] } in
+  let p = Idl.make ~nvars:3 ~hard:[ Idl.lt 0 1; Idl.lt 1 2; Idl.lt 2 0 ] ~clauses:[] in
   Alcotest.(check bool) "cycle unsat" true
     (match Idl.solve p with Idl.Unsat _ -> true | _ -> false)
 
@@ -87,36 +107,21 @@ let test_idl_clause_backtracking () =
   (* first literal of the first clause conflicts only after the second
      clause commits, forcing a backtrack *)
   let p =
-    {
-      Idl.nvars = 4;
-      hard = [ Idl.lt 0 1 ];
-      clauses =
-        [|
-          [| Idl.lt 1 2; Idl.lt 2 1 |];
-          [| Idl.lt 2 1; Idl.lt 3 0 |];
-          [| Idl.lt 1 2 |];
-        |];
-    }
+    Idl.make ~nvars:4 ~hard:[ Idl.lt 0 1 ]
+      ~clauses:
+        [ [| Idl.lt 1 2; Idl.lt 2 1 |]; [| Idl.lt 2 1; Idl.lt 3 0 |]; [| Idl.lt 1 2 |] ]
   in
   match Idl.solve p with
   | Sat (m, _) -> check_model p m true
   | _ -> Alcotest.fail "expected sat after backtracking"
 
 let test_idl_unsat_clauses () =
-  let p =
-    {
-      Idl.nvars = 2;
-      hard = [ Idl.lt 0 1 ];
-      clauses = [| [| Idl.lt 1 0 |] |];
-    }
-  in
+  let p = Idl.make ~nvars:2 ~hard:[ Idl.lt 0 1 ] ~clauses:[ [| Idl.lt 1 0 |] ] in
   Alcotest.(check bool) "contradicting clause" true
     (match Idl.solve p with Idl.Unsat _ -> true | _ -> false)
 
 let test_idl_le_and_lt () =
-  let p =
-    { Idl.nvars = 2; hard = [ Idl.le 0 1; Idl.le 1 0 ]; clauses = [||] }
-  in
+  let p = Idl.make ~nvars:2 ~hard:[ Idl.le 0 1; Idl.le 1 0 ] ~clauses:[] in
   match Idl.solve p with
   | Sat (m, _) -> Alcotest.(check int) "x0 = x1 allowed" m.(0) m.(1)
   | _ -> Alcotest.fail "expected sat"
@@ -130,11 +135,7 @@ let test_idl_resume_index () =
      pushed into the theory exactly once along this trace:
      c0.lit0, c1.lit0 (conflict), c0.lit1, c1.lit0 = 4 additions. *)
   let p =
-    {
-      Idl.nvars = 2;
-      hard = [];
-      clauses = [| [| Idl.lt 0 1; Idl.lt 1 0 |]; [| Idl.lt 1 0 |] |];
-    }
+    Idl.make ~nvars:2 ~hard:[] ~clauses:[ [| Idl.lt 0 1; Idl.lt 1 0 |]; [| Idl.lt 1 0 |] ]
   in
   match Idl.solve p with
   | Sat (m, s) ->
@@ -153,16 +154,8 @@ let test_idl_backjump_skips_levels () =
      chronological backtracking would re-try c2 against both polarities of
      c1 and fail at least twice. *)
   let p =
-    {
-      Idl.nvars = 6;
-      hard = [];
-      clauses =
-        [|
-          [| Idl.lt 0 1; Idl.lt 1 0 |];
-          [| Idl.lt 4 5; Idl.lt 5 4 |];
-          [| Idl.lt 1 0 |];
-        |];
-    }
+    Idl.make ~nvars:6 ~hard:[]
+      ~clauses:[ [| Idl.lt 0 1; Idl.lt 1 0 |]; [| Idl.lt 4 5; Idl.lt 5 4 |]; [| Idl.lt 1 0 |] ]
   in
   match Idl.solve p with
   | Sat (m, s) ->
@@ -173,11 +166,7 @@ let test_idl_backjump_skips_levels () =
 
 let conflicting_pair =
   (* needs one backtrack and one conflict to solve *)
-  {
-    Idl.nvars = 2;
-    hard = [];
-    clauses = [| [| Idl.lt 0 1; Idl.lt 1 0 |]; [| Idl.lt 1 0 |] |];
-  }
+  Idl.make ~nvars:2 ~hard:[] ~clauses:[ [| Idl.lt 0 1; Idl.lt 1 0 |]; [| Idl.lt 1 0 |] ]
 
 let test_idl_budget_backtracks () =
   let budget = { Idl.default_budget with max_backtracks = 0 } in
@@ -213,13 +202,19 @@ let test_idl_budget_named () =
   Alcotest.(check string) "the default bound" "solver budget exhausted: 2000000 backtracks"
     (Light_core.Replayer.budget_exhausted (Backtracks Idl.default_budget.max_backtracks))
 
+(* The budget holds while the hard atoms load: a system with no clause
+   makes no decision, so only the load's own check can see the clock. *)
+let test_idl_budget_hard () =
+  let hard = List.init 64 (fun i -> Idl.lt (i + 1) i) in
+  let budget = { Idl.default_budget with max_time_s = -1. } in
+  match Idl.solve ~budget (Idl.make ~nvars:65 ~hard ~clauses:[]) with
+  | Aborted (_, Seconds _) -> ()
+  | Aborted _ -> Alcotest.fail "aborted on another bound"
+  | _ -> Alcotest.fail "expected an abort on the time bound"
+
 let test_idl_hint_seeding () =
   let p =
-    {
-      Idl.nvars = 4;
-      hard = [ Idl.lt 0 1; Idl.lt 1 2; Idl.lt 2 3 ];
-      clauses = [| [| Idl.lt 0 3 |] |];
-    }
+    Idl.make ~nvars:4 ~hard:[ Idl.lt 0 1; Idl.lt 1 2; Idl.lt 2 3 ] ~clauses:[ [| Idl.lt 0 3 |] ]
   in
   (match Idl.solve ~hint:[| 0; 16; 32; 48 |] p with
   | Sat (m, _) -> check_model p m true
@@ -245,7 +240,7 @@ let prop_perm_order =
         | a :: (b :: _ as rest) -> Idl.lt a b :: chain rest
         | _ -> []
       in
-      let p = { Idl.nvars = n; hard = chain perm; clauses = [||] } in
+      let p = Idl.make ~nvars:n ~hard:(chain perm) ~clauses:[] in
       match Idl.solve p with
       | Sat (m, _) ->
         let rec ok = function
@@ -281,15 +276,12 @@ let prop_dag_sat =
       let clauses =
         List.filteri (fun i _ -> i mod 2 = 0) es
         |> List.map (fun (a, b) -> [| Idl.lt a b; Idl.lt b a |])
-        |> Array.of_list
       in
-      let p = { Idl.nvars = n; hard; clauses } in
+      let p = Idl.make ~nvars:n ~hard ~clauses in
       match Idl.solve p with
       | Sat (m, _) ->
         List.for_all (fun (a, b) -> m.(a) < m.(b)) es
-        && Array.for_all
-             (fun cl -> Array.exists (fun (a : Idl.atom) -> m.(a.u) - m.(a.v) <= a.k) cl)
-             clauses
+        && List.for_all (fun c -> clause_holds p m c) (List.init (Idl.n_clauses p) Fun.id)
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -301,52 +293,73 @@ let prop_dag_sat =
    certifying feasibility span at most n*K after shifting the minimum to
    zero.  So for tiny random problems, exhaustive enumeration over that
    cube is a complete decision procedure to check the DPLL(T) solver
-   against. *)
+   against.  The enumeration assigns variables in index order and cuts a
+   branch as soon as an atom over the assigned variables fails. *)
 
 let sat_assignment (p : Idl.problem) (m : int array) =
-  List.for_all (fun (a : Idl.atom) -> m.(a.u) - m.(a.v) <= a.k) p.hard
-  && Array.for_all
-       (fun cl -> Array.exists (fun (a : Idl.atom) -> m.(a.u) - m.(a.v) <= a.k) cl)
-       p.clauses
+  let ok = ref true in
+  for e = 0 to p.n_hard - 1 do
+    if not (holds m p.hard e) then ok := false
+  done;
+  for c = 0 to Idl.n_clauses p - 1 do
+    if not (clause_holds p m c) then ok := false
+  done;
+  !ok
 
 let brute_force_sat (p : Idl.problem) =
-  let atom_k acc (a : Idl.atom) = max acc (abs a.k) in
-  let kmax =
-    Array.fold_left
-      (fun acc cl -> Array.fold_left atom_k acc cl)
-      (List.fold_left atom_k 1 p.hard)
-      p.clauses
-  in
-  let bound = (p.nvars * kmax) + 1 in
+  let kmax = ref 1 in
+  for e = 0 to p.n_hard - 1 do
+    kmax := max !kmax (abs p.hard.((3 * e) + 2))
+  done;
+  for l = 0 to p.clause_start.(Idl.n_clauses p) - 1 do
+    kmax := max !kmax (abs p.lits.((3 * l) + 2))
+  done;
+  let bound = (p.nvars * !kmax) + 1 in
   let m = Array.make p.nvars 0 in
+  (* every atom over [x_0 .. x_i] holds, and some literal over them of
+     every clause whose literals all are *)
+  let assigned a x i = a.(3 * x) <= i && a.((3 * x) + 1) <= i in
+  let prefix_ok i =
+    let ok = ref true in
+    for e = 0 to p.n_hard - 1 do
+      if assigned p.hard e i && not (holds m p.hard e) then ok := false
+    done;
+    for c = 0 to Idl.n_clauses p - 1 do
+      let all = ref true and some = ref false in
+      for l = p.clause_start.(c) to p.clause_start.(c + 1) - 1 do
+        if assigned p.lits l i then (if holds m p.lits l then some := true) else all := false
+      done;
+      if !all && not !some then ok := false
+    done;
+    !ok
+  in
   let rec go i =
     if i = p.nvars then sat_assignment p m
     else
       let rec try_v v =
         v < bound
         && (m.(i) <- v;
-            go (i + 1) || try_v (v + 1))
+            (prefix_ok i && go (i + 1)) || try_v (v + 1))
       in
       try_v 0
   in
   go 0
 
-let atom_str (a : Idl.atom) = Printf.sprintf "x%d-x%d<=%d" a.u a.v a.k
-
 let problem_print (p : Idl.problem) =
+  let atom a x = Printf.sprintf "x%d-x%d<=%d" a.(3 * x) a.((3 * x) + 1) a.((3 * x) + 2) in
   Printf.sprintf "n=%d hard=[%s] clauses=[%s]" p.nvars
-    (String.concat "; " (List.map atom_str p.hard))
+    (String.concat "; " (List.init p.n_hard (atom p.hard)))
     (String.concat " & "
-       (Array.to_list
-          (Array.map
-             (fun cl ->
-               "(" ^ String.concat " | " (Array.to_list (Array.map atom_str cl)) ^ ")")
-             p.clauses)))
+       (List.init (Idl.n_clauses p) (fun c ->
+            let s = p.clause_start.(c) in
+            "("
+            ^ String.concat " | " (List.init (p.clause_start.(c + 1) - s) (fun j -> atom p.lits (s + j)))
+            ^ ")")))
 
-(* n in 2..4 and |k| <= 3 keep the oracle cube small (<= 13^4 points)
-   while still generating self-loops, contradictions, zero cycles, and
-   clause-driven backtracking *)
-let problem_gen =
+(* n in 2..5 and |k| <= 3 keep the pruned oracle fast while still
+   generating self-loops, contradictions, zero cycles, conflicting
+   literals and clause-driven backtracking *)
+let problem_gen ~clauses =
   let atom n =
     QCheck.Gen.(
       map3
@@ -354,14 +367,15 @@ let problem_gen =
         (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range (-3) 3))
   in
   QCheck.Gen.(
-    int_range 2 4 >>= fun n ->
+    int_range 2 5 >>= fun n ->
     list_size (int_range 0 5) (atom n) >>= fun hard ->
-    list_size (int_range 0 3) (map Array.of_list (list_size (int_range 1 3) (atom n)))
-    >>= fun clauses -> return { Idl.nvars = n; hard; clauses = Array.of_list clauses })
+    list_size (int_range 0 (if clauses then 3 else 0))
+      (map Array.of_list (list_size (int_range 1 3) (atom n)))
+    >>= fun clauses -> return (Idl.make ~nvars:n ~hard ~clauses))
 
 let prop_oracle_sat_agreement =
   QCheck.Test.make ~count:400 ~name:"solver agrees with brute-force oracle"
-    (QCheck.make ~print:problem_print problem_gen)
+    (QCheck.make ~print:problem_print (problem_gen ~clauses:true))
     (fun p ->
       match Idl.solve p with
       | Sat (m, _) -> sat_assignment p m && brute_force_sat p
@@ -371,8 +385,7 @@ let prop_oracle_sat_agreement =
 let prop_oracle_hard_only =
   (* hard atoms alone exercise the theory solver without DPLL search *)
   QCheck.Test.make ~count:400 ~name:"theory-only problems agree with oracle"
-    (QCheck.make ~print:problem_print
-       QCheck.Gen.(map (fun p -> { p with Idl.clauses = [||] }) problem_gen))
+    (QCheck.make ~print:problem_print (problem_gen ~clauses:false))
     (fun p ->
       match Idl.solve p with
       | Sat (m, _) -> sat_assignment p m && brute_force_sat p
@@ -384,9 +397,62 @@ let prop_cycle_unsat =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 2 12))
     (fun n ->
       let hard = List.init n (fun i -> Idl.lt i ((i + 1) mod n)) in
-      match Idl.solve { Idl.nvars = n; hard; clauses = [||] } with
+      match Idl.solve (Idl.make ~nvars:n ~hard ~clauses:[]) with
       | Idl.Unsat _ -> true
       | _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Words allocated by [f ()], exactly: a minor collection before and after
+   makes the counters include every allocation in between. *)
+let words_of f =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. w0
+
+(* The flat solver allocates its graph, its trail, a few int arrays per
+   clause and the model, and no record per atom, decision or potential
+   change: at most 12 words per variable, hard atom and clause on the
+   Figure-6 logs and two contended workloads (scale 1, seed 1), whose worst
+   rows here are 10.5 (Tomcat-37458, fixed costs over 24 units) and 8.8
+   (dacapo-avrora).  The atom-list solver with [entry] records and list
+   trails allocated 16.4 words per unit on dacapo-avrora and 14.5 on
+   dacapo-xalan. *)
+let test_idl_alloc () =
+  let open Light_core in
+  let logs =
+    List.map
+      (fun (b : Bugs.Defs.bug) ->
+        let p = Bugs.Defs.program_of b () in
+        match Bugs.Harness.find_trigger p with
+        | Some tr -> (b.name, (Light.record ~sched:(tr.make_sched ()) p).log)
+        | None -> Alcotest.failf "%s: no trigger" b.name)
+      Bugs.Defs.all
+    @ List.map
+        (fun name ->
+          let bm = Option.get (Workloads.by_name name) in
+          ( name,
+            (Light.record ~sched:(Workloads.scheduler ~seed:1 bm) ~seed:1
+               (Workloads.program ~scale:1 bm))
+              .log ))
+        [ "dacapo-avrora"; "dacapo-xalan" ]
+  in
+  List.iter
+    (fun (name, log) ->
+      let cs = Constraints.generate log in
+      let units = cs.problem.nvars + cs.n_hard + cs.n_clauses in
+      let w = words_of (fun () -> Idl.solve ?hint:cs.hint cs.problem) in
+      if w > 12. *. float units then
+        Alcotest.failf "%s: Idl.solve allocated %.0f words for %d units (%.1f a unit)" name w
+          units (w /. float units))
+    logs
 
 let () =
   Alcotest.run "solver"
@@ -398,6 +464,7 @@ let () =
           Alcotest.test_case "zero cycles feasible" `Quick test_graph_zero_cycle_ok;
           Alcotest.test_case "push/pop restores" `Quick test_graph_push_pop;
           Alcotest.test_case "grows on demand" `Quick test_graph_growth;
+          Alcotest.test_case "a long wave calls the check" `Quick test_graph_check_in_wave;
         ] );
       ( "idl",
         [
@@ -413,6 +480,9 @@ let () =
           Alcotest.test_case "conflict budget aborts" `Quick test_idl_budget_conflicts;
           Alcotest.test_case "an abort names its budget bound" `Quick test_idl_budget_named;
           Alcotest.test_case "potential hint seeding" `Quick test_idl_hint_seeding;
+          Alcotest.test_case "hard atoms load within the time budget" `Quick
+            test_idl_budget_hard;
+          Alcotest.test_case "solve allocates <= 12 words per unit" `Quick test_idl_alloc;
           QCheck_alcotest.to_alcotest prop_perm_order;
           QCheck_alcotest.to_alcotest prop_dag_sat;
           QCheck_alcotest.to_alcotest prop_cycle_unsat;
