@@ -119,12 +119,24 @@ let preemptive (switches : (int * int) list) : Sched.t =
           if List.mem t runnable then cur := t
         | _ -> ());
         if List.mem !cur runnable then !cur else List.hd runnable);
-    save = (fun () -> Sched.marshal_hex (!cur, !pending));
+    save =
+      (fun () ->
+        List.concat_map (fun (s, t) -> [ s; t ]) !pending
+        |> List.cons !cur
+        |> List.map string_of_int
+        |> String.concat ",");
     load =
       (fun s ->
-        let c, p = (Sched.unmarshal_hex s : int * (int * int) list) in
-        cur := c;
-        pending := p);
+        let rec pairs = function
+          | s :: t :: rest -> (s, t) :: pairs rest
+          | [] -> []
+          | [ _ ] -> failwith ("bad preemptive token: " ^ s)
+        in
+        match List.map int_of_string (String.split_on_char ',' s) with
+        | c :: p ->
+          cur := c;
+          pending := pairs p
+        | [] -> assert false (* split_on_char returns one field at least *));
   }
 
 (* Run a candidate schedule; [None] when some thread's branch stream

@@ -145,7 +145,7 @@ let try_chimera ?(tries = 60) (b : Defs.bug) (_tr : trigger) : attempt =
     in
     let log = Baselines.Chimera.finalize_recorder rec_ ~outcome:orig in
     let rep =
-      Interp.run ~hooks:(Baselines.Chimera.replay_hooks log) ~plan
+      Vm.run ~hooks:(Baselines.Chimera.replay_hooks log) ~plan
         ~sched:(Sched.round_robin ()) pi.patched
     in
     let ok = crashes_match orig rep in

@@ -353,9 +353,10 @@ let table_of_log ?(extra_events = []) (log : Log.t) : table =
   let loose = ref [] in
   (* variables, numbered in order of first reference: each recorded
      interval's start, end and source, then the extra events; an interval
-     names two or three events *)
+     names two or three events, and the index has room for them all: two
+     per row and one per real source ([n_cand]) *)
   let n_extra = List.length extra_events in
-  let vars = Pair_index.create ((2 * n_base) + (n_base - n_deps) + n_extra) in
+  let vars = Pair_index.create ((2 * n_base) + !n_cand + n_extra) in
   (* row [k]: thread [t], counters [s..e], stamp [o], flags [fl] and
      source write [wt:wc] ([wt] -1: the initialization write) *)
   let row k t s e o fl wt wc =

@@ -146,7 +146,6 @@ let prepared_bytecode (pp : prepared) = pp.pp_bytecode
 let prepared_variant (pp : prepared) = pp.pp_variant
 let prepared_plan (pp : prepared) = pp.pp_plan
 let prepared_modes (pp : prepared) = pp.pp_modes
-let prepared_instrumented_sites (pp : prepared) = pp.pp_instrumented_sites
 
 type replay_result = {
   replay_outcome : Interp.outcome;

@@ -88,7 +88,6 @@ val prepared_bytecode : prepared -> Lang.Bytecode.program
 val prepared_variant : prepared -> variant
 val prepared_plan : prepared -> Plan.t
 val prepared_modes : prepared -> Bytes.t
-val prepared_instrumented_sites : prepared -> int
 (** Component accessors, for clients (like the epoch engine) that drive the
     interpreter and recorder themselves over a prepared program. *)
 

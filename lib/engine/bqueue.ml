@@ -140,12 +140,6 @@ let close t =
   Condition.broadcast t.not_full;
   Mutex.unlock t.m
 
-let is_closed t =
-  Mutex.lock t.m;
-  let c = t.closed in
-  Mutex.unlock t.m;
-  c
-
 let stats t =
   Mutex.lock t.m;
   let s =

@@ -39,7 +39,6 @@ val close : 'a t -> unit
 (** Refuse new submissions and wake all waiters; queued items remain
     poppable.  Idempotent. *)
 
-val is_closed : 'a t -> bool
 val length : 'a t -> int
 val capacity : 'a t -> int
 

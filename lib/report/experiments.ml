@@ -404,8 +404,7 @@ type interp_measure = {
   im_o1 : series;
   im_both : series;
   im_epoch : series;  (* v_basic recording in epoch mode (~8 epochs/run), VM *)
-  im_replay_tree : series;  (* gated replay of the v_both recording, tree walker *)
-  im_replay_vm : series;  (* the same replay on the VM *)
+  im_replay_vm : series;  (* gated replay of the v_both recording, VM *)
 }
 
 (* CI runs with a reduced budget via LIGHT_BENCH_ITERS *)
@@ -456,20 +455,16 @@ let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measur
   in
   let _, o1 = steps_per_sec ~iters (record Light_core.Light.v_o1) in
   let _, both = steps_per_sec ~iters (record Light_core.Light.v_both) in
-  (* replay of one solved v_both recording on each engine: the schedule,
-     hooks and replayed steps are the same, so the ratio is engine cost *)
-  let replay_tree, replay_vm =
+  (* replay of one solved v_both recording: priced against the VM's own
+     native run ([replay_over_vm]) *)
+  let _, replay_vm =
     let rc =
       Light_core.Light.record_prepared ~sched:(sched ()) ~seed
         (Light_core.Light.prepare ~variant:Light_core.Light.v_both p)
     in
     let sch = Option.get (Light_core.Replayer.solve rc.log).schedule in
-    let tree () =
-      (Interp.run ~hooks:(Light_core.Replayer.driver sch ~plan:rc.plan) ~plan:rc.plan
-         ~max_steps:10_000_000 ~sched:(Sched.round_robin ()) rc.program).steps
-    in
-    let vm () = (Light_core.Replayer.replay rc.program ~plan:rc.plan sch).steps in
-    (snd (steps_per_sec ~iters tree), snd (steps_per_sec ~iters vm))
+    steps_per_sec ~iters (fun () ->
+        (Light_core.Replayer.replay rc.program ~plan:rc.plan sch).steps)
   in
   (* epoch mode on the same fast path: checkpoint + seal ~8 times per run,
      so the series prices the boundary work (snapshot, arena seal,
@@ -495,7 +490,6 @@ let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measur
     im_o1 = o1;
     im_both = both;
     im_epoch = epoch;
-    im_replay_tree = replay_tree;
     im_replay_vm = replay_vm;
   }
 
@@ -520,7 +514,6 @@ let interp_ratios : (string * (interp_measure -> float)) list =
     ("ratio_both", r (fun m -> m.im_native) (fun m -> m.im_both));
     ("ratio_vm_basic", r (fun m -> m.im_vm) (fun m -> m.im_vm_basic));
     ("ratio_epoch", r (fun m -> m.im_vm) (fun m -> m.im_epoch));
-    ("replay_speedup", r (fun m -> m.im_replay_vm) (fun m -> m.im_replay_tree));
     ("replay_over_vm", r (fun m -> m.im_vm) (fun m -> m.im_replay_vm));
   ]
 
@@ -530,8 +523,7 @@ let interp_json ~iters (ms : interp_measure list) : J.t =
       [
         ("native", m.im_native); ("vm", m.im_vm); ("basic", m.im_basic);
         ("vm_basic", m.im_vm_basic); ("o1", m.im_o1); ("both", m.im_both);
-        ("epoch", m.im_epoch);
-        ("replay_tree", m.im_replay_tree); ("replay_vm", m.im_replay_vm);
+        ("epoch", m.im_epoch); ("replay_vm", m.im_replay_vm);
       ]
     in
     J.Obj
@@ -599,9 +591,9 @@ let run_interp_measurements ~seed ppf : int * interp_measure list =
   if show_timings () then begin
     let g name = geomean (List.assoc name interp_ratios) ms in
     Fmt.pf ppf
-      "  geomean: %.2fx vs reference (VM %.2fx vs native, VM replay %.2fx vs \
-       tree); record overhead %.2fx basic, %.2fx O1, %.2fx O1+O2@."
-      (g "speedup_vs_ref") (g "vm_speedup") (g "replay_speedup") (g "ratio_basic")
+      "  geomean: %.2fx vs reference (VM %.2fx vs native, VM replay at %.2fx \
+       VM native time); record overhead %.2fx basic, %.2fx O1, %.2fx O1+O2@."
+      (g "speedup_vs_ref") (g "vm_speedup") (g "replay_over_vm") (g "ratio_basic")
       (g "ratio_o1") (g "ratio_both");
     Fmt.pf ppf "  native min-of-iters geomean: %.0fk steps/sec@."
       (geomean (fun m -> m.im_native.sps_min) ms /. 1e3);
@@ -628,9 +620,9 @@ let interp_bench ?(seed = 7) ?(json_path = "BENCH_interp.json") () ppf : unit =
    process, so 10% is tight enough to catch boundary work (snapshot, seal,
    last-write clear) that stops amortizing; in three runs (2-vCPU host, 5
    iterations) it read 1.71-1.76 against a [ratio_vm_basic] of 2.37-2.52.
-   The VM must not fall behind the tree walker it replaces, in native runs
-   or in gated replay (the VM is the replayer's only engine).  Gated replay on the VM
-   must also stay near the VM's own native run: [replay_over_vm] measured
+   The VM must not fall behind the tree walker it replaces in native runs.
+   Gated replay, which runs only on the VM, must stay near the VM's own
+   native run: [replay_over_vm] measured
    0.95-1.06 in geomean in 7 runs with the one-walk round-robin pick
    (2-vCPU host, 2 iterations), against 1.11-1.23 in 7 alternated runs
    with the admitted tid list and the scheduler's pick, 1.34-1.50 with
@@ -642,8 +634,6 @@ let perfcheck_rules : Gate.rule list =
     { metric = "geomean.ratio_epoch"; reference = Metric "geomean.ratio_vm_basic";
       direction = At_most; tolerance = 0.10 };
     { metric = "geomean.vm_speedup"; reference = Const 1.0; direction = At_least; tolerance = 0.0 };
-    { metric = "geomean.replay_speedup"; reference = Const 1.0; direction = At_least;
-      tolerance = 0.0 };
     { metric = "geomean.replay_over_vm"; reference = Const 1.15; direction = At_most;
       tolerance = 0.0 };
   ]
@@ -1308,12 +1298,11 @@ let running_example () ppf : unit =
    dispatch) rather than steady-state interpreter throughput, which the
    interp bench already covers.
 
-   Passes, in this order (later passes must not intern new ids, so the
-   serial reference pass goes first and doubles as the deterministic
-   intern warm-up):
-   1. serial reference — the service on a 1-worker pool: every runtime
-      map-key id is assigned in program order, and the per-session log
-      digests are the identity reference for everything after;
+   Passes, in this order (log bytes do not depend on intern ids, so no
+   pass warms the intern table for the others; only the modeled overhead
+   does, through [Metrics.Cost.stripe_of], ROADMAP item 8):
+   1. serial reference — the service on a 1-worker pool: the per-session
+      log digests are the identity reference for everything after;
    2. service under load — the real measurement: default pool, bounded
       queue, recycled recorders, sharded intern;
    3. service without recycling — same pool, fresh recorder per session
@@ -1411,7 +1400,7 @@ let service_measure () : service_measure =
   let prepare_s = Unix.gettimeofday () -. t0 in
   let sessions = service_sessions corpus n ~max_steps:steps_budget in
   let pool = Engine.Pool.get_default () in
-  (* pass 1: serial reference (and deterministic intern warm-up) *)
+  (* pass 1: serial reference *)
   let t0 = Unix.gettimeofday () in
   let ref_results, _ =
     Engine.Pool.with_pool ~size:1 (fun p1 ->

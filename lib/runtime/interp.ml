@@ -11,8 +11,9 @@
     live in a [Value.t array] frame indexed by compile-time slots, field and
     global names are pre-interned integers, and [Loc.t] is a pair of
     immediates — no string hashing or per-access allocation on the hot path.
-    Hooks are optional: a native run (all hooks absent) never computes
-    pre-events or event records at all.
+    Hooks are optional: a native run (all hooks absent) never builds an
+    event record at all.  The tree walker never gates: replay, and every
+    other run with a {!gate}, runs on the VM ({!Vm}).
 
     Object ids are thread-deterministic: [objid = tid * 1_000_000 + k] where
     [k] is the allocating thread's allocation index, so Assumption 1 (thread
@@ -56,7 +57,9 @@ type outcome = {
 }
 
 (** How a replay tool admits a thread's next shared access (on the first
-    ghost access for compound sync transitions); a denied thread waits. *)
+    ghost access for compound sync transitions); a denied thread waits.
+    Only the VM runs a gate ({!Vm.run_state}); the tree walker raises
+    [Invalid_argument] when given one. *)
 type gate =
   | Rank of { wait : tid:int -> c:int -> int; cursor : int ref }
       (** the pending access [(tid, c)] is admitted once [!cursor >= wait
@@ -65,13 +68,14 @@ type gate =
           [wait] once per counter.  A rank-gated run picks round-robin
           among the admitted threads ({!Sched.round_robin_pick}: the first
           admitted thread above the last one picked, else the first
-          admitted) and never asks the run's scheduler, so both engines
-          replay one interleaving whatever scheduler is passed.  The VM
-          picks in one walk of its enabled set.  Runs on both engines. *)
+          admitted) in one walk of its enabled set, and never asks the
+          run's scheduler, so it replays one interleaving whatever
+          scheduler is passed. *)
   | Pred of (Event.pre -> bool)
       (** [false] delays the thread: a predicate over the whole pending
-          access, asked about every enabled thread at every step.  Tree
-          walker only; the VM rejects it with [Invalid_argument]. *)
+          access, asked about every enabled thread at every step (the
+          Leap, Stride and Chimera replays).  The run's scheduler picks
+          among the admitted threads. *)
 
 (** All hooks are optional; [None] lets the interpreter skip the
     corresponding bookkeeping entirely (no pre-event or event-record
@@ -162,11 +166,6 @@ type thread = {
   mutable started : bool;
   mutable reads_rev : (int * Value.t) list;
   mutable outputs_rev : string list;
-  mutable pre_cache : Event.pre option;
-      (* the next shared access, for the replay gate; valid while
-         [pre_valid], i.e. until the thread steps or another thread changes
-         its status *)
-  mutable pre_valid : bool;
 }
 
 exception Rt_crash of int * int * string  (* site, line, message *)
@@ -329,11 +328,6 @@ let access st (t : thread) ~(loc : Loc.t) ~(kind : Event.akind) ~(site : int)
   | None -> ()
   | Some f -> f (Access ({ Event.tid = t.tid; c = t.d; loc; kind; site; ghost }, value))
 
-(* The pre-event of the next shared access the thread will perform, for the
-   gate.  Counter value is what the access *will* get. *)
-let pre_of (t : thread) ~loc ~kind ~site ~ghost : Event.pre =
-  { Event.tid = t.tid; c = t.d + 1; loc; kind; site; ghost }
-
 (* ------------------------------------------------------------------ *)
 (* Lock primitives                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -377,77 +371,7 @@ let do_release st (t : thread) (m : Value.objid) ~(site : int) ~(ghost : Event.g
 (* Enabledness                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* What shared access (if any) does the thread perform next?  Only
-   computed for a [Pred] gate (the baselines' replays).  Pure evaluation
-   may crash; in that case we report no access so the thread runs and
-   crashes properly. *)
-let next_pre st (t : thread) : Event.pre option =
-  let shared site = shared_site st site in
-  match t.status with
-  | Notified m ->
-    Some (pre_of t ~loc:(Loc.cond_ghost m) ~kind:Read ~site:0 ~ghost:WaitCondRead)
-  | Reacquiring m ->
-    Some (pre_of t ~loc:(Loc.lock_ghost m) ~kind:Read ~site:0 ~ghost:WaitReacqRead)
-  | Runnable | BlockedLock _ | BlockedJoin _ -> (
-    if not t.started then
-      Some
-        (pre_of t ~loc:(Loc.thread_ghost t.tid) ~kind:Read ~site:0 ~ghost:ThreadFirstRead)
-    else
-      match t.frames with
-      | [] -> (* next transition is the exit ghost write *)
-        Some
-          (pre_of t ~loc:(Loc.thread_ghost t.tid) ~kind:Write ~site:0 ~ghost:ThreadExitWrite)
-      | { cont = CDone; _ } :: _ | { cont = CSeq { todo = []; _ }; _ } :: _ -> None
-      | { cont = CUnlock (m, sid, _); _ } :: _ ->
-        Some (pre_of t ~loc:(Loc.lock_ghost m) ~kind:Write ~site:sid ~ghost:LockRelWrite)
-      | ({ cont = CSeq { todo = s :: _; _ }; slots; _ } :: _) -> (
-        let e x = eval s slots x in
-        try
-          match s.rnode with
-          | RLoad (_, o, f) when shared s.rsid ->
-            Some (pre_of t ~loc:(Loc.field_id (eval_ref s slots o) f) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-          | RStore (o, f, _) when shared s.rsid ->
-            Some (pre_of t ~loc:(Loc.field_id (eval_ref s slots o) f) ~kind:Write ~site:s.rsid ~ghost:NotGhost)
-          | RLoadIdx (_, a, i) when shared s.rsid -> (
-            match e a, e i with
-            | VRef o, VInt n -> Some (pre_of t ~loc:(Loc.elem o n) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-            | _ -> None)
-          | RStoreIdx (a, i, _) when shared s.rsid -> (
-            match e a, e i with
-            | VRef o, VInt n -> Some (pre_of t ~loc:(Loc.elem o n) ~kind:Write ~site:s.rsid ~ghost:NotGhost)
-            | _ -> None)
-          | RGlobalLoad (_, g) when shared s.rsid ->
-            Some (pre_of t ~loc:(Loc.global_id g) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-          | RGlobalStore (g, _) when shared s.rsid ->
-            Some (pre_of t ~loc:(Loc.global_id g) ~kind:Write ~site:s.rsid ~ghost:NotGhost)
-          | RMapGet (_, m, k) when shared s.rsid ->
-            Some (pre_of t ~loc:(Loc.mapkey (eval_ref s slots m) (e k)) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-          | RMapHas (_, m, k) when shared s.rsid ->
-            Some (pre_of t ~loc:(Loc.mapkey (eval_ref s slots m) (e k)) ~kind:Read ~site:s.rsid ~ghost:NotGhost)
-          | RMapPut (m, k, _) when shared s.rsid ->
-            Some (pre_of t ~loc:(Loc.mapkey (eval_ref s slots m) (e k)) ~kind:Write ~site:s.rsid ~ghost:NotGhost)
-          | RSync (m, _) | RLock m ->
-            Some (pre_of t ~loc:(Loc.lock_ghost (eval_ref s slots m)) ~kind:Read ~site:s.rsid ~ghost:LockAcqRead)
-          | RUnlock m ->
-            Some (pre_of t ~loc:(Loc.lock_ghost (eval_ref s slots m)) ~kind:Write ~site:s.rsid ~ghost:LockRelWrite)
-          | RWait m ->
-            Some (pre_of t ~loc:(Loc.lock_ghost (eval_ref s slots m)) ~kind:Write ~site:s.rsid ~ghost:WaitRelWrite)
-          | RNotify m | RNotifyAll m ->
-            Some (pre_of t ~loc:(Loc.cond_ghost (eval_ref s slots m)) ~kind:Write ~site:s.rsid ~ghost:NotifyWrite)
-          | RSpawn _ ->
-            (* the child's ghost id depends on the fresh tid *)
-            let child = (t.tid * 100) + t.spawn_idx + 1 in
-            Some (pre_of t ~loc:(Loc.thread_ghost child) ~kind:Write ~site:s.rsid ~ghost:SpawnWrite)
-          | RJoin h -> (
-            match e h with
-            | VThread target ->
-              Some (pre_of t ~loc:(Loc.thread_ghost target) ~kind:Read ~site:s.rsid ~ghost:JoinRead)
-            | _ -> None)
-          | _ -> None
-        with Rt_crash _ -> None))
-  | InWait _ | Finished | Crashed -> None
-
-(* Is the thread able to take a transition right now (ignoring the gate)? *)
+(* Is the thread able to take a transition right now? *)
 let semantically_enabled st (t : thread) : bool =
   match t.status with
   | Finished | Crashed | InWait _ -> false
@@ -479,44 +403,6 @@ let semantically_enabled st (t : thread) : bool =
           with Rt_crash _ -> true)
         | _ -> true)
       | _ -> true)
-
-(* Does the thread's next transition make a shared access?  The VM's
-   [access_at] rule, so a rank gate admits the same threads on both
-   engines: a statement whose address does not evaluate waits too (it
-   crashes when stepped, and the crash's exit write is its access). *)
-let makes_access st (t : thread) : bool =
-  match t.status with
-  | Notified _ | Reacquiring _ -> true
-  | Runnable | BlockedLock _ | BlockedJoin _ -> (
-    (not t.started)
-    ||
-    match t.frames with
-    | [] | { cont = CUnlock _; _ } :: _ -> true
-    | { cont = CSeq { todo = s :: _; _ }; _ } :: _ -> (
-      match s.rnode with
-      | RLoad _ | RStore _ | RLoadIdx _ | RStoreIdx _ | RGlobalLoad _ | RGlobalStore _
-      | RMapGet _ | RMapHas _ | RMapPut _ ->
-        shared_site st s.rsid
-      | RSync _ | RLock _ | RUnlock _ | RWait _ | RNotify _ | RNotifyAll _ | RSpawn _
-      | RJoin _ ->
-        true
-      | _ -> false)
-    | _ -> false)
-  | InWait _ | Finished | Crashed -> false
-
-(* [next_pre] reads only the thread's own frames, slots, counters and
-   status, so its answer is cached until one of them changes. *)
-let gate_allows st (t : thread) : bool =
-  match st.hooks.gate with
-  | None -> true
-  | Some (Rank { wait; cursor }) ->
-    (not (makes_access st t)) || !cursor >= wait ~tid:t.tid ~c:(t.d + 1)
-  | Some (Pred p) -> (
-    if not t.pre_valid then begin
-      t.pre_cache <- next_pre st t;
-      t.pre_valid <- true
-    end;
-    match t.pre_cache with None -> true | Some pre -> p pre)
 
 (* ------------------------------------------------------------------ *)
 (* Stepping                                                            *)
@@ -632,9 +518,7 @@ let pick_wakeup st (m : Value.objid) : int option =
       Some w)
 
 let wake st (w : int) (m : Value.objid) : unit =
-  let wt = Hashtbl.find st.threads w in
-  wt.status <- Notified m;
-  wt.pre_valid <- false
+  (Hashtbl.find st.threads w).status <- Notified m
 
 let observe_event st (ev : Event.t) : unit =
   match st.hooks.observe with None -> () | Some f -> f ev
@@ -663,8 +547,6 @@ let make_thread ~tid ~frames : thread =
     started = false;
     reads_rev = [];
     outputs_rev = [];
-    pre_cache = None;
-    pre_valid = false;
   }
 
 let new_frame (fn : rfn) ~(ret_to : int option) : frame =
@@ -703,8 +585,7 @@ let spawn_thread st (parent : thread) (s : rstmt) (fidx : int) (fname : string)
   observe_event st (ThreadSpawned { parent = parent.tid; child = tid });
   tid
 
-(* Execute one transition of thread [t].  Assumes semantically enabled and
-   gate-approved. *)
+(* Execute one transition of thread [t].  Assumes semantically enabled. *)
 let rec step_thread st (t : thread) : unit =
   if not t.started then begin
     t.started <- true;
@@ -1006,9 +887,11 @@ let outcome_of_state (st : state) (status : status_summary) : outcome =
 
 (** Run [cp] from its initial state (globals object, main thread, seeded
     RNG) until termination or [max_steps].  Pausing, checkpointing and
-    resuming a run (epoch recording) are the VM's job ({!Vm.run_state}). *)
+    resuming a run (epoch recording) and gated runs (replay) are the VM's
+    job ({!Vm.run_state}): [hooks.gate] raises [Invalid_argument]. *)
 let run_compiled ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(max_steps = 5_000_000)
     ?(collect_trace = false) ?(seed = 0) ~(sched : Sched.t) (cp : compiled) : outcome =
+  if hooks.gate <> None then invalid_arg "Interp: a gated run runs on the VM";
   let shared = Array.init (cp.cp_max_sid + 1) (fun sid -> plan.Plan.shared_site sid) in
   let st =
     {
@@ -1035,9 +918,6 @@ let run_compiled ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(max_steps 
   let main_thread = make_thread ~tid:1 ~frames:[ new_frame cp.cp_main ~ret_to:None ] in
   main_thread.started <- true;  (* main has no spawn ghost to read *)
   push_thread st main_thread;
-  let gated = st.hooks.gate <> None in
-  let ranked = match st.hooks.gate with Some (Rank _) -> true | _ -> false in
-  let last_pick = ref (-1) in  (* a rank-gated run's previous pick *)
   let finished = ref false in
   let status = ref AllFinished in
   while not !finished do
@@ -1045,55 +925,36 @@ let run_compiled ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(max_steps 
        comes out in creation order, exactly as the seed's list-filter
        construction did.  The [live] list is only needed to report a
        deadlock, so it is built on that (cold) path alone. *)
-    let sem_enabled = ref [] and any_live = ref false in
+    let runnable = ref [] and any_live = ref false in
     for i = st.n_threads - 1 downto 0 do
       let t = st.order.(i) in
       if t.status <> Finished && t.status <> Crashed then begin
         any_live := true;
-        if semantically_enabled st t then sem_enabled := t.tid :: !sem_enabled
+        if semantically_enabled st t then runnable := t.tid :: !runnable
       end
     done;
     if not !any_live then (finished := true; status := AllFinished)
     else begin
-      let sem_enabled = !sem_enabled in
-      let runnable =
-        if not gated then sem_enabled
-        else
-          List.filter (fun tid -> gate_allows st (Hashtbl.find st.threads tid)) sem_enabled
-      in
+      let runnable = !runnable in
       if runnable = [] then begin
         finished := true;
-        status :=
-          (if sem_enabled = [] then begin
-             let live = ref [] in
-             for i = st.n_threads - 1 downto 0 do
-               let t = st.order.(i) in
-               if t.status <> Finished && t.status <> Crashed then live := t.tid :: !live
-             done;
-             Deadlock !live
-           end
-           else GateStuck sem_enabled)
+        let live = ref [] in
+        for i = st.n_threads - 1 downto 0 do
+          let t = st.order.(i) in
+          if t.status <> Finished && t.status <> Crashed then live := t.tid :: !live
+        done;
+        status := Deadlock !live
       end
       else if st.steps >= max_steps then (finished := true; status := StepLimit)
       else begin
-        let tid =
-          if ranked then begin
-            (* the VM's pick: round-robin among the admitted threads *)
-            let tid = Sched.round_robin_pick ~last:!last_pick runnable in
-            last_pick := tid;
-            tid
-          end
-          else
-            let tid = sched.pick ~step:st.steps ~runnable in
-            if List.mem tid runnable then tid else List.hd runnable
-        in
+        let tid = sched.pick ~step:st.steps ~runnable in
+        let tid = if List.mem tid runnable then tid else List.hd runnable in
         let t = Hashtbl.find st.threads tid in
         st.steps <- st.steps + 1;
-        (try step_thread st t with
+        try step_thread st t with
         | Rt_crash (site, line, msg) ->
           st.crashes <- { tid; site; line; msg; c = t.d } :: st.crashes;
-          finish_thread st t ~crashed:true);
-        t.pre_valid <- false
+          finish_thread st t ~crashed:true
       end
     end
   done;

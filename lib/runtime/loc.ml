@@ -36,8 +36,6 @@ let fld_of_elem (i : int) : int = if i >= 0 then (-2 * i) - 1 else (2 * i) - 2
 let elem_index (fld : int) : int =
   if fld land 1 <> 0 then - ((fld + 1) / 2) else (fld + 2) / 2
 
-let is_elem_fld (fld : int) : bool = fld < 0
-
 let fld_name (fld : int) : string =
   if fld < 0 then "#" ^ string_of_int (elem_index fld) else Lang.Intern.name fld
 

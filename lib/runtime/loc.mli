@@ -52,7 +52,6 @@ val len_fld : int
 val fld_of_elem : int -> int
 (** Arithmetic field-id encoding of array index [i] (no interning). *)
 
-val is_elem_fld : int -> bool
 val elem_index : int -> int
 
 val fld_name : int -> string

@@ -17,27 +17,30 @@ type t = {
       (** restore a state produced by [save] on the same constructor *)
 }
 
-(* Pick-state serialization helper: any marshalable value to a single
-   line-safe hex token and back.  Used for [Random.State] (which has no
-   public accessors) and for compound cursor state. *)
-let marshal_hex (v : 'a) : string =
-  let s = Marshal.to_string v [] in
-  let hex = "0123456789abcdef" in
+(* Pick-state tokens are one line-safe word of comma-separated fields:
+   a generator state as the lowercase hex of its versioned binary form
+   ([Random.State.to_binary_string]), everything else as decimal ints. *)
+let rng_token (rng : Random.State.t) : string =
+  let s = Random.State.to_binary_string rng in
   let b = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c ->
-      Buffer.add_char b hex.[Char.code c lsr 4];
-      Buffer.add_char b hex.[Char.code c land 15])
-    s;
+  String.iter (fun ch -> Printf.bprintf b "%02x" (Char.code ch)) s;
   Buffer.contents b
 
-let unmarshal_hex (h : string) : 'a =
-  let n = String.length h / 2 in
-  let s = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set s i (Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-  done;
-  Marshal.from_bytes s 0
+let rng_of_token (tok : string) : (Random.State.t, string) result =
+  let nib ch =
+    match ch with '0' .. '9' -> Char.code ch - 48 | 'a' .. 'f' -> Char.code ch - 87 | _ -> -1
+  in
+  let n = String.length tok / 2 in
+  if String.length tok land 1 = 1 || not (String.for_all (fun ch -> nib ch >= 0) tok) then
+    Error "not even-length lowercase hex"
+  else
+    let b = String.init n (fun i -> Char.chr ((16 * nib tok.[2 * i]) + nib tok.[(2 * i) + 1])) in
+    match Random.State.of_binary_string b with
+    | rng -> Ok rng
+    | exception Failure _ -> Error (Printf.sprintf "%d bytes, not a generator state" n)
+
+let rng_of_token_exn (tok : string) : Random.State.t =
+  match rng_of_token tok with Ok rng -> rng | Error why -> failwith ("bad rng token: " ^ why)
 
 (* the first tid above [last] in list order, else [wrap] *)
 let rec first_above last ~wrap = function
@@ -72,8 +75,8 @@ let random ~seed : t =
     pick =
       (fun ~step:_ ~runnable ->
         List.nth runnable (Random.State.int !st (List.length runnable)));
-    save = (fun () -> marshal_hex !st);
-    load = (fun s -> st := (unmarshal_hex s : Random.State.t));
+    save = (fun () -> rng_token !st);
+    load = (fun s -> st := rng_of_token_exn s);
   }
 
 (** Keeps running the current thread; switches with probability
@@ -92,12 +95,14 @@ let sticky ~seed ~stickiness : t =
         if switch then
           cur := List.nth runnable (Random.State.int !st (List.length runnable));
         !cur);
-    save = (fun () -> marshal_hex (!st, !cur));
+    save = (fun () -> rng_token !st ^ "," ^ string_of_int !cur);
     load =
       (fun s ->
-        let rs, c = (unmarshal_hex s : Random.State.t * int) in
-        st := rs;
-        cur := c);
+        match String.split_on_char ',' s with
+        | [ rs; c ] ->
+          st := rng_of_token_exn rs;
+          cur := int_of_string c
+        | _ -> failwith ("bad sticky token: " ^ s));
   }
 
 (** Follows an explicit thread-id script; once exhausted (or when the
@@ -117,8 +122,11 @@ let scripted (script : int list) : t =
             if List.mem t runnable then t else next ()
         in
         next ());
-    save = (fun () -> marshal_hex !rest);
-    load = (fun s -> rest := (unmarshal_hex s : int list));
+    save =
+      (fun () ->
+        (* the count first, so an exhausted script is still a non-empty token *)
+        String.concat "," (List.map string_of_int (List.length !rest :: !rest)));
+    load = (fun s -> rest := List.tl (List.map int_of_string (String.split_on_char ',' s)));
   }
 
 (** PCT-style priority scheduler: random fixed priorities with [depth]
@@ -157,11 +165,23 @@ let pct ~seed ~depth ~expected_steps : t =
     save =
       (fun () ->
         let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) prio [] in
-        marshal_hex (!st, List.sort compare entries));
+        List.sort compare entries
+        |> List.concat_map (fun (k, v) -> [ string_of_int k; string_of_int v ])
+        |> List.cons (rng_token !st)
+        |> String.concat ",");
     load =
       (fun s ->
-        let rs, entries = (unmarshal_hex s : Random.State.t * (int * int) list) in
-        st := rs;
-        Hashtbl.reset prio;
-        List.iter (fun (k, v) -> Hashtbl.add prio k v) entries);
+        match String.split_on_char ',' s with
+        | rs :: entries ->
+          st := rng_of_token_exn rs;
+          Hashtbl.reset prio;
+          let rec add = function
+            | k :: v :: rest ->
+              Hashtbl.add prio (int_of_string k) (int_of_string v);
+              add rest
+            | [] -> ()
+            | [ _ ] -> failwith ("bad pct token: " ^ s)
+          in
+          add entries
+        | [] -> failwith ("bad pct token: " ^ s));
   }

@@ -9,8 +9,9 @@
     as a constructor: build a fresh instance per run, and never share an
     instance across runs or across domains (the batch engine's determinism
     contract depends on this).  The [save]/[load] pair serializes that pick
-    state so an epoch checkpoint can capture the scheduler's exact position
-    and a later replay can resume it mid-run. *)
+    state as text (decimal ints and hex generator states), so an epoch
+    checkpoint can capture the scheduler's exact position and a later
+    replay can resume it mid-run. *)
 
 type t = {
   name : string;
@@ -23,13 +24,16 @@ type t = {
           scheduler kind and construction parameters) *)
 }
 
-val marshal_hex : 'a -> string
-(** Marshal any (closure-free) value into a line-safe hex token.  Shared by
-    scheduler [save] implementations and by interpreter checkpoints (which
-    need to serialize [Random.State.t], a type with no public accessors). *)
+val rng_token : Random.State.t -> string
+(** A generator state as a line-safe token: the lowercase hex of
+    [Random.State.to_binary_string], a format versioned by the runtime.
+    Scheduler [save] tokens join it with decimal ints by commas; epoch
+    checkpoints write the VM's [@rand] generator this way. *)
 
-val unmarshal_hex : string -> 'a
-(** Inverse of {!marshal_hex}; the caller must ascribe the result type. *)
+val rng_of_token : string -> (Random.State.t, string) result
+(** Inverse of {!rng_token}; [Error] says why the token is no generator
+    state (not even-length lowercase hex, or bytes the runtime's
+    [Random.State.of_binary_string] refuses). *)
 
 val round_robin : unit -> t
 (** Lowest thread id above the previously picked one, wrapping around.
@@ -38,7 +42,7 @@ val round_robin : unit -> t
 val round_robin_pick : last:int -> int list -> int
 (** What {!round_robin} picks from a non-empty runnable list after
     picking [last]: the first id above [last] in list order, else the
-    first id.  Rank-gated runs pick this way on both engines. *)
+    first id.  A rank-gated VM run picks this way. *)
 
 val random : seed:int -> t
 (** Uniform choice at every step. *)

@@ -2,14 +2,15 @@
     {!Lang.Bytecode} programs ({!Lang.Compile.lower}).
 
     Semantically this module is a drop-in replacement for {!Interp}: same
-    hooks surface (except that a gate must be an [Interp.Rank]), same
-    crash messages and attribution, same D(t) counter stream.  The
-    differential suite (test_vm) holds VM runs byte-identical to the tree
-    interpreter on logs and observables.  It is also the one engine that
-    pauses a run ([run_state ~stop_at]) and writes and restores epoch
-    checkpoints ({!snapshot}, {!restore_state}): a checkpoint is produced
-    from PC + register frames via the compile-time continuation
-    templates, and its types live here, next to those two functions.
+    hooks surface, same crash messages and attribution, same D(t) counter
+    stream.  The differential suite (test_vm) holds ungated VM runs
+    byte-identical to the tree interpreter on logs and observables.  It
+    is the one engine that gates a run ([Interp.Rank] for Light's replay,
+    [Interp.Pred] for the baselines'), and the one that pauses a run
+    ([run_state ~stop_at]) and writes and restores epoch checkpoints
+    ({!snapshot}, {!restore_state}): a checkpoint is produced from PC +
+    register frames via the compile-time continuation templates, and its
+    types live here, next to those two functions.
 
     Where the speed comes from:
     - flat instruction array, no continuation-chain allocation and no
@@ -32,7 +33,11 @@
       is peeked or built; the wait is asked once per counter and cached.
       A gated step picks round-robin among the admitted threads in one
       walk of the enabled set ([rank_pick]): no tid list, no scheduler
-      call, no scan for the picked thread.
+      call, no scan for the picked thread;
+    - predicate admission ([Interp.Pred], the Leap, Stride and Chimera
+      replays): each step describes every enabled thread's next access
+      ([next_access]) and asks the predicate, uncached, and the run's
+      scheduler picks among the admitted tids.
 
     Thread/frame bookkeeping mirrors {!Interp} field for field; shared
     pieces (expression evaluation for enabledness peeking, syscall and
@@ -183,7 +188,9 @@ type state = {
          thread order; valid while [cache_ok] *)
   mutable n_enabled : int;
   mutable cached_runnable : int list;
-      (* ungated runs: their tids, in thread order (a gated run picks from
+      (* the tids the scheduler picks from, in thread order: an ungated
+         run's enabled ones, cached with [enabled]; a [Pred]-gated run's
+         admitted ones, refilled every step (a [Rank]-gated run picks from
          [enabled] directly) *)
   mutable cache_ok : bool;
   mutable dirty : bool;  (* set by any transition that can change enabledness *)
@@ -853,7 +860,7 @@ let step_thread st (t : vthread) : unit =
     | InWait _ | Finished | Crashed -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Enabledness + the replay gate (mirrors Interp)                      *)
+(* Enabledness + the replay gates                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Does the thread's next transition make a shared access?  Its first
@@ -868,6 +875,54 @@ let makes_access st (t : vthread) : bool =
     (not t.started)
     || match t.frames with [] -> true | f :: _ -> Array.unsafe_get st.access_at f.pc)
   | InWait _ | Finished | Crashed -> false
+
+(* The access a [Pred] gate is asked about: the one [t]'s next transition
+   makes, which [makes_access] says it does, as the event it will be.
+   [None] when its address does not evaluate: the thread is admitted and
+   crashes when stepped. *)
+let next_access st (t : vthread) : Event.pre option =
+  let pre ?(site = 0) ~kind ~ghost (loc : Loc.t) : Event.pre option =
+    Some { Event.tid = t.tid; c = t.d + 1; loc; kind; site; ghost }
+  in
+  match t.status, t.frames with
+  | Interp.Notified m, _ -> pre ~kind:Read ~ghost:WaitCondRead (Loc.cond_ghost m)
+  | Reacquiring m, _ -> pre ~kind:Read ~ghost:WaitReacqRead (Loc.lock_ghost m)
+  | _ when not t.started -> pre ~kind:Read ~ghost:ThreadFirstRead (Loc.thread_ghost t.tid)
+  | _, [] -> pre ~kind:Write ~ghost:ThreadExitWrite (Loc.thread_ghost t.tid)
+  | _, f :: _ -> (
+    match st.prog.bc_code.(f.pc), st.prog.bc_stmt_at.(f.pc) with
+    | IExitSync site, _ ->
+      pre ~site ~kind:Write ~ghost:LockRelWrite (Loc.lock_ghost (List.hd f.sync_stack))
+    | _, None -> None
+    | _, Some s -> (
+      let site = s.rsid in
+      let e x = Interp.eval s f.regs x and r x = Interp.eval_ref s f.regs x in
+      let data kind loc = pre ~site ~kind ~ghost:NotGhost loc in
+      let sync kind ghost loc = pre ~site ~kind ~ghost loc in
+      let elem kind a i =
+        match e a, e i with VRef o, VInt n -> data kind (Loc.elem o n) | _ -> None
+      in
+      try
+        match s.rnode with
+        | RLoad (_, o, fl) -> data Read (Loc.field_id (r o) fl)
+        | RStore (o, fl, _) -> data Write (Loc.field_id (r o) fl)
+        | RLoadIdx (_, a, i) -> elem Read a i
+        | RStoreIdx (a, i, _) -> elem Write a i
+        | RGlobalLoad (_, g) -> data Read (Loc.global_id g)
+        | RGlobalStore (g, _) -> data Write (Loc.global_id g)
+        | RMapGet (_, m, k) | RMapHas (_, m, k) -> data Read (Loc.mapkey (r m) (e k))
+        | RMapPut (m, k, _) -> data Write (Loc.mapkey (r m) (e k))
+        | RSync (m, _) | RLock m -> sync Read LockAcqRead (Loc.lock_ghost (r m))
+        | RUnlock m -> sync Write LockRelWrite (Loc.lock_ghost (r m))
+        | RWait m -> sync Write WaitRelWrite (Loc.lock_ghost (r m))
+        | RNotify m | RNotifyAll m -> sync Write NotifyWrite (Loc.cond_ghost (r m))
+        | RSpawn _ ->
+          (* the child's ghost: the tid the spawn will give it *)
+          sync Write SpawnWrite (Loc.thread_ghost ((t.tid * 100) + t.spawn_idx + 1))
+        | RJoin h -> (
+          match e h with VThread target -> sync Read JoinRead (Loc.thread_ghost target) | _ -> None)
+        | _ -> None
+      with Interp.Rt_crash _ -> None))
 
 let semantically_enabled st (t : vthread) : bool =
   match t.status with
@@ -915,9 +970,6 @@ let value_of_const : const -> Value.t = function
 
 let make_state ~(hooks : Interp.hooks) ~plan ~collect_trace ~rng ~steps ~crashes
     (bp : Bytecode.program) : state =
-  (match hooks.gate with
-  | Some (Pred _) -> invalid_arg "Vm: a Pred gate runs on the tree walker only"
-  | Some (Rank _) | None -> ());
   let cp = bp.bc_src in
   let shared =
     Array.init (cp.Resolve.cp_max_sid + 1) (fun sid -> plan.Plan.shared_site sid)
@@ -1031,6 +1083,19 @@ let enabled_thread st (tid : int) : vthread =
   while !i < st.n_enabled && (Array.unsafe_get st.enabled !i).tid <> tid do incr i done;
   if !i < st.n_enabled then Array.unsafe_get st.enabled !i else Hashtbl.find st.threads tid
 
+(* The tids of the enabled threads a [Pred] gate admits, in thread order:
+   those whose next transition makes no access, or whose access [p]
+   accepts. *)
+let admitted_tids st (p : Event.pre -> bool) : int list =
+  let acc = ref [] in
+  for i = 0 to st.n_enabled - 1 do
+    let t = Array.unsafe_get st.enabled i in
+    if (not (makes_access st t))
+       || match next_access st t with None -> true | Some pre -> p pre
+    then acc := t.tid :: !acc
+  done;
+  !acc
+
 (* The rank the cursor must reach before [t] takes its next transition:
    [min_int] when that makes no shared access, else the wait of the access
    [(tid, d + 1)], asked once per counter ([wait] is pure). *)
@@ -1077,7 +1142,8 @@ let live_tids st : int list =
     The pause point is a clean step boundary, no thread mid-transition,
     so {!snapshot} can checkpoint it.  An ungated run steps the thread
     [sched] picks; a [Rank]-gated run picks round-robin among the admitted
-    threads ({!rank_pick}) and never asks [sched]. *)
+    threads ({!rank_pick}) and never asks [sched]; a [Pred]-gated run
+    steps the thread [sched] picks among the admitted ones. *)
 let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
     (st : state) : Interp.status_summary option =
   let finished = ref false in
@@ -1098,13 +1164,19 @@ let run_state ?(max_steps = 5_000_000) ?(stop_at = max_int) ~(sched : Sched.t)
       end
       else st.cache_ok <- true
     end;
-    (* a gated run's pick, as an index into [enabled]; -1 when ungated *)
+    (* a rank-gated run's pick, as an index into [enabled]; -1 otherwise *)
     let ranked =
       if !finished then -1
       else
         match st.hooks.gate with
         | None -> -1
-        | Some (Pred _) -> assert false (* rejected by [make_state] *)
+        | Some (Pred p) ->
+          st.cached_runnable <- admitted_tids st p;
+          if st.cached_runnable = [] then begin
+            finished := true;
+            status := Interp.GateStuck (enabled_tids st)
+          end;
+          -1
         | Some (Rank { wait; cursor }) ->
           let i = rank_pick st wait !cursor in
           if i < 0 then begin
@@ -1270,8 +1342,8 @@ type snap_thread = {
     one process can be restored by another with a differently-populated
     intern table.  Observable buffers (reads/outputs) are {e not}
     captured: epoch recording drains them at every boundary, so they are
-    empty by invariant at snapshot time.  The RNG state is a hex-marshalled
-    token ({!Sched.marshal_hex}). *)
+    empty by invariant at snapshot time.  The RNG state is a text token
+    ({!Sched.rng_token}). *)
 type snapshot = {
   snap_steps : int;
   snap_heap : (Value.objid * string * (string * Value.t) list) list;
@@ -1327,34 +1399,8 @@ let snapshot (st : state) : snapshot =
         st.waitsets []
       |> List.sort compare;
     snap_crashes = List.rev st.crashes;
-    snap_rng = Sched.marshal_hex st.rng;
+    snap_rng = Sched.rng_token st.rng;
   }
-
-(* A [Marshal]ed [Random.State.t] is a fixed frame (header and bigarray
-   descriptor) followed by the 32 bytes of generator state.  Unmarshalling
-   bytes of another shape is undefined, so a token is trusted only once
-   its frame equals the one this runtime writes. *)
-let rng_frame =
-  let m = Marshal.to_string (Random.State.make [| 0 |]) [] in
-  String.sub m 0 (String.length m - 32)
-
-(** Decode a snapshot's [snap_rng] token, the even-length lowercase hex
-    of a [Marshal]ed generator state ({!Sched.marshal_hex}); [Error]
-    says what is wrong with it. *)
-let rng_of_token (tok : string) : (Random.State.t, string) result =
-  let nib ch =
-    match ch with '0' .. '9' -> Char.code ch - 48 | 'a' .. 'f' -> Char.code ch - 87 | _ -> -1
-  in
-  let n = String.length tok / 2 and len = String.length rng_frame + 32 in
-  if String.length tok land 1 = 1 || not (String.for_all (fun ch -> nib ch >= 0) tok) then
-    Error "not even-length lowercase hex"
-  else if n <> len then Error (Printf.sprintf "%d bytes, a generator state has %d" n len)
-  else begin
-    let b = Bytes.init n (fun i -> Char.chr ((16 * nib tok.[2 * i]) + nib tok.[(2 * i) + 1])) in
-    if Bytes.sub_string b 0 (String.length rng_frame) <> rng_frame then
-      Error "not a marshalled generator state"
-    else Ok (Marshal.from_bytes b 0 : Random.State.t)
-  end
 
 let decode_frame (p : Bytecode.program) (f : snap_frame) : vframe =
   match f.sn_cont with
@@ -1391,11 +1437,11 @@ let decode_frame (p : Bytecode.program) (f : snap_frame) : vframe =
 (** Rebuild a runnable state from a checkpoint taken of [bp]'s program.
     Raises [Invalid_argument] naming the first statement id the program
     does not have, when the checkpoint belongs to another program, or
-    saying why [snap_rng] is no generator state ({!rng_of_token}). *)
+    saying why [snap_rng] is no generator state ({!Sched.rng_of_token}). *)
 let restore_state ?(hooks = Interp.default_hooks) ?(plan = Plan.all_shared)
     (bp : Bytecode.program) (sn : snapshot) : state =
   let rng =
-    match rng_of_token sn.snap_rng with
+    match Sched.rng_of_token sn.snap_rng with
     | Ok rng -> rng
     | Error why -> invalid_arg ("bad C rng state: " ^ why)
   in

@@ -28,10 +28,13 @@
     whether its recorder was fresh or recycled.  Each result carries the
     digest of the session's v3 log so harnesses can diff whole corpora
     cheaply; the service bench and tests check byte-identity across all of
-    those axes.  (Cross-run identity additionally requires intern ids to be
-    assigned in a deterministic order — warm the corpus with a serial pass
-    first, as the bench does, because runtime map-key interning races are
-    resolved by arrival order.) *)
+    those axes.  Log bytes do not depend on intern ids either (the
+    writers number fields in first-appearance order), so they are
+    identical across runs with no warm-up pass: the CI determinism step
+    prints one corpus digest over 10 runs.  What still depends on the
+    order in which the process interned names is the modeled overhead,
+    through the contention stripe of [Metrics.Cost.stripe_of]
+    (ROADMAP item 8). *)
 
 open Runtime
 

@@ -7,9 +7,11 @@
 
     Determinism: a session's log bytes (and digest) depend only on the
     session — not on worker assignment, pool size, queue capacity, intern
-    shard count, or recorder recycling.  Cross-run identity additionally
-    requires deterministic intern-id assignment: warm the corpus with a
-    serial pass first (the service bench's reference pass). *)
+    shard count, or recorder recycling, nor on the intern ids the process
+    assigned (fields are numbered in first-appearance order), so repeated
+    runs print one corpus digest with no warm-up pass.  Only the modeled
+    overhead still depends on intern order, through
+    [Metrics.Cost.stripe_of] (ROADMAP item 8). *)
 
 open Runtime
 

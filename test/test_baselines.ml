@@ -1,5 +1,7 @@
 (* Baseline tool tests: Leap and Stride replay fidelity, Clap's recording /
-   scope check / synthesis, Chimera's patching and lock-order replay. *)
+   scope check / synthesis, Chimera's patching and lock-order replay.
+   Every tool records on the tree walker through [observe] and replays on
+   the VM under its [Pred] gate. *)
 
 open Runtime
 
@@ -21,38 +23,37 @@ let locked = parse {|
 
 let plan_of p = (Instrument.Transformer.transform p).Instrument.Transformer.plan
 
+(* the replay run of a baseline's gate hooks *)
+let replay hooks ~plan p = Vm.run ~hooks ~plan ~sched:(Sched.round_robin ()) p
+
+let check_faithful tag ((orig : Interp.outcome), (rep : Interp.outcome)) =
+  Alcotest.(check bool) (tag ^ ": replay finished") true (rep.status = Interp.AllFinished);
+  Alcotest.(check (list string)) (tag ^ ": faithful") []
+    (Interp.replay_matches ~original:orig ~replay:rep)
+
 (* ------------------------------------------------------------------ *)
 (* Leap                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let leap_roundtrip p seed =
+let leap_roundtrip ~sched p =
   let plan = plan_of p in
-  let sched = Sched.sticky ~seed ~stickiness:4 in
   let r = Baselines.Leap.create () in
   let orig = Interp.run ~hooks:(Baselines.Leap.hooks r) ~plan ~sched p in
   let log = Baselines.Leap.finalize r in
-  let rep =
-    Interp.run
-      ~hooks:(Baselines.Leap.replay_hooks log ~syscalls:orig.syscalls)
-      ~plan ~sched:(Sched.round_robin ()) p
-  in
-  (orig, log, rep)
+  (orig, log, replay (Baselines.Leap.replay_hooks log ~syscalls:orig.syscalls) ~plan p)
 
 (* the seed x program grid used by the Leap/Stride fidelity tests,
    fanned out through the engine's batch driver *)
 let baseline_grid roundtrip =
   List.concat_map (fun seed -> List.map (fun p -> (p, seed)) [ racy; locked ]) [ 1; 2; 3; 4; 5 ]
-  |> Engine.Batch.map ~f:(fun (p, seed) -> roundtrip p seed)
+  |> Engine.Batch.map ~f:(fun (p, seed) ->
+         let orig, _, rep = roundtrip ~sched:(Sched.sticky ~seed ~stickiness:4) p in
+         (orig, rep))
 
-let test_leap_faithful () =
-  baseline_grid leap_roundtrip
-  |> List.iter (fun ((orig : Interp.outcome), _, (rep : Interp.outcome)) ->
-         Alcotest.(check bool) "replay finished" true (rep.status = Interp.AllFinished);
-         Alcotest.(check (list string)) "faithful" []
-           (Interp.replay_matches ~original:orig ~replay:rep))
+let test_leap_faithful () = List.iter (check_faithful "leap") (baseline_grid leap_roundtrip)
 
 let test_leap_space_is_one_long_per_access () =
-  let orig, log, _ = leap_roundtrip racy 1 in
+  let orig, log, _ = leap_roundtrip ~sched:(Sched.sticky ~seed:1 ~stickiness:4) racy in
   let total = List.fold_left (fun a (_, c) -> a + c) 0 orig.counters in
   Alcotest.(check int) "one long per access" total log.space_longs
 
@@ -60,30 +61,37 @@ let test_leap_space_is_one_long_per_access () =
 (* Stride                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let stride_roundtrip p seed =
+let stride_roundtrip ~sched p =
   let plan = plan_of p in
-  let sched = Sched.sticky ~seed ~stickiness:4 in
   let r = Baselines.Stride.create () in
   let orig = Interp.run ~hooks:(Baselines.Stride.hooks r) ~plan ~sched p in
   let log = Baselines.Stride.finalize r in
-  let rep =
-    Interp.run
-      ~hooks:(Baselines.Stride.replay_hooks log ~syscalls:orig.syscalls)
-      ~plan ~sched:(Sched.round_robin ()) p
-  in
-  (orig, log, rep)
+  (orig, log, replay (Baselines.Stride.replay_hooks log ~syscalls:orig.syscalls) ~plan p)
 
-let test_stride_faithful () =
-  baseline_grid stride_roundtrip
-  |> List.iter (fun ((orig : Interp.outcome), _, (rep : Interp.outcome)) ->
-         Alcotest.(check bool) "replay finished" true (rep.status = Interp.AllFinished);
-         Alcotest.(check (list string)) "faithful" []
-           (Interp.replay_matches ~original:orig ~replay:rep))
+let test_stride_faithful () = List.iter (check_faithful "stride") (baseline_grid stride_roundtrip)
 
 let test_stride_space_half () =
-  let orig, log, _ = stride_roundtrip racy 1 in
+  let orig, log, _ = stride_roundtrip ~sched:(Sched.sticky ~seed:1 ~stickiness:4) racy in
   let total = List.fold_left (fun a (_, c) -> a + c) 0 orig.counters in
   Alcotest.(check int) "ints count as half-longs" ((total + 1) / 2) log.space_longs
+
+(* Leap and Stride on real programs: four workloads, each recorded under
+   its own scheduler at seeds 1 and 2 *)
+let test_workload_replays () =
+  List.concat_map
+    (fun name -> [ (name, 1); (name, 2) ])
+    [ "mp-queue"; "mp-barrier"; "cache4j"; "jgf-series" ]
+  |> Engine.Batch.map ~f:(fun (name, seed) ->
+         let bm = Option.get (Workloads.by_name name) in
+         let p = Workloads.program bm in
+         let tag tool = Printf.sprintf "%s %s seed=%d" tool name seed in
+         let pair (orig, _, rep) = (orig, rep) in
+         [
+           (tag "leap", pair (leap_roundtrip ~sched:(Workloads.scheduler ~seed bm) p));
+           (tag "stride", pair (stride_roundtrip ~sched:(Workloads.scheduler ~seed bm) p));
+         ])
+  |> List.concat
+  |> List.iter (fun (tag, runs) -> check_faithful tag runs)
 
 (* ------------------------------------------------------------------ *)
 (* Clap                                                                 *)
@@ -178,20 +186,34 @@ let test_chimera_patched_is_race_free () =
   in
   Alcotest.(check int) "patch eliminates method races" 0 (List.length fn_races)
 
-let test_chimera_replay () =
-  let pi = Baselines.Chimera.patch racy in
+let chimera_roundtrip ~sched (pi : Baselines.Chimera.patch_info) =
   let plan = plan_of pi.patched in
-  let sched = Sched.sticky ~seed:3 ~stickiness:4 in
   let r = Baselines.Chimera.create_recorder () in
   let orig = Interp.run ~hooks:(Baselines.Chimera.recorder_hooks r) ~plan ~sched pi.patched in
   let log = Baselines.Chimera.finalize_recorder r ~outcome:orig in
-  let rep =
-    Interp.run ~hooks:(Baselines.Chimera.replay_hooks log) ~plan ~sched:(Sched.round_robin ())
-      pi.patched
+  (orig, replay (Baselines.Chimera.replay_hooks log) ~plan pi.patched)
+
+let test_chimera_replay () =
+  check_faithful "racy"
+    (chimera_roundtrip ~sched:(Sched.sticky ~seed:3 ~stickiness:4) (Baselines.Chimera.patch racy))
+
+(* The Figure-6 bugs whose patched program still fails under some
+   trigger: their lock-order replays finish and are faithful *)
+let test_chimera_fig6 () =
+  let replayed =
+    List.filter_map
+      (fun (b : Bugs.Defs.bug) ->
+        let pi = Baselines.Chimera.patch (Bugs.Defs.program_of b ()) in
+        match Bugs.Harness.find_trigger ~plan:(plan_of pi.patched) pi.patched with
+        | None -> None
+        | Some tr ->
+          check_faithful b.name (chimera_roundtrip ~sched:(tr.make_sched ()) pi);
+          Some b.name)
+      Bugs.Defs.all
   in
-  Alcotest.(check bool) "replay finished" true (rep.status = Interp.AllFinished);
-  Alcotest.(check (list string)) "race-free replay deterministic" []
-    (Interp.replay_matches ~original:orig ~replay:rep)
+  Alcotest.(check (list string)) "reproduced by Chimera"
+    [ "Ftpserver"; "Lucene-481"; "Lucene-651"; "Tomcat-53498"; "Weblech" ]
+    replayed
 
 let () =
   Alcotest.run "baselines"
@@ -200,6 +222,8 @@ let () =
         [
           Alcotest.test_case "replay fidelity" `Quick test_leap_faithful;
           Alcotest.test_case "space accounting" `Quick test_leap_space_is_one_long_per_access;
+          Alcotest.test_case "Leap and Stride replay 4 workloads x 2 seeds" `Quick
+            test_workload_replays;
         ] );
       ( "stride",
         [
@@ -219,5 +243,6 @@ let () =
           Alcotest.test_case "locked code unpatched" `Quick test_chimera_no_patch_when_locked;
           Alcotest.test_case "patched code race-free" `Quick test_chimera_patched_is_race_free;
           Alcotest.test_case "lock-order replay" `Quick test_chimera_replay;
+          Alcotest.test_case "lock-order replay of 5 Figure-6 bugs" `Quick test_chimera_fig6;
         ] );
     ]

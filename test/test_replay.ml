@@ -680,7 +680,7 @@ let epoch_steps name =
    thread's first constrained event: the child is then due before it
    exists, so the gate must stall.  Returns the run, the swapped schedule,
    the spawn write and the child's event. *)
-let inverted_replay engine =
+let inverted_replay () =
   let p = parse racy_fields in
   let r = Light.record ~variant:Light.v_basic ~sched:(Sched.sticky ~seed:1 ~stickiness:4) p in
   let cs = Constraints.generate r.log in
@@ -702,12 +702,13 @@ let inverted_replay engine =
     m.(var child) <- model.(var spawn);
     m.(var spawn) <- model.(var child);
     let sch = Replayer.build_schedule r.log cs m in
-    (gated_run engine p ~plan:r.plan sch, sch, spawn, child)
+    (gated_run p ~plan:r.plan sch, sch, spawn, child)
   | _ -> Alcotest.fail "unsat"
 
-(* Reference fingerprints of the replay runs above.  A change to the gate
-   or to the engines' enabledness bookkeeping must admit the same runnable
-   set at every step, so it must reproduce them exactly on both engines. *)
+(* Reference fingerprints of the replay runs above, equal on the tree
+   walker and the VM when both ran the rank gate.  A change to the gate or
+   to the VM's enabledness bookkeeping must admit the same runnable set at
+   every step, so it must reproduce them exactly. *)
 let pinned_replays =
   [
     ("jgf-series", "33898 done a539464c1bc893795a0e604ae30d6215");
@@ -776,13 +777,9 @@ let test_pinned_replays () =
   List.iter
     (fun (name, (r : Light.recording)) ->
       let sch = solved r in
-      List.iter
-        (fun engine ->
-          Alcotest.(check string)
-            (name ^ "/" ^ Vm.engine_name engine)
-            (List.assoc name pinned_replays)
-            (fingerprint (gated_run engine r.program ~plan:r.plan sch)))
-        [ Vm.Tree; Vm.Bytecode ])
+      let o = gated_run r.program ~plan:r.plan sch in
+      Alcotest.(check string) name (List.assoc name pinned_replays) (fingerprint o);
+      Alcotest.(check (option string)) (name ^ ": rank rule") None (rank_violation sch o))
     (pinned_recordings ())
 
 let test_pinned_epochs () =
@@ -793,68 +790,60 @@ let test_pinned_epochs () =
 (* The stalled main thread waits at its spawn write, whose turn comes only
    after the child's event that the cursor can never pass. *)
 let test_inverted_order_stuck () =
-  List.iter
-    (fun engine ->
-      let tag = Vm.engine_name engine in
-      let o, sch, spawn, child = inverted_replay engine in
-      Alcotest.(check string) tag "2 stuck1 d41d8cd98f00b204e9800998ecf8427e" (fingerprint o);
-      let c = List.assoc 1 o.counters + 1 in
-      let k = Replayer.wait_rank sch ~tid:1 ~c in
-      Alcotest.(check (pair int int)) (tag ^ ": main waits at its spawn write") spawn sch.order.(k);
-      Alcotest.(check (option int)) (tag ^ ": the spawn's own rank") (Some k) (Replayer.rank sch spawn);
-      Alcotest.(check bool) (tag ^ ": the child's event ranks first") true
-        (Option.get (Replayer.rank sch child) < k);
-      Alcotest.(check string) (tag ^ ": named")
-        (Printf.sprintf "thread 1 waits at counter %d for rank %d: event (1,%d)" c k c)
-        (Replayer.describe_wait sch ~tid:1 ~c);
-      Alcotest.(check (option string)) (tag ^ ": the cursor's holder, never spawned")
-        (Some "cursor held at rank 0 by event (101,1): thread 101 stopped at counter 0")
-        (Replayer.describe_cursor sch ~counters:o.counters))
-    [ Vm.Tree; Vm.Bytecode ]
+  let o, sch, spawn, child = inverted_replay () in
+  Alcotest.(check string) "fingerprint" "2 stuck1 d41d8cd98f00b204e9800998ecf8427e" (fingerprint o);
+  let c = List.assoc 1 o.counters + 1 in
+  let k = Replayer.wait_rank sch ~tid:1 ~c in
+  Alcotest.(check (pair int int)) "main waits at its spawn write" spawn sch.order.(k);
+  Alcotest.(check (option int)) "the spawn's own rank" (Some k) (Replayer.rank sch spawn);
+  Alcotest.(check bool) "the child's event ranks first" true
+    (Option.get (Replayer.rank sch child) < k);
+  Alcotest.(check string) "named"
+    (Printf.sprintf "thread 1 waits at counter %d for rank %d: event (1,%d)" c k c)
+    (Replayer.describe_wait sch ~tid:1 ~c);
+  Alcotest.(check (option string)) "the cursor's holder, never spawned"
+    (Some "cursor held at rank 0 by event (101,1): thread 101 stopped at counter 0")
+    (Replayer.describe_cursor sch ~counters:o.counters)
 
 (* The rank protocol: the VM asks [wait] about a pending access [(tid, c)]
    once, so a gated run makes at most one call per executed shared access
    plus one per thread (the access it ends on or waits at).  A counting
    wrapper over [Replayer.wait_rank] ([on_shared] counts the accesses: it
-   fires on every one) changes no answer, so the pinned fingerprints hold
-   on both engines. *)
+   fires on every one) changes no answer, so the pinned fingerprints
+   hold. *)
 let contended = [ "dacapo-avrora"; "dacapo-xalan"; "stamp-vacation"; "mp-queue"; "mp-barrier" ]
 
 let test_rank_protocol () =
   List.iter
     (fun (name, (r : Light.recording)) ->
       let sch = solved r in
-      List.iter
-        (fun engine ->
-          let tag = name ^ "/" ^ Vm.engine_name engine in
-          let calls = ref 0 and accesses = ref 0 in
-          let asked : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
-          let wrap (h : Interp.hooks) =
-            match h.gate, h.on_shared with
-            | Some (Rank r), Some on_shared ->
-              let wait ~tid ~c =
-                incr calls;
-                if engine = Vm.Bytecode && Hashtbl.mem asked (tid, c) then
-                  Alcotest.failf "%s: (%d,%d) asked twice" tag tid c;
-                Hashtbl.replace asked (tid, c) ();
-                let w = r.wait ~tid ~c in
-                if w <> Replayer.wait_rank sch ~tid ~c then
-                  Alcotest.failf "%s: the driver's wait is not wait_rank" tag;
-                w
-              in
-              let on_shared ~tid ~c ~obj ~fld ~kind ~site ~ghost =
-                incr accesses;
-                on_shared ~tid ~c ~obj ~fld ~kind ~site ~ghost
-              in
-              { h with gate = Some (Rank { r with wait }); on_shared = Some on_shared }
-            | _ -> Alcotest.failf "%s: the driver's gate is not a rank gate" tag
+      let calls = ref 0 and accesses = ref 0 in
+      let asked : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
+      let wrap (h : Interp.hooks) =
+        match h.gate, h.on_shared with
+        | Some (Rank r), Some on_shared ->
+          let wait ~tid ~c =
+            incr calls;
+            if Hashtbl.mem asked (tid, c) then
+              Alcotest.failf "%s: (%d,%d) asked twice" name tid c;
+            Hashtbl.replace asked (tid, c) ();
+            let w = r.wait ~tid ~c in
+            if w <> Replayer.wait_rank sch ~tid ~c then
+              Alcotest.failf "%s: the driver's wait is not wait_rank" name;
+            w
           in
-          let o = gated_run ~wrap engine r.program ~plan:r.plan sch in
-          Alcotest.(check string) tag (List.assoc name pinned_replays) (fingerprint o);
-          let bound = !accesses + List.length o.counters in
-          if engine = Vm.Bytecode && !calls > bound then
-            Alcotest.failf "%s: %d wait_rank calls > %d accesses + threads" tag !calls bound)
-        [ Vm.Tree; Vm.Bytecode ])
+          let on_shared ~tid ~c ~obj ~fld ~kind ~site ~ghost =
+            incr accesses;
+            on_shared ~tid ~c ~obj ~fld ~kind ~site ~ghost
+          in
+          { h with gate = Some (Rank { r with wait }); on_shared = Some on_shared }
+        | _ -> Alcotest.failf "%s: the driver's gate is not a rank gate" name
+      in
+      let o = gated_run ~wrap r.program ~plan:r.plan sch in
+      Alcotest.(check string) name (List.assoc name pinned_replays) (fingerprint o);
+      let bound = !accesses + List.length o.counters in
+      if !calls > bound then
+        Alcotest.failf "%s: %d wait_rank calls > %d accesses + threads" name !calls bound)
     (pinned_recordings ~only:(fun n -> List.mem n contended) ())
 
 (* The pick belongs to the gate: a rank-gated VM run picks round-robin
@@ -876,28 +865,46 @@ let test_vm_gated_pick () =
         [ 1; 7 ])
     (pinned_recordings ~only:(fun n -> List.mem n contended) ())
 
-(* The tree walker picks as the VM does: given a random scheduler, a
-   rank-gated replay of stamp-vacation steps the same interleaving on both
-   engines, the pinned one. *)
-let test_tree_gated_pick () =
-  let name = "stamp-vacation" in
-  let r = List.assoc name (pinned_recordings ~only:(String.equal name) ()) in
-  let sch = solved r in
-  let fp engine =
-    fingerprint (gated_run ~sched:(Sched.random ~seed:1) engine r.program ~plan:r.plan sch)
-  in
-  let tree = fp Vm.Tree in
-  Alcotest.(check string) "tree walker = VM" (fp Vm.Bytecode) tree;
-  Alcotest.(check string) "pinned" (List.assoc name pinned_replays) tree
-
-(* The VM admits by rank only: a predicate gate, which the baselines'
-   replays need, is refused before the run starts. *)
-let test_vm_rejects_pred () =
+(* One gated engine: the VM runs a predicate gate (the baselines'
+   replays), which delays a denied thread and leaves the pick to the
+   scheduler; the tree walker refuses any gate before the run starts. *)
+let test_pred_gate () =
   let p = parse racy_fields in
-  let hooks = { Interp.default_hooks with gate = Some (Pred (fun _ -> true)) } in
-  match Vm.run ~hooks ~sched:(Sched.round_robin ()) p with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "Vm.run ran a Pred gate"
+  (* thread 102 may not write [x] until thread 101 has finished *)
+  let done_101 = ref false in
+  let gate (pre : Event.pre) =
+    pre.tid <> 102 || pre.kind <> Write || pre.loc <> Loc.global "x" || !done_101
+  in
+  let observe = function Event.ThreadFinished { tid = 101 } -> done_101 := true | _ -> () in
+  let hooks = { Interp.default_hooks with gate = Some (Pred gate); observe = Some observe } in
+  let o = Vm.run ~hooks ~collect_trace:true ~sched:(Sched.round_robin ()) p in
+  Alcotest.(check string) "status" "done" (status_str o.status);
+  let writes tid =
+    List.filter_map
+      (fun (a : Event.access) ->
+        if a.tid = tid && a.kind = Write && a.loc = Loc.global "x" then Some a.c else None)
+      o.trace
+  in
+  let pos (tid, c) =
+    Option.get
+      (List.find_index (fun (a : Event.access) -> a.tid = tid && a.c = c) o.trace)
+  in
+  let exit_101 = List.assoc 101 o.counters in
+  Alcotest.(check bool) "102 writes x only after 101 exits" true
+    (List.for_all (fun c -> pos (102, c) > pos (101, exit_101)) (writes 102));
+  Alcotest.(check string) "stuck when nothing is admitted" "stuck1"
+    (status_str
+       (Vm.run ~hooks:{ Interp.default_hooks with gate = Some (Pred (fun _ -> false)) }
+          ~sched:(Sched.round_robin ()) p)
+         .status);
+  List.iter
+    (fun (what, gate) ->
+      match Interp.run ~hooks:{ Interp.default_hooks with gate = Some gate }
+              ~sched:(Sched.round_robin ()) p with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "the tree walker ran a %s gate" what)
+    [ ("Pred", Pred (fun _ -> true));
+      ("Rank", Rank { wait = (fun ~tid:_ ~c:_ -> 0); cursor = ref 0 }) ]
 
 (* Allocation of a gated VM step against an ungated round-robin one, on
    the same program and plan, for every workload: minor-heap words are
@@ -932,7 +939,7 @@ let test_replay_alloc () =
    waits: a notify and unlock moving a waiter InWait -> Notified ->
    Reacquiring, a lock release unblocking a contender, a child's exit
    releasing a join.  Each program must replay faithfully whichever engine
-   recorded or replays it. *)
+   recorded it, to the fingerprints pinned below. *)
 let lock_handoff = {|
   class C { n; } global l; global c;
   fn holder() { sync (l) { i = 0; while (i < 6) { c.n = c.n + 1; i = i + 1; } } }
@@ -947,51 +954,124 @@ let spawn_join = {|
   main { x = 0; spawn a = child(3); join a; spawn b = child(2); v = x; join b; print v; print x; }
 |}
 
+(* The VM's gated loop keeps the enabled set across steps and re-filters
+   it through the gate each step.  The cases below pin its replays: each
+   fingerprint (steps, status, access-order digest) was equal on the tree
+   walker, which rebuilt its runnable list every step, when it still ran
+   the rank gate.  [pinned_fps name] is the case list's, in run order. *)
+let pinned_fps = function
+  | "edges wait-notify" ->
+    [
+      "43 done 61f23ca65ee374a32ac91af8d05c7ffd"; "43 done 61f23ca65ee374a32ac91af8d05c7ffd";
+      "43 done 5999defd78d1340958000190694d4e75"; "43 done 5999defd78d1340958000190694d4e75";
+      "43 done 2ffed1140181b88f00ca4fb9c3652517"; "43 done 2ffed1140181b88f00ca4fb9c3652517";
+      "43 done c94fa0629604607c4bf0199109761e8f"; "43 done c94fa0629604607c4bf0199109761e8f";
+      "43 done 412bc63fd988d2b44f8432d6a0b7d52b"; "43 done 412bc63fd988d2b44f8432d6a0b7d52b";
+      "43 done c94fa0629604607c4bf0199109761e8f"; "43 done c94fa0629604607c4bf0199109761e8f";
+    ]
+  | "edges lock-handoff" ->
+    [
+      "69 done fbd08679dbe3d96eec2d2e484cb6a11b"; "69 done fbd08679dbe3d96eec2d2e484cb6a11b";
+      "69 done c0faa52bfb28c044f6a7a936c752e0a2"; "69 done c0faa52bfb28c044f6a7a936c752e0a2";
+      "69 done fbd08679dbe3d96eec2d2e484cb6a11b"; "69 done fbd08679dbe3d96eec2d2e484cb6a11b";
+      "69 done df0eb60f48e093e382729abcd8a8326b"; "69 done df0eb60f48e093e382729abcd8a8326b";
+      "69 done 373d319e835134c577de1397d2ad941f"; "69 done 373d319e835134c577de1397d2ad941f";
+      "69 done bd1e47ecc43b773e189a677fc63a62ac"; "69 done bd1e47ecc43b773e189a677fc63a62ac";
+    ]
+  | "edges spawn-join" ->
+    [
+      "39 done 2dee018d47d49705f07ba1e7acb77854"; "39 done 2dee018d47d49705f07ba1e7acb77854";
+      "39 done c6a36cbcb2c8a0e53f883f4031dabfc4"; "39 done c6a36cbcb2c8a0e53f883f4031dabfc4";
+      "39 done 2dee018d47d49705f07ba1e7acb77854"; "39 done 2dee018d47d49705f07ba1e7acb77854";
+      "39 done 6d4b5c8f472ac94aabbee1b6f3ac2d69"; "39 done 6d4b5c8f472ac94aabbee1b6f3ac2d69";
+      "39 done 2dee018d47d49705f07ba1e7acb77854"; "39 done 2dee018d47d49705f07ba1e7acb77854";
+      "39 done c6a36cbcb2c8a0e53f883f4031dabfc4"; "39 done c6a36cbcb2c8a0e53f883f4031dabfc4";
+    ]
+  | "gate-flip" ->
+    [
+      "40 done 298bbdd8f800a091883f67a6669a0a32"; "40 done 3751116d4996dd9535468b5d3310431e";
+      "40 done 59e8e171a64a99433370f22a05a44219"; "40 done 50f566273a472b5a33ea0e8d238e931f";
+      "40 done 3cea1462dfc7e9fddde6e230a89be448"; "40 done 50f566273a472b5a33ea0e8d238e931f";
+      "40 done 1246b3e23fabf318f1af9d94a437d92d"; "40 done e33b610725c12ade29605775fb1a1ba3";
+    ]
+  | "handoff lock-handoff" ->
+    [
+      "69 done fbd08679dbe3d96eec2d2e484cb6a11b"; "69 done c0faa52bfb28c044f6a7a936c752e0a2";
+      "69 done fbd08679dbe3d96eec2d2e484cb6a11b"; "69 done df0eb60f48e093e382729abcd8a8326b";
+      "69 done 373d319e835134c577de1397d2ad941f"; "69 done bd1e47ecc43b773e189a677fc63a62ac";
+      "69 done a23238114bac72dc8ccad016855d420d"; "69 done 9b3459548242c905154617a10763697b";
+    ]
+  | "handoff steered-notify" ->
+    [
+      "85 done 8bba7fff2f058aa4a9639a67eb7a0e42"; "71 done da0822354355ddf6fd05a9db908ac399";
+      "85 done 68a3423851150830314ce62a12d9dced"; "85 done fa1169ccc51769ca24fe3c6bef3c799e";
+      "85 done 789b5dcd1ee79bc0c176ff86a6a79c20"; "78 done df22dd9aa230ad959fde895d988a6671";
+      "85 done 179d1b3d8cca3ae7a781c6ea5e27bd79"; "78 done c13e1e55fbc861a2bd4d608b289b85fe";
+    ]
+  | "lock-inversion" ->
+    [
+      "1: 18 deadlock1,101,102 54a67e8217eb9a5d94a0183ecbb0d2d9"; "2: 18 deadlock1,101,102 3f5e72aede25beb38e1bab4fd2922b7f";
+      "3: 18 deadlock1,101,102 cf546d01f90c94deae4efc7d7e612276"; "5: 18 deadlock1,101,102 bc9abc32fe5cdbea964f4acd2da06d1a";
+      "6: 18 deadlock1,101,102 74abc8a8a0d0558c458bd1ce7435f6e4"; "7: 18 deadlock1,101,102 b67421b189e44c4357b620cdeaf23ceb";
+      "8: 18 deadlock1,101,102 3f5e72aede25beb38e1bab4fd2922b7f"; "9: 18 deadlock1,101,102 54a67e8217eb9a5d94a0183ecbb0d2d9";
+      "10: 18 deadlock1,101,102 54a67e8217eb9a5d94a0183ecbb0d2d9"; "11: 18 deadlock1,101,102 54a67e8217eb9a5d94a0183ecbb0d2d9";
+      "12: 18 deadlock1,101,102 cf546d01f90c94deae4efc7d7e612276"; "13: 18 deadlock1,101,102 faf7df92ce532d97c1ec336d123cb43f";
+      "16: 18 deadlock1,101,102 cf546d01f90c94deae4efc7d7e612276"; "18: 18 deadlock1,101,102 faf7df92ce532d97c1ec336d123cb43f";
+      "20: 18 deadlock1,101,102 54a67e8217eb9a5d94a0183ecbb0d2d9"; "21: 18 deadlock1,101,102 b67421b189e44c4357b620cdeaf23ceb";
+      "22: 18 deadlock1,101,102 90f6e091f7d334aa8100b70102724eb3"; "23: 18 deadlock1,101,102 90f6e091f7d334aa8100b70102724eb3";
+      "24: 18 deadlock1,101,102 bc9abc32fe5cdbea964f4acd2da06d1a"; "25: 18 deadlock1,101,102 401f72bbf6964cf6729d37ea797e7109";
+      "27: 18 deadlock1,101,102 54a67e8217eb9a5d94a0183ecbb0d2d9"; "29: 18 deadlock1,101,102 54a67e8217eb9a5d94a0183ecbb0d2d9";
+      "30: 18 deadlock1,101,102 3f5e72aede25beb38e1bab4fd2922b7f";
+    ]
+  | "null-store" ->
+    [
+      "33 done 89ac88481a522933fae8acab97538cf3"; "33 done 2e47dbf5b15e7b0bee2e30fc1d33e060";
+      "33 done f6d56c5a2ef828fd690f9d096f6d025f"; "33 done 599edd623899151cf8bfa4f627543a16";
+      "33 done fcc5944ea292e9027738a38d56095a40"; "33 done ec2e1c61a8d832d0eee408d0e2bc4570";
+      "33 done 1b3e61bb021ca7895f602efbda5168da"; "33 done 7f1afa9e230abae95393e097ed142826";
+      "33 done d17b64d1210fcf2a708d9f1f6b53ce34"; "33 done f377cdadda835fb5ff7064f94a0a37e6";
+      "33 done f377cdadda835fb5ff7064f94a0a37e6"; "33 done 338b764d5e01adcac80455f270aec83c";
+      "33 done 05ab9bf86140b1493db3d28b4cd23e87"; "33 done 6eb56be2f18ec817bd2350bb9bfa00f0";
+      "33 done bcbc3b71fd5842f59feb2ecff4c3793a"; "33 done f6acee4263543688bf6f54670b45cb7f";
+      "33 done aa0a092512f1225c9728520d66a44d5b"; "33 done fcc5944ea292e9027738a38d56095a40";
+      "33 done 1e9b4ea74491ec430aa3157836dc58d8"; "33 done 27572e871331bca72d8be65e1f5f539f";
+    ]
+  | name -> Alcotest.failf "no pinned fingerprints for %s" name
+
+let check_pinned name fps =
+  Alcotest.(check (list string)) (name ^ ": pinned fingerprints") (pinned_fps name) fps
+
 let test_cache_edges () =
   List.iter
     (fun (name, src, ghost) ->
       let p = parse src in
       let seen = ref false in
-      List.iter
+      List.concat_map
         (fun seed ->
-          List.iter
+          List.map
             (fun rec_engine ->
               let r =
                 Light.record ~engine:rec_engine ~sched:(Sched.sticky ~seed ~stickiness:2) p
               in
-              let sch = solved r in
-              List.iter
-                (fun engine ->
-                  let o = gated_run engine p ~plan:r.plan sch in
-                  let tag =
-                    Printf.sprintf "%s seed=%d %s->%s" name seed
-                      (Vm.engine_name rec_engine) (Vm.engine_name engine)
-                  in
-                  Alcotest.(check string) (tag ^ ": status") "done" (status_str o.status);
-                  Alcotest.(check (list string)) (tag ^ ": faithful") []
-                    (Interp.replay_matches ~original:r.outcome ~replay:o);
-                  if List.exists (fun (a : Event.access) -> a.ghost = ghost) o.trace then
-                    seen := true)
-                [ Vm.Tree; Vm.Bytecode ])
+              let o = gated_run p ~plan:r.plan (solved r) in
+              let tag =
+                Printf.sprintf "%s seed=%d %s->vm" name seed (Vm.engine_name rec_engine)
+              in
+              Alcotest.(check string) (tag ^ ": status") "done" (status_str o.status);
+              Alcotest.(check (list string)) (tag ^ ": faithful") []
+                (Interp.replay_matches ~original:r.outcome ~replay:o);
+              if List.exists (fun (a : Event.access) -> a.ghost = ghost) o.trace then
+                seen := true;
+              fingerprint o)
             [ Vm.Tree; Vm.Bytecode ])
-        [ 1; 2; 3; 4; 5; 6 ];
+        [ 1; 2; 3; 4; 5; 6 ]
+      |> check_pinned ("edges " ^ name);
       Alcotest.(check bool) (name ^ ": path exercised") true !seen)
     [
       ("wait-notify", wait_notify, Event.WaitReacqRead);
       ("lock-handoff", lock_handoff, Event.LockAcqRead);
       ("spawn-join", spawn_join, Event.JoinRead);
     ]
-
-(* The VM's gated loop keeps the enabled set across steps and re-filters
-   it through the gate each step; the tree walker rebuilds its runnable
-   list every step, so it is the reference.  Each case replays on both
-   engines and requires equal fingerprints (steps, status, access-order
-   digest). *)
-let same_replay ?wrap tag p ~plan sch =
-  let tree = gated_run ?wrap Vm.Tree p ~plan sch in
-  let vm = gated_run ?wrap Vm.Bytecode p ~plan sch in
-  Alcotest.(check string) (tag ^ ": vm = tree") (fingerprint tree) (fingerprint vm);
-  vm
 
 (* no lock, wait or join between the writer's [x = 7] and the reader's
    read of [x]: the gate alone holds the reader, and admits it once the
@@ -1006,7 +1086,7 @@ let gate_flip = {|
 let test_cache_gate_flip () =
   let p = parse gate_flip in
   let flips = ref 0 in
-  List.iter
+  List.map
     (fun seed ->
       let r = Light.record ~sched:(Sched.sticky ~seed ~stickiness:3) p in
       (* the reader's accesses whose wait rank was ahead of the cursor
@@ -1031,11 +1111,13 @@ let test_cache_gate_flip () =
         | _ -> Alcotest.fail "the driver's gate is not a rank gate"
       in
       let tag = Printf.sprintf "gate-flip seed=%d" seed in
-      let o = same_replay ~wrap tag p ~plan:r.plan (solved r) in
+      let o = gated_run ~wrap p ~plan:r.plan (solved r) in
       Alcotest.(check string) (tag ^ ": status") "done" (status_str o.status);
       Alcotest.(check (list string)) (tag ^ ": faithful") []
-        (Interp.replay_matches ~original:r.outcome ~replay:o))
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+        (Interp.replay_matches ~original:r.outcome ~replay:o);
+      fingerprint o)
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  |> check_pinned "gate-flip";
   Alcotest.(check bool) "reader held, then admitted" true (!flips > 0)
 
 (* two waiters and one [notify] at a time: the replayer steers the wakeup
@@ -1057,7 +1139,7 @@ let test_cache_handoff_wakeup () =
     (fun (name, src) ->
       let p = parse src in
       let handoffs = ref 0 and steered = ref 0 in
-      List.iter
+      List.map
         (fun seed ->
           let r = Light.record ~sched:(Sched.sticky ~seed ~stickiness:2) p in
           let wrap (h : Interp.hooks) =
@@ -1070,7 +1152,7 @@ let test_cache_handoff_wakeup () =
             { h with choose_wakeup = Some choose_wakeup }
           in
           let tag = Printf.sprintf "%s seed=%d" name seed in
-          let o = same_replay ~wrap tag p ~plan:r.plan (solved r) in
+          let o = gated_run ~wrap p ~plan:r.plan (solved r) in
           Alcotest.(check string) (tag ^ ": status") "done" (status_str o.status);
           Alcotest.(check (list string)) (tag ^ ": faithful") []
             (Interp.replay_matches ~original:r.outcome ~replay:o);
@@ -1085,8 +1167,10 @@ let test_cache_handoff_wakeup () =
                 | Some t when t <> a.tid -> incr handoffs
                 | _ -> ())
               | _ -> ())
-            o.trace)
-        [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+            o.trace;
+          fingerprint o)
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+      |> check_pinned ("handoff " ^ name);
       Alcotest.(check bool) (name ^ ": lock handed off") true (!handoffs > 0);
       if name = "steered-notify" then
         Alcotest.(check bool) (name ^ ": wakeup steered among two waiters") true
@@ -1115,18 +1199,20 @@ let test_cache_deadlock () =
       (List.init 30 (fun i -> i + 1))
   in
   Alcotest.(check bool) "some seed deadlocks" true (deadlocks <> []);
-  List.iter
+  List.map
     (fun (seed, (r : Light.recording)) ->
       let tag = Printf.sprintf "lock-inversion seed=%d" seed in
-      let o = same_replay tag p ~plan:r.plan (solved r) in
+      let o = gated_run p ~plan:r.plan (solved r) in
       Alcotest.(check string) (tag ^ ": status") (status_str r.outcome.status)
-        (status_str o.status))
+        (status_str o.status);
+      Printf.sprintf "%d: %s" seed (fingerprint o))
     deadlocks
+  |> check_pinned "lock-inversion"
 
 (* A statement whose address does not evaluate (here a null [v.n]) makes
    no access, but it is a shared-access statement, so the rank rule holds
-   it until the access it would take, the crash's exit write, is due: on
-   both engines alike, and the replay stays faithful. *)
+   it until the access it would take, the crash's exit write, is due, and
+   the replay stays faithful. *)
 let null_store = {|
   class C { n; } global c; global x;
   fn w(k) { v = c; if (k > 1) { v = null; } x = x + 1; v.n = 2; x = x + 1; }
@@ -1136,15 +1222,17 @@ let null_store = {|
 
 let test_address_crash () =
   let p = parse null_store in
-  List.iter
+  List.map
     (fun seed ->
       let r = Light.record ~sched:(Sched.sticky ~seed ~stickiness:2) p in
       let tag = Printf.sprintf "null-store seed=%d" seed in
       Alcotest.(check int) (tag ^ ": recorded crash") 1 (List.length r.outcome.crashes);
-      let o = same_replay tag p ~plan:r.plan (solved r) in
+      let o = gated_run p ~plan:r.plan (solved r) in
       Alcotest.(check (list string)) (tag ^ ": faithful") []
-        (Interp.replay_matches ~original:r.outcome ~replay:o))
+        (Interp.replay_matches ~original:r.outcome ~replay:o);
+      fingerprint o)
     (List.init 20 (fun i -> i + 1))
+  |> check_pinned "null-store"
 
 (* Both admission rules and blind-write suppression on a hand-built
    three-event schedule: thread 1 reads [f] over counters 1..3 from thread
@@ -1422,7 +1510,7 @@ let () =
       ( "gate",
         [
           Alcotest.test_case "admission and suppression tables" `Quick test_gate_tables;
-          Alcotest.test_case "pinned replay fingerprints, 36 programs x 2 engines"
+          Alcotest.test_case "pinned replay fingerprints, 36 programs on the VM"
             `Quick test_pinned_replays;
           Alcotest.test_case "pinned epoch replay steps" `Quick test_pinned_epochs;
           Alcotest.test_case "inverted order ends GateStuck" `Quick
@@ -1440,10 +1528,9 @@ let () =
             test_replay_alloc;
           Alcotest.test_case "a gated VM run picks round-robin, whatever the scheduler"
             `Quick test_vm_gated_pick;
-          Alcotest.test_case "a gated tree-walker run picks as the VM does" `Quick
-            test_tree_gated_pick;
-          Alcotest.test_case "the VM refuses a predicate gate" `Quick test_vm_rejects_pred;
-          Alcotest.test_case "address crash waits its turn on both engines" `Quick
+          Alcotest.test_case "the VM runs a predicate gate, the tree walker none" `Quick
+            test_pred_gate;
+          Alcotest.test_case "address crash waits its turn" `Quick
             test_address_crash;
         ] );
       ( "generate",

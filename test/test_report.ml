@@ -266,20 +266,20 @@ let check_verdicts rules ~base cases =
 
 (* [vm_basic] defaults to [basic]: the two record on different engines,
    and only the epoch rule tells them apart *)
-let interp ?(replay = 1.0) ?(replay_over_vm = 1.0) ?vm_basic ~basic ~epoch ~vm () =
+let interp ?(replay_over_vm = 1.0) ?vm_basic ~basic ~epoch ~vm () =
   let vm_basic = Option.value vm_basic ~default:basic in
   J.Obj
     [
       ( "geomean",
         J.Obj [ ("ratio_basic", J.Float basic); ("ratio_vm_basic", J.Float vm_basic);
                 ("ratio_epoch", J.Float epoch);
-                ("vm_speedup", J.Float vm); ("replay_speedup", J.Float replay);
+                ("vm_speedup", J.Float vm);
                 ("replay_over_vm", J.Float replay_over_vm) ] );
     ]
 
 let test_perfcheck_thresholds () =
   (* baseline +20%: 1.25 -> 1.5; epoch within +10% of the fresh VM basic
-     ratio: 2.5 -> 2.75, whatever the tree walker's basic ratio; VM speedup and VM replay speedup at least 1.0;
+     ratio: 2.5 -> 2.75, whatever the tree walker's basic ratio; VM speedup at least 1.0;
      VM replay at most 1.15x the VM's native run *)
   let rules = Report.Experiments.perfcheck_rules in
   let base = interp ~basic:1.25 ~epoch:0.0 ~vm:0.0 () in
@@ -301,10 +301,6 @@ let test_perfcheck_thresholds () =
         true );
       ("vm_speedup at floor", interp ~basic:2.5 ~epoch:2.5 ~vm:1.0 (), true);
       ("vm_speedup below floor", interp ~basic:2.5 ~epoch:2.5 ~vm:0.9999 (), false);
-      ("replay_speedup at floor", interp ~replay:1.0 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (), true);
-      ( "replay_speedup below floor",
-        interp ~replay:0.9999 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
-        false );
       ( "replay_over_vm at ceiling",
         interp ~replay_over_vm:1.15 ~basic:2.5 ~epoch:2.5 ~vm:1.0 (),
         true );

@@ -159,10 +159,11 @@ let test_vm_replay () =
         [ (Vm.Bytecode, "vm->vm"); (Vm.Tree, "tree->vm") ])
     replay_workloads
 
-(* Random programs, recorded and solved, replay step for step alike on
-   both engines: same steps, status and access-order digest. *)
+(* Random programs, recorded and solved, replay on the VM by the rank
+   rule (no access runs before the ranks below its wait), to the recorded
+   status, and faithfully. *)
 let replay_prop =
-  QCheck.Test.make ~count:25 ~name:"random programs: replay fingerprint Vm = Interp"
+  QCheck.Test.make ~count:25 ~name:"random programs: replay runs each access at its rank"
     (QCheck.make params_gen) (fun prm ->
       let p =
         Lang.Check.validate_exn (Lang.Parser.parse_program (Workloads.generate prm))
@@ -174,9 +175,13 @@ let replay_prop =
       in
       match (Light_core.Replayer.solve r.log).schedule with
       | None -> false
-      | Some sch ->
-        let fp engine = Replay_fp.(fingerprint (gated_run engine p ~plan:r.plan sch)) in
-        fp Vm.Tree = fp Vm.Bytecode)
+      | Some sch -> (
+        let o = Replay_fp.gated_run p ~plan:r.plan sch in
+        match Replay_fp.rank_violation sch o with
+        | Some early -> QCheck.Test.fail_report early
+        | None ->
+          Replay_fp.status_str o.status = Replay_fp.status_str r.outcome.status
+          && Interp.replay_matches ~original:r.outcome ~replay:o = []))
 
 let () =
   Alcotest.run "vm"
