@@ -135,7 +135,7 @@ let run_cmd =
     let p = or_die (read_program file) in
     let plan = (Instrument.Transformer.transform p).plan in
     let o =
-      Runtime.Interp.run ~plan ~collect_trace:trace ~sched:(sched_of ~seed ~stickiness) p
+      Runtime.Vm.run ~plan ~collect_trace:trace ~sched:(sched_of ~seed ~stickiness) p
     in
     print_outcome o;
     if trace then

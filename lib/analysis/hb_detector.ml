@@ -1,5 +1,5 @@
 (** Vector-clock happens-before race detector, run as a dynamic tool over
-    the interpreter's [observe] hook (FastTrack-flavored: last-write epoch
+    the VM's [observe] hook (FastTrack-flavored: last-write epoch
     plus a per-thread read table per location).
 
     Role in this repository: the static analysis decides which access sites
@@ -145,7 +145,7 @@ let detect ?(max_steps = 5_000_000) ?seed ~(sched : Sched.t) (p : Lang.Ast.progr
     Interp.outcome * t =
   let d = create () in
   let outcome =
-    Interp.run ~hooks:(hooks d) ~plan:Plan.all_shared ~max_steps ?seed ~sched p
+    Vm.run ~hooks:(hooks d) ~plan:Plan.all_shared ~max_steps ?seed ~sched p
   in
   (outcome, d)
 

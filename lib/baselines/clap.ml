@@ -139,9 +139,9 @@ let preemptive (switches : (int * int) list) : Sched.t =
         | [] -> assert false (* split_on_char returns one field at least *));
   }
 
-(* Run a candidate schedule; [None] when some thread's branch stream
-   deviates from the recorded path (prune). *)
-let run_candidate (p : Ast.program) (l : log) (switches : (int * int) list)
+(* Run a candidate schedule of the lowered program; [None] when some
+   thread's branch stream deviates from the recorded path (prune). *)
+let run_candidate (bp : Bytecode.program) (l : log) (switches : (int * int) list)
     ~(max_steps : int) : Interp.outcome option =
   let bpos : (int, int ref) Hashtbl.t = Hashtbl.create 16 in
   let branch_log = Hashtbl.create 16 in
@@ -169,7 +169,7 @@ let run_candidate (p : Ast.program) (l : log) (switches : (int * int) list)
       syscall_override = Some (fun ~tid ~idx ~name:_ -> Hashtbl.find_opt sys (tid, idx));
     }
   in
-  match Interp.run ~hooks ~max_steps ~sched:(preemptive switches) p with
+  match Vm.run_program ~hooks ~max_steps ~sched:(preemptive switches) bp with
   | outcome -> Some outcome
   | exception Deviation -> None
 
@@ -186,9 +186,10 @@ let synthesize ?(budget = 30_000) (p : Ast.program) (l : log) : synth_result =
       let target = List.sort compare (List.map crash_key l.crashes) in
       let tried = ref 0 in
       let tids = List.sort_uniq compare (1 :: l.threads) in
+      let bp = Compile.lower (Interp.compile p) in
       (* measure the default run to bound step positions *)
       let horizon =
-        match run_candidate p l [] ~max_steps:100_000 with
+        match run_candidate bp l [] ~max_steps:100_000 with
         | Some o -> min 1_200 (o.steps + 50)
         | None -> 600
       in
@@ -200,7 +201,7 @@ let synthesize ?(budget = 30_000) (p : Ast.program) (l : log) : synth_result =
       let try_sched switches =
         if !tried < budget then begin
           incr tried;
-          match run_candidate p l switches ~max_steps:(4 * horizon) with
+          match run_candidate bp l switches ~max_steps:(4 * horizon) with
           | Some o when matches o -> raise (Found switches)
           | _ -> ()
         end

@@ -35,31 +35,27 @@ let candidates ~(tries : int) : (string * (unit -> Sched.t)) list =
       @ [ (Printf.sprintf "random(%d)" seed, fun () -> Sched.random ~seed) ])
     (List.init tries (fun i -> i + 1))
 
+(* The first candidate schedule whose run satisfies [wanted], on the
+   program lowered once for the whole search. *)
+let search ~tries ~plan ~(wanted : Interp.outcome -> bool) (p : Lang.Ast.program) :
+    trigger option =
+  let bp = Lang.Compile.lower (Interp.compile p) in
+  List.find_map
+    (fun (descr, mk) ->
+      let outcome = Vm.run_program ~plan ~sched:(mk ()) ~max_steps:400_000 bp in
+      if wanted outcome then Some { make_sched = mk; descr; outcome } else None)
+    (candidates ~tries)
+
 (** Search for a schedule under which the program crashes. *)
 let find_trigger ?(tries = 60) ?(plan = Plan.all_shared) (p : Lang.Ast.program) :
     trigger option =
-  let rec go = function
-    | [] -> None
-    | (descr, mk) :: rest ->
-      let outcome = Interp.run ~plan ~sched:(mk ()) ~max_steps:400_000 p in
-      if outcome.crashes <> [] then Some { make_sched = mk; descr; outcome }
-      else go rest
-  in
-  go (candidates ~tries)
+  search ~tries ~plan ~wanted:(fun o -> o.crashes <> []) p
 
 (** Search for a schedule under which the program runs to completion with
     no crash — the "passing CI run" a flaky-test hunt starts from. *)
 let find_passing ?(tries = 60) ?(plan = Plan.all_shared) (p : Lang.Ast.program) :
     trigger option =
-  let rec go = function
-    | [] -> None
-    | (descr, mk) :: rest ->
-      let outcome = Interp.run ~plan ~sched:(mk ()) ~max_steps:400_000 p in
-      if outcome.crashes = [] && outcome.status = Interp.AllFinished then
-        Some { make_sched = mk; descr; outcome }
-      else go rest
-  in
-  go (candidates ~tries)
+  search ~tries ~plan ~wanted:(fun o -> o.crashes = [] && o.status = Interp.AllFinished) p
 
 (* ------------------------------------------------------------------ *)
 (* Per-tool reproduction                                               *)
@@ -98,10 +94,9 @@ let try_clap ?(budget = 30_000) (b : Defs.bug) (tr : trigger) : attempt =
   let plan = (Instrument.Transformer.transform p).Instrument.Transformer.plan in
   let rec_ = Baselines.Clap.create () in
   let outcome =
-    Interp.run ~hooks:(Baselines.Clap.hooks rec_) ~plan ~sched:(tr.make_sched ()) p
+    Vm.run ~hooks:(Baselines.Clap.hooks rec_) ~plan ~sched:(tr.make_sched ()) p
   in
   let log = Baselines.Clap.finalize rec_ ~outcome in
-  ignore plan;
   match Baselines.Clap.synthesize ~budget p log with
   | Baselines.Clap.Reproduced switches ->
     {
@@ -140,7 +135,7 @@ let try_chimera ?(tries = 60) (b : Defs.bug) (_tr : trigger) : attempt =
   | Some ptr ->
     let rec_ = Baselines.Chimera.create_recorder () in
     let orig =
-      Interp.run ~hooks:(Baselines.Chimera.recorder_hooks rec_) ~plan
+      Vm.run ~hooks:(Baselines.Chimera.recorder_hooks rec_) ~plan
         ~sched:(ptr.make_sched ()) pi.patched
     in
     let log = Baselines.Chimera.finalize_recorder rec_ ~outcome:orig in

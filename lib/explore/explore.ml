@@ -319,12 +319,13 @@ let make_context ?(variant = Light_core.Light.v_basic) ?(max_steps = 400_000)
   let r =
     Light_core.Light.record ~variant ~plan ~seed ~max_steps ~sched:(make_sched ()) p
   in
-  (* second, byte-identical run (fresh scheduler instance from the same
+  (* second, byte-identical run on the VM, the engine that takes
+     [observe] and traces (fresh scheduler instance from the same
      constructor; both tools' hooks are passive and the D(t) counters are
      plan-independent under [all_shared]) for the trace + dynamic races *)
   let hb = Analysis.Hb_detector.create () in
   let traced =
-    Interp.run
+    Vm.run
       ~hooks:(Analysis.Hb_detector.hooks hb)
       ~plan ~max_steps ~collect_trace:true ~seed ~sched:(make_sched ()) p
   in

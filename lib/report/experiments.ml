@@ -29,7 +29,7 @@ let measure_benchmark ?(scale = 1) ?(seed = 7) (bm : Workloads.benchmark) :
   let plan = tr.plan in
   (* Leap *)
   let leap_rec = Baselines.Leap.create () in
-  let leap_out = Interp.run ~hooks:(Baselines.Leap.hooks leap_rec) ~plan ~sched:(sched ()) p in
+  let leap_out = Vm.run ~hooks:(Baselines.Leap.hooks leap_rec) ~plan ~sched:(sched ()) p in
   let leap_log = Baselines.Leap.finalize leap_rec in
   let leap =
     {
@@ -39,7 +39,7 @@ let measure_benchmark ?(scale = 1) ?(seed = 7) (bm : Workloads.benchmark) :
   in
   (* Stride *)
   let st_rec = Baselines.Stride.create () in
-  let st_out = Interp.run ~hooks:(Baselines.Stride.hooks st_rec) ~plan ~sched:(sched ()) p in
+  let st_out = Vm.run ~hooks:(Baselines.Stride.hooks st_rec) ~plan ~sched:(sched ()) p in
   let st_log = Baselines.Stride.finalize st_rec in
   let stride =
     {
@@ -1271,7 +1271,7 @@ let running_example () ppf : unit =
   (* Leap comparison for the 1/3 claim *)
   let plan = basic.plan in
   let leap_rec = Baselines.Leap.create () in
-  let leap_out = Interp.run ~hooks:(Baselines.Leap.hooks leap_rec) ~plan ~sched:(sched ()) p in
+  let leap_out = Vm.run ~hooks:(Baselines.Leap.hooks leap_rec) ~plan ~sched:(sched ()) p in
   let leap_ovh = Metrics.Cost.overhead leap_rec.meter ~steps:leap_out.steps in
   Chart.table ~title:"Running example (Cache4j workload, Sections 2.3-2.4)"
     ~header:[ "configuration"; "overhead"; "paper" ]

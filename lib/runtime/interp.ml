@@ -2,7 +2,7 @@
 
     One [step] executes one transition of one thread, chosen by a
     {!Sched.t}.  Shared accesses at instrumented sites tick the thread-local
-    counter [D(t)] and are reported to the installed hooks; synchronization
+    counter [D(t)] and are reported to the [on_shared] hook; synchronization
     primitives are additionally modeled as ghost-field accesses exactly as in
     Section 4.3 (lock acquire = ghost read + ghost write, release = ghost
     write, spawn/join/exit and wait/notify via thread and condition ghosts).
@@ -11,9 +11,10 @@
     live in a [Value.t array] frame indexed by compile-time slots, field and
     global names are pre-interned integers, and [Loc.t] is a pair of
     immediates — no string hashing or per-access allocation on the hot path.
-    Hooks are optional: a native run (all hooks absent) never builds an
-    event record at all.  The tree walker never gates: replay, and every
-    other run with a {!gate}, runs on the VM ({!Vm}).
+    The tree walker takes one hook, [on_shared]: it is pipebench's native
+    yardstick and the [~engine:Tree] recorder, and nothing else.  Every
+    other hook, the replay {!gate} and trace collection are the VM's
+    ({!Vm}); given any of them, {!run_compiled} raises [Invalid_argument].
 
     Object ids are thread-deterministic: [objid = tid * 1_000_000 + k] where
     [k] is the allocating thread's allocation index, so Assumption 1 (thread
@@ -77,33 +78,39 @@ type gate =
           Leap, Stride and Chimera replays).  The run's scheduler picks
           among the admitted threads. *)
 
-(** All hooks are optional; [None] lets the interpreter skip the
-    corresponding bookkeeping entirely (no pre-event or event-record
-    construction on native runs). *)
+(** All hooks are optional; [None] lets an engine skip the corresponding
+    bookkeeping entirely.  The VM ({!Vm}) takes every hook; the tree
+    walker takes [on_shared] only and raises [Invalid_argument] on any
+    other. *)
 type hooks = {
   gate : gate option;
   observe : (Event.t -> unit) option;
+      (** every access (with its value), syscall, spawn and thread finish;
+          VM only *)
   on_shared : (tid:int -> c:int -> obj:int -> fld:int -> kind:Event.akind -> site:int
                -> ghost:Event.ghost_kind -> unit) option;
-      (** allocation-free variant of [observe] for shared accesses only: the
+      (** the one hook both engines take.  An allocation-free variant of
+          [observe] for shared accesses only: the
           arguments arrive as ints and constants (no [Loc.t], no
           [Event.access] record, no [Event.t] constructor, no value), so
           neither engine allocates to call it and a recorder on this hook
           pays zero allocation per access.  Fired on every instrumented
           access, including ghosts, before [observe]. *)
   syscall_override : (tid:int -> idx:int -> name:string -> Value.t option) option;
-      (** replay-run substitution of recorded syscall values (Section 3.2) *)
+      (** replay-run substitution of recorded syscall values (Section 3.2);
+          VM only *)
   choose_wakeup : (lock:Value.objid -> waiters:int list -> int) option;
-      (** pick which waiter a [notify] wakes; default FIFO *)
+      (** pick which waiter a [notify] wakes; default FIFO; VM only *)
   suppress_write : (tid:int -> c:int -> obj:int -> fld:int -> site:int -> bool) option;
       (** replay-run blind-write suppression (Section 4.2): asked about a
           non-ghost write [(tid, c)] to [obj.fld] at [site] before it
-          executes; [true] skips the heap update *)
+          executes; [true] skips the heap update; VM only *)
   on_branch : (tid:int -> taken:bool -> unit) option;
       (** every if/while condition evaluation (used by path-recording tools
-          such as Clap); may raise to abort the run *)
+          such as Clap); may raise to abort the run; VM only *)
 }
 
+(** No hook at all: a native run, on either engine. *)
 let default_hooks : hooks =
   {
     gate = None;
@@ -187,8 +194,6 @@ type state = {
   mutable steps : int;
   mutable crashes : crash list;
   mutable syscalls_rev : (int * int * string * Value.t) list;
-  mutable trace_rev : Event.access list;
-  collect_trace : bool;
   rng : Random.State.t;  (* backs the @rand syscall *)
 }
 
@@ -312,21 +317,16 @@ let eval_ref (s : rstmt) slots e : Value.objid =
 (* Shared-access bookkeeping                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Tick D(t); build the access record only if someone will look at it. *)
+(* Tick D(t) and hand the access to [on_shared], as ints. *)
 let access st (t : thread) ~(loc : Loc.t) ~(kind : Event.akind) ~(site : int)
     ~(ghost : Event.ghost_kind) (value : Value.t) : unit =
   t.d <- t.d + 1;
   (match kind, ghost with
   | Read, NotGhost -> t.reads_rev <- (t.d, value) :: t.reads_rev
   | _ -> ());
-  if st.collect_trace then
-    st.trace_rev <- { Event.tid = t.tid; c = t.d; loc; kind; site; ghost } :: st.trace_rev;
-  (match st.hooks.on_shared with
+  match st.hooks.on_shared with
   | None -> ()
-  | Some f -> f ~tid:t.tid ~c:t.d ~obj:loc.obj ~fld:loc.fld ~kind ~site ~ghost);
-  match st.hooks.observe with
-  | None -> ()
-  | Some f -> f (Access ({ Event.tid = t.tid; c = t.d; loc; kind; site; ghost }, value))
+  | Some f -> f ~tid:t.tid ~c:t.d ~obj:loc.obj ~fld:loc.fld ~kind ~site ~ghost
 
 (* ------------------------------------------------------------------ *)
 (* Lock primitives                                                     *)
@@ -432,15 +432,8 @@ let do_read st (t : thread) (s : rstmt) (loc : Loc.t) : Value.t =
   v
 
 let do_write st (t : thread) (s : rstmt) (loc : Loc.t) (v : Value.t) : unit =
-  if shared_site st s.rsid then begin
-    (match st.hooks.suppress_write with
-    | None -> heap_write st loc v
-    | Some suppress ->
-      if not (suppress ~tid:t.tid ~c:(t.d + 1) ~obj:loc.obj ~fld:loc.fld ~site:s.rsid) then
-        heap_write st loc v);
-    access st t ~loc ~kind:Write ~site:s.rsid ~ghost:NotGhost v
-  end
-  else heap_write st loc v
+  heap_write st loc v;
+  if shared_site st s.rsid then access st t ~loc ~kind:Write ~site:s.rsid ~ghost:NotGhost v
 
 (* Site/line-parameterized (rather than taking the statement record) so
    the bytecode VM shares these semantics verbatim. *)
@@ -476,52 +469,23 @@ let opaque_op ~(site : int) ~(line : int) (name : string) (args : Value.t list) 
     else VInt (int_of_float (sqrt (float_of_int n)))
   | _ -> crash site line "unknown opaque operation #%s" name
 
-let syscall_builtin ~(override : (tid:int -> idx:int -> name:string -> Value.t option) option)
-    ~(steps : int) ~(tid : int) ~(sys_idx : int) ~(rng : Random.State.t) ~(site : int)
+let syscall_builtin ~(steps : int) ~(tid : int) ~(rng : Random.State.t) ~(site : int)
     ~(line : int) (name : string) (args : Value.t list) : Value.t =
-  let overridden =
-    match override with None -> None | Some f -> f ~tid ~idx:sys_idx ~name
-  in
-  match overridden with
-  | Some v -> v
-  | None -> (
-    match name, args with
-    | "time", [] -> VInt (steps / 10)
-    | "nanotime", [] -> VInt ((steps * 1000) + (tid * 7))
-    | "rand", [ VInt n ] when n > 0 -> VInt (Random.State.int rng n)
-    | "rand", [] -> VInt (Random.State.int rng 1_000_000)
-    | "read_input", [] -> VInt (Random.State.int rng 100)
-    | _ -> crash site line "bad syscall @%s" name)
-
-let syscall_value st (t : thread) (s : rstmt) (name : string) (args : Value.t list) :
-    Value.t =
-  syscall_builtin ~override:st.hooks.syscall_override ~steps:st.steps ~tid:t.tid
-    ~sys_idx:t.sys_idx ~rng:st.rng ~site:s.rsid ~line:s.rline name args
+  match name, args with
+  | "time", [] -> VInt (steps / 10)
+  | "nanotime", [] -> VInt ((steps * 1000) + (tid * 7))
+  | "rand", [ VInt n ] when n > 0 -> VInt (Random.State.int rng n)
+  | "rand", [] -> VInt (Random.State.int rng 1_000_000)
+  | "read_input", [] -> VInt (Random.State.int rng 100)
+  | _ -> crash site line "bad syscall @%s" name
 
 let fifo_pop st (m : Value.objid) : int option =
   match Hashtbl.find_opt st.waitsets m with
   | None -> None
   | Some q -> if Queue.is_empty q then None else Some (Queue.pop q)
 
-let pick_wakeup st (m : Value.objid) : int option =
-  match st.hooks.choose_wakeup with
-  | None -> fifo_pop st m
-  | Some f -> (
-    match Hashtbl.find_opt st.waitsets m with
-    | None -> None
-    | Some q when Queue.is_empty q -> None
-    | Some q ->
-      let waiters = List.rev (Queue.fold (fun acc x -> x :: acc) [] q) in
-      let w = f ~lock:m ~waiters in
-      Queue.clear q;
-      List.iter (fun x -> if x <> w then Queue.push x q) waiters;
-      Some w)
-
 let wake st (w : int) (m : Value.objid) : unit =
   (Hashtbl.find st.threads w).status <- Notified m
-
-let observe_event st (ev : Event.t) : unit =
-  match st.hooks.observe with None -> () | Some f -> f ev
 
 (* Thread exit: emit the exit ghost write and release any held locks. *)
 let finish_thread st (t : thread) ~(crashed : bool) : unit =
@@ -530,8 +494,7 @@ let finish_thread st (t : thread) ~(crashed : bool) : unit =
   let v = Value.VInt t.tid in
   heap_write st l v;
   access st t ~loc:l ~kind:Write ~site:0 ~ghost:ThreadExitWrite v;
-  t.status <- (if crashed then Crashed else Finished);
-  observe_event st (ThreadFinished { tid = t.tid })
+  t.status <- (if crashed then Crashed else Finished)
 
 let make_thread ~tid ~frames : thread =
   {
@@ -582,7 +545,6 @@ let spawn_thread st (parent : thread) (s : rstmt) (fidx : int) (fname : string)
   let v = Value.VThread tid in
   heap_write st l v;
   access st parent ~loc:l ~kind:Write ~site:s.rsid ~ghost:SpawnWrite v;
-  observe_event st (ThreadSpawned { parent = parent.tid; child = tid });
   tid
 
 (* Execute one transition of thread [t].  Assumes semantically enabled. *)
@@ -712,7 +674,6 @@ and exec_stmt st (t : thread) (s : rstmt) (slots : Value.t array) : unit =
     set_local t x (VBool (v <> VNull))
   | RIf (c, b1, b2) ->
     let cond = eval_bool s slots c in
-    (match st.hooks.on_branch with None -> () | Some f -> f ~tid:t.tid ~taken:cond);
     pop_stmt t;
     let f = current_frame t in
     (match if cond then b1 else b2 with
@@ -720,7 +681,6 @@ and exec_stmt st (t : thread) (s : rstmt) (slots : Value.t array) : unit =
     | body -> f.cont <- CSeq { todo = body; next = f.cont })
   | RWhile (c, b) ->
     let cond = eval_bool s slots c in
-    (match st.hooks.on_branch with None -> () | Some f -> f ~tid:t.tid ~taken:cond);
     let f = current_frame t in
     if cond then (
       (* the RWhile stays at the head of the outer sequence: after the body
@@ -816,7 +776,7 @@ and exec_stmt st (t : thread) (s : rstmt) (slots : Value.t array) : unit =
       let v = Value.VInt t.tid in
       heap_write st cl v;
       access st t ~loc:cl ~kind:Write ~site:s.rsid ~ghost:NotifyWrite v;
-      (match pick_wakeup st mo with Some w -> wake st w mo | None -> ())
+      (match fifo_pop st mo with Some w -> wake st w mo | None -> ())
     | _ -> crash s.rsid s.rline "notify without holding the monitor")
   | RNotifyAll m -> (
     let mo = eval_ref s slots m in
@@ -844,9 +804,11 @@ and exec_stmt st (t : thread) (s : rstmt) (slots : Value.t array) : unit =
     t.outputs_rev <- str :: t.outputs_rev
   | RSyscall (x, name, args) ->
     let vals = List.map (eval s slots) args in
-    let v = syscall_value st t s name vals in
+    let v =
+      syscall_builtin ~steps:st.steps ~tid:t.tid ~rng:st.rng ~site:s.rsid ~line:s.rline
+        name vals
+    in
     st.syscalls_rev <- (t.tid, t.sys_idx, name, v) :: st.syscalls_rev;
-    observe_event st (SyscallEvent { tid = t.tid; idx = t.sys_idx; name; value = v });
     t.sys_idx <- t.sys_idx + 1;
     pop_stmt t;
     set_local t x v
@@ -882,16 +844,20 @@ let outcome_of_state (st : state) (status : status_summary) : outcome =
              ( id,
                Hashtbl.fold (fun f v acc -> (Loc.fld_name f, v) :: acc) o.fields []
                |> List.sort compare ));
-    trace = List.rev st.trace_rev;
+    trace = [];
   }
 
 (** Run [cp] from its initial state (globals object, main thread, seeded
     RNG) until termination or [max_steps].  Pausing, checkpointing and
-    resuming a run (epoch recording) and gated runs (replay) are the VM's
-    job ({!Vm.run_state}): [hooks.gate] raises [Invalid_argument]. *)
+    resuming a run (epoch recording), gated runs (replay), trace
+    collection and every hook but [on_shared] are the VM's job
+    ({!Vm.run_state}): given any of them, this raises [Invalid_argument]. *)
 let run_compiled ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(max_steps = 5_000_000)
     ?(collect_trace = false) ?(seed = 0) ~(sched : Sched.t) (cp : compiled) : outcome =
-  if hooks.gate <> None then invalid_arg "Interp: a gated run runs on the VM";
+  (* every field of [default_hooks] is [None], so [<>] never compares two
+     closures *)
+  if collect_trace || { hooks with on_shared = None } <> default_hooks then
+    invalid_arg "Interp: the tree walker takes on_shared only; run on the VM";
   let shared = Array.init (cp.cp_max_sid + 1) (fun sid -> plan.Plan.shared_site sid) in
   let st =
     {
@@ -907,8 +873,6 @@ let run_compiled ?(hooks = default_hooks) ?(plan = Plan.all_shared) ?(max_steps 
       steps = 0;
       crashes = [];
       syscalls_rev = [];
-      trace_rev = [];
-      collect_trace;
       rng = Random.State.make [| seed; 0x5EED |];
     }
   in

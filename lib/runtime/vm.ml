@@ -2,11 +2,15 @@
     {!Lang.Bytecode} programs ({!Lang.Compile.lower}).
 
     Semantically this module is a drop-in replacement for {!Interp}: same
-    hooks surface, same crash messages and attribution, same D(t) counter
-    stream.  The differential suite (test_vm) holds ungated VM runs
-    byte-identical to the tree interpreter on logs and observables.  It
-    is the one engine that gates a run ([Interp.Rank] for Light's replay,
-    [Interp.Pred] for the baselines'), and the one that pauses a run
+    crash messages and attribution, same D(t) counter stream.  The
+    differential suite (test_vm) holds ungated VM runs byte-identical to
+    the tree interpreter on logs and observables.  It is the one engine
+    that takes every hook: the tree walker takes [on_shared] only, so the
+    baselines' recordings ([observe], [on_branch]), the HB detector,
+    trace collection and syscall substitution run here, and test_baselines
+    pins the streams those hooks see.  It is the one engine that gates a
+    run ([Interp.Rank] for Light's replay, [Interp.Pred] for the
+    baselines'), and the one that pauses a run
     ([run_state ~stop_at]) and writes and restores epoch checkpoints
     ({!snapshot}, {!restore_state}): a checkpoint is produced from PC +
     register frames via the compile-time continuation templates, and its
@@ -791,10 +795,15 @@ let exec_instr st (t : vthread) (f : vframe) (pc : int) (ins : instr) : bool =
     false
   | ISyscall (dst, name, args) ->
     let vals = List.map (fun o -> read_op st f pc o) (Array.to_list args) in
+    let recorded =
+      Option.bind st.hooks.syscall_override (fun over -> over ~tid:t.tid ~idx:t.sys_idx ~name)
+    in
     let v =
-      Interp.syscall_builtin ~override:st.hooks.syscall_override ~steps:st.steps
-        ~tid:t.tid ~sys_idx:t.sys_idx ~rng:st.rng ~site:st.prog.bc_sid_at.(pc)
-        ~line:st.prog.bc_line_at.(pc) name vals
+      match recorded with
+      | Some v -> v
+      | None ->
+        Interp.syscall_builtin ~steps:st.steps ~tid:t.tid ~rng:st.rng
+          ~site:st.prog.bc_sid_at.(pc) ~line:st.prog.bc_line_at.(pc) name vals
     in
     st.syscalls_rev <- (t.tid, t.sys_idx, name, v) :: st.syscalls_rev;
     observe_event st (SyscallEvent { tid = t.tid; idx = t.sys_idx; name; value = v });

@@ -227,7 +227,7 @@ let round_robin_runs_identical () =
      main { x = 0; spawn a = w(2); spawn b = w(3); join a; join b; print x; }"
   in
   let p = Lang.Check.validate_exn (Lang.Parser.parse_program src) in
-  let go () = Interp.run ~collect_trace:true ~sched:(Sched.round_robin ()) p in
+  let go () = Vm.run ~collect_trace:true ~sched:(Sched.round_robin ()) p in
   let o1 = go () in
   let o2 = go () in
   let sched_of (o : Interp.outcome) =

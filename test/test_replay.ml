@@ -867,7 +867,8 @@ let test_vm_gated_pick () =
 
 (* One gated engine: the VM runs a predicate gate (the baselines'
    replays), which delays a denied thread and leaves the pick to the
-   scheduler; the tree walker refuses any gate before the run starts. *)
+   scheduler; the tree walker refuses any gate, any other hook but
+   [on_shared], and trace collection before the run starts. *)
 let test_pred_gate () =
   let p = parse racy_fields in
   (* thread 102 may not write [x] until thread 101 has finished *)
@@ -897,14 +898,24 @@ let test_pred_gate () =
        (Vm.run ~hooks:{ Interp.default_hooks with gate = Some (Pred (fun _ -> false)) }
           ~sched:(Sched.round_robin ()) p)
          .status);
+  let d = Interp.default_hooks in
   List.iter
-    (fun (what, gate) ->
-      match Interp.run ~hooks:{ Interp.default_hooks with gate = Some gate }
-              ~sched:(Sched.round_robin ()) p with
+    (fun (what, hooks, collect_trace) ->
+      match Interp.run ~hooks ~collect_trace ~sched:(Sched.round_robin ()) p with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "the tree walker ran a %s gate" what)
-    [ ("Pred", Pred (fun _ -> true));
-      ("Rank", Rank { wait = (fun ~tid:_ ~c:_ -> 0); cursor = ref 0 }) ]
+      | _ -> Alcotest.failf "the tree walker ran %s" what)
+    [ ("a Pred gate", { d with gate = Some (Pred (fun _ -> true)) }, false);
+      ( "a Rank gate",
+        { d with gate = Some (Rank { wait = (fun ~tid:_ ~c:_ -> 0); cursor = ref 0 }) },
+        false );
+      ("observe", { d with observe = Some ignore }, false);
+      ("syscall_override", { d with syscall_override = Some (fun ~tid:_ ~idx:_ ~name:_ -> None) }, false);
+      ("choose_wakeup", { d with choose_wakeup = Some (fun ~lock:_ ~waiters -> List.hd waiters) }, false);
+      ( "suppress_write",
+        { d with suppress_write = Some (fun ~tid:_ ~c:_ ~obj:_ ~fld:_ ~site:_ -> false) },
+        false );
+      ("on_branch", { d with on_branch = Some (fun ~tid:_ ~taken:_ -> ()) }, false);
+      ("collect_trace", d, true) ]
 
 (* Allocation of a gated VM step against an ungated round-robin one, on
    the same program and plan, for every workload: minor-heap words are
