@@ -69,8 +69,7 @@ let bechamel_tests () =
     Test.make ~name (Staged.stage (fun () ->
         let bm = workload bm_name in
         let p = Workloads.program bm in
-        ignore
-          (Runtime.Interp.run ~sched:(Workloads.scheduler bm) p)))
+        ignore (Runtime.Vm.run ~sched:(Workloads.scheduler bm) p)))
   in
   let record_test name bm_name variant =
     Test.make ~name (Staged.stage (fun () ->

@@ -559,8 +559,7 @@ let bench_cmd =
 
 let context_of ~seed ~stickiness file =
   let p = or_die (read_program file) in
-  let make_sched () = sched_of ~seed ~stickiness in
-  (p, or_die (Explore.make_context ~make_sched p))
+  (p, or_die (Explore.make_context ~sched:(sched_of ~seed ~stickiness) p))
 
 let explore_cmd =
   let run file seed stickiness limit jobs =
@@ -607,7 +606,7 @@ let explore_cmd =
 let hunt_cmd =
   let run file seed stickiness limit depth out jobs =
     let _, ctx = context_of ~seed ~stickiness file in
-    if ctx.recording.outcome.crashes <> [] then
+    if ctx.outcome.crashes <> [] then
       or_die
         (Error
            "the recorded run already crashes; hunt starts from a passing run \

@@ -139,28 +139,20 @@ let preemptive (switches : (int * int) list) : Sched.t =
         | [] -> assert false (* split_on_char returns one field at least *));
   }
 
-(* Run a candidate schedule of the lowered program; [None] when some
-   thread's branch stream deviates from the recorded path (prune). *)
-let run_candidate (bp : Bytecode.program) (l : log) (switches : (int * int) list)
-    ~(max_steps : int) : Interp.outcome option =
-  let bpos : (int, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let branch_log = Hashtbl.create 16 in
-  List.iter (fun (t, arr) -> Hashtbl.replace branch_log t arr) l.branches;
+(* A runner for candidate schedules of the lowered program: the recorded
+   paths and syscall values are indexed once, and each candidate only
+   rewinds the per-thread branch positions.  A candidate gives [None] when
+   some thread's branch stream deviates from its recorded path (prune). *)
+let candidate_runner (bp : Bytecode.program) (l : log) :
+    (int * int) list -> max_steps:int -> Interp.outcome option =
+  let paths = Hashtbl.create 16 in
+  List.iter (fun (t, arr) -> Hashtbl.replace paths t (arr, ref 0)) l.branches;
   let sys = Hashtbl.create 64 in
   List.iter (fun (t, i, _, v) -> Hashtbl.replace sys (t, i) v) l.syscalls;
   let on_branch ~tid ~taken =
-    let i =
-      match Hashtbl.find_opt bpos tid with
-      | Some r -> r
-      | None ->
-        let r = ref 0 in
-        Hashtbl.add bpos tid r;
-        r
-    in
-    (match Hashtbl.find_opt branch_log tid with
-    | Some arr when !i < Array.length arr -> if arr.(!i) <> taken then raise Deviation
-    | _ -> raise Deviation);
-    incr i
+    match Hashtbl.find_opt paths tid with
+    | Some (arr, i) when !i < Array.length arr && arr.(!i) = taken -> incr i
+    | _ -> raise Deviation
   in
   let hooks =
     {
@@ -169,9 +161,11 @@ let run_candidate (bp : Bytecode.program) (l : log) (switches : (int * int) list
       syscall_override = Some (fun ~tid ~idx ~name:_ -> Hashtbl.find_opt sys (tid, idx));
     }
   in
-  match Vm.run_program ~hooks ~max_steps ~sched:(preemptive switches) bp with
-  | outcome -> Some outcome
-  | exception Deviation -> None
+  fun switches ~max_steps ->
+    Hashtbl.iter (fun _ (_, i) -> i := 0) paths;
+    match Vm.run_program ~hooks ~max_steps ~sched:(preemptive switches) bp with
+    | outcome -> Some outcome
+    | exception Deviation -> None
 
 let crash_key (c : Interp.crash) = (c.tid, c.site, c.msg)
 
@@ -186,10 +180,10 @@ let synthesize ?(budget = 30_000) (p : Ast.program) (l : log) : synth_result =
       let target = List.sort compare (List.map crash_key l.crashes) in
       let tried = ref 0 in
       let tids = List.sort_uniq compare (1 :: l.threads) in
-      let bp = Compile.lower (Interp.compile p) in
+      let run_candidate = candidate_runner (Compile.lower (Interp.compile p)) l in
       (* measure the default run to bound step positions *)
       let horizon =
-        match run_candidate bp l [] ~max_steps:100_000 with
+        match run_candidate [] ~max_steps:100_000 with
         | Some o -> min 1_200 (o.steps + 50)
         | None -> 600
       in
@@ -201,7 +195,7 @@ let synthesize ?(budget = 30_000) (p : Ast.program) (l : log) : synth_result =
       let try_sched switches =
         if !tried < budget then begin
           incr tried;
-          match run_candidate bp l switches ~max_steps:(4 * horizon) with
+          match run_candidate switches ~max_steps:(4 * horizon) with
           | Some o when matches o -> raise (Found switches)
           | _ -> ()
         end

@@ -132,10 +132,10 @@ let record_prepared ?(engine = Vm.Tree) ?(sched = Sched.random ~seed:1)
        else Recorder.site_hits recorder);
   }
 
-(** Run the transformer and execute the program under the Light recorder. *)
-let record ?variant ?engine ?sched ?max_steps ?seed ?weights ?plan
+(** Run the transformer and record the program on the register VM. *)
+let record ?variant ?sched ?max_steps ?seed ?weights ?plan
     (program : Lang.Ast.program) : recording =
-  record_prepared ?engine ?sched ?max_steps ?seed ?weights
+  record_prepared ~engine:Vm.Bytecode ?sched ?max_steps ?seed ?weights
     (prepare ?variant ?plan program)
 
 (* Accessors for the epoch engine (and other lib/core clients of the

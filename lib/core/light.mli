@@ -71,8 +71,11 @@ val record_prepared :
     interpreter and the recorder's zero-allocation access fast path are on
     the clock.  [engine] selects the execution substrate: [Vm.Tree] (the
     slot-resolved tree walker, the default) or [Vm.Bytecode] (the
-    register VM over the eagerly lowered program) — recorded logs are
-    byte-identical either way.
+    register VM over the eagerly lowered program) — recorded logs, space
+    and cost-model meters are identical either way.  The default stays on
+    the tree walker because pipebench times this call against
+    {!Interp.run_compiled}, its native run: an [overhead_x] must divide
+    two runs of one engine.
 
     [recorder] recycles a long-lived recorder across sessions instead of
     allocating a fresh one: it is {!Recorder.reset} in place (retargeted to
@@ -93,7 +96,6 @@ val prepared_modes : prepared -> Bytes.t
 
 val record :
   ?variant:variant ->
-  ?engine:Vm.engine ->
   ?sched:Sched.t ->
   ?max_steps:int ->
   ?seed:int ->
@@ -101,11 +103,12 @@ val record :
   ?plan:Plan.t ->
   Lang.Ast.program ->
   recording
-(** [prepare] followed by [record_prepared].  [sched] defaults to a seeded
-    random scheduler; [seed] feeds the program-visible nondeterminism
-    ([@rand] etc.).  [plan] overrides the transformer's instrumentation
-    plan — pass [Plan.all_shared] for a record-everything baseline (static
-    analysis disabled). *)
+(** [prepare] followed by [record_prepared] on the register VM
+    ([Vm.Bytecode]), the engine every run but pipebench's records on.
+    [sched] defaults to a seeded random scheduler; [seed] feeds the
+    program-visible nondeterminism ([@rand] etc.).  [plan] overrides the
+    transformer's instrumentation plan — pass [Plan.all_shared] for a
+    record-everything baseline (static analysis disabled). *)
 
 type replay_result = {
   replay_outcome : Interp.outcome;
@@ -137,5 +140,5 @@ val record_and_replay :
   ?solver_budget:Dlsolver.Idl.budget ->
   Lang.Ast.program ->
   (recording * replay_result, string) result
-(** [record] followed by [replay]: records on the tree walker, replays on
-    the register VM. *)
+(** [record] followed by [replay]: records and replays on the register
+    VM. *)

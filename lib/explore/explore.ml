@@ -302,8 +302,10 @@ let solve_flips ?budget ?(hinted = true) ?sections (log : Log.t)
 (* ------------------------------------------------------------------ *)
 
 type context = {
-  recording : Light_core.Light.recording;
-  trace : Event.access list;
+  program : Lang.Ast.program;
+  plan : Plan.t;
+  log : Log.t;
+  outcome : Interp.outcome;
   racy_pairs : (int * int) list;
   base_order : Log.evt array;
   sections : (Loc.t * (Log.evt * Log.evt) list) list;
@@ -313,50 +315,46 @@ type context = {
 let norm_pair a b = (min a b, max a b)
 
 let make_context ?(variant = Light_core.Light.v_basic) ?(max_steps = 400_000)
-    ?(seed = 0) ~(make_sched : unit -> Sched.t) (p : Lang.Ast.program) :
-    (context, string) result =
+    ?(seed = 0) ~(sched : Sched.t) (p : Lang.Ast.program) : (context, string) result =
   let plan = Plan.all_shared in
-  let r =
-    Light_core.Light.record ~variant ~plan ~seed ~max_steps ~sched:(make_sched ()) p
-  in
-  (* second, byte-identical run on the VM, the engine that takes
-     [observe] and traces (fresh scheduler instance from the same
-     constructor; both tools' hooks are passive and the D(t) counters are
-     plan-independent under [all_shared]) for the trace + dynamic races *)
+  let pp = Light_core.Light.prepare ~variant ~plan p in
+  (* one VM run feeds the recorder ([on_shared]), the race detector
+     ([observe]) and the access trace *)
+  let recorder = Light_core.Recorder.create ~variant (Light_core.Light.prepared_modes pp) in
   let hb = Analysis.Hb_detector.create () in
-  let traced =
-    Vm.run
-      ~hooks:(Analysis.Hb_detector.hooks hb)
-      ~plan ~max_steps ~collect_trace:true ~seed ~sched:(make_sched ()) p
+  let outcome =
+    Vm.run_program
+      ~hooks:
+        { (Light_core.Recorder.hooks recorder) with
+          observe = Some (Analysis.Hb_detector.observe hb) }
+      ~plan ~max_steps ~collect_trace:true ~seed ~sched
+      (Light_core.Light.prepared_bytecode pp)
   in
-  if traced.Interp.counters <> r.outcome.Interp.counters then
-    Error "trace rerun diverged from the recording (non-constructor scheduler?)"
-  else begin
-    let dyn =
-      List.map
-        (fun (rc : Analysis.Hb_detector.race) -> norm_pair rc.site1 rc.site2)
-        (Analysis.Hb_detector.races hb)
-    in
-    (* the MHP + lockset refinement applies here too: pairs the analysis
-       proves ordered, covered, or never-parallel are off the flip
-       frontier, so exploration spends its budget on pairs that can
-       actually reorder (lint ranks the same set) *)
-    let static_ =
-      List.map
-        (fun (rp : Analysis.Analyze.race_pair) ->
-          norm_pair rp.t1.Analysis.Sites.sid rp.t2.Analysis.Sites.sid)
-        (Instrument.Transformer.transform p).Instrument.Transformer.analysis
-          .Analysis.Analyze.races
-    in
-    let racy_pairs = List.sort_uniq compare (dyn @ static_) in
-    match Light_core.Replayer.solve r.log with
-    | { Light_core.Replayer.schedule = Some sch; _ } ->
-      Ok { recording = r; trace = traced.Interp.trace; racy_pairs;
-           base_order = sch.Light_core.Replayer.order;
-           sections = trace_sections traced.Interp.trace }
-    | { result_kind = Unsatisfiable; _ } -> Error "base constraint system unsatisfiable"
-    | _ -> Error "base solve exhausted its budget"
-  end
+  let log = Light_core.Recorder.finalize recorder ~outcome in
+  let dyn =
+    List.map
+      (fun (rc : Analysis.Hb_detector.race) -> norm_pair rc.site1 rc.site2)
+      (Analysis.Hb_detector.races hb)
+  in
+  (* the MHP + lockset refinement applies here too: pairs the analysis
+     proves ordered, covered, or never-parallel are off the flip
+     frontier, so exploration spends its budget on pairs that can
+     actually reorder (lint ranks the same set) *)
+  let static_ =
+    List.map
+      (fun (rp : Analysis.Analyze.race_pair) ->
+        norm_pair rp.t1.Analysis.Sites.sid rp.t2.Analysis.Sites.sid)
+      (Instrument.Transformer.transform p).Instrument.Transformer.analysis
+        .Analysis.Analyze.races
+  in
+  let racy_pairs = List.sort_uniq compare (dyn @ static_) in
+  match Light_core.Replayer.solve log with
+  | { Light_core.Replayer.schedule = Some sch; _ } ->
+    Ok { program = p; plan; log; outcome; racy_pairs;
+         base_order = sch.Light_core.Replayer.order;
+         sections = trace_sections outcome.trace }
+  | { result_kind = Unsatisfiable; _ } -> Error "base constraint system unsatisfiable"
+  | _ -> Error "base solve exhausted its budget"
 
 (* ------------------------------------------------------------------ *)
 (* Candidates                                                          *)
@@ -429,7 +427,7 @@ let candidates ?(limit = 32) (ctx : context) : flip list =
         Hashtbl.replace per_tid a.tid
           (a, if a.kind = Event.Write then Some a else prev_w)
       end)
-    ctx.trace;
+    ctx.outcome.trace;
   let all = List.rev !out in
   let racy, rest = List.partition (fun f -> f.f_racy) all in
   List.filteri (fun i _ -> i < limit) (racy @ rest)
@@ -463,8 +461,8 @@ type explored = {
 
 let run_schedule (ctx : context) (sch : Light_core.Replayer.schedule) :
     Interp.outcome =
-  Light_core.Replayer.replay ~suppress:false ctx.recording.program
-    ~plan:ctx.recording.plan sch
+  Light_core.Replayer.replay ~suppress:false ctx.program
+    ~plan:ctx.plan sch
 
 let classify (ctx : context) (o : Interp.outcome) : verdict =
   if o.crashes <> [] then Crashed o.crashes
@@ -479,10 +477,10 @@ let classify (ctx : context) (o : Interp.outcome) : verdict =
     | Interp.StepLimit -> Stuck "step limit"
     | Interp.AllFinished -> (
       let ms =
-        Interp.replay_matches ~original:ctx.recording.outcome ~replay:o
+        Interp.replay_matches ~original:ctx.outcome ~replay:o
       in
       let heap =
-        if o.final_heap <> ctx.recording.outcome.Interp.final_heap then
+        if o.final_heap <> ctx.outcome.Interp.final_heap then
           [ "final_heap differs" ]
         else []
       in
@@ -490,13 +488,13 @@ let classify (ctx : context) (o : Interp.outcome) : verdict =
 
 let eval_flips ?budget (ctx : context) (flips : flip list) :
     verdict * string list * float =
-  let s = solve_flips ?budget ~sections:ctx.sections ctx.recording.log flips in
+  let s = solve_flips ?budget ~sections:ctx.sections ctx.log flips in
   match s.sv with
   | Infeasible -> (InfeasibleFlip, [], s.solve_time_s)
   | SolveAborted -> (AbortedFlip, [], s.solve_time_s)
   | Feasible sch ->
     let errs =
-      Light_core.Validate.check ~free:s.free ctx.recording.log sch
+      Light_core.Validate.check ~free:s.free ctx.log sch
     in
     let o = run_schedule ctx sch in
     (classify ctx o, errs, s.solve_time_s)
@@ -664,7 +662,7 @@ let hunt ?pool ?budget ?(limit = 32) ?(depth = 2) (ctx : context) : hunt_result 
     let results =
       Engine.Batch.map ?pool sets ~f:(fun flips ->
           match
-            (solve_flips ?budget ~sections:ctx.sections ctx.recording.log flips).sv
+            (solve_flips ?budget ~sections:ctx.sections ctx.log flips).sv
           with
           | Feasible sch ->
             let o = run_schedule ctx sch in
@@ -707,7 +705,7 @@ let hunt ?pool ?budget ?(limit = 32) ?(depth = 2) (ctx : context) : hunt_result 
     let still_fails (flips : flip list) : Interp.outcome option =
       incr tried;
       match
-        (solve_flips ?budget ~sections:ctx.sections ctx.recording.log flips).sv
+        (solve_flips ?budget ~sections:ctx.sections ctx.log flips).sv
       with
       | Feasible sch ->
         let o = run_schedule ctx sch in
@@ -735,7 +733,7 @@ let hunt ?pool ?budget ?(limit = 32) ?(depth = 2) (ctx : context) : hunt_result 
         Some
           {
             rp_flips = List.sort flip_compare minimal;
-            rp_log = ctx.recording.log;
+            rp_log = ctx.log;
             rp_sections = ctx.sections;
             rp_expected = crash_sigs outcome;
           };
@@ -833,7 +831,7 @@ let measure ?budget ?fresh_budget ?limit ~label (ctx : context) : stats =
          unhinted search aborts honestly instead of hanging the bench *)
       let fresh =
         solve_flips ~budget:fresh_budget ~hinted:false ~sections:ctx.sections
-          ctx.recording.log [ f ]
+          ctx.log [ f ]
       in
       fresh_s := !fresh_s +. fresh.solve_time_s;
       match fresh.sv with

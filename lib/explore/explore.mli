@@ -92,8 +92,11 @@ val solve_flips :
 (** {1 Exploration context} *)
 
 type context = {
-  recording : Light_core.Light.recording;
-  trace : Event.access list;   (** full access trace of an identical rerun *)
+  program : Lang.Ast.program;
+  plan : Plan.t;               (** [Plan.all_shared]: every access recorded *)
+  log : Log.t;                 (** the recorded run's log *)
+  outcome : Interp.outcome;
+      (** the recorded run's observables, with its full access [trace] *)
   racy_pairs : (int * int) list;
       (** site pairs with race evidence: static ({!Analysis.Analyze.races})
           cross-checked with dynamic ({!Analysis.Hb_detector}); each pair
@@ -107,15 +110,15 @@ val make_context :
   ?variant:Light_core.Light.variant ->
   ?max_steps:int ->
   ?seed:int ->
-  make_sched:(unit -> Sched.t) ->
+  sched:Sched.t ->
   Lang.Ast.program ->
   (context, string) result
-(** Record one run ([Plan.all_shared], so counters cover every access) and
-    re-execute it with a fresh scheduler instance from the same constructor
-    — byte-identical, since both tools' hooks are passive — to collect the
-    access trace and the dynamic races.  [variant] defaults to [v_basic]:
-    O1 ranges coarsen the flip lattice, single-dependence records keep
-    every interval endpoint addressable. *)
+(** Record one run on the register VM under [sched] ([Plan.all_shared], so
+    counters cover every access).  The same run feeds the recorder, the
+    dynamic race detector ({!Analysis.Hb_detector} on the [observe] hook)
+    and the access trace, then the log is solved for the base schedule.
+    [variant] defaults to [v_basic]: O1 ranges coarsen the flip lattice,
+    single-dependence records keep every interval endpoint addressable. *)
 
 val candidates : ?limit:int -> context -> flip list
 (** Conflicting cross-thread access pairs adjacent in the trace (per

@@ -459,8 +459,7 @@ let measure_interp ?(seed = 7) ~iters (bm : Workloads.benchmark) : interp_measur
      native run ([replay_over_vm]) *)
   let _, replay_vm =
     let rc =
-      Light_core.Light.record_prepared ~sched:(sched ()) ~seed
-        (Light_core.Light.prepare ~variant:Light_core.Light.v_both p)
+      Light_core.Light.record ~variant:Light_core.Light.v_both ~sched:(sched ()) ~seed p
     in
     let sch = Option.get (Light_core.Replayer.solve rc.log).schedule in
     steps_per_sec ~iters (fun () ->
@@ -667,10 +666,9 @@ let measure_analysis ?(seed = 7) ~iters (bm : Workloads.benchmark) : analysis_me
   let p = Workloads.program bm in
   let sched () = Workloads.scheduler ~seed bm in
   let tr = Instrument.Transformer.transform p in
-  let record ?plan variant =
-    Light_core.Light.record ~variant ~sched:(sched ()) ~seed ?plan p
+  let rec_both =
+    Light_core.Light.record ~variant:Light_core.Light.v_both ~sched:(sched ()) ~seed p
   in
-  let rec_both = record Light_core.Light.v_both in
   (* dynamic confirmation of the static race pairs: one detector run under
      the deterministic scheduler, so the column is stdout-safe *)
   let _, det = Analysis.Hb_detector.detect ~sched:(Sched.round_robin ()) p in
@@ -690,11 +688,13 @@ let measure_analysis ?(seed = 7) ~iters (bm : Workloads.benchmark) : analysis_me
   let _, native =
     steps_per_sec ~iters (fun () -> (Interp.run_compiled ~sched:(sched ()) cp).steps)
   in
-  (* the timed run takes the precomputed plan: the point is the cost of the
-     instrumentation the plan leaves behind, not of running the analysis *)
+  (* prepared once with the precomputed plan and recorded on the tree
+     walker, like [native]: the timed cost is the instrumentation the plan
+     leaves behind, not the analysis or compilation *)
   let _, basic =
+    let pp = Light_core.Light.prepare ~variant:Light_core.Light.v_basic ~plan:tr.plan p in
     steps_per_sec ~iters (fun () ->
-        (record ~plan:tr.plan Light_core.Light.v_basic).outcome.steps)
+        (Light_core.Light.record_prepared ~sched:(sched ()) ~seed pp).outcome.steps)
   in
   {
     am_bm = bm.name;
@@ -938,9 +938,7 @@ let explore_bench ?(seed = 3) ?(json_path = "BENCH_explore.json") ?pool () ppf
     Engine.Batch.map ?pool Workloads.all ~f:(fun (bm : Workloads.benchmark) ->
         let p = Workloads.program bm in
         match
-          Explore.make_context ~seed
-            ~make_sched:(fun () -> Workloads.scheduler ~seed bm)
-            p
+          Explore.make_context ~seed ~sched:(Workloads.scheduler ~seed bm) p
         with
         | Error e -> Error (bm.name, e)
         | Ok ctx -> Ok (Explore.measure ~limit ~label:bm.name ctx))
@@ -1307,7 +1305,8 @@ let running_example () ppf : unit =
       queue, recycled recorders, sharded intern;
    3. service without recycling — same pool, fresh recorder per session
       (attributes the recycling share of the speedup);
-   4. naive per-session [Light.record] loop at the same LIGHT_JOBS — what
+   4. naive per-session [prepare] + [record_prepared] loop at the same
+      LIGHT_JOBS, on each combination's engine — what
       a deployment without the service's prepared-session cache does:
       each session arrives as source, so every session re-parses,
       re-validates, re-transforms, re-analyzes, re-compiles, and
@@ -1419,7 +1418,7 @@ let service_measure () : service_measure =
     Service.run ~pool ~queue_capacity:queue ~recycle:false sessions
   in
   let norecycle_s = Unix.gettimeofday () -. t0 in
-  (* pass 4: naive per-session Light.record at the same LIGHT_JOBS *)
+  (* pass 4: naive per-session prepare + record at the same LIGHT_JOBS *)
   let t0 = Unix.gettimeofday () in
   let naive_digests =
     Engine.Pool.map_array pool
@@ -1429,9 +1428,10 @@ let service_measure () : service_measure =
            front-end per session (the service cached it in [prepare]) *)
         let p = Workloads.program c.svc_bm in
         let r =
-          Light_core.Light.record ~variant:c.svc_variant ~engine:c.svc_engine
+          Light_core.Light.record_prepared ~engine:c.svc_engine
             ~sched:(Workloads.scheduler ~seed:(1000 + i) c.svc_bm)
-            ~max_steps:steps_budget ~seed:i p
+            ~max_steps:steps_budget ~seed:i
+            (Light_core.Light.prepare ~variant:c.svc_variant p)
         in
         Digest.string (Light_core.Log.to_string r.Light_core.Light.log))
       (Array.init naive_n (fun i -> i))

@@ -20,7 +20,7 @@ open Runtime
 let ctx_of ?(seed = 2) (src : string) : Explore.context =
   let p = Lang.Check.validate_exn (Lang.Parser.parse_program src) in
   match
-    Explore.make_context ~make_sched:(fun () -> Sched.sticky ~seed ~stickiness:4) p
+    Explore.make_context ~sched:(Sched.sticky ~seed ~stickiness:4) p
   with
   | Ok ctx -> ctx
   | Error e -> Alcotest.failf "make_context: %s" e
@@ -47,12 +47,12 @@ let test_flips_sound () =
   let feasible = ref 0 in
   List.iter
     (fun (f : Explore.flip) ->
-      let s = Explore.solve_flips ~sections:ctx.sections ctx.recording.log [ f ] in
+      let s = Explore.solve_flips ~sections:ctx.sections ctx.log [ f ] in
       match s.sv with
       | Explore.Feasible sch ->
         incr feasible;
         (match
-           Light_core.Validate.check ~zones:true ~free:s.free ctx.recording.log sch
+           Light_core.Validate.check ~zones:true ~free:s.free ctx.log sch
          with
         | [] -> ()
         | errs ->
@@ -78,7 +78,7 @@ let test_toggle_involutive () =
     Alcotest.(check int) "toggle adds" 1 (List.length once);
     let twice = Explore.toggle once f in
     Alcotest.(check int) "toggle removes" 0 (List.length twice);
-    (match (Explore.solve_flips ctx.recording.log []).sv with
+    (match (Explore.solve_flips ctx.log []).sv with
     | Explore.Feasible sch ->
       Alcotest.(check bool) "no-flip solve = base order" true
         (sch.Light_core.Replayer.order = ctx.base_order)
@@ -102,7 +102,7 @@ let test_infeasible_reported () =
   | f :: _ ->
     let forged = { f with fa = f.fb; fb = f.fa } in
     (match
-       (Explore.solve_flips ~sections:ctx.sections ctx.recording.log
+       (Explore.solve_flips ~sections:ctx.sections ctx.log
           [ forged; f ]).sv
      with
     | Explore.Feasible _ -> Alcotest.fail "a flip and its inverse cannot both hold"
@@ -119,7 +119,7 @@ let test_hunt_rediscovers () =
       match Bugs.Harness.find_passing p with
       | None -> Alcotest.failf "%s: no passing schedule found" b.name
       | Some tr ->
-        (match Explore.make_context ~make_sched:tr.make_sched p with
+        (match Explore.make_context ~sched:(tr.make_sched ()) p with
         | Error e -> Alcotest.failf "%s: make_context: %s" b.name e
         | Ok ctx ->
           let hr = Explore.hunt ctx in
@@ -179,9 +179,7 @@ let test_msgpass_explored () =
         Lang.Check.validate_exn (Lang.Parser.parse_program (Workloads.generate prm))
       in
       match
-        Explore.make_context
-          ~make_sched:(fun () -> Sched.sticky ~seed:4 ~stickiness:16)
-          p
+        Explore.make_context ~sched:(Sched.sticky ~seed:4 ~stickiness:16) p
       with
       | Error e -> Alcotest.failf "%s: make_context: %s" name e
       | Ok ctx ->
@@ -221,7 +219,7 @@ let test_parallel_matches_serial () =
   match Bugs.Harness.find_passing p with
   | None -> Alcotest.fail "no passing schedule"
   | Some tr ->
-    (match Explore.make_context ~make_sched:tr.make_sched p with
+    (match Explore.make_context ~sched:(tr.make_sched ()) p with
     | Error e -> Alcotest.failf "make_context: %s" e
     | Ok bctx ->
       let h1 = Explore.hunt ~pool:(Engine.Pool.create ~size:1 ()) bctx in
@@ -230,6 +228,73 @@ let test_parallel_matches_serial () =
         Option.map (fun (rp : Explore.reproducer) -> rp.rp_flips) h.hr_repro
       in
       Alcotest.(check bool) "hunt: parallel = serial" true (flips h1 = flips h2))
+
+(* ------------------------------------------------------------------ *)
+(* Pinned contexts                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Digests of everything the explorer reads from its context: the log,
+   the trace, the race evidence, the base schedule and the critical
+   sections.  Locations enter by name, never by intern id, and nothing is
+   marshalled with sharing, so the digests depend only on the values. *)
+let context_digests (ctx : Explore.context) : string list =
+  let hex v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ])) in
+  [
+    Digest.to_hex (Digest.string (Light_core.Log.to_string ctx.log));
+    hex
+      (List.map
+         (fun (a : Event.access) -> (a.tid, a.c, Loc.to_string a.loc, a.kind, a.site, a.ghost))
+         ctx.outcome.trace);
+    hex ctx.racy_pairs;
+    hex ctx.base_order;
+    hex (List.map (fun (l, secs) -> (Loc.to_string l, secs)) ctx.sections);
+  ]
+
+let pinned_contexts =
+  [
+    ( `Workload "mp-queue",
+      [ "518fc921239a42b1fde53b83526e7b45"; "8e48bff02a68d5e2d29c58c930d70b5e";
+        "c5e35411975aef719f04a574b4ff5940"; "f13dcf7ee310ae30fd166d27bbfbebbe";
+        "4ec0948fdcfebe04c1dee717a6786eee" ] );
+    ( `Workload "tomcat-kernel",
+      [ "d4c24f105a63e8325bbbd33e1e85dd06"; "e34bf7400cedb442ae5d8a72d0aec98c";
+        "ff2e4b142553e3317a6a38856c0bf53c"; "aba9b5aa7bcabeddaae693ac430cb0ab";
+        "3fc32e5febe89678234b2e6aeed7a1e6" ] );
+    ( `Bug "Tomcat-50885",
+      [ "26476df8b441d92d75a03541d14b2407"; "9aacc2bc1a9f88deff4804e329a9bf36";
+        "c37c20b0d2f38a6be7b581187a31c0af"; "96b73c31451dc83075125057ae7baa8d";
+        "c5e35411975aef719f04a574b4ff5940" ] );
+    ( `Bug "Lucene-651",
+      [ "4ceea742028941866ffb603f624a7889"; "dcf63fb71afdee06a480c79b1b8b9f17";
+        "ae0fe013e26e95c6d6e135cd3c53143b"; "7bca1bf30873f6d6ed825a8e112a4969";
+        "42ec0fe4ef583f9a4a3023d80f490a7a" ] );
+  ]
+
+(* Two workloads as the explore bench builds them, and two Figure-6 bugs
+   from their passing runs as [hunt] starts from them. *)
+let test_context_pinned () =
+  List.iter
+    (fun (which, want) ->
+      let name, ctx =
+        match which with
+        | `Workload name ->
+          let bm = Option.get (Workloads.by_name name) in
+          ( name,
+            Explore.make_context ~seed:3 ~sched:(Workloads.scheduler ~seed:3 bm)
+              (Workloads.program bm) )
+        | `Bug name -> (
+          let p = Bugs.Defs.program_of (Option.get (Bugs.Defs.by_name name)) () in
+          match Bugs.Harness.find_passing p with
+          | Some tr -> (name, Explore.make_context ~sched:(tr.make_sched ()) p)
+          | None -> (name, Error "no passing schedule"))
+      in
+      match ctx with
+      | Error e -> Alcotest.failf "%s: make_context: %s" name e
+      | Ok ctx ->
+        Alcotest.(check (list string))
+          (name ^ ": log, trace, racy pairs, base order, sections")
+          want (context_digests ctx))
+    pinned_contexts
 
 (* ------------------------------------------------------------------ *)
 (* Honest budgets over synthetic logs (QCheck)                          *)
@@ -341,6 +406,8 @@ let () =
             test_hunt_rediscovers;
           Alcotest.test_case "parallel = serial" `Quick
             test_parallel_matches_serial;
+          Alcotest.test_case "contexts match their pinned digests" `Quick
+            test_context_pinned;
         ] );
       ( "workloads",
         [

@@ -1062,7 +1062,8 @@ let test_cache_edges () =
           List.map
             (fun rec_engine ->
               let r =
-                Light.record ~engine:rec_engine ~sched:(Sched.sticky ~seed ~stickiness:2) p
+                Light.record_prepared ~engine:rec_engine
+                  ~sched:(Sched.sticky ~seed ~stickiness:2) (Light.prepare p)
               in
               let o = gated_run p ~plan:r.plan (solved r) in
               let tag =

@@ -4,7 +4,8 @@
     identical [outcome] records on every workload under both schedulers and
     on random generated programs; with the Light recorder installed, the
     VM's logs must be {e byte-identical} to the tree-walker's across all
-    three recorder variants.  Epoch checkpoints are written and restored
+    three recorder variants, and so must its space, modeled overhead and
+    per-site hit counts.  Epoch checkpoints are written and restored
     by the VM alone; test_epochs covers them. *)
 
 open Runtime
@@ -121,7 +122,11 @@ let test_log_identity () =
             (tag ^ ": log bytes")
             (Light_core.Log.to_string rt.log)
             (Light_core.Log.to_string rv.log);
-          check_outcome (tag ^ ": recorded outcome") rt.outcome rv.outcome)
+          check_outcome (tag ^ ": recorded outcome") rt.outcome rv.outcome;
+          (* the E1-E9 meters come from VM recordings *)
+          Alcotest.(check int) (tag ^ ": space_longs") rt.space_longs rv.space_longs;
+          Alcotest.(check (float 0.)) (tag ^ ": overhead") rt.overhead rv.overhead;
+          Alcotest.(check (array int)) (tag ^ ": site_hits") rt.site_hits rv.site_hits)
         variants)
     Workloads.all
 
@@ -147,8 +152,9 @@ let test_vm_replay () =
       List.iter
         (fun (rec_engine, tag) ->
           let r =
-            Light_core.Light.record ~engine:rec_engine
-              ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3 p
+            Light_core.Light.record_prepared ~engine:rec_engine
+              ~sched:(Workloads.scheduler ~seed:3 bm) ~seed:3
+              (Light_core.Light.prepare p)
           in
           match Light_core.Light.replay r with
           | Error e -> Alcotest.failf "%s/%s: replay failed: %s" name tag e
