@@ -60,48 +60,52 @@ let run_explore () = Report.Experiments.explore_bench ~pool () ppf
 (* Bechamel wall-clock microbenchmarks                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Each case builds its input once, outside the staged closure, so a
+   sample times only what the case names: a run of the lowered program, a
+   recording of the prepared program (on the VM, as [Light.record]
+   records), a solve of the recorded log, or a replay of its schedule. *)
 let bechamel_tests () =
   let open Bechamel in
-  let workload name =
-    Option.get (Workloads.by_name name)
-  in
+  let workload name = Option.get (Workloads.by_name name) in
   let interp_test name bm_name =
-    Test.make ~name (Staged.stage (fun () ->
-        let bm = workload bm_name in
-        let p = Workloads.program bm in
-        ignore (Runtime.Vm.run ~sched:(Workloads.scheduler bm) p)))
+    let bm = workload bm_name in
+    let bp = Lang.Compile.lower (Runtime.Interp.compile (Workloads.program bm)) in
+    Test.make ~name
+      (Staged.stage (fun () -> ignore (Runtime.Vm.run_program ~sched:(Workloads.scheduler bm) bp)))
   in
   let record_test name bm_name variant =
-    Test.make ~name (Staged.stage (fun () ->
-        let bm = workload bm_name in
-        let p = Workloads.program bm in
-        ignore (Light_core.Light.record ~variant ~sched:(Workloads.scheduler bm) p)))
+    let bm = workload bm_name in
+    let pp = Light_core.Light.prepare ~variant (Workloads.program bm) in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore
+             (Light_core.Light.record_prepared ~engine:Runtime.Vm.Bytecode
+                ~sched:(Workloads.scheduler bm) pp)))
+  in
+  (* the bug's recording under its triggering schedule *)
+  let bug_recording bug_name scale =
+    let b = Option.get (Bugs.Defs.by_name bug_name) in
+    let p = Bugs.Defs.program_of b ~scale () in
+    Option.map
+      (fun (tr : Bugs.Harness.trigger) ->
+        Light_core.Light.record ~variant:Light_core.Light.v_both ~sched:(tr.make_sched ()) p)
+      (Bugs.Harness.find_trigger ~tries:10 p)
   in
   let solve_test name bug_name =
-    Test.make ~name (Staged.stage (fun () ->
-        let b = Option.get (Bugs.Defs.by_name bug_name) in
-        let p = Bugs.Defs.program_of b ~scale:4 () in
-        match Bugs.Harness.find_trigger ~tries:10 p with
-        | Some tr ->
-          let r =
-            Light_core.Light.record ~variant:Light_core.Light.v_both
-              ~sched:(tr.make_sched ()) p
-          in
-          ignore (Light_core.Replayer.solve r.log)
-        | None -> ()))
+    let r = bug_recording bug_name 4 in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           Option.iter (fun (r : Light_core.Light.recording) ->
+               ignore (Light_core.Replayer.solve r.log)) r))
   in
   let replay_test name bug_name =
-    Test.make ~name (Staged.stage (fun () ->
-        let b = Option.get (Bugs.Defs.by_name bug_name) in
-        let p = Bugs.Defs.program_of b () in
-        match Bugs.Harness.find_trigger ~tries:10 p with
-        | Some tr ->
-          let r =
-            Light_core.Light.record ~variant:Light_core.Light.v_both
-              ~sched:(tr.make_sched ()) p
-          in
-          ignore (Light_core.Light.replay r)
-        | None -> ()))
+    let replay =
+      Option.bind (bug_recording bug_name 1) (fun (r : Light_core.Light.recording) ->
+          Option.map
+            (fun sch () -> Light_core.Replayer.replay r.program ~plan:r.plan sch)
+            (Light_core.Replayer.solve r.log).schedule)
+    in
+    Test.make ~name (Staged.stage (fun () -> Option.iter (fun f -> ignore (f ())) replay))
   in
   [
     (* E1/E2 substrate: plain interpretation vs recording *)

@@ -471,7 +471,11 @@ let replay_cmd =
         or_die (Error "--epoch requires a v4 log (record with --epoch N)")
       | None -> ());
       let log = parse Light_core.Log.parse in
-      let report = Light_core.Replayer.solve log in
+      let report =
+        try Light_core.Replayer.solve log
+        with Light_core.Log.Inconsistent msg ->
+          or_die (Error (Printf.sprintf "bad log %s: %s" logfile msg))
+      in
       match report.schedule with
       | None ->
         or_die

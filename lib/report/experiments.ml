@@ -230,8 +230,10 @@ type solver_measure = {
   sm_conflicts : int;
   sm_gen_s : float;
   sm_solve_s : float;
+  sm_parse_words : int;  (* words [Log.of_string] allocates on the log's v3 text *)
   sm_gen_words : int;  (* words [Constraints.generate] allocates *)
   sm_solve_words : int;  (* words [Idl.solve] allocates on the generated system *)
+  sm_schedule_words : int;  (* words [Replayer.build_schedule] allocates on its model *)
 }
 
 let solver_variants =
@@ -262,8 +264,10 @@ let measure_solver ?(seed = 3)
     sm_conflicts = s.theory_conflicts;
     sm_gen_s = g.gen_time_s;
     sm_solve_s = report.solve_time_s;
+    sm_parse_words = 0;
     sm_gen_words = 0;
     sm_solve_words = 0;
+    sm_schedule_words = 0;
   },
     r.log )
 
@@ -282,12 +286,24 @@ let words_of (f : unit -> 'a) : int =
   ignore (Sys.opaque_identity (f ()));
   int_of_float (words () -. w0)
 
-(* The words [Constraints.generate] allocates for [log], then the words
-   [Idl.solve] allocates on the system it generated. *)
-let gen_solve_words (log : Light_core.Log.t) : int * int =
+(* The words each offline layer allocates on [log]: [Log.of_string] on
+   its v3 text, [Constraints.generate], [Idl.solve] on the system it
+   generated (hinted, as [Replayer.solve] calls it) and
+   [Replayer.build_schedule] on the model; [m] with them. *)
+let offline_words (m : solver_measure) (log : Light_core.Log.t) : solver_measure =
+  let text = Light_core.Log.to_string log in
   let cs = Light_core.Constraints.generate log in
-  ( words_of (fun () -> Light_core.Constraints.generate log),
-    words_of (fun () -> Dlsolver.Idl.solve ?hint:cs.hint cs.problem) )
+  let solve () = Dlsolver.Idl.solve ?hint:cs.hint cs.problem in
+  {
+    m with
+    sm_parse_words = words_of (fun () -> Light_core.Log.of_string text);
+    sm_gen_words = words_of (fun () -> Light_core.Constraints.generate log);
+    sm_solve_words = words_of solve;
+    sm_schedule_words =
+      (match solve () with
+      | Sat (model, _) -> words_of (fun () -> Light_core.Replayer.build_schedule log cs model)
+      | Unsat _ | Aborted _ -> 0);
+  }
 
 let solver_json (ms : solver_measure list) : J.t =
   let row m =
@@ -300,8 +316,9 @@ let solver_json (ms : solver_measure list) : J.t =
         ("deduped", J.Int m.sm_dedup); ("result", J.Str m.sm_result);
         ("decisions", J.Int m.sm_decisions); ("backtracks", J.Int m.sm_backtracks);
         ("conflicts", J.Int m.sm_conflicts); ("gen_s", J.Float m.sm_gen_s);
-        ("solve_s", J.Float m.sm_solve_s); ("gen_words", J.Int m.sm_gen_words);
-        ("solve_words", J.Int m.sm_solve_words);
+        ("solve_s", J.Float m.sm_solve_s); ("parse_words", J.Int m.sm_parse_words);
+        ("gen_words", J.Int m.sm_gen_words); ("solve_words", J.Int m.sm_solve_words);
+        ("schedule_words", J.Int m.sm_schedule_words);
       ]
   in
   let o1o2 = List.filter (fun m -> m.sm_variant = "O1+O2") ms in
@@ -309,8 +326,10 @@ let solver_json (ms : solver_measure list) : J.t =
   J.Obj
     [
       ("rows", J.List (List.map row ms));
+      ("parse_words_o1o2", total (fun m -> m.sm_parse_words));
       ("gen_words_o1o2", total (fun m -> m.sm_gen_words));
       ("solve_words_o1o2", total (fun m -> m.sm_solve_words));
+      ("schedule_words_o1o2", total (fun m -> m.sm_schedule_words));
     ]
 
 (* Per-workload constraint pipeline report: generation pruning ratios and
@@ -326,9 +345,7 @@ let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf : J
   in
   let ms =
     Engine.Batch.map ?pool grid ~f:(measure_solver ~seed)
-    |> List.map (fun (m, log) ->
-           let gen, solve = gen_solve_words log in
-           { m with sm_gen_words = gen; sm_solve_words = solve })
+    |> List.map (fun (m, log) -> offline_words m log)
   in
   Chart.table
     ~title:
@@ -368,15 +385,15 @@ let solver_bench ?(seed = 3) ?(json_path = "BENCH_solver.json") ?pool () ppf : J
   write_artifact ppf json_path j;
   j
 
-(* The generator's and the solver's allocation over the default (O1+O2)
-   logs.  Each is a count, the same on any host and for any pool size, so
+(* The allocation of each offline layer (parse, generate, solve,
+   schedule) over the default (O1+O2) logs.  Each is a count, the same on any host and for any pool size, so
    the 10% is not for noise: it lets a change trade a little allocation
    for something else without a baseline refresh, and stops a layout
    regression. *)
 let solvercheck_rules : Gate.rule list =
   List.map
     (fun metric -> { Gate.metric; reference = Baseline; direction = At_most; tolerance = 0.10 })
-    [ "gen_words_o1o2"; "solve_words_o1o2" ]
+    [ "parse_words_o1o2"; "gen_words_o1o2"; "solve_words_o1o2"; "schedule_words_o1o2" ]
 
 let solvercheck ?(baseline_path = "bench/BENCH_solver.baseline.json") ?json_path ?pool () ppf :
     bool =

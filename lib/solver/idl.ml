@@ -52,6 +52,29 @@ exception Unsat_now
 (* hard atoms loaded between two budget checks *)
 let check_every = 4096
 
+(* Whether [h] is a model that the search would settle on without a
+   single conflict: every hard atom holds under it, and so does the first
+   stored literal of every clause, which is the literal the search asserts
+   first while no clause has conflicted.  Stops at the first atom that
+   fails. *)
+let verifies (p : problem) (h : int array) : bool =
+  let n = Array.length h in
+  let holds (a : int array) (i : int) =
+    let u = a.(i) and v = a.(i + 1) in
+    u >= 0 && v >= 0 && u < n && v < n && h.(u) <= h.(v) + a.(i + 2)
+  in
+  let ok = ref true and e = ref 0 in
+  while !ok && !e < p.n_hard do
+    ok := holds p.hard (3 * !e);
+    incr e
+  done;
+  let c = ref 0 and cs = p.clause_start in
+  while !ok && !c < n_clauses p do
+    ok := cs.(!c) < cs.(!c + 1) && holds p.lits (3 * cs.(!c));
+    incr c
+  done;
+  !ok && n >= p.nvars
+
 let solve ?(budget = default_budget) ?hint (p : problem) : result =
   let n = n_clauses p and cs = p.clause_start and lits = p.lits in
   let decisions = ref 0 and backtracks = ref 0 and conflicts = ref 0 and adds = ref 0 in
@@ -63,6 +86,18 @@ let solve ?(budget = default_budget) ?hint (p : problem) : result =
     if budget.max_time_s < infinity && Sys.time () -. t_start > budget.max_time_s then
       raise (Give_up (Seconds budget.max_time_s))
   in
+  match hint with
+  | Some h when verifies p h ->
+    (* the search would load every hard atom and assert each clause's first
+       literal, all against potentials that already satisfy them: its
+       model is the hint, and its statistics are these.  The budget is
+       checked once, where the search first checks it: before the first
+       hard atom, else after the first decision *)
+    let stats d adds = { decisions = d; backtracks = 0; theory_conflicts = 0; theory_adds = adds } in
+    (match if p.n_hard > 0 || n > 0 then check_budget () with
+    | () -> Sat (Array.sub h 0 p.nvars, stats n (p.n_hard + n))
+    | exception Give_up b -> Aborted ((if p.n_hard > 0 then stats 0 0 else stats 1 1), b))
+  | _ ->
   (* room for every hard atom, one literal per clause and a level each *)
   let g =
     Diff_graph.create ~edges:(p.n_hard + n + 1) ~levels:(n + 1) ~check:check_budget

@@ -96,6 +96,11 @@ val solve : ?budget:budget -> ?hint:int array -> problem -> result
     caller that knows a model of the hard atoms (e.g. a topological order
     of its constraint DAG) makes their assertion relaxation-free: the hard
     atoms load in one pass that relaxes only the atoms the hint violates.
-    A wrong hint only costs work, never soundness.  The budget is checked
+    A wrong hint only costs work, never soundness.  A hint that satisfies
+    every hard atom and the first literal of every clause is the model
+    the search would find without a conflict, so it is checked in one pass
+    and returned (a copy) with the statistics that search reports: a
+    decision per clause, a theory add per hard atom and per clause, no
+    backtrack and no conflict.  The budget is checked
     per decision, per conflict, every 4096 hard atoms loaded and every
-    4096 steps of a relaxation wave. *)
+    4096 steps of a relaxation wave (once, on a hint that checks). *)

@@ -642,6 +642,44 @@ let prop_writer_reference =
         QCheck.Test.fail_report "re-read log writes other bytes";
       true)
 
+(* Logs recorded from random programs, seeds and variants, each read
+   again after one byte is deleted, duplicated or replaced: [Log.parse]
+   never raises, an [Error] names a line and a byte of it inside the
+   input, and a log it accepts writes and reads back to itself. *)
+let prop_mutated_logs =
+  let open QCheck.Gen in
+  let mutation =
+    triple (int_range 0 2) nat
+      (oneofl [ '0'; '7'; '9'; '-'; ':'; '/'; ' '; '\n'; 'x'; '%'; 'D'; 'R'; 'T'; 'F'; 'S' ])
+  in
+  let gen =
+    quad Random_programs.params_gen (int_range 0 50)
+      (oneofl [ Light.v_basic; Light.v_o1; Light.v_both ])
+      (list_size (return 20) mutation)
+  in
+  QCheck.Test.make ~count:30 ~name:"mutated recorded logs parse totally"
+    (QCheck.make gen) (fun (prm, seed, variant, mutations) ->
+      let p = Lang.Check.validate_exn (Lang.Parser.parse_program (Workloads.generate prm)) in
+      let txt = Log.to_string (Light.record ~variant ~sched:(Sched.random ~seed) ~seed p).log in
+      List.for_all
+        (fun (kind, at, ch) ->
+          let i = at mod String.length txt in
+          let s =
+            match kind with
+            | 0 -> String.sub txt 0 i ^ String.sub txt (i + 1) (String.length txt - i - 1)
+            | 1 -> String.sub txt 0 (i + 1) ^ String.sub txt i (String.length txt - i)
+            | _ -> String.mapi (fun j c -> if j = i then ch else c) txt
+          in
+          match Log.parse s with
+          | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+          | Ok l -> Log.of_string (Log.to_string l) = l
+          | Error e ->
+            let newlines = ref 0 in
+            String.iteri (fun j c -> if j < e.byte && c = '\n' then incr newlines) s;
+            e.byte >= 0 && e.byte <= String.length s && e.line = !newlines + 1
+            || QCheck.Test.fail_reportf "error at line %d, byte %d: %s" e.line e.byte e.msg)
+        mutations)
+
 (* [Log.add_int], which the v4 snapshot writer also calls, writes what
    [string_of_int] does, one integer at a time and into a growing sink. *)
 let prop_add_int =
@@ -749,6 +787,7 @@ let () =
           Alcotest.test_case "parsing allocates <= 8 minor words per record" `Quick
             test_parse_allocation;
           QCheck_alcotest.to_alcotest prop_random_log_roundtrip;
+          QCheck_alcotest.to_alcotest prop_mutated_logs;
           QCheck_alcotest.to_alcotest prop_writer_reference;
           QCheck_alcotest.to_alcotest prop_add_int;
           QCheck_alcotest.to_alcotest prop_log_wellformed;

@@ -368,16 +368,28 @@ let test_servicecheck_thresholds () =
     [ ("speedup at -50%", service 2.5, true); ("speedup past -50%", service 2.4999, false) ]
 
 let test_solvercheck_thresholds () =
-  let words gen solve =
-    J.Obj [ ("rows", J.List []); ("gen_words_o1o2", J.Int gen); ("solve_words_o1o2", J.Int solve) ]
+  let words ?(parse = 500) ?(schedule = 3000) gen solve =
+    J.Obj
+      [
+        ("rows", J.List []); ("parse_words_o1o2", J.Int parse); ("gen_words_o1o2", J.Int gen);
+        ("solve_words_o1o2", J.Int solve); ("schedule_words_o1o2", J.Int schedule);
+      ]
   in
   check_verdicts Report.Experiments.solvercheck_rules ~base:(words 1000 2000)
     [
-      ("fewer words", words 10 20, true);
-      ("both at +10%", words 1100 2200, true);
+      ("fewer words", words ~parse:5 ~schedule:30 10 20, true);
+      ("all at +10%", words ~parse:550 ~schedule:3300 1100 2200, true);
+      ("parse past +10%", words ~parse:551 1000 2000, false);
       ("generation past +10%", words 1101 2000, false);
       ("solve past +10%", words 1000 2201, false);
-      ("solve not measured", J.Obj [ ("rows", J.List []); ("gen_words_o1o2", J.Int 1000) ], false);
+      ("schedule past +10%", words ~schedule:3301 1000 2000, false);
+      ( "schedule not measured",
+        J.Obj
+          [
+            ("rows", J.List []); ("parse_words_o1o2", J.Int 500); ("gen_words_o1o2", J.Int 1000);
+            ("solve_words_o1o2", J.Int 2000);
+          ],
+        false );
       ("not measured", J.Obj [ ("rows", J.List []) ], false);
     ]
 
@@ -420,6 +432,10 @@ let test_committed_baselines () =
     (Gate.metric solver "gen_words_o1o2");
   Alcotest.(check (option (float 0.0))) "solve_words_o1o2" (Some 591482.0)
     (Gate.metric solver "solve_words_o1o2");
+  Alcotest.(check (option (float 0.0))) "parse_words_o1o2" (Some 553615.0)
+    (Gate.metric solver "parse_words_o1o2");
+  Alcotest.(check (option (float 0.0))) "schedule_words_o1o2" (Some 640470.0)
+    (Gate.metric solver "schedule_words_o1o2");
   Alcotest.(check (option (float 0.0))) "ratio_basic" (Some 1.33)
     (Gate.metric interp "geomean.ratio_basic");
   Alcotest.(check (option (float 0.0))) "speedup_vs_naive" (Some 2.8668)

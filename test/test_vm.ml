@@ -39,42 +39,6 @@ let test_workloads_equiv () =
         scheds)
     Workloads.all
 
-(* Random sharing signatures through the workload generator: unconstrained
-   combinations (empty bursts, 1-thread, maps+syscalls, tiny arrays) the
-   named workloads never exercise. *)
-let params_gen : Workloads.params QCheck.Gen.t =
-  QCheck.Gen.(
-    int_range 1 4 >>= fun threads ->
-    int_range 1 4 >>= fun iters ->
-    int_range 0 3 >>= fun local_work ->
-    int_range 1 12 >>= fun array_size ->
-    int_range 1 4 >>= fun runlen ->
-    bool >>= fun partition ->
-    int_range 0 4 >>= fun array_reads ->
-    int_range 0 4 >>= fun array_writes ->
-    int_range 0 3 >>= fun hot_ops ->
-    int_range 0 3 >>= fun locked_ops ->
-    bool >>= fun use_maps ->
-    bool >>= fun use_syscalls ->
-    int_range 1 6 >>= fun stickiness ->
-    return
-      {
-        Workloads.shape = Workloads.Loops;
-        threads;
-        iters;
-        local_work;
-        array_size;
-        runlen;
-        partition;
-        array_reads;
-        array_writes;
-        hot_ops;
-        locked_ops;
-        use_maps;
-        use_syscalls;
-        stickiness;
-      })
-
 let outcomes_equal (a : Interp.outcome) (b : Interp.outcome) =
   a.status = b.status && a.steps = b.steps && a.crashes = b.crashes
   && a.reads = b.reads && a.outputs = b.outputs && a.counters = b.counters
@@ -82,7 +46,7 @@ let outcomes_equal (a : Interp.outcome) (b : Interp.outcome) =
 
 let equiv_prop =
   QCheck.Test.make ~count:40 ~name:"random programs: Vm = Interp = Interp_ref"
-    (QCheck.make params_gen) (fun prm ->
+    (QCheck.make Random_programs.params_gen) (fun prm ->
       let p =
         Lang.Check.validate_exn (Lang.Parser.parse_program (Workloads.generate prm))
       in
@@ -170,7 +134,7 @@ let test_vm_replay () =
    status, and faithfully. *)
 let replay_prop =
   QCheck.Test.make ~count:25 ~name:"random programs: replay runs each access at its rank"
-    (QCheck.make params_gen) (fun prm ->
+    (QCheck.make Random_programs.params_gen) (fun prm ->
       let p =
         Lang.Check.validate_exn (Lang.Parser.parse_program (Workloads.generate prm))
       in
