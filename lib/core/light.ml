@@ -153,10 +153,13 @@ type replay_result = {
   report : Replayer.solve_report;
 }
 
-(** Compute a replay schedule offline and execute the replay run. *)
+(** Compute a replay schedule offline and execute the replay run.  A log
+    whose rows pass its counters is an [Error] ({!Log.Inconsistent}). *)
 let replay ?max_steps ?solver_budget (r : recording) :
     (replay_result, string) result =
-  let report = Replayer.solve ?budget:solver_budget r.log in
+  match Replayer.solve ?budget:solver_budget r.log with
+  | exception Log.Inconsistent msg -> Error ("bad log: " ^ msg)
+  | report ->
   match report.schedule with
   | None ->
     let s = report.solver_stats in

@@ -627,9 +627,14 @@ let reproducer_of_string (s : string) : (reproducer, string) result =
     (try go 2 (String.length magic + 1) rest with Bad_line m -> Error m)
   | _ -> Error "not a LIGHT-REPRO file"
 
+(** Solve the reproducer's flips and replay the schedule.  A log whose
+    rows, flips or sections pass its counters is an [Error]
+    ({!Light_core.Log.Inconsistent}). *)
 let run_reproducer ?budget ?max_steps (p : Lang.Ast.program) (rp : reproducer) :
     (Interp.outcome, string) result =
-  let s = solve_flips ?budget ~sections:rp.rp_sections rp.rp_log rp.rp_flips in
+  match solve_flips ?budget ~sections:rp.rp_sections rp.rp_log rp.rp_flips with
+  | exception Log.Inconsistent msg -> Error ("bad log: " ^ msg)
+  | s ->
   match s.sv with
   | Infeasible -> Error "reproducer flips are infeasible for this log"
   | SolveAborted -> Error "solver budget exhausted"

@@ -386,6 +386,33 @@ let test_reproducer_errors () =
       ("no log section", "LIGHT-REPRO v1\n" ^ flip ^ "\n", "missing log section");
     ]
 
+(* A reproducer that parses but whose log rows, or whose sections, pass
+   the log's final counters is an [Error] from [run_reproducer], as
+   [light reproduce] prints it, never an exception or a table as large
+   as a counter. *)
+let test_reproducer_past_counters () =
+  let p = Lang.Check.validate_exn (Lang.Parser.parse_program "main { print 0; }") in
+  let repro lines body =
+    let log = "light-log v3 o1=false o2=false\nF 0 x\nT 1 3\nT 2 2\n" ^ body in
+    String.concat "\n" (("LIGHT-REPRO v1" :: lines) @ [ Printf.sprintf "log %d" (String.length log) ])
+    ^ "\n" ^ log
+  in
+  List.iter
+    (fun (what, txt, want) ->
+      match Explore.reproducer_of_string txt with
+      | Error e -> Alcotest.failf "%s: %s" what e
+      | Ok rp ->
+        Alcotest.(check (result reject string)) what (Error want)
+          (Result.map (fun _ -> ()) (Explore.run_reproducer p rp)))
+    [
+      ( "a dep past its thread's final counter",
+        repro [] "D 7/0 2:1 1:1 1000000000000000 5 4\n",
+        "bad log: event (1,1000000000000000) is past thread 1's final counter 3" );
+      ( "a section past its thread's final counter",
+        repro [ "flip 1 1 0 R 2 1 0 W 0 7 x"; "section 1 1 1 99 7 x" ] "D 7/0 2:1 1:1 1 5 4\n",
+        "bad log: event (1,99) is past thread 1's final counter 3" );
+    ]
+
 let () =
   Alcotest.run "explore"
     [
@@ -399,6 +426,8 @@ let () =
             test_infeasible_reported;
           Alcotest.test_case "malformed reproducers name their line" `Quick
             test_reproducer_errors;
+          Alcotest.test_case "reproducers past the log's counters are an Error" `Quick
+            test_reproducer_past_counters;
         ] );
       ( "hunt",
         [
